@@ -14,9 +14,10 @@ Semantics worth knowing:
 - gradients flow only into nodes with ``requires_grad=True`` (set directly
   or inherited from any input).
 
-The op vocabulary is fixed and small: matmul, add, multiply, neg, concat
-(last axis), row gather, reshape, transpose, sum/mean over an axis, amax,
-tanh, sigmoid, relu, log, softmax, layer_norm and dropout.
+The op vocabulary is fixed and small: matmul (batched over leading
+axes), add, multiply, neg, concat (last axis), row gather, reshape,
+transpose (any axis permutation), sum/mean over an axis, amax, tanh,
+sigmoid, relu, log, softmax, layer_norm and dropout.
 
 Tensors are plain values and safe to copy between threads; a recorded
 graph belongs to the thread that built it. Training is single-threaded;
@@ -203,29 +204,32 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
+    """Matrix product; leading (batch) axes broadcast as in numpy."""
+    if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError(
-            f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
+            f"matmul expects operands with ndim >= 2, got {a.shape} @ {b.shape}")
     out_data = a.data @ b.data
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2),
+                                       a.shape))
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g,
+                                       b.shape))
 
     return _make(out_data, (a, b), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError(f"transpose expects a 2-D tensor, got {a.shape}")
+def transpose(a: Tensor, axes: Sequence[int] = (1, 0)) -> Tensor:
+    """Permute axes; the default swaps the two axes of a 2-D tensor."""
+    inverse = np.argsort(axes)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g.T)
+            a._accumulate(g.transpose(inverse))
 
-    return _make(a.data.T.copy(), (a,), backward)
+    return _make(a.data.transpose(axes).copy(), (a,), backward)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -276,12 +280,8 @@ def tensor_sum(a: Tensor, axis: int | None = None,
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
+        if a.requires_grad:
+            gg = g if keepdims or axis is None else np.expand_dims(g, axis)
             a._accumulate(np.broadcast_to(gg, a.shape).copy())
 
     return _make(out_data, (a,), backward)
@@ -445,7 +445,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None,
 class ParameterStore:
     """Ordered, uniquely-named registry of trainable tensors.
 
-    Names are '.'-separated paths (e.g. "encoder1.block0.head2.wq");
+    Names are '.'-separated paths (e.g. "encoder1.block0.wq_x");
     iteration follows insertion order, so checkpoints and optimizer state
     are deterministic.
     """
@@ -474,9 +474,6 @@ class ParameterStore:
 
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._entries.items())
-
-    def tensors(self) -> Iterator[Tensor]:
-        return iter(self._entries.values())
 
     def zero_grad(self) -> None:
         for t in self._entries.values():

@@ -10,6 +10,7 @@ with a schema version.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -31,30 +32,18 @@ logger = logging.getLogger(__name__)
 
 LOG_SCHEMA_VERSION = 1
 
+_MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ModelConfig))
+_TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
+
 DEFAULTS: dict = {
-    "seed": 0,
-    # model
-    "d": 100, "n_blocks": 2, "n_heads": 4, "d_head": None, "d_kb": 100,
-    "dropout_rate": 0.1, "selector_activation": "tanh",
-    "selector_op": "hadamard", "selector_target": "relation",
-    "gate_uses_relation": True, "pooling": "mutual", "shared_encoder": False,
-    "position_encoding": "sinusoidal", "max_distance": 512,
-    # training
-    "batch_size": 64, "lr": 0.02, "max_epochs": 50, "patience": 10,
-    "holdout_fraction": 0.1,
+    **{k: getattr(ModelConfig, k) for k in _MODEL_KEYS},
+    **{k: getattr(TrainConfig, k) for k in _TRAIN_KEYS},
     # knowledge base
     "kb_margin": 1.0, "kb_epochs": 100, "kb_lr": 0.01,
     "relation_pool": "mean",
     # preprocessing
     "phase": "train",
 }
-
-_MODEL_KEYS = ("d", "n_blocks", "n_heads", "d_head", "d_kb", "dropout_rate",
-               "selector_activation", "selector_op", "selector_target",
-               "gate_uses_relation", "pooling", "shared_encoder",
-               "position_encoding", "max_distance")
-_TRAIN_KEYS = ("batch_size", "lr", "max_epochs", "patience",
-               "holdout_fraction")
 
 
 class CliError(Exception):
@@ -83,15 +72,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if value is not None:
             cfg[key] = value
     return cfg
-
-
-def model_config_from(cfg: dict) -> ModelConfig:
-    return ModelConfig(**{k: cfg[k] for k in _MODEL_KEYS})
-
-
-def train_config_from(cfg: dict) -> TrainConfig:
-    return TrainConfig(seed=cfg["seed"],
-                       **{k: cfg[k] for k in _TRAIN_KEYS})
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -192,10 +172,11 @@ def _train_on(instances, args, cfg) -> tuple[KSMModel, train_mod.TrainResult,
     store = _load_store(args, cfg)
     _check_store_dim(store, cfg["d_kb"])
     word_table = _load_word_table(args, cfg, instances)
-    model = KSMModel(model_config_from(cfg), word_table, seed=cfg["seed"],
+    model = KSMModel(ModelConfig(**{k: cfg[k] for k in _MODEL_KEYS}),
+                     word_table, seed=cfg["seed"],
                      null_relation=store.null_relation)
-    result = train_mod.train_model(instances, store, model,
-                                   train_config_from(cfg))
+    train_config = TrainConfig(**{k: cfg[k] for k in _TRAIN_KEYS})
+    result = train_mod.train_model(instances, store, model, train_config)
     return model, result, word_table, store
 
 
@@ -341,7 +322,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
         if isinstance(default, bool):
             p.add_argument(flag, type=lambda s: s.lower() in ("1", "true", "yes"),
                            default=None, metavar="BOOL")
-        elif isinstance(default, int) or key in ("d_head", "max_distance"):
+        elif isinstance(default, int):
             p.add_argument(flag, type=int, default=None)
         elif isinstance(default, float):
             p.add_argument(flag, type=float, default=None)

@@ -31,6 +31,7 @@ logger = logging.getLogger(__name__)
 LABEL_POSITIVE = "positive"
 LABEL_NEGATIVE = "negative"
 LABEL_UNLABELED = "unlabeled"
+_LABELS = (LABEL_POSITIVE, LABEL_NEGATIVE, LABEL_UNLABELED)
 
 GENE_MASK_TOKEN = "gene0"
 NUMBER_TOKEN = "NUMBER"
@@ -289,11 +290,24 @@ def document_to_json(doc: Document) -> str:
     })
 
 
-def document_from_json(line: str, where: str = "<line>") -> Document:
+def _parse_json(line: str, where: str):
     try:
-        rec = json.loads(line)
+        return json.loads(line)
     except json.JSONDecodeError as e:
         raise CorpusError(f"{where}: invalid JSON ({e.msg})") from e
+
+
+def _nonblank_lines(path):
+    """(`path:lineno`, stripped line) for each nonblank line of a file."""
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if line:
+                yield f"{path}:{lineno}", line
+
+
+def document_from_json(line: str, where: str = "<line>") -> Document:
+    rec = _parse_json(line, where)
     try:
         mentions = [
             Mention(entity_id=m["entity_id"], sentence_index=m["sentence"],
@@ -310,15 +324,10 @@ def document_from_json(line: str, where: str = "<line>") -> Document:
 
 
 def read_corpus(path) -> list[Document]:
-    docs = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            doc = document_from_json(line, where=f"{path}:{lineno}")
-            validate_document(doc)
-            docs.append(doc)
+    docs = [document_from_json(line, where)
+            for where, line in _nonblank_lines(path)]
+    for doc in docs:
+        validate_document(doc)
     return docs
 
 
@@ -340,28 +349,32 @@ def instance_to_json(inst: CandidateInstance) -> str:
 
 
 def instance_from_json(line: str, where: str = "<line>") -> CandidateInstance:
+    """Parse one record; CorpusError at `where` unless it has tokens, one
+    distance per token in pos1/pos2, and a known label."""
+    rec = _parse_json(line, where)
     try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise CorpusError(f"{where}: invalid JSON ({e.msg})") from e
-    try:
-        return CandidateInstance(
+        inst = CandidateInstance(
             doc_id=rec["doc_id"], pair=sorted_pair(*rec["pair"]),
             tokens=rec["tokens"], pos1=rec["pos1"], pos2=rec["pos2"],
             label=rec["label"])
+        n = len(inst.tokens)
+        if n == 0:
+            raise CorpusError(f"{where}: instance has no tokens")
+        if len(inst.pos1) != n or len(inst.pos2) != n:
+            raise CorpusError(
+                f"{where}: pos1/pos2 lengths ({len(inst.pos1)}, "
+                f"{len(inst.pos2)}) differ from the {n} tokens")
     except (KeyError, TypeError) as e:
         raise CorpusError(f"{where}: missing or malformed field ({e})") from e
+    if inst.label not in _LABELS:
+        raise CorpusError(f"{where}: unknown label {inst.label!r} "
+                          f"(expected one of {', '.join(_LABELS)})")
+    return inst
 
 
 def read_instances(path) -> list[CandidateInstance]:
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            out.append(instance_from_json(line, where=f"{path}:{lineno}"))
-    return out
+    return [instance_from_json(line, where)
+            for where, line in _nonblank_lines(path)]
 
 
 def write_instances(path, instances: list[CandidateInstance]) -> None:

@@ -5,9 +5,9 @@ Per candidate instance the forward pass runs:
 1. context embedding: word vector + position encoding of the distance to
    each focal entity, giving two views X1, X2 of the same token sequence;
 2. two entity-conditioned encoders: multi-head scaled dot-product
-   attention whose queries are the sequence with the entity vector
-   concatenated to every position, plus a position-wise feed-forward
-   sublayer, each wrapped in dropout -> residual -> layer norm;
+   attention whose queries add an entity term to every position
+   (x W_qx + e W_qe), plus a position-wise feed-forward sublayer, each
+   wrapped in dropout -> residual -> layer norm;
 3. pooling over the two encoded sequences (mutual attention by default;
    separate additive attention, average or max as variants) giving
    context features s1, s2;
@@ -18,8 +18,9 @@ Per candidate instance the forward pass runs:
 
 All trainable tensors are registered in a ParameterStore under stable
 dotted names, so checkpointing and gradient checks can address every
-weight individually. Forward passes over distinct instances with frozen
-parameters may run in parallel; only the training loop mutates them.
+weight individually; every matrix is stored (in, out), as it is used.
+Forward passes over distinct instances with frozen parameters may run
+in parallel; only the training loop mutates them.
 """
 
 from __future__ import annotations
@@ -42,9 +43,21 @@ CLASS_POSITIVE = 1
 
 _ACTIVATIONS = {"tanh": ad.tanh, "sigmoid": ad.sigmoid, "relu": ad.relu}
 
+LAYER_NORM_EPS = 1e-5
+
 
 class ConfigError(Exception):
     pass
+
+
+# allowed values of the enumerated ModelConfig fields
+_CHOICES = {
+    "selector_activation": tuple(_ACTIVATIONS),
+    "selector_op": ("hadamard", "sum"),
+    "selector_target": ("relation", "entity", "both", "none"),
+    "pooling": ("mutual", "separate", "average", "max"),
+    "position_encoding": ("sinusoidal", "learned"),
+}
 
 
 @dataclass
@@ -52,29 +65,26 @@ class ModelConfig:
     d: int = 100
     n_blocks: int = 2
     n_heads: int = 4
-    d_head: int | None = None          # defaults to d // n_heads
     d_kb: int = 100
     dropout_rate: float = 0.1
-    selector_activation: str = "tanh"  # tanh | sigmoid | relu
-    selector_op: str = "hadamard"      # hadamard | sum
-    selector_target: str = "relation"  # relation | entity | both | none
+    selector_activation: str = "tanh"
+    selector_op: str = "hadamard"
+    selector_target: str = "relation"
     gate_uses_relation: bool = True    # False: gate from context features only
-    pooling: str = "mutual"            # mutual | separate | average | max
+    pooling: str = "mutual"
     shared_encoder: bool = False
-    position_encoding: str = "sinusoidal"  # sinusoidal | learned
+    position_encoding: str = "sinusoidal"
     max_distance: int = 512            # learned-table size; distances clipped
-    layer_norm_eps: float = 1e-5
 
-    def __post_init__(self):
-        if self.d_head is None:
-            self.d_head = self.d // self.n_heads
-        self.validate()
+    @property
+    def d_head(self) -> int:
+        return self.d // self.n_heads
 
-    def validate(self) -> None:
-        if self.d != self.n_heads * self.d_head:
+    def __post_init__(self) -> None:
+        if self.n_heads < 1 or self.d % self.n_heads:
             raise ConfigError(
-                f"d ({self.d}) must equal n_heads*d_head "
-                f"({self.n_heads}*{self.d_head})")
+                f"d ({self.d}) must be a positive multiple of n_heads "
+                f"({self.n_heads})")
         if self.d_kb != self.d:
             raise ConfigError(
                 f"d_kb ({self.d_kb}) must equal d ({self.d}): the selector "
@@ -84,19 +94,10 @@ class ModelConfig:
                               f"got {self.dropout_rate}")
         if self.n_blocks < 1:
             raise ConfigError("n_blocks must be >= 1")
-        if self.selector_activation not in _ACTIVATIONS:
-            raise ConfigError(
-                f"unknown selector_activation {self.selector_activation!r}")
-        if self.selector_op not in ("hadamard", "sum"):
-            raise ConfigError(f"unknown selector_op {self.selector_op!r}")
-        if self.selector_target not in ("relation", "entity", "both", "none"):
-            raise ConfigError(
-                f"unknown selector_target {self.selector_target!r}")
-        if self.pooling not in ("mutual", "separate", "average", "max"):
-            raise ConfigError(f"unknown pooling {self.pooling!r}")
-        if self.position_encoding not in ("sinusoidal", "learned"):
-            raise ConfigError(
-                f"unknown position_encoding {self.position_encoding!r}")
+        for key, allowed in _CHOICES.items():
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"unknown {key} {getattr(self, key)!r} "
+                                  f"(expected one of {', '.join(allowed)})")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -190,69 +191,79 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int,
     return rng.uniform(-lim, lim, size=shape)
 
 
+def _encoder_prefixes(config: ModelConfig) -> tuple[str, str]:
+    """Parameter prefixes of the encoders reading X1 and X2."""
+    if config.shared_encoder:
+        return "encoder", "encoder"
+    return "encoder1", "encoder2"
+
+
 def build_params(config: ModelConfig, seed: int = 0) -> ParameterStore:
     """Register exactly the tensors the configured forward pass touches."""
     rng = np.random.default_rng(seed)
     store = ParameterStore()
     d, dh, dkb = config.d, config.d_head, config.d_kb
 
-    def mat(name, fan_in, fan_out, shape=None):
-        store.add(name, Tensor(_xavier(rng, fan_in, fan_out,
-                                       shape or (fan_in, fan_out))))
+    def add(name, data):
+        store.add(name, Tensor(data))
 
-    def zeros(name, shape):
-        store.add(name, Tensor(np.zeros(shape)))
+    def mat(name, fan_in, fan_out):
+        add(name, _xavier(rng, fan_in, fan_out, (fan_in, fan_out)))
 
-    def ones(name, shape):
-        store.add(name, Tensor(np.ones(shape)))
+    def mat_drawn_out_in(name, fan_in, fan_out):
+        # drawn (out, in) and stored transposed: seeded values stay those
+        # of the earlier layout, which stored these matrices (out, in)
+        add(name, _xavier(rng, fan_in, fan_out, (fan_out, fan_in)).T.copy())
 
-    encoder_prefixes = (["encoder"] if config.shared_encoder
-                        else ["encoder1", "encoder2"])
-    for enc in encoder_prefixes:
+    for enc in dict.fromkeys(_encoder_prefixes(config)):
         for b in range(config.n_blocks):
             p = f"{enc}.block{b}"
-            for h in range(config.n_heads):
-                mat(f"{p}.head{h}.wq", d + dkb, dh)
-                mat(f"{p}.head{h}.wk", d, dh)
-                mat(f"{p}.head{h}.wv", d, dh)
+            # head h owns columns h*dh:(h+1)*dh of each projection; the
+            # draws keep their per-head order and fan sizes
+            heads = [[_xavier(rng, fan_in, dh, (fan_in, dh))
+                      for fan_in in (d + dkb, d, d)]
+                     for _ in range(config.n_heads)]
+            wq, wk, wv = (np.concatenate(ws, axis=1) for ws in zip(*heads))
+            add(f"{p}.wq_x", wq[:d])
+            add(f"{p}.wq_e", wq[d:])
+            add(f"{p}.wk", wk)
+            add(f"{p}.wv", wv)
             mat(f"{p}.wh", config.n_heads * dh, d)
             mat(f"{p}.ffn_w1", d, d)
-            zeros(f"{p}.ffn_b1", (d,))
+            add(f"{p}.ffn_b1", np.zeros(d))
             mat(f"{p}.ffn_w2", d, d)
-            zeros(f"{p}.ffn_b2", (d,))
-            ones(f"{p}.ln1.gamma", (d,))
-            zeros(f"{p}.ln1.beta", (d,))
-            ones(f"{p}.ln2.gamma", (d,))
-            zeros(f"{p}.ln2.beta", (d,))
+            add(f"{p}.ffn_b2", np.zeros(d))
+            for ln in ("ln1", "ln2"):
+                add(f"{p}.{ln}.gamma", np.ones(d))
+                add(f"{p}.{ln}.beta", np.zeros(d))
 
     if config.pooling == "mutual":
-        mat("mutual.w1", d, d)
-        mat("mutual.w2", d, d)
+        mat_drawn_out_in("mutual.w1", d, d)
+        mat_drawn_out_in("mutual.w2", d, d)
         mat("mutual.w", d, 1)
     elif config.pooling == "separate":
-        mat("separate.w_proj", d, d)
-        zeros("separate.b", (d,))
+        mat_drawn_out_in("separate.w_proj", d, d)
+        add("separate.b", np.zeros(d))
         mat("separate.w", d, 1)
 
     if config.selector_target in ("relation", "both"):
-        mat("selector.w", 2 * d, d, shape=(d, 2 * d))
+        mat_drawn_out_in("selector.w", 2 * d, d)
         if config.gate_uses_relation:
-            mat("selector.u", d, d)
-        zeros("selector.b", (d,))
+            mat_drawn_out_in("selector.u", d, d)
+        add("selector.b", np.zeros(d))
     if config.selector_target in ("entity", "both"):
-        mat("entity_selector.w", d, d)
-        mat("entity_selector.u", d, d)
-        zeros("entity_selector.b", (d,))
+        mat_drawn_out_in("entity_selector.w", d, d)
+        mat_drawn_out_in("entity_selector.u", d, d)
+        add("entity_selector.b", np.zeros(d))
 
-    mat("classifier.w", 3 * d, 2, shape=(2, 3 * d))
-    zeros("classifier.b", (2,))
-    zeros("knowledge.null_relation", (dkb,))
+    mat_drawn_out_in("classifier.w", 3 * d, 2)
+    add("classifier.b", np.zeros(2))
+    add("knowledge.null_relation", np.zeros(dkb))
 
     if config.position_encoding == "learned":
         lim = 0.5 / d
-        store.add("position.table",
-                  Tensor(rng.uniform(-lim, lim,
-                                     size=(config.max_distance + 1, d))))
+        add("position.table",
+            rng.uniform(-lim, lim, size=(config.max_distance + 1, d)))
     return store
 
 
@@ -264,22 +275,23 @@ def multi_head_attention(x: Tensor, e: Tensor, params: ParameterStore,
                          prefix: str, config: ModelConfig) -> Tensor:
     """Entity-conditioned multi-head attention; returns the L x d mix.
 
-    Queries concatenate the entity vector to every sequence position;
-    keys and values are the plain sequence. Per-head dot products are
-    scaled by 1/sqrt(d_head).
+    Queries are x W_qx + e W_qe, the (1, H*d_head) entity term broadcast
+    over the rows; keys and values are the plain sequence. All heads run
+    as one batched product, scaled by 1/sqrt(d_head).
     """
     length = x.shape[0]
-    e_tiled = ad.gather_rows(e, [0] * length)     # (L, d_kb)
-    q_in = ad.concat([x, e_tiled])                # (L, d + d_kb)
-    inv_scale = 1.0 / np.sqrt(config.d_head)
-    heads = []
-    for h in range(config.n_heads):
-        q = q_in @ params[f"{prefix}.head{h}.wq"]
-        k = x @ params[f"{prefix}.head{h}.wk"]
-        v = x @ params[f"{prefix}.head{h}.wv"]
-        att = ad.softmax((q @ ad.transpose(k)) * inv_scale, axis=-1)
-        heads.append(att @ v)
-    return ad.concat(heads) @ params[f"{prefix}.wh"]
+    n_heads, dh = config.n_heads, config.d_head
+
+    def split_heads(t: Tensor, axes: tuple) -> Tensor:
+        return ad.transpose(ad.reshape(t, (length, n_heads, dh)), axes)
+
+    q = split_heads(x @ params[f"{prefix}.wq_x"] + e @ params[f"{prefix}.wq_e"],
+                    (1, 0, 2))                                    # (H, L, dh)
+    k_t = split_heads(x @ params[f"{prefix}.wk"], (1, 2, 0))      # (H, dh, L)
+    v = split_heads(x @ params[f"{prefix}.wv"], (1, 0, 2))        # (H, L, dh)
+    att = ad.softmax((q @ k_t) * (1.0 / np.sqrt(dh)), axis=-1)    # (H, L, L)
+    mix = ad.reshape(ad.transpose(att @ v, (1, 0, 2)), (length, n_heads * dh))
+    return mix @ params[f"{prefix}.wh"]
 
 
 def encoder_block(x: Tensor, e: Tensor, params: ParameterStore, prefix: str,
@@ -288,12 +300,12 @@ def encoder_block(x: Tensor, e: Tensor, params: ParameterStore, prefix: str,
     mh = multi_head_attention(x, e, params, prefix, config)
     mh = ad.dropout(mh, config.dropout_rate, rng, train)
     sub1 = ad.layer_norm(x + mh, params[f"{prefix}.ln1.gamma"],
-                         params[f"{prefix}.ln1.beta"], config.layer_norm_eps)
+                         params[f"{prefix}.ln1.beta"], LAYER_NORM_EPS)
     ff = ad.relu(sub1 @ params[f"{prefix}.ffn_w1"] + params[f"{prefix}.ffn_b1"])
     ff = ff @ params[f"{prefix}.ffn_w2"] + params[f"{prefix}.ffn_b2"]
     ff = ad.dropout(ff, config.dropout_rate, rng, train)
     return ad.layer_norm(sub1 + ff, params[f"{prefix}.ln2.gamma"],
-                         params[f"{prefix}.ln2.beta"], config.layer_norm_eps)
+                         params[f"{prefix}.ln2.beta"], LAYER_NORM_EPS)
 
 
 def encode(x: Tensor, e: Tensor, params: ParameterStore, encoder_prefix: str,
@@ -316,14 +328,12 @@ def mutual_attention(v1: Tensor, v2: Tensor, params: ParameterStore
     score matrix drive the weights for the first sequence, column means
     for the second.
     """
-    length = v1.shape[0]
+    length, d = v1.shape
     if v2.shape[0] != length:
         raise ValueError(f"sequence lengths differ: {length} vs {v2.shape[0]}")
-    a1 = v1 @ ad.transpose(params["mutual.w1"])
-    a2 = v2 @ ad.transpose(params["mutual.w2"])
-    ii = np.repeat(np.arange(length), length)
-    jj = np.tile(np.arange(length), length)
-    pair = ad.tanh(ad.add(ad.gather_rows(a1, ii), ad.gather_rows(a2, jj)))
+    a1 = ad.reshape(v1 @ params["mutual.w1"], (length, 1, d))
+    a2 = ad.reshape(v2 @ params["mutual.w2"], (1, length, d))
+    pair = ad.reshape(ad.tanh(a1 + a2), (length * length, d))  # row i*L + j
     alpha = ad.reshape(pair @ params["mutual.w"], (length, length))
     p1 = ad.softmax(ad.mean(alpha, axis=1, keepdims=True), axis=0)  # (L,1)
     p2 = ad.softmax(ad.mean(alpha, axis=0, keepdims=True), axis=1)  # (1,L)
@@ -336,7 +346,7 @@ def separate_attention(v: Tensor, params: ParameterStore
                        ) -> tuple[Tensor, Tensor]:
     """Single-sequence additive attention with a bias; params are shared
     between the two sequences by construction (one set in the store)."""
-    scores = ad.tanh(v @ ad.transpose(params["separate.w_proj"])
+    scores = ad.tanh(v @ params["separate.w_proj"]
                      + params["separate.b"]) @ params["separate.w"]
     p = ad.softmax(scores, axis=0)        # (L,1)
     return ad.transpose(p) @ v, p
@@ -357,8 +367,10 @@ def pool_variants(v1: Tensor, v2: Tensor, params: ParameterStore,
             ad.amax(v2, axis=0, keepdims=True))
 
 
-def _elementwise_select(g: Tensor, e: Tensor, op: str) -> Tensor:
-    return ad.multiply(g, e) if op == "hadamard" else ad.add(g, e)
+def _gated(pre: Tensor, e: Tensor, config: ModelConfig) -> Tensor:
+    """Activate the gate pre-activation and combine it with `e`."""
+    g = _ACTIVATIONS[config.selector_activation](pre)
+    return ad.multiply(g, e) if config.selector_op == "hadamard" else ad.add(g, e)
 
 
 def knowledge_select(s1: Tensor, s2: Tensor, er: Tensor,
@@ -372,12 +384,10 @@ def knowledge_select(s1: Tensor, s2: Tensor, er: Tensor,
     if config.selector_target == "entity":
         raise ConfigError("entity selection is routed through "
                           "entity_knowledge_select")
-    pre = ad.concat([s1, s2]) @ ad.transpose(params["selector.w"])
+    pre = ad.concat([s1, s2]) @ params["selector.w"]
     if config.gate_uses_relation:
-        pre = pre + er @ ad.transpose(params["selector.u"])
-    pre = pre + params["selector.b"]
-    g = _ACTIVATIONS[config.selector_activation](pre)
-    return _elementwise_select(g, er, config.selector_op)
+        pre = pre + er @ params["selector.u"]
+    return _gated(pre + params["selector.b"], er, config)
 
 
 def entity_knowledge_select(x: Tensor, e: Tensor, params: ParameterStore,
@@ -387,11 +397,10 @@ def entity_knowledge_select(x: Tensor, e: Tensor, params: ParameterStore,
     Both entities run through the same parameter set.
     """
     mx = ad.mean(x, axis=0, keepdims=True)
-    pre = (mx @ ad.transpose(params["entity_selector.w"])
-           + e @ ad.transpose(params["entity_selector.u"])
+    pre = (mx @ params["entity_selector.w"]
+           + e @ params["entity_selector.u"]
            + params["entity_selector.b"])
-    g = _ACTIVATIONS[config.selector_activation](pre)
-    return _elementwise_select(g, e, config.selector_op)
+    return _gated(pre, e, config)
 
 
 def classify(s1: Tensor, s2: Tensor, er_selected: Tensor,
@@ -401,7 +410,7 @@ def classify(s1: Tensor, s2: Tensor, er_selected: Tensor,
     Exact probability ties resolve to the negative class.
     """
     feats = ad.concat([s1, s2, er_selected])
-    logits = feats @ ad.transpose(params["classifier.w"]) + params["classifier.b"]
+    logits = feats @ params["classifier.w"] + params["classifier.b"]
     probs = ad.softmax(logits, axis=1)
     label = (CLASS_POSITIVE
              if probs.data[0, CLASS_POSITIVE] > probs.data[0, CLASS_NEGATIVE]
@@ -445,17 +454,6 @@ class KSMModel:
             self.params["knowledge.null_relation"].data = np.asarray(
                 null_relation, dtype=np.float64).copy()
 
-    def _encoder_prefixes(self) -> tuple[str, str]:
-        if self.config.shared_encoder:
-            return "encoder", "encoder"
-        return "encoder1", "encoder2"
-
-    def _relation_tensor(self, knowledge: PairKnowledge) -> Tensor:
-        if knowledge.er_is_null:
-            return ad.reshape(self.params["knowledge.null_relation"],
-                              (1, self.config.d_kb))
-        return Tensor(np.asarray(knowledge.er).reshape(1, -1))
-
     def forward_instance(self, instance: CandidateInstance,
                          knowledge: PairKnowledge, train: bool = False,
                          rng: np.random.Generator | None = None
@@ -465,11 +463,13 @@ class KSMModel:
         x1, x2 = embed_context(instance, self.word_table, cfg, self.params)
         e1 = Tensor(np.asarray(knowledge.e1).reshape(1, -1))
         e2 = Tensor(np.asarray(knowledge.e2).reshape(1, -1))
-        er = self._relation_tensor(knowledge)
+        er = (ad.reshape(self.params["knowledge.null_relation"], (1, cfg.d_kb))
+              if knowledge.er_is_null
+              else Tensor(np.asarray(knowledge.er).reshape(1, -1)))
         if cfg.selector_target in ("entity", "both"):
             e1 = entity_knowledge_select(x1, e1, self.params, cfg)
             e2 = entity_knowledge_select(x2, e2, self.params, cfg)
-        p1, p2 = self._encoder_prefixes()
+        p1, p2 = _encoder_prefixes(cfg)
         v1 = encode(x1, e1, self.params, p1, cfg, train, rng)
         v2 = encode(x2, e2, self.params, p2, cfg, train, rng)
         s1, s2 = pool_variants(v1, v2, self.params, cfg)
@@ -498,7 +498,10 @@ class KSMModel:
         values, config_dict = load_checkpoint(path)
         if not config_dict:
             raise CheckpointError(f"{path}: checkpoint carries no model config")
-        config = ModelConfig.from_dict(config_dict)
+        try:
+            config = ModelConfig.from_dict(config_dict)
+        except (TypeError, ConfigError) as e:
+            raise CheckpointError(f"{path}: invalid model config: {e}") from e
         model = cls(config, word_table, seed=0)
         try:
             model.params.load_values(values)

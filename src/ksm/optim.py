@@ -51,8 +51,3 @@ class Adadelta:
             ex *= self.rho
             ex += (1.0 - self.rho) * delta * delta
         self.params.zero_grad()
-
-    def state_shapes_ok(self) -> bool:
-        return all(self._sq_grad[n].shape == t.shape
-                   and self._sq_delta[n].shape == t.shape
-                   for n, t in self.params.items())

@@ -85,12 +85,6 @@ def kb_for_instances(instances: list[CandidateInstance], d_kb: int,
     return init_embeddings(triples, d_kb=d_kb, seed=seed)
 
 
-def word_table_for(instances: list[CandidateInstance], d: int,
-                   seed: int = 0) -> WordTable:
-    vocab = sorted({t for inst in instances for t in inst.tokens})
-    return WordTable.random(vocab, d, seed=seed)
-
-
 def separable_task(n: int = 40, d: int = 16, seed: int = 0
                    ) -> tuple[list[CandidateInstance], KnowledgeStore, WordTable]:
     """Instances + KB + word table for the overfit check.

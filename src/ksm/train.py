@@ -24,7 +24,7 @@ from .autodiff import backward
 from .corpus import (CandidateInstance, Document, LABEL_POSITIVE,
                      LABEL_UNLABELED, sorted_pair)
 from .kb import KnowledgeStore, PairKnowledge, resolve_pair_knowledge
-from .model import CLASS_NEGATIVE, CLASS_POSITIVE, KSMModel
+from .model import CLASS_POSITIVE, KSMModel
 from .optim import Adadelta
 
 logger = logging.getLogger(__name__)
@@ -132,14 +132,20 @@ def resolve_batch(instances: list[CandidateInstance],
             for inst in instances]
 
 
-def predict_instances(model: KSMModel, instances: list[CandidateInstance],
-                      store: KnowledgeStore) -> list[InstancePrediction]:
+def _predict_resolved(model: KSMModel,
+                      resolved: list[tuple[CandidateInstance, PairKnowledge]]
+                      ) -> list[InstancePrediction]:
     out = []
-    for inst, kn in resolve_batch(instances, store):
+    for inst, kn in resolved:
         _, label = model.forward_instance(inst, kn, train=False)
         out.append(InstancePrediction(inst.doc_id, inst.pair,
                                       label == CLASS_POSITIVE))
     return out
+
+
+def predict_instances(model: KSMModel, instances: list[CandidateInstance],
+                      store: KnowledgeStore) -> list[InstancePrediction]:
+    return _predict_resolved(model, resolve_batch(instances, store))
 
 
 def _instance_gold(instances: list[CandidateInstance]) -> PredictionSet:
@@ -168,7 +174,8 @@ class TrainResult:
 def train_model(instances: list[CandidateInstance], store: KnowledgeStore,
                 model: KSMModel, train_config: TrainConfig) -> TrainResult:
     """Fit the model on labeled instances; returns it loaded with the best
-    parameters seen, plus the per-epoch log."""
+    parameters seen, plus the per-epoch log. A non-finite batch loss
+    raises ValueError naming the epoch and batch."""
     if not instances:
         raise ValueError("empty training set")
     if any(inst.label == LABEL_UNLABELED for inst in instances):
@@ -196,24 +203,22 @@ def train_model(instances: list[CandidateInstance], store: KnowledgeStore,
 
     for epoch in range(train_config.max_epochs):
         order = rng.permutation(len(resolved))
-        epoch_loss = 0.0
-        n_batches = 0
+        batch_losses = []
         for start in range(0, len(order), train_config.batch_size):
             batch = [resolved[i] for i in order[start:start + train_config.batch_size]]
             model.params.zero_grad()
             loss = model.batch_loss(batch, train=True, rng=rng)
+            if not np.isfinite(loss.item()):
+                raise ValueError(
+                    f"non-finite training loss {loss.item()} at epoch {epoch}, "
+                    f"batch {len(batch_losses)}")
             backward(loss, model.params)  # zero-fills params off the graph
             optimizer.step()
-            epoch_loss += loss.item()
-            n_batches += 1
-        mean_loss = epoch_loss / max(1, n_batches)
+            batch_losses.append(loss.item())
+        mean_loss = sum(batch_losses) / len(batch_losses)
 
         if heldout:
-            preds = []
-            for inst, kn in heldout_resolved:
-                _, label = model.forward_instance(inst, kn, train=False)
-                preds.append(InstancePrediction(inst.doc_id, inst.pair,
-                                                label == CLASS_POSITIVE))
+            preds = _predict_resolved(model, heldout_resolved)
             f1 = micro_prf(aggregate_predictions(preds), heldout_gold).f1
             key = (f1, -epoch)  # higher f1 wins; earlier epoch breaks ties
         else:
@@ -243,12 +248,9 @@ def train_model(instances: list[CandidateInstance], store: KnowledgeStore,
 def training_accuracy(model: KSMModel, instances: list[CandidateInstance],
                       store: KnowledgeStore) -> float:
     """Fraction of instances whose predicted class matches the label."""
-    correct = 0
-    for inst, kn in resolve_batch(instances, store):
-        _, label = model.forward_instance(inst, kn, train=False)
-        want = (CLASS_POSITIVE if inst.label == LABEL_POSITIVE
-                else CLASS_NEGATIVE)
-        correct += int(label == want)
+    preds = predict_instances(model, instances, store)
+    correct = sum(pred.positive == (inst.label == LABEL_POSITIVE)
+                  for pred, inst in zip(preds, instances))
     return correct / len(instances)
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ksm.autodiff import ParameterStore, Tensor
-from ksm.checkpoint import (CheckpointError, load_checkpoint,
-                            save_checkpoint)
+from ksm.checkpoint import (FORMAT_VERSION, CheckpointError,
+                            load_checkpoint, save_checkpoint)
 from ksm.gradcheck import toy_model
 from ksm.model import KSMModel
 
@@ -71,7 +71,7 @@ def test_checkpoint_without_matching_config_rejected(tmp_path):
     # a config that implies a different parameter set must be refused
     values, config = load_checkpoint(path)
     config["n_blocks"] = 1
-    blob = {"format_version": 1, "config": config,
+    blob = {"format_version": FORMAT_VERSION, "config": config,
             "params": {k: {"shape": list(v.shape),
                            "values": v.reshape(-1).tolist()}
                        for k, v in values.items()}}
@@ -85,4 +85,68 @@ def test_checkpoint_missing_config_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model.params, config=None)
     with pytest.raises(CheckpointError, match="config"):
+        KSMModel.load(path, model.word_table)
+
+
+# ---------------------------------------------------------------------------
+# every defect of a file is a CheckpointError naming the file
+
+
+def _saved_blob(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, _random_store(), config={"d": 4})
+    return path, json.loads(path.read_text())
+
+
+def _rejected(path, blob, match):
+    path.write_text(json.dumps(blob))
+    with pytest.raises(CheckpointError, match=match) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+def test_version_1_file_rejected_with_retrain_hint(tmp_path):
+    path, blob = _saved_blob(tmp_path)
+    blob["format_version"] = 1
+    _rejected(path, blob, "format_version 1 .*retrain")
+
+
+def test_non_object_blob_rejected(tmp_path):
+    path, _ = _saved_blob(tmp_path)
+    _rejected(path, [1, 2, 3], "JSON object")
+
+
+def test_missing_params_rejected(tmp_path):
+    path, blob = _saved_blob(tmp_path)
+    del blob["params"]
+    _rejected(path, blob, "missing 'params'")
+
+
+@pytest.mark.parametrize("key", ["shape", "values"])
+def test_parameter_without_shape_or_values_rejected(tmp_path, key):
+    path, blob = _saved_blob(tmp_path)
+    del blob["params"]["layer.w"][key]
+    _rejected(path, blob, f"'layer.w': missing or malformed.*'{key}'")
+
+
+def test_values_not_filling_shape_rejected(tmp_path):
+    path, blob = _saved_blob(tmp_path)
+    blob["params"]["layer.w"]["shape"] = [5, 3]
+    _rejected(path, blob, "'layer.w': missing or malformed.*reshape")
+
+
+def test_non_finite_values_rejected(tmp_path):
+    path, blob = _saved_blob(tmp_path)
+    blob["params"]["layer.b"]["values"][1] = float("nan")
+    _rejected(path, blob, "'layer.b' holds non-finite values")
+
+
+def test_model_config_with_unknown_key_rejected(tmp_path):
+    model = toy_model(seed=1)
+    path = tmp_path / "m.ckpt"
+    model.save(path)
+    blob = json.loads(path.read_text())
+    blob["config"]["d_head"] = 4      # a version 1 config field
+    path.write_text(json.dumps(blob))
+    with pytest.raises(CheckpointError, match="invalid model config"):
         KSMModel.load(path, model.word_table)

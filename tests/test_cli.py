@@ -258,3 +258,60 @@ def test_malformed_corpus_reports_line_number(tmp_path, capsys):
                "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "bad.jsonl:2" in capsys.readouterr().err
+
+
+def _flags(subcommand):
+    import argparse
+    from ksm.cli import build_parser
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {o for a in sub.choices[subcommand]._actions
+            for o in a.option_strings if o not in ("-h", "--help")}
+
+
+def test_config_flags_follow_the_config_dataclasses():
+    # the flag set before the defaults were derived from ModelConfig and
+    # TrainConfig, minus --d-head (d_head is now d // n_heads)
+    config_flags = {
+        "--batch-size", "--d", "--d-kb", "--dropout-rate",
+        "--gate-uses-relation", "--holdout-fraction", "--kb-epochs",
+        "--kb-lr", "--kb-margin", "--lr", "--max-distance", "--max-epochs",
+        "--n-blocks", "--n-heads", "--patience", "--pooling",
+        "--position-encoding", "--relation-pool", "--selector-activation",
+        "--selector-op", "--selector-target", "--shared-encoder"}
+    common = {"--config", "--out", "--seed"}
+    want = {
+        "preprocess": common | {"--corpus", "--phase"},
+        "train-kb": common | config_flags | {"--triples", "--word-embeddings",
+                                             "--mention-lexicon"},
+        "train": common | config_flags | {"--instances", "--kb-dir",
+                                          "--word-embeddings"},
+        "predict": common | {"--instances", "--checkpoint", "--kb-dir",
+                             "--word-embeddings"},
+        "evaluate": common | {"--predictions", "--corpus"},
+        "ablate": common | config_flags | {"--axis", "--instances",
+                                           "--eval-instances", "--corpus",
+                                           "--kb-dir", "--word-embeddings"},
+        "gradcheck": common,
+    }
+    for subcommand, flags in want.items():
+        assert _flags(subcommand) == flags, subcommand
+
+
+def test_d_head_config_key_rejected(tmp_path, capsys):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"d_head": 25}))
+    rc = main(["preprocess", "--corpus", str(DATA / "toy_corpus.jsonl"),
+               "--out", str(tmp_path / "x"), "--config", str(cfg_file)])
+    assert rc == 2
+    assert "d_head" in capsys.readouterr().err
+
+
+def test_non_finite_training_loss_exits_2(tmp_path, capsys):
+    inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
+    rc = main(["train", "--instances", str(inst_path),
+               "--word-embeddings", str(words_path), "--kb-dir", str(kb_dir),
+               "--out", str(tmp_path / "m.ckpt"), "--lr", "nan"]
+              + FAST_TRAIN)
+    assert rc == 2
+    assert "error: non-finite training loss" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Candidate generation: windowing, masking, distances, labels, files."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,8 @@ from ksm.corpus import (CorpusError, Document, LABEL_NEGATIVE,
                         LABEL_POSITIVE, LABEL_UNLABELED,
                         Mention, assign_labels,
                         build_context_window, document_from_json,
-                        generate_candidate_pairs, instance_to_json,
+                        generate_candidate_pairs, instance_from_json,
+                        instance_to_json,
                         preprocess_document, read_corpus, read_instances,
                         sorted_pair, validate_document, write_instances)
 from ksm.synthetic import toy_documents
@@ -252,6 +254,40 @@ def test_malformed_corpus_line_reports_location(tmp_path):
 def test_corpus_missing_field_reports_location():
     with pytest.raises(CorpusError, match="here:3"):
         document_from_json('{"doc_id":"x"}', where="here:3")
+
+
+def _instance_line(**overrides):
+    rec = {"doc_id": "d", "pair": ["A", "B"], "tokens": ["x", "y"],
+           "pos1": [1, 2], "pos2": [2, 1], "label": "positive"}
+    rec.update(overrides)
+    return json.dumps(rec)
+
+
+def test_instance_record_roundtrips_when_valid():
+    inst = instance_from_json(_instance_line(), where="f.jsonl:1")
+    assert instance_from_json(instance_to_json(inst)) == inst
+
+
+@pytest.mark.parametrize("field", ["pos1", "pos2"])
+def test_instance_distance_length_mismatch_rejected(tmp_path, field):
+    # a length-1 list would otherwise broadcast over every token
+    path = tmp_path / "inst.jsonl"
+    path.write_text(_instance_line() + "\n" + _instance_line(**{field: [1]})
+                    + "\n")
+    with pytest.raises(CorpusError, match=r"inst\.jsonl:2: pos1/pos2"):
+        read_instances(path)
+
+
+def test_instance_without_tokens_rejected():
+    with pytest.raises(CorpusError, match="f.jsonl:4: instance has no tokens"):
+        instance_from_json(_instance_line(tokens=[], pos1=[], pos2=[]),
+                           where="f.jsonl:4")
+
+
+def test_instance_unknown_label_rejected():
+    # batch_loss would otherwise train any non-positive label as negative
+    with pytest.raises(CorpusError, match="f.jsonl:7: unknown label 'pos'"):
+        instance_from_json(_instance_line(label="pos"), where="f.jsonl:7")
 
 
 def test_golden_corpus_roundtrip_and_instances(tmp_path):

@@ -8,7 +8,8 @@ import pytest
 from ksm import autodiff as ad
 from ksm.autodiff import Tensor
 from ksm.corpus import CandidateInstance
-from ksm.gradcheck import gradient_error, toy_batch, toy_model
+from ksm.gradcheck import (check_full_model, gradient_error, toy_batch,
+                           toy_model)
 from ksm.kb import PairKnowledge
 from ksm.model import (CLASS_NEGATIVE, CLASS_POSITIVE, ConfigError,
                        ModelConfig, WordTable, build_params, classify,
@@ -94,15 +95,21 @@ def test_unknown_token_maps_to_unk_vector():
 # entity-conditioned attention vs an explicit-loop oracle
 
 
+def _head_columns(params, name, h, d_head):
+    """Head h's slice of a fused (in, n_heads * d_head) projection."""
+    return params[name].data[:, h * d_head:(h + 1) * d_head]
+
+
 def _loop_attention(x, e, params, prefix, n_heads, d_head):
     """Brute-force multi-head attention with python loops and plain exp."""
     length = x.shape[0]
     q_in = np.stack([np.concatenate([x[i], e]) for i in range(length)])
     heads = []
     for h in range(n_heads):
-        wq = params[f"{prefix}.head{h}.wq"].data
-        wk = params[f"{prefix}.head{h}.wk"].data
-        wv = params[f"{prefix}.head{h}.wv"].data
+        wq = np.concatenate([_head_columns(params, f"{prefix}.wq_x", h, d_head),
+                             _head_columns(params, f"{prefix}.wq_e", h, d_head)])
+        wk = _head_columns(params, f"{prefix}.wk", h, d_head)
+        wv = _head_columns(params, f"{prefix}.wv", h, d_head)
         q, k, v = q_in @ wq, x @ wk, x @ wv
         out = np.zeros((length, d_head))
         for i in range(length):
@@ -145,7 +152,7 @@ def test_single_position_attention_is_identity_mix():
     e = rng.standard_normal((1, d))
     got = multi_head_attention(Tensor(x), Tensor(e), params,
                                "encoder1.block0", cfg)
-    vs = [x @ params[f"encoder1.block0.head{h}.wv"].data
+    vs = [x @ _head_columns(params, "encoder1.block0.wv", h, cfg.d_head)
           for h in range(n_heads)]
     want = np.concatenate(vs, axis=1) @ params["encoder1.block0.wh"].data
     np.testing.assert_allclose(got.data, want, atol=1e-12)
@@ -158,11 +165,12 @@ def test_attention_rows_sum_to_one_for_every_head():
     rng = np.random.default_rng(2)
     x = Tensor(rng.standard_normal((5, d)))
     e = Tensor(rng.standard_normal((1, d)))
-    q_in = ad.concat([x, ad.gather_rows(e, [0] * 5)])
+    pre, dh = "encoder1.block0", cfg.d_head
     for h in range(2):
-        q = q_in @ params[f"encoder1.block0.head{h}.wq"]
-        k = x @ params[f"encoder1.block0.head{h}.wk"]
-        att = ad.softmax((q @ ad.transpose(k)) * (1 / math.sqrt(cfg.d_head)),
+        q = (x @ Tensor(_head_columns(params, f"{pre}.wq_x", h, dh))
+             + e @ Tensor(_head_columns(params, f"{pre}.wq_e", h, dh)))
+        k = x @ Tensor(_head_columns(params, f"{pre}.wk", h, dh))
+        att = ad.softmax((q @ ad.transpose(k)) * (1 / math.sqrt(dh)),
                          axis=-1)
         np.testing.assert_allclose(att.data.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(att.data >= 0)
@@ -174,9 +182,10 @@ def test_block_output_invariant_to_head_permutation():
     params = build_params(cfg, seed=5)
     swapped = build_params(cfg, seed=5)
     pre = "encoder1.block0"
-    for part in ("wq", "wk", "wv"):
-        swapped[f"{pre}.head0.{part}"].data = params[f"{pre}.head1.{part}"].data.copy()
-        swapped[f"{pre}.head1.{part}"].data = params[f"{pre}.head0.{part}"].data.copy()
+    for part in ("wq_x", "wq_e", "wk", "wv"):
+        w = params[f"{pre}.{part}"].data
+        swapped[f"{pre}.{part}"].data = np.concatenate([w[:, dh:], w[:, :dh]],
+                                                       axis=1)
     wh = params[f"{pre}.wh"].data
     swapped[f"{pre}.wh"].data = np.concatenate([wh[dh:], wh[:dh]], axis=0)
     rng = np.random.default_rng(6)
@@ -290,7 +299,7 @@ def test_mutual_attention_against_direct_recomputation():
     alpha = np.zeros((length, length))
     for i in range(length):
         for j in range(length):
-            alpha[i, j] = w @ np.tanh(w1 @ v1[i] + w2 @ v2[j])
+            alpha[i, j] = w @ np.tanh(v1[i] @ w1 + v2[j] @ w2)
     beta1 = alpha.mean(axis=1)
     beta2 = alpha.mean(axis=0)
     p1 = np.exp(beta1) / np.exp(beta1).sum()
@@ -521,7 +530,7 @@ def test_selector_output_feeds_classifier_feature_block():
     # become independent of the relation vector
     model = toy_model(seed=2)
     d = model.config.d
-    model.params["classifier.w"].data[:, 2 * d:] = 0.0
+    model.params["classifier.w"].data[2 * d:, :] = 0.0
     model.params["selector.u"].data[:] = 0.0
     inst = _inst(["tok1", "tok2"])
     rng = np.random.default_rng(3)
@@ -603,3 +612,13 @@ def test_dropout_changes_training_forward_but_not_eval():
     train_a, _ = model.forward_instance(inst, kn, train=True, rng=rng)
     train_b, _ = model.forward_instance(inst, kn, train=True, rng=rng)
     assert np.any(train_a.data != train_b.data)
+
+
+def test_full_model_gradients_off_the_default_path():
+    # every reoriented weight the default configuration leaves out
+    # (separate.w_proj, entity_selector.w/u) and the learned position
+    # table get a full finite-difference check
+    result = check_full_model(seed=0, tolerance=1e-3, n_blocks=1,
+                              pooling="separate", selector_target="both",
+                              position_encoding="learned")
+    assert result.passed, result

@@ -230,6 +230,19 @@ def test_early_stopping_respects_patience():
     assert len(result.log) == 4
 
 
+def test_non_finite_loss_stops_training_with_epoch_and_batch():
+    instances, store, model = _task()
+    model.params["classifier.b"].data[:] = np.nan
+    before = model.params.clone_values()
+    tc = TrainConfig(batch_size=8, max_epochs=2, holdout_fraction=0.0)
+    with pytest.raises(ValueError, match="non-finite training loss .* "
+                                         "epoch 0, batch 0"):
+        train_model(instances, store, model, tc)
+    # no optimizer step ran on the poisoned batch
+    for name, value in before.items():
+        np.testing.assert_array_equal(model.params[name].data, value)
+
+
 # ---------------------------------------------------------------------------
 # predictions file
 
