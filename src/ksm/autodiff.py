@@ -7,17 +7,23 @@ topological order and accumulates ``d loss / d node`` into ``node.grad``.
 
 Semantics worth knowing:
 
-- repeated ``backward()`` calls accumulate gradients (call ``zero_grad``
-  between steps);
-- the graph is plain Python objects and stays alive as long as the loss
-  tensor does, so a loss can be backpropagated more than once;
+- repeated ``backward()`` calls accumulate leaf gradients (call
+  ``zero_grad`` between steps);
+- an interior node's gradient is freed as soon as its backward closure
+  has run, so after a walk only leaves hold a ``grad``;
+- gradient arrays are never written in place: accumulating adopts the
+  first contribution and adds later ones into a new array, so a ``grad``
+  may be a view of, or the same array as, another node's gradient;
+- the graph's data is plain Python objects and stays alive as long as the
+  loss tensor does, so a loss can be backpropagated more than once;
 - gradients flow only into nodes with ``requires_grad=True`` (set directly
   or inherited from any input).
 
 The op vocabulary is fixed and small: matmul (batched over leading
 axes), add, multiply, neg, concat (last axis), row gather, reshape,
 transpose (any axis permutation), sum/mean over an axis, amax, tanh,
-sigmoid, relu, log, softmax, layer_norm and dropout.
+sigmoid, relu, log, softmax, layer_norm, dropout and the fused pair score
+``tanh(a1[i] + a2[j]) @ w`` over all row pairs of two matrices.
 
 Tensors are plain values and safe to copy between threads; a recorded
 graph belongs to the thread that built it. Training is single-threaded;
@@ -66,17 +72,18 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # adopt, never write in place: `g` may be shared with another node
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph.
 
         Leaf gradients accumulate across repeated calls (zero them between
-        optimizer steps); interior-node gradients are reset at the start of
-        every pass so each call contributes exactly one fresh gradient.
-        The graph stays alive with the loss tensor and may be re-walked.
+        optimizer steps). Each interior node's gradient is dropped as soon
+        as its backward closure has consumed it, so the walk holds only the
+        gradients still waiting to be passed on; afterwards every interior
+        ``grad`` is None. The graph's data stays alive with the loss tensor,
+        so the loss may be walked again.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -96,13 +103,14 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
-        for node in topo:
+        for node in topo:  # left behind only by a walk cut short
             if node._backward is not None:
                 node.grad = None
         self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                g, node.grad = node.grad, None
+                node._backward(g)
 
     # arithmetic sugar; everything routes through the op functions below
     def __add__(self, other):
@@ -318,6 +326,41 @@ def tanh(a: Tensor) -> Tensor:
             a._accumulate(g * (1.0 - out_data * out_data))
 
     return _make(out_data, (a,), backward)
+
+
+def pair_tanh_score(a1: Tensor, a2: Tensor, w: Tensor) -> Tensor:
+    """Score every row pair: ``out[i, j] = tanh(a1[i] + a2[j]) @ w``.
+
+    a1 is (L1, d), a2 is (L2, d), w is (d, 1); the result is (L1, L2).
+    The (L1, L2, d) tanh buffer is the only intermediate kept, and
+    backward derives every gradient from it in one more buffer of that
+    size.
+    """
+    if a1.data.ndim != 2 or a2.data.ndim != 2 or a1.shape[1] != a2.shape[1]:
+        raise ValueError(f"pair_tanh_score expects (L1, d) and (L2, d), got "
+                         f"{a1.shape} and {a2.shape}")
+    d = a1.shape[1]
+    if w.shape != (d, 1):
+        raise ValueError(f"pair_tanh_score weight must be ({d}, 1), "
+                         f"got {w.shape}")
+    t = a1.data[:, None, :] + a2.data[None, :, :]
+    np.tanh(t, out=t)
+
+    def backward(g):
+        if w.requires_grad:
+            w._accumulate(np.tensordot(t, g, axes=([0, 1], [0, 1]))[:, None])
+        if a1.requires_grad or a2.requires_grad:
+            dz = t * t
+            np.subtract(1.0, dz, out=dz)
+            dz *= g[:, :, None]
+            dz *= w.data[:, 0]
+            if a1.requires_grad:
+                a1._accumulate(dz.sum(axis=1))
+            if a2.requires_grad:
+                a2._accumulate(dz.sum(axis=0))
+
+    out_data = (t.reshape(-1, d) @ w.data).reshape(t.shape[:2])
+    return _make(out_data, (a1, a2, w), backward)
 
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -23,6 +23,14 @@ class CheckpointError(Exception):
 
 
 def save_checkpoint(path, params: ParameterStore, config: dict | None = None) -> None:
+    """Write every parameter to `path`; a non-finite value raises
+    CheckpointError naming the file and the parameter, and nothing is
+    written."""
+    for name, t in params.items():
+        if not np.all(np.isfinite(t.data)):
+            raise CheckpointError(
+                f"{path}: parameter {name!r} holds non-finite values; "
+                "not saved")
     blob = {
         "format_version": FORMAT_VERSION,
         "config": config or {},

@@ -162,6 +162,11 @@ def _suite(seed: int) -> list[tuple[str, dict[str, Tensor], Callable[[], Tensor]
     x = t(2, 3)
     suite.append(("neg_scale_sum", {"x": x},
                   lambda x=x: ad.mean(ad.neg(x) * 1.7)))
+
+    a1, a2, w = t(3, 4), t(2, 4), t(4, 1)
+    suite.append(("pair_tanh_score", {"a1": a1, "a2": a2, "w": w},
+                  lambda a1=a1, a2=a2, w=w: ad.tensor_sum(
+                      ad.tanh(ad.pair_tanh_score(a1, a2, w)))))
     return suite
 
 

@@ -165,6 +165,11 @@ def embed_context(instance: CandidateInstance, word_table: WordTable,
     """Two L x d context views: word vector + position encoding per entity."""
     if not instance.tokens:
         raise ValueError("cannot embed an empty instance")
+    n = len(instance.tokens)
+    if len(instance.pos1) != n or len(instance.pos2) != n:
+        raise ValueError(
+            f"pos1/pos2 lengths {len(instance.pos1)}/{len(instance.pos2)} "
+            f"differ from {n} tokens")
     if min(min(instance.pos1), min(instance.pos2)) < 0:
         raise ValueError("positions must be nonnegative")
     words = word_table.lookup(instance.tokens)
@@ -324,17 +329,17 @@ def mutual_attention(v1: Tensor, v2: Tensor, params: ParameterStore
     """Additive attention over all position pairs of the two sequences.
 
     Returns (s1, s2, p1, p2): pooled vectors (1 x d) and the attention
-    weights over positions ((L x 1) and (1 x L)). Row means of the pair
-    score matrix drive the weights for the first sequence, column means
-    for the second.
+    weights over positions ((L x 1) and (1 x L)). The pair scores
+    alpha[i, j] = tanh(v1[i] W1 + v2[j] W2) w come from one fused op
+    (``ad.pair_tanh_score``) that keeps only its L x L x d tanh buffer.
+    Row means of alpha drive the weights for the first sequence, column
+    means for the second.
     """
-    length, d = v1.shape
+    length = v1.shape[0]
     if v2.shape[0] != length:
         raise ValueError(f"sequence lengths differ: {length} vs {v2.shape[0]}")
-    a1 = ad.reshape(v1 @ params["mutual.w1"], (length, 1, d))
-    a2 = ad.reshape(v2 @ params["mutual.w2"], (1, length, d))
-    pair = ad.reshape(ad.tanh(a1 + a2), (length * length, d))  # row i*L + j
-    alpha = ad.reshape(pair @ params["mutual.w"], (length, length))
+    alpha = ad.pair_tanh_score(v1 @ params["mutual.w1"],
+                               v2 @ params["mutual.w2"], params["mutual.w"])
     p1 = ad.softmax(ad.mean(alpha, axis=1, keepdims=True), axis=0)  # (L,1)
     p2 = ad.softmax(ad.mean(alpha, axis=0, keepdims=True), axis=1)  # (1,L)
     s1 = ad.transpose(p1) @ v1

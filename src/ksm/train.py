@@ -174,8 +174,9 @@ class TrainResult:
 def train_model(instances: list[CandidateInstance], store: KnowledgeStore,
                 model: KSMModel, train_config: TrainConfig) -> TrainResult:
     """Fit the model on labeled instances; returns it loaded with the best
-    parameters seen, plus the per-epoch log. A non-finite batch loss
-    raises ValueError naming the epoch and batch."""
+    parameters seen, plus the per-epoch log. A non-finite batch loss or
+    parameter gradient raises ValueError naming the epoch and batch (and
+    the first such parameter) before any optimizer step on that batch."""
     if not instances:
         raise ValueError("empty training set")
     if any(inst.label == LABEL_UNLABELED for inst in instances):
@@ -213,6 +214,11 @@ def train_model(instances: list[CandidateInstance], store: KnowledgeStore,
                     f"non-finite training loss {loss.item()} at epoch {epoch}, "
                     f"batch {len(batch_losses)}")
             backward(loss, model.params)  # zero-fills params off the graph
+            for name, p in model.params.items():
+                if not np.all(np.isfinite(p.grad)):
+                    raise ValueError(
+                        f"non-finite gradient of parameter {name!r} at epoch "
+                        f"{epoch}, batch {len(batch_losses)}")
             optimizer.step()
             batch_losses.append(loss.item())
         mean_loss = sum(batch_losses) / len(batch_losses)

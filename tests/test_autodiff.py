@@ -143,6 +143,63 @@ def test_grad_flows_through_shared_subexpression():
     np.testing.assert_allclose(x.grad, [[expected]], atol=1e-12)
 
 
+def test_shared_gradient_is_not_corrupted_by_later_accumulation():
+    # add hands the same array to both operands; a later in-place += on
+    # a's adopted gradient would also change b's
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.ones((2, 3)), requires_grad=True)
+    loss = ad.tensor_sum(a + b) + ad.tensor_sum(a * 3.0)
+    loss.backward()
+    np.testing.assert_array_equal(a.grad, np.full((2, 3), 4.0))
+    np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+
+
+def _small_graph():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    h = ad.tanh(x @ w)
+    loss = ad.mean(ad.softmax(h, axis=1) * h)
+    return x, w, [h, loss], loss
+
+
+def test_backward_frees_interior_gradients_and_keeps_leaves():
+    x, w, interior, loss = _small_graph()
+    loss.backward()
+    assert all(node.grad is None for node in interior)
+    assert x.grad is not None and w.grad is not None
+
+
+def test_second_backward_doubles_leaf_gradients():
+    x, w, _, loss = _small_graph()
+    loss.backward()
+    first = (x.grad.copy(), w.grad.copy())
+    loss.backward()
+    np.testing.assert_allclose(x.grad, 2.0 * first[0], rtol=1e-15)
+    np.testing.assert_allclose(w.grad, 2.0 * first[1], rtol=1e-15)
+
+
+def test_pair_tanh_score_against_loops():
+    rng = np.random.default_rng(6)
+    a1, a2 = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
+    w = rng.standard_normal((4, 1))
+    out = ad.pair_tanh_score(Tensor(a1), Tensor(a2), Tensor(w))
+    want = [[np.tanh(a1[i] + a2[j]) @ w[:, 0] for j in range(2)]
+            for i in range(3)]
+    np.testing.assert_allclose(out.data, want, atol=1e-14)
+
+
+@pytest.mark.parametrize("shapes", [((3, 4), (2, 5), (4, 1)),
+                                    ((3, 4), (2, 4), (4, 2)),
+                                    ((3, 4), (2, 4), (4,)),
+                                    ((3, 4), (2, 4), (5, 1)),
+                                    ((3, 4, 1), (2, 4), (4, 1))])
+def test_pair_tanh_score_rejects_mismatched_shapes(shapes):
+    a1, a2, w = (Tensor(np.ones(s)) for s in shapes)
+    with pytest.raises(ValueError, match="pair_tanh_score"):
+        ad.pair_tanh_score(a1, a2, w)
+
+
 def test_every_op_matches_finite_differences():
     for result in check_all_ops(seed=7):
         assert result.passed, result

@@ -141,6 +141,17 @@ def test_non_finite_values_rejected(tmp_path):
     _rejected(path, blob, "'layer.b' holds non-finite values")
 
 
+def test_saving_non_finite_parameter_refused_and_writes_nothing(tmp_path):
+    store = _random_store()
+    store["layer.w"].data[2, 1] = float("nan")
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(CheckpointError,
+                       match=r"model\.ckpt: parameter 'layer\.w' holds "
+                             r"non-finite values"):
+        save_checkpoint(path, store)
+    assert not path.exists()
+
+
 def test_model_config_with_unknown_key_rejected(tmp_path):
     model = toy_model(seed=1)
     path = tmp_path / "m.ckpt"

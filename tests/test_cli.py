@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import numpy as np
+
 from ksm.cli import DEFAULTS, main, resolve_config
 from ksm.corpus import write_instances
 from ksm.synthetic import separable_task, toy_knowledge_graph
@@ -315,3 +317,23 @@ def test_non_finite_training_loss_exits_2(tmp_path, capsys):
               + FAST_TRAIN)
     assert rc == 2
     assert "error: non-finite training loss" in capsys.readouterr().err
+
+
+def test_non_finite_gradient_exits_2(tmp_path, capsys, monkeypatch):
+    from ksm.autodiff import backward
+
+    def poisoned(loss, params):
+        backward(loss, params)
+        params["classifier.b"].grad = np.full(2, np.nan)
+
+    monkeypatch.setattr("ksm.train.backward", poisoned)
+    inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
+    out = tmp_path / "m.ckpt"
+    rc = main(["train", "--instances", str(inst_path),
+               "--word-embeddings", str(words_path), "--kb-dir", str(kb_dir),
+               "--out", str(out)] + FAST_TRAIN)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert ("error: non-finite gradient of parameter 'classifier.b' at "
+            "epoch 0, batch 0") in err
+    assert not out.exists()

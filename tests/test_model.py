@@ -86,6 +86,15 @@ def test_embed_rejects_empty_instance():
         embed_context(empty, model.word_table, model.config, model.params)
 
 
+@pytest.mark.parametrize("field", ["pos1", "pos2"])
+def test_forward_rejects_position_list_of_other_length(field):
+    model = toy_model(seed=0)
+    inst = _inst(["tok1", "tok2", "tok3"], **{field: [1]})
+    knowledge = toy_batch(0, model.config.d_kb, lengths=(3,))[0][1]
+    with pytest.raises(ValueError, match="differ from 3 tokens"):
+        model.forward_instance(inst, knowledge)
+
+
 def test_unknown_token_maps_to_unk_vector():
     table = WordTable({"a": np.ones(4)}, 4, unk=np.full(4, 7.0))
     np.testing.assert_array_equal(table.lookup(["a", "zz"])[1], np.full(4, 7.0))

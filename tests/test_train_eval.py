@@ -243,6 +243,35 @@ def test_non_finite_loss_stops_training_with_epoch_and_batch():
         np.testing.assert_array_equal(model.params[name].data, value)
 
 
+def test_non_finite_gradient_stops_training_naming_first_parameter(
+        monkeypatch):
+    instances, store, model = _task()
+    names = model.params.names()
+    calls, at_poison = [], {}
+
+    def poisoned(loss, params):
+        # the second batch leaves a NaN in two gradients, the earlier
+        # parameter in store order being names[-3]
+        backward(loss, params)
+        calls.append(1)
+        if len(calls) == 2:
+            at_poison.update(params.clone_values())
+            for name in (names[-1], names[-3]):
+                g = params[name].grad.copy()   # gradients may be shared
+                g.flat[0] = np.nan
+                params[name].grad = g
+
+    monkeypatch.setattr("ksm.train.backward", poisoned)
+    tc = TrainConfig(batch_size=8, max_epochs=2, holdout_fraction=0.0)
+    with pytest.raises(ValueError, match=(
+            f"non-finite gradient of parameter '{names[-3]}' "
+            "at epoch 0, batch 1")):
+        train_model(instances, store, model, tc)
+    # no optimizer step ran on the poisoned batch
+    for name, value in at_poison.items():
+        np.testing.assert_array_equal(model.params[name].data, value)
+
+
 # ---------------------------------------------------------------------------
 # predictions file
 
