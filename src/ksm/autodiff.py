@@ -472,13 +472,14 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None,
     if rng is None:
         raise ValueError("active dropout needs an rng")
     keep = 1.0 - rate
-    mask = (rng.random(a.shape) < keep).astype(DTYPE) / keep
+    inv = 1.0 / keep
+    mask = rng.random(a.shape) < keep   # boolean: an eighth of a float mask
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * mask)
+            a._accumulate(g * inv * mask)
 
-    return _make(a.data * mask, (a,), backward)
+    return _make(a.data * inv * mask, (a,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,11 @@ directly adjacent to a focal span has distance 1, and the other focal
 mention's tokens never contribute to a count. A collapsed "gene0" run
 carries the minimum distance over its original tokens.
 
+Cost: `preprocess_document` spends O(n + mention tokens) once per document
+on a layout (sentence offsets, the masked form of every token, the first
+mention covering each index) and then O(window) per candidate pair, so a
+document of n tokens with p pairs costs O(n + p * window), not O(p * n).
+
 Everything here is a pure function over immutable documents, so
 processing is trivially parallel per document.
 """
@@ -24,7 +29,8 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
 
@@ -148,90 +154,91 @@ def generate_candidate_pairs(
     return pairs
 
 
-def _mask_token(token: str, config: PreprocessConfig) -> str | None:
-    """Apply NUMBER replacement, then char stripping, then lone-punct drop."""
+def _mask_token(token: str, strip: dict[int, None],
+                drop_tokens: frozenset) -> str | None:
+    """Apply NUMBER replacement, then char stripping (``strip`` is a
+    `str.translate` table deleting them), then lone-punct drop."""
     if _NUMBER_RE.match(token):
         return NUMBER_TOKEN
-    stripped = "".join(c for c in token if c not in config.strip_chars)
-    if not stripped or stripped in config.drop_tokens:
+    stripped = token.translate(strip)
+    if not stripped or stripped in drop_tokens:
         return None
     return stripped
 
 
+class _Layout(NamedTuple):
+    """Facts about one document under one config that every pair reads."""
+    offsets: list[int]            # sentence start offsets, then n
+    masked: list[str | None]      # _mask_token of every flat token
+    owner: dict[int, int]         # flat index -> doc.mentions index of the
+                                  # first mention covering it, if any
+
+
+def _document_layout(doc: Document, config: PreprocessConfig) -> _Layout:
+    offsets = _sentence_offsets(doc)
+    strip = str.maketrans("", "", config.strip_chars)
+    masked = [_mask_token(tok, strip, config.drop_tokens)
+              for sent in doc.sentences for tok in sent]
+    owner: dict[int, int] = {}
+    for mi, m in enumerate(doc.mentions):
+        for i in range(*_flat_span(doc, m, offsets)):
+            owner.setdefault(i, mi)
+    return _Layout(offsets, masked, owner)
+
+
 def build_context_window(
     doc: Document, m1: Mention, m2: Mention,
-    config: PreprocessConfig | None = None,
+    config: PreprocessConfig | None = None, *, _layout: _Layout | None = None,
 ) -> CandidateInstance | None:
     """One candidate instance for the mention pair, or None if masking
-    empties the window (logged)."""
+    empties the window (logged).
+
+    Given the document layout the cost is O(window): `preprocess_document`
+    builds the layout once per document and passes it as ``_layout``; a
+    call without it first builds one in O(document).
+    """
     config = config or PreprocessConfig()
-    offsets = _sentence_offsets(doc)
-    flat_tokens = [tok for sent in doc.sentences for tok in sent]
-    n = len(flat_tokens)
-    s1, e1 = _flat_span(doc, m1, offsets)
-    s2, e2 = _flat_span(doc, m2, offsets)
+    layout = _layout if _layout is not None else _document_layout(doc, config)
+    s1, e1 = _flat_span(doc, m1, layout.offsets)
+    s2, e2 = _flat_span(doc, m2, layout.offsets)
     if s2 < s1:
         (s1, e1), (s2, e2) = (s2, e2), (s1, e1)
         m1, m2 = m2, m1
 
-    focal = set(range(s1, e1)) | set(range(s2, e2))
-
-    # counting sequence: every token outside the two focal spans
-    counting = [0] * (n + 1)  # prefix counts of non-focal tokens
-    for i in range(n):
-        counting[i + 1] = counting[i] + (0 if i in focal else 1)
-
-    def distance(t: int, span: tuple[int, int]) -> int:
-        s, e = span
-        if s <= t < e:
-            return 0
-        if t < s:
-            between = counting[s] - counting[t + 1]
-        else:
-            between = counting[t] - counting[e]
-        return between + 1
-
-    window: list[int] = []
-    for lo, hi in ((max(0, s1 - config.expansion), s1),
-                   (e1, s2),
-                   (e2, min(n, e2 + config.expansion))):
-        for i in range(lo, hi):
-            if i not in focal:
-                window.append(i)
-
-    # which non-focal mention instance (if any) owns each flat index
-    owner: dict[int, int] = {}
-    for mi, m in enumerate(doc.mentions):
-        if m is m1 or m is m2:
-            continue
-        ms, me = _flat_span(doc, m, offsets)
-        for i in range(ms, me):
-            if i not in focal and i not in owner:
-                owner[i] = mi
+    # The window is every non-focal index in [lo, hi), in order. Since the
+    # distance counts run over non-focal tokens only, a window token's
+    # distance follows from its rank k and the number c of window tokens
+    # before the focal span: c - k before it, k - c + 1 after it. No window
+    # index lies in a focal span, so its owner is never a focal mention.
+    lo = max(0, s1 - config.expansion)
+    hi = min(layout.offsets[-1], e2 + config.expansion)
+    window = [*range(lo, s1), *range(e1, s2), *range(max(e1, e2), hi)]
+    c1 = s1 - lo
+    c2 = c1 + max(0, s2 - e1)
 
     tokens: list[str] = []
     pos1: list[int] = []
     pos2: list[int] = []
-    k = 0
-    while k < len(window):
-        idx = window[k]
-        if idx in owner:
-            run = [idx]
-            while (k + 1 < len(window) and window[k + 1] in owner
-                   and owner[window[k + 1]] == owner[idx]
-                   and window[k + 1] == window[k] + 1):
-                k += 1
-                run.append(window[k])
-            tokens.append(GENE_MASK_TOKEN)
-            pos1.append(min(distance(i, (s1, e1)) for i in run))
-            pos2.append(min(distance(i, (s2, e2)) for i in run))
-        else:
-            masked = _mask_token(flat_tokens[idx], config)
+    prev_owner, prev_idx = None, -1
+    for k, idx in enumerate(window):
+        d1 = c1 - k if k < c1 else k - c1 + 1
+        d2 = c2 - k if k < c2 else k - c2 + 1
+        owner = layout.owner.get(idx)
+        if owner is None:
+            masked = layout.masked[idx]
             if masked is not None:
                 tokens.append(masked)
-                pos1.append(distance(idx, (s1, e1)))
-                pos2.append(distance(idx, (s2, e2)))
-        k += 1
+                pos1.append(d1)
+                pos2.append(d2)
+        elif owner == prev_owner and idx == prev_idx + 1:
+            # a collapsed gene0 run keeps its minimum distances
+            pos1[-1] = min(pos1[-1], d1)
+            pos2[-1] = min(pos2[-1], d2)
+        else:
+            tokens.append(GENE_MASK_TOKEN)
+            pos1.append(d1)
+            pos2.append(d2)
+        prev_owner, prev_idx = owner, idx
 
     if not tokens:
         logger.info("%s: dropped empty window for pair (%s, %s)",
@@ -261,9 +268,11 @@ def assign_labels(instances: list[CandidateInstance],
 def preprocess_document(doc: Document, phase: str,
                         config: PreprocessConfig | None = None) -> list[CandidateInstance]:
     validate_document(doc)
+    config = config or PreprocessConfig()
+    layout = _document_layout(doc, config)
     instances = []
     for m1, m2 in generate_candidate_pairs(doc, config):
-        inst = build_context_window(doc, m1, m2, config)
+        inst = build_context_window(doc, m1, m2, config, _layout=layout)
         if inst is not None:
             instances.append(inst)
     return assign_labels(instances, doc.gold_relations, phase)

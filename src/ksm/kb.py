@@ -20,6 +20,7 @@ best-effort bookkeeping, not synchronization).
 
 from __future__ import annotations
 
+import hashlib
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
@@ -225,20 +226,27 @@ def tail_rank(store: KnowledgeStore, h_id: str, r_id: str, t_id: str) -> int:
     return better + 1
 
 
+def _entity_seed(entity_id: str) -> int:
+    """A seed fixed by the id alone (unlike hash(), whatever PYTHONHASHSEED)."""
+    digest = hashlib.sha256(entity_id.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
 def resolve_pair_knowledge(store: KnowledgeStore, e_id1: str,
                            e_id2: str) -> PairKnowledge:
     """Entity and relation vectors for an unordered pair, with fallbacks.
 
     Entities missing from the table fall back to the mention-word average
-    (the init rule); pairs with no KB triple in either direction get the
-    null-relation vector. Fallbacks are silent but counted in store.stats.
+    (the init rule), or without mention words to a uniform draw seeded from
+    a digest of the entity id, so the vector depends on the id alone; pairs
+    with no KB triple in either direction get the null-relation vector.
+    Fallbacks are silent but counted in store.stats.
     """
-    rng = np.random.default_rng(0)
-
     def entity_vec(eid: str) -> tuple[np.ndarray, bool]:
         if eid in store.entity_table:
             return store.entity_table[eid], False
         store.stats["entity_fallback"] += 1
+        rng = np.random.default_rng(_entity_seed(eid))
         return _entity_vector_from_mentions(
             eid, store.word_table, store.mention_lexicon, store.d_kb, rng), True
 

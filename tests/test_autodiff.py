@@ -230,6 +230,21 @@ def test_dropout_inverted_scaling():
     assert abs((out.data != 0).mean() - 0.75) < 0.02
 
 
+@pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 0.9])
+def test_dropout_equals_float_mask_bit_for_bit(rate):
+    # oracle: the float mask bool/keep applied by one product, signed zeros
+    # included (a dropped negative entry stays -0.0)
+    keep = 1.0 - rate
+    x = Tensor(np.random.default_rng(0).normal(size=(40, 30)),
+               requires_grad=True)
+    g = np.random.default_rng(1).normal(size=(40, 30))
+    mask = (np.random.default_rng(2).random(x.shape) < keep) / keep
+    out = ad.dropout(x, rate, np.random.default_rng(2), train=True)
+    ad.tensor_sum(ad.multiply(out, Tensor(g))).backward()
+    for got, want in ((out.data, x.data * mask), (x.grad, g * mask)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_dropout_active_without_rng_raises():
     with pytest.raises(ValueError):
         ad.dropout(Tensor(np.ones(3)), 0.5, None, train=True)

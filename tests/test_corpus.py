@@ -1,18 +1,21 @@
 """Candidate generation: windowing, masking, distances, labels, files."""
 
 import json
+import logging
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksm.corpus import (CorpusError, Document, LABEL_NEGATIVE,
+from ksm.corpus import (GENE_MASK_TOKEN, NUMBER_TOKEN, CandidateInstance,
+                        CorpusError, Document, LABEL_NEGATIVE,
                         LABEL_POSITIVE, LABEL_UNLABELED,
-                        Mention, assign_labels,
+                        Mention, PreprocessConfig, assign_labels,
                         build_context_window, document_from_json,
-                        generate_candidate_pairs, instance_from_json,
-                        instance_to_json,
+                        document_to_json, generate_candidate_pairs,
+                        instance_from_json, instance_to_json,
                         preprocess_document, read_corpus, read_instances,
                         sorted_pair, validate_document, write_instances)
 from ksm.synthetic import toy_documents
@@ -352,3 +355,175 @@ def test_random_documents_respect_instance_invariants(doc):
         assert inst.pair == sorted_pair(m1.entity_id, m2.entity_id)
         # windows and masking keep every surviving token nonempty
         assert all(inst.tokens)
+
+
+# ---------------------------------------------------------------------------
+# reference windowing: the original full-document implementation, kept
+# verbatim as a test oracle (O(document) per pair)
+
+logger = logging.getLogger(__name__)
+_NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)%?$")
+
+
+def _sentence_offsets(doc: Document) -> list[int]:
+    offsets = [0]
+    for sent in doc.sentences:
+        offsets.append(offsets[-1] + len(sent))
+    return offsets
+
+
+def _flat_span(doc: Document, m: Mention, offsets: list[int]) -> tuple[int, int]:
+    base = offsets[m.sentence_index]
+    return (base + m.token_span[0], base + m.token_span[1])
+
+
+def _mask_token(token: str, config: PreprocessConfig) -> str | None:
+    """Apply NUMBER replacement, then char stripping, then lone-punct drop."""
+    if _NUMBER_RE.match(token):
+        return NUMBER_TOKEN
+    stripped = "".join(c for c in token if c not in config.strip_chars)
+    if not stripped or stripped in config.drop_tokens:
+        return None
+    return stripped
+
+
+def reference_build_context_window(
+    doc: Document, m1: Mention, m2: Mention,
+    config: PreprocessConfig | None = None,
+) -> CandidateInstance | None:
+    """One candidate instance for the mention pair, or None if masking
+    empties the window (logged)."""
+    config = config or PreprocessConfig()
+    offsets = _sentence_offsets(doc)
+    flat_tokens = [tok for sent in doc.sentences for tok in sent]
+    n = len(flat_tokens)
+    s1, e1 = _flat_span(doc, m1, offsets)
+    s2, e2 = _flat_span(doc, m2, offsets)
+    if s2 < s1:
+        (s1, e1), (s2, e2) = (s2, e2), (s1, e1)
+        m1, m2 = m2, m1
+
+    focal = set(range(s1, e1)) | set(range(s2, e2))
+
+    # counting sequence: every token outside the two focal spans
+    counting = [0] * (n + 1)  # prefix counts of non-focal tokens
+    for i in range(n):
+        counting[i + 1] = counting[i] + (0 if i in focal else 1)
+
+    def distance(t: int, span: tuple[int, int]) -> int:
+        s, e = span
+        if s <= t < e:
+            return 0
+        if t < s:
+            between = counting[s] - counting[t + 1]
+        else:
+            between = counting[t] - counting[e]
+        return between + 1
+
+    window: list[int] = []
+    for lo, hi in ((max(0, s1 - config.expansion), s1),
+                   (e1, s2),
+                   (e2, min(n, e2 + config.expansion))):
+        for i in range(lo, hi):
+            if i not in focal:
+                window.append(i)
+
+    # which non-focal mention instance (if any) owns each flat index
+    owner: dict[int, int] = {}
+    for mi, m in enumerate(doc.mentions):
+        if m is m1 or m is m2:
+            continue
+        ms, me = _flat_span(doc, m, offsets)
+        for i in range(ms, me):
+            if i not in focal and i not in owner:
+                owner[i] = mi
+
+    tokens: list[str] = []
+    pos1: list[int] = []
+    pos2: list[int] = []
+    k = 0
+    while k < len(window):
+        idx = window[k]
+        if idx in owner:
+            run = [idx]
+            while (k + 1 < len(window) and window[k + 1] in owner
+                   and owner[window[k + 1]] == owner[idx]
+                   and window[k + 1] == window[k] + 1):
+                k += 1
+                run.append(window[k])
+            tokens.append(GENE_MASK_TOKEN)
+            pos1.append(min(distance(i, (s1, e1)) for i in run))
+            pos2.append(min(distance(i, (s2, e2)) for i in run))
+        else:
+            masked = _mask_token(flat_tokens[idx], config)
+            if masked is not None:
+                tokens.append(masked)
+                pos1.append(distance(idx, (s1, e1)))
+                pos2.append(distance(idx, (s2, e2)))
+        k += 1
+
+    if not tokens:
+        logger.info("%s: dropped empty window for pair (%s, %s)",
+                    doc.doc_id, m1.entity_id, m2.entity_id)
+        return None
+    return CandidateInstance(
+        doc_id=doc.doc_id,
+        pair=sorted_pair(m1.entity_id, m2.entity_id),
+        tokens=tokens, pos1=pos1, pos2=pos2)
+
+
+_VOCAB = ["aa", "bb", "cc", "42", "-3.5%", "7*", "IL*2", "w\u2020", "*", "(",
+          "]"]
+
+
+@st.composite
+def rich_documents(draw):
+    """Multi-token, nested and overlapping mentions over 1-5 sentences,
+    with gold relations, plus a config with random window limits."""
+    n_sent = draw(st.integers(1, 5))
+    sentences = [draw(st.lists(st.sampled_from(_VOCAB), min_size=1,
+                               max_size=8))
+                 for _ in range(n_sent)]
+    mentions = []
+    for _ in range(draw(st.integers(2, 7))):
+        s = draw(st.integers(0, n_sent - 1))
+        start = draw(st.integers(0, len(sentences[s]) - 1))
+        end = draw(st.integers(start + 1, min(len(sentences[s]), start + 3)))
+        mentions.append(Mention(f"E{draw(st.integers(0, 3))}", s, (start, end)))
+    entities = sorted({m.entity_id for m in mentions})
+    gold = {sorted_pair(a, b) for a in entities for b in entities
+            if a < b and draw(st.booleans())}
+    config = PreprocessConfig(max_sentence_distance=draw(st.integers(1, 4)),
+                              expansion=draw(st.integers(0, 4)))
+    return Document(doc_id="R", sentences=sentences, mentions=mentions,
+                    gold_relations=gold), config
+
+
+@settings(max_examples=300, deadline=None)
+@given(rich_documents())
+def test_windowing_matches_full_document_reference(doc_config):
+    doc, config = doc_config
+    got = preprocess_document(doc, "train", config)
+    pairs = generate_candidate_pairs(doc, config)
+    expected = [reference_build_context_window(doc, m1, m2, config)
+                for m1, m2 in pairs]
+    expected = assign_labels([i for i in expected if i is not None],
+                             doc.gold_relations, "train")
+    assert got == expected
+    # a standalone call (building its own layout) gives the same windows
+    standalone = [build_context_window(doc, m1, m2, config)
+                  for m1, m2 in pairs]
+    standalone = assign_labels([i for i in standalone if i is not None],
+                               doc.gold_relations, "train")
+    assert standalone == got
+
+
+@settings(max_examples=100, deadline=None)
+@given(rich_documents())
+def test_instances_survive_json_roundtrips(doc_config):
+    doc, config = doc_config
+    direct = preprocess_document(doc, "train", config)
+    parsed = document_from_json(document_to_json(doc))
+    via_json = [instance_from_json(instance_to_json(i))
+                for i in preprocess_document(parsed, "train", config)]
+    assert via_json == direct

@@ -182,6 +182,35 @@ def test_missing_pair_falls_back_to_null():
     assert store.stats["entity_fallback"] == 1  # the unknown entity
 
 
+def test_fallback_vector_depends_only_on_the_entity_id():
+    store = _store(d_kb=8)
+    first = resolve_pair_knowledge(store, "nope", "e1").e1
+    np.testing.assert_array_equal(
+        resolve_pair_knowledge(store, "e1", "nope").e2, first)  # other slot
+    np.testing.assert_array_equal(
+        resolve_pair_knowledge(store, "other", "nope").e2, first)  # both fall back
+    np.testing.assert_array_equal(
+        resolve_pair_knowledge(store, "nope", "e2").e1, first)  # a later call
+    assert store.stats["entity_fallback"] == 5
+    assert first.shape == (8,) and np.all(np.abs(first) <= 0.5 / 8)
+
+
+def test_distinct_unknown_ids_get_distinct_fallback_vectors():
+    store = _store(d_kb=8)
+    kn = resolve_pair_knowledge(store, "unknown_a", "unknown_b")
+    assert kn.e1_is_fallback and kn.e2_is_fallback
+    assert not np.array_equal(kn.e1, kn.e2)
+
+
+def test_fallback_prefers_mention_average():
+    words = {"a": np.array([1.0, 3.0])}
+    store = init_embeddings([Triple("e1", "r", "e2")], words,
+                            {"e1": ["a"], "new": ["a"]}, d_kb=2)
+    kn = resolve_pair_knowledge(store, "new", "e1")
+    assert kn.e1_is_fallback
+    np.testing.assert_array_equal(kn.e1, [1.0, 3.0])
+
+
 def test_resolution_is_symmetric_in_pair_order():
     triples = [Triple("a", "r1", "b"), Triple("b", "r2", "a")]
     store = init_embeddings(triples, d_kb=4, seed=0)
