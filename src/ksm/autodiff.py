@@ -442,10 +442,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out_data = xhat * gamma.data + beta.data
+    out_data = (x.data - mu) * inv * gamma.data + beta.data
 
     def backward(g):
+        # x's data is on the tape anyway; keeping xhat would hold a second
+        # copy of it from forward to backward
+        xhat = (x.data - mu) * inv
         if beta.requires_grad:
             beta._accumulate(g.reshape(-1, n).sum(axis=0))
         if gamma.requires_grad:

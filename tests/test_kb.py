@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ksm import kb
+from ksm.kb import KnowledgeStore
 from ksm.kb import (KBError, Triple, init_embeddings,
                     load_store, mean_energies, read_embeddings, read_triples,
                     resolve_pair_knowledge, save_store, tail_rank,
@@ -266,3 +270,291 @@ def test_store_roundtrip(tmp_path):
         np.testing.assert_array_equal(back.entity_table[k], v)
     np.testing.assert_array_equal(back.null_relation, store.null_relation)
     assert back.pair_relations == store.pair_relations
+
+
+# ---------------------------------------------------------------------------
+# boundary errors: the store is written only when training succeeds
+
+
+def _snapshot(store):
+    return ({k: v.copy() for k, v in store.entity_table.items()},
+            {k: v.copy() for k, v in store.relation_table.items()})
+
+
+def _assert_unchanged(store, snapshot):
+    entities, relations = snapshot
+    assert store.entity_table.keys() == entities.keys()
+    assert store.relation_table.keys() == relations.keys()
+    for k, v in entities.items():
+        np.testing.assert_array_equal(store.entity_table[k], v)
+    for k, v in relations.items():
+        np.testing.assert_array_equal(store.relation_table[k], v)
+
+
+@pytest.mark.parametrize("bad, missing", [
+    (Triple("e1", "r1", "zz_unknown"), "zz_unknown"),
+    (Triple("zz_unknown", "r1", "e2"), "zz_unknown"),
+    (Triple("e1", "r_unknown", "e2"), "r_unknown"),
+])
+def test_triple_with_unknown_id_rejected_before_any_update(bad, missing):
+    store = _store(d_kb=8, seed=1)
+    snapshot = _snapshot(store)
+    triples = toy_knowledge_graph() + [bad]
+    with pytest.raises(KBError, match=rf"triple 4 .*'{missing}'"):
+        transe_train(triples, store, epochs=3, lr=0.05, seed=2)
+    _assert_unchanged(store, snapshot)
+
+
+@pytest.mark.parametrize("table, key, value", [
+    ("entity_table", "e1", np.nan),
+    ("entity_table", "e3", np.inf),
+    ("relation_table", "r2", -np.inf),
+])
+def test_non_finite_training_raises_and_leaves_store(table, key, value):
+    store = _store(d_kb=8, seed=1)
+    getattr(store, table)[key] = np.full(8, value)
+    snapshot = _snapshot(store)
+    with np.errstate(invalid="ignore"), pytest.raises(KBError,
+                                                      match="epoch 0"):
+        transe_train(toy_knowledge_graph(), store, epochs=3, lr=0.05, seed=2)
+    _assert_unchanged(store, snapshot)
+
+
+def test_empty_store_and_triples_train_to_zero_loss():
+    store = KnowledgeStore(entity_table={}, relation_table={},
+                           null_relation=np.zeros(4), d_kb=4)
+    assert transe_train([], store, epochs=2) == [0.0, 0.0]
+    assert store.entity_table == {} and store.relation_table == {}
+
+
+# ---------------------------------------------------------------------------
+# one minibatch step against per-triple gradients at the batch-start point
+
+
+def _reference_step(E, R, batch, margin, lr):
+    """Per-triple analytic gradients, all taken at the batch-start E and R,
+    summed into copies with a Python loop; returns (E, R, summed hinge)."""
+    E_new, R_new, total = E.copy(), R.copy(), 0.0
+    for h, r, t, hn, tn in batch:
+        d_pos = E[h] + R[r] - E[t]
+        d_neg = E[hn] + R[r] - E[tn]
+        e_pos, e_neg = np.linalg.norm(d_pos), np.linalg.norm(d_neg)
+        loss = margin + e_pos - e_neg
+        if loss <= 0:
+            continue
+        total += loss
+        g_pos = d_pos / e_pos if e_pos > 0 else np.zeros_like(d_pos)
+        g_neg = d_neg / e_neg if e_neg > 0 else np.zeros_like(d_neg)
+        E_new[h] -= lr * g_pos
+        E_new[t] += lr * g_pos
+        E_new[hn] += lr * g_neg
+        E_new[tn] -= lr * g_neg
+        R_new[r] -= lr * (g_pos - g_neg)
+    return E_new, R_new, total
+
+
+def _step(E, R, batch, margin, lr):
+    E, R = E.copy(), R.copy()
+    h, r, t, hn, tn = np.array(batch, dtype=np.intp).reshape(-1, 5).T
+    total = kb._minibatch_step(E, R, h, r, t, hn, tn, margin, lr)
+    return E, R, total
+
+
+def _tables(n_entities=6, n_relations=3, d=5, seed=0):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-0.5, 0.5, (n_entities, d)),
+            rng.uniform(-0.5, 0.5, (n_relations, d)))
+
+
+def _assert_steps_match(E, R, batch, margin=1.0, lr=0.1):
+    got_E, got_R, got_total = _step(E, R, batch, margin, lr)
+    ref_E, ref_R, ref_total = _reference_step(E, R, batch, margin, lr)
+    np.testing.assert_allclose(got_E, ref_E, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_R, ref_R, rtol=0, atol=1e-12)
+    assert got_total == pytest.approx(ref_total, rel=1e-12)
+    return got_E, got_R
+
+
+def test_minibatch_step_sums_per_triple_gradients_at_batch_start():
+    E, R = _tables(n_entities=12, n_relations=3, d=7, seed=1)
+    rng = np.random.default_rng(2)
+    batch = [(int(rng.integers(12)), int(rng.integers(3)), int(rng.integers(12)),
+              int(rng.integers(12)), int(rng.integers(12))) for _ in range(40)]
+    got_E, _ = _assert_steps_match(E, R, batch, margin=2.0, lr=0.05)
+    assert not np.array_equal(got_E, E)
+
+
+def test_minibatch_step_adds_up_repeated_rows():
+    E, R = _tables(seed=3)
+    batch = [
+        (0, 0, 0, 3, 0),   # self-loop h == t, corrupted head
+        (2, 1, 4, 2, 2),   # corrupted tail drawn equal to the head
+        (5, 2, 1, 5, 1),   # corruption redrew the true tail: steps cancel
+        (1, 1, 2, 1, 4),   # entity 1 as head, corrupted tail
+        (1, 0, 3, 0, 3),   # entity 1 again, and 3 as tail and corrupted tail
+        (4, 1, 1, 2, 1),   # entity 1 as tail, relation 1 again
+    ]
+    got_E, got_R = _assert_steps_match(E, R, batch, margin=3.0, lr=0.1)
+    # every triple is active at this margin, so rows 0 and 1 take several
+    # non-cancelling steps; keeping only one of them would show here
+    assert not np.allclose(got_E[1], E[1])
+
+
+def test_zero_energy_triple_gets_zero_gradient_not_nan():
+    # dyadic values: h + r - t is exactly zero
+    E = np.array([[0.25, 0.5], [0.5, 0.25], [-0.5, 0.75]])
+    R = np.array([[0.25, -0.25]])
+    # true and corrupted energy both zero: hinge = margin, every step zero
+    got_E, got_R, total = _step(E, R, [(0, 0, 1, 0, 1)], 1.0, 0.1)
+    assert total == 1.0
+    np.testing.assert_array_equal(got_E, E)
+    np.testing.assert_array_equal(got_R, R)
+    # true energy zero, corrupted energy positive: only the negative side moves
+    got_E, got_R = _assert_steps_match(E, R, [(0, 0, 1, 0, 2)], margin=5.0)
+    assert np.isfinite(got_E).all() and np.isfinite(got_R).all()
+    np.testing.assert_array_equal(got_E[1], E[1])
+
+
+def test_inactive_hinge_changes_nothing():
+    E = np.array([[0.25, 0.5], [0.5, 0.25], [-0.5, 0.75], [0.0, 0.0]])
+    R = np.array([[0.25, -0.25], [0.5, 0.5]])
+    # true triple at zero energy, corrupted copy 1.25 away: hinge inactive
+    inactive = (0, 0, 1, 0, 2)
+    got_E, got_R, total = _step(E, R, [inactive], 1.0, 0.1)
+    assert total == 0.0
+    np.testing.assert_array_equal(got_E, E)
+    np.testing.assert_array_equal(got_R, R)
+    # mixed with an active triple, the step equals the active triple's alone
+    active = (3, 1, 2, 1, 3)
+    mixed = _step(E, R, [inactive, active, inactive], 1.0, 0.1)
+    alone = _step(E, R, [active], 1.0, 0.1)
+    assert alone[2] > 0
+    for got, want in zip(mixed, alone):
+        np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the original per-triple SGD loop, kept as a test-only quality reference
+
+
+def _reference_project_unit_ball(table):
+    for eid, v in table.items():
+        norm = np.linalg.norm(v)
+        if norm > 1.0:
+            table[eid] = v / norm
+
+
+def reference_transe_train(triples, store, margin=1.0, epochs=100, lr=0.01,
+                           seed=0):
+    entities = sorted(store.entity_table)
+    rng = np.random.default_rng(seed)
+    losses = []
+    for _ in range(epochs):
+        order = rng.permutation(len(triples))
+        total = 0.0
+        for i in order:
+            h_id, r_id, t_id = triples[i]
+            if rng.random() < 0.5:
+                corrupt_head = True
+                c_id = entities[rng.integers(len(entities))]
+                neg = (c_id, r_id, t_id)
+            else:
+                corrupt_head = False
+                c_id = entities[rng.integers(len(entities))]
+                neg = (h_id, r_id, c_id)
+            h = store.entity_table[h_id]
+            r = store.relation_table[r_id]
+            t = store.entity_table[t_id]
+            hn = store.entity_table[neg[0]]
+            tn = store.entity_table[neg[2]]
+
+            d_pos = h + r - t
+            d_neg = hn + r - tn
+            e_pos = np.linalg.norm(d_pos)
+            e_neg = np.linalg.norm(d_neg)
+            loss = margin + e_pos - e_neg
+            if loss <= 0:
+                continue
+            total += loss
+            g_pos = d_pos / e_pos if e_pos > 0 else np.zeros_like(d_pos)
+            g_neg = d_neg / e_neg if e_neg > 0 else np.zeros_like(d_neg)
+            store.entity_table[h_id] = h - lr * g_pos
+            store.entity_table[t_id] = store.entity_table[t_id] + lr * g_pos
+            store.relation_table[r_id] = r - lr * (g_pos - g_neg)
+            if corrupt_head:
+                store.entity_table[neg[0]] = store.entity_table[neg[0]] + lr * g_neg
+                store.entity_table[t_id] = store.entity_table[t_id] - lr * g_neg
+            else:
+                store.entity_table[h_id] = store.entity_table[h_id] + lr * g_neg
+                store.entity_table[neg[2]] = store.entity_table[neg[2]] - lr * g_neg
+        _reference_project_unit_ball(store.entity_table)
+        losses.append(total / max(1, len(triples)))
+    return losses
+
+
+def _typed_kb(seed, groups=6, per_group=50, relations=6, n_triples=1500):
+    """Relation k links entity group a_k to group b_k, so a corrupted triple
+    mostly breaks the typing and training can open an energy gap."""
+    rng = np.random.default_rng(seed)
+    entities = [f"E{k}" for k in range(groups * per_group)]
+    rels = [(f"r{k}", int(rng.integers(groups)), int(rng.integers(groups)))
+            for k in range(relations)]
+    triples = set()
+    while len(triples) < n_triples:
+        name, a, b = rels[int(rng.integers(relations))]
+        h = entities[a * per_group + int(rng.integers(per_group))]
+        t = entities[b * per_group + int(rng.integers(per_group))]
+        if h != t:
+            triples.add(Triple(h, name, t))
+    return sorted(triples)
+
+
+def test_minibatch_trainer_keeps_the_per_triple_energy_gap():
+    triples = _typed_kb(seed=11)
+    gaps = []
+    for train in (transe_train, reference_transe_train):
+        store = init_embeddings(triples, d_kb=20, seed=4)
+        train(triples, store, epochs=20, lr=0.01, seed=5)
+        true_e, corrupt_e = mean_energies(triples, store, seed=6)
+        gaps.append(corrupt_e - true_e)
+    new_gap, reference_gap = gaps
+    assert reference_gap > 0.1
+    assert new_gap >= 0.98 * reference_gap
+
+
+# ---------------------------------------------------------------------------
+# tail rank against a brute-force loop
+
+
+def reference_tail_rank(store, h_id, r_id, t_id):
+    h = store.entity_table[h_id]
+    r = store.relation_table[r_id]
+    target = transe_energy(h, r, store.entity_table[t_id])
+    better = sum(
+        1 for eid, v in store.entity_table.items()
+        if eid != t_id and transe_energy(h, r, v) < target)
+    return better + 1
+
+
+@st.composite
+def grid_stores(draw):
+    """Small stores on a dyadic grid: every energy is computed exactly in
+    any summation order, and ties are frequent."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    vec = st.lists(st.integers(-8, 8), min_size=d, max_size=d).map(
+        lambda v: np.array(v) / 4.0)
+    entities = {f"e{k}": draw(vec) for k in range(n)}
+    store = KnowledgeStore(entity_table=entities,
+                           relation_table={"r": draw(vec)},
+                           null_relation=np.zeros(d), d_kb=d)
+    return store, draw(st.sampled_from(sorted(entities))), draw(
+        st.sampled_from(sorted(entities)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_stores())
+def test_tail_rank_matches_brute_force_loop(case):
+    store, h_id, t_id = case
+    assert tail_rank(store, h_id, "r", t_id) == reference_tail_rank(
+        store, h_id, "r", t_id)
