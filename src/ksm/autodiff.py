@@ -17,7 +17,12 @@ Semantics worth knowing:
 - the graph's data is plain Python objects and stays alive as long as the
   loss tensor does, so a loss can be backpropagated more than once;
 - gradients flow only into nodes with ``requires_grad=True`` (set directly
-  or inherited from any input).
+  or inherited from any input);
+- inside ``with no_grad():`` ops record nothing: every result is a plain
+  tensor with no parents and no backward closure, so a forward-only pass
+  frees each intermediate as soon as it is no longer referenced. The
+  switch is a context variable, so it covers only the current thread (or
+  task) and is restored when the block exits, also on an exception.
 
 The op vocabulary is fixed and small: matmul (batched over leading
 axes), add, multiply, neg, concat (last axis), row gather, reshape,
@@ -32,7 +37,9 @@ forward passes over frozen parameters may run concurrently.
 
 from __future__ import annotations
 
+import contextvars
 import logging
+from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -160,7 +167,22 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+_recording = contextvars.ContextVar("ksm_autodiff_recording", default=True)
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Ops inside the block record no graph (see the module docstring)."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
+    if not _recording.get():
+        return Tensor(data)
     req = any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=req,
                   _parents=tuple(parents) if req else (),

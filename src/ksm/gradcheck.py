@@ -50,18 +50,20 @@ def gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def finite_difference(f: Callable[[], Tensor], leaf: Tensor,
                       step: float = FD_STEP) -> np.ndarray:
-    """Central-difference d f / d leaf, evaluating f twice per element."""
+    """Central-difference d f / d leaf, evaluating f twice per element
+    (forward only: nothing is recorded)."""
     grad = np.zeros_like(leaf.data)
     flat = leaf.data.reshape(-1)
     gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = f().item()
-        flat[i] = orig - step
-        lo = f().item()
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * step)
+    with ad.no_grad():
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = f().item()
+            flat[i] = orig - step
+            lo = f().item()
+            flat[i] = orig
+            gflat[i] = (hi - lo) / (2.0 * step)
     return grad
 
 

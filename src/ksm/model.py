@@ -21,6 +21,12 @@ dotted names, so checkpointing and gradient checks can address every
 weight individually; every matrix is stored (in, out), as it is used.
 Forward passes over distinct instances with frozen parameters may run
 in parallel; only the training loop mutates them.
+
+`KSMModel.batch_loss` defines the training objective, the mean NLL of the
+gold classes over a batch, as one graph; it is what the gradient checks
+verify. Training walks one instance's share of it at a time
+(`train.accumulate_batch_gradient`) and gets the same loss and
+gradients, bit for bit.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ CLASS_POSITIVE = 1
 _ACTIVATIONS = {"tanh": ad.tanh, "sigmoid": ad.sigmoid, "relu": ad.relu}
 
 LAYER_NORM_EPS = 1e-5
+
+NLL_FLOOR = 1e-12   # gold-class probabilities are clamped here in the loss
 
 
 class ConfigError(Exception):
@@ -423,11 +431,16 @@ def classify(s1: Tensor, s2: Tensor, er_selected: Tensor,
     return probs, label
 
 
+def gold_class(instance: CandidateInstance) -> int:
+    return (CLASS_POSITIVE if instance.label == LABEL_POSITIVE
+            else CLASS_NEGATIVE)
+
+
 def nll_loss(batch_probs: Sequence[Tensor], gold_labels: Sequence[int]) -> Tensor:
     """Mean negative log-likelihood of the gold class over a batch.
 
-    Gold-class probabilities are clamped at 1e-12 (a warning is logged if
-    the clamp fires).
+    Gold-class probabilities are clamped at NLL_FLOOR (a warning is logged
+    if the clamp fires).
     """
     if len(batch_probs) != len(gold_labels) or not batch_probs:
         raise ValueError("batch_probs and gold_labels must be equal-length "
@@ -437,7 +450,7 @@ def nll_loss(batch_probs: Sequence[Tensor], gold_labels: Sequence[int]) -> Tenso
         onehot = np.zeros((probs.shape[-1], 1))
         onehot[y, 0] = 1.0
         picks.append(probs @ Tensor(onehot))     # (1,1)
-    return ad.mean(ad.neg(ad.log(ad.concat(picks), floor=1e-12)))
+    return ad.mean(ad.neg(ad.log(ad.concat(picks), floor=NLL_FLOOR)))
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +498,10 @@ class KSMModel:
     def batch_loss(self, batch: Sequence[tuple[CandidateInstance, PairKnowledge]],
                    train: bool = True,
                    rng: np.random.Generator | None = None) -> Tensor:
-        probs, labels = [], []
-        for inst, kn in batch:
-            p, _ = self.forward_instance(inst, kn, train=train, rng=rng)
-            probs.append(p)
-            labels.append(CLASS_POSITIVE if inst.label == LABEL_POSITIVE
-                          else CLASS_NEGATIVE)
-        return nll_loss(probs, labels)
+        """The training objective over a batch, as one graph."""
+        probs = [self.forward_instance(inst, kn, train=train, rng=rng)[0]
+                 for inst, kn in batch]
+        return nll_loss(probs, [gold_class(inst) for inst, _ in batch])
 
     def save(self, path) -> None:
         from .checkpoint import save_checkpoint

@@ -1,6 +1,11 @@
 """Training loop, document-level prediction aggregation and micro P/R/F.
 
 Training runs Adadelta over seeded shuffles of the labeled instances. A
+batch's gradient is accumulated one instance at a time: each instance's
+share of the batch loss (its NLL over the batch size) is built, walked
+and dropped before the next instance's forward pass, so memory is bounded
+by one instance's graph whatever the batch size, and the loss and
+gradients are bit-identical to walking `KSMModel.batch_loss`. A
 deterministic fraction of documents (by SHA-1 of doc_id) is held out; the
 checkpoint with the best held-out F1 is retained and early stopping fires
 after `patience` epochs without improvement. With no held-out documents
@@ -20,11 +25,12 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .autodiff import backward
+from . import model as ksm_model
+from .autodiff import backward, no_grad
 from .corpus import (CandidateInstance, Document, LABEL_POSITIVE,
                      LABEL_UNLABELED, sorted_pair)
 from .kb import KnowledgeStore, PairKnowledge, resolve_pair_knowledge
-from .model import CLASS_POSITIVE, KSMModel
+from .model import CLASS_POSITIVE, NLL_FLOOR, KSMModel, gold_class
 from .optim import Adadelta
 
 logger = logging.getLogger(__name__)
@@ -136,10 +142,11 @@ def _predict_resolved(model: KSMModel,
                       resolved: list[tuple[CandidateInstance, PairKnowledge]]
                       ) -> list[InstancePrediction]:
     out = []
-    for inst, kn in resolved:
-        _, label = model.forward_instance(inst, kn, train=False)
-        out.append(InstancePrediction(inst.doc_id, inst.pair,
-                                      label == CLASS_POSITIVE))
+    with no_grad():
+        for inst, kn in resolved:
+            _, label = model.forward_instance(inst, kn, train=False)
+            out.append(InstancePrediction(inst.doc_id, inst.pair,
+                                          label == CLASS_POSITIVE))
     return out
 
 
@@ -169,6 +176,32 @@ class TrainResult:
     model: KSMModel
     log: list[TrainLogEntry] = field(default_factory=list)
     best_epoch: int = -1
+
+
+def accumulate_batch_gradient(
+        model: KSMModel,
+        batch: list[tuple[CandidateInstance, PairKnowledge]],
+        rng: np.random.Generator) -> float:
+    """Add d batch_loss / d param to every parameter's ``grad`` and return
+    the batch loss, walking one instance's graph at a time.
+
+    Instances run in batch order from the same `rng`, so the dropout draws
+    match `model.batch_loss(batch, train=True, rng=rng)`; loss and gradients
+    equal what walking that one graph gives, bit for bit.
+    """
+    scale = 1.0 / len(batch)
+    gold_probs = []
+    for inst, kn in batch:
+        probs, _ = model.forward_instance(inst, kn, train=True, rng=rng)
+        gold = gold_class(inst)
+        gold_probs.append(probs.data[0, gold])
+        # module lookup at call time, so a wrapper set on the attribute
+        # sees every call
+        inst_loss = ksm_model.nll_loss([probs], [gold]) * scale
+        backward(inst_loss, model.params)  # zero-fills params off the graph
+        del probs, inst_loss   # free this graph before the next forward
+    # nll_loss's arithmetic over the whole batch
+    return float(-np.log(np.maximum(gold_probs, NLL_FLOOR)).sum() * scale)
 
 
 def train_model(instances: list[CandidateInstance], store: KnowledgeStore,
@@ -208,19 +241,18 @@ def train_model(instances: list[CandidateInstance], store: KnowledgeStore,
         for start in range(0, len(order), train_config.batch_size):
             batch = [resolved[i] for i in order[start:start + train_config.batch_size]]
             model.params.zero_grad()
-            loss = model.batch_loss(batch, train=True, rng=rng)
-            if not np.isfinite(loss.item()):
+            loss = accumulate_batch_gradient(model, batch, rng)
+            if not np.isfinite(loss):
                 raise ValueError(
-                    f"non-finite training loss {loss.item()} at epoch {epoch}, "
+                    f"non-finite training loss {loss} at epoch {epoch}, "
                     f"batch {len(batch_losses)}")
-            backward(loss, model.params)  # zero-fills params off the graph
             for name, p in model.params.items():
                 if not np.all(np.isfinite(p.grad)):
                     raise ValueError(
                         f"non-finite gradient of parameter {name!r} at epoch "
                         f"{epoch}, batch {len(batch_losses)}")
             optimizer.step()
-            batch_losses.append(loss.item())
+            batch_losses.append(loss)
         mean_loss = sum(batch_losses) / len(batch_losses)
 
         if heldout:

@@ -1,6 +1,7 @@
 """Tensor engine: op semantics, gradient correctness, determinism."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -320,3 +321,54 @@ def test_parameter_store_load_values_validates():
         store.load_values({"b": np.zeros((2, 2))})
     with pytest.raises(ValueError):
         store.load_values({"a": np.zeros(3)})
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+
+
+def test_no_grad_records_no_graph_and_keeps_values():
+    x = Tensor(np.linspace(-1.0, 1.0, 6).reshape(2, 3), requires_grad=True)
+    w = Tensor(np.ones((3, 1)))
+    recorded = ad.tanh(x @ w)
+    with ad.no_grad():
+        plain = ad.tanh(x @ w)
+    assert recorded.requires_grad and recorded._parents
+    assert not plain.requires_grad
+    assert plain._parents == () and plain._backward is None
+    np.testing.assert_array_equal(plain.data, recorded.data)
+
+
+def test_no_grad_is_restored_after_an_exception_and_after_nesting():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("boom")
+    assert ad.neg(x).requires_grad
+    with ad.no_grad():
+        with ad.no_grad():
+            pass
+        assert not ad.neg(x).requires_grad   # the outer block still holds
+    assert ad.neg(x).requires_grad
+
+
+def test_no_grad_in_another_thread_leaves_this_thread_recording():
+    x = Tensor(np.ones(3), requires_grad=True)
+    inside, release = threading.Event(), threading.Event()
+    seen = {}
+
+    def worker():
+        with ad.no_grad():
+            seen["worker"] = ad.neg(x).requires_grad
+            inside.set()
+            release.wait(10)
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    try:
+        assert inside.wait(10)
+        assert ad.neg(x).requires_grad
+    finally:
+        release.set()
+        thread.join()
+    assert seen["worker"] is False

@@ -1,17 +1,22 @@
 """Training loop, prediction aggregation and micro-averaged scoring."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ksm.autodiff import backward
+from ksm.autodiff import backward, no_grad
 from ksm.corpus import LABEL_UNLABELED
-from ksm.model import KSMModel, ModelConfig
+from ksm.gradcheck import toy_batch
+from ksm.model import CLASS_POSITIVE, KSMModel, ModelConfig, WordTable
 from ksm.optim import Adadelta
-from ksm.synthetic import separable_task
+from ksm.synthetic import (kb_for_instances, separable_instances,
+                           separable_task)
 from ksm.train import (InstancePrediction, TrainConfig,
-                       aggregate_predictions, micro_prf, prf_counts,
+                       accumulate_batch_gradient, aggregate_predictions,
+                       micro_prf, predict_instances, prf_counts,
                        prf_from_counts, read_predictions, resolve_batch,
                        train_model, training_accuracy, write_predictions)
 
@@ -250,11 +255,11 @@ def test_non_finite_gradient_stops_training_naming_first_parameter(
     calls, at_poison = [], {}
 
     def poisoned(loss, params):
-        # the second batch leaves a NaN in two gradients, the earlier
-        # parameter in store order being names[-3]
+        # the first instance of the second batch leaves a NaN in two
+        # gradients, the earlier parameter in store order being names[-3]
         backward(loss, params)
         calls.append(1)
-        if len(calls) == 2:
+        if len(calls) == tc.batch_size + 1:
             at_poison.update(params.clone_values())
             for name in (names[-1], names[-3]):
                 g = params[name].grad.copy()   # gradients may be shared
@@ -270,6 +275,67 @@ def test_non_finite_gradient_stops_training_naming_first_parameter(
     # no optimizer step ran on the poisoned batch
     for name, value in at_poison.items():
         np.testing.assert_array_equal(model.params[name].data, value)
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"position_encoding": "learned", "selector_target": "both"}])
+def test_training_step_equals_batch_loss_backward_bit_for_bit(overrides):
+    d = 8
+    config = ModelConfig(d=d, d_kb=d, n_heads=2, n_blocks=2,
+                         dropout_rate=0.3, max_distance=16, **overrides)
+    table = WordTable.random([f"tok{i}" for i in range(12)], d, seed=1)
+    model = KSMModel(config, table, seed=0)
+    model.params["knowledge.null_relation"].data[:] = \
+        np.random.default_rng(2).standard_normal(d) * 0.1
+    batch = toy_batch(seed=4, d=d, lengths=(3, 1, 7, 2, 5), null_for=2)
+
+    model.params.zero_grad()
+    loss = model.batch_loss(batch, train=True, rng=np.random.default_rng(9))
+    backward(loss, model.params)
+    want = {name: p.grad for name, p in model.params.items()}
+
+    model.params.zero_grad()
+    got = accumulate_batch_gradient(model, batch, np.random.default_rng(9))
+    assert got == loss.item()
+    for name, p in model.params.items():
+        assert p.grad.tobytes() == want[name].tobytes(), name
+
+
+def _one_epoch_peak_bytes(n: int, length: int = 40, d: int = 32) -> int:
+    instances = separable_instances(n=n, length=length, seed=0)
+    store = kb_for_instances(instances, d_kb=d, seed=1)
+    vocab = sorted({t for inst in instances for t in inst.tokens})
+    model = KSMModel(ModelConfig(d=d, d_kb=d, n_heads=2, n_blocks=2),
+                     WordTable.random(vocab, d, seed=2), seed=1)
+    tc = TrainConfig(batch_size=n, max_epochs=1, holdout_fraction=0.0)
+    tracemalloc.start()
+    try:
+        train_model(instances, store, model, tc)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_memory_does_not_grow_with_batch_size():
+    # at most one instance graph is alive, so a 32-instance batch peaks
+    # about where a 2-instance batch does
+    small, large = _one_epoch_peak_bytes(2), _one_epoch_peak_bytes(32)
+    assert large <= 1.5 * small, (small, large)
+
+
+def test_predictions_under_no_grad_match_a_recorded_forward():
+    instances, store, model = _task()
+    labels = []
+    for inst, kn in resolve_batch(instances[:6], store):
+        recorded, label = model.forward_instance(inst, kn)
+        with no_grad():
+            plain, plain_label = model.forward_instance(inst, kn)
+        assert recorded._parents and plain._parents == ()
+        np.testing.assert_array_equal(plain.data, recorded.data)
+        assert plain_label == label
+        labels.append(label)
+    preds = predict_instances(model, instances[:6], store)
+    assert [p.positive for p in preds] == [l == CLASS_POSITIVE for l in labels]
 
 
 # ---------------------------------------------------------------------------
