@@ -30,6 +30,15 @@ transpose (any axis permutation), sum/mean over an axis, amax, tanh,
 sigmoid, relu, log, softmax, layer_norm, dropout and the fused pair score
 ``tanh(a1[i] + a2[j]) @ w`` over all row pairs of two matrices.
 
+The pair score is the one op whose intermediate grows with the square of
+the sequence length. It uses ``tanh(x + y) = 1 - 2 u / (u + v)`` with
+``u = exp(-2 x)`` and ``v = exp(2 y)``, so it takes exponentials per row,
+not per pair, and streams row tiles of the (L1, L2, d) pair array through
+one buffer of about half a megabyte that stays in cache. Its tape keeps
+only u and v, and backward recomputes each tile. The identity is exact
+while every |input| is at most 350; beyond that the op raises ValueError
+rather than return overflowed values.
+
 Tensors are plain values and safe to copy between threads; a recorded
 graph belongs to the thread that built it. Training is single-threaded;
 forward passes over frozen parameters may run concurrently.
@@ -350,38 +359,81 @@ def tanh(a: Tensor) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+_PAIR_TILE = 1 << 16     # float64 elements per pair tile: 512 KB, stays in L2
+_PAIR_DOMAIN = 350.0     # |input| bound: exp(700) finite, exp(-700) normal
+
+
 def pair_tanh_score(a1: Tensor, a2: Tensor, w: Tensor) -> Tensor:
     """Score every row pair: ``out[i, j] = tanh(a1[i] + a2[j]) @ w``.
 
     a1 is (L1, d), a2 is (L2, d), w is (d, 1); the result is (L1, L2).
-    The (L1, L2, d) tanh buffer is the only intermediate kept, and
-    backward derives every gradient from it in one more buffer of that
-    size.
+    With ``u = exp(-2 a1)`` and ``v = exp(2 a2)``,
+    ``tanh(a1[i] + a2[j]) = 1 - 2 r`` where ``r = u[i] / (u[i] + v[j])``,
+    so the score is ``sum(w) - 2 r @ w``: 2 (L1 + L2) d exponentials in
+    place of L1 L2 d tanh. The (L1, L2, d) array r is never formed; rows
+    of it are streamed through one buffer of about ``_PAIR_TILE``
+    elements. The tape keeps u and v, and backward recomputes r tile by
+    tile, with ``1 - tanh^2 = 4 r (1 - r)``.
+
+    The identity is exact while every |input| is at most 350 (u and v
+    stay finite and normal); a larger input raises ValueError.
     """
     if a1.data.ndim != 2 or a2.data.ndim != 2 or a1.shape[1] != a2.shape[1]:
         raise ValueError(f"pair_tanh_score expects (L1, d) and (L2, d), got "
                          f"{a1.shape} and {a2.shape}")
-    d = a1.shape[1]
+    (n1, d), n2 = a1.shape, a2.shape[0]
     if w.shape != (d, 1):
         raise ValueError(f"pair_tanh_score weight must be ({d}, 1), "
                          f"got {w.shape}")
-    t = a1.data[:, None, :] + a2.data[None, :, :]
-    np.tanh(t, out=t)
+    peak = max(np.abs(a1.data).max(initial=0.0),
+               np.abs(a2.data).max(initial=0.0))
+    if peak > _PAIR_DOMAIN:
+        raise ValueError(f"pair_tanh_score: largest |input| {peak:.6g} exceeds "
+                         f"the exp-form bound {_PAIR_DOMAIN:g}")
+    u = np.exp(-2.0 * a1.data)
+    v = np.exp(2.0 * a2.data)
+    rows = max(1, _PAIR_TILE // max(1, n2 * d))
+
+    def tiles():
+        """Yield (row slice, r over those rows), reusing one buffer."""
+        buf = np.empty((min(rows, n1), n2, d))
+        for lo in range(0, n1, rows):
+            hi = min(lo + rows, n1)
+            ui, r = u[lo:hi, None, :], buf[:hi - lo]
+            np.add(ui, v, out=r)
+            np.divide(ui, r, out=r)
+            yield slice(lo, hi), r
 
     def backward(g):
+        dw = np.zeros(d)
+        da1 = np.empty((n1, d))
+        da2 = np.zeros((n2, d))
+        need_a = a1.requires_grad or a2.requires_grad
+        q = np.empty((min(rows, n1), n2, d)) if need_a else None
+        for sl, r in tiles():
+            gt = g[sl]
+            if w.requires_grad:
+                dw += gt.reshape(-1) @ r.reshape(-1, d)
+            if need_a:
+                qt = q[:r.shape[0]]
+                np.subtract(1.0, r, out=qt)
+                qt *= r                 # r (1 - r) = (1 - tanh^2) / 4
+                da1[sl] = np.matmul(gt[:, None, :], qt)[:, 0]
+                da2 += np.matmul(gt.T[:, None, :], qt.transpose(1, 0, 2))[:, 0]
         if w.requires_grad:
-            w._accumulate(np.tensordot(t, g, axes=([0, 1], [0, 1]))[:, None])
-        if a1.requires_grad or a2.requires_grad:
-            dz = t * t
-            np.subtract(1.0, dz, out=dz)
-            dz *= g[:, :, None]
-            dz *= w.data[:, 0]
-            if a1.requires_grad:
-                a1._accumulate(dz.sum(axis=1))
-            if a2.requires_grad:
-                a2._accumulate(dz.sum(axis=0))
+            w._accumulate((g.sum() - 2.0 * dw)[:, None])
+        w4 = 4.0 * w.data[:, 0]
+        if a1.requires_grad:
+            a1._accumulate(da1 * w4)
+        if a2.requires_grad:
+            a2._accumulate(da2 * w4)
 
-    out_data = (t.reshape(-1, d) @ w.data).reshape(t.shape[:2])
+    out_data = np.empty((n1, n2))
+    wv = w.data[:, 0]
+    for sl, r in tiles():
+        out_data[sl] = (r.reshape(-1, d) @ wv).reshape(r.shape[:2])
+    out_data *= -2.0
+    out_data += wv.sum()
     return _make(out_data, (a1, a2, w), backward)
 
 

@@ -119,12 +119,38 @@ class ModelConfig:
 # embeddings
 
 
-def sinusoidal_encoding(positions: Sequence[int], d: int) -> np.ndarray:
-    """Fixed sin/cos encoding of integer distances, shape (len(positions), d)."""
+def _sinusoid_rows(positions: np.ndarray, d: int) -> np.ndarray:
     pos = np.asarray(positions, dtype=np.float64)[:, None]
     k = np.arange(d)
     angles = pos / np.power(10000.0, (k - k % 2) / d)
     return np.where(k % 2 == 0, np.sin(angles), np.cos(angles))
+
+
+_SINUSOID_TABLE_LIMIT = 1 << 16   # positions from here on are computed directly
+_sinusoid_tables: dict[int, np.ndarray] = {}
+
+
+def sinusoidal_encoding(positions: Sequence[int], d: int) -> np.ndarray:
+    """Fixed sin/cos encoding of integer distances, shape (len(positions), d).
+
+    Rows come from a per-``d`` table of the same formula, grown to the next
+    power of two above the largest position seen (up to 2^16; larger
+    positions are computed directly). Growth swaps in a new array, so a
+    concurrent caller sees either the old table or the new one, whole.
+    """
+    pos = np.asarray(positions, dtype=np.int64).reshape(-1)
+    if pos.size == 0:
+        return np.empty((0, d))
+    low, top = int(pos.min()), int(pos.max())
+    if low < 0:
+        raise ValueError(f"sinusoidal_encoding: negative position {low}")
+    if top >= _SINUSOID_TABLE_LIMIT:
+        return _sinusoid_rows(pos, d)
+    table = _sinusoid_tables.get(d)
+    if table is None or table.shape[0] <= top:
+        table = _sinusoid_rows(np.arange(1 << top.bit_length()), d)
+        _sinusoid_tables[d] = table
+    return table[pos]
 
 
 class WordTable:
@@ -339,7 +365,8 @@ def mutual_attention(v1: Tensor, v2: Tensor, params: ParameterStore
     Returns (s1, s2, p1, p2): pooled vectors (1 x d) and the attention
     weights over positions ((L x 1) and (1 x L)). The pair scores
     alpha[i, j] = tanh(v1[i] W1 + v2[j] W2) w come from one fused op
-    (``ad.pair_tanh_score``) that keeps only its L x L x d tanh buffer.
+    (``ad.pair_tanh_score``) that streams the L x L x d pair terms through
+    one cache-sized buffer and keeps only two L x d arrays for backward.
     Row means of alpha drive the weights for the first sequence, column
     means for the second.
     """

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,94 @@ def test_pair_tanh_score_rejects_mismatched_shapes(shapes):
     a1, a2, w = (Tensor(np.ones(s)) for s in shapes)
     with pytest.raises(ValueError, match="pair_tanh_score"):
         ad.pair_tanh_score(a1, a2, w)
+
+
+def _pair_oracle(a1, a2, w, g):
+    """Score and its three gradients by explicit loops over np.tanh."""
+    out = np.zeros((len(a1), len(a2)))
+    dw, da1, da2 = np.zeros(len(w)), np.zeros(a1.shape), np.zeros(a2.shape)
+    for i in range(len(a1)):
+        for j in range(len(a2)):
+            t = np.tanh(a1[i] + a2[j])
+            out[i, j] = t @ w
+            dw += g[i, j] * t
+            dz = g[i, j] * (1.0 - t * t) * w
+            da1[i] += dz
+            da2[j] += dz
+    return out, dw, da1, da2
+
+
+# (tile, L1, L2, d): one row per tile; 3 rows per tile, not dividing 7;
+# a row (L2 * d = 15) larger than the tile; the one-element case
+_PAIR_TILINGS = [(12, 5, 3, 4), (36, 7, 3, 4), (8, 4, 3, 5), (1 << 16, 1, 1, 3)]
+
+
+@pytest.mark.parametrize("tile, n1, n2, d", _PAIR_TILINGS)
+@pytest.mark.parametrize("scale", [0.01, 1.0, 20.0, 60.0])
+def test_pair_tanh_score_matches_loop_oracle_in_every_tiling(
+        monkeypatch, tile, n1, n2, d, scale):
+    monkeypatch.setattr(ad, "_PAIR_TILE", tile)
+    rng = np.random.default_rng(int(scale * 100) + n1)
+    a1 = Tensor(rng.uniform(-scale, scale, (n1, d)), requires_grad=True)
+    a2 = Tensor(rng.uniform(-scale, scale, (n2, d)), requires_grad=True)
+    w = Tensor(rng.standard_normal((d, 1)), requires_grad=True)
+    g = rng.standard_normal((n1, n2))
+    out = ad.pair_tanh_score(a1, a2, w)
+    ad.tensor_sum(out * Tensor(g)).backward()
+    want = _pair_oracle(a1.data, a2.data, w.data[:, 0], g)
+    got = (out.data, w.grad[:, 0], a1.grad, a2.grad)
+    for name, x, ref in zip(("out", "dw", "da1", "da2"), got, want):
+        bound = 1e-12 * max(1.0, np.abs(ref).max())
+        assert np.abs(x - ref).max() <= bound, (name, np.abs(x - ref).max())
+
+
+def test_pair_tanh_score_saturating_sums_match_oracle(monkeypatch):
+    monkeypatch.setattr(ad, "_PAIR_TILE", 20)
+    rng = np.random.default_rng(11)
+    base = rng.uniform(-20.0, 20.0, (6, 5))
+    a1 = Tensor(base, requires_grad=True)
+    a2 = Tensor(base[::-1] * rng.choice([-1.0, 1.0], (6, 5)),
+                requires_grad=True)
+    w = Tensor(rng.standard_normal((5, 1)), requires_grad=True)
+    g = rng.standard_normal((6, 6))
+    assert np.abs(a1.data[:, None] + a2.data[None]).max() > 35.0
+    out = ad.pair_tanh_score(a1, a2, w)
+    ad.tensor_sum(out * Tensor(g)).backward()
+    want = _pair_oracle(a1.data, a2.data, w.data[:, 0], g)
+    for x, ref in zip((out.data, w.grad[:, 0], a1.grad, a2.grad), want):
+        assert np.abs(x - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_pair_tanh_score_domain_edge_is_finite_and_beyond_it_raises():
+    w = Tensor(np.ones((2, 1)))
+    edge = Tensor([[350.0, -350.0]])
+    out = ad.pair_tanh_score(edge, Tensor([[-350.0, 350.0], [350.0, 1.0]]), w)
+    np.testing.assert_allclose(out.data, [[0.0, np.tanh(-349.0) + 1.0]],
+                               atol=1e-15)
+    with pytest.raises(ValueError, match=r"pair_tanh_score.*351.*350"):
+        ad.pair_tanh_score(edge, Tensor([[0.0, 351.0]]), w)
+    with pytest.raises(ValueError, match="pair_tanh_score"):
+        ad.pair_tanh_score(Tensor([[np.inf, 0.0]]), edge, w)
+
+
+def test_pair_tanh_score_memory_stays_tile_sized():
+    rng = np.random.default_rng(12)
+    n, d, mb = 160, 100, 1 << 20
+    a1 = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+    a2 = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+    w = Tensor(rng.standard_normal((d, 1)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            ad.pair_tanh_score(a1, a2, w)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        ad.tensor_sum(ad.pair_tanh_score(a1, a2, w)).backward()
+        backward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forward_peak < 4 * mb, forward_peak
+    assert backward_peak < 4 * mb, backward_peak
 
 
 def test_every_op_matches_finite_differences():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ksm import autodiff as ad
+from ksm import model as model_module
 from ksm.autodiff import Tensor
 from ksm.corpus import CandidateInstance
 from ksm.gradcheck import (check_full_model, gradient_error, toy_batch,
@@ -60,6 +61,43 @@ def test_sinusoid_at_zero_distance():
     enc = sinusoidal_encoding([0], 8)
     assert enc[0, 0] == 0.0          # sin(0)
     assert enc[0, 1] == 1.0          # cos(0)
+
+
+def _direct_sinusoid(positions, d):
+    pos = np.asarray(positions, dtype=np.float64)[:, None]
+    k = np.arange(d)
+    angles = pos / np.power(10000.0, (k - k % 2) / d)
+    return np.where(k % 2 == 0, np.sin(angles), np.cos(angles))
+
+
+def test_sinusoid_table_is_bit_identical_across_growth(monkeypatch):
+    monkeypatch.setattr(model_module, "_sinusoid_tables", {})
+    small, large = [0, 3, 5, 1], [40, 0, 7, 63, 64, 200]
+    np.testing.assert_array_equal(sinusoidal_encoding(small, 10),
+                                  _direct_sinusoid(small, 10))
+    assert model_module._sinusoid_tables[10].shape == (8, 10)
+    np.testing.assert_array_equal(sinusoidal_encoding(large, 10),
+                                  _direct_sinusoid(large, 10))
+    assert model_module._sinusoid_tables[10].shape == (256, 10)
+    np.testing.assert_array_equal(sinusoidal_encoding(small, 10),
+                                  _direct_sinusoid(small, 10))
+
+
+def test_sinusoid_above_table_bound_is_computed_directly(monkeypatch):
+    monkeypatch.setattr(model_module, "_sinusoid_tables", {})
+    positions = [3, 1 << 16, 10**9, 65535]
+    np.testing.assert_array_equal(sinusoidal_encoding(positions, 6),
+                                  _direct_sinusoid(positions, 6))
+    assert 6 not in model_module._sinusoid_tables
+    np.testing.assert_array_equal(sinusoidal_encoding([65535], 6),
+                                  _direct_sinusoid([65535], 6))
+    assert model_module._sinusoid_tables[6].shape == (1 << 16, 6)
+
+
+def test_sinusoid_empty_input_and_negative_positions():
+    assert sinusoidal_encoding([], 8).shape == (0, 8)
+    with pytest.raises(ValueError, match="negative position"):
+        sinusoidal_encoding([2, -1], 8)
 
 
 def test_embed_shapes():
