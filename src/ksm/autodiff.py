@@ -24,11 +24,13 @@ Semantics worth knowing:
   switch is a context variable, so it covers only the current thread (or
   task) and is restored when the block exits, also on an exception.
 
-The op vocabulary is fixed and small: matmul (batched over leading
-axes), add, multiply, neg, concat (last axis), row gather, reshape,
-transpose (any axis permutation), sum/mean over an axis, amax, tanh,
-sigmoid, relu, log, softmax, layer_norm, dropout and the fused pair score
-``tanh(a1[i] + a2[j]) @ w`` over all row pairs of two matrices.
+The op vocabulary is fixed and small: 2-D matmul, add, multiply, neg,
+concat (last axis), row gather, reshape, 2-D transpose, sum/mean over an
+axis, amax, tanh, sigmoid, relu, log, softmax, layer_norm, dropout, and
+two fused ops: multi-head scaled dot-product attention over (L, H*dh)
+operands, and the pair score ``tanh(a1[i] + a2[j]) @ w`` over all row
+pairs of two matrices. Each fused op is one tape node with a hand-written
+backward in place of a chain of small ones.
 
 The pair score is the one op whose intermediate grows with the square of
 the sequence length. It uses ``tanh(x + y) = 1 - 2 u / (u + v)`` with
@@ -132,22 +134,13 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return add(self, neg(_as_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), neg(self))
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, float(other))
         return multiply(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __neg__(self):
         return neg(self)
@@ -243,32 +236,30 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; leading (batch) axes broadcast as in numpy."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
+    """Product of two 2-D tensors."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError(
-            f"matmul expects operands with ndim >= 2, got {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
+            f"matmul expects two 2-D operands, got {a.shape} @ {b.shape}")
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2),
-                                       a.shape))
+            a._accumulate(g @ b.data.T)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g,
-                                       b.shape))
+            b._accumulate(a.data.T @ g)
 
-    return _make(out_data, (a, b), backward)
+    return _make(a.data @ b.data, (a, b), backward)
 
 
-def transpose(a: Tensor, axes: Sequence[int] = (1, 0)) -> Tensor:
-    """Permute axes; the default swaps the two axes of a 2-D tensor."""
-    inverse = np.argsort(axes)
+def transpose(a: Tensor) -> Tensor:
+    """Swap the two axes of a 2-D tensor."""
+    if a.data.ndim != 2:
+        raise ValueError(f"transpose expects a 2-D tensor, got {a.shape}")
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g.transpose(inverse))
+            a._accumulate(g.T)
 
-    return _make(a.data.transpose(axes).copy(), (a,), backward)
+    return _make(a.data.T.copy(), (a,), backward)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -482,20 +473,70 @@ def log(a: Tensor, floor: float | None = None) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Numerically stable softmax along `axis` (max-subtraction)."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(p: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """d loss / d logits from d loss / d p, for ``p = _softmax(logits)``."""
+    return p * (g - (g * p).sum(axis=axis, keepdims=True))
+
+
 def softmax(a: Tensor, axis: int) -> Tensor:
     """Numerically stable softmax along `axis` (max-subtraction)."""
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ValueError(f"softmax axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = _softmax(a.data, axis)
 
     def backward(g):
         if a.requires_grad:
-            dot = (g * out_data).sum(axis=axis, keepdims=True)
-            a._accumulate(out_data * (g - dot))
+            a._accumulate(_softmax_grad(out_data, g, axis))
 
     return _make(out_data, (a,), backward)
+
+
+def mh_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    q, k and v are (L, H*dh), and head h owns columns h*dh:(h+1)*dh of
+    each. Per head, ``softmax(q_h k_h^T / sqrt(dh)) v_h`` over the rows;
+    the heads' outputs sit side by side in the (L, H*dh) result, in the
+    same columns. The tape keeps the (H, L, L) attention weights, and
+    backward runs the softmax, scale and both products in reverse.
+    """
+    if q.data.ndim != 2 or not q.shape == k.shape == v.shape:
+        raise ValueError(f"mh_attention expects three equal (L, H*dh) "
+                         f"operands, got {q.shape}, {k.shape} and {v.shape}")
+    length, width = q.shape
+    if n_heads < 1 or width % n_heads:
+        raise ValueError(f"mh_attention: width {width} is not a positive "
+                         f"multiple of n_heads {n_heads}")
+    dh = width // n_heads
+
+    def split(t: np.ndarray) -> np.ndarray:      # (L, H*dh) -> (H, L, dh)
+        return t.reshape(length, n_heads, dh).transpose(1, 0, 2)
+
+    def merge(t: np.ndarray) -> np.ndarray:      # (H, L, dh) -> (L, H*dh)
+        return t.transpose(1, 0, 2).reshape(length, width)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    c = 1.0 / np.sqrt(dh)
+    p = _softmax((qh @ kh.transpose(0, 2, 1)) * c, axis=-1)    # (H, L, L)
+
+    def backward(g):
+        gh = split(g)
+        if v.requires_grad:
+            v._accumulate(merge(p.transpose(0, 2, 1) @ gh))
+        if q.requires_grad or k.requires_grad:
+            ds = _softmax_grad(p, gh @ vh.transpose(0, 2, 1), axis=-1) * c
+            if q.requires_grad:
+                q._accumulate(merge(ds @ kh))
+            if k.requires_grad:
+                k._accumulate(merge(ds.transpose(0, 2, 1) @ qh))
+
+    return _make(merge(p @ vh), (q, k, v), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,

@@ -177,8 +177,11 @@ class _Layout(NamedTuple):
 def _document_layout(doc: Document, config: PreprocessConfig) -> _Layout:
     offsets = _sentence_offsets(doc)
     strip = str.maketrans("", "", config.strip_chars)
-    masked = [_mask_token(tok, strip, config.drop_tokens)
-              for sent in doc.sentences for tok in sent]
+    flat = [tok for sent in doc.sentences for tok in sent]
+    # documents repeat many of their tokens: mask each distinct one once
+    distinct = {tok: _mask_token(tok, strip, config.drop_tokens)
+                for tok in set(flat)}
+    masked = [distinct[tok] for tok in flat]
     owner: dict[int, int] = {}
     for mi, m in enumerate(doc.mentions):
         for i in range(*_flat_span(doc, m, offsets)):

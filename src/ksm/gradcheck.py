@@ -99,10 +99,6 @@ def _suite(seed: int) -> list[tuple[str, dict[str, Tensor], Callable[[], Tensor]
     suite.append(("matmul", {"x": x, "y": y},
                   lambda x=x, y=y: ad.tensor_sum((x @ y) * 0.3)))
 
-    x, y, w = t(2, 3, 4), t(2, 4, 5), t(5, 2)
-    suite.append(("matmul_batched", {"x": x, "y": y, "w": w},
-                  lambda x=x, y=y, w=w: ad.tensor_sum(ad.tanh(x @ y) @ w)))
-
     x, b = t(3, 4), t(4)
     suite.append(("add_broadcast", {"x": x, "b": b},
                   lambda x=x, b=b: ad.tensor_sum(ad.tanh(x + b))))
@@ -126,11 +122,6 @@ def _suite(seed: int) -> list[tuple[str, dict[str, Tensor], Callable[[], Tensor]
     suite.append(("reshape_transpose", {"x": x},
                   lambda x=x: ad.tensor_sum(
                       ad.tanh(ad.transpose(ad.reshape(x, (4, 3)))))))
-
-    x, w = t(2, 3, 4), t(3, 2)
-    suite.append(("transpose_axes", {"x": x, "w": w},
-                  lambda x=x, w=w: ad.tensor_sum(
-                      ad.tanh(ad.transpose(x, (2, 0, 1)) @ w))))
 
     x = t(3, 5)
     suite.append(("mean_axis", {"x": x},
@@ -169,6 +160,11 @@ def _suite(seed: int) -> list[tuple[str, dict[str, Tensor], Callable[[], Tensor]
     suite.append(("pair_tanh_score", {"a1": a1, "a2": a2, "w": w},
                   lambda a1=a1, a2=a2, w=w: ad.tensor_sum(
                       ad.tanh(ad.pair_tanh_score(a1, a2, w)))))
+
+    q, k, v = t(3, 4), t(3, 4), t(3, 4)
+    suite.append(("mh_attention", {"q": q, "k": k, "v": v},
+                  lambda q=q, k=k, v=v: ad.tensor_sum(
+                      ad.tanh(ad.mh_attention(q, k, v, 2)))))
     return suite
 
 

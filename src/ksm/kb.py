@@ -8,13 +8,14 @@ null-relation vector stands in for pairs absent from the KB.
 
 Training minimizes the margin ranking loss
     max(0, margin + E(h,r,t) - E(h',r,t'))
-over uniformly corrupted triples (head or tail replaced with probability
-0.5 each) by minibatched SGD (Bordes et al. 2013): in each minibatch of
-256 triples every gradient is taken at the batch-start parameters and
-each triple with an active hinge steps by lr times its own gradient.
-Entity vectors are projected into the unit ball after every epoch. E is
-the L2 norm of h + r - t. Everything is plain numpy with analytic
-gradients on index arrays; runs are deterministic given the seed.
+over corrupted triples (head or tail replaced, with probability 0.5
+each, by a uniform draw from the other entities) by minibatched SGD
+(Bordes et al. 2013): in each minibatch of 256 triples every gradient is
+taken at the batch-start parameters and each triple with an active hinge
+steps by lr times its own gradient. Entity vectors are projected into the
+unit ball after every epoch. E is the L2 norm of h + r - t. Everything is
+plain numpy with analytic gradients on index arrays; runs are
+deterministic given the seed.
 
 Training is single-threaded; a trained store's tables are read-only and
 safe for concurrent lookups (the fallback counters in `stats` are
@@ -138,7 +139,14 @@ _BATCH = 256  # triples per minibatch; 128 and 512 run within ~10% of it,
 
 def _triple_rows(triples: list[Triple], entities: list[str],
                  relations: list[str]) -> np.ndarray:
-    """(n, 3) head/relation/tail row indices; KBError on an unknown id."""
+    """(n, 3) head/relation/tail row indices.
+
+    KBError on an unknown id, and on triples over fewer than 2 entities,
+    where no triple can be corrupted.
+    """
+    if triples and len(entities) < 2:
+        raise KBError(f"{len(triples)} triple(s) over {len(entities)} "
+                      f"entities: corruption needs at least 2")
     e_row = {e: i for i, e in enumerate(entities)}
     r_row = {r: i for i, r in enumerate(relations)}
     rows = np.empty((len(triples), 3), dtype=np.intp)
@@ -149,6 +157,26 @@ def _triple_rows(triples: list[Triple], entities: list[str],
             raise KBError(f"triple {i} ({h}, {r}, {t}): {missing} is not "
                           f"in the store") from None
     return rows
+
+
+def _matrices(store: KnowledgeStore, entities: list[str],
+              relations: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of the store's entity and relation vectors as row matrices."""
+    E = np.array([store.entity_table[e] for e in entities],
+                 dtype=np.float64).reshape(len(entities), store.d_kb)
+    R = np.array([store.relation_table[r] for r in relations],
+                 dtype=np.float64).reshape(len(relations), store.d_kb)
+    return E, R
+
+
+def _corrupt(rng: np.random.Generator, h: np.ndarray, t: np.ndarray,
+             n_entities: int) -> tuple[np.ndarray, np.ndarray]:
+    """Corrupted head and tail rows: with probability 0.5 each the head or
+    the tail is replaced by a uniform draw from the n_entities - 1 others."""
+    corrupt_head = rng.random(len(h)) < 0.5
+    drawn = rng.integers(n_entities - 1, size=len(h))
+    drawn += drawn >= np.where(corrupt_head, h, t)
+    return np.where(corrupt_head, drawn, h), np.where(corrupt_head, t, drawn)
 
 
 def _steps(d: np.ndarray, norm: np.ndarray, lr: float) -> np.ndarray:
@@ -215,7 +243,8 @@ def transe_train(triples: list[Triple], store: KnowledgeStore,
 
     Each epoch visits the triples in a fresh random order, in minibatches
     of 256, and pairs each with a corrupted copy whose head or tail
-    (probability 0.5 each) is a uniformly drawn entity. Within a minibatch
+    (probability 0.5 each) is a uniform draw from the other entities, so a
+    corruption never repeats its true triple. Within a minibatch
     every energy, hinge and gradient is taken at the parameters as they
     stood at the start of the batch; each triple with an active hinge then
     moves its vectors by lr times its own gradient (the steps add up, they
@@ -226,8 +255,8 @@ def transe_train(triples: list[Triple], store: KnowledgeStore,
     The store's vectors are copied into matrices, trained there and written
     back when every epoch has finished. KBError is raised, with the store
     untouched, for a triple naming an entity or relation missing from the
-    store and for a loss or parameter that turns non-finite. Zero epochs
-    leave the store untouched.
+    store, for triples over fewer than 2 entities and for a loss or
+    parameter that turns non-finite. Zero epochs leave the store untouched.
     """
     if margin <= 0:
         raise KBError(f"margin must be positive, got {margin}")
@@ -236,19 +265,13 @@ def transe_train(triples: list[Triple], store: KnowledgeStore,
     rows = _triple_rows(triples, entities, relations)
     if epochs <= 0:
         return []
-    E = np.array([store.entity_table[e] for e in entities],
-                 dtype=np.float64).reshape(len(entities), store.d_kb)
-    R = np.array([store.relation_table[r] for r in relations],
-                 dtype=np.float64).reshape(len(relations), store.d_kb)
+    E, R = _matrices(store, entities, relations)
     rng = np.random.default_rng(seed)
     n = len(triples)
     losses = []
     for epoch in range(epochs):
         h, r, t = rows[rng.permutation(n)].T
-        corrupt_head = rng.random(n) < 0.5
-        drawn = rng.integers(len(entities), size=n)
-        hn = np.where(corrupt_head, drawn, h)
-        tn = np.where(corrupt_head, t, drawn)
+        hn, tn = _corrupt(rng, h, t, len(entities))
         total = 0.0
         for s in range(0, n, _BATCH):
             b = slice(s, s + _BATCH)
@@ -271,22 +294,25 @@ def transe_train(triples: list[Triple], store: KnowledgeStore,
 
 def mean_energies(triples: list[Triple], store: KnowledgeStore,
                   seed: int = 0) -> tuple[float, float]:
-    """(mean energy of the given triples, mean energy of corrupted copies)."""
-    rng = np.random.default_rng(seed)
+    """(mean energy of the given triples, mean energy of corrupted copies).
+
+    Each triple is corrupted once, the way `transe_train` corrupts. The
+    energies are taken in minibatches, so temporaries stay batch-sized.
+    No triples give (0.0, 0.0).
+    """
     entities = sorted(store.entity_table)
-    true_e, corrupt_e = [], []
-    for h, r, t in triples:
-        true_e.append(transe_energy(store.entity_table[h],
-                                    store.relation_table[r],
-                                    store.entity_table[t]))
-        if rng.random() < 0.5:
-            c = (entities[rng.integers(len(entities))], r, t)
-        else:
-            c = (h, r, entities[rng.integers(len(entities))])
-        corrupt_e.append(transe_energy(store.entity_table[c[0]],
-                                       store.relation_table[r],
-                                       store.entity_table[c[2]]))
-    return float(np.mean(true_e)), float(np.mean(corrupt_e))
+    relations = list(store.relation_table)
+    h, r, t = _triple_rows(triples, entities, relations).T
+    E, R = _matrices(store, entities, relations)
+    hn, tn = _corrupt(np.random.default_rng(seed), h, t, len(entities))
+    true_e = corrupt_e = 0.0
+    for s in range(0, len(h), _BATCH):
+        b = slice(s, s + _BATCH)
+        rel = R[r[b]]
+        true_e += np.linalg.norm(E[h[b]] + rel - E[t[b]], axis=1).sum()
+        corrupt_e += np.linalg.norm(E[hn[b]] + rel - E[tn[b]], axis=1).sum()
+    n = max(1, len(h))
+    return float(true_e / n), float(corrupt_e / n)
 
 
 def tail_rank(store: KnowledgeStore, h_id: str, r_id: str, t_id: str) -> int:
@@ -418,11 +444,22 @@ def save_store(store: KnowledgeStore, directory) -> None:
 
 
 def load_store(directory) -> KnowledgeStore:
+    """Read a directory written by `save_store`.
+
+    KBError, naming the file (and the line of ``pairs.tsv``), for a relation
+    or ``__null__`` vector whose width differs from the entity vectors', a
+    ``pairs.tsv`` line with fewer than 3 fields, or a pair label missing
+    from ``relations.txt``. Pair keys are stored sorted.
+    """
     d = Path(directory)
     entities = read_embeddings(d / "entities.txt")
     relations = read_embeddings(d / "relations.txt")
-    null = relations.pop(_NULL_RELATION_KEY, None)
     d_kb = len(next(iter(entities.values()))) if entities else 0
+    for label, vec in relations.items():
+        if len(vec) != d_kb:
+            raise KBError(f"{d / 'relations.txt'}: {label} has width "
+                          f"{len(vec)}, entities.txt has {d_kb}")
+    null = relations.pop(_NULL_RELATION_KEY, None)
     store = KnowledgeStore(
         entity_table=entities, relation_table=relations,
         null_relation=null if null is not None else np.zeros(d_kb),
@@ -430,8 +467,18 @@ def load_store(directory) -> KnowledgeStore:
     pairs_path = d / "pairs.tsv"
     if pairs_path.exists():
         with open(pairs_path, encoding="utf-8") as f:
-            for line in f:
+            for lineno, line in enumerate(f, start=1):
+                if not line.strip():
+                    continue
                 parts = line.rstrip("\n").split("\t")
-                if len(parts) >= 2:
-                    store.pair_relations[(parts[0], parts[1])] = parts[2:]
+                if len(parts) < 3:
+                    raise KBError(f"{pairs_path}:{lineno}: expected "
+                                  f"entity<TAB>entity<TAB>relation...")
+                a, b, *labels = parts
+                unknown = [r for r in labels if r not in relations]
+                if unknown:
+                    raise KBError(f"{pairs_path}:{lineno}: relation "
+                                  f"{unknown[0]!r} is not in relations.txt")
+                key = (a, b) if a <= b else (b, a)
+                store.pair_relations.setdefault(key, []).extend(labels)
     return store

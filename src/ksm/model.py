@@ -315,21 +315,14 @@ def multi_head_attention(x: Tensor, e: Tensor, params: ParameterStore,
     """Entity-conditioned multi-head attention; returns the L x d mix.
 
     Queries are x W_qx + e W_qe, the (1, H*d_head) entity term broadcast
-    over the rows; keys and values are the plain sequence. All heads run
-    as one batched product, scaled by 1/sqrt(d_head).
+    over the rows; keys and values are the plain sequence. Head h owns
+    columns h*d_head:(h+1)*d_head of each projection, and one fused node
+    (``ad.mh_attention``) runs every head's scaled dot-product attention
+    and lays the heads' outputs side by side for the output projection.
     """
-    length = x.shape[0]
-    n_heads, dh = config.n_heads, config.d_head
-
-    def split_heads(t: Tensor, axes: tuple) -> Tensor:
-        return ad.transpose(ad.reshape(t, (length, n_heads, dh)), axes)
-
-    q = split_heads(x @ params[f"{prefix}.wq_x"] + e @ params[f"{prefix}.wq_e"],
-                    (1, 0, 2))                                    # (H, L, dh)
-    k_t = split_heads(x @ params[f"{prefix}.wk"], (1, 2, 0))      # (H, dh, L)
-    v = split_heads(x @ params[f"{prefix}.wv"], (1, 0, 2))        # (H, L, dh)
-    att = ad.softmax((q @ k_t) * (1.0 / np.sqrt(dh)), axis=-1)    # (H, L, L)
-    mix = ad.reshape(ad.transpose(att @ v, (1, 0, 2)), (length, n_heads * dh))
+    q = x @ params[f"{prefix}.wq_x"] + e @ params[f"{prefix}.wq_e"]
+    mix = ad.mh_attention(q, x @ params[f"{prefix}.wk"],
+                          x @ params[f"{prefix}.wv"], config.n_heads)
     return mix @ params[f"{prefix}.wh"]
 
 
@@ -496,8 +489,11 @@ class KSMModel:
         self.word_table = word_table
         self.params = build_params(config, seed=seed)
         if null_relation is not None:
-            self.params["knowledge.null_relation"].data = np.asarray(
-                null_relation, dtype=np.float64).copy()
+            null = np.array(null_relation, dtype=np.float64)
+            if null.shape != (config.d_kb,):
+                raise ConfigError(f"null_relation shape {null.shape} != "
+                                  f"({config.d_kb},)")
+            self.params["knowledge.null_relation"].data = null
 
     def forward_instance(self, instance: CandidateInstance,
                          knowledge: PairKnowledge, train: bool = False,

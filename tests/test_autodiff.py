@@ -290,6 +290,60 @@ def test_pair_tanh_score_memory_stays_tile_sized():
     assert backward_peak < 4 * mb, backward_peak
 
 
+def _attention_oracle(q, k, v, n_heads, g):
+    """mh_attention and its q, k, v gradients by explicit loops."""
+    length, width = q.shape
+    dh = width // n_heads
+    out, dq, dk, dv = (np.zeros((length, width)) for _ in range(4))
+    for h in range(n_heads):
+        c = slice(h * dh, (h + 1) * dh)
+        for i in range(length):
+            s = [q[i, c] @ k[j, c] / math.sqrt(dh) for j in range(length)]
+            e = [math.exp(x - max(s)) for x in s]
+            p = [x / sum(e) for x in e]
+            dp = [g[i, c] @ v[j, c] for j in range(length)]
+            dot = sum(p[j] * dp[j] for j in range(length))
+            for j in range(length):
+                out[i, c] += p[j] * v[j, c]
+                dv[j, c] += p[j] * g[i, c]
+                ds = p[j] * (dp[j] - dot) / math.sqrt(dh)
+                dq[i, c] += ds * k[j, c]
+                dk[j, c] += ds * q[i, c]
+    return out, dq, dk, dv
+
+
+# (L, heads, d_head): one position; one head; heads wider than the rows
+@pytest.mark.parametrize("length, n_heads, dh",
+                         [(1, 2, 3), (5, 1, 4), (4, 3, 2), (7, 4, 5)])
+@pytest.mark.parametrize("scale", [0.1, 1.0, 8.0])
+def test_mh_attention_matches_loop_oracle(length, n_heads, dh, scale):
+    rng = np.random.default_rng(length * 10 + n_heads)
+    q, k, v = (Tensor(rng.uniform(-scale, scale, (length, n_heads * dh)),
+                      requires_grad=True) for _ in range(3))
+    g = rng.standard_normal((length, n_heads * dh))
+    out = ad.mh_attention(q, k, v, n_heads)
+    ad.tensor_sum(out * Tensor(g)).backward()
+    want = _attention_oracle(q.data, k.data, v.data, n_heads, g)
+    got = (out.data, q.grad, k.grad, v.grad)
+    for name, x, ref in zip(("out", "dq", "dk", "dv"), got, want):
+        bound = 1e-12 * max(1.0, np.abs(ref).max())
+        assert np.abs(x - ref).max() <= bound, (name, np.abs(x - ref).max())
+
+
+@pytest.mark.parametrize("shapes, n_heads", [
+    (((3, 4), (3, 4), (2, 4)), 2),       # unequal operands
+    (((3, 4), (3, 6), (3, 4)), 2),
+    (((2, 3, 4),) * 3, 2),               # not 2-D
+    (((4,),) * 3, 2),
+    (((3, 6),) * 3, 4),                  # width not a multiple of n_heads
+    (((3, 4),) * 3, 0),
+])
+def test_mh_attention_rejects_bad_operands(shapes, n_heads):
+    q, k, v = (Tensor(np.ones(s)) for s in shapes)
+    with pytest.raises(ValueError, match="mh_attention"):
+        ad.mh_attention(q, k, v, n_heads)
+
+
 def test_every_op_matches_finite_differences():
     for result in check_all_ops(seed=7):
         assert result.passed, result
@@ -348,6 +402,8 @@ def test_gather_rows_rejects_bad_index():
 def test_matmul_rejects_non_2d():
     with pytest.raises(ValueError):
         ad.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+    with pytest.raises(ValueError):
+        ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 2))))
 
 
 def test_mean_rejects_empty_axis():

@@ -145,6 +145,16 @@ def test_training_is_deterministic():
     assert run() == run()
 
 
+def test_toy_kb_loss_reaches_zero_once_corruptions_differ():
+    # a corruption equal to its true triple would cost a full margin with
+    # zero gradient, and floor the mean loss near 0.25 on this 4-entity KB
+    for seed in (2, 3, 4):
+        store = _store(d_kb=16, seed=1)
+        losses = transe_train(toy_knowledge_graph(), store, margin=1.0,
+                              epochs=200, lr=0.05, seed=seed)
+        assert np.mean(losses[100:]) < 0.05, seed
+
+
 def test_margin_must_be_positive():
     with pytest.raises(KBError):
         transe_train(toy_knowledge_graph(), _store(), margin=0.0)
@@ -259,6 +269,47 @@ def test_bad_embedding_header(tmp_path):
         read_embeddings(path)
 
 
+def _saved_store(tmp_path):
+    store = _store(d_kb=4, seed=2)
+    save_store(store, tmp_path / "kb")
+    return store, tmp_path / "kb"
+
+
+@pytest.mark.parametrize("keep", [None, "__null__"])
+def test_load_store_rejects_relation_width_mismatch(tmp_path, keep):
+    # relations.txt at width 3 beside width-4 entities: every relation,
+    # or only the null vector
+    _, kb_dir = _saved_store(tmp_path)
+    relations = read_embeddings(kb_dir / "relations.txt")
+    write_embeddings(kb_dir / "relations.txt",
+                     {k: v[:3] for k, v in relations.items()
+                      if keep in (None, k)})
+    with pytest.raises(KBError, match=r"relations\.txt.*width 3.*4"):
+        load_store(kb_dir)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("e1\te2\n", "expected entity"),
+    ("e1\te2\tunknown_rel\n", "relation 'unknown_rel' is not in relations"),
+], ids=["two_fields", "unknown_label"])
+def test_load_store_rejects_bad_pair_line(tmp_path, line, message):
+    _, kb_dir = _saved_store(tmp_path)
+    with open(kb_dir / "pairs.tsv", "a", encoding="utf-8") as f:
+        f.write(line)
+    with pytest.raises(KBError, match=rf"pairs\.tsv:5: {message}"):
+        load_store(kb_dir)
+
+
+def test_load_store_sorts_pair_keys(tmp_path):
+    store, kb_dir = _saved_store(tmp_path)
+    (kb_dir / "pairs.tsv").write_text("e2\te1\tr1\n")
+    back = load_store(kb_dir)
+    assert back.pair_relations == {("e1", "e2"): ["r1"]}
+    kn = resolve_pair_knowledge(back, "e1", "e2")
+    assert not kn.er_is_null
+    np.testing.assert_array_equal(kn.er, store.relation_table["r1"])
+
+
 def test_store_roundtrip(tmp_path):
     triples = toy_knowledge_graph()
     store = _store(d_kb=6, seed=2)
@@ -318,6 +369,17 @@ def test_non_finite_training_raises_and_leaves_store(table, key, value):
                                                       match="epoch 0"):
         transe_train(toy_knowledge_graph(), store, epochs=3, lr=0.05, seed=2)
     _assert_unchanged(store, snapshot)
+
+
+def test_triples_over_one_entity_rejected_before_any_update():
+    triples = [Triple("a", "r", "a")]
+    store = init_embeddings(triples, d_kb=4, seed=0)
+    snapshot = _snapshot(store)
+    with pytest.raises(KBError, match="at least 2"):
+        transe_train(triples, store, epochs=3, lr=0.05)
+    _assert_unchanged(store, snapshot)
+    with pytest.raises(KBError, match="at least 2"):
+        mean_energies(triples, store)
 
 
 def test_empty_store_and_triples_train_to_zero_loss():
@@ -448,6 +510,12 @@ def reference_transe_train(triples, store, margin=1.0, epochs=100, lr=0.01,
                            seed=0):
     entities = sorted(store.entity_table)
     rng = np.random.default_rng(seed)
+
+    def other_than(eid):
+        """A uniform draw from the entities other than `eid`."""
+        k = int(rng.integers(len(entities) - 1))
+        return entities[k + (k >= entities.index(eid))]
+
     losses = []
     for _ in range(epochs):
         order = rng.permutation(len(triples))
@@ -456,12 +524,10 @@ def reference_transe_train(triples, store, margin=1.0, epochs=100, lr=0.01,
             h_id, r_id, t_id = triples[i]
             if rng.random() < 0.5:
                 corrupt_head = True
-                c_id = entities[rng.integers(len(entities))]
-                neg = (c_id, r_id, t_id)
+                neg = (other_than(h_id), r_id, t_id)
             else:
                 corrupt_head = False
-                c_id = entities[rng.integers(len(entities))]
-                neg = (h_id, r_id, c_id)
+                neg = (h_id, r_id, other_than(t_id))
             h = store.entity_table[h_id]
             r = store.relation_table[r_id]
             t = store.entity_table[t_id]

@@ -13,8 +13,8 @@ from ksm.gradcheck import (check_full_model, gradient_error, toy_batch,
                            toy_model)
 from ksm.kb import PairKnowledge
 from ksm.model import (CLASS_NEGATIVE, CLASS_POSITIVE, ConfigError,
-                       ModelConfig, WordTable, build_params, classify,
-                       embed_context, encode, encoder_block,
+                       KSMModel, ModelConfig, WordTable, build_params,
+                       classify, embed_context, encode, encoder_block,
                        entity_knowledge_select, knowledge_select,
                        multi_head_attention, mutual_attention, nll_loss,
                        pool_variants, separate_attention,
@@ -588,6 +588,41 @@ def test_selector_output_feeds_classifier_feature_block():
     pb, _ = model.forward_instance(
         inst, PairKnowledge(er=rng.standard_normal(d), **base))
     np.testing.assert_allclose(pa.data, pb.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 8), ()])
+def test_model_rejects_null_relation_of_wrong_shape(shape):
+    cfg = ModelConfig(d=8, d_kb=8, n_heads=2)
+    with pytest.raises(ConfigError, match="null_relation"):
+        KSMModel(cfg, WordTable.random(["a"], 8),
+                 null_relation=np.zeros(shape))
+
+
+def _tape_nodes(loss):
+    """Nodes a backward pass from `loss` visits: the loss and every node
+    that requires grad on a path into it, each once."""
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        for p in stack.pop()._parents:
+            if p.requires_grad and id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+def test_paper_config_instance_graph_stays_within_161_nodes():
+    # two blocks of four heads per encoder, dropout on: fused attention and
+    # pair-score ops keep one instance's loss graph at 161 nodes
+    cfg = ModelConfig()
+    vocab = [f"w{i}" for i in range(50)]
+    model = KSMModel(cfg, WordTable.random(vocab, cfg.d, seed=1), seed=2)
+    rng = np.random.default_rng(3)
+    inst = _inst([vocab[i] for i in rng.integers(50, size=12)])
+    kn = PairKnowledge(*(rng.standard_normal(cfg.d_kb) for _ in range(3)),
+                       er_is_null=False, e1_is_fallback=False,
+                       e2_is_fallback=False)
+    loss = model.batch_loss([(inst, kn)], train=True, rng=rng)
+    assert _tape_nodes(loss) <= 161
 
 
 def test_null_relation_parameter_receives_gradient():
