@@ -404,6 +404,9 @@ def write_embeddings(path, table: dict[str, np.ndarray]) -> None:
 
 
 def read_embeddings(path) -> dict[str, np.ndarray]:
+    """Read the text format of `write_embeddings`. KBError at `file:line`
+    for a bad header, a row of the wrong width, and a value that is not a
+    finite number."""
     with open(path, encoding="utf-8") as f:
         header = f.readline().split()
         if len(header) != 2:
@@ -413,6 +416,7 @@ def read_embeddings(path) -> dict[str, np.ndarray]:
         except ValueError as e:
             raise KBError(f"{path}:1: non-integer header") from e
         table: dict[str, np.ndarray] = {}
+        rows, linenos = [], []
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
@@ -421,7 +425,19 @@ def read_embeddings(path) -> dict[str, np.ndarray]:
                 raise KBError(
                     f"{path}:{lineno}: expected id + {dim} values, "
                     f"got {len(parts) - 1}")
-            table[parts[0]] = np.array([float(x) for x in parts[1:]])
+            try:
+                vec = np.array([float(x) for x in parts[1:]])
+            except ValueError as e:
+                raise KBError(f"{path}:{lineno}: {e}") from e
+            table[parts[0]] = vec
+            rows.append(vec)
+            linenos.append(lineno)
+    # one vectorised pass over every row read, duplicates included
+    if rows:
+        finite = np.isfinite(np.stack(rows)).all(axis=1)
+        if not finite.all():
+            raise KBError(f"{path}:{linenos[int(np.argmin(finite))]}: "
+                          "non-finite value")
     if len(table) != count:
         logger.warning("%s: header count %d != %d rows read",
                        path, count, len(table))

@@ -275,6 +275,34 @@ def _saved_store(tmp_path):
     return store, tmp_path / "kb"
 
 
+def _set_last_value(path, lineno, value):
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = " ".join(lines[lineno - 1].split()[:-1] + [value])
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("value,error", [
+    ("x", "could not convert string to float: 'x'"),
+    ("nan", "non-finite value"),
+    ("-inf", "non-finite value")])
+@pytest.mark.parametrize("loader", ["read_embeddings", "WordTable.load",
+                                    "load_store"])
+def test_embedding_value_must_be_finite_number(tmp_path, loader, value,
+                                               error):
+    from ksm.model import WordTable
+    if loader == "load_store":
+        _, target = _saved_store(tmp_path)
+        path, load = target / "entities.txt", load_store
+    else:
+        path = target = tmp_path / "emb.txt"
+        write_embeddings(path, {k: np.array([0.5, -1.0]) for k in "abc"})
+        load = {"read_embeddings": read_embeddings,
+                "WordTable.load": WordTable.load}[loader]
+    _set_last_value(path, 3, value)
+    with pytest.raises(KBError, match=rf"{path.name}:3: {error}"):
+        load(target)
+
+
 @pytest.mark.parametrize("keep", [None, "__null__"])
 def test_load_store_rejects_relation_width_mismatch(tmp_path, keep):
     # relations.txt at width 3 beside width-4 entities: every relation,
