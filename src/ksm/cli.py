@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import logging
 import sys
@@ -39,8 +40,9 @@ DEFAULTS: dict = {
     **{k: getattr(ModelConfig, k) for k in _MODEL_KEYS},
     **{k: getattr(TrainConfig, k) for k in _TRAIN_KEYS},
     # knowledge base
-    "kb_margin": 1.0, "kb_epochs": 100, "kb_lr": 0.01,
-    "relation_pool": "mean",
+    **{f"kb_{k}": inspect.signature(kb_mod.transe_train).parameters[k].default
+       for k in ("margin", "epochs", "lr")},
+    "relation_pool": kb_mod.KnowledgeStore.relation_pool,
     # preprocessing
     "phase": "train",
 }

@@ -17,9 +17,10 @@ unit ball after every epoch. E is the L2 norm of h + r - t. Everything is
 plain numpy with analytic gradients on index arrays; runs are
 deterministic given the seed.
 
-Training is single-threaded; a trained store's tables are read-only and
-safe for concurrent lookups (the fallback counters in `stats` are
-best-effort bookkeeping, not synchronization).
+Entity, relation and word vectors are each one `Embeddings` matrix. Training
+is single-threaded and swaps in trained copies of the matrices at its end, so
+a concurrent lookup reads each matrix whole (the fallback counters in `stats`
+are best-effort bookkeeping, not synchronization).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from collections import Counter
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -55,18 +57,83 @@ class PairKnowledge(NamedTuple):
     e2_is_fallback: bool
 
 
+class Embeddings(Mapping[str, np.ndarray]):
+    """A fixed, ordered set of ids over one C-contiguous (n, d) float64 matrix.
+
+    `table[id]` is that id's row, a view into `matrix`; assigning a vector
+    of the table's width to a known id writes its row (ValueError for another
+    shape). The id set never changes: an unknown id raises KeyError on
+    both. Iteration and `items()` follow row order, and `index` maps each id
+    to its row.
+    """
+
+    def __init__(self, ids: Sequence[str], matrix: np.ndarray):
+        self.ids = list(ids)
+        self.index = {k: i for i, k in enumerate(self.ids)}
+        self.matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        if self.matrix.ndim != 2 or not (
+                len(self.matrix) == len(self.index) == len(self.ids)):
+            raise ValueError(f"{len(self.ids)} ids ({len(self.index)} unique)"
+                             f" over a matrix of shape {self.matrix.shape}")
+
+    @classmethod
+    def of(cls, vectors: Mapping[str, np.ndarray], d: int) -> "Embeddings":
+        """The table of `vectors`, in its order (an `Embeddings` of width d
+        is returned as it is). ValueError for a vector that is not 1-D of
+        width d."""
+        if isinstance(vectors, cls) and vectors.matrix.shape[1] == d:
+            return vectors
+        matrix = np.empty((len(vectors), d))
+        for row, (key, vec) in zip(matrix, vectors.items()):
+            vec = np.asarray(vec, dtype=np.float64)
+            if vec.shape != (d,):
+                raise ValueError(f"{key!r} has shape {vec.shape}, "
+                                 f"expected ({d},)")
+            row[:] = vec
+        return cls(list(vectors), matrix)
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        return self.matrix[self.index[key]]
+
+    def __setitem__(self, key: str, vec) -> None:
+        row = self.index[key]
+        if np.shape(vec) != self.matrix.shape[1:]:  # never broadcast
+            raise ValueError(f"{key!r}: shape {np.shape(vec)}, "
+                             f"table width {self.matrix.shape[1]}")
+        self.matrix[row] = vec
+
+    def __contains__(self, key) -> bool:
+        return key in self.index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
 @dataclass
 class KnowledgeStore:
-    entity_table: dict[str, np.ndarray]
-    relation_table: dict[str, np.ndarray]
+    entity_table: Embeddings
+    relation_table: Embeddings
     null_relation: np.ndarray
     d_kb: int
     # sorted unordered pair -> relation labels of matching triples, both orders pooled
     pair_relations: dict[tuple[str, str], list[str]] = field(default_factory=dict)
     relation_pool: str = "mean"  # or "first" (lowest relation label)
-    word_table: dict[str, np.ndarray] | None = None
+    word_table: Mapping[str, np.ndarray] | None = None
     mention_lexicon: dict[str, list[str]] | None = None
     stats: Counter = field(default_factory=Counter)
+
+    def __post_init__(self) -> None:  # any mapping becomes an Embeddings
+        try:
+            self.entity_table = Embeddings.of(self.entity_table, self.d_kb)
+            self.relation_table = Embeddings.of(self.relation_table, self.d_kb)
+        except ValueError as e:
+            raise KBError(f"KnowledgeStore with d_kb {self.d_kb}: {e}") from None
+        if np.shape(self.null_relation) != (self.d_kb,):
+            raise KBError(f"null_relation has shape "
+                          f"{np.shape(self.null_relation)}, d_kb is {self.d_kb}")
 
     def index_triples(self, triples: list[Triple]) -> None:
         self.pair_relations = {}
@@ -76,7 +143,7 @@ class KnowledgeStore:
 
 
 def _entity_vector_from_mentions(entity_id: str,
-                                 word_table: dict[str, np.ndarray] | None,
+                                 word_table: Mapping[str, np.ndarray] | None,
                                  mention_lexicon: dict[str, list[str]] | None,
                                  d_kb: int,
                                  rng: np.random.Generator) -> np.ndarray:
@@ -88,7 +155,7 @@ def _entity_vector_from_mentions(entity_id: str,
 
 
 def init_embeddings(triples: list[Triple],
-                    word_table: dict[str, np.ndarray] | None = None,
+                    word_table: Mapping[str, np.ndarray] | None = None,
                     mention_lexicon: dict[str, list[str]] | None = None,
                     d_kb: int = 100,
                     seed: int = 0) -> KnowledgeStore:
@@ -137,18 +204,16 @@ _BATCH = 256  # triples per minibatch; 128 and 512 run within ~10% of it,
 # and the per-batch temporaries that set peak memory grow with it
 
 
-def _triple_rows(triples: list[Triple], entities: list[str],
-                 relations: list[str]) -> np.ndarray:
-    """(n, 3) head/relation/tail row indices.
+def _triple_rows(triples: list[Triple], store: KnowledgeStore) -> np.ndarray:
+    """(n, 3) head/relation/tail rows of the store's tables.
 
     KBError on an unknown id, and on triples over fewer than 2 entities,
     where no triple can be corrupted.
     """
-    if triples and len(entities) < 2:
-        raise KBError(f"{len(triples)} triple(s) over {len(entities)} "
+    e_row, r_row = store.entity_table.index, store.relation_table.index
+    if triples and len(e_row) < 2:
+        raise KBError(f"{len(triples)} triple(s) over {len(e_row)} "
                       f"entities: corruption needs at least 2")
-    e_row = {e: i for i, e in enumerate(entities)}
-    r_row = {r: i for i, r in enumerate(relations)}
     rows = np.empty((len(triples), 3), dtype=np.intp)
     for i, (h, r, t) in enumerate(triples):
         try:
@@ -157,16 +222,6 @@ def _triple_rows(triples: list[Triple], entities: list[str],
             raise KBError(f"triple {i} ({h}, {r}, {t}): {missing} is not "
                           f"in the store") from None
     return rows
-
-
-def _matrices(store: KnowledgeStore, entities: list[str],
-              relations: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Copies of the store's entity and relation vectors as row matrices."""
-    E = np.array([store.entity_table[e] for e in entities],
-                 dtype=np.float64).reshape(len(entities), store.d_kb)
-    R = np.array([store.relation_table[r] for r in relations],
-                 dtype=np.float64).reshape(len(relations), store.d_kb)
-    return E, R
 
 
 def _corrupt(rng: np.random.Generator, h: np.ndarray, t: np.ndarray,
@@ -252,26 +307,25 @@ def transe_train(triples: list[Triple], store: KnowledgeStore,
     after each epoch. An epoch's loss is the sum of the active hinges over
     the number of triples.
 
-    The store's vectors are copied into matrices, trained there and written
-    back when every epoch has finished. KBError is raised, with the store
-    untouched, for a triple naming an entity or relation missing from the
-    store, for triples over fewer than 2 entities and for a loss or
-    parameter that turns non-finite. Zero epochs leave the store untouched.
+    Copies of the store's two matrices are trained and swapped in when
+    every epoch has finished. KBError is raised, with the store untouched,
+    for a triple naming an entity or relation missing from the store, for
+    triples over fewer than 2 entities and for a loss or parameter that
+    turns non-finite. Zero epochs leave the store untouched.
     """
     if margin <= 0:
         raise KBError(f"margin must be positive, got {margin}")
-    entities = sorted(store.entity_table)
-    relations = list(store.relation_table)
-    rows = _triple_rows(triples, entities, relations)
+    rows = _triple_rows(triples, store)
     if epochs <= 0:
         return []
-    E, R = _matrices(store, entities, relations)
+    E = store.entity_table.matrix.copy()
+    R = store.relation_table.matrix.copy()
     rng = np.random.default_rng(seed)
     n = len(triples)
     losses = []
     for epoch in range(epochs):
         h, r, t = rows[rng.permutation(n)].T
-        hn, tn = _corrupt(rng, h, t, len(entities))
+        hn, tn = _corrupt(rng, h, t, len(E))
         total = 0.0
         for s in range(0, n, _BATCH):
             b = slice(s, s + _BATCH)
@@ -285,10 +339,7 @@ def transe_train(triples: list[Triple], store: KnowledgeStore,
             raise KBError(f"TransE epoch {epoch}: non-finite loss or "
                           f"parameter; store left unchanged")
         losses.append(total / max(1, n))
-    for eid, vec in zip(entities, E):
-        store.entity_table[eid] = vec
-    for rid, vec in zip(relations, R):
-        store.relation_table[rid] = vec
+    store.entity_table.matrix, store.relation_table.matrix = E, R
     return losses
 
 
@@ -300,11 +351,9 @@ def mean_energies(triples: list[Triple], store: KnowledgeStore,
     energies are taken in minibatches, so temporaries stay batch-sized.
     No triples give (0.0, 0.0).
     """
-    entities = sorted(store.entity_table)
-    relations = list(store.relation_table)
-    h, r, t = _triple_rows(triples, entities, relations).T
-    E, R = _matrices(store, entities, relations)
-    hn, tn = _corrupt(np.random.default_rng(seed), h, t, len(entities))
+    h, r, t = _triple_rows(triples, store).T
+    E, R = store.entity_table.matrix, store.relation_table.matrix
+    hn, tn = _corrupt(np.random.default_rng(seed), h, t, len(E))
     true_e = corrupt_e = 0.0
     for s in range(0, len(h), _BATCH):
         b = slice(s, s + _BATCH)
@@ -320,15 +369,14 @@ def tail_rank(store: KnowledgeStore, h_id: str, r_id: str, t_id: str) -> int:
 
     Ties go to the true tail: only entities with strictly lower energy rank
     above it. All energies, the true tail's included, come from one
-    row-wise norm, so equal vectors always compare equal.
+    row-wise norm, so equal vectors always compare equal. KeyError for an
+    unknown id.
     """
     table = store.entity_table
-    if t_id not in table:
-        raise KeyError(t_id)
+    target = table.index[t_id]
     shift = table[h_id] + store.relation_table[r_id]
-    energies = np.linalg.norm(shift - np.array(list(table.values())), axis=1)
-    target = energies[list(table).index(t_id)]
-    return int(np.count_nonzero(energies < target)) + 1
+    energies = np.linalg.norm(shift - table.matrix, axis=1)
+    return int(np.count_nonzero(energies < energies[target])) + 1
 
 
 def _entity_seed(entity_id: str) -> int:
@@ -393,7 +441,7 @@ def read_triples(path) -> list[Triple]:
     return out
 
 
-def write_embeddings(path, table: dict[str, np.ndarray]) -> None:
+def write_embeddings(path, table: Mapping[str, np.ndarray]) -> None:
     """Text format: first line `count dim`, then `id v1 ... v_d` per line."""
     items = list(table.items())
     dim = len(items[0][1]) if items else 0
@@ -403,45 +451,47 @@ def write_embeddings(path, table: dict[str, np.ndarray]) -> None:
             f.write(key + " " + " ".join(repr(float(x)) for x in vec) + "\n")
 
 
-def read_embeddings(path) -> dict[str, np.ndarray]:
-    """Read the text format of `write_embeddings`. KBError at `file:line`
-    for a bad header, a row of the wrong width, and a value that is not a
-    finite number."""
+def read_embeddings(path) -> Embeddings:
+    """Read the text format of `write_embeddings` straight into one matrix.
+    KBError at `file:line` for a bad header, a row of the wrong width, and a
+    value that is not a finite number, also on a line whose id repeats later
+    (a repeated id keeps its first position and its last row)."""
     with open(path, encoding="utf-8") as f:
         header = f.readline().split()
         if len(header) != 2:
             raise KBError(f"{path}:1: expected header `count dim`")
         try:
             count, dim = int(header[0]), int(header[1])
+            matrix = np.empty((16, dim))  # a row per line, grown by doubling
         except ValueError as e:
-            raise KBError(f"{path}:1: non-integer header") from e
-        table: dict[str, np.ndarray] = {}
-        rows, linenos = [], []
+            raise KBError(f"{path}:1: count and dim must be integers, "
+                          f"dim >= 0") from e
+        ids, linenos = [], []
         for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
             parts = line.split()
+            if not parts:
+                continue
             if len(parts) != dim + 1:
                 raise KBError(
                     f"{path}:{lineno}: expected id + {dim} values, "
                     f"got {len(parts) - 1}")
+            if len(ids) == len(matrix):
+                matrix = np.concatenate([matrix, np.empty_like(matrix)])
             try:
-                vec = np.array([float(x) for x in parts[1:]])
+                matrix[len(ids)] = parts[1:]
             except ValueError as e:
                 raise KBError(f"{path}:{lineno}: {e}") from e
-            table[parts[0]] = vec
-            rows.append(vec)
+            ids.append(parts[0])
             linenos.append(lineno)
-    # one vectorised pass over every row read, duplicates included
-    if rows:
-        finite = np.isfinite(np.stack(rows)).all(axis=1)
-        if not finite.all():
-            raise KBError(f"{path}:{linenos[int(np.argmin(finite))]}: "
-                          "non-finite value")
-    if len(table) != count:
+    finite = np.isfinite(matrix[:len(ids)]).all(axis=1)
+    if not finite.all():
+        raise KBError(f"{path}:{linenos[int(np.argmin(finite))]}: "
+                      "non-finite value")
+    last = {key: row for row, key in enumerate(ids)}
+    if len(last) != count:
         logger.warning("%s: header count %d != %d rows read",
-                       path, count, len(table))
-    return table
+                       path, count, len(last))
+    return Embeddings(list(last), matrix[list(last.values())])
 
 
 _NULL_RELATION_KEY = "__null__"
@@ -451,9 +501,8 @@ def save_store(store: KnowledgeStore, directory) -> None:
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     write_embeddings(d / "entities.txt", store.entity_table)
-    relations = dict(store.relation_table)
-    relations[_NULL_RELATION_KEY] = store.null_relation
-    write_embeddings(d / "relations.txt", relations)
+    write_embeddings(d / "relations.txt", {
+        **store.relation_table, _NULL_RELATION_KEY: store.null_relation})
     with open(d / "pairs.tsv", "w", encoding="utf-8", newline="\n") as f:
         for (a, b), labels in sorted(store.pair_relations.items()):
             f.write("\t".join([a, b] + labels) + "\n")
@@ -470,15 +519,15 @@ def load_store(directory) -> KnowledgeStore:
     d = Path(directory)
     entities = read_embeddings(d / "entities.txt")
     relations = read_embeddings(d / "relations.txt")
-    d_kb = len(next(iter(entities.values()))) if entities else 0
-    for label, vec in relations.items():
-        if len(vec) != d_kb:
-            raise KBError(f"{d / 'relations.txt'}: {label} has width "
-                          f"{len(vec)}, entities.txt has {d_kb}")
-    null = relations.pop(_NULL_RELATION_KEY, None)
+    d_kb = entities.matrix.shape[1] if entities else 0
+    if relations and relations.matrix.shape[1] != d_kb:
+        raise KBError(f"{d / 'relations.txt'}: width "
+                      f"{relations.matrix.shape[1]}, entities.txt has {d_kb}")
     store = KnowledgeStore(
-        entity_table=entities, relation_table=relations,
-        null_relation=null if null is not None else np.zeros(d_kb),
+        entity_table=entities,
+        relation_table={k: v for k, v in relations.items()
+                        if k != _NULL_RELATION_KEY},
+        null_relation=relations.get(_NULL_RELATION_KEY, np.zeros(d_kb)),
         d_kb=d_kb)
     pairs_path = d / "pairs.tsv"
     if pairs_path.exists():
@@ -491,7 +540,7 @@ def load_store(directory) -> KnowledgeStore:
                     raise KBError(f"{pairs_path}:{lineno}: expected "
                                   f"entity<TAB>entity<TAB>relation...")
                 a, b, *labels = parts
-                unknown = [r for r in labels if r not in relations]
+                unknown = [r for r in labels if r not in store.relation_table]
                 if unknown:
                     raise KBError(f"{pairs_path}:{lineno}: relation "
                                   f"{unknown[0]!r} is not in relations.txt")

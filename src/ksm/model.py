@@ -33,14 +33,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, asdict
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 from .corpus import CandidateInstance, LABEL_POSITIVE
-from .kb import PairKnowledge, read_embeddings, write_embeddings
+from .kb import Embeddings, PairKnowledge, read_embeddings, write_embeddings
 
 logger = logging.getLogger(__name__)
 
@@ -154,19 +154,22 @@ def sinusoidal_encoding(positions: Sequence[int], d: int) -> np.ndarray:
 
 
 class WordTable:
-    """Frozen token -> vector lookup with a reserved UNK row."""
+    """Frozen token -> vector lookup over one `Embeddings` matrix; its UNK
+    row (`unk`, else the mapping's UNK vector, else zeros) serves unknown
+    tokens. ConfigError for a vector, UNK included, not of width d."""
 
     UNK = "UNK"
 
-    def __init__(self, vectors: dict[str, np.ndarray], d: int,
+    def __init__(self, vectors: Mapping[str, np.ndarray], d: int,
                  unk: np.ndarray | None = None):
-        self.vectors = vectors
+        if unk is not None or self.UNK not in vectors:
+            vectors = {**vectors, self.UNK: np.zeros(d) if unk is None else unk}
+        try:
+            self.vectors = Embeddings.of(vectors, d)
+        except ValueError as e:
+            raise ConfigError(f"word table of width {d}: {e}") from None
         self.d = d
-        if unk is None:
-            unk = vectors.get(self.UNK)
-        if unk is None:
-            unk = np.zeros(d)
-        self.unk = np.asarray(unk, dtype=np.float64)
+        self.unk = self.vectors[self.UNK]
 
     @classmethod
     def random(cls, vocab: Sequence[str], d: int, seed: int = 0) -> "WordTable":
@@ -181,16 +184,15 @@ class WordTable:
         vectors = read_embeddings(path)
         if not vectors:
             raise ConfigError(f"{path}: empty embedding file")
-        d = len(next(iter(vectors.values())))
-        return cls(vectors, d)
+        return cls(vectors, vectors.matrix.shape[1])
 
     def save(self, path) -> None:
-        table = dict(self.vectors)
-        table.setdefault(self.UNK, self.unk)
-        write_embeddings(path, table)
+        write_embeddings(path, self.vectors)
 
     def lookup(self, tokens: Sequence[str]) -> np.ndarray:
-        return np.stack([self.vectors.get(t, self.unk) for t in tokens])
+        index = self.vectors.index
+        unk = index[self.UNK]
+        return self.vectors.matrix[[index.get(t, unk) for t in tokens]]
 
 
 def embed_context(instance: CandidateInstance, word_table: WordTable,

@@ -337,3 +337,24 @@ def test_non_finite_gradient_exits_2(tmp_path, capsys, monkeypatch):
     assert ("error: non-finite gradient of parameter 'classifier.b' at "
             "epoch 0, batch 0") in err
     assert not out.exists()
+
+
+def test_defaults_are_the_library_defaults():
+    import dataclasses
+    import inspect
+
+    from ksm.kb import KnowledgeStore, transe_train
+    from ksm.model import ModelConfig
+    from ksm.train import TrainConfig
+    transe = inspect.signature(transe_train).parameters
+    store_fields = {f.name: f.default
+                    for f in dataclasses.fields(KnowledgeStore)}
+    assert DEFAULTS == {
+        **dataclasses.asdict(ModelConfig()),
+        **dataclasses.asdict(TrainConfig()),
+        "kb_margin": transe["margin"].default,
+        "kb_epochs": transe["epochs"].default,
+        "kb_lr": transe["lr"].default,
+        "relation_pool": store_fields["relation_pool"],
+        "phase": "train",
+    }
