@@ -27,10 +27,23 @@ Semantics worth knowing:
 The op vocabulary is fixed and small: 2-D matmul, add, multiply, neg,
 concat (last axis), row gather, reshape, 2-D transpose, sum/mean over an
 axis, amax, tanh, sigmoid, relu, log, softmax, layer_norm, dropout, and
-two fused ops: multi-head scaled dot-product attention over (L, H*dh)
-operands, and the pair score ``tanh(a1[i] + a2[j]) @ w`` over all row
-pairs of two matrices. Each fused op is one tape node with a hand-written
-backward in place of a chain of small ones.
+fused ops, each one tape node with a hand-written backward in place of a
+chain of small ones:
+
+- multi-head scaled dot-product attention over (L, H*dh) operands, and
+  the same with its query, key, value and output projections;
+- the feed-forward sublayer ``relu(x w1 + b1) w2 + b2``;
+- layer norm of a residual sum, ``layer_norm(x + y)``;
+- the mean negative log of one picked entry per probability row,
+  clamped below at a floor;
+- the pair score ``tanh(a1[i] + a2[j]) @ w`` over all row pairs of two
+  matrices.
+
+The fused ops take the same products and sums as the chains they
+replace, so their values are the chains' bit for bit, and so are their
+gradients up to the order in which an input read by several nodes adds
+up its contributions. The attention and layer-norm kernels each exist
+once, shared by the plain op and its fused form.
 
 The pair score is the one op whose intermediate grows with the square of
 the sequence length. It uses ``tanh(x + y) = 1 - 2 u / (u + v)`` with
@@ -451,26 +464,55 @@ def relu(a: Tensor) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+def _clamp(x: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """`x` raised to `floor` and the mask of raised entries; logs a warning
+    naming how many there were."""
+    low = x < floor
+    if low.any():
+        logger.warning("log: clamped %d value(s) below %.3g",
+                       int(low.sum()), floor)
+    return np.maximum(x, floor), low
+
+
 def log(a: Tensor, floor: float | None = None) -> Tensor:
     """Natural log. With `floor`, inputs below it are clamped (grad 0 there)."""
-    x = a.data
-    if floor is not None:
-        clipped = np.maximum(x, floor)
-        if np.any(x < floor):
-            logger.warning("log: clamped %d value(s) below %.3g",
-                           int(np.sum(x < floor)), floor)
-    else:
-        clipped = x
-    out_data = np.log(clipped)
+    clipped, low = (a.data, None) if floor is None else _clamp(a.data, floor)
 
     def backward(g):
         if a.requires_grad:
             dx = g / clipped
-            if floor is not None:
-                dx = np.where(x < floor, 0.0, dx)
-            a._accumulate(dx)
+            a._accumulate(dx if low is None else np.where(low, 0.0, dx))
 
-    return _make(out_data, (a,), backward)
+    return _make(np.log(clipped), (a,), backward)
+
+
+def mean_nll(probs: Sequence[Tensor], index: Sequence[int],
+             floor: float) -> Tensor:
+    """``-mean_i log(max(probs[i][0, index[i]], floor))`` as one node.
+
+    Each ``probs[i]`` is a (1, C) row. A picked entry below `floor` is
+    clamped there, with a warning (see `log`), and gets no gradient.
+    """
+    if len(probs) != len(index) or not probs:
+        raise ValueError("mean_nll needs equal-length, nonempty probs and "
+                         "index")
+    for p, k in zip(probs, index):
+        if p.data.ndim != 2 or p.shape[0] != 1 or not 0 <= k < p.shape[1]:
+            raise ValueError(f"mean_nll: index {k} does not pick an entry of "
+                             f"a (1, C) row of shape {p.shape}")
+    clipped, low = _clamp(np.array([p.data[0, k] for p, k in zip(probs, index)]),
+                          floor)
+    c = 1.0 / len(probs)
+
+    def backward(g):
+        dpick = -(g * c) / clipped
+        for p, k, d, clamped in zip(probs, index, dpick, low):
+            if p.requires_grad:
+                dp = np.zeros_like(p.data)
+                dp[0, k] = 0.0 if clamped else d
+                p._accumulate(dp)
+
+    return _make(np.asarray(-np.log(clipped).sum() * c), probs, backward)
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
@@ -497,6 +539,41 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int):
+    """The attention kernel of `mh_attention` on (L, H*dh) arrays.
+
+    Returns the (L, H*dh) output and ``grads(g)``, which maps the output's
+    gradient to those of q, k and v. The closure keeps the (H, L, L)
+    attention weights.
+    """
+    length, width = q.shape
+    dh = width // n_heads
+
+    def split(t: np.ndarray) -> np.ndarray:      # (L, H*dh) -> (H, L, dh)
+        return t.reshape(length, n_heads, dh).transpose(1, 0, 2)
+
+    def merge(t: np.ndarray) -> np.ndarray:      # (H, L, dh) -> (L, H*dh)
+        return t.transpose(1, 0, 2).reshape(length, width)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    c = 1.0 / np.sqrt(dh)
+    p = _softmax((qh @ kh.transpose(0, 2, 1)) * c, axis=-1)    # (H, L, L)
+
+    def grads(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        gh = split(g)
+        ds = _softmax_grad(p, gh @ vh.transpose(0, 2, 1), axis=-1) * c
+        return (merge(ds @ kh), merge(ds.transpose(0, 2, 1) @ qh),
+                merge(p.transpose(0, 2, 1) @ gh))
+
+    return merge(p @ vh), grads
+
+
+def _check_heads(name: str, width: int, n_heads: int) -> None:
+    if n_heads < 1 or width % n_heads:
+        raise ValueError(f"{name}: width {width} is not a positive "
+                         f"multiple of n_heads {n_heads}")
+
+
 def mh_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
@@ -509,34 +586,126 @@ def mh_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     if q.data.ndim != 2 or not q.shape == k.shape == v.shape:
         raise ValueError(f"mh_attention expects three equal (L, H*dh) "
                          f"operands, got {q.shape}, {k.shape} and {v.shape}")
-    length, width = q.shape
-    if n_heads < 1 or width % n_heads:
-        raise ValueError(f"mh_attention: width {width} is not a positive "
-                         f"multiple of n_heads {n_heads}")
-    dh = width // n_heads
-
-    def split(t: np.ndarray) -> np.ndarray:      # (L, H*dh) -> (H, L, dh)
-        return t.reshape(length, n_heads, dh).transpose(1, 0, 2)
-
-    def merge(t: np.ndarray) -> np.ndarray:      # (H, L, dh) -> (L, H*dh)
-        return t.transpose(1, 0, 2).reshape(length, width)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    c = 1.0 / np.sqrt(dh)
-    p = _softmax((qh @ kh.transpose(0, 2, 1)) * c, axis=-1)    # (H, L, L)
+    _check_heads("mh_attention", q.shape[1], n_heads)
+    out, grads = _attend(q.data, k.data, v.data, n_heads)
 
     def backward(g):
-        gh = split(g)
-        if v.requires_grad:
-            v._accumulate(merge(p.transpose(0, 2, 1) @ gh))
-        if q.requires_grad or k.requires_grad:
-            ds = _softmax_grad(p, gh @ vh.transpose(0, 2, 1), axis=-1) * c
-            if q.requires_grad:
-                q._accumulate(merge(ds @ kh))
-            if k.requires_grad:
-                k._accumulate(merge(ds.transpose(0, 2, 1) @ qh))
+        for t, dt in zip((q, k, v), grads(g)):
+            if t.requires_grad:
+                t._accumulate(dt)
 
-    return _make(merge(p @ vh), (q, k, v), backward)
+    return _make(out, (q, k, v), backward)
+
+
+def projected_attention(x: Tensor, e: Tensor, wq_x: Tensor, wq_e: Tensor,
+                        wk: Tensor, wv: Tensor, wh: Tensor,
+                        n_heads: int) -> Tensor:
+    """``mh_attention(x wq_x + e wq_e, x wk, x wv, n_heads) wh`` as one node.
+
+    x is (L, d) and e is one (1, d_e) row added to every query; wq_x, wk
+    and wv are (d, H*dh), wq_e is (d_e, H*dh) and wh is (H*dh, d_out).
+    Forward and backward take the same products as the unfused chain,
+    with the head split, softmax and their gradients from `mh_attention`'s
+    kernel. The tape keeps q, k, v, the attention weights and the mix.
+    """
+    width = wq_x.shape[-1]
+    if (x.data.ndim != 2 or e.data.ndim != 2 or e.shape[0] != 1
+            or not wq_x.shape == wk.shape == wv.shape == (x.shape[1], width)
+            or wq_e.shape != (e.shape[1], width)
+            or wh.data.ndim != 2 or wh.shape[0] != width):
+        raise ValueError(f"projected_attention: shapes x {x.shape}, "
+                         f"e {e.shape}, wq_x {wq_x.shape}, wq_e {wq_e.shape}, "
+                         f"wk {wk.shape}, wv {wv.shape}, wh {wh.shape} do "
+                         "not chain")
+    _check_heads("projected_attention", width, n_heads)
+    xd = x.data
+    mix, grads = _attend(xd @ wq_x.data + e.data @ wq_e.data, xd @ wk.data,
+                         xd @ wv.data, n_heads)
+
+    def backward(g):
+        if wh.requires_grad:
+            wh._accumulate(mix.T @ g)
+        dq, dk, dv = grads(g @ wh.data.T)
+        dq_e = dq.sum(axis=0, keepdims=True)     # e's row serves every query
+        for w, a, dw in ((wq_x, xd, dq), (wq_e, e.data, dq_e), (wk, xd, dk),
+                         (wv, xd, dv)):
+            if w.requires_grad:
+                w._accumulate(a.T @ dw)
+        if e.requires_grad:
+            e._accumulate(dq_e @ wq_e.data.T)
+        if x.requires_grad:  # term by term, in the unfused chain's order
+            for dt, w in ((dq, wq_x), (dk, wk), (dv, wv)):
+                x._accumulate(dt @ w.data.T)
+
+    return _make(mix @ wh.data, (x, e, wq_x, wq_e, wk, wv, wh), backward)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+                 b2: Tensor) -> Tensor:
+    """``relu(x w1 + b1) w2 + b2`` over the rows of x, as one node.
+
+    x is (L, d), w1 (d, h), b1 (h,), w2 (h, d_out) and b2 (d_out,). The
+    tape keeps the hidden activation.
+    """
+    if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
+            or w1.shape[0] != x.shape[1] or b1.shape != w1.shape[1:]
+            or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
+        raise ValueError(f"feed_forward: shapes x {x.shape}, w1 {w1.shape}, "
+                         f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape} do "
+                         "not chain")
+    hidden = np.maximum(x.data @ w1.data + b1.data, 0.0)
+
+    def backward(g):
+        if w2.requires_grad:
+            w2._accumulate(hidden.T @ g)
+        if b2.requires_grad:
+            b2._accumulate(g.sum(axis=0))
+        dh = (g @ w2.data.T) * (hidden > 0)
+        if w1.requires_grad:
+            w1._accumulate(x.data.T @ dh)
+        if b1.requires_grad:
+            b1._accumulate(dh.sum(axis=0))
+        if x.requires_grad:
+            x._accumulate(dh @ w1.data.T)
+
+    return _make(hidden @ w2.data + b2.data, (x, w1, b1, w2, b2), backward)
+
+
+def _check_norm(x: np.ndarray, gamma: Tensor, beta: Tensor,
+                eps: float) -> None:
+    if eps <= 0:
+        raise ValueError("layer_norm eps must be positive")
+    n = x.shape[-1] if x.ndim else 0
+    if n == 0:
+        raise ValueError("layer_norm over a zero-length axis")
+    if gamma.shape != (n,) or beta.shape != (n,):
+        raise ValueError(
+            f"gamma/beta must have shape ({n},), got {gamma.shape}/{beta.shape}")
+
+
+def _normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+               eps: float):
+    """The layer-norm kernel over the last axis of x.
+
+    Returns the output and ``grads(g)``, which maps the output's gradient
+    to those of x, gamma and beta. Statistics are sums over n, which is
+    what ``np.mean`` and ``np.var`` compute, without their wrappers. The
+    closure keeps the normalized x and the inverse deviations.
+    """
+    n = x.shape[-1]
+    dev = x - x.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((dev * dev).sum(axis=-1, keepdims=True) / n + eps)
+    xhat = dev * inv
+
+    def grads(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        dxhat = g * gamma
+        m1 = dxhat.sum(axis=-1, keepdims=True) / n
+        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
+        return (inv * (dxhat - m1 - xhat * m2),
+                (g * xhat).reshape(-1, n).sum(axis=0),
+                g.reshape(-1, n).sum(axis=0))
+
+    return xhat * gamma + beta, grads
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -546,34 +715,34 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     Output is ``(x - mean) / sqrt(var + eps) * gamma + beta``; gamma and
     beta span the last axis.
     """
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
-    n = x.shape[-1] if x.data.ndim else 0
-    if n == 0:
-        raise ValueError("layer_norm over a zero-length axis")
-    if gamma.shape != (n,) or beta.shape != (n,):
-        raise ValueError(
-            f"gamma/beta must have shape ({n},), got {gamma.shape}/{beta.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    out_data = (x.data - mu) * inv * gamma.data + beta.data
+    _check_norm(x.data, gamma, beta, eps)
+    out, grads = _normalize(x.data, gamma.data, beta.data, eps)
 
     def backward(g):
-        # x's data is on the tape anyway; keeping xhat would hold a second
-        # copy of it from forward to backward
-        xhat = (x.data - mu) * inv
-        if beta.requires_grad:
-            beta._accumulate(g.reshape(-1, n).sum(axis=0))
-        if gamma.requires_grad:
-            gamma._accumulate((g * xhat).reshape(-1, n).sum(axis=0))
-        if x.requires_grad:
-            dxhat = g * gamma.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(inv * (dxhat - m1 - xhat * m2))
+        for t, dt in zip((x, gamma, beta), grads(g)):
+            if t.requires_grad:
+                t._accumulate(dt)
 
-    return _make(out_data, (x, gamma, beta), backward)
+    return _make(out, (x, gamma, beta), backward)
+
+
+def residual_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
+                        eps: float = 1e-5) -> Tensor:
+    """``layer_norm(x + y, gamma, beta, eps)`` as one node; x and y have
+    one shape, and both get the gradient of the sum."""
+    if x.shape != y.shape:
+        raise ValueError(f"residual_layer_norm: {x.shape} + {y.shape}")
+    s = x.data + y.data
+    _check_norm(s, gamma, beta, eps)
+    out, grads = _normalize(s, gamma.data, beta.data, eps)
+
+    def backward(g):
+        ds, dgamma, dbeta = grads(g)
+        for t, dt in ((x, ds), (y, ds), (gamma, dgamma), (beta, dbeta)):
+            if t.requires_grad:
+                t._accumulate(dt)
+
+    return _make(out, (x, y, gamma, beta), backward)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator | None,

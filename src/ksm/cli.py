@@ -14,6 +14,8 @@ import dataclasses
 import inspect
 import json
 import logging
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -106,6 +108,18 @@ def _load_word_table(args, cfg, instances) -> WordTable:
     return WordTable.random(vocab, cfg["d"], seed=cfg["seed"])
 
 
+def _save_word_table(args, word_table: WordTable, path: Path) -> None:
+    """Write the table `predict` reads back. A table loaded from
+    --word-embeddings is that file, copied byte for byte (formatting 2,000
+    rows of 100 floats again costs more than reading them); nothing is
+    copied onto the file itself."""
+    source = getattr(args, "word_embeddings", None)
+    if not source:
+        word_table.save(path)
+    elif not (path.exists() and os.path.samefile(source, path)):
+        shutil.copyfile(source, path)
+
+
 def _load_store(args, cfg) -> kb_mod.KnowledgeStore:
     if getattr(args, "kb_dir", None):
         store = kb_mod.load_store(_check_exists(args.kb_dir, "KB directory"))
@@ -189,7 +203,7 @@ def cmd_train(args) -> int:
         _check_exists(args.instances, "instance file"))
     model, result, word_table, _ = _train_on(instances, args, cfg)
     model.save(args.out)
-    word_table.save(str(args.out) + ".words.txt")
+    _save_word_table(args, word_table, Path(str(args.out) + ".words.txt"))
     records = [{"event": "config", **cfg}]
     records += [{"event": "epoch", "epoch": e.epoch,
                  "train_loss": e.train_loss,

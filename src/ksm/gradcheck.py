@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import CandidateInstance, LABEL_NEGATIVE, LABEL_POSITIVE
 from .kb import PairKnowledge
-from .model import KSMModel, ModelConfig, WordTable
+from .model import KSMModel, ModelConfig, WordTable, nll_loss
 
 FD_STEP = 1e-5
 
@@ -165,6 +165,41 @@ def _suite(seed: int) -> list[tuple[str, dict[str, Tensor], Callable[[], Tensor]
     suite.append(("mh_attention", {"q": q, "k": k, "v": v},
                   lambda q=q, k=k, v=v: ad.tensor_sum(
                       ad.tanh(ad.mh_attention(q, k, v, 2)))))
+
+    # x with and without a gradient (an encoder's first block reads a
+    # constant sequence), and a single position
+    for name, x in (("projected_attention", t(3, 4)),
+                    ("projected_attention_const_x",
+                     Tensor(rng.standard_normal((3, 4)))),
+                    ("projected_attention_one_row", t(1, 4))):
+        ws = [t(1, 3), t(4, 4), t(3, 4), t(4, 4), t(4, 4), t(4, 5)]
+        leaves = dict(zip(("e", "wq_x", "wq_e", "wk", "wv", "wh"), ws))
+        if x.requires_grad:
+            leaves["x"] = x
+        suite.append((name, leaves, lambda x=x, ws=ws: ad.tensor_sum(
+            ad.tanh(ad.projected_attention(x, *ws, 2)))))
+
+    x, w1, b1, w2, b2 = t(3, 4), t(4, 5), t(5), t(5, 4), t(4)
+    suite.append(("feed_forward",
+                  {"x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2},
+                  lambda x=x, w1=w1, b1=b1, w2=w2, b2=b2: ad.tensor_sum(
+                      ad.tanh(ad.feed_forward(x, w1, b1, w2, b2)))))
+
+    x, y = t(3, 6), t(3, 6)
+    g, b = Tensor(rng.uniform(0.5, 1.5, 6), requires_grad=True), t(6)
+    suite.append(("residual_layer_norm", {"x": x, "y": y, "gamma": g,
+                                          "beta": b},
+                  lambda x=x, y=y, g=g, b=b: ad.tensor_sum(
+                      ad.tanh(ad.residual_layer_norm(x, y, g, b, 1e-5)))))
+
+    # the third gold probability is about e^-40, below NLL_FLOOR by more
+    # than any finite-difference step moves it: clamped, with no gradient
+    logits = [t(1, 3), t(1, 3), Tensor(rng.standard_normal((1, 3))
+                                       + [[0.0, 40.0, 0.0]],
+                                       requires_grad=True)]
+    suite.append(("nll_loss", {f"logits{i}": z for i, z in enumerate(logits)},
+                  lambda z=logits: nll_loss(
+                      [ad.softmax(zi, axis=1) for zi in z], [2, 0, 2])))
     return suite
 
 

@@ -413,7 +413,8 @@ def resolve_pair_knowledge(store: KnowledgeStore, e_id1: str,
     if store.relation_pool == "first":
         er = store.relation_table[min(labels)]
     else:
-        er = np.mean([store.relation_table[r] for r in labels], axis=0)
+        table = store.relation_table
+        er = table.matrix[[table.index[r] for r in labels]].mean(axis=0)
     return PairKnowledge(e1, e2, er, False, f1, f2)
 
 

@@ -318,28 +318,35 @@ def multi_head_attention(x: Tensor, e: Tensor, params: ParameterStore,
 
     Queries are x W_qx + e W_qe, the (1, H*d_head) entity term broadcast
     over the rows; keys and values are the plain sequence. Head h owns
-    columns h*d_head:(h+1)*d_head of each projection, and one fused node
-    (``ad.mh_attention``) runs every head's scaled dot-product attention
-    and lays the heads' outputs side by side for the output projection.
+    columns h*d_head:(h+1)*d_head of each projection, and the heads'
+    outputs, side by side, go through the output projection W_h. The
+    projections, every head's scaled dot-product attention and W_h are
+    one fused node (``ad.projected_attention``).
     """
-    q = x @ params[f"{prefix}.wq_x"] + e @ params[f"{prefix}.wq_e"]
-    mix = ad.mh_attention(q, x @ params[f"{prefix}.wk"],
-                          x @ params[f"{prefix}.wv"], config.n_heads)
-    return mix @ params[f"{prefix}.wh"]
+    return ad.projected_attention(
+        x, e, params[f"{prefix}.wq_x"], params[f"{prefix}.wq_e"],
+        params[f"{prefix}.wk"], params[f"{prefix}.wv"],
+        params[f"{prefix}.wh"], config.n_heads)
 
 
 def encoder_block(x: Tensor, e: Tensor, params: ParameterStore, prefix: str,
                   config: ModelConfig, train: bool,
                   rng: np.random.Generator | None) -> Tensor:
+    """One Transformer block: attention, then the feed-forward sublayer
+    relu(x W1 + b1) W2 + b2, each through dropout and a residual layer
+    norm. Attention, feed-forward and each residual layer norm are one
+    fused node apiece, so a block records six nodes (four with dropout
+    off); the attention dropout draws before the feed-forward one."""
     mh = multi_head_attention(x, e, params, prefix, config)
     mh = ad.dropout(mh, config.dropout_rate, rng, train)
-    sub1 = ad.layer_norm(x + mh, params[f"{prefix}.ln1.gamma"],
-                         params[f"{prefix}.ln1.beta"], LAYER_NORM_EPS)
-    ff = ad.relu(sub1 @ params[f"{prefix}.ffn_w1"] + params[f"{prefix}.ffn_b1"])
-    ff = ff @ params[f"{prefix}.ffn_w2"] + params[f"{prefix}.ffn_b2"]
+    sub1 = ad.residual_layer_norm(x, mh, params[f"{prefix}.ln1.gamma"],
+                                  params[f"{prefix}.ln1.beta"], LAYER_NORM_EPS)
+    ff = ad.feed_forward(sub1, params[f"{prefix}.ffn_w1"],
+                         params[f"{prefix}.ffn_b1"], params[f"{prefix}.ffn_w2"],
+                         params[f"{prefix}.ffn_b2"])
     ff = ad.dropout(ff, config.dropout_rate, rng, train)
-    return ad.layer_norm(sub1 + ff, params[f"{prefix}.ln2.gamma"],
-                         params[f"{prefix}.ln2.beta"], LAYER_NORM_EPS)
+    return ad.residual_layer_norm(sub1, ff, params[f"{prefix}.ln2.gamma"],
+                                  params[f"{prefix}.ln2.beta"], LAYER_NORM_EPS)
 
 
 def encode(x: Tensor, e: Tensor, params: ParameterStore, encoder_prefix: str,
@@ -459,20 +466,13 @@ def gold_class(instance: CandidateInstance) -> int:
 
 
 def nll_loss(batch_probs: Sequence[Tensor], gold_labels: Sequence[int]) -> Tensor:
-    """Mean negative log-likelihood of the gold class over a batch.
+    """Mean negative log-likelihood of the gold class over a batch, as one
+    node (``ad.mean_nll``).
 
     Gold-class probabilities are clamped at NLL_FLOOR (a warning is logged
-    if the clamp fires).
+    if the clamp fires, and a clamped probability gets no gradient).
     """
-    if len(batch_probs) != len(gold_labels) or not batch_probs:
-        raise ValueError("batch_probs and gold_labels must be equal-length "
-                         "and nonempty")
-    picks = []
-    for probs, y in zip(batch_probs, gold_labels):
-        onehot = np.zeros((probs.shape[-1], 1))
-        onehot[y, 0] = 1.0
-        picks.append(probs @ Tensor(onehot))     # (1,1)
-    return ad.mean(ad.neg(ad.log(ad.concat(picks), floor=NLL_FLOOR)))
+    return ad.mean_nll(batch_probs, gold_labels, NLL_FLOOR)
 
 
 # ---------------------------------------------------------------------------

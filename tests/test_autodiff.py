@@ -344,6 +344,43 @@ def test_mh_attention_rejects_bad_operands(shapes, n_heads):
         ad.mh_attention(q, k, v, n_heads)
 
 
+_HEADS = [(3, 4), (1, 5), (4, 6), (5, 6), (4, 6), (4, 6), (6, 4)]
+
+
+@pytest.mark.parametrize("op, shapes, extra", [
+    # e of two rows; wq_e, wv and wh not matching; 6 columns over 4 heads
+    (ad.projected_attention, [(3, 4), (2, 5)] + _HEADS[2:], [2]),
+    (ad.projected_attention, _HEADS[:3] + [(4, 6)] + _HEADS[4:], [2]),
+    (ad.projected_attention, _HEADS[:5] + [(4, 7), (6, 4)], [2]),
+    (ad.projected_attention, _HEADS[:6] + [(5, 4)], [2]),
+    (ad.projected_attention, _HEADS, [4]),
+    (ad.feed_forward, [(3, 4), (4, 5), (4,), (5, 4), (4,)], []),
+    (ad.feed_forward, [(3, 4), (4, 5), (5,), (4, 4), (4,)], []),
+    (ad.residual_layer_norm, [(3, 4), (3, 5), (4,), (4,)], []),
+])
+def test_fused_block_ops_reject_shapes_that_do_not_chain(op, shapes, extra):
+    with pytest.raises(ValueError, match=op.__name__):
+        op(*(Tensor(np.ones(s)) for s in shapes), *extra)
+
+
+def test_mean_nll_clamps_warns_and_passes_no_gradient(caplog):
+    low, ok = (Tensor([[1.0, 0.0]], requires_grad=True),
+               Tensor([[0.75, 0.25]], requires_grad=True))
+    loss = ad.mean_nll([low, ok], [1, 0], floor=1e-12)
+    assert "log: clamped 1 value(s)" in caplog.text
+    assert loss.item() == pytest.approx(-(np.log(1e-12) + np.log(0.75)) / 2)
+    loss.backward()
+    assert low.grad.tolist() == [[0.0, 0.0]]
+    np.testing.assert_allclose(ok.grad, [[-0.5 / 0.75, 0.0]])
+
+
+@pytest.mark.parametrize("probs, index", [
+    ([(1, 2)], [2]), ([(2, 2)], [0]), ([(1, 2)], []), ([], [])])
+def test_mean_nll_rejects_bad_picks(probs, index):
+    with pytest.raises(ValueError, match="mean_nll"):
+        ad.mean_nll([Tensor(np.ones(s)) for s in probs], index, floor=1e-12)
+
+
 def test_every_op_matches_finite_differences():
     for result in check_all_ops(seed=7):
         assert result.passed, result

@@ -4,9 +4,12 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ksm.cli import DEFAULTS, main, resolve_config
 from ksm.corpus import write_instances
+from ksm.kb import read_embeddings, write_embeddings
+from ksm.model import WordTable
 from ksm.synthetic import separable_task, toy_knowledge_graph
 
 DATA = Path(__file__).parent / "data"
@@ -165,6 +168,51 @@ def test_predict_falls_back_to_saved_word_table(tmp_path):
                "--checkpoint", str(ckpt), "--kb-dir", str(kb_dir),
                "--out", str(tmp_path / "p.tsv")])
     assert rc == 0
+
+
+@pytest.mark.parametrize("unk_row", [True, False])
+def test_predict_reads_back_the_training_word_table_bit_for_bit(
+        tmp_path, monkeypatch, unk_row):
+    inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
+    if not unk_row:  # a source file without UNK: the table appends one
+        vectors = read_embeddings(words_path)
+        write_embeddings(words_path, {k: v for k, v in vectors.items()
+                                      if k != WordTable.UNK})
+    loaded = []
+    load = WordTable.load.__func__
+
+    def recording(cls, path):
+        loaded.append(load(cls, path))
+        return loaded[-1]
+
+    monkeypatch.setattr(WordTable, "load", classmethod(recording))
+    ckpt = tmp_path / "model.ckpt"
+    main(["train", "--instances", str(inst_path),
+          "--word-embeddings", str(words_path), "--kb-dir", str(kb_dir),
+          "--out", str(ckpt), "--seed", "1"] + FAST_TRAIN)
+    saved = Path(str(ckpt) + ".words.txt")
+    assert saved.read_bytes() == words_path.read_bytes()
+    rc = main(["predict", "--instances", str(inst_path),
+               "--checkpoint", str(ckpt), "--kb-dir", str(kb_dir),
+               "--out", str(tmp_path / "p.tsv")])
+    assert rc == 0
+    trained, predicted = loaded
+    assert (WordTable.UNK in read_embeddings(saved)) == unk_row
+    assert predicted.vectors.ids == trained.vectors.ids
+    assert predicted.vectors.matrix.tobytes() == trained.vectors.matrix.tobytes()
+
+
+def test_train_leaves_a_word_file_that_is_its_own_output_alone(tmp_path):
+    inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    same = Path(str(ckpt) + ".words.txt")
+    words_path.rename(same)
+    before = same.read_bytes()
+    rc = main(["train", "--instances", str(inst_path),
+               "--word-embeddings", str(same), "--kb-dir", str(kb_dir),
+               "--out", str(ckpt), "--seed", "1"] + FAST_TRAIN)
+    assert rc == 0
+    assert same.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------

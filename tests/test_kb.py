@@ -179,6 +179,19 @@ def test_multiple_relations_average_elementwise():
     np.testing.assert_allclose(kn.er, expected)
 
 
+def test_three_relations_pool_bit_identical_to_the_mean_of_their_rows():
+    # both directions pool, in triple order; the pooled vector is the mean
+    # of the table rows, exactly as a mean over the separate vectors
+    triples = [Triple("a", "r3", "b"), Triple("b", "r1", "a"),
+               Triple("a", "r2", "b"), Triple("a", "r1", "c")]
+    store = init_embeddings(triples, d_kb=16, seed=4)
+    kn = resolve_pair_knowledge(store, "b", "a")
+    want = np.mean([store.relation_table[r] for r in ("r3", "r1", "r2")],
+                   axis=0)
+    assert kn.er.tobytes() == want.tobytes()
+    assert not kn.er_is_null
+
+
 def test_first_pool_policy_uses_lowest_label():
     triples = [Triple("a", "rB", "b"), Triple("a", "rA", "b")]
     store = init_embeddings(triples, d_kb=4, seed=0)

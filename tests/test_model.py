@@ -182,9 +182,15 @@ def test_attention_matches_loop_oracle_on_20_random_cases():
         e = rng.standard_normal(d)
         got = multi_head_attention(Tensor(x), Tensor(e.reshape(1, -1)),
                                    params, "encoder1.block0", cfg)
+        # the fused node straight from the engine, recording a graph
+        fused = ad.projected_attention(
+            Tensor(x, requires_grad=True), Tensor(e.reshape(1, -1)),
+            *(params[f"encoder1.block0.{w}"]
+              for w in ("wq_x", "wq_e", "wk", "wv", "wh")), n_heads)
         want = _loop_attention(x, e, params, "encoder1.block0",
                                n_heads, cfg.d_head)
         np.testing.assert_allclose(got.data, want, atol=1e-10)
+        np.testing.assert_allclose(fused.data, want, atol=1e-10)
 
 
 def test_single_position_attention_is_identity_mix():
@@ -610,9 +616,10 @@ def _tape_nodes(loss):
     return len(seen)
 
 
-def test_paper_config_instance_graph_stays_within_161_nodes():
-    # two blocks of four heads per encoder, dropout on: fused attention and
-    # pair-score ops keep one instance's loss graph at 161 nodes
+def test_paper_config_instance_graph_stays_within_108_nodes():
+    # two blocks of four heads per encoder, dropout on: six fused nodes per
+    # block pass, a fused pair score and a one-node loss keep one
+    # instance's loss graph at 108 nodes, 60 of them parameters
     cfg = ModelConfig()
     vocab = [f"w{i}" for i in range(50)]
     model = KSMModel(cfg, WordTable.random(vocab, cfg.d, seed=1), seed=2)
@@ -622,7 +629,7 @@ def test_paper_config_instance_graph_stays_within_161_nodes():
                        er_is_null=False, e1_is_fallback=False,
                        e2_is_fallback=False)
     loss = model.batch_loss([(inst, kn)], train=True, rng=rng)
-    assert _tape_nodes(loss) <= 161
+    assert _tape_nodes(loss) <= 108
 
 
 def test_null_relation_parameter_receives_gradient():

@@ -301,6 +301,31 @@ def test_training_step_equals_batch_loss_backward_bit_for_bit(overrides):
         assert p.grad.tobytes() == want[name].tobytes(), name
 
 
+def test_training_calls_nll_loss_once_per_instance(monkeypatch):
+    # per-layer benchmark counters wrap `ksm.model.nll_loss` and count the
+    # probability rows of each call: training must reach it through the
+    # module, once per instance, with that instance's probabilities alone
+    import ksm.model
+
+    calls = []
+    original = ksm.model.nll_loss
+
+    def counting(batch_probs, gold_labels):
+        calls.append(len(batch_probs))
+        return original(batch_probs, gold_labels)
+
+    monkeypatch.setattr(ksm.model, "nll_loss", counting)
+    d = 8
+    model = KSMModel(ModelConfig(d=d, d_kb=d, n_heads=2, n_blocks=1,
+                                 max_distance=16),
+                     WordTable.random([f"tok{i}" for i in range(12)], d),
+                     seed=0)
+    batch = toy_batch(seed=1, d=d, lengths=(2, 4, 3))
+    model.params.zero_grad()
+    accumulate_batch_gradient(model, batch, np.random.default_rng(0))
+    assert calls == [1, 1, 1]
+
+
 def _one_epoch_peak_bytes(n: int, length: int = 40, d: int = 32) -> int:
     instances = separable_instances(n=n, length=length, seed=0)
     store = kb_for_instances(instances, d_kb=d, seed=1)
