@@ -30,6 +30,7 @@ axis, amax, tanh, sigmoid, relu, log, softmax, layer_norm, dropout, and
 fused ops, each one tape node with a hand-written backward in place of a
 chain of small ones:
 
+- the affine map ``x w + b``;
 - multi-head scaled dot-product attention over (L, H*dh) operands, and
   the same with its query, key, value and output projections;
 - the feed-forward sublayer ``relu(x w1 + b1) w2 + b2``;
@@ -37,7 +38,9 @@ chain of small ones:
 - the mean negative log of one picked entry per probability row,
   clamped below at a floor;
 - the pair score ``tanh(a1[i] + a2[j]) @ w`` over all row pairs of two
-  matrices.
+  matrices;
+- softmax pooling: the rows of v weighted by the softmax of a score
+  matrix's means over one axis (the weights come back as a plain tensor).
 
 The fused ops take the same products and sums as the chains they
 replace, so their values are the chains' bit for bit, and so are their
@@ -45,14 +48,20 @@ gradients up to the order in which an input read by several nodes adds
 up its contributions. The attention and layer-norm kernels each exist
 once, shared by the plain op and its fused form.
 
+Kernels compute in place only in arrays they have just allocated
+themselves: an op never writes into an input's data, into an array
+another node keeps, or into a gradient it was handed, so a recorded
+graph can be walked again with the same result.
+
 The pair score is the one op whose intermediate grows with the square of
 the sequence length. It uses ``tanh(x + y) = 1 - 2 u / (u + v)`` with
 ``u = exp(-2 x)`` and ``v = exp(2 y)``, so it takes exponentials per row,
 not per pair, and streams row tiles of the (L1, L2, d) pair array through
-one buffer of about half a megabyte that stays in cache. Its tape keeps
+one buffer of about half a megabyte, starting on a cache line, that stays
+in cache. Its tape keeps
 only u and v, and backward recomputes each tile. The identity is exact
-while every |input| is at most 350; beyond that the op raises ValueError
-rather than return overflowed values.
+while every |input| is at most 350; beyond that, or on a NaN input, the
+op raises ValueError rather than return overflowed or NaN values.
 
 Tensors are plain values and safe to copy between threads; a recorded
 graph belongs to the thread that built it. Training is single-threaded;
@@ -131,8 +140,8 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen and p.requires_grad:
+            for p in node._parents:  # leaves have no closure to run
+                if p._backward is not None and id(p) not in seen:
                     stack.append((p, False))
         for node in topo:  # left behind only by a walk cut short
             if node._backward is not None:
@@ -367,6 +376,19 @@ _PAIR_TILE = 1 << 16     # float64 elements per pair tile: 512 KB, stays in L2
 _PAIR_DOMAIN = 350.0     # |input| bound: exp(700) finite, exp(-700) normal
 
 
+def _tile_buffer(shape: tuple) -> np.ndarray:
+    """An uninitialised float64 array starting on a 64-byte boundary.
+
+    Where malloc happens to place a pair tile moves the tile loop's time
+    by about a fifth (measured on x86-64 with numpy 2.4); a cache-line
+    start takes the fast case every time.
+    """
+    n = int(np.prod(shape))
+    raw = np.empty(n + 7)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start:start + n].reshape(shape)
+
+
 def pair_tanh_score(a1: Tensor, a2: Tensor, w: Tensor) -> Tensor:
     """Score every row pair: ``out[i, j] = tanh(a1[i] + a2[j]) @ w``.
 
@@ -380,7 +402,7 @@ def pair_tanh_score(a1: Tensor, a2: Tensor, w: Tensor) -> Tensor:
     tile, with ``1 - tanh^2 = 4 r (1 - r)``.
 
     The identity is exact while every |input| is at most 350 (u and v
-    stay finite and normal); a larger input raises ValueError.
+    stay finite and normal); a larger or NaN input raises ValueError.
     """
     if a1.data.ndim != 2 or a2.data.ndim != 2 or a1.shape[1] != a2.shape[1]:
         raise ValueError(f"pair_tanh_score expects (L1, d) and (L2, d), got "
@@ -389,18 +411,21 @@ def pair_tanh_score(a1: Tensor, a2: Tensor, w: Tensor) -> Tensor:
     if w.shape != (d, 1):
         raise ValueError(f"pair_tanh_score weight must be ({d}, 1), "
                          f"got {w.shape}")
-    peak = max(np.abs(a1.data).max(initial=0.0),
-               np.abs(a2.data).max(initial=0.0))
-    if peak > _PAIR_DOMAIN:
-        raise ValueError(f"pair_tanh_score: largest |input| {peak:.6g} exceeds "
-                         f"the exp-form bound {_PAIR_DOMAIN:g}")
-    u = np.exp(-2.0 * a1.data)
-    v = np.exp(2.0 * a2.data)
+    # ndarray max and min propagate NaN, and `not peak <= bound` catches it
+    peak = np.abs((a1.data.max(initial=0.0), a1.data.min(initial=0.0),
+                   a2.data.max(initial=0.0), a2.data.min(initial=0.0))).max()
+    if not peak <= _PAIR_DOMAIN:
+        raise ValueError(f"pair_tanh_score: largest |input| {peak:.6g} is "
+                         f"outside the exp-form bound {_PAIR_DOMAIN:g}")
+    u = np.multiply(a1.data, -2.0)
+    np.exp(u, out=u)
+    v = np.multiply(a2.data, 2.0)
+    np.exp(v, out=v)
     rows = max(1, _PAIR_TILE // max(1, n2 * d))
 
     def tiles():
         """Yield (row slice, r over those rows), reusing one buffer."""
-        buf = np.empty((min(rows, n1), n2, d))
+        buf = _tile_buffer((min(rows, n1), n2, d))
         for lo in range(0, n1, rows):
             hi = min(lo + rows, n1)
             ui, r = u[lo:hi, None, :], buf[:hi - lo]
@@ -413,7 +438,7 @@ def pair_tanh_score(a1: Tensor, a2: Tensor, w: Tensor) -> Tensor:
         da1 = np.empty((n1, d))
         da2 = np.zeros((n2, d))
         need_a = a1.requires_grad or a2.requires_grad
-        q = np.empty((min(rows, n1), n2, d)) if need_a else None
+        q = _tile_buffer((min(rows, n1), n2, d)) if need_a else None
         for sl, r in tiles():
             gt = g[sl]
             if w.requires_grad:
@@ -515,14 +540,17 @@ def mean_nll(probs: Sequence[Tensor], index: Sequence[int],
     return _make(np.asarray(-np.log(clipped).sum() * c), probs, backward)
 
 
-def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    """Numerically stable softmax along `axis` (max-subtraction)."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def _softmax_in_place(x: np.ndarray, axis: int) -> np.ndarray:
+    """Overwrite x, an array the caller has just allocated, with its
+    numerically stable softmax along `axis` (max-subtraction); returns x."""
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
 
 
 def _softmax_grad(p: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    """d loss / d logits from d loss / d p, for ``p = _softmax(logits)``."""
+    """d loss / d logits from d loss / d p, for p the softmax of logits."""
     return p * (g - (g * p).sum(axis=axis, keepdims=True))
 
 
@@ -530,13 +558,43 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     """Numerically stable softmax along `axis` (max-subtraction)."""
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ValueError(f"softmax axis {axis} invalid for shape {a.shape}")
-    out_data = _softmax(a.data, axis)
+    out_data = _softmax_in_place(a.data.copy(), axis)
 
     def backward(g):
         if a.requires_grad:
             a._accumulate(_softmax_grad(out_data, g, axis))
 
     return _make(out_data, (a,), backward)
+
+
+def softmax_pool(scores: Tensor, v: Tensor, axis: int) -> tuple[Tensor, Tensor]:
+    """Pool the rows of v by the softmax of the mean of scores over `axis`.
+
+    scores is (L1, L2) and axis is 0 or 1; the weights run over the other
+    axis, whose length is the number of rows of v. Returns the (1, d)
+    pooled row as one node and the weights as a plain tensor, (L1, 1) for
+    axis 1 and (1, L2) for axis 0. Forward and backward take the same
+    sums and products as ``mean``, ``softmax``, ``transpose`` (axis 1)
+    and ``matmul`` would, so values and gradients are theirs bit for bit.
+    """
+    if (scores.data.ndim != 2 or axis not in (0, 1) or not scores.size
+            or v.data.ndim != 2 or v.shape[0] != scores.shape[1 - axis]):
+        raise ValueError(f"softmax_pool: scores {scores.shape} over axis "
+                         f"{axis} do not weight the rows of {v.shape}")
+    c = 1.0 / scores.shape[axis]
+    p = _softmax_in_place(scores.data.sum(axis=axis, keepdims=True) * c,
+                          1 - axis)
+    row = p.reshape(1, -1)      # a view of the contiguous weights
+
+    def backward(g):
+        if v.requires_grad:
+            v._accumulate(row.T @ g)
+        if scores.requires_grad:
+            dp = (g @ v.data.T).reshape(p.shape)
+            dm = _softmax_grad(p, dp, 1 - axis) * c
+            scores._accumulate(np.broadcast_to(dm, scores.shape).copy())
+
+    return _make(row @ v.data, (scores, v), backward), Tensor(p)
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int):
@@ -557,7 +615,9 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int):
 
     qh, kh, vh = split(q), split(k), split(v)
     c = 1.0 / np.sqrt(dh)
-    p = _softmax((qh @ kh.transpose(0, 2, 1)) * c, axis=-1)    # (H, L, L)
+    p = qh @ kh.transpose(0, 2, 1)      # (H, L, L): scores, then weights
+    p *= c
+    _softmax_in_place(p, axis=-1)
 
     def grads(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         gh = split(g)
@@ -619,8 +679,9 @@ def projected_attention(x: Tensor, e: Tensor, wq_x: Tensor, wq_e: Tensor,
                          "not chain")
     _check_heads("projected_attention", width, n_heads)
     xd = x.data
-    mix, grads = _attend(xd @ wq_x.data + e.data @ wq_e.data, xd @ wk.data,
-                         xd @ wv.data, n_heads)
+    q = xd @ wq_x.data
+    q += e.data @ wq_e.data
+    mix, grads = _attend(q, xd @ wk.data, xd @ wv.data, n_heads)
 
     def backward(g):
         if wh.requires_grad:
@@ -640,6 +701,27 @@ def projected_attention(x: Tensor, e: Tensor, wq_x: Tensor, wq_e: Tensor,
     return _make(mix @ wh.data, (x, e, wq_x, wq_e, wk, wv, wh), backward)
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x w + b`` as one node: x is (L, d_in), w (d_in, d_out) and b
+    (d_out,), added to every row."""
+    if (x.data.ndim != 2 or w.data.ndim != 2 or w.shape[0] != x.shape[1]
+            or b.shape != w.shape[1:]):
+        raise ValueError(f"affine: shapes x {x.shape}, w {w.shape}, "
+                         f"b {b.shape} do not chain")
+    out = x.data @ w.data
+    out += b.data
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ g)
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
+
+    return _make(out, (x, w, b), backward)
+
+
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
                  b2: Tensor) -> Tensor:
     """``relu(x w1 + b1) w2 + b2`` over the rows of x, as one node.
@@ -653,14 +735,17 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
         raise ValueError(f"feed_forward: shapes x {x.shape}, w1 {w1.shape}, "
                          f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape} do "
                          "not chain")
-    hidden = np.maximum(x.data @ w1.data + b1.data, 0.0)
+    hidden = x.data @ w1.data
+    hidden += b1.data
+    np.maximum(hidden, 0.0, out=hidden)
 
     def backward(g):
         if w2.requires_grad:
             w2._accumulate(hidden.T @ g)
         if b2.requires_grad:
             b2._accumulate(g.sum(axis=0))
-        dh = (g @ w2.data.T) * (hidden > 0)
+        dh = g @ w2.data.T
+        dh *= hidden > 0
         if w1.requires_grad:
             w1._accumulate(x.data.T @ dh)
         if b1.requires_grad:
@@ -668,7 +753,9 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
         if x.requires_grad:
             x._accumulate(dh @ w1.data.T)
 
-    return _make(hidden @ w2.data + b2.data, (x, w1, b1, w2, b2), backward)
+    out = hidden @ w2.data
+    out += b2.data
+    return _make(out, (x, w1, b1, w2, b2), backward)
 
 
 def _check_norm(x: np.ndarray, gamma: Tensor, beta: Tensor,
@@ -693,9 +780,9 @@ def _normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     closure keeps the normalized x and the inverse deviations.
     """
     n = x.shape[-1]
-    dev = x - x.sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt((dev * dev).sum(axis=-1, keepdims=True) / n + eps)
-    xhat = dev * inv
+    xhat = x - x.sum(axis=-1, keepdims=True) / n    # the deviations, then xhat
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / n + eps)
+    xhat *= inv
 
     def grads(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         dxhat = g * gamma
@@ -705,7 +792,9 @@ def _normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                 (g * xhat).reshape(-1, n).sum(axis=0),
                 g.reshape(-1, n).sum(axis=0))
 
-    return xhat * gamma + beta, grads
+    out = xhat * gamma
+    out += beta
+    return out, grads
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,

@@ -200,6 +200,18 @@ def _suite(seed: int) -> list[tuple[str, dict[str, Tensor], Callable[[], Tensor]
     suite.append(("nll_loss", {f"logits{i}": z for i, z in enumerate(logits)},
                   lambda z=logits: nll_loss(
                       [ad.softmax(zi, axis=1) for zi in z], [2, 0, 2])))
+
+    scores, v_rows, v_cols = t(3, 4), t(3, 5), t(4, 5)
+    for name, v, axis in (("softmax_pool_rows", v_rows, 1),
+                          ("softmax_pool_columns", v_cols, 0)):
+        suite.append((name, {"scores": scores, "v": v},
+                      lambda s=scores, v=v, axis=axis: ad.tensor_sum(
+                          ad.tanh(ad.softmax_pool(s, v, axis)[0]))))
+
+    x, w, b = t(3, 4), t(4, 5), t(5)
+    suite.append(("affine", {"x": x, "w": w, "b": b},
+                  lambda x=x, w=w, b=b: ad.tensor_sum(
+                      ad.tanh(ad.affine(x, w, b)))))
     return suite
 
 

@@ -8,13 +8,16 @@ Per candidate instance the forward pass runs:
    attention whose queries add an entity term to every position
    (x W_qx + e W_qe), plus a position-wise feed-forward sublayer, each
    wrapped in dropout -> residual -> layer norm;
-3. pooling over the two encoded sequences (mutual attention by default;
-   separate additive attention, average or max as variants) giving
-   context features s1, s2;
+3. pooling over the two encoded sequences (mutual attention by default,
+   five tape nodes; separate additive attention, average or max as
+   variants) giving context features s1, s2;
 4. a gated knowledge selector that distills the pair's KB relation
    vector against the context features (optionally also the entity
    vectors, or nothing);
 5. a softmax classifier over [s1, s2, selected relation].
+
+With dropout on, one paper-configuration instance records 100 tape
+nodes on its loss graph, 60 of them parameters.
 
 All trainable tensors are registered in a ParameterStore under stable
 dotted names, so checkpointing and gradient checks can address every
@@ -162,12 +165,24 @@ class WordTable:
 
     def __init__(self, vectors: Mapping[str, np.ndarray], d: int,
                  unk: np.ndarray | None = None):
-        if unk is not None or self.UNK not in vectors:
-            vectors = {**vectors, self.UNK: np.zeros(d) if unk is None else unk}
         try:
-            self.vectors = Embeddings.of(vectors, d)
+            table = Embeddings.of(vectors, d)
+            if unk is not None or self.UNK not in table:
+                # a new matrix, so a caller's Embeddings is never written
+                row = np.zeros(d) if unk is None else np.asarray(unk, float)
+                if row.shape != (d,):
+                    raise ValueError(f"{self.UNK!r} has shape {row.shape}, "
+                                     f"expected ({d},)")
+                if self.UNK in table:
+                    matrix = table.matrix.copy()
+                    matrix[table.index[self.UNK]] = row
+                    table = Embeddings(table.ids, matrix)
+                else:
+                    table = Embeddings(table.ids + [self.UNK],
+                                       np.vstack([table.matrix, row]))
         except ValueError as e:
             raise ConfigError(f"word table of width {d}: {e}") from None
+        self.vectors = table
         self.d = d
         self.unk = self.vectors[self.UNK]
 
@@ -365,22 +380,22 @@ def mutual_attention(v1: Tensor, v2: Tensor, params: ParameterStore
     """Additive attention over all position pairs of the two sequences.
 
     Returns (s1, s2, p1, p2): pooled vectors (1 x d) and the attention
-    weights over positions ((L x 1) and (1 x L)). The pair scores
-    alpha[i, j] = tanh(v1[i] W1 + v2[j] W2) w come from one fused op
-    (``ad.pair_tanh_score``) that streams the L x L x d pair terms through
-    one cache-sized buffer and keeps only two L x d arrays for backward.
-    Row means of alpha drive the weights for the first sequence, column
-    means for the second.
+    weights over positions ((L x 1) and (1 x L)), the weights as plain
+    tensors. The pair scores alpha[i, j] = tanh(v1[i] W1 + v2[j] W2) w
+    come from one fused op (``ad.pair_tanh_score``) that streams the
+    L x L x d pair terms through one cache-sized buffer and keeps only two
+    L x d arrays for backward. Row means of alpha drive the weights for
+    the first sequence, column means for the second; each side's mean,
+    softmax and weighted sum is one node (``ad.softmax_pool``), so the
+    whole pooling records five nodes.
     """
     length = v1.shape[0]
     if v2.shape[0] != length:
         raise ValueError(f"sequence lengths differ: {length} vs {v2.shape[0]}")
     alpha = ad.pair_tanh_score(v1 @ params["mutual.w1"],
                                v2 @ params["mutual.w2"], params["mutual.w"])
-    p1 = ad.softmax(ad.mean(alpha, axis=1, keepdims=True), axis=0)  # (L,1)
-    p2 = ad.softmax(ad.mean(alpha, axis=0, keepdims=True), axis=1)  # (1,L)
-    s1 = ad.transpose(p1) @ v1
-    s2 = p2 @ v2
+    s1, p1 = ad.softmax_pool(alpha, v1, axis=1)
+    s2, p2 = ad.softmax_pool(alpha, v2, axis=0)
     return s1, s2, p1, p2
 
 
@@ -388,8 +403,8 @@ def separate_attention(v: Tensor, params: ParameterStore
                        ) -> tuple[Tensor, Tensor]:
     """Single-sequence additive attention with a bias; params are shared
     between the two sequences by construction (one set in the store)."""
-    scores = ad.tanh(v @ params["separate.w_proj"]
-                     + params["separate.b"]) @ params["separate.w"]
+    scores = ad.tanh(ad.affine(v, params["separate.w_proj"],
+                               params["separate.b"])) @ params["separate.w"]
     p = ad.softmax(scores, axis=0)        # (L,1)
     return ad.transpose(p) @ v, p
 
@@ -426,10 +441,13 @@ def knowledge_select(s1: Tensor, s2: Tensor, er: Tensor,
     if config.selector_target == "entity":
         raise ConfigError("entity selection is routed through "
                           "entity_knowledge_select")
-    pre = ad.concat([s1, s2]) @ params["selector.w"]
+    feats = ad.concat([s1, s2])
     if config.gate_uses_relation:
-        pre = pre + er @ params["selector.u"]
-    return _gated(pre + params["selector.b"], er, config)
+        pre = (feats @ params["selector.w"] + er @ params["selector.u"]
+               + params["selector.b"])
+    else:
+        pre = ad.affine(feats, params["selector.w"], params["selector.b"])
+    return _gated(pre, er, config)
 
 
 def entity_knowledge_select(x: Tensor, e: Tensor, params: ParameterStore,
@@ -447,12 +465,13 @@ def entity_knowledge_select(x: Tensor, e: Tensor, params: ParameterStore,
 
 def classify(s1: Tensor, s2: Tensor, er_selected: Tensor,
              params: ParameterStore) -> tuple[Tensor, int]:
-    """Class probabilities (1 x 2 tensor) and the predicted class.
+    """Class probabilities (1 x 2 tensor) and the predicted class; the
+    logits are one affine node.
 
     Exact probability ties resolve to the negative class.
     """
     feats = ad.concat([s1, s2, er_selected])
-    logits = feats @ params["classifier.w"] + params["classifier.b"]
+    logits = ad.affine(feats, params["classifier.w"], params["classifier.b"])
     probs = ad.softmax(logits, axis=1)
     label = (CLASS_POSITIVE
              if probs.data[0, CLASS_POSITIVE] > probs.data[0, CLASS_NEGATIVE]

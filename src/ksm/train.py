@@ -204,12 +204,19 @@ def accumulate_batch_gradient(
     return float(-np.log(np.maximum(gold_probs, NLL_FLOOR)).sum() * scale)
 
 
+def _first_non_finite(arrays: Iterable[tuple[str, np.ndarray]]) -> str | None:
+    """The name of the first (name, array) pair holding a non-finite value."""
+    return next((name for name, a in arrays if not np.all(np.isfinite(a))),
+                None)
+
+
 def train_model(instances: list[CandidateInstance], store: KnowledgeStore,
                 model: KSMModel, train_config: TrainConfig) -> TrainResult:
     """Fit the model on labeled instances; returns it loaded with the best
-    parameters seen, plus the per-epoch log. A non-finite batch loss or
-    parameter gradient raises ValueError naming the epoch and batch (and
-    the first such parameter) before any optimizer step on that batch."""
+    parameters seen, plus the per-epoch log. A non-finite parameter before
+    a batch, batch loss or parameter gradient raises ValueError naming the
+    epoch and batch (and the first such parameter) before any optimizer
+    step on that batch."""
     if not instances:
         raise ValueError("empty training set")
     if any(inst.label == LABEL_UNLABELED for inst in instances):
@@ -240,17 +247,22 @@ def train_model(instances: list[CandidateInstance], store: KnowledgeStore,
         batch_losses = []
         for start in range(0, len(order), train_config.batch_size):
             batch = [resolved[i] for i in order[start:start + train_config.batch_size]]
+            where = f"epoch {epoch}, batch {len(batch_losses)}"
+            # the forward would raise first (`ad.pair_tanh_score` rejects NaN)
+            bad = _first_non_finite((n, p.data)
+                                    for n, p in model.params.items())
+            if bad is not None:
+                raise ValueError(f"non-finite training loss at {where}: "
+                                 f"parameter {bad!r} is not finite")
             model.params.zero_grad()
             loss = accumulate_batch_gradient(model, batch, rng)
             if not np.isfinite(loss):
-                raise ValueError(
-                    f"non-finite training loss {loss} at epoch {epoch}, "
-                    f"batch {len(batch_losses)}")
-            for name, p in model.params.items():
-                if not np.all(np.isfinite(p.grad)):
-                    raise ValueError(
-                        f"non-finite gradient of parameter {name!r} at epoch "
-                        f"{epoch}, batch {len(batch_losses)}")
+                raise ValueError(f"non-finite training loss {loss} at {where}")
+            bad = _first_non_finite((n, p.grad)
+                                    for n, p in model.params.items())
+            if bad is not None:
+                raise ValueError(f"non-finite gradient of parameter {bad!r} "
+                                 f"at {where}")
             optimizer.step()
             batch_losses.append(loss)
         mean_loss = sum(batch_losses) / len(batch_losses)

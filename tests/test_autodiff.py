@@ -270,6 +270,16 @@ def test_pair_tanh_score_domain_edge_is_finite_and_beyond_it_raises():
         ad.pair_tanh_score(Tensor([[np.inf, 0.0]]), edge, w)
 
 
+@pytest.mark.parametrize("where", ["a1", "a2", "both"])
+def test_pair_tanh_score_rejects_nan(where):
+    # a NaN next to a larger finite input: a NaN-dropping max would pass it
+    nan_row, big_row = Tensor([[np.nan, 0.0]]), Tensor([[300.0, -1.0]])
+    a1, a2 = {"a1": (nan_row, big_row), "a2": (big_row, nan_row),
+              "both": (nan_row, nan_row)}[where]
+    with pytest.raises(ValueError, match=r"pair_tanh_score.*nan.*350"):
+        ad.pair_tanh_score(a1, a2, Tensor(np.ones((2, 1))))
+
+
 def test_pair_tanh_score_memory_stays_tile_sized():
     rng = np.random.default_rng(12)
     n, d, mb = 160, 100, 1 << 20
@@ -357,6 +367,12 @@ _HEADS = [(3, 4), (1, 5), (4, 6), (5, 6), (4, 6), (4, 6), (6, 4)]
     (ad.feed_forward, [(3, 4), (4, 5), (4,), (5, 4), (4,)], []),
     (ad.feed_forward, [(3, 4), (4, 5), (5,), (4, 4), (4,)], []),
     (ad.residual_layer_norm, [(3, 4), (3, 5), (4,), (4,)], []),
+    (ad.affine, [(3, 4), (4, 5), (4,)], []),
+    (ad.affine, [(3, 4), (5, 5), (5,)], []),
+    (ad.softmax_pool, [(3, 4), (3, 5)], [0]),
+    (ad.softmax_pool, [(3, 4), (4, 5)], [1]),
+    (ad.softmax_pool, [(3, 4), (3, 5)], [2]),
+    (ad.softmax_pool, [(0, 4), (4, 5)], [0]),
 ])
 def test_fused_block_ops_reject_shapes_that_do_not_chain(op, shapes, extra):
     with pytest.raises(ValueError, match=op.__name__):
@@ -379,6 +395,88 @@ def test_mean_nll_clamps_warns_and_passes_no_gradient(caplog):
 def test_mean_nll_rejects_bad_picks(probs, index):
     with pytest.raises(ValueError, match="mean_nll"):
         ad.mean_nll([Tensor(np.ones(s)) for s in probs], index, floor=1e-12)
+
+
+def _chain_pool(scores, v, axis):
+    """softmax_pool's value as the chain of plain ops it replaces."""
+    p = ad.softmax(ad.mean(scores, axis=axis, keepdims=True), axis=1 - axis)
+    return (ad.transpose(p) if axis == 1 else p) @ v
+
+
+@pytest.mark.parametrize("op, shapes, fused, chain", [
+    ("softmax_pool_rows", [(7, 7), (7, 6)],
+     lambda s, v: ad.softmax_pool(s, v, 1)[0],
+     lambda s, v: _chain_pool(s, v, 1)),
+    ("softmax_pool_columns", [(5, 9), (9, 6)],
+     lambda s, v: ad.softmax_pool(s, v, 0)[0],
+     lambda s, v: _chain_pool(s, v, 0)),
+    ("softmax_pool_one_row", [(1, 1), (1, 6)],
+     lambda s, v: ad.softmax_pool(s, v, 1)[0],
+     lambda s, v: _chain_pool(s, v, 1)),
+    ("affine", [(5, 300), (300, 2), (2,)],
+     ad.affine, lambda x, w, b: x @ w + b),
+])
+def test_fused_pool_and_affine_equal_their_chains_bit_for_bit(
+        op, shapes, fused, chain):
+    rng = np.random.default_rng(len(op))
+    values = [rng.standard_normal(s) for s in shapes]
+    g = None
+    runs = []
+    for fn in (fused, chain):
+        ins = [Tensor(x, requires_grad=True) for x in values]
+        out = fn(*ins)
+        g = rng.standard_normal(out.shape) if g is None else g
+        ad.tensor_sum(ad.multiply(out, Tensor(g))).backward()
+        runs.append((out.data.tobytes(), [t.grad.tobytes() for t in ins]))
+    assert runs[0] == runs[1]
+
+
+def test_softmax_pool_returns_the_weights_as_a_plain_tensor():
+    rng = np.random.default_rng(3)
+    scores = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    for axis, v, shape in ((1, Tensor(np.ones((4, 2))), (4, 1)),
+                           (0, Tensor(np.ones((3, 2))), (1, 3))):
+        _, p = ad.softmax_pool(scores, v, axis)
+        assert p.shape == shape and not p.requires_grad
+        assert p.data.sum() == pytest.approx(1.0)
+
+
+# every op whose kernel writes in place: name -> (input shapes, op)
+_IN_PLACE_OPS = {
+    "mh_attention": ([(4, 6)] * 3, lambda q, k, v: ad.mh_attention(q, k, v, 2)),
+    "projected_attention": ([(4, 5), (1, 3), (5, 6), (3, 6), (5, 6), (5, 6),
+                             (6, 5)],
+                            lambda *ts: ad.projected_attention(*ts, 3)),
+    "feed_forward": ([(4, 5), (5, 7), (7,), (7, 5), (5,)], ad.feed_forward),
+    "layer_norm": ([(4, 6), (6,), (6,)], ad.layer_norm),
+    "residual_layer_norm": ([(4, 6), (4, 6), (6,), (6,)],
+                            ad.residual_layer_norm),
+    "pair_tanh_score": ([(4, 5), (3, 5), (5, 1)], ad.pair_tanh_score),
+    "softmax_pool_rows": ([(4, 3), (4, 5)],
+                          lambda s, v: ad.softmax_pool(s, v, 1)[0]),
+    "softmax_pool_columns": ([(4, 3), (3, 5)],
+                             lambda s, v: ad.softmax_pool(s, v, 0)[0]),
+    "affine": ([(4, 5), (5, 3), (3,)], ad.affine),
+}
+
+
+@pytest.mark.parametrize("name", _IN_PLACE_OPS)
+def test_in_place_kernels_leave_inputs_and_repeat_walks_unchanged(name):
+    shapes, op = _IN_PLACE_OPS[name]
+    rng = np.random.default_rng(len(name))
+    inputs = [Tensor(rng.standard_normal(s), requires_grad=True)
+              for s in shapes]
+    before = [t.data.tobytes() for t in inputs]
+    loss = ad.tensor_sum(ad.tanh(op(*inputs)))
+    assert [t.data.tobytes() for t in inputs] == before
+    walks = []
+    for _ in range(2):
+        for t in inputs:
+            t.zero_grad()
+        loss.backward()
+        assert [t.data.tobytes() for t in inputs] == before
+        walks.append([t.grad.tobytes() for t in inputs])
+    assert walks[0] == walks[1]
 
 
 def test_every_op_matches_finite_differences():

@@ -85,6 +85,21 @@ def test_explicit_unk_is_the_unk_row_before_and_after_a_round_trip(tmp_path):
                                       np.full((2, 2), 7.0))
 
 
+def test_word_table_unk_row_is_replaced_in_place_or_appended_last():
+    source = Embeddings.of({"a": np.ones(2), "UNK": np.zeros(2),
+                            "b": np.ones(2)}, 2)
+    kept = source.matrix.copy()
+    replaced = WordTable(source, 2, unk=np.full(2, 7.0))
+    assert list(replaced.vectors) == ["a", "UNK", "b"]
+    np.testing.assert_array_equal(replaced.unk, [7.0, 7.0])
+    np.testing.assert_array_equal(source.matrix, kept)   # source untouched
+    assert WordTable(source, 2).vectors is source        # nothing to add
+    appended = WordTable({"a": np.ones(2), "b": np.full(2, 3.0)}, 2)
+    assert list(appended.vectors) == ["a", "b", "UNK"]
+    np.testing.assert_array_equal(appended.vectors.matrix,
+                                  [[1.0, 1.0], [3.0, 3.0], [0.0, 0.0]])
+
+
 # ---------------------------------------------------------------------------
 # embedding files
 
