@@ -30,7 +30,7 @@ print("analytic  dL/dw:", np.round(w.grad[:, 0], 6))
 
 numeric = finite_difference(
     lambda: ad.mean(ad.multiply(x @ w - Tensor(y_true),
-                                x @ w - Tensor(y_true))), w)
+                                x @ w - Tensor(y_true))).item(), w)
 print("numeric   dL/dw:", np.round(numeric[:, 0], 6))
 print(f"max abs difference: {np.abs(w.grad - numeric).max():.2e}")
 

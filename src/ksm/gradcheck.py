@@ -7,14 +7,16 @@ near-zero gradients does not register as failure (an absolute tolerance
 of tol * 1e-3 there).
 
 `check_all_ops` sweeps every differentiable op in the engine;
-`check_full_model` differentiates a complete forward pass (dropout off)
-through embedding, both encoders, mutual attention, knowledge selection,
-the classifier and the loss, for sequence lengths 1, 2 and 5 at toy
-dimensions, over every parameter element.
+`check_full_model` differentiates the function training runs,
+`train.accumulate_batch_gradient` (dropout off), through embedding, both
+encoders, mutual attention, knowledge selection, the classifier and the
+loss, for sequence lengths 1, 2 and 5 at toy dimensions, over every
+parameter element.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -24,6 +26,7 @@ from .autodiff import Tensor
 from .corpus import CandidateInstance, LABEL_NEGATIVE, LABEL_POSITIVE
 from .kb import PairKnowledge
 from .model import KSMModel, ModelConfig, WordTable, nll_loss
+from .train import accumulate_batch_gradient
 
 FD_STEP = 1e-5
 
@@ -48,10 +51,10 @@ def gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(a - n) / denom).max())
 
 
-def finite_difference(f: Callable[[], Tensor], leaf: Tensor,
+def finite_difference(f: Callable[[], float], leaf: Tensor,
                       step: float = FD_STEP) -> np.ndarray:
-    """Central-difference d f / d leaf, evaluating f twice per element
-    (forward only: nothing is recorded)."""
+    """Central-difference d f / d leaf, evaluating the scalar f twice per
+    element (forward only: nothing is recorded)."""
     grad = np.zeros_like(leaf.data)
     flat = leaf.data.reshape(-1)
     gflat = grad.reshape(-1)
@@ -59,22 +62,18 @@ def finite_difference(f: Callable[[], Tensor], leaf: Tensor,
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            hi = f().item()
+            hi = f()
             flat[i] = orig - step
-            lo = f().item()
+            lo = f()
             flat[i] = orig
             gflat[i] = (hi - lo) / (2.0 * step)
     return grad
 
 
-def check_tensors(f: Callable[[], Tensor], leaves: dict[str, Tensor],
+def check_tensors(f: Callable[[], float], leaves: dict[str, Tensor],
                   name: str, tolerance: float = 1e-4) -> CheckResult:
-    """Compare tape gradients of scalar f() against finite differences."""
-    for t in leaves.values():
-        t.requires_grad = True
-        t.zero_grad()
-    loss = f()
-    loss.backward()
+    """Compare the gradients a backward pass left in the leaves' ``grad``
+    (None reads as zero) against finite differences of the scalar f()."""
     worst = 0.0
     for t in leaves.values():
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
@@ -217,8 +216,14 @@ def _suite(seed: int) -> list[tuple[str, dict[str, Tensor], Callable[[], Tensor]
 
 def check_all_ops(seed: int = 0, tolerance: float = 1e-4) -> list[CheckResult]:
     """FD-check every differentiable op on random inputs."""
-    return [check_tensors(fn, leaves, name, tolerance)
-            for name, leaves, fn in _suite(seed)]
+    results = []
+    for name, leaves, fn in _suite(seed):
+        for t in leaves.values():   # cases may share a leaf
+            t.zero_grad()
+        fn().backward()
+        results.append(check_tensors(lambda fn=fn: fn().item(), leaves, name,
+                                     tolerance))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +265,7 @@ def toy_batch(seed: int, d: int, lengths=(1, 2, 5), null_for: int = 0
 
 def check_full_model(seed: int = 0, tolerance: float = 1e-3,
                      **config_overrides) -> CheckResult:
-    """End-to-end FD check over every parameter of a toy configuration."""
+    """End-to-end FD check of training's loss over a toy configuration."""
     model = toy_model(seed=seed, **config_overrides)
     # a nonzero null vector so its gradient path is generic
     model.params["knowledge.null_relation"].data[:] = \
@@ -268,8 +273,10 @@ def check_full_model(seed: int = 0, tolerance: float = 1e-3,
     batch = toy_batch(seed + 3, model.config.d_kb)
     label = "full_model" + ("" if not config_overrides
                             else f"[{config_overrides}]")
-    return check_tensors(lambda: model.batch_loss(batch, train=False),
-                         dict(model.params.items()), label, tolerance)
+    # dropout is off, so no rng is read
+    loss = partial(accumulate_batch_gradient, model, batch, None)
+    loss()
+    return check_tensors(loss, dict(model.params.items()), label, tolerance)
 
 
 def run_report(seed: int = 0) -> tuple[list[CheckResult], bool]:

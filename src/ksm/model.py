@@ -25,11 +25,10 @@ weight individually; every matrix is stored (in, out), as it is used.
 Forward passes over distinct instances with frozen parameters may run
 in parallel; only the training loop mutates them.
 
-`KSMModel.batch_loss` defines the training objective, the mean NLL of the
-gold classes over a batch, as one graph; it is what the gradient checks
-verify. Training walks one instance's share of it at a time
-(`train.accumulate_batch_gradient`) and gets the same loss and
-gradients, bit for bit.
+`nll_loss` is the loss of the training objective, the mean NLL of the
+gold classes over a batch; `train.accumulate_batch_gradient` applies it
+to one instance's probabilities at a time, and is what training runs and
+the gradient checks verify.
 """
 
 from __future__ import annotations
@@ -538,14 +537,6 @@ class KSMModel:
         if cfg.selector_target in ("relation", "both"):
             er = knowledge_select(s1, s2, er, self.params, cfg)
         return classify(s1, s2, er, self.params)
-
-    def batch_loss(self, batch: Sequence[tuple[CandidateInstance, PairKnowledge]],
-                   train: bool = True,
-                   rng: np.random.Generator | None = None) -> Tensor:
-        """The training objective over a batch, as one graph."""
-        probs = [self.forward_instance(inst, kn, train=train, rng=rng)[0]
-                 for inst, kn in batch]
-        return nll_loss(probs, [gold_class(inst) for inst, _ in batch])
 
     def save(self, path) -> None:
         from .checkpoint import save_checkpoint

@@ -24,10 +24,10 @@ class Adadelta:
                  rho: float = 0.95, eps: float = 1e-6):
         if not 0.0 < rho < 1.0:
             raise ValueError(f"rho must be in (0, 1), got {rho}")
-        if eps <= 0.0:
+        if not eps > 0.0:
             raise ValueError(f"eps must be positive, got {eps}")
-        if lr < 0.0:
-            raise ValueError(f"lr must be nonnegative, got {lr}")
+        if not (np.isfinite(lr) and lr >= 0.0):
+            raise ValueError(f"lr must be finite and nonnegative, got {lr}")
         self.params = params
         self.lr = lr
         self.rho = rho

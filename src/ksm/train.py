@@ -1,15 +1,17 @@
 """Training loop, document-level prediction aggregation and micro P/R/F.
 
-Training runs Adadelta over seeded shuffles of the labeled instances. A
-batch's gradient is accumulated one instance at a time: each instance's
-share of the batch loss (its NLL over the batch size) is built, walked
-and dropped before the next instance's forward pass, so memory is bounded
-by one instance's graph whatever the batch size, and the loss and
-gradients are bit-identical to walking `KSMModel.batch_loss`. A
-deterministic fraction of documents (by SHA-1 of doc_id) is held out; the
-checkpoint with the best held-out F1 is retained and early stopping fires
-after `patience` epochs without improvement. With no held-out documents
-the best epoch is picked by training loss instead.
+Training runs Adadelta over seeded shuffles of the labeled instances.
+`accumulate_batch_gradient` defines the training objective, the mean NLL
+of the gold classes over a batch, and is what the gradient checks
+differentiate. It builds, walks and drops each instance's share (its
+`model.nll_loss` over the batch size) before the next instance's forward
+pass, so memory is bounded by one instance's graph whatever the batch
+size.
+
+A deterministic fraction of documents (by SHA-1 of doc_id) is held out;
+the checkpoint with the best held-out F1 is retained and early stopping
+fires after `patience` epochs without improvement. With no held-out
+documents the best epoch is picked by training loss instead.
 
 A document-level pair counts as predicted positive as soon as any one of
 its candidate instances is classified positive. Scores pool TP/FP/FN over
@@ -30,7 +32,7 @@ from .autodiff import backward, no_grad
 from .corpus import (CandidateInstance, Document, LABEL_POSITIVE,
                      LABEL_UNLABELED, sorted_pair)
 from .kb import KnowledgeStore, PairKnowledge, resolve_pair_knowledge
-from .model import CLASS_POSITIVE, NLL_FLOOR, KSMModel, gold_class
+from .model import CLASS_POSITIVE, KSMModel, gold_class
 from .optim import Adadelta
 
 logger = logging.getLogger(__name__)
@@ -48,8 +50,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.lr < 0:
-            raise ValueError("lr must be nonnegative")
+        if not (np.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(
+                f"lr must be finite and nonnegative, got {self.lr}")
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise ValueError("holdout_fraction must be in [0, 1)")
 
@@ -181,27 +184,25 @@ class TrainResult:
 def accumulate_batch_gradient(
         model: KSMModel,
         batch: list[tuple[CandidateInstance, PairKnowledge]],
-        rng: np.random.Generator) -> float:
-    """Add d batch_loss / d param to every parameter's ``grad`` and return
-    the batch loss, walking one instance's graph at a time.
+        rng: np.random.Generator | None) -> float:
+    """The training objective: add d loss / d param to every parameter's
+    ``grad`` and return the loss, the mean NLL of the gold classes over
+    `batch`, walking one instance's graph at a time.
 
-    Instances run in batch order from the same `rng`, so the dropout draws
-    match `model.batch_loss(batch, train=True, rng=rng)`; loss and gradients
-    equal what walking that one graph gives, bit for bit.
+    Instances run in batch order, drawing their dropout masks from `rng`
+    (which may be None when dropout is off).
     """
     scale = 1.0 / len(batch)
-    gold_probs = []
+    losses = []
     for inst, kn in batch:
         probs, _ = model.forward_instance(inst, kn, train=True, rng=rng)
-        gold = gold_class(inst)
-        gold_probs.append(probs.data[0, gold])
-        # module lookup at call time, so a wrapper set on the attribute
+        # module lookups at call time, so a wrapper set on the attribute
         # sees every call
-        inst_loss = ksm_model.nll_loss([probs], [gold]) * scale
-        backward(inst_loss, model.params)  # zero-fills params off the graph
-        del probs, inst_loss   # free this graph before the next forward
-    # nll_loss's arithmetic over the whole batch
-    return float(-np.log(np.maximum(gold_probs, NLL_FLOOR)).sum() * scale)
+        nll = ksm_model.nll_loss([probs], [gold_class(inst)])
+        losses.append(nll.item())
+        backward(nll * scale, model.params)  # zero-fills params off the graph
+        del probs, nll   # free this graph before the next forward
+    return float(np.sum(losses) * scale)
 
 
 def _first_non_finite(arrays: Iterable[tuple[str, np.ndarray]]) -> str | None:
@@ -244,10 +245,10 @@ def train_model(instances: list[CandidateInstance], store: KnowledgeStore,
 
     for epoch in range(train_config.max_epochs):
         order = rng.permutation(len(resolved))
-        batch_losses = []
+        losses = []
         for start in range(0, len(order), train_config.batch_size):
             batch = [resolved[i] for i in order[start:start + train_config.batch_size]]
-            where = f"epoch {epoch}, batch {len(batch_losses)}"
+            where = f"epoch {epoch}, batch {len(losses)}"
             # the forward would raise first (`ad.pair_tanh_score` rejects NaN)
             bad = _first_non_finite((n, p.data)
                                     for n, p in model.params.items())
@@ -264,8 +265,8 @@ def train_model(instances: list[CandidateInstance], store: KnowledgeStore,
                 raise ValueError(f"non-finite gradient of parameter {bad!r} "
                                  f"at {where}")
             optimizer.step()
-            batch_losses.append(loss)
-        mean_loss = sum(batch_losses) / len(batch_losses)
+            losses.append(loss)
+        mean_loss = sum(losses) / len(losses)
 
         if heldout:
             preds = _predict_resolved(model, heldout_resolved)

@@ -15,7 +15,6 @@ import pytest
 
 from ksm.autodiff import Tensor
 from ksm.corpus import instance_to_json, preprocess_document, read_corpus
-from ksm.gradcheck import check_all_ops, check_full_model
 from ksm.kb import init_embeddings, mean_energies, tail_rank, transe_train
 from ksm.model import (KSMModel, ModelConfig, build_params, knowledge_select,
                        multi_head_attention, mutual_attention)
@@ -58,14 +57,14 @@ def test_criterion_2_headline_scores_substituted_by_properties():
     _report(2, True, "documented substitution; see criteria 3-9")
 
 
-def test_criterion_3_gradient_suites():
-    start = time.perf_counter()
-    op_results = check_all_ops(seed=0, tolerance=1e-4)
-    full = check_full_model(seed=0, tolerance=1e-3)
-    elapsed = time.perf_counter() - start
+def test_criterion_3_gradient_suites(seed0_gradient_report):
+    # the per-op suite, then the full model, as `ksm gradcheck` runs them
+    results, _, elapsed = seed0_gradient_report
+    *op_results, full = results
     worst_op = max(r.max_rel_err for r in op_results)
-    ok = (all(r.passed for r in op_results) and full.passed
-          and elapsed < 120.0)
+    ok = (all(r.passed and r.tolerance == 1e-4 for r in op_results)
+          and full.name == "full_model" and full.tolerance == 1e-3
+          and full.passed and elapsed < 120.0)
     _report(3, ok, f"per-op max {worst_op:.2e} (<1e-4), "
                    f"full model {full.max_rel_err:.2e} (<1e-3), "
                    f"{elapsed:.1f}s")

@@ -238,12 +238,38 @@ def test_ablate_emits_the_six_row_selector_grid(tmp_path, capsys):
                      "sum/relu", "sum/sigmoid", "sum/tanh"]
 
 
-def test_gradcheck_passes_and_prints_max_error(capsys):
+def test_gradcheck_passes_and_prints_max_error(capsys, monkeypatch,
+                                              seed0_gradient_report):
+    # the suites themselves run once per session (see conftest)
+    results, ok, _ = seed0_gradient_report
+    calls = []
+
+    def report(seed):
+        calls.append(seed)
+        return results, ok
+
+    monkeypatch.setattr("ksm.cli.run_report", report)
     rc = main(["gradcheck", "--seed", "0"])
     out = capsys.readouterr().out
+    assert calls == [0]
     assert rc == 0
     assert "PASS" in out and "max relative error" in out
     assert "full_model" in out
+
+
+def test_gradcheck_failing_suite_prints_fail_and_exits_1(capsys,
+                                                        monkeypatch):
+    from ksm.gradcheck import CheckResult
+    results = [CheckResult("matmul", 1e-8, 1e-4),
+               CheckResult("full_model", 2e-3, 1e-3)]
+    monkeypatch.setattr("ksm.cli.run_report",
+                        lambda seed: (results, all(r.passed for r in results)))
+    rc = main(["gradcheck", "--seed", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert lines[0].startswith("matmul") and lines[0].endswith("PASS")
+    assert lines[1].startswith("full_model") and lines[1].endswith("FAIL")
+    assert lines[2] == "FAIL (max relative error 2.000e-03)"
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +383,37 @@ def test_d_head_config_key_rejected(tmp_path, capsys):
     assert "d_head" in capsys.readouterr().err
 
 
-def test_non_finite_training_loss_exits_2(tmp_path, capsys):
+def test_nan_learning_rate_exits_2(tmp_path, capsys):
     inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
+    out = tmp_path / "m.ckpt"
     rc = main(["train", "--instances", str(inst_path),
                "--word-embeddings", str(words_path), "--kb-dir", str(kb_dir),
-               "--out", str(tmp_path / "m.ckpt"), "--lr", "nan"]
-              + FAST_TRAIN)
+               "--out", str(out), "--lr", "nan"] + FAST_TRAIN)
     assert rc == 2
-    assert "error: non-finite training loss" in capsys.readouterr().err
+    assert ("error: lr must be finite and nonnegative, got nan"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_non_finite_training_loss_exits_2(tmp_path, capsys, monkeypatch):
+    from ksm.optim import Adadelta
+    step = Adadelta.step
+
+    def poisoned(self):
+        # the first optimizer step leaves a NaN parameter behind
+        step(self)
+        self.params["classifier.b"].data[0] = np.nan
+
+    monkeypatch.setattr(Adadelta, "step", poisoned)
+    inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
+    out = tmp_path / "m.ckpt"
+    rc = main(["train", "--instances", str(inst_path),
+               "--word-embeddings", str(words_path), "--kb-dir", str(kb_dir),
+               "--out", str(out)] + FAST_TRAIN)
+    assert rc == 2
+    assert ("error: non-finite training loss at epoch 0, batch 1: "
+            "parameter 'classifier.b' is not finite") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_non_finite_gradient_exits_2(tmp_path, capsys, monkeypatch):

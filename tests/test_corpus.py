@@ -288,7 +288,7 @@ def test_instance_without_tokens_rejected():
 
 
 def test_instance_unknown_label_rejected():
-    # batch_loss would otherwise train any non-positive label as negative
+    # training would otherwise take any non-positive label as negative
     with pytest.raises(CorpusError, match="f.jsonl:7: unknown label 'pos'"):
         instance_from_json(_instance_line(label="pos"), where="f.jsonl:7")
 

@@ -15,10 +15,11 @@ from ksm.kb import PairKnowledge
 from ksm.model import (CLASS_NEGATIVE, CLASS_POSITIVE, ConfigError,
                        KSMModel, ModelConfig, WordTable, build_params,
                        classify, embed_context, encode, encoder_block,
-                       entity_knowledge_select, knowledge_select,
+                       entity_knowledge_select, gold_class, knowledge_select,
                        multi_head_attention, mutual_attention, nll_loss,
                        pool_variants, separate_attention,
                        sinusoidal_encoding)
+from ksm.train import accumulate_batch_gradient
 
 
 def _inst(tokens, pos1=None, pos2=None, label="positive"):
@@ -550,7 +551,7 @@ def test_loss_half_probability_is_ln2():
     assert loss.item() == pytest.approx(math.log(2.0), abs=1e-9)
 
 
-def test_batch_loss_is_mean_of_instance_losses():
+def test_nll_loss_is_mean_of_instance_losses():
     p1, p2 = Tensor([[0.3, 0.7]]), Tensor([[0.9, 0.1]])
     joint = nll_loss([p1, p2], [1, 0])
     separate = (nll_loss([Tensor([[0.3, 0.7]])], [1]).item()
@@ -629,15 +630,15 @@ def test_paper_config_instance_graph_stays_within_100_nodes():
     kn = PairKnowledge(*(rng.standard_normal(cfg.d_kb) for _ in range(3)),
                        er_is_null=False, e1_is_fallback=False,
                        e2_is_fallback=False)
-    loss = model.batch_loss([(inst, kn)], train=True, rng=rng)
+    probs, _ = model.forward_instance(inst, kn, train=True, rng=rng)
+    loss = nll_loss([probs], [gold_class(inst)])
     assert _tape_nodes(loss) <= 100
 
 
 def test_null_relation_parameter_receives_gradient():
     model = toy_model(seed=1)
     batch = toy_batch(2, model.config.d_kb, lengths=(2,), null_for=0)
-    model.params.zero_grad()
-    model.batch_loss(batch, train=False).backward()
+    accumulate_batch_gradient(model, batch, None)
     g = model.params["knowledge.null_relation"].grad
     assert g is not None and np.abs(g).sum() > 0
 
@@ -653,30 +654,38 @@ def test_null_relation_parameter_receives_gradient():
     {"pooling": "average"},
     {"shared_encoder": True},
     {"position_encoding": "learned"},
+    {"dropout_rate": 0.3},
+    {"dropout_rate": 0.3, "position_encoding": "learned",
+     "selector_target": "both"},
 ])
 def test_variant_gradients_spot_checked(overrides):
     # full FD over all parameters is reserved for the default config in the
-    # acceptance suite; variants get a sampled check to catch wiring bugs
-    model = toy_model(seed=13, n_blocks=1, **overrides)
+    # acceptance suite; variants get a sampled check of the training
+    # gradient to catch wiring bugs
+    config = dict(overrides)
+    dropout_rate = config.pop("dropout_rate", 0.0)
+    model = toy_model(seed=13, n_blocks=1, **config)
+    model.config.dropout_rate = dropout_rate
     batch = toy_batch(17, model.config.d_kb, lengths=(2, 3))
 
     def loss_fn():
-        return model.batch_loss(batch, train=False)
+        # a fresh rng per call: every evaluation draws the same masks
+        return accumulate_batch_gradient(model, batch,
+                                         np.random.default_rng(23))
 
-    model.params.zero_grad()
-    loss_fn().backward()
+    loss_fn()
     rng = np.random.default_rng(19)
     worst = 0.0
     for name, p in model.params.items():
         flat = p.data.reshape(-1)
-        gflat = (p.grad if p.grad is not None
-                 else np.zeros_like(p.data)).reshape(-1)
+        gflat = p.grad.reshape(-1)
         for i in rng.choice(flat.size, size=min(3, flat.size), replace=False):
             orig = flat[i]
-            flat[i] = orig + 1e-5
-            hi = loss_fn().item()
-            flat[i] = orig - 1e-5
-            lo = loss_fn().item()
+            with ad.no_grad():
+                flat[i] = orig + 1e-5
+                hi = loss_fn()
+                flat[i] = orig - 1e-5
+                lo = loss_fn()
             flat[i] = orig
             numeric = (hi - lo) / 2e-5
             worst = max(worst, gradient_error(gflat[i], numeric))

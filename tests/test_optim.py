@@ -97,7 +97,9 @@ def test_invalid_hyperparameters_rejected():
     store = _store_with(0.0)
     with pytest.raises(ValueError):
         Adadelta(store, rho=1.0)
-    with pytest.raises(ValueError):
-        Adadelta(store, eps=0.0)
-    with pytest.raises(ValueError):
-        Adadelta(store, lr=-0.1)
+    for eps in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            Adadelta(store, eps=eps)
+    for lr in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr must be finite"):
+            Adadelta(store, lr=lr)
