@@ -26,15 +26,15 @@ Semantics worth knowing:
 
 The op vocabulary is fixed and small: 2-D matmul, add, multiply, neg,
 concat (last axis), row gather, reshape, 2-D transpose, sum/mean over an
-axis, amax, tanh, sigmoid, relu, log, softmax, layer_norm, dropout, and
-fused ops, each one tape node with a hand-written backward in place of a
-chain of small ones:
+axis, amax, tanh, sigmoid, relu, softmax, dropout, and fused ops, each
+one tape node with a hand-written backward in place of a chain of small
+ones:
 
 - the affine map ``x w + b``;
-- multi-head scaled dot-product attention over (L, H*dh) operands, and
-  the same with its query, key, value and output projections;
+- multi-head scaled dot-product attention with its query, key, value
+  and output projections;
 - the feed-forward sublayer ``relu(x w1 + b1) w2 + b2``;
-- layer norm of a residual sum, ``layer_norm(x + y)``;
+- layer norm of a residual sum ``x + y``;
 - the mean negative log of one picked entry per probability row,
   clamped below at a floor;
 - the pair score ``tanh(a1[i] + a2[j]) @ w`` over all row pairs of two
@@ -45,8 +45,7 @@ chain of small ones:
 The fused ops take the same products and sums as the chains they
 replace, so their values are the chains' bit for bit, and so are their
 gradients up to the order in which an input read by several nodes adds
-up its contributions. The attention and layer-norm kernels each exist
-once, shared by the plain op and its fused form.
+up its contributions.
 
 Kernels compute in place only in arrays they have just allocated
 themselves: an op never writes into an input's data, into an array
@@ -54,14 +53,8 @@ another node keeps, or into a gradient it was handed, so a recorded
 graph can be walked again with the same result.
 
 The pair score is the one op whose intermediate grows with the square of
-the sequence length. It uses ``tanh(x + y) = 1 - 2 u / (u + v)`` with
-``u = exp(-2 x)`` and ``v = exp(2 y)``, so it takes exponentials per row,
-not per pair, and streams row tiles of the (L1, L2, d) pair array through
-one buffer of about half a megabyte, starting on a cache line, that stays
-in cache. Its tape keeps
-only u and v, and backward recomputes each tile. The identity is exact
-while every |input| is at most 350; beyond that, or on a NaN input, the
-op raises ValueError rather than return overflowed or NaN values.
+the sequence length; `pair_tanh_score` streams it through one buffer that
+stays in cache, and says which inputs it rejects.
 
 Tensors are plain values and safe to copy between threads; a recorded
 graph belongs to the thread that built it. Training is single-threaded;
@@ -499,24 +492,12 @@ def _clamp(x: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(x, floor), low
 
 
-def log(a: Tensor, floor: float | None = None) -> Tensor:
-    """Natural log. With `floor`, inputs below it are clamped (grad 0 there)."""
-    clipped, low = (a.data, None) if floor is None else _clamp(a.data, floor)
-
-    def backward(g):
-        if a.requires_grad:
-            dx = g / clipped
-            a._accumulate(dx if low is None else np.where(low, 0.0, dx))
-
-    return _make(np.log(clipped), (a,), backward)
-
-
 def mean_nll(probs: Sequence[Tensor], index: Sequence[int],
              floor: float) -> Tensor:
     """``-mean_i log(max(probs[i][0, index[i]], floor))`` as one node.
 
     Each ``probs[i]`` is a (1, C) row. A picked entry below `floor` is
-    clamped there, with a warning (see `log`), and gets no gradient.
+    clamped there and gets no gradient; a warning names how many were.
     """
     if len(probs) != len(index) or not probs:
         raise ValueError("mean_nll needs equal-length, nonempty probs and "
@@ -597,76 +578,18 @@ def softmax_pool(scores: Tensor, v: Tensor, axis: int) -> tuple[Tensor, Tensor]:
     return _make(row @ v.data, (scores, v), backward), Tensor(p)
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int):
-    """The attention kernel of `mh_attention` on (L, H*dh) arrays.
-
-    Returns the (L, H*dh) output and ``grads(g)``, which maps the output's
-    gradient to those of q, k and v. The closure keeps the (H, L, L)
-    attention weights.
-    """
-    length, width = q.shape
-    dh = width // n_heads
-
-    def split(t: np.ndarray) -> np.ndarray:      # (L, H*dh) -> (H, L, dh)
-        return t.reshape(length, n_heads, dh).transpose(1, 0, 2)
-
-    def merge(t: np.ndarray) -> np.ndarray:      # (H, L, dh) -> (L, H*dh)
-        return t.transpose(1, 0, 2).reshape(length, width)
-
-    qh, kh, vh = split(q), split(k), split(v)
-    c = 1.0 / np.sqrt(dh)
-    p = qh @ kh.transpose(0, 2, 1)      # (H, L, L): scores, then weights
-    p *= c
-    _softmax_in_place(p, axis=-1)
-
-    def grads(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        gh = split(g)
-        ds = _softmax_grad(p, gh @ vh.transpose(0, 2, 1), axis=-1) * c
-        return (merge(ds @ kh), merge(ds.transpose(0, 2, 1) @ qh),
-                merge(p.transpose(0, 2, 1) @ gh))
-
-    return merge(p @ vh), grads
-
-
-def _check_heads(name: str, width: int, n_heads: int) -> None:
-    if n_heads < 1 or width % n_heads:
-        raise ValueError(f"{name}: width {width} is not a positive "
-                         f"multiple of n_heads {n_heads}")
-
-
-def mh_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention as one node.
-
-    q, k and v are (L, H*dh), and head h owns columns h*dh:(h+1)*dh of
-    each. Per head, ``softmax(q_h k_h^T / sqrt(dh)) v_h`` over the rows;
-    the heads' outputs sit side by side in the (L, H*dh) result, in the
-    same columns. The tape keeps the (H, L, L) attention weights, and
-    backward runs the softmax, scale and both products in reverse.
-    """
-    if q.data.ndim != 2 or not q.shape == k.shape == v.shape:
-        raise ValueError(f"mh_attention expects three equal (L, H*dh) "
-                         f"operands, got {q.shape}, {k.shape} and {v.shape}")
-    _check_heads("mh_attention", q.shape[1], n_heads)
-    out, grads = _attend(q.data, k.data, v.data, n_heads)
-
-    def backward(g):
-        for t, dt in zip((q, k, v), grads(g)):
-            if t.requires_grad:
-                t._accumulate(dt)
-
-    return _make(out, (q, k, v), backward)
-
-
 def projected_attention(x: Tensor, e: Tensor, wq_x: Tensor, wq_e: Tensor,
                         wk: Tensor, wv: Tensor, wh: Tensor,
                         n_heads: int) -> Tensor:
-    """``mh_attention(x wq_x + e wq_e, x wk, x wv, n_heads) wh`` as one node.
+    """Multi-head attention with its four projections, as one node.
 
     x is (L, d) and e is one (1, d_e) row added to every query; wq_x, wk
     and wv are (d, H*dh), wq_e is (d_e, H*dh) and wh is (H*dh, d_out).
-    Forward and backward take the same products as the unfused chain,
-    with the head split, softmax and their gradients from `mh_attention`'s
-    kernel. The tape keeps q, k, v, the attention weights and the mix.
+    Head h owns columns h*dh:(h+1)*dh of ``q = x wq_x + e wq_e``,
+    ``k = x wk`` and ``v = x wv`` and computes
+    ``softmax(q_h k_h^T / sqrt(dh)) v_h`` over the rows; the heads'
+    outputs, side by side in the same columns, are multiplied by wh. The
+    tape keeps q, k, v, the (H, L, L) attention weights and the mix.
     """
     width = wq_x.shape[-1]
     if (x.data.ndim != 2 or e.data.ndim != 2 or e.shape[0] != 1
@@ -677,16 +600,34 @@ def projected_attention(x: Tensor, e: Tensor, wq_x: Tensor, wq_e: Tensor,
                          f"e {e.shape}, wq_x {wq_x.shape}, wq_e {wq_e.shape}, "
                          f"wk {wk.shape}, wv {wv.shape}, wh {wh.shape} do "
                          "not chain")
-    _check_heads("projected_attention", width, n_heads)
+    if n_heads < 1 or width % n_heads:
+        raise ValueError(f"projected_attention: width {width} is not a "
+                         f"positive multiple of n_heads {n_heads}")
     xd = x.data
+    length, dh = xd.shape[0], width // n_heads
+
+    def split(t: np.ndarray) -> np.ndarray:      # (L, H*dh) -> (H, L, dh)
+        return t.reshape(length, n_heads, dh).transpose(1, 0, 2)
+
+    def merge(t: np.ndarray) -> np.ndarray:      # (H, L, dh) -> (L, H*dh)
+        return t.transpose(1, 0, 2).reshape(length, width)
+
     q = xd @ wq_x.data
     q += e.data @ wq_e.data
-    mix, grads = _attend(q, xd @ wk.data, xd @ wv.data, n_heads)
+    qh, kh, vh = split(q), split(xd @ wk.data), split(xd @ wv.data)
+    c = 1.0 / np.sqrt(dh)
+    p = qh @ kh.transpose(0, 2, 1)      # (H, L, L): scores, then weights
+    p *= c
+    _softmax_in_place(p, axis=-1)
+    mix = merge(p @ vh)
 
     def backward(g):
         if wh.requires_grad:
             wh._accumulate(mix.T @ g)
-        dq, dk, dv = grads(g @ wh.data.T)
+        gh = split(g @ wh.data.T)
+        ds = _softmax_grad(p, gh @ vh.transpose(0, 2, 1), axis=-1) * c
+        dq, dk, dv = (merge(ds @ kh), merge(ds.transpose(0, 2, 1) @ qh),
+                      merge(p.transpose(0, 2, 1) @ gh))
         dq_e = dq.sum(axis=0, keepdims=True)     # e's row serves every query
         for w, a, dw in ((wq_x, xd, dq), (wq_e, e.data, dq_e), (wk, xd, dk),
                          (wv, xd, dv)):
@@ -758,79 +699,46 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     return _make(out, (x, w1, b1, w2, b2), backward)
 
 
-def _check_norm(x: np.ndarray, gamma: Tensor, beta: Tensor,
-                eps: float) -> None:
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
-    n = x.shape[-1] if x.ndim else 0
-    if n == 0:
-        raise ValueError("layer_norm over a zero-length axis")
-    if gamma.shape != (n,) or beta.shape != (n,):
-        raise ValueError(
-            f"gamma/beta must have shape ({n},), got {gamma.shape}/{beta.shape}")
+def residual_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
+                        eps: float = 1e-5) -> Tensor:
+    """Layer norm of the residual sum ``s = x + y`` as one node.
 
-
-def _normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-               eps: float):
-    """The layer-norm kernel over the last axis of x.
-
-    Returns the output and ``grads(g)``, which maps the output's gradient
-    to those of x, gamma and beta. Statistics are sums over n, which is
-    what ``np.mean`` and ``np.var`` compute, without their wrappers. The
-    closure keeps the normalized x and the inverse deviations.
+    Each last-axis slice of s becomes
+    ``(s - mean) / sqrt(var + eps) * gamma + beta``; gamma and beta span
+    the last axis, and x and y, of one shape, both get the gradient of s.
+    Mean and variance are sums over the slice's n entries divided by n,
+    what ``np.mean`` and ``np.var`` compute without their wrappers. The
+    tape keeps the normalized sum and the inverse deviations.
     """
-    n = x.shape[-1]
-    xhat = x - x.sum(axis=-1, keepdims=True) / n    # the deviations, then xhat
+    if x.shape != y.shape:
+        raise ValueError(f"residual_layer_norm: {x.shape} + {y.shape}")
+    if eps <= 0:
+        raise ValueError(f"residual_layer_norm: eps {eps} is not positive")
+    n = x.shape[-1] if x.data.ndim else 0
+    if n == 0 or gamma.shape != (n,) or beta.shape != (n,):
+        raise ValueError(f"residual_layer_norm: gamma {gamma.shape} and beta "
+                         f"{beta.shape} must span a nonempty last axis of "
+                         f"{x.shape}")
+    s = x.data + y.data
+    xhat = s - s.sum(axis=-1, keepdims=True) / n    # the deviations, then xhat
     inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / n + eps)
     xhat *= inv
 
-    def grads(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        dxhat = g * gamma
+    def backward(g):
+        dxhat = g * gamma.data
         m1 = dxhat.sum(axis=-1, keepdims=True) / n
         m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
-        return (inv * (dxhat - m1 - xhat * m2),
-                (g * xhat).reshape(-1, n).sum(axis=0),
-                g.reshape(-1, n).sum(axis=0))
-
-    out = xhat * gamma
-    out += beta
-    return out, grads
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               eps: float = 1e-5) -> Tensor:
-    """Normalize each last-axis slice to zero mean / unit variance.
-
-    Output is ``(x - mean) / sqrt(var + eps) * gamma + beta``; gamma and
-    beta span the last axis.
-    """
-    _check_norm(x.data, gamma, beta, eps)
-    out, grads = _normalize(x.data, gamma.data, beta.data, eps)
-
-    def backward(g):
-        for t, dt in zip((x, gamma, beta), grads(g)):
+        ds = inv * (dxhat - m1 - xhat * m2)
+        for t in (x, y):
             if t.requires_grad:
-                t._accumulate(dt)
+                t._accumulate(ds)
+        if gamma.requires_grad:
+            gamma._accumulate((g * xhat).reshape(-1, n).sum(axis=0))
+        if beta.requires_grad:
+            beta._accumulate(g.reshape(-1, n).sum(axis=0))
 
-    return _make(out, (x, gamma, beta), backward)
-
-
-def residual_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
-                        eps: float = 1e-5) -> Tensor:
-    """``layer_norm(x + y, gamma, beta, eps)`` as one node; x and y have
-    one shape, and both get the gradient of the sum."""
-    if x.shape != y.shape:
-        raise ValueError(f"residual_layer_norm: {x.shape} + {y.shape}")
-    s = x.data + y.data
-    _check_norm(s, gamma, beta, eps)
-    out, grads = _normalize(s, gamma.data, beta.data, eps)
-
-    def backward(g):
-        ds, dgamma, dbeta = grads(g)
-        for t, dt in ((x, ds), (y, ds), (gamma, dgamma), (beta, dbeta)):
-            if t.requires_grad:
-                t._accumulate(dt)
-
+    out = xhat * gamma.data
+    out += beta.data
     return _make(out, (x, y, gamma, beta), backward)
 
 

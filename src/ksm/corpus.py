@@ -88,6 +88,13 @@ class PreprocessConfig:
     strip_chars: str = "*†‡§®™"  # * † ‡ § ® ™
     drop_tokens: frozenset = frozenset("()[]{}")
 
+    def __post_init__(self):
+        if self.max_sentence_distance < 1:
+            raise CorpusError(f"max_sentence_distance must be >= 1, got "
+                              f"{self.max_sentence_distance}")
+        if self.expansion < 0:
+            raise CorpusError(f"expansion must be >= 0, got {self.expansion}")
+
 
 def sorted_pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)

@@ -137,19 +137,10 @@ def _suite(seed: int) -> list[tuple[str, dict[str, Tensor], Callable[[], Tensor]
         suite.append((name, {"x": x},
                       lambda x=x, fn=fn: ad.tensor_sum(fn(x))))
 
-    x = Tensor(rng.uniform(0.5, 3.0, size=(3, 4)), requires_grad=True)
-    suite.append(("log", {"x": x},
-                  lambda x=x: ad.tensor_sum(ad.log(x))))
-
     x = t(3, 4)
     w = t(4, 1)
     suite.append(("softmax", {"x": x, "w": w},
                   lambda x=x, w=w: ad.tensor_sum(ad.softmax(x, axis=1) @ w)))
-
-    x, g, b = t(3, 6), Tensor(rng.uniform(0.5, 1.5, 6), requires_grad=True), t(6)
-    suite.append(("layer_norm", {"x": x, "gamma": g, "beta": b},
-                  lambda x=x, g=g, b=b: ad.tensor_sum(
-                      ad.tanh(ad.layer_norm(x, g, b, 1e-5)))))
 
     x = t(2, 3)
     suite.append(("neg_scale_sum", {"x": x},
@@ -159,11 +150,6 @@ def _suite(seed: int) -> list[tuple[str, dict[str, Tensor], Callable[[], Tensor]
     suite.append(("pair_tanh_score", {"a1": a1, "a2": a2, "w": w},
                   lambda a1=a1, a2=a2, w=w: ad.tensor_sum(
                       ad.tanh(ad.pair_tanh_score(a1, a2, w)))))
-
-    q, k, v = t(3, 4), t(3, 4), t(3, 4)
-    suite.append(("mh_attention", {"q": q, "k": k, "v": v},
-                  lambda q=q, k=k, v=v: ad.tensor_sum(
-                      ad.tanh(ad.mh_attention(q, k, v, 2)))))
 
     # x with and without a gradient (an encoder's first block reads a
     # constant sequence), and a single position
@@ -211,6 +197,12 @@ def _suite(seed: int) -> list[tuple[str, dict[str, Tensor], Callable[[], Tensor]
     suite.append(("affine", {"x": x, "w": w, "b": b},
                   lambda x=x, w=w, b=b: ad.tensor_sum(
                       ad.tanh(ad.affine(x, w, b)))))
+
+    # a fresh generator per evaluation: every evaluation drops the same entries
+    x = t(3, 4)
+    suite.append(("dropout", {"x": x},
+                  lambda x=x: ad.tensor_sum(ad.tanh(ad.dropout(
+                      x, 0.3, np.random.default_rng(seed), train=True)))))
     return suite
 
 

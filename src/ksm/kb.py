@@ -309,12 +309,15 @@ def transe_train(triples: list[Triple], store: KnowledgeStore,
 
     Copies of the store's two matrices are trained and swapped in when
     every epoch has finished. KBError is raised, with the store untouched,
-    for a triple naming an entity or relation missing from the store, for
-    triples over fewer than 2 entities and for a loss or parameter that
-    turns non-finite. Zero epochs leave the store untouched.
+    for a margin that is not finite and positive, an lr that is not finite
+    and nonnegative, a triple naming an entity or relation missing from
+    the store, triples over fewer than 2 entities and a loss or parameter
+    that turns non-finite. Zero epochs leave the store untouched.
     """
-    if margin <= 0:
-        raise KBError(f"margin must be positive, got {margin}")
+    if not (np.isfinite(margin) and margin > 0):
+        raise KBError(f"margin must be finite and positive, got {margin}")
+    if not (np.isfinite(lr) and lr >= 0):
+        raise KBError(f"lr must be finite and nonnegative, got {lr}")
     rows = _triple_rows(triples, store)
     if epochs <= 0:
         return []

@@ -1,5 +1,6 @@
 """Tensor engine: op semantics, gradient correctness, determinism."""
 
+import inspect
 import math
 import threading
 import tracemalloc
@@ -59,16 +60,22 @@ def test_softmax_large_inputs_stable():
     np.testing.assert_allclose(out.data.sum(), 1.0, atol=1e-9)
 
 
+def _layer_norm(x, gamma, beta, eps):
+    """Layer norm of x alone: the residual form with a zero second term."""
+    return ad.residual_layer_norm(x, Tensor(np.zeros(x.shape)), gamma, beta,
+                                  eps)
+
+
 def test_layer_norm_constant_vector_collapses_to_beta():
     gamma, beta = Tensor(np.ones(4)), Tensor(np.zeros(4))
-    out = ad.layer_norm(Tensor([[3.0, 3.0, 3.0, 3.0]]), gamma, beta, 1e-5)
+    out = _layer_norm(Tensor([[3.0, 3.0, 3.0, 3.0]]), gamma, beta, 1e-5)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
 def test_layer_norm_two_values():
     # mean 2, population std 1 -> normalized [-1, 1]
     gamma, beta = Tensor(np.ones(2)), Tensor(np.zeros(2))
-    out = ad.layer_norm(Tensor([[1.0, 3.0]]), gamma, beta, 1e-12)
+    out = _layer_norm(Tensor([[1.0, 3.0]]), gamma, beta, 1e-12)
     np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-5)
 
 
@@ -76,22 +83,22 @@ def test_layer_norm_two_values():
 def test_layer_norm_slice_statistics(values):
     gamma = Tensor(np.ones(len(values)))
     beta = Tensor(np.zeros(len(values)))
-    out = ad.layer_norm(Tensor([values]), gamma, beta, 1e-12).data[0]
+    out = _layer_norm(Tensor([values]), gamma, beta, 1e-12).data[0]
     assert abs(out.mean()) < 1e-9
     if np.var(values) > 1e-6:  # nonconstant input
         assert abs(out.var() - 1.0) < 1e-6
 
 
 def test_layer_norm_rejects_zero_length():
-    with pytest.raises(ValueError):
-        ad.layer_norm(Tensor(np.zeros((2, 0))), Tensor(np.ones(0)),
-                      Tensor(np.zeros(0)), 1e-5)
+    with pytest.raises(ValueError, match="residual_layer_norm"):
+        _layer_norm(Tensor(np.zeros((2, 0))), Tensor(np.ones(0)),
+                    Tensor(np.zeros(0)), 1e-5)
 
 
 def test_layer_norm_rejects_nonpositive_eps():
-    with pytest.raises(ValueError):
-        ad.layer_norm(Tensor([[1.0, 2.0]]), Tensor(np.ones(2)),
-                      Tensor(np.zeros(2)), 0.0)
+    with pytest.raises(ValueError, match="residual_layer_norm: eps"):
+        _layer_norm(Tensor([[1.0, 2.0]]), Tensor(np.ones(2)),
+                    Tensor(np.zeros(2)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +308,8 @@ def test_pair_tanh_score_memory_stays_tile_sized():
 
 
 def _attention_oracle(q, k, v, n_heads, g):
-    """mh_attention and its q, k, v gradients by explicit loops."""
+    """Multi-head attention over (L, H*dh) q, k and v, and its q, k and v
+    gradients, by explicit loops."""
     length, width = q.shape
     dh = width // n_heads
     out, dq, dk, dv = (np.zeros((length, width)) for _ in range(4))
@@ -326,32 +334,25 @@ def _attention_oracle(q, k, v, n_heads, g):
 @pytest.mark.parametrize("length, n_heads, dh",
                          [(1, 2, 3), (5, 1, 4), (4, 3, 2), (7, 4, 5)])
 @pytest.mark.parametrize("scale", [0.1, 1.0, 8.0])
-def test_mh_attention_matches_loop_oracle(length, n_heads, dh, scale):
+def test_projected_attention_matches_loop_oracle(length, n_heads, dh, scale):
+    # x = [q | k | v]; 0/1 selection matrices pick q, k and v back out of
+    # it and wh = I, so every projection is exact and x.grad = [dq | dk | dv]
     rng = np.random.default_rng(length * 10 + n_heads)
-    q, k, v = (Tensor(rng.uniform(-scale, scale, (length, n_heads * dh)),
-                      requires_grad=True) for _ in range(3))
-    g = rng.standard_normal((length, n_heads * dh))
-    out = ad.mh_attention(q, k, v, n_heads)
+    width = n_heads * dh
+    q, k, v = (rng.uniform(-scale, scale, (length, width)) for _ in range(3))
+    g = rng.standard_normal((length, width))
+    x = Tensor(np.hstack([q, k, v]), requires_grad=True)
+    eye = np.eye(3 * width)
+    wq_x, wk, wv = (Tensor(eye[:, i * width:(i + 1) * width]) for i in range(3))
+    e, wq_e = Tensor(np.zeros((1, 1))), Tensor(np.zeros((1, width)))
+    out = ad.projected_attention(x, e, wq_x, wq_e, wk, wv,
+                                 Tensor(np.eye(width)), n_heads)
     ad.tensor_sum(out * Tensor(g)).backward()
-    want = _attention_oracle(q.data, k.data, v.data, n_heads, g)
-    got = (out.data, q.grad, k.grad, v.grad)
-    for name, x, ref in zip(("out", "dq", "dk", "dv"), got, want):
+    want = _attention_oracle(q, k, v, n_heads, g)
+    got = (out.data, *np.hsplit(x.grad, 3))
+    for name, a, ref in zip(("out", "dq", "dk", "dv"), got, want):
         bound = 1e-12 * max(1.0, np.abs(ref).max())
-        assert np.abs(x - ref).max() <= bound, (name, np.abs(x - ref).max())
-
-
-@pytest.mark.parametrize("shapes, n_heads", [
-    (((3, 4), (3, 4), (2, 4)), 2),       # unequal operands
-    (((3, 4), (3, 6), (3, 4)), 2),
-    (((2, 3, 4),) * 3, 2),               # not 2-D
-    (((4,),) * 3, 2),
-    (((3, 6),) * 3, 4),                  # width not a multiple of n_heads
-    (((3, 4),) * 3, 0),
-])
-def test_mh_attention_rejects_bad_operands(shapes, n_heads):
-    q, k, v = (Tensor(np.ones(s)) for s in shapes)
-    with pytest.raises(ValueError, match="mh_attention"):
-        ad.mh_attention(q, k, v, n_heads)
+        assert np.abs(a - ref).max() <= bound, (name, np.abs(a - ref).max())
 
 
 _HEADS = [(3, 4), (1, 5), (4, 6), (5, 6), (4, 6), (4, 6), (6, 4)]
@@ -373,6 +374,11 @@ _HEADS = [(3, 4), (1, 5), (4, 6), (5, 6), (4, 6), (4, 6), (6, 4)]
     (ad.softmax_pool, [(3, 4), (4, 5)], [1]),
     (ad.softmax_pool, [(3, 4), (3, 5)], [2]),
     (ad.softmax_pool, [(0, 4), (4, 5)], [0]),
+    # x of three axes and of one; wk not matching; no heads
+    (ad.projected_attention, [(2, 3, 4)] + _HEADS[1:], [2]),
+    (ad.projected_attention, [(4,)] + _HEADS[1:], [2]),
+    (ad.projected_attention, _HEADS[:4] + [(4, 7)] + _HEADS[5:], [2]),
+    (ad.projected_attention, _HEADS, [0]),
 ])
 def test_fused_block_ops_reject_shapes_that_do_not_chain(op, shapes, extra):
     with pytest.raises(ValueError, match=op.__name__):
@@ -443,12 +449,10 @@ def test_softmax_pool_returns_the_weights_as_a_plain_tensor():
 
 # every op whose kernel writes in place: name -> (input shapes, op)
 _IN_PLACE_OPS = {
-    "mh_attention": ([(4, 6)] * 3, lambda q, k, v: ad.mh_attention(q, k, v, 2)),
     "projected_attention": ([(4, 5), (1, 3), (5, 6), (3, 6), (5, 6), (5, 6),
                              (6, 5)],
                             lambda *ts: ad.projected_attention(*ts, 3)),
     "feed_forward": ([(4, 5), (5, 7), (7,), (7, 5), (5,)], ad.feed_forward),
-    "layer_norm": ([(4, 6), (6,), (6,)], ad.layer_norm),
     "residual_layer_norm": ([(4, 6), (4, 6), (6,), (6,)],
                             ad.residual_layer_norm),
     "pair_tanh_score": ([(4, 5), (3, 5), (5, 1)], ad.pair_tanh_score),
@@ -484,14 +488,22 @@ def test_every_op_matches_finite_differences():
         assert result.passed, result
 
 
-def test_log_clamps_below_floor(caplog):
-    x = Tensor([[1e-20, 0.5]], requires_grad=True)
-    out = ad.log(x, floor=1e-12)
-    assert np.isfinite(out.data).all()
-    np.testing.assert_allclose(out.data[0, 0], np.log(1e-12))
-    ad.tensor_sum(out).backward()
-    assert x.grad[0, 0] == 0.0  # clamped entry gets no gradient
-    assert x.grad[0, 1] == pytest.approx(2.0)
+def test_every_op_has_a_finite_difference_case(monkeypatch):
+    ops = [name for name, fn in vars(ad).items()
+           if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+           and not name.startswith("_") and name not in ("no_grad", "backward")]
+    called = set()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ops:
+        monkeypatch.setattr(ad, name, counted(name, getattr(ad, name)))
+    check_all_ops(seed=0)
+    assert [name for name in ops if name not in called] == []
 
 
 def test_dropout_inference_is_identity():
@@ -556,7 +568,7 @@ def test_finite_outputs_on_finite_inputs():
     x = Tensor(rng.standard_normal((4, 6)) * 100, requires_grad=True)
     g = Tensor(np.ones(6))
     b = Tensor(np.zeros(6))
-    out = ad.layer_norm(ad.softmax(ad.tanh(x), axis=1), g, b, 1e-5)
+    out = _layer_norm(ad.softmax(ad.tanh(x), axis=1), g, b, 1e-5)
     loss = ad.mean(out)
     loss.backward()
     assert np.isfinite(out.data).all()

@@ -117,6 +117,19 @@ def test_train_kb_rerun_is_identical(tmp_path):
         (out2 / "entities.txt").read_bytes()
 
 
+@pytest.mark.parametrize("flag, value", [("--kb-margin", "nan"),
+                                         ("--kb-lr", "-0.05")])
+def test_train_kb_bad_margin_or_lr_exits_2(tmp_path, capsys, flag, value):
+    triples = tmp_path / "triples.tsv"
+    _write_triples(triples)
+    out = tmp_path / "kb"
+    rc = main(["train-kb", "--triples", str(triples), "--out", str(out),
+               "--d-kb", "8", flag, value])
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train / predict
 

@@ -95,6 +95,19 @@ def test_worked_example_tokens_and_distances():
     assert inst.pair == ("G1", "G2")
 
 
+@pytest.mark.parametrize("field, value", [("expansion", -1),
+                                          ("expansion", -2),
+                                          ("max_sentence_distance", 0),
+                                          ("max_sentence_distance", -1)])
+def test_preprocess_config_rejects_settings_that_give_wrong_windows(
+        field, value):
+    # expansion -2 used to swap the distance sequences of a one-sentence
+    # pair, and distance 0 silently kept no pair at all
+    with pytest.raises(CorpusError,
+                       match=rf"{field} must be >= \d, got {value}"):
+        PreprocessConfig(**{field: value})
+
+
 def test_window_clips_at_document_start():
     doc = _doc([["P1", "a", "P2", "b", "c", "d", "e"]],
                [Mention("G1", 0, (0, 1)), Mention("G2", 0, (2, 3))])

@@ -160,6 +160,20 @@ def test_margin_must_be_positive():
         transe_train(toy_knowledge_graph(), _store(), margin=0.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("margin", float("nan")), ("margin", float("inf")), ("margin", -1.0),
+    ("lr", -0.05), ("lr", float("nan")), ("lr", float("inf"))])
+def test_transe_rejects_bad_margin_or_lr_before_touching_the_store(name,
+                                                                   value):
+    store = _store()
+    before = (store.entity_table.matrix.copy(),
+              store.relation_table.matrix.copy())
+    with pytest.raises(KBError, match=rf"{name} must be .*, got {value}"):
+        transe_train(toy_knowledge_graph(), store, epochs=3, **{name: value})
+    assert store.entity_table.matrix.tobytes() == before[0].tobytes()
+    assert store.relation_table.matrix.tobytes() == before[1].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # pair resolution
 

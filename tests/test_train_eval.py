@@ -8,8 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ksm.autodiff import backward, no_grad
-from ksm.corpus import LABEL_UNLABELED
+from ksm.corpus import (LABEL_NEGATIVE, LABEL_POSITIVE, LABEL_UNLABELED,
+                        CandidateInstance)
 from ksm.gradcheck import toy_batch
+from ksm.kb import Triple, init_embeddings
 from ksm.model import CLASS_POSITIVE, KSMModel, ModelConfig, WordTable
 from ksm.optim import Adadelta
 from ksm.synthetic import (kb_for_instances, separable_instances,
@@ -306,6 +308,70 @@ def test_training_calls_nll_loss_once_per_instance(monkeypatch):
     model.params.zero_grad()
     accumulate_batch_gradient(model, batch, np.random.default_rng(0))
     assert calls == [1, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# knowledge reaches the decision
+
+_FILLER = ["the", "protein", "complex", "cell", "assay", "level", "study",
+           "result"]
+_RELATIONS = ("activates", "unrelated_to")
+
+
+def _knowledge_task(kb_decides: bool, n: int = 40, d: int = 16,
+                    length: int = 6, seed: int = 0):
+    """n training pairs and n unseen held-out pairs, labels alternating.
+
+    With `kb_decides` every context carries the same neutral token and a
+    pair's KB relation is its label. Otherwise a trigger token ('binds' or
+    'ignores', with strong opposite vectors) gives the label, and the
+    relation splits each class in half, so it says nothing about the label.
+    Returns (train, heldout, store, word table).
+    """
+    rng = np.random.default_rng(seed)
+    instances, triples = [], []
+    for i in range(2 * n):
+        positive = i % 2 == 0
+        cue = "mentions" if kb_decides else "binds" if positive else "ignores"
+        tokens = [str(rng.choice(_FILLER)) for _ in range(length - 1)]
+        tokens.insert(int(rng.integers(length)), cue)
+        pair = (f"E{2 * i}", f"E{2 * i + 1}")
+        instances.append(CandidateInstance(
+            doc_id=f"doc{i}", pair=pair, tokens=tokens,
+            pos1=list(range(1, length + 1)), pos2=list(range(length, 0, -1)),
+            label=LABEL_POSITIVE if positive else LABEL_NEGATIVE))
+        relation = _RELATIONS[i % 2 if kb_decides else i // 2 % 2]
+        triples.append(Triple(pair[0], relation, pair[1]))
+    store = init_embeddings(triples, d_kb=d, seed=seed + 1)
+    vectors = {tok: rng.normal(0.0, 0.1, d) for tok in _FILLER + ["mentions"]}
+    signature = rng.choice([-1.0, 1.0], size=d) / np.sqrt(d)
+    vectors["binds"], vectors["ignores"] = 2.0 * signature, -2.0 * signature
+    table = WordTable(vectors, d, unk=np.zeros(d))
+    return instances[:n], instances[n:], store, table
+
+
+@pytest.mark.parametrize("kb_decides", [True, False],
+                         ids=["kb_decides", "context_decides"])
+def test_knowledge_reaches_the_decision(kb_decides):
+    train, heldout, store, table = _knowledge_task(kb_decides)
+    config = ModelConfig(d=16, d_kb=16, n_heads=2, n_blocks=1,
+                         dropout_rate=0.0, max_distance=16)
+    model = KSMModel(config, table, seed=0, null_relation=store.null_relation)
+    train_model(train, store, model,
+                TrainConfig(batch_size=8, lr=0.5, max_epochs=10, patience=10,
+                            seed=0, holdout_fraction=0.0))
+    gold = [inst.label == LABEL_POSITIVE for inst in heldout]
+    true_kb = [p.positive for p in predict_instances(model, heldout, store)]
+    for inst in heldout:    # give every held-out pair the other relation
+        key = tuple(sorted(inst.pair))
+        (relation,) = store.pair_relations[key]
+        store.pair_relations[key] = [_RELATIONS[1 - _RELATIONS.index(relation)]]
+    swapped = [p.positive for p in predict_instances(model, heldout, store)]
+    assert np.mean(np.equal(true_kb, gold)) >= 0.9
+    if kb_decides:
+        assert np.mean(np.equal(swapped, gold)) <= 0.1
+    else:
+        assert swapped == true_kb
 
 
 def _one_epoch_peak_bytes(n: int, length: int = 40, d: int = 32) -> int:
