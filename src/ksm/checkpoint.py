@@ -17,14 +17,12 @@ checkpoint untouched and no partial file behind.
 from __future__ import annotations
 
 import base64
-import contextlib
 import json
-import os
-import uuid
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import replacing
 from .autodiff import DTYPE, ParameterStore
 
 FORMAT_VERSION = 3
@@ -56,20 +54,8 @@ def save_checkpoint(path, params: ParameterStore, config: dict | None = None) ->
             for name, t in params.items()
         },
     }
-    path = Path(path)
-    # not tempfile.mkstemp: its files are private (0600), and a checkpoint
-    # keeps the permissions any other file written here would get
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        with open(tmp, "x", encoding="utf-8") as f:
-            f.write(json.dumps(blob))
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    with replacing(path) as tmp, open(tmp, "x", encoding="utf-8") as f:
+        f.write(json.dumps(blob))
 
 
 def _decode_values(values, shape, version: int) -> np.ndarray:

@@ -16,6 +16,7 @@ parameter element.
 
 from __future__ import annotations
 
+import zlib
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -86,121 +87,147 @@ def check_tensors(f: Callable[[], float], leaves: dict[str, Tensor],
 # per-op suite
 
 
-def _suite(seed: int) -> list[tuple[str, dict[str, Tensor], Callable[[], Tensor]]]:
-    rng = np.random.default_rng(seed)
+def case_rng(seed: int, name: str) -> np.random.Generator:
+    """The generator a per-op case draws its inputs from: seeded from the
+    suite seed and the case's name alone (crc32, not hash(), which varies
+    with PYTHONHASHSEED), so adding, removing or reordering cases leaves
+    every other case's inputs as they were."""
+    return np.random.default_rng([seed, zlib.crc32(name.encode("utf-8"))])
 
-    def t(*shape):
-        return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+def _suite(seed: int) -> list[tuple[str, dict[str, Tensor], Callable[[], Tensor]]]:
+    def case(name):
+        rng = case_rng(seed, name)
+        return name, rng, lambda *shape: Tensor(rng.standard_normal(shape),
+                                                requires_grad=True)
 
     suite = []
 
+    name, rng, t = case("matmul")
     x, y = t(3, 4), t(4, 5)
-    suite.append(("matmul", {"x": x, "y": y},
+    suite.append((name, {"x": x, "y": y},
                   lambda x=x, y=y: ad.tensor_sum((x @ y) * 0.3)))
 
+    name, rng, t = case("add_broadcast")
     x, b = t(3, 4), t(4)
-    suite.append(("add_broadcast", {"x": x, "b": b},
+    suite.append((name, {"x": x, "b": b},
                   lambda x=x, b=b: ad.tensor_sum(ad.tanh(x + b))))
 
+    name, rng, t = case("multiply")
     x, y = t(3, 4), t(3, 4)
-    suite.append(("multiply", {"x": x, "y": y},
+    suite.append((name, {"x": x, "y": y},
                   lambda x=x, y=y: ad.tensor_sum(ad.multiply(x, y) * 0.5)))
 
+    name, rng, t = case("concat")
     x, y = t(2, 3), t(2, 5)
-    suite.append(("concat", {"x": x, "y": y},
+    suite.append((name, {"x": x, "y": y},
                   lambda x=x, y=y: ad.tensor_sum(
                       ad.tanh(ad.concat([x, y])))))
 
+    name, rng, t = case("gather_rows")
     x = t(4, 3)
     idx = [0, 2, 2, 1, 3]
-    suite.append(("gather_rows", {"x": x},
+    suite.append((name, {"x": x},
                   lambda x=x: ad.tensor_sum(
                       ad.sigmoid(ad.gather_rows(x, idx)))))
 
+    name, rng, t = case("reshape_transpose")
     x = t(3, 4)
-    suite.append(("reshape_transpose", {"x": x},
+    suite.append((name, {"x": x},
                   lambda x=x: ad.tensor_sum(
                       ad.tanh(ad.transpose(ad.reshape(x, (4, 3)))))))
 
+    name, rng, t = case("mean_axis")
     x = t(3, 5)
-    suite.append(("mean_axis", {"x": x},
+    suite.append((name, {"x": x},
                   lambda x=x: ad.tensor_sum(
                       ad.tanh(ad.mean(x, axis=1, keepdims=True)))))
 
+    name, rng, t = case("amax")
     x = t(4, 3)
-    suite.append(("amax", {"x": x},
+    suite.append((name, {"x": x},
                   lambda x=x: ad.tensor_sum(ad.amax(x, axis=0) * 2.0)))
 
     for name, fn in (("tanh", ad.tanh), ("sigmoid", ad.sigmoid),
                      ("relu", ad.relu)):
+        name, rng, t = case(name)
         x = t(3, 4)
         suite.append((name, {"x": x},
                       lambda x=x, fn=fn: ad.tensor_sum(fn(x))))
 
+    name, rng, t = case("softmax")
     x = t(3, 4)
     w = t(4, 1)
-    suite.append(("softmax", {"x": x, "w": w},
+    suite.append((name, {"x": x, "w": w},
                   lambda x=x, w=w: ad.tensor_sum(ad.softmax(x, axis=1) @ w)))
 
+    name, rng, t = case("neg_scale_sum")
     x = t(2, 3)
-    suite.append(("neg_scale_sum", {"x": x},
+    suite.append((name, {"x": x},
                   lambda x=x: ad.mean(ad.neg(x) * 1.7)))
 
+    name, rng, t = case("pair_tanh_score")
     a1, a2, w = t(3, 4), t(2, 4), t(4, 1)
-    suite.append(("pair_tanh_score", {"a1": a1, "a2": a2, "w": w},
+    suite.append((name, {"a1": a1, "a2": a2, "w": w},
                   lambda a1=a1, a2=a2, w=w: ad.tensor_sum(
                       ad.tanh(ad.pair_tanh_score(a1, a2, w)))))
 
     # x with and without a gradient (an encoder's first block reads a
     # constant sequence), and a single position
-    for name, x in (("projected_attention", t(3, 4)),
-                    ("projected_attention_const_x",
-                     Tensor(rng.standard_normal((3, 4)))),
-                    ("projected_attention_one_row", t(1, 4))):
+    for name, rows, x_grad in (("projected_attention", 3, True),
+                               ("projected_attention_const_x", 3, False),
+                               ("projected_attention_one_row", 1, True)):
+        name, rng, t = case(name)
+        x = Tensor(rng.standard_normal((rows, 4)), requires_grad=x_grad)
         ws = [t(1, 3), t(4, 4), t(3, 4), t(4, 4), t(4, 4), t(4, 5)]
         leaves = dict(zip(("e", "wq_x", "wq_e", "wk", "wv", "wh"), ws))
-        if x.requires_grad:
+        if x_grad:
             leaves["x"] = x
         suite.append((name, leaves, lambda x=x, ws=ws: ad.tensor_sum(
             ad.tanh(ad.projected_attention(x, *ws, 2)))))
 
+    name, rng, t = case("feed_forward")
     x, w1, b1, w2, b2 = t(3, 4), t(4, 5), t(5), t(5, 4), t(4)
-    suite.append(("feed_forward",
+    suite.append((name,
                   {"x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2},
                   lambda x=x, w1=w1, b1=b1, w2=w2, b2=b2: ad.tensor_sum(
                       ad.tanh(ad.feed_forward(x, w1, b1, w2, b2)))))
 
+    name, rng, t = case("residual_layer_norm")
     x, y = t(3, 6), t(3, 6)
     g, b = Tensor(rng.uniform(0.5, 1.5, 6), requires_grad=True), t(6)
-    suite.append(("residual_layer_norm", {"x": x, "y": y, "gamma": g,
-                                          "beta": b},
+    suite.append((name, {"x": x, "y": y, "gamma": g, "beta": b},
                   lambda x=x, y=y, g=g, b=b: ad.tensor_sum(
                       ad.tanh(ad.residual_layer_norm(x, y, g, b, 1e-5)))))
 
     # the third gold probability is about e^-40, below NLL_FLOOR by more
     # than any finite-difference step moves it: clamped, with no gradient
+    name, rng, t = case("nll_loss")
     logits = [t(1, 3), t(1, 3), Tensor(rng.standard_normal((1, 3))
                                        + [[0.0, 40.0, 0.0]],
                                        requires_grad=True)]
-    suite.append(("nll_loss", {f"logits{i}": z for i, z in enumerate(logits)},
+    suite.append((name, {f"logits{i}": z for i, z in enumerate(logits)},
                   lambda z=logits: nll_loss(
                       [ad.softmax(zi, axis=1) for zi in z], [2, 0, 2])))
 
-    scores, v_rows, v_cols = t(3, 4), t(3, 5), t(4, 5)
-    for name, v, axis in (("softmax_pool_rows", v_rows, 1),
-                          ("softmax_pool_columns", v_cols, 0)):
+    for name, v_rows, axis in (("softmax_pool_rows", 3, 1),
+                               ("softmax_pool_columns", 4, 0)):
+        name, rng, t = case(name)
+        scores, v = t(3, 4), t(v_rows, 5)
         suite.append((name, {"scores": scores, "v": v},
                       lambda s=scores, v=v, axis=axis: ad.tensor_sum(
                           ad.tanh(ad.softmax_pool(s, v, axis)[0]))))
 
+    name, rng, t = case("affine")
     x, w, b = t(3, 4), t(4, 5), t(5)
-    suite.append(("affine", {"x": x, "w": w, "b": b},
+    suite.append((name, {"x": x, "w": w, "b": b},
                   lambda x=x, w=w, b=b: ad.tensor_sum(
                       ad.tanh(ad.affine(x, w, b)))))
 
     # a fresh generator per evaluation: every evaluation drops the same entries
+    name, rng, t = case("dropout")
     x = t(3, 4)
-    suite.append(("dropout", {"x": x},
+    suite.append((name, {"x": x},
                   lambda x=x: ad.tensor_sum(ad.tanh(ad.dropout(
                       x, 0.3, np.random.default_rng(seed), train=True)))))
     return suite
@@ -210,8 +237,6 @@ def check_all_ops(seed: int = 0, tolerance: float = 1e-4) -> list[CheckResult]:
     """FD-check every differentiable op on random inputs."""
     results = []
     for name, leaves, fn in _suite(seed):
-        for t in leaves.values():   # cases may share a leaf
-            t.zero_grad()
         fn().backward()
         results.append(check_tensors(lambda fn=fn: fn().item(), leaves, name,
                                      tolerance))

@@ -27,6 +27,9 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import os
+import stat
+import zipfile
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -34,6 +37,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+
+from .atomic import replacing
 
 logger = logging.getLogger(__name__)
 
@@ -311,15 +316,18 @@ def transe_train(triples: list[Triple], store: KnowledgeStore,
     every epoch has finished. KBError is raised, with the store untouched,
     for a margin that is not finite and positive, an lr that is not finite
     and nonnegative, a triple naming an entity or relation missing from
-    the store, triples over fewer than 2 entities and a loss or parameter
-    that turns non-finite. Zero epochs leave the store untouched.
+    the store, triples over fewer than 2 entities, a negative number of
+    epochs and a loss or parameter that turns non-finite. Zero epochs leave
+    the store untouched.
     """
+    if epochs < 0:
+        raise KBError(f"epochs must be >= 0, got {epochs}")
     if not (np.isfinite(margin) and margin > 0):
         raise KBError(f"margin must be finite and positive, got {margin}")
     if not (np.isfinite(lr) and lr >= 0):
         raise KBError(f"lr must be finite and nonnegative, got {lr}")
     rows = _triple_rows(triples, store)
-    if epochs <= 0:
+    if epochs == 0:
         return []
     E = store.entity_table.matrix.copy()
     R = store.relation_table.matrix.copy()
@@ -459,7 +467,34 @@ def read_embeddings(path) -> Embeddings:
     """Read the text format of `write_embeddings` straight into one matrix.
     KBError at `file:line` for a bad header, a row of the wrong width, and a
     value that is not a finite number, also on a line whose id repeats later
-    (a repeated id keeps its first position and its last row)."""
+    (a repeated id keeps its first position and its last row).
+
+    A file's bytes are parsed once: the parsed table is then kept in a
+    hidden sidecar beside the file (``.name.ksm-cache.npz``) that holds the
+    SHA-256 of the bytes it was parsed from, and every later read of the
+    same bytes loads it instead. A sidecar is trusted only whole (see
+    `_read_sidecar`) and is rebuilt otherwise; it is written only for a
+    file that parsed cleanly and did not change while it was parsed, and
+    a sidecar that cannot be written is skipped. A stream such as a pipe,
+    which can be read only once, is parsed every time.
+    """
+    sidecar = Path(path).with_name(f".{Path(path).name}{_SIDECAR_SUFFIX}")
+    digest = _content_digest(path)
+    cached = digest and _read_sidecar(sidecar, digest)
+    if cached:
+        table, count = cached
+    else:
+        table, count = _parse_embeddings(path)
+        if digest and _content_digest(path) == digest:
+            _write_sidecar(sidecar, digest, count, table)
+    if len(table) != count:
+        logger.warning("%s: header count %d != %d rows read",
+                       path, count, len(table))
+    return table
+
+
+def _parse_embeddings(path) -> tuple[Embeddings, int]:
+    """The table of an embedding text file and its header count."""
     with open(path, encoding="utf-8") as f:
         header = f.readline().split()
         if len(header) != 2:
@@ -492,10 +527,73 @@ def read_embeddings(path) -> Embeddings:
         raise KBError(f"{path}:{linenos[int(np.argmin(finite))]}: "
                       "non-finite value")
     last = {key: row for row, key in enumerate(ids)}
-    if len(last) != count:
-        logger.warning("%s: header count %d != %d rows read",
-                       path, count, len(last))
-    return Embeddings(list(last), matrix[list(last.values())])
+    return Embeddings(list(last), matrix[list(last.values())]), count
+
+
+# The embedding sidecar: an uncompressed .npz of the arrays
+#   format  the tag _SIDECAR_FORMAT      version  _SIDECAR_VERSION
+#   sha256  hex digest of the text file  header   its "count dim" header
+#   ids     the ids, "\n"-joined UTF-8, as uint8 (ids hold no whitespace)
+#   matrix  the (n, dim) "<f8" rows
+_SIDECAR_SUFFIX = ".ksm-cache.npz"
+_SIDECAR_FORMAT = "ksm-embeddings"
+_SIDECAR_VERSION = 1  # bump whenever the table parsed from given bytes changes
+_SIDECAR_WIRE = np.dtype("<f8")
+_DIGEST_CHUNK = 1 << 16  # bytes hashed per read, so memory stays flat
+
+
+def _content_digest(path) -> str | None:
+    """Hex SHA-256 of a regular file's bytes; None for a stream (a pipe, a
+    terminal), which the digest would consume."""
+    with open(path, "rb") as f:
+        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            return None
+        h = hashlib.sha256()
+        while chunk := f.read(_DIGEST_CHUNK):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def _read_sidecar(sidecar: Path, digest: str) -> tuple[Embeddings, int] | None:
+    """The table and header count a sidecar holds for the file of `digest`,
+    or None unless its format, version and digest match, its ids are unique
+    and one per row, and its matrix is a finite (rows, header dim) "<f8"
+    array. Nothing is memory-mapped or unpickled: the rows are writable."""
+    try:
+        with np.load(sidecar, allow_pickle=False) as z:
+            if (str(z["format"]) != _SIDECAR_FORMAT
+                    or int(z["version"]) != _SIDECAR_VERSION
+                    or str(z["sha256"]) != digest):
+                raise ValueError("another format, version or digest")
+            count, dim = map(int, str(z["header"]).split())
+            ids = z["ids"].tobytes().decode("utf-8")
+            matrix = z["matrix"]
+        if (matrix.dtype != _SIDECAR_WIRE or matrix.shape[1:] != (dim,)
+                or not np.isfinite(matrix).all()):
+            raise ValueError(f"not a finite (n, {dim}) <f8 matrix")
+        return Embeddings(ids.split("\n") if ids else [], matrix), count
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, TypeError, KeyError, EOFError,
+            zipfile.BadZipFile) as e:
+        logger.debug("%s: ignored (%s)", sidecar, e)
+        return None
+
+
+def _write_sidecar(sidecar: Path, digest: str, count: int,
+                   table: Embeddings) -> None:
+    """Write the sidecar atomically; an OSError is logged, not raised."""
+    try:
+        with replacing(sidecar) as tmp, open(tmp, "xb") as f:
+            np.savez(f, format=np.array(_SIDECAR_FORMAT),
+                     version=np.array(_SIDECAR_VERSION),
+                     sha256=np.array(digest),
+                     header=np.array(f"{count} {table.matrix.shape[1]}"),
+                     ids=np.frombuffer("\n".join(table.ids).encode("utf-8"),
+                                       dtype=np.uint8),
+                     matrix=table.matrix.astype(_SIDECAR_WIRE, copy=False))
+    except OSError as e:
+        logger.debug("%s: not written (%s)", sidecar, e)
 
 
 _NULL_RELATION_KEY = "__null__"

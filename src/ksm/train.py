@@ -50,6 +50,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
         if not (np.isfinite(self.lr) and self.lr >= 0):
             raise ValueError(
                 f"lr must be finite and nonnegative, got {self.lr}")

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ksm import autodiff as ad
+from ksm import gradcheck
 from ksm.autodiff import ParameterStore, Tensor
 from ksm.gradcheck import check_all_ops, check_tensors, finite_difference
 
@@ -486,6 +487,20 @@ def test_in_place_kernels_leave_inputs_and_repeat_walks_unchanged(name):
 def test_every_op_matches_finite_differences():
     for result in check_all_ops(seed=7):
         assert result.passed, result
+
+
+@pytest.mark.parametrize("name", ["matmul", "softmax_pool_columns",
+                                  "affine", "dropout"])
+def test_a_cases_inputs_depend_on_the_seed_and_its_name_alone(name):
+    # the leaves are the first draws of the case's own generator, however
+    # many cases, drawing however much, are listed before it
+    suite = gradcheck._suite(7)
+    leaves = {case: leaves for case, leaves, _ in suite}
+    assert len(leaves) == len(suite)  # names, and so generators, differ
+    rng = gradcheck.case_rng(7, name)
+    for leaf in leaves[name].values():
+        assert leaf.data.tobytes() == rng.standard_normal(
+            leaf.data.shape).tobytes()
 
 
 def test_every_op_has_a_finite_difference_case(monkeypatch):

@@ -130,6 +130,25 @@ def test_train_kb_bad_margin_or_lr_exits_2(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("train-kb", "--kb-epochs", "-3", "epochs must be >= 0, got -3"),
+    ("train", "--max-epochs", "-2", "max_epochs must be >= 1, got -2")])
+def test_negative_epoch_count_exits_2(tmp_path, capsys, command, flag, value,
+                                      message):
+    inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
+    triples = tmp_path / "triples.tsv"
+    _write_triples(triples)
+    out = tmp_path / "out"
+    inputs = {"train-kb": ["--triples", str(triples), "--d-kb", "8"],
+              "train": ["--instances", str(inst_path), "--word-embeddings",
+                        str(words_path), "--kb-dir", str(kb_dir)]
+              + FAST_TRAIN}[command]
+    rc = main([command, *inputs, "--out", str(out), flag, value])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train / predict
 

@@ -1,5 +1,7 @@
 """TransE embeddings: init, energy, training dynamics, pair resolution."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,14 +164,15 @@ def test_margin_must_be_positive():
 
 @pytest.mark.parametrize("name, value", [
     ("margin", float("nan")), ("margin", float("inf")), ("margin", -1.0),
-    ("lr", -0.05), ("lr", float("nan")), ("lr", float("inf"))])
-def test_transe_rejects_bad_margin_or_lr_before_touching_the_store(name,
-                                                                   value):
+    ("lr", -0.05), ("lr", float("nan")), ("lr", float("inf")),
+    ("epochs", -1), ("epochs", -3)])
+def test_transe_rejects_bad_arguments_before_touching_the_store(name, value):
     store = _store()
     before = (store.entity_table.matrix.copy(),
               store.relation_table.matrix.copy())
     with pytest.raises(KBError, match=rf"{name} must be .*, got {value}"):
-        transe_train(toy_knowledge_graph(), store, epochs=3, **{name: value})
+        transe_train(toy_knowledge_graph(), store,
+                     **{"epochs": 3, name: value})
     assert store.entity_table.matrix.tobytes() == before[0].tobytes()
     assert store.relation_table.matrix.tobytes() == before[1].tobytes()
 
@@ -376,6 +379,172 @@ def test_store_roundtrip(tmp_path):
         np.testing.assert_array_equal(back.entity_table[k], v)
     np.testing.assert_array_equal(back.null_relation, store.null_relation)
     assert back.pair_relations == store.pair_relations
+
+
+# ---------------------------------------------------------------------------
+# the embedding sidecar: each file's bytes are parsed once
+
+
+def _sidecar(path):
+    return path.with_name(f".{path.name}.ksm-cache.npz")
+
+
+def _counting_parses(monkeypatch):
+    """The paths `read_embeddings` parses from text from now on."""
+    parsed = []
+    parse = kb._parse_embeddings
+
+    def counted(path):
+        parsed.append(path)
+        return parse(path)
+
+    monkeypatch.setattr(kb, "_parse_embeddings", counted)
+    return parsed
+
+
+def _vector_file(tmp_path, n=5, d=3, seed=0):
+    rng = np.random.default_rng(seed)
+    path = tmp_path / "emb.txt"
+    write_embeddings(path, {f"w{i}": rng.standard_normal(d)
+                            for i in range(n)})
+    return path
+
+
+def test_sidecar_hit_returns_the_parsed_table(tmp_path, monkeypatch):
+    path = _vector_file(tmp_path)
+    parsed = _counting_parses(monkeypatch)
+    first = read_embeddings(path)
+    assert _sidecar(path).exists()
+    hits = [read_embeddings(path) for _ in range(2)]
+    assert parsed == [path]
+    for hit in hits:
+        assert hit.ids == first.ids
+        assert hit.matrix.tobytes() == first.matrix.tobytes()
+        assert hit.matrix.flags.c_contiguous and hit.matrix.flags.writeable
+    hits[0]["w1"] = np.zeros(3)
+    assert read_embeddings(path).matrix.tobytes() == first.matrix.tobytes()
+
+
+def test_sidecar_hit_keeps_duplicate_id_semantics(tmp_path, monkeypatch):
+    path = tmp_path / "emb.txt"
+    path.write_text("4 2\na 1 2\nb 3 4\na 5 6\nc 7 8\n")
+    parsed = _counting_parses(monkeypatch)
+    for _ in range(2):
+        table = read_embeddings(path)
+        assert table.ids == ["a", "b", "c"]
+        np.testing.assert_array_equal(table.matrix,
+                                      [[5, 6], [3, 4], [7, 8]])
+    assert len(parsed) == 1
+
+
+def test_same_size_edit_with_restored_mtime_is_parsed(tmp_path,
+                                                      monkeypatch):
+    path = tmp_path / "emb.txt"
+    path.write_text("2 2\na 0.5 1.5\nb 2.5 3.5\n")
+    read_embeddings(path)
+    stat = path.stat()
+    path.write_text("2 2\na 0.5 1.5\nb 2.5 3.7\n")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size
+    parsed = _counting_parses(monkeypatch)
+    assert read_embeddings(path)["b"][1] == 3.7
+    assert parsed == [path]
+
+
+def _rewrite_sidecar(sidecar, **changes):
+    with np.load(sidecar) as z:
+        arrays = {**z, **changes}
+    with open(sidecar, "wb") as f:
+        np.savez(f, **arrays)
+
+
+def _bad_matrix(fill):
+    def change(sidecar):
+        with np.load(sidecar) as z:
+            matrix = z["matrix"]
+        _rewrite_sidecar(sidecar, matrix=fill(matrix))
+    return change
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda s: s.write_bytes(s.read_bytes()[:len(s.read_bytes()) // 2]),
+    lambda s: s.write_bytes(b""),
+    lambda s: _rewrite_sidecar(s, sha256=np.array("0" * 64)),
+    lambda s: _rewrite_sidecar(s, version=np.array(0)),
+    _bad_matrix(lambda m: m[:-1]),
+    _bad_matrix(lambda m: m[:, :-1]),
+    _bad_matrix(lambda m: m.ravel()),
+    _bad_matrix(lambda m: np.where(m == m[1, 2], np.nan, m)),
+    _bad_matrix(lambda m: m.astype(np.float32)),
+    _bad_matrix(lambda m: m.astype(object)),
+    lambda s: _rewrite_sidecar(s, ids=np.array(["w0"] * 5, dtype=object)),
+    lambda s: _rewrite_sidecar(s, ids=np.frombuffer(
+        b"w0\nw0\nw2\nw3\nw4", dtype=np.uint8)),
+], ids=["truncated", "empty", "wrong_digest", "wrong_version",
+        "too_few_rows", "wrong_width", "one_dimensional", "non_finite",
+        "float32", "object_matrix", "object_ids", "repeated_id"])
+def test_bad_sidecar_is_ignored_and_rewritten(tmp_path, monkeypatch, spoil):
+    path = _vector_file(tmp_path)
+    want = read_embeddings(path)
+    spoil(_sidecar(path))
+    parsed = _counting_parses(monkeypatch)
+    for _ in range(2):
+        table = read_embeddings(path)
+        assert table.ids == want.ids
+        assert table.matrix.tobytes() == want.matrix.tobytes()
+    assert parsed == [path]
+
+
+def test_sidecar_write_failure_still_returns_the_table(tmp_path,
+                                                       monkeypatch):
+    path = _vector_file(tmp_path)
+
+    def refuse(*args):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    parsed = _counting_parses(monkeypatch)
+    for _ in range(2):
+        assert read_embeddings(path).ids == [f"w{i}" for i in range(5)]
+    assert len(parsed) == 2
+    assert os.listdir(tmp_path) == ["emb.txt"]
+
+
+def test_malformed_file_is_rejected_on_every_read_and_gets_no_sidecar(
+        tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("3 2\na 1 2\nb 3\nc 5 6\n")
+    for _ in range(2):
+        with pytest.raises(KBError, match=r"emb\.txt:3: expected id \+ 2"):
+            read_embeddings(path)
+    assert os.listdir(tmp_path) == ["emb.txt"]
+
+
+def test_header_count_warning_on_miss_and_hit(tmp_path, monkeypatch,
+                                              caplog):
+    path = tmp_path / "emb.txt"
+    path.write_text("5 2\na 1 2\nb 3 4\na 5 6\n")
+    parsed = _counting_parses(monkeypatch)
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="ksm.kb"):
+            read_embeddings(path)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: header count 5 != 2 rows read"]
+    assert parsed == [path]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_a_pipe_is_parsed_and_gets_no_sidecar(tmp_path):
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, b"2 2\na 1 2\nb 3 4\n")
+        os.close(write_fd)
+        table = read_embeddings(f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)
+    assert table.ids == ["a", "b"]
+    np.testing.assert_array_equal(table.matrix, [[1, 2], [3, 4]])
 
 
 # ---------------------------------------------------------------------------

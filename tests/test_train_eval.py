@@ -159,6 +159,16 @@ def test_train_config_rejects_non_finite_or_negative_lr(lr):
         TrainConfig(lr=lr)
 
 
+@pytest.mark.parametrize("field, value, bound", [
+    ("max_epochs", 0, ">= 1"), ("max_epochs", -2, ">= 1"),
+    ("patience", -5, ">= 0")])
+def test_train_config_rejects_out_of_range_epoch_counts(field, value, bound):
+    with pytest.raises(ValueError, match=f"{field} must be {bound}, "
+                                         f"got {value}"):
+        TrainConfig(**{field: value})
+    TrainConfig(max_epochs=1, patience=0)
+
+
 def test_unlabeled_instances_rejected():
     instances, store, model = _task()
     instances[0].label = LABEL_UNLABELED
