@@ -87,17 +87,13 @@ def check_tensors(f: Callable[[], float], leaves: dict[str, Tensor],
 # per-op suite
 
 
-def case_rng(seed: int, name: str) -> np.random.Generator:
-    """The generator a per-op case draws its inputs from: seeded from the
-    suite seed and the case's name alone (crc32, not hash(), which varies
-    with PYTHONHASHSEED), so adding, removing or reordering cases leaves
-    every other case's inputs as they were."""
-    return np.random.default_rng([seed, zlib.crc32(name.encode("utf-8"))])
-
-
 def _suite(seed: int) -> list[tuple[str, dict[str, Tensor], Callable[[], Tensor]]]:
     def case(name):
-        rng = case_rng(seed, name)
+        """Each case draws from a generator of its own, seeded from the
+        suite seed and its name alone (crc32, not hash(), which varies with
+        PYTHONHASHSEED), so adding, removing or reordering cases leaves
+        every other case's inputs as they were."""
+        rng = np.random.default_rng([seed, zlib.crc32(name.encode("utf-8"))])
         return name, rng, lambda *shape: Tensor(rng.standard_normal(shape),
                                                 requires_grad=True)
 

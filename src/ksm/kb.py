@@ -478,7 +478,8 @@ def read_embeddings(path) -> Embeddings:
     a sidecar that cannot be written is skipped. A stream such as a pipe,
     which can be read only once, is parsed every time.
     """
-    sidecar = Path(path).with_name(f".{Path(path).name}{_SIDECAR_SUFFIX}")
+    sidecar = Path(path)
+    sidecar = sidecar.with_name(f".{sidecar.name}{_SIDECAR_SUFFIX}")
     digest = _content_digest(path)
     cached = digest and _read_sidecar(sidecar, digest)
     if cached:

@@ -164,17 +164,24 @@ def test_margin_must_be_positive():
 
 @pytest.mark.parametrize("name, value", [
     ("margin", float("nan")), ("margin", float("inf")), ("margin", -1.0),
-    ("lr", -0.05), ("lr", float("nan")), ("lr", float("inf")),
-    ("epochs", -1), ("epochs", -3)])
-def test_transe_rejects_bad_arguments_before_touching_the_store(name, value):
+    ("lr", -0.05), ("lr", float("nan")), ("lr", float("inf"))])
+def test_transe_rejects_bad_margin_or_lr_before_touching_the_store(name,
+                                                                   value):
     store = _store()
     before = (store.entity_table.matrix.copy(),
               store.relation_table.matrix.copy())
     with pytest.raises(KBError, match=rf"{name} must be .*, got {value}"):
-        transe_train(toy_knowledge_graph(), store,
-                     **{"epochs": 3, name: value})
+        transe_train(toy_knowledge_graph(), store, epochs=3, **{name: value})
     assert store.entity_table.matrix.tobytes() == before[0].tobytes()
     assert store.relation_table.matrix.tobytes() == before[1].tobytes()
+
+
+@pytest.mark.parametrize("epochs", [-1, -3])
+def test_transe_rejects_negative_epochs_before_reading_the_store(epochs):
+    # the triple names ids the store lacks: reading the store first would
+    # raise about those instead
+    with pytest.raises(KBError, match=rf"epochs must be >= 0, got {epochs}"):
+        transe_train([Triple("x", "r", "y")], _store(), epochs=epochs)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +456,23 @@ def test_same_size_edit_with_restored_mtime_is_parsed(tmp_path,
     parsed = _counting_parses(monkeypatch)
     assert read_embeddings(path)["b"][1] == 3.7
     assert parsed == [path]
+
+
+def test_file_replaced_while_parsed_gets_no_sidecar(tmp_path, monkeypatch):
+    path = tmp_path / "emb.txt"
+    path.write_text("1 2\na 1 2\n")
+    parse = kb._parse_embeddings
+
+    def parse_then_replace(p):
+        table = parse(p)
+        path.write_text("1 2\na 3 4\n")
+        return table
+
+    with monkeypatch.context() as m:
+        m.setattr(kb, "_parse_embeddings", parse_then_replace)
+        assert read_embeddings(path)["a"].tolist() == [1, 2]
+    assert not _sidecar(path).exists()
+    assert read_embeddings(path)["a"].tolist() == [3, 4]
 
 
 def _rewrite_sidecar(sidecar, **changes):
