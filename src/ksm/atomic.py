@@ -11,11 +11,12 @@ from pathlib import Path
 
 
 @contextlib.contextmanager
-def replacing(path) -> Iterator[Path]:
+def replacing(path, durable: bool = True) -> Iterator[Path]:
     """Yield a temporary path beside `path` for the caller to create and
-    write. When the block exits cleanly the file is synced to disk and
-    renamed onto `path`; when it raises, the file is removed and `path` is
-    left as it was.
+    write. When the block exits cleanly the file is renamed onto `path`,
+    after it is synced to disk if `durable`; when it raises, the file is
+    removed and `path` is left as it was. A file that can be rebuilt, and
+    whose reader detects a torn write, can skip the sync.
 
     The temporary file is hidden (``.name.<uuid>.tmp``) in the target's
     directory, so the rename never crosses a file system. Callers create it
@@ -27,11 +28,12 @@ def replacing(path) -> Iterator[Path]:
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         yield tmp
-        fd = os.open(tmp, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        if durable:
+            fd = os.open(tmp, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -88,144 +88,98 @@ def check_tensors(f: Callable[[], float], leaves: dict[str, Tensor],
 
 
 def _suite(seed: int) -> list[tuple[str, dict[str, Tensor], Callable[[], Tensor]]]:
-    def case(name):
-        """Each case draws from a generator of its own, seeded from the
-        suite seed and its name alone (crc32, not hash(), which varies with
-        PYTHONHASHSEED), so adding, removing or reordering cases leaves
-        every other case's inputs as they were."""
-        rng = np.random.default_rng([seed, zlib.crc32(name.encode("utf-8"))])
-        return name, rng, lambda *shape: Tensor(rng.standard_normal(shape),
-                                                requires_grad=True)
+    """(name, leaves, f) per case, f() the scalar checked. A case's inputs
+    are shapes, drawn standard normal as leaves, or functions of the
+    generator that give a Tensor; those that require a gradient are its
+    leaves. Each case draws its inputs, in order, from a generator of its
+    own, seeded from the suite seed and its name alone (crc32, not hash(),
+    which varies with PYTHONHASHSEED), so adding, removing or reordering
+    cases leaves every other case's inputs as they were."""
+    def leaf(values):
+        return Tensor(values, requires_grad=True)
 
+    cases = [
+        ("matmul", {"x": (3, 4), "y": (4, 5)},
+         lambda x, y: ad.tensor_sum((x @ y) * 0.3)),
+        ("add_broadcast", {"x": (3, 4), "b": (4,)},
+         lambda x, b: ad.tensor_sum(ad.tanh(x + b))),
+        ("multiply", {"x": (3, 4), "y": (3, 4)},
+         lambda x, y: ad.tensor_sum(ad.multiply(x, y) * 0.5)),
+        ("concat", {"x": (2, 3), "y": (2, 5)},
+         lambda x, y: ad.tensor_sum(ad.tanh(ad.concat([x, y])))),
+        ("gather_rows", {"x": (4, 3)},
+         lambda x: ad.tensor_sum(
+             ad.sigmoid(ad.gather_rows(x, [0, 2, 2, 1, 3])))),
+        ("reshape_transpose", {"x": (3, 4)},
+         lambda x: ad.tensor_sum(
+             ad.tanh(ad.transpose(ad.reshape(x, (4, 3)))))),
+        ("mean_axis", {"x": (3, 5)},
+         lambda x: ad.tensor_sum(
+             ad.tanh(ad.mean(x, axis=1, keepdims=True)))),
+        ("amax", {"x": (4, 3)},
+         lambda x: ad.tensor_sum(ad.amax(x, axis=0) * 2.0)),
+        *((name, {"x": (3, 4)}, lambda x, fn=fn: ad.tensor_sum(fn(x)))
+          for name, fn in (("tanh", ad.tanh), ("sigmoid", ad.sigmoid),
+                           ("relu", ad.relu))),
+        ("softmax", {"x": (3, 4), "w": (4, 1)},
+         lambda x, w: ad.tensor_sum(ad.softmax(x, axis=1) @ w)),
+        ("neg_scale_sum", {"x": (2, 3)},
+         lambda x: ad.mean(ad.neg(x) * 1.7)),
+        ("pair_tanh_score", {"a1": (3, 4), "a2": (2, 4), "w": (4, 1)},
+         lambda a1, a2, w: ad.tensor_sum(
+             ad.tanh(ad.pair_tanh_score(a1, a2, w)))),
+        # x with and without a gradient (an encoder's first block reads a
+        # constant sequence), and a single position
+        *((name,
+           {"x": lambda rng, rows=rows, x_grad=x_grad: Tensor(
+               rng.standard_normal((rows, 4)), requires_grad=x_grad),
+            "e": (1, 3), "wq_x": (4, 4), "wq_e": (3, 4), "wk": (4, 4),
+            "wv": (4, 4), "wh": (4, 5)},
+           lambda x, e, wq_x, wq_e, wk, wv, wh: ad.tensor_sum(ad.tanh(
+               ad.projected_attention(x, e, wq_x, wq_e, wk, wv, wh, 2))))
+          for name, rows, x_grad in (
+              ("projected_attention", 3, True),
+              ("projected_attention_const_x", 3, False),
+              ("projected_attention_one_row", 1, True))),
+        ("feed_forward",
+         {"x": (3, 4), "w1": (4, 5), "b1": (5,), "w2": (5, 4), "b2": (4,)},
+         lambda x, w1, b1, w2, b2: ad.tensor_sum(
+             ad.tanh(ad.feed_forward(x, w1, b1, w2, b2)))),
+        ("residual_layer_norm",
+         {"x": (3, 6), "y": (3, 6),
+          "gamma": lambda rng: leaf(rng.uniform(0.5, 1.5, 6)), "beta": (6,)},
+         lambda x, y, gamma, beta: ad.tensor_sum(
+             ad.tanh(ad.residual_layer_norm(x, y, gamma, beta, 1e-5)))),
+        # the third gold probability is about e^-40, below NLL_FLOOR by more
+        # than any finite-difference step moves it: clamped, with no gradient
+        ("nll_loss",
+         {"logits0": (1, 3), "logits1": (1, 3),
+          "logits2": lambda rng: leaf(rng.standard_normal((1, 3))
+                                      + [[0.0, 40.0, 0.0]])},
+         lambda logits0, logits1, logits2: nll_loss(
+             [ad.softmax(z, axis=1) for z in (logits0, logits1, logits2)],
+             [2, 0, 2])),
+        *((name, {"scores": (3, 4), "v": (v_rows, 5)},
+           lambda scores, v, axis=axis: ad.tensor_sum(
+               ad.tanh(ad.softmax_pool(scores, v, axis)[0])))
+          for name, v_rows, axis in (("softmax_pool_rows", 3, 1),
+                                     ("softmax_pool_columns", 4, 0))),
+        ("affine", {"x": (3, 4), "w": (4, 5), "b": (5,)},
+         lambda x, w, b: ad.tensor_sum(ad.tanh(ad.affine(x, w, b)))),
+        # a fresh generator per evaluation: every evaluation drops the same
+        # entries
+        ("dropout", {"x": (3, 4)},
+         lambda x: ad.tensor_sum(ad.tanh(ad.dropout(
+             x, 0.3, np.random.default_rng(seed), train=True)))),
+    ]
     suite = []
-
-    name, rng, t = case("matmul")
-    x, y = t(3, 4), t(4, 5)
-    suite.append((name, {"x": x, "y": y},
-                  lambda x=x, y=y: ad.tensor_sum((x @ y) * 0.3)))
-
-    name, rng, t = case("add_broadcast")
-    x, b = t(3, 4), t(4)
-    suite.append((name, {"x": x, "b": b},
-                  lambda x=x, b=b: ad.tensor_sum(ad.tanh(x + b))))
-
-    name, rng, t = case("multiply")
-    x, y = t(3, 4), t(3, 4)
-    suite.append((name, {"x": x, "y": y},
-                  lambda x=x, y=y: ad.tensor_sum(ad.multiply(x, y) * 0.5)))
-
-    name, rng, t = case("concat")
-    x, y = t(2, 3), t(2, 5)
-    suite.append((name, {"x": x, "y": y},
-                  lambda x=x, y=y: ad.tensor_sum(
-                      ad.tanh(ad.concat([x, y])))))
-
-    name, rng, t = case("gather_rows")
-    x = t(4, 3)
-    idx = [0, 2, 2, 1, 3]
-    suite.append((name, {"x": x},
-                  lambda x=x: ad.tensor_sum(
-                      ad.sigmoid(ad.gather_rows(x, idx)))))
-
-    name, rng, t = case("reshape_transpose")
-    x = t(3, 4)
-    suite.append((name, {"x": x},
-                  lambda x=x: ad.tensor_sum(
-                      ad.tanh(ad.transpose(ad.reshape(x, (4, 3)))))))
-
-    name, rng, t = case("mean_axis")
-    x = t(3, 5)
-    suite.append((name, {"x": x},
-                  lambda x=x: ad.tensor_sum(
-                      ad.tanh(ad.mean(x, axis=1, keepdims=True)))))
-
-    name, rng, t = case("amax")
-    x = t(4, 3)
-    suite.append((name, {"x": x},
-                  lambda x=x: ad.tensor_sum(ad.amax(x, axis=0) * 2.0)))
-
-    for name, fn in (("tanh", ad.tanh), ("sigmoid", ad.sigmoid),
-                     ("relu", ad.relu)):
-        name, rng, t = case(name)
-        x = t(3, 4)
-        suite.append((name, {"x": x},
-                      lambda x=x, fn=fn: ad.tensor_sum(fn(x))))
-
-    name, rng, t = case("softmax")
-    x = t(3, 4)
-    w = t(4, 1)
-    suite.append((name, {"x": x, "w": w},
-                  lambda x=x, w=w: ad.tensor_sum(ad.softmax(x, axis=1) @ w)))
-
-    name, rng, t = case("neg_scale_sum")
-    x = t(2, 3)
-    suite.append((name, {"x": x},
-                  lambda x=x: ad.mean(ad.neg(x) * 1.7)))
-
-    name, rng, t = case("pair_tanh_score")
-    a1, a2, w = t(3, 4), t(2, 4), t(4, 1)
-    suite.append((name, {"a1": a1, "a2": a2, "w": w},
-                  lambda a1=a1, a2=a2, w=w: ad.tensor_sum(
-                      ad.tanh(ad.pair_tanh_score(a1, a2, w)))))
-
-    # x with and without a gradient (an encoder's first block reads a
-    # constant sequence), and a single position
-    for name, rows, x_grad in (("projected_attention", 3, True),
-                               ("projected_attention_const_x", 3, False),
-                               ("projected_attention_one_row", 1, True)):
-        name, rng, t = case(name)
-        x = Tensor(rng.standard_normal((rows, 4)), requires_grad=x_grad)
-        ws = [t(1, 3), t(4, 4), t(3, 4), t(4, 4), t(4, 4), t(4, 5)]
-        leaves = dict(zip(("e", "wq_x", "wq_e", "wk", "wv", "wh"), ws))
-        if x_grad:
-            leaves["x"] = x
-        suite.append((name, leaves, lambda x=x, ws=ws: ad.tensor_sum(
-            ad.tanh(ad.projected_attention(x, *ws, 2)))))
-
-    name, rng, t = case("feed_forward")
-    x, w1, b1, w2, b2 = t(3, 4), t(4, 5), t(5), t(5, 4), t(4)
-    suite.append((name,
-                  {"x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2},
-                  lambda x=x, w1=w1, b1=b1, w2=w2, b2=b2: ad.tensor_sum(
-                      ad.tanh(ad.feed_forward(x, w1, b1, w2, b2)))))
-
-    name, rng, t = case("residual_layer_norm")
-    x, y = t(3, 6), t(3, 6)
-    g, b = Tensor(rng.uniform(0.5, 1.5, 6), requires_grad=True), t(6)
-    suite.append((name, {"x": x, "y": y, "gamma": g, "beta": b},
-                  lambda x=x, y=y, g=g, b=b: ad.tensor_sum(
-                      ad.tanh(ad.residual_layer_norm(x, y, g, b, 1e-5)))))
-
-    # the third gold probability is about e^-40, below NLL_FLOOR by more
-    # than any finite-difference step moves it: clamped, with no gradient
-    name, rng, t = case("nll_loss")
-    logits = [t(1, 3), t(1, 3), Tensor(rng.standard_normal((1, 3))
-                                       + [[0.0, 40.0, 0.0]],
-                                       requires_grad=True)]
-    suite.append((name, {f"logits{i}": z for i, z in enumerate(logits)},
-                  lambda z=logits: nll_loss(
-                      [ad.softmax(zi, axis=1) for zi in z], [2, 0, 2])))
-
-    for name, v_rows, axis in (("softmax_pool_rows", 3, 1),
-                               ("softmax_pool_columns", 4, 0)):
-        name, rng, t = case(name)
-        scores, v = t(3, 4), t(v_rows, 5)
-        suite.append((name, {"scores": scores, "v": v},
-                      lambda s=scores, v=v, axis=axis: ad.tensor_sum(
-                          ad.tanh(ad.softmax_pool(s, v, axis)[0]))))
-
-    name, rng, t = case("affine")
-    x, w, b = t(3, 4), t(4, 5), t(5)
-    suite.append((name, {"x": x, "w": w, "b": b},
-                  lambda x=x, w=w, b=b: ad.tensor_sum(
-                      ad.tanh(ad.affine(x, w, b)))))
-
-    # a fresh generator per evaluation: every evaluation drops the same entries
-    name, rng, t = case("dropout")
-    x = t(3, 4)
-    suite.append((name, {"x": x},
-                  lambda x=x: ad.tensor_sum(ad.tanh(ad.dropout(
-                      x, 0.3, np.random.default_rng(seed), train=True)))))
+    for name, inputs, f in cases:
+        rng = np.random.default_rng([seed, zlib.crc32(name.encode("utf-8"))])
+        tensors = {k: spec(rng) if callable(spec)
+                   else leaf(rng.standard_normal(spec))
+                   for k, spec in inputs.items()}
+        suite.append((name, {k: t for k, t in tensors.items()
+                             if t.requires_grad}, partial(f, **tensors)))
     return suite
 
 

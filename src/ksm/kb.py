@@ -475,13 +475,25 @@ def read_embeddings(path) -> Embeddings:
     same bytes loads it instead. A sidecar is trusted only whole (see
     `_read_sidecar`) and is rebuilt otherwise; it is written only for a
     file that parsed cleanly and did not change while it was parsed, and
-    a sidecar that cannot be written is skipped. A stream such as a pipe,
-    which can be read only once, is parsed every time.
+    a sidecar that cannot be written is skipped. Only a sidecar owned by
+    the file's owner or by the reader is trusted, so in a shared directory
+    another user cannot plant one. Anything but a regular file (a pipe, a
+    FIFO, a terminal), which can be read only once, is parsed every time,
+    and so is a file in a directory the reader cannot write that holds no
+    sidecar: neither is hashed.
     """
     sidecar = Path(path)
     sidecar = sidecar.with_name(f".{sidecar.name}{_SIDECAR_SUFFIX}")
-    digest = _content_digest(path)
-    cached = digest and _read_sidecar(sidecar, digest)
+    st = os.stat(path)
+    # Only a regular file is hashed, and only where a sidecar can be read
+    # or written. The type is decided before the file is opened: opening a
+    # FIFO connects to its writer, and closing it unread would leave no
+    # writer for the parse.
+    hashed = stat.S_ISREG(st.st_mode) and (
+        os.path.lexists(sidecar) or os.access(sidecar.parent, os.W_OK))
+    digest = _content_digest(path) if hashed else None
+    cached = digest and _read_sidecar(sidecar, digest,
+                                      owners={st.st_uid, os.getuid()})
     if cached:
         table, count = cached
     else:
@@ -543,32 +555,39 @@ _SIDECAR_WIRE = np.dtype("<f8")
 _DIGEST_CHUNK = 1 << 16  # bytes hashed per read, so memory stays flat
 
 
-def _content_digest(path) -> str | None:
-    """Hex SHA-256 of a regular file's bytes; None for a stream (a pipe, a
-    terminal), which the digest would consume."""
+def _content_digest(path) -> str:
+    """Hex SHA-256 of a file's bytes."""
     with open(path, "rb") as f:
-        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-            return None
         h = hashlib.sha256()
         while chunk := f.read(_DIGEST_CHUNK):
             h.update(chunk)
     return h.hexdigest()
 
 
-def _read_sidecar(sidecar: Path, digest: str) -> tuple[Embeddings, int] | None:
+def _read_sidecar(sidecar: Path, digest: str,
+                  owners: set[int]) -> tuple[Embeddings, int] | None:
     """The table and header count a sidecar holds for the file of `digest`,
-    or None unless its format, version and digest match, its ids are unique
-    and one per row, and its matrix is a finite (rows, header dim) "<f8"
-    array. Nothing is memory-mapped or unpickled: the rows are writable."""
+    or None unless it is a regular file a uid in `owners` owns, its format,
+    version and digest match, its ids are unique and one per row, and its
+    matrix is a finite (rows, header dim) "<f8" array. Every array is read
+    whole, so the zip CRCs catch a torn write. Nothing is memory-mapped or
+    unpickled: the rows are writable."""
     try:
-        with np.load(sidecar, allow_pickle=False) as z:
-            if (str(z["format"]) != _SIDECAR_FORMAT
-                    or int(z["version"]) != _SIDECAR_VERSION
-                    or str(z["sha256"]) != digest):
-                raise ValueError("another format, version or digest")
-            count, dim = map(int, str(z["header"]).split())
-            ids = z["ids"].tobytes().decode("utf-8")
-            matrix = z["matrix"]
+        # non-blocking: a FIFO under the sidecar's name opens at once, and
+        # is refused, instead of waiting for a writer
+        with open(os.open(sidecar, os.O_RDONLY | os.O_NONBLOCK), "rb") as f:
+            st = os.fstat(f.fileno())
+            if not stat.S_ISREG(st.st_mode) or st.st_uid not in owners:
+                raise ValueError("not a regular file of the file's owner "
+                                 "or the reader")
+            with np.load(f, allow_pickle=False) as z:
+                if (str(z["format"]) != _SIDECAR_FORMAT
+                        or int(z["version"]) != _SIDECAR_VERSION
+                        or str(z["sha256"]) != digest):
+                    raise ValueError("another format, version or digest")
+                count, dim = map(int, str(z["header"]).split())
+                ids = z["ids"].tobytes().decode("utf-8")
+                matrix = z["matrix"]
         if (matrix.dtype != _SIDECAR_WIRE or matrix.shape[1:] != (dim,)
                 or not np.isfinite(matrix).all()):
             raise ValueError(f"not a finite (n, {dim}) <f8 matrix")
@@ -583,9 +602,11 @@ def _read_sidecar(sidecar: Path, digest: str) -> tuple[Embeddings, int] | None:
 
 def _write_sidecar(sidecar: Path, digest: str, count: int,
                    table: Embeddings) -> None:
-    """Write the sidecar atomically; an OSError is logged, not raised."""
+    """Write the sidecar atomically; an OSError is logged, not raised. It
+    is not synced to disk: a sidecar torn by a crash fails its CRCs and is
+    rebuilt from the text."""
     try:
-        with replacing(sidecar) as tmp, open(tmp, "xb") as f:
+        with replacing(sidecar, durable=False) as tmp, open(tmp, "xb") as f:
             np.savez(f, format=np.array(_SIDECAR_FORMAT),
                      version=np.array(_SIDECAR_VERSION),
                      sha256=np.array(digest),

@@ -1,6 +1,10 @@
 """TransE embeddings: init, energy, training dynamics, pair resolution."""
 
 import os
+import subprocess
+import sys
+import threading
+import zipfile
 
 import numpy as np
 import pytest
@@ -490,6 +494,17 @@ def _bad_matrix(fill):
     return change
 
 
+def _flip_last_matrix_byte(sidecar):
+    """A torn write: one byte of the matrix's data changed, the zip
+    directory intact (the last value's sign bit; "matrix" is the last
+    member, so its data ends where the central directory starts)."""
+    data = bytearray(sidecar.read_bytes())
+    with zipfile.ZipFile(sidecar) as z:
+        assert z.infolist()[-1].filename == "matrix.npy"
+        data[z.start_dir - 1] ^= 0x80
+    sidecar.write_bytes(bytes(data))
+
+
 @pytest.mark.parametrize("spoil", [
     lambda s: s.write_bytes(s.read_bytes()[:len(s.read_bytes()) // 2]),
     lambda s: s.write_bytes(b""),
@@ -501,12 +516,14 @@ def _bad_matrix(fill):
     _bad_matrix(lambda m: np.where(m == m[1, 2], np.nan, m)),
     _bad_matrix(lambda m: m.astype(np.float32)),
     _bad_matrix(lambda m: m.astype(object)),
+    _flip_last_matrix_byte,
     lambda s: _rewrite_sidecar(s, ids=np.array(["w0"] * 5, dtype=object)),
     lambda s: _rewrite_sidecar(s, ids=np.frombuffer(
         b"w0\nw0\nw2\nw3\nw4", dtype=np.uint8)),
 ], ids=["truncated", "empty", "wrong_digest", "wrong_version",
         "too_few_rows", "wrong_width", "one_dimensional", "non_finite",
-        "float32", "object_matrix", "object_ids", "repeated_id"])
+        "float32", "object_matrix", "flipped_byte", "object_ids",
+        "repeated_id"])
 def test_bad_sidecar_is_ignored_and_rewritten(tmp_path, monkeypatch, spoil):
     path = _vector_file(tmp_path)
     want = read_embeddings(path)
@@ -534,6 +551,33 @@ def test_sidecar_write_failure_still_returns_the_table(tmp_path,
     assert os.listdir(tmp_path) == ["emb.txt"]
 
 
+def test_read_only_directory_parses_without_hashing(tmp_path, monkeypatch):
+    path = _vector_file(tmp_path)
+    want = read_embeddings(path)
+    _sidecar(path).unlink()
+    hashed = []
+    digest = kb._content_digest
+
+    def counted(p):
+        hashed.append(p)
+        return digest(p)
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "access", lambda p, mode: False)  # as if read-only
+        m.setattr(kb, "_content_digest", counted)
+        for _ in range(2):
+            table = read_embeddings(path)
+            assert table.matrix.tobytes() == want.matrix.tobytes()
+        assert hashed == []
+        assert os.listdir(tmp_path) == ["emb.txt"]
+    # a sidecar that came with a read-only directory is still read
+    read_embeddings(path)
+    parsed = _counting_parses(monkeypatch)
+    monkeypatch.setattr(os, "access", lambda p, mode: False)
+    assert read_embeddings(path).ids == want.ids
+    assert parsed == []
+
+
 def test_malformed_file_is_rejected_on_every_read_and_gets_no_sidecar(
         tmp_path):
     path = tmp_path / "emb.txt"
@@ -556,6 +600,115 @@ def test_header_count_warning_on_miss_and_hit(tmp_path, monkeypatch,
         assert [r.getMessage() for r in caplog.records] == [
             f"{path}: header count 5 != 2 rows read"]
     assert parsed == [path]
+
+
+def _owned_by(monkeypatch, path, file_owner, reader):
+    """Make `path` read as owned by `file_owner` and the process run as
+    `reader`; every other file keeps its real owner."""
+    real_stat = os.stat
+
+    def stat(p, *args, **kwargs):
+        st = real_stat(p, *args, **kwargs)
+        if os.fspath(p) != os.fspath(path):
+            return st
+        return os.stat_result((st.st_mode, st.st_ino, st.st_dev, st.st_nlink,
+                               file_owner, *st[5:10]))
+
+    monkeypatch.setattr(os, "stat", stat)
+    monkeypatch.setattr(os, "getuid", lambda: reader)
+
+
+@pytest.mark.parametrize("file_owner, reader, trusted", [
+    (0, 1, True),   # the sidecar's owner owns the file; another user reads
+    (1, 0, True),   # another user owns the file; the sidecar is the reader's
+    (1, 2, False),  # the sidecar belongs to neither: it could be planted
+])
+def test_sidecar_is_trusted_only_from_the_files_owner_or_the_reader(
+        tmp_path, monkeypatch, file_owner, reader, trusted):
+    path = _vector_file(tmp_path)
+    want = read_embeddings(path)
+    me = _sidecar(path).stat().st_uid
+    _owned_by(monkeypatch, path, me + file_owner, me + reader)
+    parsed = _counting_parses(monkeypatch)
+    for _ in range(2):
+        table = read_embeddings(path)
+        assert table.ids == want.ids
+        assert table.matrix.tobytes() == want.matrix.tobytes()
+    assert len(parsed) == (0 if trusted else 2)
+
+
+def _read_within(path, fifo, seconds=10):
+    """read_embeddings(path) in a thread. A read still waiting on `fifo`
+    after `seconds` fails the test; it is sent an end of file, so that it
+    ends rather than hanging the suite."""
+    got = {}
+    reader = threading.Thread(daemon=True, target=lambda: got.update(
+        table=read_embeddings(path)))
+    reader.start()
+    reader.join(timeout=seconds)
+    waited = reader.is_alive()
+    if waited:
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=seconds)
+    assert not waited, f"read of {path} waited on {fifo}"
+    return got["table"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_a_fifo_under_the_sidecars_name_is_refused(tmp_path, monkeypatch):
+    path = _vector_file(tmp_path)
+    want = read_embeddings(path)
+    _sidecar(path).unlink()
+    os.mkfifo(_sidecar(path))
+    parsed = _counting_parses(monkeypatch)
+    # opening the FIFO to read would wait for a writer that never comes
+    assert _read_within(path, _sidecar(path)).ids == want.ids
+    assert parsed == [path]
+
+
+def test_parsed_table_is_pinned_to_the_sidecar_version(tmp_path):
+    # A sidecar holds what the parser made of given bytes, so a parser
+    # change that alters this table must bump _SIDECAR_VERSION, or every
+    # existing sidecar keeps returning the old parser's table. Update the
+    # pin and the version together.
+    path = tmp_path / "emb.txt"
+    path.write_bytes(
+        "7 3\n"
+        "a 1 2 3\n"
+        "\n"
+        "b\t-0.0  1e-300 2.5E+3   \n"
+        "  a 4 5 6\r\n"
+        "\u00e9t\u00e9 +0.1 1_000 1e-400\n"
+        "c 1.7976931348623157e308 -5e-324 .5\n"
+        " \t \n".encode("utf-8"))
+    table, count = kb._parse_embeddings(path)
+    assert (count, table.ids) == (7, ["a", "b", "\u00e9t\u00e9", "c"])
+    assert table.matrix.tobytes() == np.array(  # bytes: -0.0 keeps its sign
+        [[4, 5, 6], [-0.0, 1e-300, 2.5e3], [0.1, 1e3, 0.0],
+         [1.7976931348623157e308, -5e-324, 0.5]]).tobytes()
+    assert kb._SIDECAR_VERSION == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_a_fifo_is_parsed_with_its_writer_connected(tmp_path):
+    # the file's type is decided before it is opened: an open that only
+    # checked it would let the writer write into a pipe that is then
+    # closed unread, and the parse would wait for a writer that is gone
+    fifo = tmp_path / "emb.txt"
+    os.mkfifo(fifo)
+    # a process, not a thread: it writes the moment a reader opens the FIFO
+    writer = subprocess.Popen(
+        [sys.executable, "-c", "import sys; open(sys.argv[1], 'wb')"
+         ".write(b'2 2\\na 1 2\\nb 3 4\\n')", str(fifo)],
+        stderr=subprocess.DEVNULL)
+    try:
+        table = _read_within(fifo, fifo)
+    finally:
+        writer.kill()
+        writer.wait()
+    assert table.ids == ["a", "b"]
+    np.testing.assert_array_equal(table.matrix, [[1, 2], [3, 4]])
+    assert os.listdir(tmp_path) == ["emb.txt"]
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
