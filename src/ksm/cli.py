@@ -15,7 +15,6 @@ import inspect
 import json
 import logging
 import os
-import shutil
 import sys
 from pathlib import Path
 
@@ -110,14 +109,14 @@ def _load_word_table(args, cfg, instances) -> WordTable:
 
 def _save_word_table(args, word_table: WordTable, path: Path) -> None:
     """Write the table `predict` reads back. A table loaded from
-    --word-embeddings is that file, copied byte for byte (formatting 2,000
-    rows of 100 floats again costs more than reading them); nothing is
-    copied onto the file itself."""
+    --word-embeddings is that file, copied byte for byte with its parsed
+    table (formatting 2,000 rows of 100 floats again costs more than
+    reading them); nothing is copied onto the file itself."""
     source = getattr(args, "word_embeddings", None)
     if not source:
         word_table.save(path)
     elif not (path.exists() and os.path.samefile(source, path)):
-        shutil.copyfile(source, path)
+        kb_mod.copy_embeddings(source, path)
 
 
 def _load_store(args, cfg) -> kb_mod.KnowledgeStore:
@@ -182,16 +181,24 @@ def _check_store_dim(store, d_kb: int) -> None:
                        f"the model d_kb {d_kb}")
 
 
-def _train_on(instances, args, cfg) -> tuple[KSMModel, train_mod.TrainResult,
-                                             WordTable,
-                                             kb_mod.KnowledgeStore]:
+def _configs(cfg) -> tuple[ModelConfig, TrainConfig]:
+    """The model and training configs of `cfg`. Callers build them before
+    reading any input, so an invalid value is reported before a file is
+    read (and before a read leaves an embedding sidecar behind)."""
+    return (ModelConfig(**{k: cfg[k] for k in _MODEL_KEYS}),
+            TrainConfig(**{k: cfg[k] for k in _TRAIN_KEYS}))
+
+
+def _train_on(instances, args, cfg,
+              configs: tuple[ModelConfig, TrainConfig]
+              ) -> tuple[KSMModel, train_mod.TrainResult, WordTable,
+                         kb_mod.KnowledgeStore]:
+    model_config, train_config = configs
     store = _load_store(args, cfg)
     _check_store_dim(store, cfg["d_kb"])
     word_table = _load_word_table(args, cfg, instances)
-    model = KSMModel(ModelConfig(**{k: cfg[k] for k in _MODEL_KEYS}),
-                     word_table, seed=cfg["seed"],
+    model = KSMModel(model_config, word_table, seed=cfg["seed"],
                      null_relation=store.null_relation)
-    train_config = TrainConfig(**{k: cfg[k] for k in _TRAIN_KEYS})
     result = train_mod.train_model(instances, store, model, train_config)
     return model, result, word_table, store
 
@@ -199,9 +206,10 @@ def _train_on(instances, args, cfg) -> tuple[KSMModel, train_mod.TrainResult,
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     _require(args, "instances", "out")
+    configs = _configs(cfg)
     instances = corpus_mod.read_instances(
         _check_exists(args.instances, "instance file"))
-    model, result, word_table, _ = _train_on(instances, args, cfg)
+    model, result, word_table, _ = _train_on(instances, args, cfg, configs)
     model.save(args.out)
     _save_word_table(args, word_table, Path(str(args.out) + ".words.txt"))
     records = [{"event": "config", **cfg}]
@@ -280,6 +288,10 @@ _ABLATION_AXES = {
 def cmd_ablate(args) -> int:
     cfg = resolve_config(args)
     _require(args, "instances", "eval_instances", "corpus")
+    variants = []
+    for name, overrides in _ABLATION_AXES[args.axis]:
+        variant_cfg = {**cfg, **overrides}
+        variants.append((name, variant_cfg, _configs(variant_cfg)))
     train_instances = corpus_mod.read_instances(
         _check_exists(args.instances, "instance file"))
     eval_instances = corpus_mod.read_instances(
@@ -287,10 +299,9 @@ def cmd_ablate(args) -> int:
     docs = corpus_mod.read_corpus(_check_exists(args.corpus, "corpus file"))
     gold = train_mod.gold_pairs(docs)
     rows = []
-    for name, overrides in _ABLATION_AXES[args.axis]:
-        variant_cfg = dict(cfg)
-        variant_cfg.update(overrides)
-        model, _, _, store = _train_on(train_instances, args, variant_cfg)
+    for name, variant_cfg, configs in variants:
+        model, _, _, store = _train_on(train_instances, args, variant_cfg,
+                                       configs)
         preds = train_mod.predict_instances(model, eval_instances, store)
         prf = train_mod.micro_prf(train_mod.aggregate_predictions(preds),
                                   gold)

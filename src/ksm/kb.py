@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
+import shutil
 import stat
 import zipfile
 from collections import Counter
@@ -482,8 +483,7 @@ def read_embeddings(path) -> Embeddings:
     and so is a file in a directory the reader cannot write that holds no
     sidecar: neither is hashed.
     """
-    sidecar = Path(path)
-    sidecar = sidecar.with_name(f".{sidecar.name}{_SIDECAR_SUFFIX}")
+    sidecar = _sidecar_path(path)
     st = os.stat(path)
     # Only a regular file is hashed, and only where a sidecar can be read
     # or written. The type is decided before the file is opened: opening a
@@ -504,6 +504,22 @@ def read_embeddings(path) -> Embeddings:
         logger.warning("%s: header count %d != %d rows read",
                        path, count, len(table))
     return table
+
+
+def copy_embeddings(source, target) -> None:
+    """Copy an embedding file to `target` byte for byte. When the source's
+    sidecar is one `read_embeddings` trusts for the copied bytes, its table
+    becomes the copy's sidecar, so the copy's first read needs no parse.
+    The checked table is written anew rather than the file copied: the new
+    sidecar is the reader's, and so trusted, and only a checked table may
+    become one."""
+    shutil.copyfile(source, target)
+    digest = _content_digest(target)
+    cached = _read_sidecar(_sidecar_path(source), digest,
+                           owners={os.stat(source).st_uid, os.getuid()})
+    if cached:
+        table, count = cached
+        _write_sidecar(_sidecar_path(target), digest, count, table)
 
 
 def _parse_embeddings(path) -> tuple[Embeddings, int]:
@@ -553,6 +569,12 @@ _SIDECAR_FORMAT = "ksm-embeddings"
 _SIDECAR_VERSION = 1  # bump whenever the table parsed from given bytes changes
 _SIDECAR_WIRE = np.dtype("<f8")
 _DIGEST_CHUNK = 1 << 16  # bytes hashed per read, so memory stays flat
+
+
+def _sidecar_path(path) -> Path:
+    """Where `read_embeddings` keeps the parsed table of `path`."""
+    path = Path(path)
+    return path.with_name(f".{path.name}{_SIDECAR_SUFFIX}")
 
 
 def _content_digest(path) -> str:

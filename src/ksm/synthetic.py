@@ -10,45 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import (CandidateInstance, Document, LABEL_NEGATIVE,
-                     LABEL_POSITIVE, Mention, sorted_pair)
+from .corpus import CandidateInstance, LABEL_NEGATIVE, LABEL_POSITIVE
 from .kb import KnowledgeStore, Triple, init_embeddings
 from .model import WordTable
-
-
-def toy_documents() -> list[Document]:
-    """A handful of documents exercising windowing, masking and labeling."""
-    docs = [
-        Document(
-            doc_id="D1",
-            sentences=[["A", "B", "P1", "C", "D", "42", "P2", "E", "F", "G"]],
-            mentions=[Mention("G1", 0, (2, 3)), Mention("G2", 0, (6, 7))],
-            gold_relations={sorted_pair("G1", "G2")},
-        ),
-        Document(
-            doc_id="D2",
-            sentences=[
-                ["P1", "binds", "the", "XYZ", "kinase", "complex", "*"],
-                ["it", "also", "regulates", "P3", "(", "strongly", ")"],
-                ["no", "mentions", "here"],
-                ["far", "away", "P4", "sits", "alone"],
-            ],
-            mentions=[
-                Mention("G1", 0, (0, 1)),
-                Mention("G3", 0, (3, 5)),   # two-token mention
-                Mention("G4", 1, (3, 4)),
-                Mention("G5", 3, (2, 3)),   # 3 sentences from G1: filtered
-            ],
-            gold_relations={sorted_pair("G1", "G4")},
-        ),
-        Document(
-            doc_id="D3",
-            sentences=[["only", "one", "P9", "mention", "7%", "here"]],
-            mentions=[Mention("G9", 0, (2, 3))],
-            gold_relations=set(),
-        ),
-    ]
-    return docs
 
 
 def separable_instances(n: int = 40, length: int = 6, seed: int = 0

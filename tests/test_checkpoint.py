@@ -20,23 +20,50 @@ from ksm.gradcheck import toy_batch, toy_model
 from ksm.model import KSMModel
 
 DATA = Path(__file__).parent / "data"
-VERSIONS = pytest.mark.parametrize("version", [2, 3], ids=["v2", "v3"])
+VERSIONS = pytest.mark.parametrize("version", [2, 3, 4],
+                                   ids=["v2", "v3", "v4"])
+
+
+def _wire(values: np.ndarray) -> bytes:
+    """Little-endian float64 bytes in row-major order."""
+    return np.ascontiguousarray(values, dtype="<f8").tobytes()
 
 
 def _encoded(values: np.ndarray, version: int):
-    """One parameter's values as format `version` stores them, built by
-    hand: a list of floats (2) or base64 of little-endian float64 (3)."""
+    """One parameter's values as JSON format `version` stores them, built
+    by hand: a list of floats (2) or base64 of `_wire` (3)."""
     if version == 2:
         return values.reshape(-1).tolist()
-    return base64.b64encode(
-        np.ascontiguousarray(values, dtype="<f8").tobytes()).decode("ascii")
+    return base64.b64encode(_wire(values)).decode("ascii")
 
 
 def _blob(values: dict, config: dict, version: int) -> dict:
+    """The JSON document of a format 2 or 3 file."""
     return {"format_version": version, "config": config,
             "params": {k: {"shape": list(v.shape),
                            "values": _encoded(v, version)}
                        for k, v in values.items()}}
+
+
+def _joined(header: dict, body: bytes) -> bytes:
+    return json.dumps(header).encode("ascii") + b"\n" + body
+
+
+def _file(values: dict, config: dict, version: int) -> bytes:
+    """A whole file of format `version`, built by hand: for 4 a JSON header
+    line of the shapes and then every parameter's `_wire` bytes in order."""
+    if version != 4:
+        return json.dumps(_blob(values, config, version)).encode("ascii")
+    header = {"format_version": 4, "config": config,
+              "params": {k: {"shape": list(v.shape)}
+                         for k, v in values.items()}}
+    return _joined(header, b"".join(_wire(v) for v in values.values()))
+
+
+def _split(path) -> tuple[dict, bytes]:
+    """A format 4 file's header, parsed, and its body."""
+    header, _, body = path.read_bytes().partition(b"\n")
+    return json.loads(header), body
 
 
 def _random_store(seed=0):
@@ -51,9 +78,10 @@ def _random_store(seed=0):
 def test_roundtrip_is_bit_exact(tmp_path):
     store = _random_store()
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, store, config={"d": 4})
-    values, config = load_checkpoint(path)
-    assert config == {"d": 4}
+    config = {"d": 4, "note": "two\nlines"}  # the header stays one line
+    save_checkpoint(path, store, config=config)
+    values, loaded_config = load_checkpoint(path)
+    assert loaded_config == config
     assert set(values) == set(store.names())
     for name, t in store.items():
         assert values[name].shape == t.shape
@@ -64,10 +92,9 @@ def test_saved_file_is_the_documented_encoding(tmp_path):
     store = _random_store()
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, store, config={"d": 4})
-    expected = _blob({n: t.data for n, t in store.items()}, {"d": 4},
-                     FORMAT_VERSION)
-    assert FORMAT_VERSION == 3
-    assert json.loads(path.read_text()) == expected
+    assert FORMAT_VERSION == 4
+    assert path.read_bytes() == _file({n: t.data for n, t in store.items()},
+                                      {"d": 4}, 4)
 
 
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
@@ -106,25 +133,53 @@ def test_format_2_file_loads_to_the_same_model(tmp_path):
                for n, t in original.params.items())
     path = tmp_path / "m.ckpt"
     old.save(path)
-    assert json.loads(path.read_text())["format_version"] == 3
+    assert _split(path)[0]["format_version"] == FORMAT_VERSION
     new = KSMModel.load(path, word_table)
     v2, _ = load_checkpoint(DATA / "toy_model_v2.ckpt")
-    v3, _ = load_checkpoint(path)
-    assert all(v2[k].tobytes() == v3[k].tobytes() for k in v2) and \
-        v2.keys() == v3.keys()
+    v4, _ = load_checkpoint(path)
+    assert all(v2[k].tobytes() == v4[k].tobytes() for k in v2) and \
+        v2.keys() == v4.keys()
     for inst, kn in toy_batch(5, old.config.d_kb):
         a = old.forward_instance(inst, kn)[0].data
         b = new.forward_instance(inst, kn)[0].data
         assert a.tobytes() == b.tobytes()
 
 
+def _same_values(a: dict, b: dict) -> bool:
+    return a.keys() == b.keys() and all(
+        a[k].tobytes() == b[k].tobytes() for k in a)
+
+
+def test_format_3_file_loads_to_the_same_values(tmp_path):
+    # tests/data/toy_model_v3.ckpt is toy_model(seed=3) as saved by the
+    # format 3 writer (values as base64 strings)
+    v2, config2 = load_checkpoint(DATA / "toy_model_v2.ckpt")
+    v3, config3 = load_checkpoint(DATA / "toy_model_v3.ckpt")
+    path = tmp_path / "m.ckpt"
+    KSMModel.load(DATA / "toy_model_v3.ckpt",
+                  toy_model(seed=3).word_table).save(path)
+    v4, config4 = load_checkpoint(path)
+    assert config2 == config3 == config4
+    assert _same_values(v3, v2) and _same_values(v4, v2)
+
+
+def test_pretty_printed_format_3_file_is_read(tmp_path):
+    v3_path = DATA / "toy_model_v3.ckpt"
+    path = tmp_path / "m.ckpt"
+    path.write_text(json.dumps(json.loads(v3_path.read_text()), indent=2))
+    assert path.read_text().count("\n") > 10
+    values, config = load_checkpoint(path)
+    want, want_config = load_checkpoint(v3_path)
+    assert config == want_config and _same_values(values, want)
+
+
 def test_unsupported_version_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, _random_store())
-    blob = json.loads(path.read_text())
-    blob["format_version"] = 99
-    path.write_text(json.dumps(blob))
-    with pytest.raises(CheckpointError, match="format_version"):
+    header, body = _split(path)
+    header["format_version"] = 99
+    path.write_bytes(_joined(header, body))
+    with pytest.raises(CheckpointError, match="format_version 99"):
         load_checkpoint(path)
 
 
@@ -132,6 +187,15 @@ def test_garbage_file_rejected_with_location(tmp_path):
     path = tmp_path / "model.ckpt"
     path.write_text("not json {")
     with pytest.raises(CheckpointError, match="line"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("line_end", [b"", b"\n"], ids=["document",
+                                                      "header"])
+def test_deeply_nested_json_rejected(tmp_path, line_end):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(b"[" * 100_000 + line_end)
+    with pytest.raises(CheckpointError, match="nested too deeply"):
         load_checkpoint(path)
 
 
@@ -156,7 +220,7 @@ def test_checkpoint_without_matching_config_rejected(tmp_path, version):
     # a config that implies a different parameter set must be refused
     values, config = load_checkpoint(path)
     config["n_blocks"] = 1
-    path.write_text(json.dumps(_blob(values, config, version)))
+    path.write_bytes(_file(values, config, version))
     with pytest.raises(CheckpointError, match="does not match"):
         KSMModel.load(path, model.word_table)
 
@@ -177,31 +241,35 @@ def _store_values():
     return {n: t.data.copy() for n, t in _random_store().items()}
 
 
-def _path_and_blob(tmp_path, version=FORMAT_VERSION):
-    """A file path and the blob of `_random_store` in format `version`."""
+def _path_and_blob(tmp_path, version):
+    """A file path and the JSON blob of `_random_store` in format
+    `version` (2 or 3)."""
     return tmp_path / "model.ckpt", _blob(_store_values(), {"d": 4}, version)
 
 
-def _rejected(path, blob, match):
-    path.write_text(json.dumps(blob))
+def _rejected(path, content, match):
+    """`content` (file bytes, or a blob to write as JSON) fails to load
+    with a CheckpointError that matches `match` and names the file."""
+    path.write_bytes(content if isinstance(content, bytes)
+                     else json.dumps(content).encode("ascii"))
     with pytest.raises(CheckpointError, match=match) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
 
 
 def test_version_1_file_rejected_with_retrain_hint(tmp_path):
-    path, blob = _path_and_blob(tmp_path)
+    path, blob = _path_and_blob(tmp_path, 3)
     blob["format_version"] = 1
     _rejected(path, blob, "format_version 1 .*retrain")
 
 
 def test_non_object_blob_rejected(tmp_path):
-    path, _ = _path_and_blob(tmp_path)
+    path, _ = _path_and_blob(tmp_path, 3)
     _rejected(path, [1, 2, 3], "JSON object")
 
 
 def test_missing_params_rejected(tmp_path):
-    path, blob = _path_and_blob(tmp_path)
+    path, blob = _path_and_blob(tmp_path, 3)
     del blob["params"]
     _rejected(path, blob, "missing 'params'")
 
@@ -215,8 +283,65 @@ def test_parameter_without_shape_or_values_rejected(tmp_path, key, version):
     _rejected(path, blob, f"'layer.w': missing or malformed.*'{key}'")
 
 
+def _v4_defect(change):
+    """The format 4 file of `_random_store` after `change(header, body)`,
+    which returns the file's bytes. The body holds layer.w (4, 3) in bytes
+    0-95, layer.b (3,) in 96-119 and head.w (2, 2) in 120-151."""
+    data = _file(_store_values(), {"d": 4}, 4)
+    header, _, body = data.partition(b"\n")
+    return change(json.loads(header), body)
+
+
+def _shape(shape):
+    def change(header, body):
+        header["params"]["layer.w"]["shape"] = shape
+        return _joined(header, body)
+    return change
+
+
+def _nan_at(offset):
+    def change(header, body):
+        return _joined(header, body[:offset] + _wire(np.array([np.nan]))
+                       + body[offset + 8:])
+    return change
+
+
+@pytest.mark.parametrize("change, match", [
+    (lambda h, b: _joined(h, b[:-8]),
+     "144 bytes of values follow the header, whose shapes need 152"),
+    (lambda h, b: _joined(h, b + b"\0" * 8),
+     "160 bytes of values follow the header, whose shapes need 152"),
+    (lambda h, b: _joined(h, b[:-3]),
+     "149 bytes of values follow the header, whose shapes need 152"),
+    (_shape([5, 3]),
+     "152 bytes of values follow the header, whose shapes need 176"),
+    (_shape([-4, -3]), "'layer.w': missing or malformed 'shape'"),
+    (_shape([4.0, 3]), "'layer.w': missing or malformed 'shape'"),
+    (_shape([True, 3]), "'layer.w': missing or malformed 'shape'"),
+    (_shape("4 3"), "'layer.w': missing or malformed 'shape'"),
+    (_shape(None), "'layer.w': missing or malformed 'shape'"),
+    (_nan_at(104), "'layer.b' holds non-finite values"),
+    (_nan_at(144), "'head.w' holds non-finite values"),
+    (lambda h, b: _joined({**h, "format_version": 99}, b),
+     "unsupported format_version 99"),
+    (lambda h, b: _joined({k: v for k, v in h.items() if k != "params"}, b),
+     "missing 'params'"),
+    (lambda h, b: json.dumps(h).encode()[:-1] + b"\n" + b,
+     "no JSON header line, and not UTF-8 JSON"),
+    (lambda h, b: b"\n" + json.dumps(h).encode() + b"\n" + b,
+     "no JSON header line, and not UTF-8 JSON"),
+    (lambda h, b: json.dumps(h).encode(),  # no line end: a JSON document
+     "unsupported format_version 4"),
+], ids=["short", "trailing", "ragged", "shape-too-big", "negative-shape",
+        "float-shape", "bool-shape", "string-shape", "no-shape",
+        "nan-in-layer.b", "nan-in-last", "version-99", "no-params",
+        "truncated-header", "blank-first-line", "header-only"])
+def test_format_4_defect_rejected(tmp_path, change, match):
+    _rejected(tmp_path / "model.ckpt", _v4_defect(change), match)
+
+
 def test_values_not_filling_shape_rejected(tmp_path):
-    path, blob = _path_and_blob(tmp_path)
+    path, blob = _path_and_blob(tmp_path, 3)
     blob["params"]["layer.w"]["shape"] = [5, 3]
     _rejected(path, blob, "'layer.w': missing or malformed.*reshape")
 
@@ -225,7 +350,7 @@ def test_values_not_filling_shape_rejected(tmp_path):
 def test_non_finite_values_rejected(tmp_path, version):
     values = _store_values()
     values["layer.b"][1] = float("nan")
-    _rejected(tmp_path / "model.ckpt", _blob(values, {"d": 4}, version),
+    _rejected(tmp_path / "model.ckpt", _file(values, {"d": 4}, version),
               "'layer.b' holds non-finite values")
 
 
@@ -240,7 +365,7 @@ def _b64(n_bytes):
     [0.5] * 12,                    # the format 2 encoding in a 3 file
 ], ids=["bad-char", "newline", "truncated", "list"])
 def test_malformed_base64_rejected(tmp_path, values):
-    path, blob = _path_and_blob(tmp_path)
+    path, blob = _path_and_blob(tmp_path, 3)
     blob["params"]["layer.w"]["values"] = values
     _rejected(path, blob, "'layer.w': missing or malformed")
 
@@ -249,7 +374,7 @@ def test_malformed_base64_rejected(tmp_path, values):
                                                         "long"])
 def test_byte_count_not_filling_shape_rejected(tmp_path, n_bytes):
     # layer.w is (4, 3): 96 bytes
-    path, blob = _path_and_blob(tmp_path)
+    path, blob = _path_and_blob(tmp_path, 3)
     blob["params"]["layer.w"]["values"] = _b64(n_bytes)
     _rejected(path, blob, "'layer.w': missing or malformed")
 
@@ -306,8 +431,8 @@ def test_model_config_with_unknown_key_rejected(tmp_path):
     model = toy_model(seed=1)
     path = tmp_path / "m.ckpt"
     model.save(path)
-    blob = json.loads(path.read_text())
-    blob["config"]["d_head"] = 4      # a version 1 config field
-    path.write_text(json.dumps(blob))
+    header, body = _split(path)
+    header["config"]["d_head"] = 4    # a version 1 config field
+    path.write_bytes(_joined(header, body))
     with pytest.raises(CheckpointError, match="invalid model config"):
         KSMModel.load(path, model.word_table)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ksm import kb
 from ksm.cli import DEFAULTS, main, resolve_config
 from ksm.corpus import write_instances
 from ksm.kb import read_embeddings, write_embeddings
@@ -147,6 +148,8 @@ def test_negative_epoch_count_exits_2(tmp_path, capsys, command, flag, value,
     assert rc == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+    # the config is checked before an input is read: no file was parsed
+    assert not list(tmp_path.rglob("*.ksm-cache.npz"))
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +192,23 @@ def test_train_rerun_same_seed_byte_identical_checkpoint(tmp_path):
     assert c1.read_bytes() == c2.read_bytes()
 
 
-def test_predict_falls_back_to_saved_word_table(tmp_path):
+def test_predict_falls_back_to_saved_word_table(tmp_path, monkeypatch):
     inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
     ckpt = tmp_path / "model.ckpt"
     main(["train", "--instances", str(inst_path),
           "--word-embeddings", str(words_path), "--kb-dir", str(kb_dir),
           "--out", str(ckpt), "--seed", "1"] + FAST_TRAIN)
-    # no --word-embeddings: uses <checkpoint>.words.txt written by train
+    parsed = []
+    parse = kb._parse_embeddings
+    monkeypatch.setattr(kb, "_parse_embeddings",
+                        lambda path: parsed.append(path) or parse(path))
+    # no --word-embeddings: uses <checkpoint>.words.txt written by train,
+    # whose parsed table train copied along with it
     rc = main(["predict", "--instances", str(inst_path),
                "--checkpoint", str(ckpt), "--kb-dir", str(kb_dir),
                "--out", str(tmp_path / "p.tsv")])
     assert rc == 0
+    assert parsed == []
 
 
 @pytest.mark.parametrize("unk_row", [True, False])

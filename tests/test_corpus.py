@@ -18,7 +18,6 @@ from ksm.corpus import (GENE_MASK_TOKEN, NUMBER_TOKEN, CandidateInstance,
                         instance_from_json, instance_to_json,
                         preprocess_document, read_corpus, read_instances,
                         sorted_pair, validate_document, write_instances)
-from ksm.synthetic import toy_documents
 
 DATA = Path(__file__).parent / "data"
 
@@ -34,6 +33,41 @@ def _single_sentence_doc():
         [["A", "B", "P1", "C", "D", "42", "P2", "E", "F", "G"]],
         [Mention("G1", 0, (2, 3)), Mention("G2", 0, (6, 7))],
     )
+
+
+def _toy_documents() -> list[Document]:
+    """A handful of documents exercising windowing, masking and labeling."""
+    docs = [
+        Document(
+            doc_id="D1",
+            sentences=[["A", "B", "P1", "C", "D", "42", "P2", "E", "F", "G"]],
+            mentions=[Mention("G1", 0, (2, 3)), Mention("G2", 0, (6, 7))],
+            gold_relations={sorted_pair("G1", "G2")},
+        ),
+        Document(
+            doc_id="D2",
+            sentences=[
+                ["P1", "binds", "the", "XYZ", "kinase", "complex", "*"],
+                ["it", "also", "regulates", "P3", "(", "strongly", ")"],
+                ["no", "mentions", "here"],
+                ["far", "away", "P4", "sits", "alone"],
+            ],
+            mentions=[
+                Mention("G1", 0, (0, 1)),
+                Mention("G3", 0, (3, 5)),   # two-token mention
+                Mention("G4", 1, (3, 4)),
+                Mention("G5", 3, (2, 3)),   # 3 sentences from G1: filtered
+            ],
+            gold_relations={sorted_pair("G1", "G4")},
+        ),
+        Document(
+            doc_id="D3",
+            sentences=[["only", "one", "P9", "mention", "7%", "here"]],
+            mentions=[Mention("G9", 0, (2, 3))],
+            gold_relations=set(),
+        ),
+    ]
+    return docs
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +219,7 @@ def test_window_emptied_by_masking_is_dropped():
 
 
 def test_focal_tokens_never_survive():
-    for doc in toy_documents():
+    for doc in _toy_documents():
         for inst in preprocess_document(doc, "train"):
             focal_surfaces = set()
             for m in doc.mentions:
@@ -323,7 +357,7 @@ def test_golden_corpus_roundtrip_and_instances(tmp_path):
 
 
 def test_preprocessing_is_deterministic():
-    docs = toy_documents()
+    docs = _toy_documents()
     first = [instance_to_json(i) for d in docs
              for i in preprocess_document(d, "train")]
     second = [instance_to_json(i) for d in docs

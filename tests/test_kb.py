@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ksm import kb
 from ksm.kb import KnowledgeStore
-from ksm.kb import (KBError, Triple, init_embeddings,
+from ksm.kb import (KBError, Triple, copy_embeddings, init_embeddings,
                     load_store, mean_energies, read_embeddings, read_triples,
                     resolve_pair_knowledge, save_store, tail_rank,
                     transe_energy, transe_train, write_embeddings)
@@ -635,6 +635,36 @@ def test_sidecar_is_trusted_only_from_the_files_owner_or_the_reader(
         assert table.ids == want.ids
         assert table.matrix.tobytes() == want.matrix.tobytes()
     assert len(parsed) == (0 if trusted else 2)
+
+
+def _untrusted(monkeypatch, path):
+    """The sidecar beside `path` belongs to neither the file's owner nor
+    the reader (see `_owned_by`)."""
+    me = _sidecar(path).stat().st_uid
+    _owned_by(monkeypatch, path, me + 1, me + 2)
+
+
+@pytest.mark.parametrize("spoil, carried", [
+    (lambda m, p: None, True),
+    (lambda m, p: _sidecar(p).unlink(), False),
+    (lambda m, p: _rewrite_sidecar(_sidecar(p), sha256=np.array("0" * 64)),
+     False),
+    (_untrusted, False),
+], ids=["trusted", "none", "wrong_digest", "untrusted_owner"])
+def test_copy_carries_only_a_sidecar_the_source_would_trust(
+        tmp_path, monkeypatch, spoil, carried):
+    path = _vector_file(tmp_path)
+    want = read_embeddings(path)
+    spoil(monkeypatch, path)
+    copy = tmp_path / "copy.txt"
+    copy_embeddings(path, copy)
+    assert copy.read_bytes() == path.read_bytes()
+    assert _sidecar(copy).exists() == carried
+    parsed = _counting_parses(monkeypatch)
+    table = read_embeddings(copy)
+    assert table.ids == want.ids
+    assert table.matrix.tobytes() == want.matrix.tobytes()
+    assert parsed == ([] if carried else [copy])
 
 
 def _read_within(path, fifo, seconds=10):
