@@ -43,6 +43,6 @@ kn = resolve_pair_knowledge(store, "e2", "e1")
 print(f"  (e2, e1): same vector either way "
       f"(symmetric pooling), null={kn.er_is_null}")
 kn = resolve_pair_knowledge(store, "e1", "e3")
-print(f"  (e1, e3): no triple in the KB -> null relation "
-      f"(norm {np.linalg.norm(kn.er):.3f}, null={kn.er_is_null})")
+print(f"  (e1, e3): no triple in the KB -> no KB relation, "
+      f"null={kn.er_is_null} (the model uses its trainable null relation)")
 print(f"  fallback statistics: {dict(store.stats)}")

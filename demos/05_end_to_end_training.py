@@ -20,7 +20,7 @@ print(f"{len(instances)} instances ({n_pos} positive), "
 
 config = ModelConfig(d=d, d_kb=d, n_heads=2, n_blocks=2, dropout_rate=0.1,
                      max_distance=16)
-model = KSMModel(config, table, seed=11, null_relation=store.null_relation)
+model = KSMModel(config, table, seed=11)
 tc = TrainConfig(batch_size=8, lr=0.02, max_epochs=50, patience=50,
                  seed=11, holdout_fraction=0.0)
 

@@ -43,7 +43,6 @@ DEFAULTS: dict = {
     # knowledge base
     **{f"kb_{k}": inspect.signature(kb_mod.transe_train).parameters[k].default
        for k in ("margin", "epochs", "lr")},
-    "relation_pool": kb_mod.KnowledgeStore.relation_pool,
     # preprocessing
     "phase": "train",
 }
@@ -53,22 +52,33 @@ class CliError(Exception):
     pass
 
 
+def _read_json(path: Path, what: str):
+    """The JSON in a file; CliError at the file (and line) if it is not."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise CliError(f"{path}:{e.lineno}: invalid JSON in {what}") from e
+    except RecursionError as e:
+        raise CliError(f"{path}: JSON nested too deeply in {what}") from e
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
-    """flag > config file > default; unknown file keys are rejected."""
+    """flag > config file > default. A file key must be known and its value
+    of its default's type; an int also fits a float key, a bool only a bool."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise CliError(f"config file not found: {path}")
-        try:
-            file_cfg = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
-            raise CliError(f"{path}:{e.lineno}: invalid JSON in config file")
+        path = _check_exists(args.config, "config file")
+        file_cfg = _read_json(path, "config file")
         if not isinstance(file_cfg, dict):
             raise CliError(f"{path}: config file must hold a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise CliError(f"{path}: unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            kind = type(DEFAULTS[key])
+            if type(value) is not kind and (kind, type(value)) != (float, int):
+                raise CliError(f"{path}: {key} must be of type "
+                               f"{kind.__name__}, got {json.dumps(value)}")
         cfg.update(file_cfg)
     for key in DEFAULTS:
         value = getattr(args, key, None)
@@ -121,13 +131,10 @@ def _save_word_table(args, word_table: WordTable, path: Path) -> None:
 
 def _load_store(args, cfg) -> kb_mod.KnowledgeStore:
     if getattr(args, "kb_dir", None):
-        store = kb_mod.load_store(_check_exists(args.kb_dir, "KB directory"))
-        store.relation_pool = cfg["relation_pool"]
-        return store
+        return kb_mod.load_store(_check_exists(args.kb_dir, "KB directory"))
     logger.warning("no --kb-dir given; every pair resolves to the "
                    "null relation")
     return kb_mod.KnowledgeStore(entity_table={}, relation_table={},
-                                 null_relation=np.zeros(cfg["d_kb"]),
                                  d_kb=cfg["d_kb"])
 
 
@@ -159,7 +166,12 @@ def cmd_train_kb(args) -> int:
     lexicon = None
     if args.mention_lexicon:
         path = _check_exists(args.mention_lexicon, "mention lexicon")
-        lexicon = json.loads(path.read_text(encoding="utf-8"))
+        lexicon = _read_json(path, "mention lexicon")
+        if not (isinstance(lexicon, dict) and all(
+                isinstance(words, list) and all(type(w) is str for w in words)
+                for words in lexicon.values())):
+            raise CliError(f"{path}: mention lexicon must hold a JSON object "
+                           f"of string lists")
     store = kb_mod.init_embeddings(triples, word_table, lexicon,
                                    d_kb=cfg["d_kb"], seed=cfg["seed"])
     losses = kb_mod.transe_train(triples, store, margin=cfg["kb_margin"],
@@ -197,8 +209,7 @@ def _train_on(instances, args, cfg,
     store = _load_store(args, cfg)
     _check_store_dim(store, cfg["d_kb"])
     word_table = _load_word_table(args, cfg, instances)
-    model = KSMModel(model_config, word_table, seed=cfg["seed"],
-                     null_relation=store.null_relation)
+    model = KSMModel(model_config, word_table, seed=cfg["seed"])
     result = train_mod.train_model(instances, store, model, train_config)
     return model, result, word_table, store
 
@@ -341,20 +352,23 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path")
 
 
+def _bool_flag(text: str) -> bool:
+    value = {"true": True, "yes": True, "1": True,
+             "false": False, "no": False, "0": False}.get(text.lower())
+    if value is None:
+        raise argparse.ArgumentTypeError(
+            f"expected one of true/false/yes/no/1/0, got {text!r}")
+    return value
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     for key, default in DEFAULTS.items():
         if key in ("seed", "phase"):
             continue
-        flag = "--" + key.replace("_", "-")
-        if isinstance(default, bool):
-            p.add_argument(flag, type=lambda s: s.lower() in ("1", "true", "yes"),
-                           default=None, metavar="BOOL")
-        elif isinstance(default, int):
-            p.add_argument(flag, type=int, default=None)
-        elif isinstance(default, float):
-            p.add_argument(flag, type=float, default=None)
-        else:
-            p.add_argument(flag, default=None)
+        kind = type(default)
+        p.add_argument("--" + key.replace("_", "-"), default=None,
+                       type=_bool_flag if kind is bool else kind,
+                       metavar="BOOL" if kind is bool else None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -314,6 +314,8 @@ def _parse_json(line: str, where: str):
         return json.loads(line)
     except json.JSONDecodeError as e:
         raise CorpusError(f"{where}: invalid JSON ({e.msg})") from e
+    except RecursionError as e:
+        raise CorpusError(f"{where}: JSON nested too deeply") from e
 
 
 def _nonblank_lines(path):

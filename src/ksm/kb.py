@@ -3,8 +3,8 @@
 Entities and relation labels from (head, relation, tail) triples are
 embedded in R^d_kb so that head + relation ~= tail. Entity vectors are
 initialized as the mean word vector of the entity's mention words,
-relation vectors from N(0, 1/d_kb); a trainable zero-initialized
-null-relation vector stands in for pairs absent from the KB.
+relation vectors from N(0, 1/d_kb). A pair absent from the KB resolves to
+no relation vector; the model's trainable null relation stands in for it.
 
 Training minimizes the margin ranking loss
     max(0, margin + E(h,r,t) - E(h',r,t'))
@@ -57,7 +57,7 @@ class Triple(NamedTuple):
 class PairKnowledge(NamedTuple):
     e1: np.ndarray
     e2: np.ndarray
-    er: np.ndarray
+    er: np.ndarray | None  # None when the pair has no KB relation
     er_is_null: bool
     e1_is_fallback: bool
     e2_is_fallback: bool
@@ -122,11 +122,9 @@ class Embeddings(Mapping[str, np.ndarray]):
 class KnowledgeStore:
     entity_table: Embeddings
     relation_table: Embeddings
-    null_relation: np.ndarray
     d_kb: int
     # sorted unordered pair -> relation labels of matching triples, both orders pooled
     pair_relations: dict[tuple[str, str], list[str]] = field(default_factory=dict)
-    relation_pool: str = "mean"  # or "first" (lowest relation label)
     word_table: Mapping[str, np.ndarray] | None = None
     mention_lexicon: dict[str, list[str]] | None = None
     stats: Counter = field(default_factory=Counter)
@@ -137,9 +135,6 @@ class KnowledgeStore:
             self.relation_table = Embeddings.of(self.relation_table, self.d_kb)
         except ValueError as e:
             raise KBError(f"KnowledgeStore with d_kb {self.d_kb}: {e}") from None
-        if np.shape(self.null_relation) != (self.d_kb,):
-            raise KBError(f"null_relation has shape "
-                          f"{np.shape(self.null_relation)}, d_kb is {self.d_kb}")
 
     def index_triples(self, triples: list[Triple]) -> None:
         self.pair_relations = {}
@@ -169,7 +164,7 @@ def init_embeddings(triples: list[Triple],
 
     Entity vectors average the word vectors of the entity's mention words
     (unknown words skipped; all unknown -> small uniform random). Relation
-    vectors are N(0, 1/d_kb); the null relation starts at zero.
+    vectors are N(0, 1/d_kb).
     """
     if not triples:
         raise KBError("init_embeddings: empty triple set")
@@ -190,8 +185,7 @@ def init_embeddings(triples: list[Triple],
         r: rng.normal(0.0, np.sqrt(1.0 / d_kb), size=d_kb) for r in relations
     }
     store = KnowledgeStore(
-        entity_table=entity_table, relation_table=relation_table,
-        null_relation=np.zeros(d_kb), d_kb=d_kb,
+        entity_table=entity_table, relation_table=relation_table, d_kb=d_kb,
         word_table=word_table, mention_lexicon=mention_lexicon)
     store.index_triples(triples)
     return store
@@ -403,9 +397,9 @@ def resolve_pair_knowledge(store: KnowledgeStore, e_id1: str,
 
     Entities missing from the table fall back to the mention-word average
     (the init rule), or without mention words to a uniform draw seeded from
-    a digest of the entity id, so the vector depends on the id alone; pairs
-    with no KB triple in either direction get the null-relation vector.
-    Fallbacks are silent but counted in store.stats.
+    a digest of the entity id, so the vector depends on the id alone. `er`
+    is the mean relation of the pair's triples, either way round, or None
+    (and `er_is_null`) without any. Fallbacks are counted in store.stats.
     """
     def entity_vec(eid: str) -> tuple[np.ndarray, bool]:
         if eid in store.entity_table:
@@ -421,12 +415,9 @@ def resolve_pair_knowledge(store: KnowledgeStore, e_id1: str,
     labels = store.pair_relations.get(key, [])
     if not labels:
         store.stats["null_relation"] += 1
-        return PairKnowledge(e1, e2, store.null_relation, True, f1, f2)
-    if store.relation_pool == "first":
-        er = store.relation_table[min(labels)]
-    else:
-        table = store.relation_table
-        er = table.matrix[[table.index[r] for r in labels]].mean(axis=0)
+        return PairKnowledge(e1, e2, None, True, f1, f2)
+    table = store.relation_table
+    er = table.matrix[[table.index[r] for r in labels]].mean(axis=0)
     return PairKnowledge(e1, e2, er, False, f1, f2)
 
 
@@ -640,15 +631,11 @@ def _write_sidecar(sidecar: Path, digest: str, count: int,
         logger.debug("%s: not written (%s)", sidecar, e)
 
 
-_NULL_RELATION_KEY = "__null__"
-
-
 def save_store(store: KnowledgeStore, directory) -> None:
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     write_embeddings(d / "entities.txt", store.entity_table)
-    write_embeddings(d / "relations.txt", {
-        **store.relation_table, _NULL_RELATION_KEY: store.null_relation})
+    write_embeddings(d / "relations.txt", store.relation_table)
     with open(d / "pairs.tsv", "w", encoding="utf-8", newline="\n") as f:
         for (a, b), labels in sorted(store.pair_relations.items()):
             f.write("\t".join([a, b] + labels) + "\n")
@@ -658,9 +645,10 @@ def load_store(directory) -> KnowledgeStore:
     """Read a directory written by `save_store`.
 
     KBError, naming the file (and the line of ``pairs.tsv``), for a relation
-    or ``__null__`` vector whose width differs from the entity vectors', a
-    ``pairs.tsv`` line with fewer than 3 fields, or a pair label missing
-    from ``relations.txt``. Pair keys are stored sorted.
+    vector whose width differs from the entity vectors', a ``pairs.tsv``
+    line with fewer than 3 fields, or a pair label missing from
+    ``relations.txt``. Pair keys are stored sorted. A ``__null__`` row in
+    ``relations.txt``, which older stores carry, is skipped.
     """
     d = Path(directory)
     entities = read_embeddings(d / "entities.txt")
@@ -672,8 +660,7 @@ def load_store(directory) -> KnowledgeStore:
     store = KnowledgeStore(
         entity_table=entities,
         relation_table={k: v for k, v in relations.items()
-                        if k != _NULL_RELATION_KEY},
-        null_relation=relations.get(_NULL_RELATION_KEY, np.zeros(d_kb)),
+                        if k != "__null__"},  # a row older stores carry
         d_kb=d_kb)
     pairs_path = d / "pairs.tsv"
     if pairs_path.exists():

@@ -12,8 +12,8 @@ Per candidate instance the forward pass runs:
    five tape nodes; separate additive attention, average or max as
    variants) giving context features s1, s2;
 4. a gated knowledge selector that distills the pair's KB relation
-   vector against the context features (optionally also the entity
-   vectors, or nothing);
+   vector (or the trainable null relation) against the context features
+   (optionally also the entity vectors, or nothing);
 5. a softmax classifier over [s1, s2, selected relation].
 
 With dropout on, one paper-configuration instance records 100 tape
@@ -501,19 +501,13 @@ class KSMModel:
     """Configuration + parameters + forward pass over candidate instances."""
 
     def __init__(self, config: ModelConfig, word_table: WordTable,
-                 seed: int = 0, null_relation: np.ndarray | None = None):
+                 seed: int = 0):
         if word_table.d != config.d:
             raise ConfigError(
                 f"word table dim {word_table.d} != model d {config.d}")
         self.config = config
         self.word_table = word_table
         self.params = build_params(config, seed=seed)
-        if null_relation is not None:
-            null = np.array(null_relation, dtype=np.float64)
-            if null.shape != (config.d_kb,):
-                raise ConfigError(f"null_relation shape {null.shape} != "
-                                  f"({config.d_kb},)")
-            self.params["knowledge.null_relation"].data = null
 
     def forward_instance(self, instance: CandidateInstance,
                          knowledge: PairKnowledge, train: bool = False,

@@ -8,7 +8,7 @@ import pytest
 
 from ksm import kb
 from ksm.cli import DEFAULTS, main, resolve_config
-from ksm.corpus import write_instances
+from ksm.corpus import read_instances, write_instances
 from ksm.kb import read_embeddings, write_embeddings
 from ksm.model import WordTable
 from ksm.synthetic import separable_task, toy_knowledge_graph
@@ -179,6 +179,41 @@ def test_train_predict_evaluate_pipeline(tmp_path, capsys):
                "--out", str(pred_out)])
     assert rc == 0
     assert pred_out.exists()
+
+
+def test_train_kb_train_predict_ignore_an_older_null_row(tmp_path):
+    # train-kb writes no `__null__` row into relations.txt; the same KB
+    # directory with the zero row that older stores carry trains and
+    # predicts to the same bytes
+    inst_path, words_path, _ = _small_training_setup(tmp_path)
+    triples = tmp_path / "triples.tsv"
+    with open(triples, "w") as f:
+        for inst in read_instances(inst_path)[:8]:  # 4 pairs with no triple
+            rel = "activates" if inst.label == "positive" else "unrelated_to"
+            f.write("\t".join([inst.pair[0], rel, inst.pair[1]]) + "\n")
+    new, old = tmp_path / "kb_new", tmp_path / "kb_old"
+    assert main(["train-kb", "--triples", str(triples), "--d-kb", "8",
+                 "--kb-epochs", "5", "--seed", "2", "--out", str(new)]) == 0
+    relations = read_embeddings(new / "relations.txt")
+    assert list(relations) == ["activates", "unrelated_to"]
+    old.mkdir()
+    for name in ("entities.txt", "pairs.tsv"):
+        (old / name).write_bytes((new / name).read_bytes())
+    write_embeddings(old / "relations.txt",
+                     {**relations, "__null__": np.zeros(8)})
+    outputs = []
+    for kb_dir in (new, old):
+        ckpt = tmp_path / f"{kb_dir.name}.ckpt"
+        pred = tmp_path / f"{kb_dir.name}.tsv"
+        assert main(["train", "--instances", str(inst_path),
+                     "--word-embeddings", str(words_path),
+                     "--kb-dir", str(kb_dir), "--out", str(ckpt),
+                     "--seed", "1"] + FAST_TRAIN) == 0
+        assert main(["predict", "--instances", str(inst_path),
+                     "--checkpoint", str(ckpt), "--kb-dir", str(kb_dir),
+                     "--out", str(pred)]) == 0
+        outputs.append((ckpt.read_bytes(), pred.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_train_rerun_same_seed_byte_identical_checkpoint(tmp_path):
@@ -388,13 +423,14 @@ def _flags(subcommand):
 
 def test_config_flags_follow_the_config_dataclasses():
     # the flag set before the defaults were derived from ModelConfig and
-    # TrainConfig, minus --d-head (d_head is now d // n_heads)
+    # TrainConfig, minus --d-head (d_head is now d // n_heads) and
+    # --relation-pool (relations are always mean-pooled)
     config_flags = {
         "--batch-size", "--d", "--d-kb", "--dropout-rate",
         "--gate-uses-relation", "--holdout-fraction", "--kb-epochs",
         "--kb-lr", "--kb-margin", "--lr", "--max-distance", "--max-epochs",
         "--n-blocks", "--n-heads", "--patience", "--pooling",
-        "--position-encoding", "--relation-pool", "--selector-activation",
+        "--position-encoding", "--selector-activation",
         "--selector-op", "--selector-target", "--shared-encoder"}
     common = {"--config", "--out", "--seed"}
     want = {
@@ -422,6 +458,108 @@ def test_d_head_config_key_rejected(tmp_path, capsys):
                "--out", str(tmp_path / "x"), "--config", str(cfg_file)])
     assert rc == 2
     assert "d_head" in capsys.readouterr().err
+
+
+def test_deeply_nested_config_file_exits_2(tmp_path, capsys):
+    cfg_file = tmp_path / "deep.json"
+    cfg_file.write_text("[" * 100_000)
+    rc = main(["gradcheck", "--config", str(cfg_file)])
+    assert rc == 2
+    assert (f"error: {cfg_file}: JSON nested too deeply in config file"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("key, value, want", [
+    ("shared_encoder", "false", "bool"),
+    ("shared_encoder", 0, "bool"),
+    ("d", "16", "int"),
+    ("d", 16.0, "int"),
+    ("n_blocks", True, "int"),
+    ("lr", False, "float"),
+    ("lr", "0.5", "float"),
+    ("pooling", 1, "str"),
+])
+def test_config_file_value_of_another_type_exits_2(tmp_path, capsys, key,
+                                                   value, want):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({key: value}))
+    rc = main(["preprocess", "--config", str(cfg_file)])
+    assert rc == 2
+    assert (f"error: {cfg_file}: {key} must be of type {want}, got "
+            f"{json.dumps(value)}" in capsys.readouterr().err)
+
+
+def test_config_file_float_key_takes_an_int(tmp_path):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"lr": 1, "shared_encoder": True}))
+
+    class Args:
+        config = str(cfg_file)
+
+    cfg = resolve_config(Args())
+    assert cfg["lr"] == 1 and cfg["shared_encoder"] is True
+
+
+@pytest.mark.parametrize("text, value", [
+    ("true", True), ("YES", True), ("1", True),
+    ("False", False), ("no", False), ("0", False)])
+def test_bool_flag_reads_its_six_words(text, value):
+    from ksm.cli import build_parser
+    args = build_parser().parse_args(["train", "--shared-encoder", text])
+    assert args.shared_encoder is value
+
+
+@pytest.mark.parametrize("text", ["flase", "", "on", "2"])
+def test_bool_flag_rejects_any_other_word(capsys, text):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train", "--shared-encoder", text])
+    assert exit_info.value.code == 2
+    assert ("argument --shared-encoder: expected one of "
+            "true/false/yes/no/1/0" in capsys.readouterr().err)
+
+
+_NOT_STRING_LISTS = ("lexicon.json: mention lexicon must hold a JSON "
+                     "object of string lists")
+
+
+@pytest.mark.parametrize("lexicon, message", [
+    ("[1, 2]", _NOT_STRING_LISTS),
+    ('{"e1": "word"}', _NOT_STRING_LISTS),
+    ('{"e1": ["a", 3]}', _NOT_STRING_LISTS),
+    ('{"e1": ["a"],\n "e2": [}', "lexicon.json:2: invalid JSON in mention "
+                                 "lexicon"),
+    ("[" * 100_000, "lexicon.json: JSON nested too deeply in mention "
+                    "lexicon"),
+], ids=["list", "string_entry", "number_word", "bad_json", "deep"])
+def test_train_kb_rejects_a_malformed_mention_lexicon(tmp_path, capsys,
+                                                      lexicon, message):
+    triples = tmp_path / "triples.tsv"
+    _write_triples(triples)
+    path = tmp_path / "lexicon.json"
+    path.write_text(lexicon)
+    out = tmp_path / "kb"
+    rc = main(["train-kb", "--triples", str(triples), "--d-kb", "8",
+               "--mention-lexicon", str(path), "--out", str(out)])
+    assert rc == 2
+    assert f"error: {tmp_path}/{message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_kb_reads_a_mention_lexicon(tmp_path):
+    triples = tmp_path / "triples.tsv"
+    _write_triples(triples)
+    words = tmp_path / "words.txt"
+    write_embeddings(words, {"alpha": np.full(4, 0.25),
+                             "beta": np.full(4, -0.5)})
+    lexicon = tmp_path / "lexicon.json"
+    lexicon.write_text(json.dumps({"e1": ["alpha", "beta"], "e2": []}))
+    out = tmp_path / "kb"
+    rc = main(["train-kb", "--triples", str(triples), "--d-kb", "4",
+               "--kb-epochs", "0", "--word-embeddings", str(words),
+               "--mention-lexicon", str(lexicon), "--out", str(out)])
+    assert rc == 0
+    np.testing.assert_array_equal(
+        read_embeddings(out / "entities.txt")["e1"], np.full(4, -0.125))
 
 
 def test_nan_learning_rate_exits_2(tmp_path, capsys):
@@ -481,18 +619,15 @@ def test_defaults_are_the_library_defaults():
     import dataclasses
     import inspect
 
-    from ksm.kb import KnowledgeStore, transe_train
+    from ksm.kb import transe_train
     from ksm.model import ModelConfig
     from ksm.train import TrainConfig
     transe = inspect.signature(transe_train).parameters
-    store_fields = {f.name: f.default
-                    for f in dataclasses.fields(KnowledgeStore)}
     assert DEFAULTS == {
         **dataclasses.asdict(ModelConfig()),
         **dataclasses.asdict(TrainConfig()),
         "kb_margin": transe["margin"].default,
         "kb_epochs": transe["epochs"].default,
         "kb_lr": transe["lr"].default,
-        "relation_pool": store_fields["relation_pool"],
         "phase": "train",
     }

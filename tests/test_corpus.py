@@ -301,6 +301,15 @@ def test_malformed_corpus_line_reports_location(tmp_path):
         read_corpus(path)
 
 
+@pytest.mark.parametrize("reader", [read_corpus, read_instances])
+def test_deeply_nested_json_line_reports_location(tmp_path, reader):
+    path = tmp_path / "deep.jsonl"
+    path.write_text("\n" + "[" * 100_000 + "\n")  # line 1 is blank
+    with pytest.raises(CorpusError,
+                       match=r"deep\.jsonl:2: JSON nested too deeply"):
+        reader(path)
+
+
 def test_corpus_missing_field_reports_location():
     with pytest.raises(CorpusError, match="here:3"):
         document_from_json('{"doc_id":"x"}', where="here:3")

@@ -52,14 +52,11 @@ def test_word_table_rejects_a_width_other_than_d(vectors, unk, bad):
         WordTable(vectors, 4, unk=unk)
 
 
-@pytest.mark.parametrize("field", ["entity_table", "relation_table",
-                                   "null_relation"])
+@pytest.mark.parametrize("field", ["entity_table", "relation_table"])
 def test_store_rejects_a_width_other_than_d_kb(field):
     fields = {"entity_table": {"e1": np.zeros(4), "e2": np.zeros(4)},
-              "relation_table": {"r": np.zeros(4)},
-              "null_relation": np.zeros(4)}
-    fields[field] = (fields[field][:3] if field == "null_relation" else
-                     {k: v[:3] for k, v in fields[field].items()})
+              "relation_table": {"r": np.zeros(4)}}
+    fields[field] = {k: v[:3] for k, v in fields[field].items()}
     with pytest.raises(KBError, match=r"shape \(3,\).*4"):
         KnowledgeStore(**fields, d_kb=4)
 

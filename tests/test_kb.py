@@ -1,10 +1,12 @@
 """TransE embeddings: init, energy, training dynamics, pair resolution."""
 
 import os
+import shutil
 import subprocess
 import sys
 import threading
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from ksm.kb import (KBError, Triple, copy_embeddings, init_embeddings,
                     transe_energy, transe_train, write_embeddings)
 from ksm.synthetic import toy_knowledge_graph
 
+DATA = Path(__file__).parent / "data"
 
 def _store(d_kb=8, seed=0):
     return init_embeddings(toy_knowledge_graph(), d_kb=d_kb, seed=seed)
@@ -53,11 +56,6 @@ def test_relation_init_statistics():
                               for i in range(100)])
     assert abs(samples.mean()) < 0.01
     assert abs(samples.var() - 1.0 / 100) < 0.1 / 100
-
-
-def test_null_relation_starts_at_zero():
-    store = _store()
-    np.testing.assert_array_equal(store.null_relation, np.zeros(8))
 
 
 def test_empty_triples_rejected():
@@ -220,19 +218,11 @@ def test_three_relations_pool_bit_identical_to_the_mean_of_their_rows():
     assert not kn.er_is_null
 
 
-def test_first_pool_policy_uses_lowest_label():
-    triples = [Triple("a", "rB", "b"), Triple("a", "rA", "b")]
-    store = init_embeddings(triples, d_kb=4, seed=0)
-    store.relation_pool = "first"
-    kn = resolve_pair_knowledge(store, "a", "b")
-    np.testing.assert_array_equal(kn.er, store.relation_table["rA"])
-
-
 def test_missing_pair_falls_back_to_null():
     store = _store()
     kn = resolve_pair_knowledge(store, "e1", "nonexistent")
     assert kn.er_is_null
-    np.testing.assert_array_equal(kn.er, store.null_relation)
+    assert kn.er is None
     assert store.stats["null_relation"] == 1
     assert store.stats["entity_fallback"] == 1  # the unknown entity
 
@@ -347,9 +337,10 @@ def test_embedding_value_must_be_finite_number(tmp_path, loader, value,
 @pytest.mark.parametrize("keep", [None, "__null__"])
 def test_load_store_rejects_relation_width_mismatch(tmp_path, keep):
     # relations.txt at width 3 beside width-4 entities: every relation,
-    # or only the null vector
+    # or only the null vector of the layout older stores were saved in
     _, kb_dir = _saved_store(tmp_path)
-    relations = read_embeddings(kb_dir / "relations.txt")
+    relations = {**read_embeddings(kb_dir / "relations.txt"),
+                 "__null__": np.zeros(4)}
     write_embeddings(kb_dir / "relations.txt",
                      {k: v[:3] for k, v in relations.items()
                       if keep in (None, k)})
@@ -388,8 +379,37 @@ def test_store_roundtrip(tmp_path):
     assert back.d_kb == 6
     for k, v in store.entity_table.items():
         np.testing.assert_array_equal(back.entity_table[k], v)
-    np.testing.assert_array_equal(back.null_relation, store.null_relation)
     assert back.pair_relations == store.pair_relations
+
+
+def test_saved_store_has_no_null_row(tmp_path):
+    save_store(_store(d_kb=4), tmp_path / "kb")
+    relations = read_embeddings(tmp_path / "kb" / "relations.txt")
+    assert list(relations) == ["r1", "r2"]
+
+
+def test_store_of_the_older_layout_resolves_every_pair_as_before(tmp_path):
+    # kb_with_null_row was written by save_store when a store carried its
+    # own null relation, as a zero `__null__` row of relations.txt, from
+    # toy_knowledge_graph() at d_kb 4 and init seed 2 after 5 TransE
+    # epochs (lr 0.05, seed 3); the copy keeps sidecars out of tests/data
+    shutil.copytree(DATA / "kb_with_null_row", tmp_path / "kb")
+    assert "__null__" in read_embeddings(tmp_path / "kb" / "relations.txt")
+    back = load_store(tmp_path / "kb")
+    assert list(back.relation_table) == ["r1", "r2"]
+    store = _store(d_kb=4, seed=2)
+    transe_train(toy_knowledge_graph(), store, epochs=5, lr=0.05, seed=3)
+    ids = ["e1", "e2", "e3", "e4", "unknown"]
+    for a in ids:
+        for b in ids:
+            got = resolve_pair_knowledge(back, a, b)
+            want = resolve_pair_knowledge(store, a, b)
+            assert (got.er is None) == got.er_is_null
+            for g, w in zip(got, want):
+                if isinstance(w, np.ndarray):
+                    assert g.tobytes() == w.tobytes()
+                else:
+                    assert g == w
 
 
 # ---------------------------------------------------------------------------
@@ -814,8 +834,7 @@ def test_triples_over_one_entity_rejected_before_any_update():
 
 
 def test_empty_store_and_triples_train_to_zero_loss():
-    store = KnowledgeStore(entity_table={}, relation_table={},
-                           null_relation=np.zeros(4), d_kb=4)
+    store = KnowledgeStore(entity_table={}, relation_table={}, d_kb=4)
     assert transe_train([], store, epochs=2) == [0.0, 0.0]
     assert store.entity_table == {} and store.relation_table == {}
 
@@ -1043,8 +1062,7 @@ def grid_stores(draw):
         lambda v: np.array(v) / 4.0)
     entities = {f"e{k}": draw(vec) for k in range(n)}
     store = KnowledgeStore(entity_table=entities,
-                           relation_table={"r": draw(vec)},
-                           null_relation=np.zeros(d), d_kb=d)
+                           relation_table={"r": draw(vec)}, d_kb=d)
     return store, draw(st.sampled_from(sorted(entities))), draw(
         st.sampled_from(sorted(entities)))
 

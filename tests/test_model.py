@@ -597,14 +597,6 @@ def test_selector_output_feeds_classifier_feature_block():
     np.testing.assert_allclose(pa.data, pb.data, atol=1e-12)
 
 
-@pytest.mark.parametrize("shape", [(4,), (1, 8), ()])
-def test_model_rejects_null_relation_of_wrong_shape(shape):
-    cfg = ModelConfig(d=8, d_kb=8, n_heads=2)
-    with pytest.raises(ConfigError, match="null_relation"):
-        KSMModel(cfg, WordTable.random(["a"], 8),
-                 null_relation=np.zeros(shape))
-
-
 def _tape_nodes(loss):
     """Nodes a backward pass from `loss` visits: the loss and every node
     that requires grad on a path into it, each once."""

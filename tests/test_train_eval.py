@@ -29,8 +29,7 @@ def _task(n=40, **model_overrides):
     cfg = dict(d=d, d_kb=d, n_heads=2, n_blocks=2, dropout_rate=0.1,
                max_distance=16)
     cfg.update(model_overrides)
-    model = KSMModel(ModelConfig(**cfg), table, seed=1,
-                     null_relation=store.null_relation)
+    model = KSMModel(ModelConfig(**cfg), table, seed=1)
     return instances, store, model
 
 
@@ -366,7 +365,7 @@ def test_knowledge_reaches_the_decision(kb_decides):
     train, heldout, store, table = _knowledge_task(kb_decides)
     config = ModelConfig(d=16, d_kb=16, n_heads=2, n_blocks=1,
                          dropout_rate=0.0, max_distance=16)
-    model = KSMModel(config, table, seed=0, null_relation=store.null_relation)
+    model = KSMModel(config, table, seed=0)
     train_model(train, store, model,
                 TrainConfig(batch_size=8, lr=0.5, max_epochs=10, patience=10,
                             seed=0, holdout_fraction=0.0))
