@@ -31,7 +31,7 @@ print(f"{len(params.names())} parameter tensors, "
 
 # --- embedding: same words, two position views ------------------------------
 
-x1, x2 = embed_context(inst, table, config, params)
+x1, x2 = embed_context(inst, table, config)
 print(f"context views X1/X2: {x1.shape}; they differ only through the "
       f"position encodings (max gap "
       f"{np.abs(x1.data - x2.data).max():.3f})\n")

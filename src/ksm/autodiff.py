@@ -25,9 +25,9 @@ Semantics worth knowing:
   task) and is restored when the block exits, also on an exception.
 
 The op vocabulary is fixed and small: 2-D matmul, add, multiply, neg,
-concat (last axis), row gather, reshape, 2-D transpose, sum/mean over an
-axis, amax, tanh, sigmoid, relu, softmax, dropout, and fused ops, each
-one tape node with a hand-written backward in place of a chain of small
+concat (last axis), reshape, 2-D transpose, sum/mean over an axis,
+amax, tanh, sigmoid, relu, softmax, dropout, and fused ops, each one
+tape node with a hand-written backward in place of a chain of small
 ones:
 
 - the affine map ``x w + b``;
@@ -299,25 +299,6 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
                 t._accumulate(g[..., lo:hi])
 
     return _make(out_data, tensors, backward)
-
-
-def gather_rows(a: Tensor, index: Sequence[int]) -> Tensor:
-    """Select rows of a 2-D tensor; repeated indices scatter-add on backward."""
-    if a.data.ndim != 2:
-        raise ValueError(f"gather_rows expects a 2-D tensor, got {a.shape}")
-    idx = np.asarray(index, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ValueError("gather_rows index must be 1-D")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise IndexError(f"gather_rows index out of range for {a.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            np.add.at(acc, idx, g)
-            a._accumulate(acc)
-
-    return _make(a.data[idx], (a,), backward)
 
 
 def tensor_sum(a: Tensor, axis: int | None = None,

@@ -107,9 +107,6 @@ def _suite(seed: int) -> list[tuple[str, dict[str, Tensor], Callable[[], Tensor]
          lambda x, y: ad.tensor_sum(ad.multiply(x, y) * 0.5)),
         ("concat", {"x": (2, 3), "y": (2, 5)},
          lambda x, y: ad.tensor_sum(ad.tanh(ad.concat([x, y])))),
-        ("gather_rows", {"x": (4, 3)},
-         lambda x: ad.tensor_sum(
-             ad.sigmoid(ad.gather_rows(x, [0, 2, 2, 1, 3])))),
         ("reshape_transpose", {"x": (3, 4)},
          lambda x: ad.tensor_sum(
              ad.tanh(ad.transpose(ad.reshape(x, (4, 3)))))),
@@ -200,7 +197,7 @@ def check_all_ops(seed: int = 0, tolerance: float = 1e-4) -> list[CheckResult]:
 def toy_model(seed: int = 0, d: int = 8, n_heads: int = 2,
               n_blocks: int = 2, **overrides) -> KSMModel:
     config = ModelConfig(d=d, d_kb=d, n_heads=n_heads, n_blocks=n_blocks,
-                         dropout_rate=0.0, max_distance=16, **overrides)
+                         dropout_rate=0.0, **overrides)
     vocab = [f"tok{i}" for i in range(12)]
     table = WordTable.random(vocab, d, seed=seed + 1)
     return KSMModel(config, table, seed=seed)

@@ -3,8 +3,11 @@
 Entities and relation labels from (head, relation, tail) triples are
 embedded in R^d_kb so that head + relation ~= tail. Entity vectors are
 initialized as the mean word vector of the entity's mention words,
-relation vectors from N(0, 1/d_kb). A pair absent from the KB resolves to
-no relation vector; the model's trainable null relation stands in for it.
+relation vectors from N(0, 1/d_kb). An entity missing from the store
+resolves to a small uniform draw seeded by its id, so its vector is the
+same in memory and after a save and load. A pair absent from the KB
+resolves to no relation vector; the model's trainable null relation stands
+in for it.
 
 Training minimizes the margin ranking loss
     max(0, margin + E(h,r,t) - E(h',r,t'))
@@ -125,8 +128,6 @@ class KnowledgeStore:
     d_kb: int
     # sorted unordered pair -> relation labels of matching triples, both orders pooled
     pair_relations: dict[tuple[str, str], list[str]] = field(default_factory=dict)
-    word_table: Mapping[str, np.ndarray] | None = None
-    mention_lexicon: dict[str, list[str]] | None = None
     stats: Counter = field(default_factory=Counter)
 
     def __post_init__(self) -> None:  # any mapping becomes an Embeddings
@@ -141,18 +142,6 @@ class KnowledgeStore:
         for h, r, t in triples:
             key = (h, t) if h <= t else (t, h)
             self.pair_relations.setdefault(key, []).append(r)
-
-
-def _entity_vector_from_mentions(entity_id: str,
-                                 word_table: Mapping[str, np.ndarray] | None,
-                                 mention_lexicon: dict[str, list[str]] | None,
-                                 d_kb: int,
-                                 rng: np.random.Generator) -> np.ndarray:
-    words = (mention_lexicon or {}).get(entity_id, [])
-    vecs = [word_table[w] for w in words if word_table and w in word_table]
-    if vecs:
-        return np.mean(vecs, axis=0).astype(np.float64)
-    return rng.uniform(-0.5 / d_kb, 0.5 / d_kb, size=d_kb)
 
 
 def init_embeddings(triples: list[Triple],
@@ -176,17 +165,21 @@ def init_embeddings(triples: list[Triple],
     rng = np.random.default_rng(seed)
     entities = sorted({t.head for t in triples} | {t.tail for t in triples})
     relations = sorted({t.relation for t in triples})
-    entity_table = {
-        eid: _entity_vector_from_mentions(eid, word_table, mention_lexicon,
-                                          d_kb, rng)
-        for eid in entities
-    }
+    lexicon = mention_lexicon or {}
+
+    def entity_vector(eid: str) -> np.ndarray:
+        vecs = [word_table[w] for w in lexicon.get(eid, [])
+                if word_table and w in word_table]
+        if vecs:
+            return np.mean(vecs, axis=0).astype(np.float64)
+        return rng.uniform(-0.5 / d_kb, 0.5 / d_kb, size=d_kb)
+
+    entity_table = {eid: entity_vector(eid) for eid in entities}
     relation_table = {
         r: rng.normal(0.0, np.sqrt(1.0 / d_kb), size=d_kb) for r in relations
     }
     store = KnowledgeStore(
-        entity_table=entity_table, relation_table=relation_table, d_kb=d_kb,
-        word_table=word_table, mention_lexicon=mention_lexicon)
+        entity_table=entity_table, relation_table=relation_table, d_kb=d_kb)
     store.index_triples(triples)
     return store
 
@@ -395,19 +388,19 @@ def resolve_pair_knowledge(store: KnowledgeStore, e_id1: str,
                            e_id2: str) -> PairKnowledge:
     """Entity and relation vectors for an unordered pair, with fallbacks.
 
-    Entities missing from the table fall back to the mention-word average
-    (the init rule), or without mention words to a uniform draw seeded from
-    a digest of the entity id, so the vector depends on the id alone. `er`
-    is the mean relation of the pair's triples, either way round, or None
-    (and `er_is_null`) without any. Fallbacks are counted in store.stats.
+    An entity missing from the table falls back to a uniform draw in
+    +-0.5/d_kb seeded from a digest of the entity id, so the vector depends
+    on the id alone. `er` is the mean relation of the pair's triples,
+    either way round, or None (and `er_is_null`) without any. Fallbacks are
+    counted in store.stats.
     """
     def entity_vec(eid: str) -> tuple[np.ndarray, bool]:
         if eid in store.entity_table:
             return store.entity_table[eid], False
         store.stats["entity_fallback"] += 1
         rng = np.random.default_rng(_entity_seed(eid))
-        return _entity_vector_from_mentions(
-            eid, store.word_table, store.mention_lexicon, store.d_kb, rng), True
+        lim = 0.5 / store.d_kb
+        return rng.uniform(-lim, lim, size=store.d_kb), True
 
     e1, f1 = entity_vec(e_id1)
     e2, f2 = entity_vec(e_id2)
@@ -424,9 +417,15 @@ def resolve_pair_knowledge(store: KnowledgeStore, e_id1: str,
 # ---------------------------------------------------------------------------
 # file formats
 
+# the null relation's row in stores written before the model owned it;
+# `load_store` skips it, so no triple may use the label
+_NULL_LABEL = "__null__"
+
 
 def read_triples(path) -> list[Triple]:
-    """Unique triples from a head<TAB>relation<TAB>tail file."""
+    """Unique triples from a head<TAB>relation<TAB>tail file. KBError at
+    `file:line` for a line without three fields and for the reserved
+    relation label ``__null__``."""
     seen = set()
     out = []
     with open(path, encoding="utf-8") as f:
@@ -438,6 +437,9 @@ def read_triples(path) -> list[Triple]:
             if len(parts) != 3 or not all(p for p in parts):
                 raise KBError(
                     f"{path}:{lineno}: expected head<TAB>relation<TAB>tail")
+            if parts[1] == _NULL_LABEL:
+                raise KBError(f"{path}:{lineno}: relation label "
+                              f"{_NULL_LABEL!r} is reserved")
             trip = Triple(*parts)
             if trip not in seen:
                 seen.add(trip)
@@ -660,7 +662,7 @@ def load_store(directory) -> KnowledgeStore:
     store = KnowledgeStore(
         entity_table=entities,
         relation_table={k: v for k, v in relations.items()
-                        if k != "__null__"},  # a row older stores carry
+                        if k != _NULL_LABEL},
         d_kb=d_kb)
     pairs_path = d / "pairs.tsv"
     if pairs_path.exists():

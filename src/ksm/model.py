@@ -2,7 +2,7 @@
 
 Per candidate instance the forward pass runs:
 
-1. context embedding: word vector + position encoding of the distance to
+1. context embedding: word vector + sinusoidal encoding of the distance to
    each focal entity, giving two views X1, X2 of the same token sequence;
 2. two entity-conditioned encoders: multi-head scaled dot-product
    attention whose queries add an entity term to every position
@@ -66,7 +66,6 @@ _CHOICES = {
     "selector_op": ("hadamard", "sum"),
     "selector_target": ("relation", "entity", "both", "none"),
     "pooling": ("mutual", "separate", "average", "max"),
-    "position_encoding": ("sinusoidal", "learned"),
 }
 
 
@@ -83,8 +82,6 @@ class ModelConfig:
     gate_uses_relation: bool = True    # False: gate from context features only
     pooling: str = "mutual"
     shared_encoder: bool = False
-    position_encoding: str = "sinusoidal"
-    max_distance: int = 512            # learned-table size; distances clipped
 
     @property
     def d_head(self) -> int:
@@ -114,6 +111,16 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """The config of `d`. Configs saved when a learned position table
+        was selectable carry `position_encoding` and `max_distance`; both
+        are dropped, and ConfigError is raised unless the encoding is the
+        sinusoidal one."""
+        d = dict(d)
+        d.pop("max_distance", None)
+        encoding = d.pop("position_encoding", "sinusoidal")
+        if encoding != "sinusoidal":
+            raise ConfigError(f"position_encoding {encoding!r} is no longer "
+                              f"supported; retrain the model")
         return cls(**d)
 
 
@@ -210,9 +217,9 @@ class WordTable:
 
 
 def embed_context(instance: CandidateInstance, word_table: WordTable,
-                  config: ModelConfig,
-                  params: ParameterStore | None = None) -> tuple[Tensor, Tensor]:
-    """Two L x d context views: word vector + position encoding per entity."""
+                  config: ModelConfig) -> tuple[Tensor, Tensor]:
+    """Two L x d context views: word vector + sinusoidal encoding of the
+    distance to each entity."""
     if not instance.tokens:
         raise ValueError("cannot embed an empty instance")
     n = len(instance.tokens)
@@ -223,17 +230,8 @@ def embed_context(instance: CandidateInstance, word_table: WordTable,
     if min(min(instance.pos1), min(instance.pos2)) < 0:
         raise ValueError("positions must be nonnegative")
     words = word_table.lookup(instance.tokens)
-    if config.position_encoding == "sinusoidal":
-        x1 = Tensor(words + sinusoidal_encoding(instance.pos1, config.d))
-        x2 = Tensor(words + sinusoidal_encoding(instance.pos2, config.d))
-        return x1, x2
-    table = params["position.table"]
-    hi = config.max_distance
-    i1 = np.clip(instance.pos1, 0, hi)
-    i2 = np.clip(instance.pos2, 0, hi)
-    w = Tensor(words)
-    return (ad.add(w, ad.gather_rows(table, i1)),
-            ad.add(w, ad.gather_rows(table, i2)))
+    return (Tensor(words + sinusoidal_encoding(instance.pos1, config.d)),
+            Tensor(words + sinusoidal_encoding(instance.pos2, config.d)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +312,6 @@ def build_params(config: ModelConfig, seed: int = 0) -> ParameterStore:
     mat_drawn_out_in("classifier.w", 3 * d, 2)
     add("classifier.b", np.zeros(2))
     add("knowledge.null_relation", np.zeros(dkb))
-
-    if config.position_encoding == "learned":
-        lim = 0.5 / d
-        add("position.table",
-            rng.uniform(-lim, lim, size=(config.max_distance + 1, d)))
     return store
 
 
@@ -515,7 +508,7 @@ class KSMModel:
                          ) -> tuple[Tensor, int]:
         """Probabilities and predicted class for one instance."""
         cfg = self.config
-        x1, x2 = embed_context(instance, self.word_table, cfg, self.params)
+        x1, x2 = embed_context(instance, self.word_table, cfg)
         e1 = Tensor(np.asarray(knowledge.e1).reshape(1, -1))
         e2 = Tensor(np.asarray(knowledge.e2).reshape(1, -1))
         er = (ad.reshape(self.params["knowledge.null_relation"], (1, cfg.d_kb))

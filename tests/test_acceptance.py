@@ -157,7 +157,7 @@ def test_criterion_7_overfit_deterministically():
     def run(epochs):
         instances, store, table = separable_task(n=40, d=d, seed=0)
         cfg = ModelConfig(d=d, d_kb=d, n_heads=2, n_blocks=2,
-                          dropout_rate=0.1, max_distance=16)
+                          dropout_rate=0.1)
         model = KSMModel(cfg, table, seed=11)
         tc = TrainConfig(batch_size=8, lr=0.02, max_epochs=epochs,
                          patience=epochs, seed=11, holdout_fraction=0.0)

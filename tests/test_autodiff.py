@@ -557,11 +557,6 @@ def test_dropout_active_without_rng_raises():
         ad.dropout(Tensor(np.ones(3)), 0.5, None, train=True)
 
 
-def test_gather_rows_rejects_bad_index():
-    with pytest.raises(IndexError):
-        ad.gather_rows(Tensor(np.ones((2, 2))), [0, 5])
-
-
 def test_matmul_rejects_non_2d():
     with pytest.raises(ValueError):
         ad.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))

@@ -150,6 +150,11 @@ def _same_values(a: dict, b: dict) -> bool:
         a[k].tobytes() == b[k].tobytes() for k in a)
 
 
+# what every config saved while a learned position table was selectable
+# carries (toy_model_v2.ckpt and toy_model_v3.ckpt among them)
+LEGACY_KEYS = {"position_encoding": "sinusoidal", "max_distance": 16}
+
+
 def test_format_3_file_loads_to_the_same_values(tmp_path):
     # tests/data/toy_model_v3.ckpt is toy_model(seed=3) as saved by the
     # format 3 writer (values as base64 strings)
@@ -159,7 +164,7 @@ def test_format_3_file_loads_to_the_same_values(tmp_path):
     KSMModel.load(DATA / "toy_model_v3.ckpt",
                   toy_model(seed=3).word_table).save(path)
     v4, config4 = load_checkpoint(path)
-    assert config2 == config3 == config4
+    assert config2 == config3 == {**config4, **LEGACY_KEYS}
     assert _same_values(v3, v2) and _same_values(v4, v2)
 
 
@@ -171,6 +176,34 @@ def test_pretty_printed_format_3_file_is_read(tmp_path):
     values, config = load_checkpoint(path)
     want, want_config = load_checkpoint(v3_path)
     assert config == want_config and _same_values(values, want)
+
+
+@VERSIONS
+def test_config_with_the_older_position_keys_loads(tmp_path, version):
+    model = toy_model(seed=3)
+    values = {n: t.data for n, t in model.params.items()}
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_file(values, {**model.config.to_dict(), **LEGACY_KEYS},
+                           version))
+    loaded = KSMModel.load(path, model.word_table)
+    assert loaded.config == model.config
+    assert _same_values({n: t.data for n, t in loaded.params.items()}, values)
+
+
+@VERSIONS
+def test_learned_position_checkpoint_rejected(tmp_path, version):
+    model = toy_model(seed=3)
+    values = {n: t.data for n, t in model.params.items()}
+    values["position.table"] = np.zeros((17, model.config.d))
+    config = {**model.config.to_dict(), **LEGACY_KEYS,
+              "position_encoding": "learned"}
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_file(values, config, version))
+    with pytest.raises(CheckpointError) as e:
+        KSMModel.load(path, model.word_table)
+    assert str(e.value).startswith(f"{path}: invalid model config: "
+                                   f"position_encoding 'learned'")
+    assert "retrain" in str(e.value)
 
 
 def test_unsupported_version_rejected(tmp_path):

@@ -37,7 +37,7 @@ def _small_training_setup(tmp_path, n=12):
 
 FAST_TRAIN = ["--d", "8", "--d-kb", "8", "--n-heads", "2", "--n-blocks", "1",
               "--batch-size", "4", "--max-epochs", "2",
-              "--holdout-fraction", "0", "--max-distance", "16"]
+              "--holdout-fraction", "0"]
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +128,18 @@ def test_train_kb_bad_margin_or_lr_exits_2(tmp_path, capsys, flag, value):
                "--d-kb", "8", flag, value])
     assert rc == 2
     assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_kb_rejects_the_reserved_null_label(tmp_path, capsys):
+    triples = tmp_path / "triples.tsv"
+    triples.write_text("e1\tr1\te2\ne2\t__null__\te3\n")
+    out = tmp_path / "kb"
+    rc = main(["train-kb", "--triples", str(triples), "--out", str(out),
+               "--d-kb", "8"])
+    assert rc == 2
+    assert (f"error: {triples}:2: relation label '__null__' is reserved"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -302,8 +314,7 @@ def test_ablate_emits_the_six_row_selector_grid(tmp_path, capsys):
                "--corpus", str(DATA / "toy_corpus.jsonl"),
                "--word-embeddings", str(words_path),
                "--kb-dir", str(kb_dir), "--seed", "0",
-               "--max-epochs", "1"] + FAST_TRAIN[:-4] +
-              ["--holdout-fraction", "0", "--max-distance", "16"])
+               "--max-epochs", "1"] + FAST_TRAIN)
     assert rc == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
     assert lines[0].split() == ["variant", "P%", "R%", "F%"]
@@ -423,14 +434,15 @@ def _flags(subcommand):
 
 def test_config_flags_follow_the_config_dataclasses():
     # the flag set before the defaults were derived from ModelConfig and
-    # TrainConfig, minus --d-head (d_head is now d // n_heads) and
-    # --relation-pool (relations are always mean-pooled)
+    # TrainConfig, minus --d-head (d_head is now d // n_heads),
+    # --relation-pool (relations are always mean-pooled) and
+    # --position-encoding/--max-distance (positions are always sinusoidal)
     config_flags = {
         "--batch-size", "--d", "--d-kb", "--dropout-rate",
         "--gate-uses-relation", "--holdout-fraction", "--kb-epochs",
-        "--kb-lr", "--kb-margin", "--lr", "--max-distance", "--max-epochs",
+        "--kb-lr", "--kb-margin", "--lr", "--max-epochs",
         "--n-blocks", "--n-heads", "--patience", "--pooling",
-        "--position-encoding", "--selector-activation",
+        "--selector-activation",
         "--selector-op", "--selector-target", "--shared-encoder"}
     common = {"--config", "--out", "--seed"}
     want = {
@@ -458,6 +470,18 @@ def test_d_head_config_key_rejected(tmp_path, capsys):
                "--out", str(tmp_path / "x"), "--config", str(cfg_file)])
     assert rc == 2
     assert "d_head" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("position_encoding", "sinusoidal"),
+                                        ("max_distance", 16)])
+def test_position_config_keys_rejected(tmp_path, capsys, key, value):
+    # the sinusoidal encoding is the only one, so neither key is a setting
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({key: value}))
+    rc = main(["train", "--instances", str(tmp_path / "absent.jsonl"),
+               "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg_file)])
+    assert rc == 2
+    assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
 
 def test_deeply_nested_config_file_exits_2(tmp_path, capsys):

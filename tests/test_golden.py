@@ -23,23 +23,22 @@ from ksm.model import KSMModel, ModelConfig, WordTable
 GOLDEN = Path(__file__).parent / "data" / "golden_probs.json"
 TOLERANCE = 1e-12
 
-_SMALL = dict(d=8, d_kb=8, n_heads=2, n_blocks=2, max_distance=16)
+_SMALL = dict(d=8, d_kb=8, n_heads=2, n_blocks=2)
 
-# name -> (config overrides, window lengths)
+# name -> (seed, config overrides, window lengths); each seed is fixed, so
+# adding or removing a case leaves the others' inputs as they were
 CASES = {
-    "paper": (dict(d=100, d_kb=100, n_heads=4, n_blocks=2), (1, 7, 40)),
-    "mutual": (_SMALL, (1, 2, 6)),
-    "separate": (dict(_SMALL, pooling="separate"), (1, 2, 6)),
-    "average": (dict(_SMALL, pooling="average"), (1, 2, 6)),
-    "max": (dict(_SMALL, pooling="max"), (1, 2, 6)),
-    "target_entity": (dict(_SMALL, selector_target="entity"), (1, 3, 5)),
-    "target_both": (dict(_SMALL, selector_target="both"), (1, 3, 5)),
-    "target_none": (dict(_SMALL, selector_target="none"), (1, 3, 5)),
-    "shared_encoder": (dict(_SMALL, shared_encoder=True), (2, 4)),
-    "learned_positions": (dict(_SMALL, position_encoding="learned"),
-                          (1, 4, 9)),
-    "one_head": (dict(_SMALL, n_heads=1), (1, 3, 6)),
-    "two_heads_one_block": (dict(_SMALL, n_blocks=1), (2, 5)),
+    "average": (0, dict(_SMALL, pooling="average"), (1, 2, 6)),
+    "max": (2, dict(_SMALL, pooling="max"), (1, 2, 6)),
+    "mutual": (3, _SMALL, (1, 2, 6)),
+    "one_head": (4, dict(_SMALL, n_heads=1), (1, 3, 6)),
+    "paper": (5, dict(d=100, d_kb=100, n_heads=4, n_blocks=2), (1, 7, 40)),
+    "separate": (6, dict(_SMALL, pooling="separate"), (1, 2, 6)),
+    "shared_encoder": (7, dict(_SMALL, shared_encoder=True), (2, 4)),
+    "target_both": (8, dict(_SMALL, selector_target="both"), (1, 3, 5)),
+    "target_entity": (9, dict(_SMALL, selector_target="entity"), (1, 3, 5)),
+    "target_none": (10, dict(_SMALL, selector_target="none"), (1, 3, 5)),
+    "two_heads_one_block": (11, dict(_SMALL, n_blocks=1), (2, 5)),
 }
 
 
@@ -48,8 +47,7 @@ def case_probs(name: str) -> list[list[float]]:
 
     The first instance of every case resolves to the null relation.
     """
-    overrides, lengths = CASES[name]
-    seed = sorted(CASES).index(name)
+    seed, overrides, lengths = CASES[name]
     config = ModelConfig(dropout_rate=0.1, **overrides)
     d = config.d
     vocab = [f"w{i}" for i in range(30)]

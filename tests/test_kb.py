@@ -247,13 +247,21 @@ def test_distinct_unknown_ids_get_distinct_fallback_vectors():
     assert not np.array_equal(kn.e1, kn.e2)
 
 
-def test_fallback_prefers_mention_average():
+def test_fallback_is_the_same_after_a_save_and_load(tmp_path):
+    # the mention lexicon shapes the stored entities only: an entity it
+    # names but no triple holds resolves to the id-seeded draw, in memory
+    # and from disk alike
     words = {"a": np.array([1.0, 3.0])}
-    store = init_embeddings([Triple("e1", "r", "e2")], words,
-                            {"e1": ["a"], "new": ["a"]}, d_kb=2)
-    kn = resolve_pair_knowledge(store, "new", "e1")
-    assert kn.e1_is_fallback
-    np.testing.assert_array_equal(kn.e1, [1.0, 3.0])
+    triples = [Triple("e1", "r", "e2")]
+    store = init_embeddings(triples, words, {"e1": ["a"], "new": ["a"]},
+                            d_kb=2)
+    save_store(store, tmp_path / "kb")
+    want = resolve_pair_knowledge(init_embeddings(triples, d_kb=2),
+                                  "new", "e1").e1
+    for s in (store, load_store(tmp_path / "kb")):
+        kn = resolve_pair_knowledge(s, "new", "e1")
+        assert kn.e1_is_fallback
+        assert kn.e1.tobytes() == want.tobytes()
 
 
 def test_resolution_is_symmetric_in_pair_order():

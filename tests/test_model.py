@@ -104,25 +104,15 @@ def test_sinusoid_empty_input_and_negative_positions():
 def test_embed_shapes():
     model = toy_model(seed=0, d=8)
     x1, x2 = embed_context(_inst([f"tok{i}" for i in range(7)]),
-                           model.word_table, model.config, model.params)
+                           model.word_table, model.config)
     assert x1.shape == (7, 8) and x2.shape == (7, 8)
-
-
-def test_zero_position_table_reduces_to_word_matrix():
-    model = toy_model(seed=0, d=8, position_encoding="learned")
-    model.params["position.table"].data[:] = 0.0
-    inst = _inst(["tok1", "tok2"], pos1=[1, 2], pos2=[2, 1])
-    x1, x2 = embed_context(inst, model.word_table, model.config, model.params)
-    words = model.word_table.lookup(inst.tokens)
-    np.testing.assert_array_equal(x1.data, words)
-    np.testing.assert_array_equal(x2.data, words)
 
 
 def test_embed_rejects_empty_instance():
     model = toy_model(seed=0)
     empty = CandidateInstance("d", ("A", "B"), [], [], [])
     with pytest.raises(ValueError):
-        embed_context(empty, model.word_table, model.config, model.params)
+        embed_context(empty, model.word_table, model.config)
 
 
 @pytest.mark.parametrize("field", ["pos1", "pos2"])
@@ -277,8 +267,7 @@ def test_encoder_output_shape_for_various_lengths():
     model = toy_model(seed=0, d=8)
     for length in (1, 2, 9):
         inst = _inst([f"tok{i % 12}" for i in range(length)])
-        x1, _ = embed_context(inst, model.word_table, model.config,
-                              model.params)
+        x1, _ = embed_context(inst, model.word_table, model.config)
         out = encode(x1, Tensor(np.zeros((1, 8))), model.params, "encoder1",
                      model.config)
         assert out.shape == (length, 8)
@@ -572,7 +561,7 @@ def test_shared_encoder_identical_views_bit_identical():
     model = toy_model(seed=0, shared_encoder=True)
     d = model.config.d
     inst = _inst(["tok1", "tok2", "tok3"], pos1=[1, 2, 3], pos2=[1, 2, 3])
-    x1, x2 = embed_context(inst, model.word_table, model.config, model.params)
+    x1, x2 = embed_context(inst, model.word_table, model.config)
     e = Tensor(np.random.default_rng(1).standard_normal((1, d)))
     v1 = encode(x1, e, model.params, "encoder", model.config)
     v2 = encode(x2, e, model.params, "encoder", model.config)
@@ -645,10 +634,8 @@ def test_null_relation_parameter_receives_gradient():
     {"pooling": "separate"},
     {"pooling": "average"},
     {"shared_encoder": True},
-    {"position_encoding": "learned"},
     {"dropout_rate": 0.3},
-    {"dropout_rate": 0.3, "position_encoding": "learned",
-     "selector_target": "both"},
+    {"dropout_rate": 0.3, "selector_target": "both"},
 ])
 def test_variant_gradients_spot_checked(overrides):
     # full FD over all parameters is reserved for the default config in the
@@ -707,9 +694,8 @@ def test_dropout_changes_training_forward_but_not_eval():
 
 def test_full_model_gradients_off_the_default_path():
     # every reoriented weight the default configuration leaves out
-    # (separate.w_proj, entity_selector.w/u) and the learned position
-    # table get a full finite-difference check
+    # (separate.w_proj, entity_selector.w/u) gets a full finite-difference
+    # check
     result = check_full_model(seed=0, tolerance=1e-3, n_blocks=1,
-                              pooling="separate", selector_target="both",
-                              position_encoding="learned")
+                              pooling="separate", selector_target="both")
     assert result.passed, result

@@ -26,8 +26,7 @@ from ksm.train import (InstancePrediction, TrainConfig,
 def _task(n=40, **model_overrides):
     d = 16
     instances, store, table = separable_task(n=n, d=d, seed=0)
-    cfg = dict(d=d, d_kb=d, n_heads=2, n_blocks=2, dropout_rate=0.1,
-               max_distance=16)
+    cfg = dict(d=d, d_kb=d, n_heads=2, n_blocks=2, dropout_rate=0.1)
     cfg.update(model_overrides)
     model = KSMModel(ModelConfig(**cfg), table, seed=1)
     return instances, store, model
@@ -309,8 +308,7 @@ def test_training_calls_nll_loss_once_per_instance(monkeypatch):
 
     monkeypatch.setattr(ksm.model, "nll_loss", counting)
     d = 8
-    model = KSMModel(ModelConfig(d=d, d_kb=d, n_heads=2, n_blocks=1,
-                                 max_distance=16),
+    model = KSMModel(ModelConfig(d=d, d_kb=d, n_heads=2, n_blocks=1),
                      WordTable.random([f"tok{i}" for i in range(12)], d),
                      seed=0)
     batch = toy_batch(seed=1, d=d, lengths=(2, 4, 3))
@@ -364,7 +362,7 @@ def _knowledge_task(kb_decides: bool, n: int = 40, d: int = 16,
 def test_knowledge_reaches_the_decision(kb_decides):
     train, heldout, store, table = _knowledge_task(kb_decides)
     config = ModelConfig(d=16, d_kb=16, n_heads=2, n_blocks=1,
-                         dropout_rate=0.0, max_distance=16)
+                         dropout_rate=0.0)
     model = KSMModel(config, table, seed=0)
     train_model(train, store, model,
                 TrainConfig(batch_size=8, lr=0.5, max_epochs=10, patience=10,
