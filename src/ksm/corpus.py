@@ -19,13 +19,18 @@ Cost: `preprocess_document` spends O(n + mention tokens) once per document
 on a layout (sentence offsets, the masked form of every token, the first
 mention covering each index) and then O(window) per candidate pair, so a
 document of n tokens with p pairs costs O(n + p * window), not O(p * n).
+Each distinct token is masked once per process: `_mask_token` sits behind
+a bounded memo keyed on the token and the config's masking values, so the
+layout of a document is one memo lookup per token.
 
-Everything here is a pure function over immutable documents, so
-processing is trivially parallel per document.
+Everything here is a pure function over immutable documents; the memo is
+thread-safe and only caches a pure function, so processing is still
+trivially parallel per document.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -57,7 +62,16 @@ class Mention:
     token_span: tuple[int, int]  # [start, end) within the sentence
 
     def __post_init__(self):
-        s, e = self.token_span
+        try:
+            s, e = self.token_span
+        except (TypeError, ValueError):
+            s = e = None
+        if type(s) is not int or type(e) is not int:
+            raise CorpusError(f"mention span must be two integers, "
+                              f"got {self.token_span!r}")
+        if type(self.sentence_index) is not int:
+            raise CorpusError(f"mention sentence index must be an integer, "
+                              f"got {self.sentence_index!r}")
         if not (0 <= s < e):
             raise CorpusError(
                 f"mention span must satisfy 0 <= start < end, got {self.token_span}")
@@ -81,14 +95,28 @@ class CandidateInstance:
     label: str = LABEL_UNLABELED
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreprocessConfig:
     max_sentence_distance: int = 3   # pairs with distance >= this are skipped
     expansion: int = 3               # context tokens kept on each side
     strip_chars: str = "*†‡§®™"  # * † ‡ § ® ™
-    drop_tokens: frozenset = frozenset("()[]{}")
+    drop_tokens: frozenset = frozenset("()[]{}")  # given as any iterable
 
     def __post_init__(self):
+        # both masking values key the `_mask_token` memo, so they must be
+        # hashable and immutable
+        if not isinstance(self.strip_chars, str):
+            raise CorpusError(f"strip_chars must be a string, got "
+                              f"{self.strip_chars!r}")
+        try:
+            drop = (None if isinstance(self.drop_tokens, str)
+                    else frozenset(self.drop_tokens))
+        except TypeError:  # not iterable, or an unhashable element
+            drop = None
+        if drop is None or not all(isinstance(t, str) for t in drop):
+            raise CorpusError(f"drop_tokens must be a collection of token "
+                              f"strings, got {self.drop_tokens!r}")
+        object.__setattr__(self, "drop_tokens", drop)
         if self.max_sentence_distance < 1:
             raise CorpusError(f"max_sentence_distance must be >= 1, got "
                               f"{self.max_sentence_distance}")
@@ -148,8 +176,7 @@ def generate_candidate_pairs(
     offsets = _sentence_offsets(doc)
     ordered = sorted(
         doc.mentions,
-        key=lambda m: (_flat_span(doc, m, offsets)[0],
-                       _flat_span(doc, m, offsets)[1], m.entity_id))
+        key=lambda m: (*_flat_span(doc, m, offsets), m.entity_id))
     pairs = []
     for i, m1 in enumerate(ordered):
         for m2 in ordered[i + 1:]:
@@ -161,13 +188,21 @@ def generate_candidate_pairs(
     return pairs
 
 
-def _mask_token(token: str, strip: dict[int, None],
+# Tokens repeat across documents: the benchmark corpus has 100,000 tokens
+# and about 2,000 distinct ones. The key holds the config's masking values,
+# so two configs never share an entry. An entry holds about 160 bytes plus
+# the token and its masked form: a full memo of 20-character tokens is
+# about 10 MB.
+_MASK_MEMO_SIZE = 32_768
+
+
+@functools.lru_cache(maxsize=_MASK_MEMO_SIZE)
+def _mask_token(token: str, strip_chars: str,
                 drop_tokens: frozenset) -> str | None:
-    """Apply NUMBER replacement, then char stripping (``strip`` is a
-    `str.translate` table deleting them), then lone-punct drop."""
+    """Apply NUMBER replacement, then char stripping, then lone-punct drop."""
     if _NUMBER_RE.match(token):
         return NUMBER_TOKEN
-    stripped = token.translate(strip)
+    stripped = token.translate(str.maketrans("", "", strip_chars))
     if not stripped or stripped in drop_tokens:
         return None
     return stripped
@@ -177,22 +212,27 @@ class _Layout(NamedTuple):
     """Facts about one document under one config that every pair reads."""
     offsets: list[int]            # sentence start offsets, then n
     masked: list[str | None]      # _mask_token of every flat token
-    owner: dict[int, int]         # flat index -> doc.mentions index of the
-                                  # first mention covering it, if any
+    owner: list[int]              # per flat index, the doc.mentions index of
+                                  # the first mention covering it, else -1
 
 
 def _document_layout(doc: Document, config: PreprocessConfig) -> _Layout:
     offsets = _sentence_offsets(doc)
-    strip = str.maketrans("", "", config.strip_chars)
     flat = [tok for sent in doc.sentences for tok in sent]
-    # documents repeat many of their tokens: mask each distinct one once
-    distinct = {tok: _mask_token(tok, strip, config.drop_tokens)
-                for tok in set(flat)}
-    masked = [distinct[tok] for tok in flat]
-    owner: dict[int, int] = {}
-    for mi, m in enumerate(doc.mentions):
-        for i in range(*_flat_span(doc, m, offsets)):
-            owner.setdefault(i, mi)
+    strip, drop = config.strip_chars, config.drop_tokens
+    try:
+        masked = [_mask_token(tok, strip, drop) for tok in flat]
+    except TypeError:
+        bad = [tok for tok in flat if not isinstance(tok, str)]
+        if not bad:
+            raise
+        raise CorpusError(f"{doc.doc_id}: token {bad[0]!r} is not a string") \
+            from None
+    # filled from the last mention to the first, so the first one wins
+    owner = [-1] * offsets[-1]
+    for mi in range(len(doc.mentions) - 1, -1, -1):
+        s, e = _flat_span(doc, doc.mentions[mi], offsets)
+        owner[s:e] = [mi] * (e - s)
     return _Layout(offsets, masked, owner)
 
 
@@ -226,28 +266,27 @@ def build_context_window(
     c1 = s1 - lo
     c2 = c1 + max(0, s2 - e1)
 
+    owners, masked = layout.owner, layout.masked
     tokens: list[str] = []
     pos1: list[int] = []
     pos2: list[int] = []
-    prev_owner, prev_idx = None, -1
+    prev_owner, prev_idx = -1, -1
     for k, idx in enumerate(window):
-        d1 = c1 - k if k < c1 else k - c1 + 1
-        d2 = c2 - k if k < c2 else k - c2 + 1
-        owner = layout.owner.get(idx)
-        if owner is None:
-            masked = layout.masked[idx]
-            if masked is not None:
-                tokens.append(masked)
-                pos1.append(d1)
-                pos2.append(d2)
-        elif owner == prev_owner and idx == prev_idx + 1:
+        owner = owners[idx]
+        if owner >= 0 and owner == prev_owner and idx == prev_idx + 1:
             # a collapsed gene0 run keeps its minimum distances
-            pos1[-1] = min(pos1[-1], d1)
-            pos2[-1] = min(pos2[-1], d2)
+            d1 = c1 - k if k < c1 else k - c1 + 1
+            d2 = c2 - k if k < c2 else k - c2 + 1
+            if d1 < pos1[-1]:
+                pos1[-1] = d1
+            if d2 < pos2[-1]:
+                pos2[-1] = d2
         else:
-            tokens.append(GENE_MASK_TOKEN)
-            pos1.append(d1)
-            pos2.append(d2)
+            token = masked[idx] if owner < 0 else GENE_MASK_TOKEN
+            if token is not None:
+                tokens.append(token)
+                pos1.append(c1 - k if k < c1 else k - c1 + 1)
+                pos2.append(c2 - k if k < c2 else k - c2 + 1)
         prev_owner, prev_idx = owner, idx
 
     if not tokens:
@@ -331,8 +370,7 @@ def document_from_json(line: str, where: str = "<line>") -> Document:
     rec = _parse_json(line, where)
     try:
         mentions = [
-            Mention(entity_id=m["entity_id"], sentence_index=m["sentence"],
-                    token_span=tuple(m["token_span"]))
+            Mention(m["entity_id"], m["sentence"], tuple(m["token_span"]))
             for m in rec["mentions"]
         ]
         gold = {sorted_pair(*p) for p in rec.get("gold_relations", [])}

@@ -423,6 +423,34 @@ def test_malformed_corpus_reports_line_number(tmp_path, capsys):
     assert "bad.jsonl:2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, location", [
+    ({"sentences": [["a", "b"]], "mentions": [
+        {"entity_id": "G1", "sentence": 0, "token_span": [0, 1, 5]}]},
+     "bad.jsonl:2: mention span must be two integers"),
+    ({"sentences": [["a", "b"]], "mentions": [
+        {"entity_id": "G1", "sentence": 0.5, "token_span": [0, 1]}]},
+     "bad.jsonl:2: mention sentence index must be an integer"),
+    ({"sentences": [["a", 2, "c"]], "mentions": [
+        {"entity_id": "G1", "sentence": 0, "token_span": [0, 1]},
+        {"entity_id": "G2", "sentence": 0, "token_span": [2, 3]}]},
+     "d7: token 2 is not a string"),
+], ids=["span-3", "sentence-float", "token-int"])
+def test_malformed_corpus_record_exits_2_without_output(tmp_path, capsys,
+                                                        doc, location):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"doc_id":"a","sentences":[],"mentions":[],'
+                   '"gold_relations":[]}\n'
+                   + json.dumps({"doc_id": "d7", "gold_relations": [], **doc})
+                   + "\n")
+    out = tmp_path / "out.jsonl"
+    rc = main(["preprocess", "--corpus", str(bad), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.splitlines() == [err]
+    assert location in err
+    assert not out.exists()
+
+
 def _flags(subcommand):
     import argparse
     from ksm.cli import build_parser

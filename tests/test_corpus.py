@@ -3,6 +3,8 @@
 import json
 import logging
 import re
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -106,6 +108,16 @@ def test_first_mention_precedes_second():
     assert m1.entity_id == "G2" and m2.entity_id == "G1"
 
 
+def test_pairs_follow_start_then_end_then_entity_order():
+    doc = _doc([["a", "b", "c", "d"]],
+               [Mention("G3", 0, (1, 3)), Mention("G2", 0, (1, 2)),
+                Mention("G1", 0, (1, 2)), Mention("G4", 0, (0, 1))])
+    pairs = generate_candidate_pairs(doc)
+    assert [(a.entity_id, b.entity_id) for a, b in pairs] == [
+        ("G4", "G1"), ("G4", "G2"), ("G4", "G3"),
+        ("G1", "G2"), ("G1", "G3"), ("G2", "G3")]
+
+
 def test_every_cooccurrence_gets_its_own_pair():
     doc = _doc([["P1", "x", "P2", "y", "P1b"]],
                [Mention("G1", 0, (0, 1)), Mention("G2", 0, (2, 3)),
@@ -140,6 +152,48 @@ def test_preprocess_config_rejects_settings_that_give_wrong_windows(
     with pytest.raises(CorpusError,
                        match=rf"{field} must be >= \d, got {value}"):
         PreprocessConfig(**{field: value})
+
+
+@pytest.mark.parametrize("collect", [set, list, tuple, frozenset,
+                                     dict.fromkeys, iter])
+def test_drop_tokens_accepts_any_collection_of_strings(collect):
+    config = PreprocessConfig(drop_tokens=collect(["(", ")"]))
+    assert config.drop_tokens == frozenset("()")
+    doc = _doc([["P1", "(", "x", ")", "P2"]],
+               [Mention("G1", 0, (0, 1)), Mention("G2", 0, (4, 5))])
+    assert preprocess_document(doc, "train", config)[0].tokens == ["x"]
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"strip_chars": ["*"]}, "strip_chars must be a string, got ['*']"),
+    ({"strip_chars": None}, "strip_chars must be a string, got None"),
+    ({"drop_tokens": 5}, "drop_tokens must be a collection of token "
+                         "strings, got 5"),
+    ({"drop_tokens": None}, "got None"),
+    ({"drop_tokens": ["(", 1]}, "got ['(', 1]"),
+    ({"drop_tokens": [["("]]}, r"got [['(']]"),
+    # a string would silently drop each of its characters instead
+    ({"drop_tokens": "--"}, "got '--'"),
+], ids=["strip-list", "strip-none", "drop-int", "drop-none", "drop-non-str",
+        "drop-unhashable", "drop-str"])
+def test_preprocess_config_rejects_masking_values_of_the_wrong_type(
+        kwargs, message):
+    with pytest.raises(CorpusError, match=re.escape(message)):
+        PreprocessConfig(**kwargs)
+
+
+def test_configs_differing_only_in_drop_tokens_keep_their_own_windows():
+    # masking is memoized across documents; the memo must not hand one
+    # config's masked tokens to another
+    doc = _doc([["P1", "(", "aa", "]", "P2"]],
+               [Mention("G1", 0, (0, 1)), Mention("G2", 0, (4, 5))])
+    keep = PreprocessConfig(drop_tokens=set())
+    drop = PreprocessConfig(drop_tokens=["(", "]"])
+    for _ in range(2):
+        [kept] = preprocess_document(doc, "train", keep)
+        assert (kept.tokens, kept.pos1) == (["(", "aa", "]"], [1, 2, 3])
+        [dropped] = preprocess_document(doc, "train", drop)
+        assert (dropped.tokens, dropped.pos1) == (["aa"], [2])
 
 
 def test_window_clips_at_document_start():
@@ -293,6 +347,55 @@ def test_mention_span_must_be_nonempty():
         Mention("G1", 0, (2, 2))
 
 
+def _corpus_line(mention=None, sentences=(("a", "b", "c"),)):
+    mention = mention or {"entity_id": "G1", "sentence": 0,
+                          "token_span": [0, 1]}
+    return json.dumps({"doc_id": "d7", "sentences": sentences,
+                       "mentions": [mention], "gold_relations": []})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("token_span", [0, 1, 5], "mention span must be two integers, "
+                              "got (0, 1, 5)"),
+    ("token_span", [0], "mention span must be two integers, got (0,)"),
+    ("token_span", [0, 1.0], "mention span must be two integers"),
+    ("token_span", [False, True], "mention span must be two integers"),
+    ("token_span", "ab", "mention span must be two integers"),
+    ("sentence", 0.5, "mention sentence index must be an integer, got 0.5"),
+    ("sentence", True, "mention sentence index must be an integer, "
+                       "got True"),
+    ("sentence", "0", "mention sentence index must be an integer"),
+], ids=["span-3", "span-1", "span-float", "span-bool", "span-str",
+        "sentence-float", "sentence-bool", "sentence-str"])
+def test_malformed_mention_record_reports_location(field, value, message):
+    mention = {"entity_id": "G1", "sentence": 0, "token_span": [0, 1],
+               field: value}
+    with pytest.raises(CorpusError, match=re.escape(f"f.jsonl:3: {message}")):
+        document_from_json(_corpus_line(mention), where="f.jsonl:3")
+
+
+def test_mention_rejects_non_integer_fields_outside_json():
+    with pytest.raises(CorpusError, match="sentence index"):
+        Mention("G1", 0.0, (0, 1))
+    with pytest.raises(CorpusError, match="span"):
+        Mention("G1", 0, (0, True))
+
+
+@pytest.mark.parametrize("token", [2, None, 1.5, True, ["b"]])
+def test_non_string_token_names_document_and_token(token):
+    doc = Document(doc_id="d7", sentences=[["a", token, "c"]],
+                   mentions=[Mention("G1", 0, (0, 1)),
+                             Mention("G2", 0, (2, 3))],
+                   gold_relations=set())
+    with pytest.raises(CorpusError,
+                       match=re.escape(f"d7: token {token!r} is not a "
+                                       f"string")):
+        preprocess_document(doc, "train")
+    # a string token is still masked after the failed lookup
+    doc.sentences = [["a", "42", "c"]]
+    assert preprocess_document(doc, "train")[0].tokens == ["NUMBER"]
+
+
 def test_malformed_corpus_line_reports_location(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"doc_id":"ok","sentences":[],"mentions":[],'
@@ -372,6 +475,45 @@ def test_preprocessing_is_deterministic():
     second = [instance_to_json(i) for d in docs
               for i in preprocess_document(d, "train")]
     assert first == second
+
+
+def test_threads_sharing_the_mask_memo_get_the_serial_windows():
+    # every thread shares the process-wide masking memo; each must still
+    # get exactly the windows of its own config
+    docs = _toy_documents()
+    configs = [PreprocessConfig(), PreprocessConfig(drop_tokens=set()),
+               PreprocessConfig(strip_chars="", drop_tokens=["("])]
+
+    def run(config):
+        return [instance_to_json(i) for d in docs
+                for i in preprocess_document(d, "train", config)]
+
+    expected = [run(c) for c in configs]
+    assert len(set(map(tuple, expected))) == len(configs)
+    got, errors = {}, []
+
+    def worker(k):
+        try:
+            for _ in range(50):
+                assert run(configs[k % len(configs)]) == \
+                    expected[k % len(configs)]
+            got[k] = True
+        except Exception as e:  # reported by the main thread
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(got) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +672,17 @@ def reference_build_context_window(
 
 _VOCAB = ["aa", "bb", "cc", "42", "-3.5%", "7*", "IL*2", "w\u2020", "*", "(",
           "]"]
+# masking values drawn per example, so one process masks under several
+# configs; drop_tokens is given as a set, a list or a frozenset
+_STRIP_CHARS = ["*\u2020\u2021\u00a7\u00ae\u2122", "*", "w\u2020", ""]
+_DROP_TOKENS = [frozenset("()[]{}"), {"(", "aa"}, ["]", "IL2", "*"], set()]
 
 
 @st.composite
 def rich_documents(draw):
     """Multi-token, nested and overlapping mentions over 1-5 sentences,
-    with gold relations, plus a config with random window limits."""
+    with gold relations, plus a config with random window limits and
+    masking values."""
     n_sent = draw(st.integers(1, 5))
     sentences = [draw(st.lists(st.sampled_from(_VOCAB), min_size=1,
                                max_size=8))
@@ -550,7 +697,9 @@ def rich_documents(draw):
     gold = {sorted_pair(a, b) for a in entities for b in entities
             if a < b and draw(st.booleans())}
     config = PreprocessConfig(max_sentence_distance=draw(st.integers(1, 4)),
-                              expansion=draw(st.integers(0, 4)))
+                              expansion=draw(st.integers(0, 4)),
+                              strip_chars=draw(st.sampled_from(_STRIP_CHARS)),
+                              drop_tokens=draw(st.sampled_from(_DROP_TOKENS)))
     return Document(doc_id="R", sentences=sentences, mentions=mentions,
                     gold_relations=gold), config
 
