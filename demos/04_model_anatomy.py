@@ -23,7 +23,7 @@ inst = CandidateInstance(
     pos1=[2, 1, 1, 2, 3, 4], pos2=[5, 4, 3, 2, 1, 1], label="positive")
 
 table = WordTable.random(tokens, d, seed=1)
-config = ModelConfig(d=d, d_kb=d, n_heads=2, n_blocks=2, dropout_rate=0.0)
+config = ModelConfig(d=d, n_heads=2, n_blocks=2, dropout_rate=0.0)
 model = KSMModel(config, table, seed=2)
 params = model.params
 print(f"{len(params.names())} parameter tensors, "

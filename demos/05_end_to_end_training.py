@@ -18,7 +18,7 @@ n_pos = sum(1 for i in instances if i.label == "positive")
 print(f"{len(instances)} instances ({n_pos} positive), "
       f"{len(store.entity_table)} KB entities\n")
 
-config = ModelConfig(d=d, d_kb=d, n_heads=2, n_blocks=2, dropout_rate=0.1)
+config = ModelConfig(d=d, n_heads=2, n_blocks=2, dropout_rate=0.1)
 model = KSMModel(config, table, seed=11)
 tc = TrainConfig(batch_size=8, lr=0.02, max_epochs=50, patience=50,
                  seed=11, holdout_fraction=0.0)

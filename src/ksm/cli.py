@@ -129,13 +129,18 @@ def _save_word_table(args, word_table: WordTable, path: Path) -> None:
         kb_mod.copy_embeddings(source, path)
 
 
-def _load_store(args, cfg) -> kb_mod.KnowledgeStore:
-    if getattr(args, "kb_dir", None):
-        return kb_mod.load_store(_check_exists(args.kb_dir, "KB directory"))
-    logger.warning("no --kb-dir given; every pair resolves to the "
-                   "null relation")
-    return kb_mod.KnowledgeStore(entity_table={}, relation_table={},
-                                 d_kb=cfg["d_kb"])
+def _load_store(args, d: int) -> kb_mod.KnowledgeStore:
+    """The --kb-dir store checked against the model width `d`, or none."""
+    if not getattr(args, "kb_dir", None):
+        logger.warning("no --kb-dir given; every pair resolves to the "
+                       "null relation")
+        return kb_mod.KnowledgeStore(entity_table={}, relation_table={},
+                                     d_kb=d)
+    store = kb_mod.load_store(_check_exists(args.kb_dir, "KB directory"))
+    if store.d_kb != d:
+        raise CliError(f"{args.kb_dir}: KB store width {store.d_kb} does not "
+                       f"match the model width d {d}")
+    return store
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +178,7 @@ def cmd_train_kb(args) -> int:
             raise CliError(f"{path}: mention lexicon must hold a JSON object "
                            f"of string lists")
     store = kb_mod.init_embeddings(triples, word_table, lexicon,
-                                   d_kb=cfg["d_kb"], seed=cfg["seed"])
+                                   d_kb=cfg["d"], seed=cfg["seed"])
     losses = kb_mod.transe_train(triples, store, margin=cfg["kb_margin"],
                                  epochs=cfg["kb_epochs"], lr=cfg["kb_lr"],
                                  seed=cfg["seed"])
@@ -185,12 +190,6 @@ def cmd_train_kb(args) -> int:
     else:
         print(f"0 epochs requested; initialized store saved to {args.out}")
     return 0
-
-
-def _check_store_dim(store, d_kb: int) -> None:
-    if store.entity_table and store.d_kb != d_kb:
-        raise CliError(f"KB store dimension {store.d_kb} does not match "
-                       f"the model d_kb {d_kb}")
 
 
 def _configs(cfg) -> tuple[ModelConfig, TrainConfig]:
@@ -206,8 +205,7 @@ def _train_on(instances, args, cfg,
               ) -> tuple[KSMModel, train_mod.TrainResult, WordTable,
                          kb_mod.KnowledgeStore]:
     model_config, train_config = configs
-    store = _load_store(args, cfg)
-    _check_store_dim(store, cfg["d_kb"])
+    store = _load_store(args, model_config.d)
     word_table = _load_word_table(args, cfg, instances)
     model = KSMModel(model_config, word_table, seed=cfg["seed"])
     result = train_mod.train_model(instances, store, model, train_config)
@@ -236,7 +234,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = resolve_config(args)
+    resolve_config(args)  # a bad --config file is an error here too
     _require(args, "instances", "checkpoint", "out")
     instances = corpus_mod.read_instances(
         _check_exists(args.instances, "instance file"))
@@ -246,9 +244,7 @@ def cmd_predict(args) -> int:
     word_table = WordTable.load(_check_exists(words_path,
                                               "word embeddings file"))
     model = KSMModel.load(args.checkpoint, word_table)
-    cfg["d_kb"] = model.config.d_kb
-    store = _load_store(args, cfg)
-    _check_store_dim(store, model.config.d_kb)
+    store = _load_store(args, model.config.d)
     preds = train_mod.predict_instances(model, instances, store)
     prediction_set = train_mod.aggregate_predictions(preds)
     train_mod.write_predictions(args.out, prediction_set)

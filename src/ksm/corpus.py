@@ -374,7 +374,10 @@ def document_from_json(line: str, where: str = "<line>") -> Document:
             for m in rec["mentions"]
         ]
         gold = {sorted_pair(*p) for p in rec.get("gold_relations", [])}
-        return Document(doc_id=rec["doc_id"], sentences=rec["sentences"],
+        if type(sentences := rec["sentences"]) is not list or not all(
+                type(s) is list for s in sentences):
+            raise CorpusError("sentences must be a list of token lists")
+        return Document(doc_id=rec["doc_id"], sentences=sentences,
                         mentions=mentions, gold_relations=gold)
     except (KeyError, TypeError) as e:
         raise CorpusError(f"{where}: missing or malformed field ({e})") from e

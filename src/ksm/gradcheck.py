@@ -196,7 +196,7 @@ def check_all_ops(seed: int = 0, tolerance: float = 1e-4) -> list[CheckResult]:
 
 def toy_model(seed: int = 0, d: int = 8, n_heads: int = 2,
               n_blocks: int = 2, **overrides) -> KSMModel:
-    config = ModelConfig(d=d, d_kb=d, n_heads=n_heads, n_blocks=n_blocks,
+    config = ModelConfig(d=d, n_heads=n_heads, n_blocks=n_blocks,
                          dropout_rate=0.0, **overrides)
     vocab = [f"tok{i}" for i in range(12)]
     table = WordTable.random(vocab, d, seed=seed + 1)
@@ -233,8 +233,8 @@ def check_full_model(seed: int = 0, tolerance: float = 1e-3,
     model = toy_model(seed=seed, **config_overrides)
     # a nonzero null vector so its gradient path is generic
     model.params["knowledge.null_relation"].data[:] = \
-        np.random.default_rng(seed + 2).standard_normal(model.config.d_kb) * 0.1
-    batch = toy_batch(seed + 3, model.config.d_kb)
+        np.random.default_rng(seed + 2).standard_normal(model.config.d) * 0.1
+    batch = toy_batch(seed + 3, model.config.d)
     label = "full_model" + ("" if not config_overrides
                             else f"[{config_overrides}]")
     # dropout is off, so no rng is read

@@ -157,6 +157,8 @@ def init_embeddings(triples: list[Triple],
     """
     if not triples:
         raise KBError("init_embeddings: empty triple set")
+    if d_kb < 1:
+        raise KBError(f"init_embeddings: d_kb must be >= 1, got {d_kb}")
     if word_table:
         d_words = len(next(iter(word_table.values())))
         if d_words != d_kb:
@@ -450,7 +452,8 @@ def read_triples(path) -> list[Triple]:
 def write_embeddings(path, table: Mapping[str, np.ndarray]) -> None:
     """Text format: first line `count dim`, then `id v1 ... v_d` per line."""
     items = list(table.items())
-    dim = len(items[0][1]) if items else 0
+    dim = (table.matrix.shape[1] if isinstance(table, Embeddings)
+           else len(items[0][1]) if items else 0)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"{len(items)} {dim}\n")
         for key, vec in items:
@@ -646,17 +649,17 @@ def save_store(store: KnowledgeStore, directory) -> None:
 def load_store(directory) -> KnowledgeStore:
     """Read a directory written by `save_store`.
 
-    KBError, naming the file (and the line of ``pairs.tsv``), for a relation
-    vector whose width differs from the entity vectors', a ``pairs.tsv``
-    line with fewer than 3 fields, or a pair label missing from
-    ``relations.txt``. Pair keys are stored sorted. A ``__null__`` row in
-    ``relations.txt``, which older stores carry, is skipped.
+    The width is the one in the ``entities.txt`` header, rows or none.
+    KBError, naming the file (and the line of ``pairs.tsv``), for a
+    ``relations.txt`` of another width, a ``pairs.tsv`` line with fewer
+    than 3 fields, or a label missing from ``relations.txt``. Pair keys are
+    sorted. A ``__null__`` row in ``relations.txt`` (older stores) is skipped.
     """
     d = Path(directory)
     entities = read_embeddings(d / "entities.txt")
     relations = read_embeddings(d / "relations.txt")
-    d_kb = entities.matrix.shape[1] if entities else 0
-    if relations and relations.matrix.shape[1] != d_kb:
+    d_kb = entities.matrix.shape[1]
+    if relations.matrix.shape[1] != d_kb:
         raise KBError(f"{d / 'relations.txt'}: width "
                       f"{relations.matrix.shape[1]}, entities.txt has {d_kb}")
     store = KnowledgeStore(

@@ -74,7 +74,6 @@ class ModelConfig:
     d: int = 100
     n_blocks: int = 2
     n_heads: int = 4
-    d_kb: int = 100
     dropout_rate: float = 0.1
     selector_activation: str = "tanh"
     selector_op: str = "hadamard"
@@ -88,14 +87,10 @@ class ModelConfig:
         return self.d // self.n_heads
 
     def __post_init__(self) -> None:
-        if self.n_heads < 1 or self.d % self.n_heads:
+        if self.d < 1 or self.n_heads < 1 or self.d % self.n_heads:
             raise ConfigError(
                 f"d ({self.d}) must be a positive multiple of n_heads "
                 f"({self.n_heads})")
-        if self.d_kb != self.d:
-            raise ConfigError(
-                f"d_kb ({self.d_kb}) must equal d ({self.d}): the selector "
-                "gate and the 3d classifier features couple the two")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0,1), "
                               f"got {self.dropout_rate}")
@@ -111,16 +106,19 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """The config of `d`. Configs saved when a learned position table
-        was selectable carry `position_encoding` and `max_distance`; both
-        are dropped, and ConfigError is raised unless the encoding is the
-        sinusoidal one."""
+        """The config of `d`. Older configs carry `position_encoding` and
+        `max_distance` (saved when a learned position table was selectable)
+        or `d_kb` (saved when the KB width was a field). They are dropped;
+        ConfigError unless the encoding is sinusoidal and `d_kb` equals `d`."""
         d = dict(d)
         d.pop("max_distance", None)
         encoding = d.pop("position_encoding", "sinusoidal")
         if encoding != "sinusoidal":
             raise ConfigError(f"position_encoding {encoding!r} is no longer "
                               f"supported; retrain the model")
+        width = d.get("d", cls.d)
+        if (d_kb := d.pop("d_kb", width)) != width:
+            raise ConfigError(f"d_kb ({d_kb}) must equal d ({width})")
         return cls(**d)
 
 
@@ -255,7 +253,7 @@ def build_params(config: ModelConfig, seed: int = 0) -> ParameterStore:
     """Register exactly the tensors the configured forward pass touches."""
     rng = np.random.default_rng(seed)
     store = ParameterStore()
-    d, dh, dkb = config.d, config.d_head, config.d_kb
+    d, dh = config.d, config.d_head
 
     def add(name, data):
         store.add(name, Tensor(data))
@@ -274,7 +272,7 @@ def build_params(config: ModelConfig, seed: int = 0) -> ParameterStore:
             # head h owns columns h*dh:(h+1)*dh of each projection; the
             # draws keep their per-head order and fan sizes
             heads = [[_xavier(rng, fan_in, dh, (fan_in, dh))
-                      for fan_in in (d + dkb, d, d)]
+                      for fan_in in (2 * d, d, d)]
                      for _ in range(config.n_heads)]
             wq, wk, wv = (np.concatenate(ws, axis=1) for ws in zip(*heads))
             add(f"{p}.wq_x", wq[:d])
@@ -311,7 +309,7 @@ def build_params(config: ModelConfig, seed: int = 0) -> ParameterStore:
 
     mat_drawn_out_in("classifier.w", 3 * d, 2)
     add("classifier.b", np.zeros(2))
-    add("knowledge.null_relation", np.zeros(dkb))
+    add("knowledge.null_relation", np.zeros(d))
     return store
 
 
@@ -511,7 +509,7 @@ class KSMModel:
         x1, x2 = embed_context(instance, self.word_table, cfg)
         e1 = Tensor(np.asarray(knowledge.e1).reshape(1, -1))
         e2 = Tensor(np.asarray(knowledge.e2).reshape(1, -1))
-        er = (ad.reshape(self.params["knowledge.null_relation"], (1, cfg.d_kb))
+        er = (ad.reshape(self.params["knowledge.null_relation"], (1, cfg.d))
               if knowledge.er_is_null
               else Tensor(np.asarray(knowledge.er).reshape(1, -1)))
         if cfg.selector_target in ("entity", "both"):

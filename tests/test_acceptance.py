@@ -76,7 +76,7 @@ def test_criterion_4_attention_matches_loop_oracle():
     worst = 0.0
     for case in range(20):
         d, n_heads = 8, 2
-        cfg = ModelConfig(d=d, d_kb=d, n_heads=n_heads, n_blocks=1,
+        cfg = ModelConfig(d=d, n_heads=n_heads, n_blocks=1,
                           dropout_rate=0.0)
         params = build_params(cfg, seed=100 + case)
         length = int(rng.integers(1, 8))
@@ -99,7 +99,7 @@ def test_criterion_5_mutual_attention_degeneracies():
     rng = np.random.default_rng(5)
     worst_p = worst_s = 0.0
     for zero_side in (1, 2):
-        cfg = ModelConfig(d=d, d_kb=d, n_heads=2, dropout_rate=0.0)
+        cfg = ModelConfig(d=d, n_heads=2, dropout_rate=0.0)
         params = build_params(cfg, seed=zero_side)
         params[f"mutual.w{zero_side}"].data[:] = 0.0
         v1 = Tensor(rng.standard_normal((length, d)))
@@ -125,7 +125,7 @@ def test_criterion_6_selector_bounds():
     checked = 0
     ok = True
     for activation in ("tanh", "sigmoid"):
-        cfg = ModelConfig(d=d, d_kb=d, n_heads=2,
+        cfg = ModelConfig(d=d, n_heads=2,
                           selector_activation=activation, dropout_rate=0.0)
         for case in range(100):
             params = build_params(cfg, seed=case)
@@ -136,7 +136,7 @@ def test_criterion_6_selector_bounds():
             ok = ok and np.all(np.abs(out.data) <= np.abs(er.data) + 1e-15)
             checked += d
 
-    cfg = ModelConfig(d=d, d_kb=d, n_heads=2, selector_op="sum",
+    cfg = ModelConfig(d=d, n_heads=2, selector_op="sum",
                       dropout_rate=0.0)
     params = build_params(cfg, seed=0)
     for name in ("selector.w", "selector.u", "selector.b"):
@@ -156,7 +156,7 @@ def test_criterion_7_overfit_deterministically():
 
     def run(epochs):
         instances, store, table = separable_task(n=40, d=d, seed=0)
-        cfg = ModelConfig(d=d, d_kb=d, n_heads=2, n_blocks=2,
+        cfg = ModelConfig(d=d, n_heads=2, n_blocks=2,
                           dropout_rate=0.1)
         model = KSMModel(cfg, table, seed=11)
         tc = TrainConfig(batch_size=8, lr=0.02, max_epochs=epochs,

@@ -139,7 +139,7 @@ def test_format_2_file_loads_to_the_same_model(tmp_path):
     v4, _ = load_checkpoint(path)
     assert all(v2[k].tobytes() == v4[k].tobytes() for k in v2) and \
         v2.keys() == v4.keys()
-    for inst, kn in toy_batch(5, old.config.d_kb):
+    for inst, kn in toy_batch(5, old.config.d):
         a = old.forward_instance(inst, kn)[0].data
         b = new.forward_instance(inst, kn)[0].data
         assert a.tobytes() == b.tobytes()
@@ -151,8 +151,10 @@ def _same_values(a: dict, b: dict) -> bool:
 
 
 # what every config saved while a learned position table was selectable
-# carries (toy_model_v2.ckpt and toy_model_v3.ckpt among them)
-LEGACY_KEYS = {"position_encoding": "sinusoidal", "max_distance": 16}
+# and the KB width was a field carries (toy_model_v2.ckpt and
+# toy_model_v3.ckpt among them)
+LEGACY_KEYS = {"position_encoding": "sinusoidal", "max_distance": 16,
+               "d_kb": 8}
 
 
 def test_format_3_file_loads_to_the_same_values(tmp_path):
@@ -188,6 +190,19 @@ def test_config_with_the_older_position_keys_loads(tmp_path, version):
     loaded = KSMModel.load(path, model.word_table)
     assert loaded.config == model.config
     assert _same_values({n: t.data for n, t in loaded.params.items()}, values)
+
+
+@VERSIONS
+def test_config_with_a_kb_width_other_than_d_rejected(tmp_path, version):
+    model = toy_model(seed=3)
+    values = {n: t.data for n, t in model.params.items()}
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_file(values, {**model.config.to_dict(), "d_kb": 16},
+                           version))
+    with pytest.raises(CheckpointError) as e:
+        KSMModel.load(path, model.word_table)
+    assert str(e.value) == (f"{path}: invalid model config: "
+                            f"d_kb (16) must equal d (8)")
 
 
 @VERSIONS
@@ -234,7 +249,7 @@ def test_deeply_nested_json_rejected(tmp_path, line_end):
 
 def test_model_roundtrip_restores_forward(tmp_path):
     model = toy_model(seed=4)
-    batch = toy_batch(5, model.config.d_kb)
+    batch = toy_batch(5, model.config.d)
     before = [model.forward_instance(i, k)[0].data.copy() for i, k in batch]
     path = tmp_path / "m.ckpt"
     model.save(path)

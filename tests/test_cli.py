@@ -35,7 +35,7 @@ def _small_training_setup(tmp_path, n=12):
     return inst_path, words_path, kb_dir
 
 
-FAST_TRAIN = ["--d", "8", "--d-kb", "8", "--n-heads", "2", "--n-blocks", "1",
+FAST_TRAIN = ["--d", "8", "--n-heads", "2", "--n-blocks", "1",
               "--batch-size", "4", "--max-epochs", "2",
               "--holdout-fraction", "0"]
 
@@ -97,7 +97,7 @@ def test_train_kb_produces_loadable_store(tmp_path, capsys):
     _write_triples(triples)
     out = tmp_path / "kb"
     rc = main(["train-kb", "--triples", str(triples), "--out", str(out),
-               "--d-kb", "8", "--kb-epochs", "20", "--seed", "1"])
+               "--d", "8", "--kb-epochs", "20", "--seed", "1"])
     assert rc == 0
     from ksm.kb import load_store
     store = load_store(out)
@@ -110,7 +110,7 @@ def test_train_kb_rerun_is_identical(tmp_path):
     triples = tmp_path / "triples.tsv"
     _write_triples(triples)
     out1, out2 = tmp_path / "kb1", tmp_path / "kb2"
-    args = ["train-kb", "--triples", str(triples), "--d-kb", "8",
+    args = ["train-kb", "--triples", str(triples), "--d", "8",
             "--kb-epochs", "10", "--seed", "3"]
     main(args + ["--out", str(out1)])
     main(args + ["--out", str(out2)])
@@ -125,7 +125,7 @@ def test_train_kb_bad_margin_or_lr_exits_2(tmp_path, capsys, flag, value):
     _write_triples(triples)
     out = tmp_path / "kb"
     rc = main(["train-kb", "--triples", str(triples), "--out", str(out),
-               "--d-kb", "8", flag, value])
+               "--d", "8", flag, value])
     assert rc == 2
     assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
@@ -136,7 +136,7 @@ def test_train_kb_rejects_the_reserved_null_label(tmp_path, capsys):
     triples.write_text("e1\tr1\te2\ne2\t__null__\te3\n")
     out = tmp_path / "kb"
     rc = main(["train-kb", "--triples", str(triples), "--out", str(out),
-               "--d-kb", "8"])
+               "--d", "8"])
     assert rc == 2
     assert (f"error: {triples}:2: relation label '__null__' is reserved"
             in capsys.readouterr().err)
@@ -152,7 +152,7 @@ def test_negative_epoch_count_exits_2(tmp_path, capsys, command, flag, value,
     triples = tmp_path / "triples.tsv"
     _write_triples(triples)
     out = tmp_path / "out"
-    inputs = {"train-kb": ["--triples", str(triples), "--d-kb", "8"],
+    inputs = {"train-kb": ["--triples", str(triples), "--d", "8"],
               "train": ["--instances", str(inst_path), "--word-embeddings",
                         str(words_path), "--kb-dir", str(kb_dir)]
               + FAST_TRAIN}[command]
@@ -204,7 +204,7 @@ def test_train_kb_train_predict_ignore_an_older_null_row(tmp_path):
             rel = "activates" if inst.label == "positive" else "unrelated_to"
             f.write("\t".join([inst.pair[0], rel, inst.pair[1]]) + "\n")
     new, old = tmp_path / "kb_new", tmp_path / "kb_old"
-    assert main(["train-kb", "--triples", str(triples), "--d-kb", "8",
+    assert main(["train-kb", "--triples", str(triples), "--d", "8",
                  "--kb-epochs", "5", "--seed", "2", "--out", str(new)]) == 0
     relations = read_embeddings(new / "relations.txt")
     assert list(relations) == ["activates", "unrelated_to"]
@@ -406,11 +406,75 @@ def test_kb_dimension_mismatch_reports_cleanly(tmp_path, capsys):
     inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
     rc = main(["train", "--instances", str(inst_path),
                "--kb-dir", str(kb_dir), "--out", str(tmp_path / "m.ckpt"),
-               "--d", "16", "--d-kb", "16", "--n-heads", "2",
+               "--d", "16", "--n-heads", "2",
                "--n-blocks", "1", "--max-epochs", "1",
                "--holdout-fraction", "0"])
     assert rc == 2
     assert "does not match" in capsys.readouterr().err
+
+
+def _kb_dir_without_rows(path, width):
+    """A KB directory whose two tables have the header `0 width` only."""
+    path.mkdir()
+    for name in ("entities.txt", "relations.txt"):
+        (path / name).write_text(f"0 {width}\n")
+    return path
+
+
+def test_kb_dir_without_rows_trains_with_every_pair_null(tmp_path,
+                                                          monkeypatch):
+    from ksm import train as train_mod
+    inst_path, words_path, _ = _small_training_setup(tmp_path)
+    kb_dir = _kb_dir_without_rows(tmp_path / "empty_kb", 8)
+    stores, train = [], train_mod.train_model
+
+    def recording(instances, store, *rest):
+        stores.append(store)
+        return train(instances, store, *rest)
+
+    monkeypatch.setattr(train_mod, "train_model", recording)
+    out = tmp_path / "m.ckpt"
+    rc = main(["train", "--instances", str(inst_path),
+               "--word-embeddings", str(words_path), "--kb-dir", str(kb_dir),
+               "--out", str(out)] + FAST_TRAIN)
+    assert rc == 0 and out.exists()
+    [store] = stores
+    assert store.d_kb == 8 and not store.pair_relations
+    assert store.stats["null_relation"] == len(read_instances(inst_path))
+
+
+def test_kb_dir_without_rows_of_another_width_exits_2(tmp_path, capsys):
+    inst_path, words_path, _ = _small_training_setup(tmp_path)
+    kb_dir = _kb_dir_without_rows(tmp_path / "empty_kb", 6)
+    out = tmp_path / "m.ckpt"
+    rc = main(["train", "--instances", str(inst_path),
+               "--word-embeddings", str(words_path), "--kb-dir", str(kb_dir),
+               "--out", str(out)] + FAST_TRAIN)
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {kb_dir}: KB store width 6 does not match the model "
+        f"width d 8"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "train-kb"])
+@pytest.mark.parametrize("width", ["0", "-4"])
+def test_width_below_1_exits_2(tmp_path, capsys, command, width):
+    inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
+    triples = tmp_path / "triples.tsv"
+    _write_triples(triples)
+    out = tmp_path / "out"
+    inputs = {"train-kb": ["--triples", str(triples)],
+              "train": ["--instances", str(inst_path), "--word-embeddings",
+                        str(words_path), "--kb-dir", str(kb_dir)]}[command]
+    rc = main([command, *inputs, "--out", str(out), "--d", width])
+    assert rc == 2
+    message = {"train": f"d ({width}) must be a positive multiple of "
+                        f"n_heads (4)",
+               "train-kb": f"d_kb must be >= 1, got {width}"}[command]
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and line.endswith(message)
+    assert not out.exists()
 
 
 def test_malformed_corpus_reports_line_number(tmp_path, capsys):
@@ -434,7 +498,11 @@ def test_malformed_corpus_reports_line_number(tmp_path, capsys):
         {"entity_id": "G1", "sentence": 0, "token_span": [0, 1]},
         {"entity_id": "G2", "sentence": 0, "token_span": [2, 3]}]},
      "d7: token 2 is not a string"),
-], ids=["span-3", "sentence-float", "token-int"])
+    ({"sentences": ["P1 ab P2"], "mentions": [
+        {"entity_id": "G1", "sentence": 0, "token_span": [0, 1]},
+        {"entity_id": "G2", "sentence": 0, "token_span": [7, 8]}]},
+     "bad.jsonl:2: sentences must be a list of token lists"),
+], ids=["span-3", "sentence-float", "token-int", "sentence-string"])
 def test_malformed_corpus_record_exits_2_without_output(tmp_path, capsys,
                                                         doc, location):
     bad = tmp_path / "bad.jsonl"
@@ -465,8 +533,9 @@ def test_config_flags_follow_the_config_dataclasses():
     # TrainConfig, minus --d-head (d_head is now d // n_heads),
     # --relation-pool (relations are always mean-pooled) and
     # --position-encoding/--max-distance (positions are always sinusoidal)
+    # and --d-kb (the KB width is d)
     config_flags = {
-        "--batch-size", "--d", "--d-kb", "--dropout-rate",
+        "--batch-size", "--d", "--dropout-rate",
         "--gate-uses-relation", "--holdout-fraction", "--kb-epochs",
         "--kb-lr", "--kb-margin", "--lr", "--max-epochs",
         "--n-blocks", "--n-heads", "--patience", "--pooling",
@@ -498,6 +567,16 @@ def test_d_head_config_key_rejected(tmp_path, capsys):
                "--out", str(tmp_path / "x"), "--config", str(cfg_file)])
     assert rc == 2
     assert "d_head" in capsys.readouterr().err
+
+
+def test_d_kb_config_key_rejected(tmp_path, capsys):
+    # the KB width is d, so d_kb is no setting
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"d_kb": 8}))
+    rc = main(["train-kb", "--triples", str(tmp_path / "absent.tsv"),
+               "--out", str(tmp_path / "kb"), "--config", str(cfg_file)])
+    assert rc == 2
+    assert "unknown config keys: ['d_kb']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("position_encoding", "sinusoidal"),
@@ -590,7 +669,7 @@ def test_train_kb_rejects_a_malformed_mention_lexicon(tmp_path, capsys,
     path = tmp_path / "lexicon.json"
     path.write_text(lexicon)
     out = tmp_path / "kb"
-    rc = main(["train-kb", "--triples", str(triples), "--d-kb", "8",
+    rc = main(["train-kb", "--triples", str(triples), "--d", "8",
                "--mention-lexicon", str(path), "--out", str(out)])
     assert rc == 2
     assert f"error: {tmp_path}/{message}" in capsys.readouterr().err
@@ -606,7 +685,7 @@ def test_train_kb_reads_a_mention_lexicon(tmp_path):
     lexicon = tmp_path / "lexicon.json"
     lexicon.write_text(json.dumps({"e1": ["alpha", "beta"], "e2": []}))
     out = tmp_path / "kb"
-    rc = main(["train-kb", "--triples", str(triples), "--d-kb", "4",
+    rc = main(["train-kb", "--triples", str(triples), "--d", "4",
                "--kb-epochs", "0", "--word-embeddings", str(words),
                "--mention-lexicon", str(lexicon), "--out", str(out)])
     assert rc == 0

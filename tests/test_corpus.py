@@ -374,6 +374,17 @@ def test_malformed_mention_record_reports_location(field, value, message):
         document_from_json(_corpus_line(mention), where="f.jsonl:3")
 
 
+@pytest.mark.parametrize("sentences", [["P1 ab P2"], "P1 ab P2",
+                                       [["a"], "b"], {"0": ["a"]}],
+                         ids=["string-sentence", "string", "mixed", "object"])
+def test_sentences_must_be_a_list_of_token_lists(sentences):
+    # a string sentence would be windowed one character per token
+    with pytest.raises(CorpusError, match=re.escape(
+            "f.jsonl:3: sentences must be a list of token lists")):
+        document_from_json(_corpus_line(sentences=sentences),
+                           where="f.jsonl:3")
+
+
 def test_mention_rejects_non_integer_fields_outside_json():
     with pytest.raises(CorpusError, match="sentence index"):
         Mention("G1", 0.0, (0, 1))

@@ -23,7 +23,7 @@ from ksm.model import KSMModel, ModelConfig, WordTable
 GOLDEN = Path(__file__).parent / "data" / "golden_probs.json"
 TOLERANCE = 1e-12
 
-_SMALL = dict(d=8, d_kb=8, n_heads=2, n_blocks=2)
+_SMALL = dict(d=8, n_heads=2, n_blocks=2)
 
 # name -> (seed, config overrides, window lengths); each seed is fixed, so
 # adding or removing a case leaves the others' inputs as they were
@@ -32,7 +32,7 @@ CASES = {
     "max": (2, dict(_SMALL, pooling="max"), (1, 2, 6)),
     "mutual": (3, _SMALL, (1, 2, 6)),
     "one_head": (4, dict(_SMALL, n_heads=1), (1, 3, 6)),
-    "paper": (5, dict(d=100, d_kb=100, n_heads=4, n_blocks=2), (1, 7, 40)),
+    "paper": (5, dict(d=100, n_heads=4, n_blocks=2), (1, 7, 40)),
     "separate": (6, dict(_SMALL, pooling="separate"), (1, 2, 6)),
     "shared_encoder": (7, dict(_SMALL, shared_encoder=True), (2, 4)),
     "target_both": (8, dict(_SMALL, selector_target="both"), (1, 3, 5)),

@@ -390,6 +390,22 @@ def test_store_roundtrip(tmp_path):
     assert back.pair_relations == store.pair_relations
 
 
+def test_store_without_rows_keeps_its_width(tmp_path):
+    save_store(KnowledgeStore(entity_table={}, relation_table={}, d_kb=6),
+               tmp_path)
+    for name in ("entities.txt", "relations.txt"):
+        assert (tmp_path / name).read_text() == "0 6\n"
+    store = load_store(tmp_path)
+    assert store.d_kb == 6 and not store.entity_table
+    assert resolve_pair_knowledge(store, "a", "b").e1.shape == (6,)
+
+
+@pytest.mark.parametrize("d_kb", [0, -3])
+def test_init_embeddings_rejects_a_width_below_1(d_kb):
+    with pytest.raises(KBError, match=f"d_kb must be >= 1, got {d_kb}"):
+        init_embeddings(toy_knowledge_graph(), d_kb=d_kb)
+
+
 def test_saved_store_has_no_null_row(tmp_path):
     save_store(_store(d_kb=4), tmp_path / "kb")
     relations = read_embeddings(tmp_path / "kb" / "relations.txt")

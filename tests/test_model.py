@@ -35,22 +35,19 @@ def _inst(tokens, pos1=None, pos2=None, label="positive"):
 
 
 def test_config_requires_head_divisibility():
-    with pytest.raises(ConfigError):
-        ModelConfig(d=10, d_kb=10, n_heads=4)
-
-
-def test_config_requires_matching_kb_dim():
-    with pytest.raises(ConfigError):
-        ModelConfig(d=8, d_kb=16, n_heads=2)
+    # a width below 1 is no positive multiple, though 0 % 2 == -4 % 4 == 0
+    for d, n_heads in [(10, 4), (0, 2), (0, 1), (-4, 4), (-4, 2)]:
+        with pytest.raises(ConfigError, match="positive multiple"):
+            ModelConfig(d=d, n_heads=n_heads)
 
 
 def test_config_rejects_unknown_enum_values():
     with pytest.raises(ConfigError):
-        ModelConfig(d=8, d_kb=8, n_heads=2, pooling="median")
+        ModelConfig(d=8, n_heads=2, pooling="median")
 
 
 def test_config_roundtrips_through_dict():
-    cfg = ModelConfig(d=8, d_kb=8, n_heads=2, selector_op="sum")
+    cfg = ModelConfig(d=8, n_heads=2, selector_op="sum")
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -119,7 +116,7 @@ def test_embed_rejects_empty_instance():
 def test_forward_rejects_position_list_of_other_length(field):
     model = toy_model(seed=0)
     inst = _inst(["tok1", "tok2", "tok3"], **{field: [1]})
-    knowledge = toy_batch(0, model.config.d_kb, lengths=(3,))[0][1]
+    knowledge = toy_batch(0, model.config.d, lengths=(3,))[0][1]
     with pytest.raises(ValueError, match="differ from 3 tokens"):
         model.forward_instance(inst, knowledge)
 
@@ -165,7 +162,7 @@ def test_attention_matches_loop_oracle_on_20_random_cases():
     rng = np.random.default_rng(42)
     for case in range(20):
         d, n_heads = 8, 2
-        cfg = ModelConfig(d=d, d_kb=d, n_heads=n_heads, n_blocks=1,
+        cfg = ModelConfig(d=d, n_heads=n_heads, n_blocks=1,
                           dropout_rate=0.0)
         params = build_params(cfg, seed=case)
         length = int(rng.integers(1, 7))
@@ -188,7 +185,7 @@ def test_single_position_attention_is_identity_mix():
     # L=1: the attention weight matrix is [[1.0]], so the output is the
     # lone value row pushed through the head and output projections
     d, n_heads = 8, 2
-    cfg = ModelConfig(d=d, d_kb=d, n_heads=n_heads, n_blocks=1,
+    cfg = ModelConfig(d=d, n_heads=n_heads, n_blocks=1,
                       dropout_rate=0.0)
     params = build_params(cfg, seed=3)
     rng = np.random.default_rng(0)
@@ -204,7 +201,7 @@ def test_single_position_attention_is_identity_mix():
 
 def test_attention_rows_sum_to_one_for_every_head():
     d = 8
-    cfg = ModelConfig(d=d, d_kb=d, n_heads=2, n_blocks=1, dropout_rate=0.0)
+    cfg = ModelConfig(d=d, n_heads=2, n_blocks=1, dropout_rate=0.0)
     params = build_params(cfg, seed=1)
     rng = np.random.default_rng(2)
     x = Tensor(rng.standard_normal((5, d)))
@@ -222,7 +219,7 @@ def test_attention_rows_sum_to_one_for_every_head():
 
 def test_block_output_invariant_to_head_permutation():
     d, dh = 8, 4
-    cfg = ModelConfig(d=d, d_kb=d, n_heads=2, n_blocks=1, dropout_rate=0.0)
+    cfg = ModelConfig(d=d, n_heads=2, n_blocks=1, dropout_rate=0.0)
     params = build_params(cfg, seed=5)
     swapped = build_params(cfg, seed=5)
     pre = "encoder1.block0"
@@ -241,7 +238,7 @@ def test_block_output_invariant_to_head_permutation():
 
 
 def test_encode_single_block_equals_block_call():
-    cfg = ModelConfig(d=8, d_kb=8, n_heads=2, n_blocks=1, dropout_rate=0.0)
+    cfg = ModelConfig(d=8, n_heads=2, n_blocks=1, dropout_rate=0.0)
     params = build_params(cfg, seed=7)
     rng = np.random.default_rng(8)
     x = Tensor(rng.standard_normal((3, 8)))
@@ -252,7 +249,7 @@ def test_encode_single_block_equals_block_call():
 
 
 def test_entity_vector_changes_encoder_output():
-    cfg = ModelConfig(d=8, d_kb=8, n_heads=2, n_blocks=2, dropout_rate=0.0)
+    cfg = ModelConfig(d=8, n_heads=2, n_blocks=2, dropout_rate=0.0)
     params = build_params(cfg, seed=9)
     rng = np.random.default_rng(10)
     x = Tensor(rng.standard_normal((4, 8)))
@@ -278,7 +275,7 @@ def test_encoder_output_shape_for_various_lengths():
 
 
 def _mutual_params(seed=0, d=8):
-    cfg = ModelConfig(d=d, d_kb=d, n_heads=2, n_blocks=1, dropout_rate=0.0)
+    cfg = ModelConfig(d=d, n_heads=2, n_blocks=1, dropout_rate=0.0)
     return build_params(cfg, seed=seed)
 
 
@@ -359,7 +356,7 @@ def test_mutual_attention_against_direct_recomputation():
 
 
 def test_average_pooling_on_constant_rows():
-    cfg = ModelConfig(d=8, d_kb=8, n_heads=2, pooling="average",
+    cfg = ModelConfig(d=8, n_heads=2, pooling="average",
                       dropout_rate=0.0)
     params = build_params(cfg, seed=0)
     c = np.arange(8.0)
@@ -369,7 +366,7 @@ def test_average_pooling_on_constant_rows():
 
 
 def test_max_pooling_elementwise():
-    cfg = ModelConfig(d=2, d_kb=2, n_heads=1, pooling="max", dropout_rate=0.0)
+    cfg = ModelConfig(d=2, n_heads=1, pooling="max", dropout_rate=0.0)
     params = build_params(cfg, seed=0)
     v = Tensor(np.array([[1.0, 5.0], [3.0, 2.0]]))
     s1, _ = pool_variants(v, v, params, cfg)
@@ -377,7 +374,7 @@ def test_max_pooling_elementwise():
 
 
 def test_separate_attention_single_row_is_identity():
-    cfg = ModelConfig(d=8, d_kb=8, n_heads=2, pooling="separate",
+    cfg = ModelConfig(d=8, n_heads=2, pooling="separate",
                       dropout_rate=0.0)
     params = build_params(cfg, seed=1)
     v = Tensor(np.random.default_rng(2).standard_normal((1, 8)))
@@ -387,7 +384,7 @@ def test_separate_attention_single_row_is_identity():
 
 
 def test_separate_attention_weights_shared_between_sequences():
-    cfg = ModelConfig(d=8, d_kb=8, n_heads=2, pooling="separate",
+    cfg = ModelConfig(d=8, n_heads=2, pooling="separate",
                       dropout_rate=0.0)
     params = build_params(cfg, seed=1)
     assert "separate.w_proj" in params
@@ -399,7 +396,7 @@ def test_separate_attention_weights_shared_between_sequences():
 
 
 def _selector_cfg(**overrides):
-    base = dict(d=8, d_kb=8, n_heads=2, dropout_rate=0.0)
+    base = dict(d=8, n_heads=2, dropout_rate=0.0)
     base.update(overrides)
     return ModelConfig(**base)
 
@@ -608,7 +605,7 @@ def test_paper_config_instance_graph_stays_within_100_nodes():
     model = KSMModel(cfg, WordTable.random(vocab, cfg.d, seed=1), seed=2)
     rng = np.random.default_rng(3)
     inst = _inst([vocab[i] for i in rng.integers(50, size=12)])
-    kn = PairKnowledge(*(rng.standard_normal(cfg.d_kb) for _ in range(3)),
+    kn = PairKnowledge(*(rng.standard_normal(cfg.d) for _ in range(3)),
                        er_is_null=False, e1_is_fallback=False,
                        e2_is_fallback=False)
     probs, _ = model.forward_instance(inst, kn, train=True, rng=rng)
@@ -618,7 +615,7 @@ def test_paper_config_instance_graph_stays_within_100_nodes():
 
 def test_null_relation_parameter_receives_gradient():
     model = toy_model(seed=1)
-    batch = toy_batch(2, model.config.d_kb, lengths=(2,), null_for=0)
+    batch = toy_batch(2, model.config.d, lengths=(2,), null_for=0)
     accumulate_batch_gradient(model, batch, None)
     g = model.params["knowledge.null_relation"].grad
     assert g is not None and np.abs(g).sum() > 0
@@ -645,7 +642,7 @@ def test_variant_gradients_spot_checked(overrides):
     dropout_rate = config.pop("dropout_rate", 0.0)
     model = toy_model(seed=13, n_blocks=1, **config)
     model.config.dropout_rate = dropout_rate
-    batch = toy_batch(17, model.config.d_kb, lengths=(2, 3))
+    batch = toy_batch(17, model.config.d, lengths=(2, 3))
 
     def loss_fn():
         # a fresh rng per call: every evaluation draws the same masks
@@ -673,7 +670,7 @@ def test_variant_gradients_spot_checked(overrides):
 
 def test_forward_is_deterministic_in_eval_mode():
     model = toy_model(seed=3)
-    batch = toy_batch(4, model.config.d_kb)
+    batch = toy_batch(4, model.config.d)
     a = [model.forward_instance(i, k)[0].data.tobytes() for i, k in batch]
     b = [model.forward_instance(i, k)[0].data.tobytes() for i, k in batch]
     assert a == b
@@ -682,7 +679,7 @@ def test_forward_is_deterministic_in_eval_mode():
 def test_dropout_changes_training_forward_but_not_eval():
     model = toy_model(seed=4)
     model.config.dropout_rate = 0.3
-    inst, kn = toy_batch(5, model.config.d_kb, lengths=(4,))[0]
+    inst, kn = toy_batch(5, model.config.d, lengths=(4,))[0]
     eval_a, _ = model.forward_instance(inst, kn, train=False)
     eval_b, _ = model.forward_instance(inst, kn, train=False)
     np.testing.assert_array_equal(eval_a.data, eval_b.data)

@@ -26,7 +26,7 @@ from ksm.train import (InstancePrediction, TrainConfig,
 def _task(n=40, **model_overrides):
     d = 16
     instances, store, table = separable_task(n=n, d=d, seed=0)
-    cfg = dict(d=d, d_kb=d, n_heads=2, n_blocks=2, dropout_rate=0.1)
+    cfg = dict(d=d, n_heads=2, n_blocks=2, dropout_rate=0.1)
     cfg.update(model_overrides)
     model = KSMModel(ModelConfig(**cfg), table, seed=1)
     return instances, store, model
@@ -308,7 +308,7 @@ def test_training_calls_nll_loss_once_per_instance(monkeypatch):
 
     monkeypatch.setattr(ksm.model, "nll_loss", counting)
     d = 8
-    model = KSMModel(ModelConfig(d=d, d_kb=d, n_heads=2, n_blocks=1),
+    model = KSMModel(ModelConfig(d=d, n_heads=2, n_blocks=1),
                      WordTable.random([f"tok{i}" for i in range(12)], d),
                      seed=0)
     batch = toy_batch(seed=1, d=d, lengths=(2, 4, 3))
@@ -361,7 +361,7 @@ def _knowledge_task(kb_decides: bool, n: int = 40, d: int = 16,
                          ids=["kb_decides", "context_decides"])
 def test_knowledge_reaches_the_decision(kb_decides):
     train, heldout, store, table = _knowledge_task(kb_decides)
-    config = ModelConfig(d=16, d_kb=16, n_heads=2, n_blocks=1,
+    config = ModelConfig(d=16, n_heads=2, n_blocks=1,
                          dropout_rate=0.0)
     model = KSMModel(config, table, seed=0)
     train_model(train, store, model,
@@ -385,7 +385,7 @@ def _one_epoch_peak_bytes(n: int, length: int = 40, d: int = 32) -> int:
     instances = separable_instances(n=n, length=length, seed=0)
     store = kb_for_instances(instances, d_kb=d, seed=1)
     vocab = sorted({t for inst in instances for t in inst.tokens})
-    model = KSMModel(ModelConfig(d=d, d_kb=d, n_heads=2, n_blocks=2),
+    model = KSMModel(ModelConfig(d=d, n_heads=2, n_blocks=2),
                      WordTable.random(vocab, d, seed=2), seed=1)
     tc = TrainConfig(batch_size=n, max_epochs=1, holdout_fraction=0.0)
     tracemalloc.start()
