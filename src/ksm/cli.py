@@ -14,7 +14,6 @@ import dataclasses
 import inspect
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -117,18 +116,6 @@ def _load_word_table(args, cfg, instances) -> WordTable:
     return WordTable.random(vocab, cfg["d"], seed=cfg["seed"])
 
 
-def _save_word_table(args, word_table: WordTable, path: Path) -> None:
-    """Write the table `predict` reads back. A table loaded from
-    --word-embeddings is that file, copied byte for byte with its parsed
-    table (formatting 2,000 rows of 100 floats again costs more than
-    reading them); nothing is copied onto the file itself."""
-    source = getattr(args, "word_embeddings", None)
-    if not source:
-        word_table.save(path)
-    elif not (path.exists() and os.path.samefile(source, path)):
-        kb_mod.copy_embeddings(source, path)
-
-
 def _load_store(args, d: int) -> kb_mod.KnowledgeStore:
     """The --kb-dir store checked against the model width `d`, or none."""
     if not getattr(args, "kb_dir", None):
@@ -202,14 +189,14 @@ def _configs(cfg) -> tuple[ModelConfig, TrainConfig]:
 
 def _train_on(instances, args, cfg,
               configs: tuple[ModelConfig, TrainConfig]
-              ) -> tuple[KSMModel, train_mod.TrainResult, WordTable,
+              ) -> tuple[KSMModel, train_mod.TrainResult,
                          kb_mod.KnowledgeStore]:
     model_config, train_config = configs
     store = _load_store(args, model_config.d)
     word_table = _load_word_table(args, cfg, instances)
     model = KSMModel(model_config, word_table, seed=cfg["seed"])
     result = train_mod.train_model(instances, store, model, train_config)
-    return model, result, word_table, store
+    return model, result, store
 
 
 def cmd_train(args) -> int:
@@ -218,9 +205,8 @@ def cmd_train(args) -> int:
     configs = _configs(cfg)
     instances = corpus_mod.read_instances(
         _check_exists(args.instances, "instance file"))
-    model, result, word_table, _ = _train_on(instances, args, cfg, configs)
+    model, result, _ = _train_on(instances, args, cfg, configs)
     model.save(args.out)
-    _save_word_table(args, word_table, Path(str(args.out) + ".words.txt"))
     records = [{"event": "config", **cfg}]
     records += [{"event": "epoch", "epoch": e.epoch,
                  "train_loss": e.train_loss,
@@ -234,16 +220,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    resolve_config(args)  # a bad --config file is an error here too
     _require(args, "instances", "checkpoint", "out")
     instances = corpus_mod.read_instances(
         _check_exists(args.instances, "instance file"))
-    words_path = (args.word_embeddings
-                  or str(_check_exists(args.checkpoint, "checkpoint"))
-                  + ".words.txt")
-    word_table = WordTable.load(_check_exists(words_path,
-                                              "word embeddings file"))
-    model = KSMModel.load(args.checkpoint, word_table)
+    model = KSMModel.load(_check_exists(args.checkpoint, "checkpoint"))
     store = _load_store(args, model.config.d)
     preds = train_mod.predict_instances(model, instances, store)
     prediction_set = train_mod.aggregate_predictions(preds)
@@ -307,7 +287,7 @@ def cmd_ablate(args) -> int:
     gold = train_mod.gold_pairs(docs)
     rows = []
     for name, variant_cfg, configs in variants:
-        model, _, _, store = _train_on(train_instances, args, variant_cfg,
+        model, _, store = _train_on(train_instances, args, variant_cfg,
                                        configs)
         preds = train_mod.predict_instances(model, eval_instances, store)
         prf = train_mod.micro_prf(train_mod.aggregate_predictions(preds),
@@ -342,9 +322,10 @@ def cmd_gradcheck(args) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None, help="JSON config file")
+def _add_common(p: argparse.ArgumentParser, configured: bool = True) -> None:
+    if configured:
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--out", default=None, help="output path")
 
 
@@ -400,14 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", help="instance JSONL file")
     p.add_argument("--checkpoint", help="model checkpoint")
     p.add_argument("--kb-dir", default=None)
-    p.add_argument("--word-embeddings", default=None)
-    _add_common(p)
+    _add_common(p, configured=False)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="predictions vs corpus gold -> P/R/F")
     p.add_argument("--predictions", help="predictions TSV file")
     p.add_argument("--corpus", help="corpus JSONL file with gold pairs")
-    _add_common(p)
+    _add_common(p, configured=False)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="train and score model variants")

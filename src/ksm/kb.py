@@ -31,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-import shutil
 import stat
 import zipfile
 from collections import Counter
@@ -462,9 +461,10 @@ def write_embeddings(path, table: Mapping[str, np.ndarray]) -> None:
 
 def read_embeddings(path) -> Embeddings:
     """Read the text format of `write_embeddings` straight into one matrix.
-    KBError at `file:line` for a bad header, a row of the wrong width, and a
-    value that is not a finite number, also on a line whose id repeats later
-    (a repeated id keeps its first position and its last row).
+    KBError at `file:line` for a bad header, a line that is not UTF-8, a row
+    of the wrong width, and a value that is not a finite number, also on a
+    line whose id repeats later (a repeated id keeps its first position and
+    its last row).
 
     A file's bytes are parsed once: the parsed table is then kept in a
     hidden sidecar beside the file (``.name.ksm-cache.npz``) that holds the
@@ -502,37 +502,23 @@ def read_embeddings(path) -> Embeddings:
     return table
 
 
-def copy_embeddings(source, target) -> None:
-    """Copy an embedding file to `target` byte for byte. When the source's
-    sidecar is one `read_embeddings` trusts for the copied bytes, its table
-    becomes the copy's sidecar, so the copy's first read needs no parse.
-    The checked table is written anew rather than the file copied: the new
-    sidecar is the reader's, and so trusted, and only a checked table may
-    become one."""
-    shutil.copyfile(source, target)
-    digest = _content_digest(target)
-    cached = _read_sidecar(_sidecar_path(source), digest,
-                           owners={os.stat(source).st_uid, os.getuid()})
-    if cached:
-        table, count = cached
-        _write_sidecar(_sidecar_path(target), digest, count, table)
-
-
 def _parse_embeddings(path) -> tuple[Embeddings, int]:
-    """The table of an embedding text file and its header count."""
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().split()
+    """The table of an embedding text file and its header count. The
+    matrix is sized from the rows read, never from the header alone."""
+    # undecodable bytes become lone surrogates, and `_utf8` finds them
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        header = _utf8(path, 1, f.readline()).split()
         if len(header) != 2:
             raise KBError(f"{path}:1: expected header `count dim`")
         try:
             count, dim = int(header[0]), int(header[1])
-            matrix = np.empty((16, dim))  # a row per line, grown by doubling
+            matrix = np.empty((0, dim))  # a row per line, grown by doubling
         except ValueError as e:
             raise KBError(f"{path}:1: count and dim must be integers, "
                           f"dim >= 0") from e
         ids, linenos = [], []
         for lineno, line in enumerate(f, start=2):
-            parts = line.split()
+            parts = _utf8(path, lineno, line).split()
             if not parts:
                 continue
             if len(parts) != dim + 1:
@@ -540,7 +526,8 @@ def _parse_embeddings(path) -> tuple[Embeddings, int]:
                     f"{path}:{lineno}: expected id + {dim} values, "
                     f"got {len(parts) - 1}")
             if len(ids) == len(matrix):
-                matrix = np.concatenate([matrix, np.empty_like(matrix)])
+                matrix = np.concatenate(
+                    [matrix, np.empty((max(16, len(matrix)), dim))])
             try:
                 matrix[len(ids)] = parts[1:]
             except ValueError as e:
@@ -553,6 +540,17 @@ def _parse_embeddings(path) -> tuple[Embeddings, int]:
                       "non-finite value")
     last = {key: row for row, key in enumerate(ids)}
     return Embeddings(list(last), matrix[list(last.values())]), count
+
+
+def _utf8(path, lineno: int, line: str) -> str:
+    """`line`, read with errors="surrogateescape"; KBError at it if it held
+    a byte that is not UTF-8."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise KBError(f"{path}:{lineno}: not UTF-8 text") from None
+    return line
 
 
 # The embedding sidecar: an uncompressed .npz of the arrays
@@ -650,15 +648,17 @@ def load_store(directory) -> KnowledgeStore:
     """Read a directory written by `save_store`.
 
     The width is the one in the ``entities.txt`` header, rows or none.
-    KBError, naming the file (and the line of ``pairs.tsv``), for a
-    ``relations.txt`` of another width, a ``pairs.tsv`` line with fewer
-    than 3 fields, or a label missing from ``relations.txt``. Pair keys are
-    sorted. A ``__null__`` row in ``relations.txt`` (older stores) is skipped.
+    KBError, naming the file (and the line of ``pairs.tsv``), for a width
+    below 1, a ``relations.txt`` of another width, a ``pairs.tsv`` line with
+    fewer than 3 fields, or a label missing from ``relations.txt``. Pair keys
+    are sorted. A ``__null__`` row in ``relations.txt`` (older stores) is skipped.
     """
     d = Path(directory)
     entities = read_embeddings(d / "entities.txt")
-    relations = read_embeddings(d / "relations.txt")
     d_kb = entities.matrix.shape[1]
+    if d_kb < 1:
+        raise KBError(f"{d / 'entities.txt'}:1: width {d_kb}, expected >= 1")
+    relations = read_embeddings(d / "relations.txt")
     if relations.matrix.shape[1] != d_kb:
         raise KBError(f"{d / 'relations.txt'}: width "
                       f"{relations.matrix.shape[1]}, entities.txt has {d_kb}")

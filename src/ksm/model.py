@@ -42,7 +42,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 from .corpus import CandidateInstance, LABEL_POSITIVE
-from .kb import Embeddings, PairKnowledge, read_embeddings, write_embeddings
+from .kb import Embeddings, PairKnowledge, read_embeddings
 
 logger = logging.getLogger(__name__)
 
@@ -204,9 +204,6 @@ class WordTable:
         if not vectors:
             raise ConfigError(f"{path}: empty embedding file")
         return cls(vectors, vectors.matrix.shape[1])
-
-    def save(self, path) -> None:
-        write_embeddings(path, self.vectors)
 
     def lookup(self, tokens: Sequence[str]) -> np.ndarray:
         index = self.vectors.index
@@ -525,22 +522,36 @@ class KSMModel:
 
     def save(self, path) -> None:
         from .checkpoint import save_checkpoint
-        save_checkpoint(path, self.params, config=self.config.to_dict())
+        save_checkpoint(path, self.params, self.word_table.vectors,
+                        config=self.config.to_dict())
 
     @classmethod
-    def load(cls, path, word_table: WordTable) -> "KSMModel":
+    def load(cls, path, word_table: WordTable | None = None) -> "KSMModel":
+        """The model saved at `path` with its word table; a `word_table`
+        passed must equal that one, or CheckpointError. A format 4 file has
+        none: `word_table` is used, else ``<path>.words.txt``."""
         from .checkpoint import CheckpointError, load_checkpoint
-        values, config_dict = load_checkpoint(path)
+        values, config_dict, words = load_checkpoint(path)
         if not config_dict:
             raise CheckpointError(f"{path}: checkpoint carries no model config")
         try:
             config = ModelConfig.from_dict(config_dict)
         except (TypeError, ConfigError) as e:
             raise CheckpointError(f"{path}: invalid model config: {e}") from e
-        model = cls(config, word_table, seed=0)
+        if words is not None:
+            if word_table is not None and not (
+                    word_table.vectors.ids == words.ids
+                    and np.array_equal(word_table.vectors.matrix,
+                                       words.matrix)):
+                raise CheckpointError(f"{path}: the word table passed is not "
+                                      f"the one saved with the model")
+            word_table = WordTable(words, words.matrix.shape[1])
+        elif word_table is None:
+            word_table = WordTable.load(f"{path}.words.txt")
         try:
+            model = cls(config, word_table, seed=0)
             model.params.load_values(values)
-        except (KeyError, ValueError) as e:
+        except (KeyError, ValueError, ConfigError) as e:
             raise CheckpointError(
                 f"{path}: checkpoint does not match its config: {e}") from e
         return model

@@ -1,6 +1,5 @@
 """Checkpoint format: lossless round trips, versioning, config coupling."""
 
-import base64
 import json
 import os
 import tempfile
@@ -17,11 +16,11 @@ from ksm.autodiff import ParameterStore, Tensor
 from ksm.checkpoint import (FORMAT_VERSION, CheckpointError,
                             load_checkpoint, save_checkpoint)
 from ksm.gradcheck import toy_batch, toy_model
-from ksm.model import KSMModel
+from ksm.kb import Embeddings
+from ksm.model import KSMModel, WordTable
 
 DATA = Path(__file__).parent / "data"
-VERSIONS = pytest.mark.parametrize("version", [2, 3, 4],
-                                   ids=["v2", "v3", "v4"])
+VERSIONS = pytest.mark.parametrize("version", [4, 5], ids=["v4", "v5"])
 
 
 def _wire(values: np.ndarray) -> bytes:
@@ -29,39 +28,29 @@ def _wire(values: np.ndarray) -> bytes:
     return np.ascontiguousarray(values, dtype="<f8").tobytes()
 
 
-def _encoded(values: np.ndarray, version: int):
-    """One parameter's values as JSON format `version` stores them, built
-    by hand: a list of floats (2) or base64 of `_wire` (3)."""
-    if version == 2:
-        return values.reshape(-1).tolist()
-    return base64.b64encode(_wire(values)).decode("ascii")
-
-
-def _blob(values: dict, config: dict, version: int) -> dict:
-    """The JSON document of a format 2 or 3 file."""
-    return {"format_version": version, "config": config,
-            "params": {k: {"shape": list(v.shape),
-                           "values": _encoded(v, version)}
-                       for k, v in values.items()}}
-
-
 def _joined(header: dict, body: bytes) -> bytes:
     return json.dumps(header).encode("ascii") + b"\n" + body
 
 
-def _file(values: dict, config: dict, version: int) -> bytes:
-    """A whole file of format `version`, built by hand: for 4 a JSON header
-    line of the shapes and then every parameter's `_wire` bytes in order."""
-    if version != 4:
-        return json.dumps(_blob(values, config, version)).encode("ascii")
-    header = {"format_version": 4, "config": config,
+def _file(values: dict, config: dict, version: int,
+          words: Embeddings | None = None) -> bytes:
+    """A whole file of format `version`, built by hand: a JSON header line
+    of the shapes (and for 5 the word ids and width of `words`, by default
+    `_words()`), then every parameter's `_wire` bytes in order and, for 5,
+    the word matrix's."""
+    header = {"format_version": version, "config": config,
               "params": {k: {"shape": list(v.shape)}
                          for k, v in values.items()}}
-    return _joined(header, b"".join(_wire(v) for v in values.values()))
+    arrays = list(values.values())
+    if version == 5:
+        words = _words() if words is None else words
+        header["words"] = {"ids": words.ids, "width": words.matrix.shape[1]}
+        arrays.append(words.matrix)
+    return _joined(header, b"".join(_wire(v) for v in arrays))
 
 
 def _split(path) -> tuple[dict, bytes]:
-    """A format 4 file's header, parsed, and its body."""
+    """A file's header, parsed, and its body."""
     header, _, body = path.read_bytes().partition(b"\n")
     return json.loads(header), body
 
@@ -75,26 +64,36 @@ def _random_store(seed=0):
     return store
 
 
+def _words(seed=0):
+    """Three words of width 2, UNK among them."""
+    rng = np.random.default_rng(seed)
+    return Embeddings(["w\u00e9", "two\nlines", "UNK"],
+                      rng.standard_normal((3, 2)) * 1e-200)
+
+
 def test_roundtrip_is_bit_exact(tmp_path):
-    store = _random_store()
+    store, words = _random_store(), _words()
     path = tmp_path / "model.ckpt"
     config = {"d": 4, "note": "two\nlines"}  # the header stays one line
-    save_checkpoint(path, store, config=config)
-    values, loaded_config = load_checkpoint(path)
+    save_checkpoint(path, store, words, config=config)
+    values, loaded_config, loaded_words = load_checkpoint(path)
     assert loaded_config == config
     assert set(values) == set(store.names())
     for name, t in store.items():
         assert values[name].shape == t.shape
         assert values[name].tobytes() == t.data.tobytes()
+    assert loaded_words.ids == words.ids
+    assert loaded_words.matrix.tobytes() == words.matrix.tobytes()
+    assert loaded_words.matrix.flags.writeable
 
 
 def test_saved_file_is_the_documented_encoding(tmp_path):
-    store = _random_store()
+    store, words = _random_store(), _words()
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, store, config={"d": 4})
-    assert FORMAT_VERSION == 4
+    save_checkpoint(path, store, words, config={"d": 4})
+    assert FORMAT_VERSION == 5
     assert path.read_bytes() == _file({n: t.data for n, t in store.items()},
-                                      {"d": 4}, 4)
+                                      {"d": 4}, 5, words)
 
 
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
@@ -114,35 +113,15 @@ SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
 def test_roundtrip_is_byte_exact_for_extreme_values(values):
     store = ParameterStore()
     store.add("p", Tensor(values))
+    words = Embeddings([f"w{i}" for i in range(len(values))],
+                       values if values.ndim == 2 else values[:, None])
     with tempfile.TemporaryDirectory() as d:
-        save_checkpoint(Path(d) / "m.ckpt", store)
-        loaded, _ = load_checkpoint(Path(d) / "m.ckpt")
-    back = loaded["p"]
-    assert back.shape == values.shape and back.dtype == np.float64
-    assert back.dtype.isnative and back.flags.writeable
-    assert back.tobytes() == values.tobytes()
-
-
-def test_format_2_file_loads_to_the_same_model(tmp_path):
-    # tests/data/toy_model_v2.ckpt is toy_model(seed=3) as saved by the
-    # format 2 writer (values as JSON lists of floats)
-    original = toy_model(seed=3)
-    word_table = original.word_table
-    old = KSMModel.load(DATA / "toy_model_v2.ckpt", word_table)
-    assert all(t.data.tobytes() == old.params[n].data.tobytes()
-               for n, t in original.params.items())
-    path = tmp_path / "m.ckpt"
-    old.save(path)
-    assert _split(path)[0]["format_version"] == FORMAT_VERSION
-    new = KSMModel.load(path, word_table)
-    v2, _ = load_checkpoint(DATA / "toy_model_v2.ckpt")
-    v4, _ = load_checkpoint(path)
-    assert all(v2[k].tobytes() == v4[k].tobytes() for k in v2) and \
-        v2.keys() == v4.keys()
-    for inst, kn in toy_batch(5, old.config.d):
-        a = old.forward_instance(inst, kn)[0].data
-        b = new.forward_instance(inst, kn)[0].data
-        assert a.tobytes() == b.tobytes()
+        save_checkpoint(Path(d) / "m.ckpt", store, words)
+        loaded, _, loaded_words = load_checkpoint(Path(d) / "m.ckpt")
+    for back in (loaded["p"], loaded_words.matrix.reshape(values.shape)):
+        assert back.shape == values.shape and back.dtype == np.float64
+        assert back.dtype.isnative and back.flags.writeable
+        assert back.tobytes() == values.tobytes()
 
 
 def _same_values(a: dict, b: dict) -> bool:
@@ -150,55 +129,87 @@ def _same_values(a: dict, b: dict) -> bool:
         a[k].tobytes() == b[k].tobytes() for k in a)
 
 
+def _v4_fixture(tmp_path) -> Path:
+    """A copy of tests/data/toy_model_v4.ckpt and the word table beside it:
+    toy_model(seed=3) as saved by the format 4 writer."""
+    for name in ("toy_model_v4.ckpt", "toy_model_v4.ckpt.words.txt"):
+        (tmp_path / name).write_bytes((DATA / name).read_bytes())
+    return tmp_path / "toy_model_v4.ckpt"
+
+
+def test_format_4_file_loads_to_the_same_model(tmp_path):
+    original = toy_model(seed=3)
+    old = KSMModel.load(_v4_fixture(tmp_path))  # reads its .words.txt
+    assert old.config == original.config
+    assert _same_values({n: t.data for n, t in old.params.items()},
+                        {n: t.data for n, t in original.params.items()})
+    assert old.word_table.vectors.ids == original.word_table.vectors.ids
+    assert (old.word_table.vectors.matrix.tobytes()
+            == original.word_table.vectors.matrix.tobytes())
+    path = tmp_path / "m.ckpt"
+    old.save(path)
+    assert _split(path)[0]["format_version"] == FORMAT_VERSION
+    new = KSMModel.load(path)
+    for inst, kn in toy_batch(5, old.config.d):
+        want = original.forward_instance(inst, kn)[0].data.tobytes()
+        assert old.forward_instance(inst, kn)[0].data.tobytes() == want
+        assert new.forward_instance(inst, kn)[0].data.tobytes() == want
+
+
+def test_format_4_file_uses_a_word_table_passed_in(tmp_path):
+    path = _v4_fixture(tmp_path)
+    Path(f"{path}.words.txt").unlink()
+    table = toy_model(seed=3).word_table
+    assert KSMModel.load(path, table).word_table is table
+    with pytest.raises(FileNotFoundError):
+        KSMModel.load(path)
+
+
+@pytest.mark.parametrize("content", [
+    b'{"format_version": 2, "config": {}, "params": {"p": {"shape": [1], '
+    b'"values": [0.5]}}}',
+    b'{"format_version": 3, "config": {}, "params": {"p": {"shape": [1], '
+    b'"values": "AAAAAAAA4D8="}}}',
+    b'{\n  "format_version": 3,\n  "config": {},\n  "params": {}\n}',
+], ids=["v2", "v3", "v3-pretty-printed"])
+def test_format_2_and_3_files_rejected_with_retrain_hint(tmp_path, content):
+    _rejected(tmp_path / "model.ckpt", content, "retrain the model")
+
+
 # what every config saved while a learned position table was selectable
-# and the KB width was a field carries (toy_model_v2.ckpt and
-# toy_model_v3.ckpt among them)
+# and the KB width was a field carries (the format 2 and 3 files among
+# them)
 LEGACY_KEYS = {"position_encoding": "sinusoidal", "max_distance": 16,
                "d_kb": 8}
 
 
-def test_format_3_file_loads_to_the_same_values(tmp_path):
-    # tests/data/toy_model_v3.ckpt is toy_model(seed=3) as saved by the
-    # format 3 writer (values as base64 strings)
-    v2, config2 = load_checkpoint(DATA / "toy_model_v2.ckpt")
-    v3, config3 = load_checkpoint(DATA / "toy_model_v3.ckpt")
-    path = tmp_path / "m.ckpt"
-    KSMModel.load(DATA / "toy_model_v3.ckpt",
-                  toy_model(seed=3).word_table).save(path)
-    v4, config4 = load_checkpoint(path)
-    assert config2 == config3 == {**config4, **LEGACY_KEYS}
-    assert _same_values(v3, v2) and _same_values(v4, v2)
-
-
-def test_pretty_printed_format_3_file_is_read(tmp_path):
-    v3_path = DATA / "toy_model_v3.ckpt"
-    path = tmp_path / "m.ckpt"
-    path.write_text(json.dumps(json.loads(v3_path.read_text()), indent=2))
-    assert path.read_text().count("\n") > 10
-    values, config = load_checkpoint(path)
-    want, want_config = load_checkpoint(v3_path)
-    assert config == want_config and _same_values(values, want)
+def _model_file(model, config: dict, version: int,
+                values: dict | None = None) -> bytes:
+    """`model` saved by hand in format `version`, with `config` (and
+    `values`, if given, for its parameters)."""
+    if values is None:
+        values = {n: t.data for n, t in model.params.items()}
+    return _file(values, config, version, model.word_table.vectors)
 
 
 @VERSIONS
 def test_config_with_the_older_position_keys_loads(tmp_path, version):
     model = toy_model(seed=3)
-    values = {n: t.data for n, t in model.params.items()}
     path = tmp_path / "m.ckpt"
-    path.write_bytes(_file(values, {**model.config.to_dict(), **LEGACY_KEYS},
-                           version))
+    path.write_bytes(_model_file(
+        model, {**model.config.to_dict(), **LEGACY_KEYS}, version))
     loaded = KSMModel.load(path, model.word_table)
     assert loaded.config == model.config
-    assert _same_values({n: t.data for n, t in loaded.params.items()}, values)
+    assert _same_values({n: t.data for n, t in loaded.params.items()},
+                        {n: t.data for n, t in model.params.items()})
 
 
 @VERSIONS
 def test_config_with_a_kb_width_other_than_d_rejected(tmp_path, version):
     model = toy_model(seed=3)
-    values = {n: t.data for n, t in model.params.items()}
     path = tmp_path / "m.ckpt"
-    path.write_bytes(_file(values, {**model.config.to_dict(), "d_kb": 16},
-                           version))
+    path.write_bytes(_model_file(
+        model, {**model.config.to_dict(), "d_kb": 16}, version))
     with pytest.raises(CheckpointError) as e:
         KSMModel.load(path, model.word_table)
     assert str(e.value) == (f"{path}: invalid model config: "
@@ -213,7 +224,7 @@ def test_learned_position_checkpoint_rejected(tmp_path, version):
     config = {**model.config.to_dict(), **LEGACY_KEYS,
               "position_encoding": "learned"}
     path = tmp_path / "m.ckpt"
-    path.write_bytes(_file(values, config, version))
+    path.write_bytes(_model_file(model, config, version, values))
     with pytest.raises(CheckpointError) as e:
         KSMModel.load(path, model.word_table)
     assert str(e.value).startswith(f"{path}: invalid model config: "
@@ -223,7 +234,7 @@ def test_learned_position_checkpoint_rejected(tmp_path, version):
 
 def test_unsupported_version_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, _random_store())
+    save_checkpoint(path, _random_store(), _words())
     header, body = _split(path)
     header["format_version"] = 99
     path.write_bytes(_joined(header, body))
@@ -253,10 +264,38 @@ def test_model_roundtrip_restores_forward(tmp_path):
     before = [model.forward_instance(i, k)[0].data.copy() for i, k in batch]
     path = tmp_path / "m.ckpt"
     model.save(path)
-    restored = KSMModel.load(path, model.word_table)
+    restored = KSMModel.load(path)
+    assert restored.word_table.vectors.ids == model.word_table.vectors.ids
+    np.testing.assert_array_equal(restored.word_table.vectors.matrix,
+                                  model.word_table.vectors.matrix)
     after = [restored.forward_instance(i, k)[0].data for i, k in batch]
     for b, a in zip(before, after):
         np.testing.assert_array_equal(b, a)
+    KSMModel.load(path, model.word_table)  # the saved table: accepted
+
+
+@pytest.mark.parametrize("change", [
+    lambda m: m + np.finfo(np.float64).eps,     # one value, one ulp away
+    lambda m: m[::-1],                          # the same rows, reordered
+], ids=["values", "row-order"])
+def test_model_load_rejects_a_different_word_table(tmp_path, change):
+    # before format 5 the table was a separate file, and one of the right
+    # width gave other predictions without a word
+    model = toy_model(seed=4)
+    path = tmp_path / "m.ckpt"
+    model.save(path)
+    vectors = model.word_table.vectors
+    other = WordTable(Embeddings(vectors.ids, change(vectors.matrix)),
+                      model.config.d)
+    assert other.d == model.word_table.d
+    with pytest.raises(CheckpointError) as e:
+        KSMModel.load(path, other)
+    assert str(e.value) == (f"{path}: the word table passed is not the one "
+                            f"saved with the model")
+    renamed = WordTable(dict(zip(vectors.ids[::-1], vectors.matrix)),
+                        model.config.d)
+    with pytest.raises(CheckpointError, match="word table passed"):
+        KSMModel.load(path, renamed)
 
 
 @VERSIONS
@@ -266,17 +305,27 @@ def test_checkpoint_without_matching_config_rejected(tmp_path, version):
     model.save(path)
 
     # a config that implies a different parameter set must be refused
-    values, config = load_checkpoint(path)
+    values, config, _ = load_checkpoint(path)
     config["n_blocks"] = 1
-    path.write_bytes(_file(values, config, version))
+    path.write_bytes(_model_file(model, config, version, values))
     with pytest.raises(CheckpointError, match="does not match"):
         KSMModel.load(path, model.word_table)
+
+
+def test_word_table_of_another_width_than_the_config_rejected(tmp_path):
+    model = toy_model(seed=1)
+    path = tmp_path / "m.ckpt"
+    words = Embeddings(["UNK"], np.zeros((1, model.config.d + 1)))
+    save_checkpoint(path, model.params, words, config=model.config.to_dict())
+    with pytest.raises(CheckpointError, match="does not match its config: "
+                                              "word table dim 9 != model d 8"):
+        KSMModel.load(path)
 
 
 def test_checkpoint_missing_config_rejected(tmp_path):
     model = toy_model(seed=1)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model.params, config=None)
+    save_checkpoint(path, model.params, model.word_table.vectors, config=None)
     with pytest.raises(CheckpointError, match="config"):
         KSMModel.load(path, model.word_table)
 
@@ -289,46 +338,30 @@ def _store_values():
     return {n: t.data.copy() for n, t in _random_store().items()}
 
 
-def _path_and_blob(tmp_path, version):
-    """A file path and the JSON blob of `_random_store` in format
-    `version` (2 or 3)."""
-    return tmp_path / "model.ckpt", _blob(_store_values(), {"d": 4}, version)
-
-
-def _rejected(path, content, match):
-    """`content` (file bytes, or a blob to write as JSON) fails to load
-    with a CheckpointError that matches `match` and names the file."""
-    path.write_bytes(content if isinstance(content, bytes)
-                     else json.dumps(content).encode("ascii"))
+def _rejected(path, content: bytes, match):
+    """`content` fails to load with a CheckpointError that matches `match`
+    and names the file."""
+    path.write_bytes(content)
     with pytest.raises(CheckpointError, match=match) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
 
 
 def test_version_1_file_rejected_with_retrain_hint(tmp_path):
-    path, blob = _path_and_blob(tmp_path, 3)
-    blob["format_version"] = 1
-    _rejected(path, blob, "format_version 1 .*retrain")
+    _rejected(tmp_path / "model.ckpt",
+              _file(_store_values(), {"d": 4}, 1),
+              "format_version 1 .*retrain")
 
 
 def test_non_object_blob_rejected(tmp_path):
-    path, _ = _path_and_blob(tmp_path, 3)
-    _rejected(path, [1, 2, 3], "JSON object")
+    _rejected(tmp_path / "model.ckpt", b"[1, 2, 3]\n", "JSON object")
 
 
 def test_missing_params_rejected(tmp_path):
-    path, blob = _path_and_blob(tmp_path, 3)
-    del blob["params"]
-    _rejected(path, blob, "missing 'params'")
-
-
-@pytest.mark.parametrize("key,version", [("shape", 3), ("values", 2),
-                                         ("values", 3)],
-                         ids=["shape", "values-v2", "values-v3"])
-def test_parameter_without_shape_or_values_rejected(tmp_path, key, version):
-    path, blob = _path_and_blob(tmp_path, version)
-    del blob["params"]["layer.w"][key]
-    _rejected(path, blob, f"'layer.w': missing or malformed.*'{key}'")
+    _rejected(tmp_path / "model.ckpt",
+              _joined({"format_version": 5, "config": {}, "words": None},
+                      b""),
+              "missing 'params'")
 
 
 def _v4_defect(change):
@@ -375,9 +408,9 @@ def _nan_at(offset):
     (lambda h, b: _joined({k: v for k, v in h.items() if k != "params"}, b),
      "missing 'params'"),
     (lambda h, b: json.dumps(h).encode()[:-1] + b"\n" + b,
-     "no JSON header line, and not UTF-8 JSON"),
+     "first line is no JSON object"),
     (lambda h, b: b"\n" + json.dumps(h).encode() + b"\n" + b,
-     "no JSON header line, and not UTF-8 JSON"),
+     "first line is no JSON object"),
     (lambda h, b: json.dumps(h).encode(),  # no line end: a JSON document
      "unsupported format_version 4"),
 ], ids=["short", "trailing", "ragged", "shape-too-big", "negative-shape",
@@ -388,10 +421,63 @@ def test_format_4_defect_rejected(tmp_path, change, match):
     _rejected(tmp_path / "model.ckpt", _v4_defect(change), match)
 
 
+def _v5_defect(body=lambda b: b, **change):
+    """The format 5 file of `_random_store` and `_words`, its body changed
+    by `body` and its header's `words` by `change`: each key given replaces
+    that entry, and a `words` key the whole of it. The word matrix is the
+    last 48 bytes."""
+    data = _file(_store_values(), {"d": 4}, 5, _words())
+    header, _, rest = data.partition(b"\n")
+    header = json.loads(header)
+    header["words"] = change.pop("words", {**header["words"], **change})
+    return _joined(header, body(rest))
+
+
+MALFORMED_WORDS = "malformed 'words'; expected unique string 'ids'"
+
+
+@pytest.mark.parametrize("content, match", [
+    (_v5_defect(ids=["a", "b", "a"]), MALFORMED_WORDS),
+    (_v5_defect(ids=["a", 2, "c"]), MALFORMED_WORDS),
+    (_v5_defect(ids=["a", None, "c"]), MALFORMED_WORDS),
+    (_v5_defect(ids="abc"), MALFORMED_WORDS),
+    (_v5_defect(width=2.0), MALFORMED_WORDS),
+    (_v5_defect(width=-2), MALFORMED_WORDS),
+    (_v5_defect(width=True), MALFORMED_WORDS),
+    (_v5_defect(words=None), MALFORMED_WORDS),
+    (_v5_defect(words=["a", "b", "c"]), MALFORMED_WORDS),
+    (_v5_defect(ids=["a", "b", "c", "d"]),
+     "200 bytes of values follow the header, whose shapes need 216"),
+    (_v5_defect(body=lambda b: b[:-8]),
+     "192 bytes of values follow the header, whose shapes need 200"),
+    (_v5_defect(body=lambda b: b[:-48]),
+     "152 bytes of values follow the header, whose shapes need 200"),
+    (_v5_defect(body=lambda b: b[:-8] + _wire(np.array([np.inf]))),
+     "the word table holds non-finite values"),
+], ids=["repeated-id", "int-id", "null-id", "string-ids", "float-width",
+        "negative-width", "bool-width", "null-words", "list-words",
+        "more-ids-than-rows", "short",
+        "no-matrix", "inf-in-words"])
+def test_format_5_word_table_defect_rejected(tmp_path, content, match):
+    _rejected(tmp_path / "model.ckpt", content, match)
+
+
 def test_values_not_filling_shape_rejected(tmp_path):
-    path, blob = _path_and_blob(tmp_path, 3)
-    blob["params"]["layer.w"]["shape"] = [5, 3]
-    _rejected(path, blob, "'layer.w': missing or malformed.*reshape")
+    # a body that ends inside the word matrix: every parameter is there,
+    # the words' rows are not
+    _rejected(tmp_path / "model.ckpt",
+              _v5_defect(body=lambda b: b[:-20]),
+              "180 bytes of values follow the header, whose shapes need 200")
+
+
+@pytest.mark.parametrize("n_bytes", [88, 90, 104], ids=["short", "ragged",
+                                                        "long"])
+def test_byte_count_not_filling_shape_rejected(tmp_path, n_bytes):
+    # layer.w is (4, 3): 96 bytes, the first of the body
+    _rejected(tmp_path / "model.ckpt",
+              _v5_defect(body=lambda b: bytes(range(n_bytes)) + b[96:]),
+              f"{104 + n_bytes} bytes of values follow the header, whose "
+              f"shapes need 200")
 
 
 @VERSIONS
@@ -402,31 +488,6 @@ def test_non_finite_values_rejected(tmp_path, version):
               "'layer.b' holds non-finite values")
 
 
-def _b64(n_bytes):
-    return base64.b64encode(bytes(range(n_bytes))).decode("ascii")
-
-
-@pytest.mark.parametrize("values", [
-    "*" + _b64(96)[1:],            # a character outside the alphabet
-    _b64(48) + "\n" + _b64(48),     # whitespace is not skipped
-    _b64(96)[:-1],                 # a truncated quantum
-    [0.5] * 12,                    # the format 2 encoding in a 3 file
-], ids=["bad-char", "newline", "truncated", "list"])
-def test_malformed_base64_rejected(tmp_path, values):
-    path, blob = _path_and_blob(tmp_path, 3)
-    blob["params"]["layer.w"]["values"] = values
-    _rejected(path, blob, "'layer.w': missing or malformed")
-
-
-@pytest.mark.parametrize("n_bytes", [88, 90, 104], ids=["short", "ragged",
-                                                        "long"])
-def test_byte_count_not_filling_shape_rejected(tmp_path, n_bytes):
-    # layer.w is (4, 3): 96 bytes
-    path, blob = _path_and_blob(tmp_path, 3)
-    blob["params"]["layer.w"]["values"] = _b64(n_bytes)
-    _rejected(path, blob, "'layer.w': missing or malformed")
-
-
 def test_saving_non_finite_parameter_refused_and_writes_nothing(tmp_path):
     store = _random_store()
     store["layer.w"].data[2, 1] = float("nan")
@@ -434,7 +495,19 @@ def test_saving_non_finite_parameter_refused_and_writes_nothing(tmp_path):
     with pytest.raises(CheckpointError,
                        match=r"model\.ckpt: parameter 'layer\.w' holds "
                              r"non-finite values"):
-        save_checkpoint(path, store)
+        save_checkpoint(path, store, _words())
+    assert not path.exists()
+
+
+def test_saving_a_non_finite_word_table_refused_and_writes_nothing(
+        tmp_path):
+    words = _words()
+    words.matrix[1, 0] = float("inf")
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(CheckpointError,
+                       match=r"model\.ckpt: the word table holds non-finite "
+                             r"values; not saved"):
+        save_checkpoint(path, _random_store(), words)
     assert not path.exists()
 
 
@@ -463,13 +536,15 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch,
                                              existing):
     path = tmp_path / "model.ckpt"
     if existing:
-        save_checkpoint(path, _random_store(seed=1), config={"d": 4})
+        save_checkpoint(path, _random_store(seed=1), _words(),
+                        config={"d": 4})
     before = path.read_bytes() if existing else None
     monkeypatch.setattr(ksm.checkpoint, "open",
                         lambda *a, **kw: _FailingFile(open(*a, **kw)),
                         raising=False)
     with pytest.raises(OSError, match="No space"):
-        save_checkpoint(path, _random_store(seed=2), config={"d": 4})
+        save_checkpoint(path, _random_store(seed=2), _words(),
+                        config={"d": 4})
     assert os.listdir(tmp_path) == (["model.ckpt"] if existing else [])
     if existing:
         assert path.read_bytes() == before

@@ -10,7 +10,7 @@ from ksm import kb
 from ksm.cli import DEFAULTS, main, resolve_config
 from ksm.corpus import read_instances, write_instances
 from ksm.kb import read_embeddings, write_embeddings
-from ksm.model import WordTable
+from ksm.model import KSMModel, WordTable
 from ksm.synthetic import separable_task, toy_knowledge_graph
 
 DATA = Path(__file__).parent / "data"
@@ -28,7 +28,7 @@ def _small_training_setup(tmp_path, n=12):
     inst_path = tmp_path / "train.jsonl"
     write_instances(inst_path, instances)
     words_path = tmp_path / "words.txt"
-    table.save(words_path)
+    write_embeddings(words_path, table.vectors)
     from ksm.kb import save_store
     kb_dir = tmp_path / "kb"
     save_store(store, kb_dir)
@@ -176,7 +176,9 @@ def test_train_predict_evaluate_pipeline(tmp_path, capsys):
                "--kb-dir", str(kb_dir), "--out", str(ckpt),
                "--seed", "1"] + FAST_TRAIN)
     assert rc == 0
-    assert ckpt.exists()
+    # the word table is inside the checkpoint: no file beside it
+    assert {p.name for p in tmp_path.glob("model.ckpt*")} == {
+        "model.ckpt", "model.ckpt.log.jsonl"}
     log_path = Path(str(ckpt) + ".log.jsonl")
     records = [json.loads(line) for line in
                log_path.read_text().splitlines()]
@@ -187,7 +189,6 @@ def test_train_predict_evaluate_pipeline(tmp_path, capsys):
     pred_out = tmp_path / "pred.tsv"
     rc = main(["predict", "--instances", str(inst_path),
                "--checkpoint", str(ckpt), "--kb-dir", str(kb_dir),
-               "--word-embeddings", str(words_path),
                "--out", str(pred_out)])
     assert rc == 0
     assert pred_out.exists()
@@ -240,21 +241,30 @@ def test_train_rerun_same_seed_byte_identical_checkpoint(tmp_path):
 
 
 def test_predict_falls_back_to_saved_word_table(tmp_path, monkeypatch):
+    # the table saved in the checkpoint travels with it: a checkpoint moved
+    # and renamed into another directory predicts as before, and no word
+    # file is read
     inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
     ckpt = tmp_path / "model.ckpt"
     main(["train", "--instances", str(inst_path),
           "--word-embeddings", str(words_path), "--kb-dir", str(kb_dir),
           "--out", str(ckpt), "--seed", "1"] + FAST_TRAIN)
+    before = tmp_path / "before.tsv"
+    assert main(["predict", "--instances", str(inst_path),
+                 "--checkpoint", str(ckpt), "--kb-dir", str(kb_dir),
+                 "--out", str(before)]) == 0
+    (tmp_path / "moved").mkdir()
+    moved = ckpt.rename(tmp_path / "moved" / "m2.ckpt")
     parsed = []
     parse = kb._parse_embeddings
     monkeypatch.setattr(kb, "_parse_embeddings",
                         lambda path: parsed.append(path) or parse(path))
-    # no --word-embeddings: uses <checkpoint>.words.txt written by train,
-    # whose parsed table train copied along with it
+    after = tmp_path / "after.tsv"
     rc = main(["predict", "--instances", str(inst_path),
-               "--checkpoint", str(ckpt), "--kb-dir", str(kb_dir),
-               "--out", str(tmp_path / "p.tsv")])
+               "--checkpoint", str(moved), "--kb-dir", str(kb_dir),
+               "--out", str(after)])
     assert rc == 0
+    assert after.read_bytes() == before.read_bytes()
     assert parsed == []
 
 
@@ -266,26 +276,25 @@ def test_predict_reads_back_the_training_word_table_bit_for_bit(
         vectors = read_embeddings(words_path)
         write_embeddings(words_path, {k: v for k, v in vectors.items()
                                       if k != WordTable.UNK})
-    loaded = []
-    load = WordTable.load.__func__
+    tables = []
+    model_init = KSMModel.__init__
 
-    def recording(cls, path):
-        loaded.append(load(cls, path))
-        return loaded[-1]
+    def recording(self, config, word_table, seed=0):
+        tables.append(word_table)
+        model_init(self, config, word_table, seed)
 
-    monkeypatch.setattr(WordTable, "load", classmethod(recording))
+    monkeypatch.setattr(KSMModel, "__init__", recording)
     ckpt = tmp_path / "model.ckpt"
     main(["train", "--instances", str(inst_path),
           "--word-embeddings", str(words_path), "--kb-dir", str(kb_dir),
           "--out", str(ckpt), "--seed", "1"] + FAST_TRAIN)
-    saved = Path(str(ckpt) + ".words.txt")
-    assert saved.read_bytes() == words_path.read_bytes()
     rc = main(["predict", "--instances", str(inst_path),
                "--checkpoint", str(ckpt), "--kb-dir", str(kb_dir),
                "--out", str(tmp_path / "p.tsv")])
     assert rc == 0
-    trained, predicted = loaded
-    assert (WordTable.UNK in read_embeddings(saved)) == unk_row
+    trained, predicted = tables
+    assert (WordTable.UNK in read_embeddings(words_path)) == unk_row
+    assert predicted is not trained
     assert predicted.vectors.ids == trained.vectors.ids
     assert predicted.vectors.matrix.tobytes() == trained.vectors.matrix.tobytes()
 
@@ -548,9 +557,8 @@ def test_config_flags_follow_the_config_dataclasses():
                                              "--mention-lexicon"},
         "train": common | config_flags | {"--instances", "--kb-dir",
                                           "--word-embeddings"},
-        "predict": common | {"--instances", "--checkpoint", "--kb-dir",
-                             "--word-embeddings"},
-        "evaluate": common | {"--predictions", "--corpus"},
+        "predict": {"--out", "--instances", "--checkpoint", "--kb-dir"},
+        "evaluate": {"--out", "--predictions", "--corpus"},
         "ablate": common | config_flags | {"--axis", "--instances",
                                            "--eval-instances", "--corpus",
                                            "--kb-dir", "--word-embeddings"},
@@ -558,6 +566,21 @@ def test_config_flags_follow_the_config_dataclasses():
     }
     for subcommand, flags in want.items():
         assert _flags(subcommand) == flags, subcommand
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+@pytest.mark.parametrize("flag", ["--config", "--seed"])
+def test_predict_and_evaluate_take_no_config_or_seed(tmp_path, capsys,
+                                                     command, flag):
+    # neither command reads a setting: a model's settings are in its
+    # checkpoint, and both are deterministic
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"d": 16, "n_heads": 8}))
+    value = {"--config": str(cfg_file), "--seed": "3"}[flag]
+    with pytest.raises(SystemExit) as e:
+        main([command, "--out", str(tmp_path / "out"), flag, value])
+    assert e.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_d_head_config_key_rejected(tmp_path, capsys):

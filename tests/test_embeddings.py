@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ksm.kb import (Embeddings, KBError, KnowledgeStore, init_embeddings,
-                    read_embeddings, tail_rank, transe_train)
+                    read_embeddings, tail_rank, transe_train,
+                    write_embeddings)
 from ksm.model import ConfigError, WordTable
 from ksm.synthetic import toy_knowledge_graph
 
@@ -76,7 +77,7 @@ def test_explicit_unk_is_the_unk_row_before_and_after_a_round_trip(tmp_path):
     table = WordTable({"UNK": np.ones(2), "a": np.zeros(2)}, 2,
                       unk=np.full(2, 7.0))
     path = tmp_path / "words.txt"
-    table.save(path)
+    write_embeddings(path, table.vectors)
     for t in (table, WordTable.load(path)):
         np.testing.assert_array_equal(t.lookup(["UNK", "zz"]),
                                       np.full((2, 2), 7.0))

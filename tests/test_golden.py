@@ -7,7 +7,11 @@ API, so the same builder can record the file at any commit:
 
     PYTHONPATH=src python tests/test_golden.py
 
-rewrites the file. Do that only when outputs are meant to change.
+rewrites the file. Do that only when outputs are meant to change: a
+rewrite at a tree whose outputs did not change still moves the last
+digits of most entries (by up to 2.8e-16), so it cannot show that only
+one case changed. To drop a case, delete its key from the file; do not
+regenerate.
 """
 
 import json

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ksm import kb
 from ksm.kb import KnowledgeStore
-from ksm.kb import (KBError, Triple, copy_embeddings, init_embeddings,
+from ksm.kb import (KBError, Triple, init_embeddings,
                     load_store, mean_energies, read_embeddings, read_triples,
                     resolve_pair_knowledge, save_store, tail_rank,
                     transe_energy, transe_train, write_embeddings)
@@ -400,6 +400,51 @@ def test_store_without_rows_keeps_its_width(tmp_path):
     assert resolve_pair_knowledge(store, "a", "b").e1.shape == (6,)
 
 
+def test_store_of_width_0_rejected_also_on_a_sidecar_hit(tmp_path):
+    # a "0 0" header used to load, and the store's first pair lookup then
+    # divided by its width
+    for name in ("entities.txt", "relations.txt"):
+        (tmp_path / name).write_text("0 0\n")
+    for _ in range(2):  # the second read of entities.txt is a sidecar hit
+        with pytest.raises(KBError) as e:
+            load_store(tmp_path)
+        assert str(e.value) == (f"{tmp_path / 'entities.txt'}:1: width 0, "
+                                f"expected >= 1")
+    assert _sidecar(tmp_path / "entities.txt").exists()
+
+
+def test_embedding_matrix_is_sized_from_its_rows_not_its_header(tmp_path):
+    # a header width of 2^52 used to allocate 16 rows of it before any row
+    # was read (a MemoryError: "Unable to allocate 524. TiB")
+    save_store(_store(d_kb=4), tmp_path)
+    relations = tmp_path / "relations.txt"
+    relations.write_text("0 4503504650986\n")
+    assert read_embeddings(relations).matrix.shape == (0, 4503504650986)
+    with pytest.raises(KBError, match=rf"^{relations}: width 4503504650986, "
+                                      rf"entities\.txt has 4$"):
+        load_store(tmp_path)
+    relations.write_text("1 4503504650986\nr1 0.5\n")
+    with pytest.raises(KBError, match=rf"^{relations}:2: expected id \+ "
+                                      rf"4503504650986 values, got 1$"):
+        read_embeddings(relations)
+
+
+@pytest.mark.parametrize("loader", ["read_embeddings", "WordTable.load",
+                                    "load_store"])
+def test_invalid_utf8_is_a_kb_error_at_the_file(tmp_path, loader):
+    from ksm.model import WordTable
+    _, kb_dir = _saved_store(tmp_path)
+    path = kb_dir / "entities.txt"
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2][:1] + b"\xc6" + lines[2][1:]  # one invalid byte
+    path.write_bytes(b"\n".join(lines))
+    load = {"read_embeddings": read_embeddings, "WordTable.load":
+            WordTable.load, "load_store": load_store}[loader]
+    with pytest.raises(KBError) as e:
+        load(kb_dir if loader == "load_store" else path)
+    assert str(e.value) == f"{path}:3: not UTF-8 text"
+
+
 @pytest.mark.parametrize("d_kb", [0, -3])
 def test_init_embeddings_rejects_a_width_below_1(d_kb):
     with pytest.raises(KBError, match=f"d_kb must be >= 1, got {d_kb}"):
@@ -686,29 +731,6 @@ def _untrusted(monkeypatch, path):
     the reader (see `_owned_by`)."""
     me = _sidecar(path).stat().st_uid
     _owned_by(monkeypatch, path, me + 1, me + 2)
-
-
-@pytest.mark.parametrize("spoil, carried", [
-    (lambda m, p: None, True),
-    (lambda m, p: _sidecar(p).unlink(), False),
-    (lambda m, p: _rewrite_sidecar(_sidecar(p), sha256=np.array("0" * 64)),
-     False),
-    (_untrusted, False),
-], ids=["trusted", "none", "wrong_digest", "untrusted_owner"])
-def test_copy_carries_only_a_sidecar_the_source_would_trust(
-        tmp_path, monkeypatch, spoil, carried):
-    path = _vector_file(tmp_path)
-    want = read_embeddings(path)
-    spoil(monkeypatch, path)
-    copy = tmp_path / "copy.txt"
-    copy_embeddings(path, copy)
-    assert copy.read_bytes() == path.read_bytes()
-    assert _sidecar(copy).exists() == carried
-    parsed = _counting_parses(monkeypatch)
-    table = read_embeddings(copy)
-    assert table.ids == want.ids
-    assert table.matrix.tobytes() == want.matrix.tobytes()
-    assert parsed == ([] if carried else [copy])
 
 
 def _read_within(path, fifo, seconds=10):
