@@ -19,9 +19,8 @@ from .kb import (KnowledgeStore, PairKnowledge, Triple, init_embeddings,
                  read_triples, resolve_pair_knowledge, transe_energy,
                  transe_train)
 from .model import (KSMModel, ModelConfig, WordTable, classify,
-                    embed_context, entity_knowledge_select, knowledge_select,
-                    mutual_attention, nll_loss, pool_variants,
-                    sinusoidal_encoding)
+                    embed_context, knowledge_select, mutual_attention,
+                    nll_loss, pool_variants, sinusoidal_encoding)
 from .optim import Adadelta
 from .train import (InstancePrediction, TrainConfig, aggregate_predictions,
                     micro_prf, predict_instances, prf_from_counts,
@@ -35,8 +34,8 @@ __all__ = [
     "ModelConfig", "PairKnowledge", "ParameterStore", "PreprocessConfig",
     "Tensor", "TrainConfig", "Triple", "WordTable", "aggregate_predictions",
     "assign_labels", "backward", "build_context_window", "classify",
-    "embed_context", "entity_knowledge_select", "generate_candidate_pairs",
-    "init_embeddings", "knowledge_select", "load_checkpoint", "micro_prf",
+    "embed_context", "generate_candidate_pairs", "init_embeddings",
+    "knowledge_select", "load_checkpoint", "micro_prf",
     "mutual_attention", "nll_loss", "pool_variants", "predict_instances",
     "preprocess_document", "prf_from_counts", "read_corpus",
     "read_instances", "read_triples", "resolve_pair_knowledge",

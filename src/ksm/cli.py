@@ -322,11 +322,15 @@ def cmd_gradcheck(args) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser, configured: bool = True) -> None:
-    if configured:
+def _add_common(p: argparse.ArgumentParser, seed: bool = True,
+                config: bool = True, out: bool = True) -> None:
+    """Add those of --seed, --config and --out the subcommand reads."""
+    if seed:
         p.add_argument("--seed", type=int, default=None)
+    if config:
         p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--out", default=None, help="output path")
+    if out:
+        p.add_argument("--out", default=None, help="output path")
 
 
 def _bool_flag(text: str) -> bool:
@@ -357,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="corpus -> candidate instances")
     p.add_argument("--corpus", help="corpus JSONL file")
     p.add_argument("--phase", choices=("train", "test"), default=None)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train-kb", help="triples -> KB embedding store")
@@ -381,13 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", help="instance JSONL file")
     p.add_argument("--checkpoint", help="model checkpoint")
     p.add_argument("--kb-dir", default=None)
-    _add_common(p, configured=False)
+    _add_common(p, seed=False, config=False)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="predictions vs corpus gold -> P/R/F")
     p.add_argument("--predictions", help="predictions TSV file")
     p.add_argument("--corpus", help="corpus JSONL file with gold pairs")
-    _add_common(p, configured=False)
+    _add_common(p, seed=False, config=False)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="train and score model variants")
@@ -402,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suites")
-    _add_common(p)
+    _add_common(p, out=False)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -37,6 +37,8 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .kb import text_lines
+
 logger = logging.getLogger(__name__)
 
 LABEL_POSITIVE = "positive"
@@ -359,11 +361,10 @@ def _parse_json(line: str, where: str):
 
 def _nonblank_lines(path):
     """(`path:lineno`, stripped line) for each nonblank line of a file."""
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if line:
-                yield f"{path}:{lineno}", line
+    for lineno, line in text_lines(path, CorpusError):
+        line = line.strip()
+        if line:
+            yield f"{path}:{lineno}", line
 
 
 def document_from_json(line: str, where: str = "<line>") -> Document:

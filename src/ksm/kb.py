@@ -429,22 +429,21 @@ def read_triples(path) -> list[Triple]:
     relation label ``__null__``."""
     seen = set()
     out = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or not all(p for p in parts):
-                raise KBError(
-                    f"{path}:{lineno}: expected head<TAB>relation<TAB>tail")
-            if parts[1] == _NULL_LABEL:
-                raise KBError(f"{path}:{lineno}: relation label "
-                              f"{_NULL_LABEL!r} is reserved")
-            trip = Triple(*parts)
-            if trip not in seen:
-                seen.add(trip)
-                out.append(trip)
+    for lineno, line in text_lines(path, KBError):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3 or not all(p for p in parts):
+            raise KBError(
+                f"{path}:{lineno}: expected head<TAB>relation<TAB>tail")
+        if parts[1] == _NULL_LABEL:
+            raise KBError(f"{path}:{lineno}: relation label "
+                          f"{_NULL_LABEL!r} is reserved")
+        trip = Triple(*parts)
+        if trip not in seen:
+            seen.add(trip)
+            out.append(trip)
     return out
 
 
@@ -505,35 +504,34 @@ def read_embeddings(path) -> Embeddings:
 def _parse_embeddings(path) -> tuple[Embeddings, int]:
     """The table of an embedding text file and its header count. The
     matrix is sized from the rows read, never from the header alone."""
-    # undecodable bytes become lone surrogates, and `_utf8` finds them
-    with open(path, encoding="utf-8", errors="surrogateescape") as f:
-        header = _utf8(path, 1, f.readline()).split()
-        if len(header) != 2:
-            raise KBError(f"{path}:1: expected header `count dim`")
+    lines = text_lines(path, KBError)
+    header = next(lines, (1, ""))[1].split()
+    if len(header) != 2:
+        raise KBError(f"{path}:1: expected header `count dim`")
+    try:
+        count, dim = int(header[0]), int(header[1])
+        matrix = np.empty((0, dim))  # a row per line, grown by doubling
+    except ValueError as e:
+        raise KBError(f"{path}:1: count and dim must be integers, "
+                      f"dim >= 0") from e
+    ids, linenos = [], []
+    for lineno, line in lines:
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != dim + 1:
+            raise KBError(
+                f"{path}:{lineno}: expected id + {dim} values, "
+                f"got {len(parts) - 1}")
+        if len(ids) == len(matrix):
+            matrix = np.concatenate(
+                [matrix, np.empty((max(16, len(matrix)), dim))])
         try:
-            count, dim = int(header[0]), int(header[1])
-            matrix = np.empty((0, dim))  # a row per line, grown by doubling
+            matrix[len(ids)] = parts[1:]
         except ValueError as e:
-            raise KBError(f"{path}:1: count and dim must be integers, "
-                          f"dim >= 0") from e
-        ids, linenos = [], []
-        for lineno, line in enumerate(f, start=2):
-            parts = _utf8(path, lineno, line).split()
-            if not parts:
-                continue
-            if len(parts) != dim + 1:
-                raise KBError(
-                    f"{path}:{lineno}: expected id + {dim} values, "
-                    f"got {len(parts) - 1}")
-            if len(ids) == len(matrix):
-                matrix = np.concatenate(
-                    [matrix, np.empty((max(16, len(matrix)), dim))])
-            try:
-                matrix[len(ids)] = parts[1:]
-            except ValueError as e:
-                raise KBError(f"{path}:{lineno}: {e}") from e
-            ids.append(parts[0])
-            linenos.append(lineno)
+            raise KBError(f"{path}:{lineno}: {e}") from e
+        ids.append(parts[0])
+        linenos.append(lineno)
     finite = np.isfinite(matrix[:len(ids)]).all(axis=1)
     if not finite.all():
         raise KBError(f"{path}:{linenos[int(np.argmin(finite))]}: "
@@ -542,15 +540,19 @@ def _parse_embeddings(path) -> tuple[Embeddings, int]:
     return Embeddings(list(last), matrix[list(last.values())]), count
 
 
-def _utf8(path, lineno: int, line: str) -> str:
-    """`line`, read with errors="surrogateescape"; KBError at it if it held
-    a byte that is not UTF-8."""
-    if not line.isascii():
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError:
-            raise KBError(f"{path}:{lineno}: not UTF-8 text") from None
-    return line
+def text_lines(path, error: type[Exception]) -> Iterator[tuple[int, str]]:
+    """(line number from 1, line) for each line of a UTF-8 text file, read
+    lazily; `error` at `path:line` for a line holding a byte that is not
+    UTF-8 (a strict read would raise UnicodeDecodeError, naming neither)."""
+    # undecodable bytes become lone surrogates, which do not encode back
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise error(f"{path}:{lineno}: not UTF-8 text") from None
+            yield lineno, line
 
 
 # The embedding sidecar: an uncompressed .npz of the arrays
@@ -669,19 +671,18 @@ def load_store(directory) -> KnowledgeStore:
         d_kb=d_kb)
     pairs_path = d / "pairs.tsv"
     if pairs_path.exists():
-        with open(pairs_path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) < 3:
-                    raise KBError(f"{pairs_path}:{lineno}: expected "
-                                  f"entity<TAB>entity<TAB>relation...")
-                a, b, *labels = parts
-                unknown = [r for r in labels if r not in store.relation_table]
-                if unknown:
-                    raise KBError(f"{pairs_path}:{lineno}: relation "
-                                  f"{unknown[0]!r} is not in relations.txt")
-                key = (a, b) if a <= b else (b, a)
-                store.pair_relations.setdefault(key, []).extend(labels)
+        for lineno, line in text_lines(pairs_path, KBError):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) < 3:
+                raise KBError(f"{pairs_path}:{lineno}: expected "
+                              f"entity<TAB>entity<TAB>relation...")
+            a, b, *labels = parts
+            unknown = [r for r in labels if r not in store.relation_table]
+            if unknown:
+                raise KBError(f"{pairs_path}:{lineno}: relation "
+                              f"{unknown[0]!r} is not in relations.txt")
+            key = (a, b) if a <= b else (b, a)
+            store.pair_relations.setdefault(key, []).extend(labels)
     return store

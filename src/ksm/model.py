@@ -11,9 +11,11 @@ Per candidate instance the forward pass runs:
 3. pooling over the two encoded sequences (mutual attention by default,
    five tape nodes; separate additive attention, average or max as
    variants) giving context features s1, s2;
-4. a gated knowledge selector that distills the pair's KB relation
-   vector (or the trainable null relation) against the context features
-   (optionally also the entity vectors, or nothing);
+4. a gated knowledge selector, g = act(features W + v U + b) applied to
+   a KB vector v as g (.) v (or g + v): the pair's relation vector (or
+   the trainable null relation) against [s1, s2] by default; as a
+   variant also, or instead, each entity vector against the mean of its
+   context view, before it enters the encoder (or no selection at all);
 5. a softmax classifier over [s1, s2, selected relation].
 
 With dropout on, one paper-configuration instance records 100 tape
@@ -78,7 +80,6 @@ class ModelConfig:
     selector_activation: str = "tanh"
     selector_op: str = "hadamard"
     selector_target: str = "relation"
-    gate_uses_relation: bool = True    # False: gate from context features only
     pooling: str = "mutual"
     shared_encoder: bool = False
 
@@ -107,14 +108,19 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         """The config of `d`. Older configs carry `position_encoding` and
-        `max_distance` (saved when a learned position table was selectable)
-        or `d_kb` (saved when the KB width was a field). They are dropped;
-        ConfigError unless the encoding is sinusoidal and `d_kb` equals `d`."""
+        `max_distance` (saved when a learned position table was selectable),
+        `d_kb` (saved when the KB width was a field) or `gate_uses_relation`
+        (saved when the gate could leave out the relation). They are
+        dropped; ConfigError unless the encoding is sinusoidal, `d_kb`
+        equals `d` and the gate used the relation."""
         d = dict(d)
         d.pop("max_distance", None)
         encoding = d.pop("position_encoding", "sinusoidal")
         if encoding != "sinusoidal":
             raise ConfigError(f"position_encoding {encoding!r} is no longer "
+                              f"supported; retrain the model")
+        if (gate := d.pop("gate_uses_relation", True)) is not True:
+            raise ConfigError(f"gate_uses_relation {gate!r} is no longer "
                               f"supported; retrain the model")
         width = d.get("d", cls.d)
         if (d_kb := d.pop("d_kb", width)) != width:
@@ -162,28 +168,18 @@ def sinusoidal_encoding(positions: Sequence[int], d: int) -> np.ndarray:
 
 class WordTable:
     """Frozen token -> vector lookup over one `Embeddings` matrix; its UNK
-    row (`unk`, else the mapping's UNK vector, else zeros) serves unknown
+    row (the mapping's UNK vector, else zeros, appended last) serves unknown
     tokens. ConfigError for a vector, UNK included, not of width d."""
 
     UNK = "UNK"
 
-    def __init__(self, vectors: Mapping[str, np.ndarray], d: int,
-                 unk: np.ndarray | None = None):
+    def __init__(self, vectors: Mapping[str, np.ndarray], d: int):
         try:
             table = Embeddings.of(vectors, d)
-            if unk is not None or self.UNK not in table:
+            if self.UNK not in table:
                 # a new matrix, so a caller's Embeddings is never written
-                row = np.zeros(d) if unk is None else np.asarray(unk, float)
-                if row.shape != (d,):
-                    raise ValueError(f"{self.UNK!r} has shape {row.shape}, "
-                                     f"expected ({d},)")
-                if self.UNK in table:
-                    matrix = table.matrix.copy()
-                    matrix[table.index[self.UNK]] = row
-                    table = Embeddings(table.ids, matrix)
-                else:
-                    table = Embeddings(table.ids + [self.UNK],
-                                       np.vstack([table.matrix, row]))
+                table = Embeddings(table.ids + [self.UNK],
+                                   np.vstack([table.matrix, np.zeros(d)]))
         except ValueError as e:
             raise ConfigError(f"word table of width {d}: {e}") from None
         self.vectors = table
@@ -196,7 +192,8 @@ class WordTable:
         lim = 0.5 / d
         vectors = {tok: rng.uniform(-lim, lim, size=d)
                    for tok in sorted(set(vocab))}
-        return cls(vectors, d, unk=rng.uniform(-lim, lim, size=d))
+        vectors[cls.UNK] = rng.uniform(-lim, lim, size=d)
+        return cls(vectors, d)
 
     @classmethod
     def load(cls, path) -> "WordTable":
@@ -296,8 +293,7 @@ def build_params(config: ModelConfig, seed: int = 0) -> ParameterStore:
 
     if config.selector_target in ("relation", "both"):
         mat_drawn_out_in("selector.w", 2 * d, d)
-        if config.gate_uses_relation:
-            mat_drawn_out_in("selector.u", d, d)
+        mat_drawn_out_in("selector.u", d, d)
         add("selector.b", np.zeros(d))
     if config.selector_target in ("entity", "both"):
         mat_drawn_out_in("entity_selector.w", d, d)
@@ -389,11 +385,13 @@ def mutual_attention(v1: Tensor, v2: Tensor, params: ParameterStore
 def separate_attention(v: Tensor, params: ParameterStore
                        ) -> tuple[Tensor, Tensor]:
     """Single-sequence additive attention with a bias; params are shared
-    between the two sequences by construction (one set in the store)."""
+    between the two sequences by construction (one set in the store).
+    Returns the pooled (1, d) row and the (L, 1) weights; the softmax and
+    weighted sum are one node (``ad.softmax_pool`` over the width-1 axis
+    of the scores, whose mean is the scores themselves)."""
     scores = ad.tanh(ad.affine(v, params["separate.w_proj"],
                                params["separate.b"])) @ params["separate.w"]
-    p = ad.softmax(scores, axis=0)        # (L,1)
-    return ad.transpose(p) @ v, p
+    return ad.softmax_pool(scores, v, axis=1)
 
 
 def pool_variants(v1: Tensor, v2: Tensor, params: ParameterStore,
@@ -411,43 +409,20 @@ def pool_variants(v1: Tensor, v2: Tensor, params: ParameterStore,
             ad.amax(v2, axis=0, keepdims=True))
 
 
-def _gated(pre: Tensor, e: Tensor, config: ModelConfig) -> Tensor:
-    """Activate the gate pre-activation and combine it with `e`."""
+def knowledge_select(features: Tensor, v: Tensor, params: ParameterStore,
+                     prefix: str, config: ModelConfig) -> Tensor:
+    """Gate the (1, d) KB vector `v` against the (1, n) `features`.
+
+    g = act(features W + v U + b) with the parameters `prefix`.w, .u and
+    .b; the output is g (.) v, or g + v for the sum variant. The relation
+    runs through "selector" with features [s1, s2]; each entity through
+    "entity_selector", both entities sharing it, with the mean of its
+    context view.
+    """
+    pre = (features @ params[f"{prefix}.w"] + v @ params[f"{prefix}.u"]
+           + params[f"{prefix}.b"])
     g = _ACTIVATIONS[config.selector_activation](pre)
-    return ad.multiply(g, e) if config.selector_op == "hadamard" else ad.add(g, e)
-
-
-def knowledge_select(s1: Tensor, s2: Tensor, er: Tensor,
-                     params: ParameterStore, config: ModelConfig) -> Tensor:
-    """Gate the relation vector against the context features.
-
-    Default: g = tanh(W [s1,s2] + U er + b), output g (.) er. The
-    context-only variant drops the U er term; the sum variant adds g
-    to er instead of scaling it.
-    """
-    if config.selector_target == "entity":
-        raise ConfigError("entity selection is routed through "
-                          "entity_knowledge_select")
-    feats = ad.concat([s1, s2])
-    if config.gate_uses_relation:
-        pre = (feats @ params["selector.w"] + er @ params["selector.u"]
-               + params["selector.b"])
-    else:
-        pre = ad.affine(feats, params["selector.w"], params["selector.b"])
-    return _gated(pre, er, config)
-
-
-def entity_knowledge_select(x: Tensor, e: Tensor, params: ParameterStore,
-                            config: ModelConfig) -> Tensor:
-    """Gate an entity vector against the mean of its input sequence.
-
-    Both entities run through the same parameter set.
-    """
-    mx = ad.mean(x, axis=0, keepdims=True)
-    pre = (mx @ params["entity_selector.w"]
-           + e @ params["entity_selector.u"]
-           + params["entity_selector.b"])
-    return _gated(pre, e, config)
+    return ad.multiply(g, v) if config.selector_op == "hadamard" else ad.add(g, v)
 
 
 def classify(s1: Tensor, s2: Tensor, er_selected: Tensor,
@@ -510,14 +485,16 @@ class KSMModel:
               if knowledge.er_is_null
               else Tensor(np.asarray(knowledge.er).reshape(1, -1)))
         if cfg.selector_target in ("entity", "both"):
-            e1 = entity_knowledge_select(x1, e1, self.params, cfg)
-            e2 = entity_knowledge_select(x2, e2, self.params, cfg)
+            e1, e2 = (knowledge_select(ad.mean(x, axis=0, keepdims=True), e,
+                                       self.params, "entity_selector", cfg)
+                      for x, e in ((x1, e1), (x2, e2)))
         p1, p2 = _encoder_prefixes(cfg)
         v1 = encode(x1, e1, self.params, p1, cfg, train, rng)
         v2 = encode(x2, e2, self.params, p2, cfg, train, rng)
         s1, s2 = pool_variants(v1, v2, self.params, cfg)
         if cfg.selector_target in ("relation", "both"):
-            er = knowledge_select(s1, s2, er, self.params, cfg)
+            er = knowledge_select(ad.concat([s1, s2]), er, self.params,
+                                  "selector", cfg)
         return classify(s1, s2, er, self.params)
 
     def save(self, path) -> None:

@@ -65,7 +65,7 @@ def separable_task(n: int = 40, d: int = 16, seed: int = 0
     signature = rng.choice([-1.0, 1.0], size=d) / np.sqrt(d)
     vectors["binds"] = 2.0 * signature
     vectors["ignores"] = -2.0 * signature
-    table = WordTable(vectors, d, unk=np.zeros(d))
+    table = WordTable(vectors, d)
     return instances, store, table
 
 

@@ -31,7 +31,8 @@ from . import model as ksm_model
 from .autodiff import backward, no_grad
 from .corpus import (CandidateInstance, Document, LABEL_POSITIVE,
                      LABEL_UNLABELED, sorted_pair)
-from .kb import KnowledgeStore, PairKnowledge, resolve_pair_knowledge
+from .kb import (KnowledgeStore, PairKnowledge, resolve_pair_knowledge,
+                 text_lines)
 from .model import CLASS_POSITIVE, KSMModel, gold_class
 from .optim import Adadelta
 
@@ -322,14 +323,13 @@ def write_predictions(path, predictions: PredictionSet) -> None:
 
 def read_predictions(path) -> PredictionSet:
     out: PredictionSet = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(
-                    f"{path}:{lineno}: expected doc_id<TAB>entity1<TAB>entity2")
-            out.setdefault(parts[0], set()).add(sorted_pair(parts[1], parts[2]))
+    for lineno, line in text_lines(path, ValueError):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(
+                f"{path}:{lineno}: expected doc_id<TAB>entity1<TAB>entity2")
+        out.setdefault(parts[0], set()).add(sorted_pair(parts[1], parts[2]))
     return out

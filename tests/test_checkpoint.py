@@ -176,11 +176,11 @@ def test_format_2_and_3_files_rejected_with_retrain_hint(tmp_path, content):
     _rejected(tmp_path / "model.ckpt", content, "retrain the model")
 
 
-# what every config saved while a learned position table was selectable
-# and the KB width was a field carries (the format 2 and 3 files among
-# them)
+# what every config saved while a learned position table was selectable,
+# the KB width was a field and the gate could leave out the relation
+# carries (the format 2 and 3 files among them)
 LEGACY_KEYS = {"position_encoding": "sinusoidal", "max_distance": 16,
-               "d_kb": 8}
+               "d_kb": 8, "gate_uses_relation": True}
 
 
 def _model_file(model, config: dict, version: int,
@@ -214,6 +214,35 @@ def test_config_with_a_kb_width_other_than_d_rejected(tmp_path, version):
         KSMModel.load(path, model.word_table)
     assert str(e.value) == (f"{path}: invalid model config: "
                             f"d_kb (16) must equal d (8)")
+
+
+@pytest.mark.parametrize("gate", [False, None, 1])
+def test_config_whose_gate_left_out_the_relation_rejected(tmp_path, gate):
+    model = toy_model(seed=3)
+    values = {n: t.data for n, t in model.params.items()
+              if n != "selector.u"}          # such a model had no U
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_model_file(
+        model, {**model.config.to_dict(), "gate_uses_relation": gate}, 5,
+        values))
+    with pytest.raises(CheckpointError) as e:
+        KSMModel.load(path)
+    assert str(e.value) == (f"{path}: invalid model config: "
+                            f"gate_uses_relation {gate!r} is no longer "
+                            f"supported; retrain the model")
+
+
+def test_format_5_file_saved_with_the_gate_key_loads_to_the_same_model():
+    # toy_model(seed=3) as saved while ModelConfig had gate_uses_relation
+    path = DATA / "toy_model_v5.ckpt"
+    assert _split(path)[0]["config"]["gate_uses_relation"] is True
+    original, old = toy_model(seed=3), KSMModel.load(path)
+    assert old.config == original.config
+    assert _same_values({n: t.data for n, t in old.params.items()},
+                        {n: t.data for n, t in original.params.items()})
+    for inst, kn in toy_batch(5, old.config.d):
+        assert (old.forward_instance(inst, kn)[0].data.tobytes()
+                == original.forward_instance(inst, kn)[0].data.tobytes())
 
 
 @VERSIONS

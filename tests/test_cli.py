@@ -541,18 +541,20 @@ def test_config_flags_follow_the_config_dataclasses():
     # the flag set before the defaults were derived from ModelConfig and
     # TrainConfig, minus --d-head (d_head is now d // n_heads),
     # --relation-pool (relations are always mean-pooled) and
-    # --position-encoding/--max-distance (positions are always sinusoidal)
-    # and --d-kb (the KB width is d)
+    # --position-encoding/--max-distance (positions are always sinusoidal),
+    # --d-kb (the KB width is d) and --gate-uses-relation (the gate always
+    # reads the relation)
     config_flags = {
         "--batch-size", "--d", "--dropout-rate",
-        "--gate-uses-relation", "--holdout-fraction", "--kb-epochs",
+        "--holdout-fraction", "--kb-epochs",
         "--kb-lr", "--kb-margin", "--lr", "--max-epochs",
         "--n-blocks", "--n-heads", "--patience", "--pooling",
         "--selector-activation",
         "--selector-op", "--selector-target", "--shared-encoder"}
     common = {"--config", "--out", "--seed"}
     want = {
-        "preprocess": common | {"--corpus", "--phase"},
+        # preprocessing draws nothing at random, and gradcheck only prints
+        "preprocess": {"--config", "--out", "--corpus", "--phase"},
         "train-kb": common | config_flags | {"--triples", "--word-embeddings",
                                              "--mention-lexicon"},
         "train": common | config_flags | {"--instances", "--kb-dir",
@@ -562,7 +564,7 @@ def test_config_flags_follow_the_config_dataclasses():
         "ablate": common | config_flags | {"--axis", "--instances",
                                            "--eval-instances", "--corpus",
                                            "--kb-dir", "--word-embeddings"},
-        "gradcheck": common,
+        "gradcheck": {"--config", "--seed"},
     }
     for subcommand, flags in want.items():
         assert _flags(subcommand) == flags, subcommand
@@ -583,6 +585,18 @@ def test_predict_and_evaluate_take_no_config_or_seed(tmp_path, capsys,
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["gradcheck", "--out", "r.txt"],
+                                  ["preprocess", "--seed", "3"]],
+                         ids=["gradcheck-out", "preprocess-seed"])
+def test_flags_a_command_never_reads_exit_2(capsys, argv):
+    # gradcheck only prints; preprocessing draws nothing at random
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert (f"unrecognized arguments: {argv[1]}"
+            in capsys.readouterr().err)
+
+
 def test_d_head_config_key_rejected(tmp_path, capsys):
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps({"d_head": 25}))
@@ -600,6 +614,17 @@ def test_d_kb_config_key_rejected(tmp_path, capsys):
                "--out", str(tmp_path / "kb"), "--config", str(cfg_file)])
     assert rc == 2
     assert "unknown config keys: ['d_kb']" in capsys.readouterr().err
+
+
+def test_gate_uses_relation_config_key_rejected(tmp_path, capsys):
+    # the gate always reads the relation, so the key is no setting
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"gate_uses_relation": True}))
+    rc = main(["train", "--instances", str(tmp_path / "absent.jsonl"),
+               "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg_file)])
+    assert rc == 2
+    assert ("unknown config keys: ['gate_uses_relation']"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("key, value", [("position_encoding", "sinusoidal"),
@@ -785,3 +810,19 @@ def test_defaults_are_the_library_defaults():
         "kb_lr": transe["lr"].default,
         "phase": "train",
     }
+
+
+def test_readme_config_table_lists_exactly_the_defaults():
+    # a key added, dropped or given another default must reach the README
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    table = readme.split("Configuration keys and defaults", 1)[1]
+    rows = table.split("\n\n")[1].splitlines()[2:]   # below the header
+    listed = []
+    for row in rows:      # | key | default | | key | default |
+        cells = [c.strip() for c in row.strip("|").split("|")]
+        listed += [(key.strip("`"), value)
+                   for key, value in (cells[:2], cells[3:]) if key]
+    assert sorted(listed) == sorted(
+        (key, str(value).lower() if type(value) is bool else str(value))
+        for key, value in DEFAULTS.items())

@@ -44,13 +44,13 @@ def test_table_rejects_a_vector_of_another_width():
 # widths are checked where a table is built, never broadcast
 
 
-@pytest.mark.parametrize("vectors, unk, bad", [
-    ({"a": np.ones(1), "b": np.zeros(1)}, np.zeros(1), "a"),
-    ({"a": np.ones(4)}, np.zeros(1), "UNK"),
+@pytest.mark.parametrize("vectors, bad", [
+    ({"a": np.ones(1), "b": np.zeros(1)}, "a"),
+    ({"a": np.ones(4), "UNK": np.zeros(1)}, "UNK"),
 ], ids=["vectors", "unk"])
-def test_word_table_rejects_a_width_other_than_d(vectors, unk, bad):
+def test_word_table_rejects_a_width_other_than_d(vectors, bad):
     with pytest.raises(ConfigError, match=f"'{bad}' has shape \\(1,\\)"):
-        WordTable(vectors, 4, unk=unk)
+        WordTable(vectors, 4)
 
 
 @pytest.mark.parametrize("field", ["entity_table", "relation_table"])
@@ -74,8 +74,7 @@ def test_empty_word_table_looks_up_the_unk_row():
 
 
 def test_explicit_unk_is_the_unk_row_before_and_after_a_round_trip(tmp_path):
-    table = WordTable({"UNK": np.ones(2), "a": np.zeros(2)}, 2,
-                      unk=np.full(2, 7.0))
+    table = WordTable({"UNK": np.full(2, 7.0), "a": np.zeros(2)}, 2)
     path = tmp_path / "words.txt"
     write_embeddings(path, table.vectors)
     for t in (table, WordTable.load(path)):
@@ -83,17 +82,16 @@ def test_explicit_unk_is_the_unk_row_before_and_after_a_round_trip(tmp_path):
                                       np.full((2, 2), 7.0))
 
 
-def test_word_table_unk_row_is_replaced_in_place_or_appended_last():
-    source = Embeddings.of({"a": np.ones(2), "UNK": np.zeros(2),
+def test_word_table_unk_row_is_kept_in_place_or_appended_last():
+    source = Embeddings.of({"a": np.ones(2), "UNK": np.full(2, 7.0),
                             "b": np.ones(2)}, 2)
-    kept = source.matrix.copy()
-    replaced = WordTable(source, 2, unk=np.full(2, 7.0))
-    assert list(replaced.vectors) == ["a", "UNK", "b"]
-    np.testing.assert_array_equal(replaced.unk, [7.0, 7.0])
-    np.testing.assert_array_equal(source.matrix, kept)   # source untouched
-    assert WordTable(source, 2).vectors is source        # nothing to add
-    appended = WordTable({"a": np.ones(2), "b": np.full(2, 3.0)}, 2)
+    kept = WordTable(source, 2)
+    assert kept.vectors is source                        # nothing to add
+    np.testing.assert_array_equal(kept.unk, [7.0, 7.0])
+    source = Embeddings.of({"a": np.ones(2), "b": np.full(2, 3.0)}, 2)
+    appended = WordTable(source, 2)
     assert list(appended.vectors) == ["a", "b", "UNK"]
+    assert list(source) == ["a", "b"]                    # source untouched
     np.testing.assert_array_equal(appended.vectors.matrix,
                                   [[1.0, 1.0], [3.0, 3.0], [0.0, 0.0]])
 

@@ -445,6 +445,36 @@ def test_invalid_utf8_is_a_kb_error_at_the_file(tmp_path, loader):
     assert str(e.value) == f"{path}:3: not UTF-8 text"
 
 
+@pytest.mark.parametrize("reader", ["read_triples", "load_store",
+                                    "read_corpus", "read_instances",
+                                    "read_predictions"])
+def test_invalid_utf8_is_the_readers_own_error_at_the_line(tmp_path, reader):
+    # each reader reports the byte as it reports a malformed line
+    from ksm.corpus import CorpusError, read_corpus, read_instances
+    from ksm.train import read_predictions
+    if reader == "load_store":
+        path = _saved_store(tmp_path)[1] / "pairs.tsv"
+    else:
+        path = tmp_path / "input.txt"
+        first = {"read_triples": "e1\tr1\te2",
+                 "read_corpus": (DATA / "toy_corpus.jsonl").read_text(),
+                 "read_instances":
+                     (DATA / "toy_instances_train.jsonl").read_text(),
+                 "read_predictions": "doc\tP1\tP2"}[reader]
+        path.write_text(first.splitlines()[0] + "\n")
+    path.write_bytes(path.read_bytes().splitlines(keepends=True)[0]
+                     + b"x\xc6y\n")
+    load, error = {"read_triples": (read_triples, KBError),
+                   "load_store": (lambda p: load_store(p.parent), KBError),
+                   "read_corpus": (read_corpus, CorpusError),
+                   "read_instances": (read_instances, CorpusError),
+                   "read_predictions": (read_predictions, ValueError)}[reader]
+    with pytest.raises(error) as e:
+        load(path)
+    assert type(e.value) is error
+    assert str(e.value) == f"{path}:2: not UTF-8 text"
+
+
 @pytest.mark.parametrize("d_kb", [0, -3])
 def test_init_embeddings_rejects_a_width_below_1(d_kb):
     with pytest.raises(KBError, match=f"d_kb must be >= 1, got {d_kb}"):

@@ -15,7 +15,7 @@ from ksm.kb import PairKnowledge
 from ksm.model import (CLASS_NEGATIVE, CLASS_POSITIVE, ConfigError,
                        KSMModel, ModelConfig, WordTable, build_params,
                        classify, embed_context, encode, encoder_block,
-                       entity_knowledge_select, gold_class, knowledge_select,
+                       gold_class, knowledge_select,
                        multi_head_attention, mutual_attention, nll_loss,
                        pool_variants, separate_attention,
                        sinusoidal_encoding)
@@ -122,7 +122,7 @@ def test_forward_rejects_position_list_of_other_length(field):
 
 
 def test_unknown_token_maps_to_unk_vector():
-    table = WordTable({"a": np.ones(4)}, 4, unk=np.full(4, 7.0))
+    table = WordTable({"a": np.ones(4), "UNK": np.full(4, 7.0)}, 4)
     np.testing.assert_array_equal(table.lookup(["a", "zz"])[1], np.full(4, 7.0))
 
 
@@ -401,11 +401,16 @@ def _selector_cfg(**overrides):
     return ModelConfig(**base)
 
 
+def _select(s1, s2, er, params, cfg):
+    """The relation selector as the forward pass runs it."""
+    return knowledge_select(ad.concat([s1, s2]), er, params, "selector", cfg)
+
+
 def test_selector_zero_inputs_zero_gate_hadamard():
     cfg = _selector_cfg()
     params = build_params(cfg, seed=0)
     zero = Tensor(np.zeros((1, 8)))
-    out = knowledge_select(zero, zero, zero, params, cfg)
+    out = _select(zero, zero, zero, params, cfg)
     np.testing.assert_array_equal(out.data, np.zeros((1, 8)))
 
 
@@ -417,7 +422,7 @@ def test_sum_selector_with_zero_gate_returns_relation_exactly():
     params["selector.b"].data[:] = 0.0
     er = Tensor(np.random.default_rng(1).standard_normal((1, 8)))
     zero = Tensor(np.zeros((1, 8)))
-    out = knowledge_select(zero, zero, er, params, cfg)
+    out = _select(zero, zero, er, params, cfg)
     np.testing.assert_array_equal(out.data, er.data)
 
 
@@ -430,34 +435,34 @@ def test_bounded_gate_with_hadamard_never_amplifies(activation):
         s1 = Tensor(rng.standard_normal((1, 8)) * 3)
         s2 = Tensor(rng.standard_normal((1, 8)) * 3)
         er = Tensor(rng.standard_normal((1, 8)) * 3)
-        out = knowledge_select(s1, s2, er, params, cfg)
+        out = _select(s1, s2, er, params, cfg)
         assert np.all(np.abs(out.data) <= np.abs(er.data) + 1e-15)
 
 
-def test_context_only_gate_ignores_relation_vector():
-    cfg = _selector_cfg(gate_uses_relation=False)
-    params = build_params(cfg, seed=2)
-    assert "selector.u" not in params
+def test_selector_gate_is_the_documented_formula():
+    # g = act([s1, s2] W + er U + b) for the relation, act(mean(x) W + e U
+    # + b) for an entity; out = g * v (hadamard) or g + v (sum)
     rng = np.random.default_rng(3)
-    s1 = Tensor(rng.standard_normal((1, 8)))
-    s2 = Tensor(rng.standard_normal((1, 8)))
-    e_a = Tensor(np.full((1, 8), 2.0))
-    e_b = Tensor(np.full((1, 8), 2.0))
-    out_a = knowledge_select(s1, s2, e_a, params, cfg)
-    out_b = knowledge_select(s1, s2, e_b, params, cfg)
-    np.testing.assert_array_equal(out_a.data, out_b.data)
-    # gate itself is relation-independent: scaled relation scales output
-    e_c = Tensor(np.full((1, 8), 4.0))
-    out_c = knowledge_select(s1, s2, e_c, params, cfg)
-    np.testing.assert_allclose(out_c.data, 2.0 * out_a.data, atol=1e-12)
+    for target, prefix in (("relation", "selector"),
+                           ("entity", "entity_selector")):
+        for op, combine in (("hadamard", np.multiply), ("sum", np.add)):
+            cfg = _selector_cfg(selector_target=target, selector_op=op,
+                                selector_activation="sigmoid")
+            params = build_params(cfg, seed=4)
+            f = rng.standard_normal((1, 16 if target == "relation" else 8))
+            v = rng.standard_normal((1, 8))
+            w, u, b = (params[f"{prefix}.{k}"].data for k in "wub")
+            g = 1.0 / (1.0 + np.exp(-(f @ w + v @ u + b)))
+            out = knowledge_select(Tensor(f), Tensor(v), params, prefix, cfg)
+            np.testing.assert_allclose(out.data, combine(g, v), atol=1e-15)
 
 
 def test_entity_selector_zero_case_and_sum_identity():
     cfg = _selector_cfg(selector_target="entity")
     params = build_params(cfg, seed=0)
-    zero = Tensor(np.zeros((2, 8)))
+    zero = Tensor(np.zeros((1, 8)))
     e = Tensor(np.zeros((1, 8)))
-    out = entity_knowledge_select(zero, e, params, cfg)
+    out = knowledge_select(zero, e, params, "entity_selector", cfg)
     np.testing.assert_array_equal(out.data, np.zeros((1, 8)))
 
     cfg_sum = _selector_cfg(selector_target="entity", selector_op="sum")
@@ -466,7 +471,7 @@ def test_entity_selector_zero_case_and_sum_identity():
     params["entity_selector.u"].data[:] = 0.0
     params["entity_selector.b"].data[:] = 0.0
     e = Tensor(np.random.default_rng(4).standard_normal((1, 8)))
-    out = entity_knowledge_select(zero, e, params, cfg_sum)
+    out = knowledge_select(zero, e, params, "entity_selector", cfg_sum)
     np.testing.assert_array_equal(out.data, e.data)
 
 
@@ -477,14 +482,6 @@ def test_entity_selector_parameters_exist_once():
     assert kse == ["entity_selector.w", "entity_selector.u",
                    "entity_selector.b"]
     assert not any(n.startswith("selector.") for n in params.names())
-
-
-def test_relation_selector_routes_entity_target_away():
-    cfg = _selector_cfg(selector_target="entity")
-    params = build_params(cfg, seed=0)
-    zero = Tensor(np.zeros((1, 8)))
-    with pytest.raises(ConfigError):
-        knowledge_select(zero, zero, zero, params, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +610,20 @@ def test_paper_config_instance_graph_stays_within_100_nodes():
     assert _tape_nodes(loss) <= 100
 
 
+def test_separate_pooling_records_four_nodes_per_sequence():
+    # an affine, a tanh, a score product and one softmax-pool node per
+    # sequence, plus the three shared parameters: 11 nodes where mutual
+    # attention records 8
+    counts = {}
+    for pooling in ("mutual", "separate"):
+        model = toy_model(seed=1, pooling=pooling)
+        inst, kn = toy_batch(2, model.config.d, lengths=(5,))[0]
+        probs, _ = model.forward_instance(inst, kn, train=True,
+                                          rng=np.random.default_rng(0))
+        counts[pooling] = _tape_nodes(nll_loss([probs], [gold_class(inst)]))
+    assert counts["separate"] == counts["mutual"] + 3
+
+
 def test_null_relation_parameter_receives_gradient():
     model = toy_model(seed=1)
     batch = toy_batch(2, model.config.d, lengths=(2,), null_for=0)
@@ -627,12 +638,12 @@ def test_null_relation_parameter_receives_gradient():
     {"selector_target": "entity"},
     {"selector_target": "both"},
     {"selector_target": "none"},
-    {"gate_uses_relation": False},
     {"pooling": "separate"},
     {"pooling": "average"},
     {"shared_encoder": True},
     {"dropout_rate": 0.3},
     {"dropout_rate": 0.3, "selector_target": "both"},
+    {"pooling": "max"},
 ])
 def test_variant_gradients_spot_checked(overrides):
     # full FD over all parameters is reserved for the default config in the

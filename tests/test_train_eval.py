@@ -353,7 +353,7 @@ def _knowledge_task(kb_decides: bool, n: int = 40, d: int = 16,
     vectors = {tok: rng.normal(0.0, 0.1, d) for tok in _FILLER + ["mentions"]}
     signature = rng.choice([-1.0, 1.0], size=d) / np.sqrt(d)
     vectors["binds"], vectors["ignores"] = 2.0 * signature, -2.0 * signature
-    table = WordTable(vectors, d, unk=np.zeros(d))
+    table = WordTable(vectors, d)
     return instances[:n], instances[n:], store, table
 
 
