@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands: preprocess, train-kb, train, predict, evaluate, ablate,
-gradcheck. Every run is reproducible: configuration resolves as
-command-line flag > config file (JSON) > built-in default, the seed is
-explicit, and no subcommand mutates its inputs. Logs are JSON lines
-with a schema version.
+gradcheck. Each takes the settings it reads (`SETTINGS`; `predict` and
+`evaluate` read none) and no other, as flags and as `--config` JSON keys,
+resolved as flag > config file > default (`DEFAULTS`). Every run is
+reproducible: the seed is explicit, and no subcommand mutates its inputs.
+Logs are JSON lines with a schema version.
 """
 
 from __future__ import annotations
@@ -46,6 +47,15 @@ DEFAULTS: dict = {
     "phase": "train",
 }
 
+# The settings each subcommand reads: its flags and its config-file keys.
+SETTINGS: dict[str, tuple[str, ...]] = {
+    "preprocess": ("phase",),
+    "train-kb": ("seed", "d", "kb_margin", "kb_epochs", "kb_lr"),
+    "train": _MODEL_KEYS + _TRAIN_KEYS,
+    "ablate": _MODEL_KEYS + _TRAIN_KEYS,
+    "gradcheck": ("seed",),
+}
+
 
 class CliError(Exception):
     pass
@@ -53,8 +63,9 @@ class CliError(Exception):
 
 def _read_json(path: Path, what: str):
     """The JSON in a file; CliError at the file (and line) if it is not."""
+    text = "".join(line for _, line in kb_mod.text_lines(path, CliError))
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise CliError(f"{path}:{e.lineno}: invalid JSON in {what}") from e
     except RecursionError as e:
@@ -62,24 +73,27 @@ def _read_json(path: Path, what: str):
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """flag > config file > default. A file key must be known and its value
-    of its default's type; an int also fits a float key, a bool only a bool."""
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    """The settings `args.command` reads: flag > config file > default. A
+    file key must be one of them and its value of its default's type; an
+    int also fits a float key, a bool only a bool."""
+    keys = SETTINGS[args.command]
+    cfg = {key: DEFAULTS[key] for key in keys}
+    if args.config:
         path = _check_exists(args.config, "config file")
         file_cfg = _read_json(path, "config file")
         if not isinstance(file_cfg, dict):
             raise CliError(f"{path}: config file must hold a JSON object")
-        unknown = set(file_cfg) - set(DEFAULTS)
+        unknown = set(file_cfg) - set(keys)
         if unknown:
-            raise CliError(f"{path}: unknown config keys: {sorted(unknown)}")
+            raise CliError(f"{path}: unknown config keys: {sorted(unknown)}; "
+                           f"{args.command} reads {sorted(keys)}")
         for key, value in file_cfg.items():
             kind = type(DEFAULTS[key])
             if type(value) is not kind and (kind, type(value)) != (float, int):
                 raise CliError(f"{path}: {key} must be of type "
                                f"{kind.__name__}, got {json.dumps(value)}")
         cfg.update(file_cfg)
-    for key in DEFAULTS:
+    for key in keys:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
@@ -106,14 +120,14 @@ def _write_log(path, records: list[dict]) -> None:
                                separators=(",", ":")) + "\n")
 
 
-def _load_word_table(args, cfg, instances) -> WordTable:
-    if getattr(args, "word_embeddings", None):
+def _load_word_table(args, instances, d: int, seed: int) -> WordTable:
+    if args.word_embeddings:
         return WordTable.load(_check_exists(args.word_embeddings,
                                             "word embeddings file"))
     logger.info("no --word-embeddings given; using random vectors "
-                "(seed %d)", cfg["seed"])
+                "(seed %d)", seed)
     vocab = sorted({t for inst in instances for t in inst.tokens})
-    return WordTable.random(vocab, cfg["d"], seed=cfg["seed"])
+    return WordTable.random(vocab, d, seed=seed)
 
 
 def _load_store(args, d: int) -> kb_mod.KnowledgeStore:
@@ -136,6 +150,7 @@ def _load_store(args, d: int) -> kb_mod.KnowledgeStore:
 
 def cmd_preprocess(args) -> int:
     cfg = resolve_config(args)
+    corpus_mod.check_phase(cfg["phase"])
     _require(args, "corpus", "out")
     docs = corpus_mod.read_corpus(_check_exists(args.corpus, "corpus file"))
     instances = []
@@ -179,35 +194,28 @@ def cmd_train_kb(args) -> int:
     return 0
 
 
-def _configs(cfg) -> tuple[ModelConfig, TrainConfig]:
-    """The model and training configs of `cfg`. Callers build them before
-    reading any input, so an invalid value is reported before a file is
-    read (and before a read leaves an embedding sidecar behind)."""
+def _configs(args) -> tuple[ModelConfig, TrainConfig]:
+    """The model and training configs `args` resolve to. Callers build them
+    before reading any input, so an invalid value is reported before a file
+    is read (and before a read leaves an embedding sidecar behind)."""
+    cfg = resolve_config(args)
     return (ModelConfig(**{k: cfg[k] for k in _MODEL_KEYS}),
             TrainConfig(**{k: cfg[k] for k in _TRAIN_KEYS}))
 
 
-def _train_on(instances, args, cfg,
-              configs: tuple[ModelConfig, TrainConfig]
-              ) -> tuple[KSMModel, train_mod.TrainResult,
-                         kb_mod.KnowledgeStore]:
-    model_config, train_config = configs
-    store = _load_store(args, model_config.d)
-    word_table = _load_word_table(args, cfg, instances)
-    model = KSMModel(model_config, word_table, seed=cfg["seed"])
-    result = train_mod.train_model(instances, store, model, train_config)
-    return model, result, store
-
-
 def cmd_train(args) -> int:
-    cfg = resolve_config(args)
+    model_config, train_config = _configs(args)
     _require(args, "instances", "out")
-    configs = _configs(cfg)
     instances = corpus_mod.read_instances(
         _check_exists(args.instances, "instance file"))
-    model, result, _ = _train_on(instances, args, cfg, configs)
+    store = _load_store(args, model_config.d)
+    word_table = _load_word_table(args, instances, model_config.d,
+                                  train_config.seed)
+    model = KSMModel(model_config, word_table, seed=train_config.seed)
+    result = train_mod.train_model(instances, store, model, train_config)
     model.save(args.out)
-    records = [{"event": "config", **cfg}]
+    records = [{"event": "config", **dataclasses.asdict(model_config),
+                **dataclasses.asdict(train_config)}]
     records += [{"event": "epoch", "epoch": e.epoch,
                  "train_loss": e.train_loss,
                  "eval_f1": None if np.isnan(e.eval_f1) else e.eval_f1,
@@ -273,32 +281,30 @@ _ABLATION_AXES = {
 
 
 def cmd_ablate(args) -> int:
-    cfg = resolve_config(args)
+    model_config, train_config = _configs(args)
     _require(args, "instances", "eval_instances", "corpus")
-    variants = []
-    for name, overrides in _ABLATION_AXES[args.axis]:
-        variant_cfg = {**cfg, **overrides}
-        variants.append((name, variant_cfg, _configs(variant_cfg)))
+    variants = [(name, dataclasses.replace(model_config, **overrides))
+                for name, overrides in _ABLATION_AXES[args.axis]]
     train_instances = corpus_mod.read_instances(
         _check_exists(args.instances, "instance file"))
     eval_instances = corpus_mod.read_instances(
         _check_exists(args.eval_instances, "eval instance file"))
     docs = corpus_mod.read_corpus(_check_exists(args.corpus, "corpus file"))
     gold = train_mod.gold_pairs(docs)
-    rows = []
-    for name, variant_cfg, configs in variants:
-        model, _, store = _train_on(train_instances, args, variant_cfg,
-                                       configs)
+    # no axis varies d or the seed: every variant fits on the same inputs
+    store = _load_store(args, model_config.d)
+    word_table = _load_word_table(args, train_instances, model_config.d,
+                                  train_config.seed)
+    lines = [f"{'variant':<20}{'P%':>8}{'R%':>8}{'F%':>8}"]
+    for name, variant in variants:
+        model = KSMModel(variant, word_table, seed=train_config.seed)
+        train_mod.train_model(train_instances, store, model, train_config)
         preds = train_mod.predict_instances(model, eval_instances, store)
         prf = train_mod.micro_prf(train_mod.aggregate_predictions(preds),
                                   gold)
-        rows.append((name, prf))
-        logger.info("variant %s: F=%.2f%%", name, prf.f1 * 100)
-    header = f"{'variant':<20}{'P%':>8}{'R%':>8}{'F%':>8}"
-    lines = [header]
-    for name, prf in rows:
         lines.append(f"{name:<20}{prf.precision * 100:>8.2f}"
                      f"{prf.recall * 100:>8.2f}{prf.f1 * 100:>8.2f}")
+        logger.info("variant %s: F=%.2f%%", name, prf.f1 * 100)
     table = "\n".join(lines)
     print(table)
     if args.out:
@@ -322,17 +328,6 @@ def cmd_gradcheck(args) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser, seed: bool = True,
-                config: bool = True, out: bool = True) -> None:
-    """Add those of --seed, --config and --out the subcommand reads."""
-    if seed:
-        p.add_argument("--seed", type=int, default=None)
-    if config:
-        p.add_argument("--config", default=None, help="JSON config file")
-    if out:
-        p.add_argument("--out", default=None, help="output path")
-
-
 def _bool_flag(text: str) -> bool:
     value = {"true": True, "yes": True, "1": True,
              "false": False, "no": False, "0": False}.get(text.lower())
@@ -342,11 +337,11 @@ def _bool_flag(text: str) -> bool:
     return value
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    for key, default in DEFAULTS.items():
-        if key in ("seed", "phase"):
-            continue
-        kind = type(default)
+def _add_settings(p: argparse.ArgumentParser, command: str) -> None:
+    """--config, and one flag per setting `command` reads."""
+    p.add_argument("--config", default=None, help="JSON config file")
+    for key in SETTINGS[command]:
+        kind = type(DEFAULTS[key])
         p.add_argument("--" + key.replace("_", "-"), default=None,
                        type=_bool_flag if kind is bool else kind,
                        metavar="BOOL" if kind is bool else None)
@@ -360,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="corpus -> candidate instances")
     p.add_argument("--corpus", help="corpus JSONL file")
-    p.add_argument("--phase", choices=("train", "test"), default=None)
-    _add_common(p, seed=False)
+    p.add_argument("--out", default=None, help="output instance file")
+    _add_settings(p, "preprocess")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train-kb", help="triples -> KB embedding store")
@@ -369,29 +364,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word-embeddings", default=None)
     p.add_argument("--mention-lexicon", default=None,
                    help="JSON {entity_id: [mention words]}")
-    _add_common(p)
-    _add_config_flags(p)
+    p.add_argument("--out", default=None, help="output KB directory")
+    _add_settings(p, "train-kb")
     p.set_defaults(func=cmd_train_kb)
 
     p = sub.add_parser("train", help="instances -> model checkpoint")
     p.add_argument("--instances", help="labeled instance JSONL file")
     p.add_argument("--kb-dir", default=None)
     p.add_argument("--word-embeddings", default=None)
-    _add_common(p)
-    _add_config_flags(p)
+    p.add_argument("--out", default=None, help="output checkpoint")
+    _add_settings(p, "train")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="instances + checkpoint -> predictions")
     p.add_argument("--instances", help="instance JSONL file")
     p.add_argument("--checkpoint", help="model checkpoint")
     p.add_argument("--kb-dir", default=None)
-    _add_common(p, seed=False, config=False)
+    p.add_argument("--out", default=None, help="output predictions TSV file")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="predictions vs corpus gold -> P/R/F")
     p.add_argument("--predictions", help="predictions TSV file")
     p.add_argument("--corpus", help="corpus JSONL file with gold pairs")
-    _add_common(p, seed=False, config=False)
+    p.add_argument("--out", default=None, help="also write the report here")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="train and score model variants")
@@ -401,12 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb-dir", default=None)
     p.add_argument("--word-embeddings", default=None)
     p.add_argument("--axis", choices=sorted(_ABLATION_AXES), default="selector")
-    _add_common(p)
-    _add_config_flags(p)
+    p.add_argument("--out", default=None, help="also write the table here")
+    _add_settings(p, "ablate")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suites")
-    _add_common(p, out=False)
+    _add_settings(p, "gradcheck")
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

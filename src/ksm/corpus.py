@@ -45,6 +45,7 @@ LABEL_POSITIVE = "positive"
 LABEL_NEGATIVE = "negative"
 LABEL_UNLABELED = "unlabeled"
 _LABELS = (LABEL_POSITIVE, LABEL_NEGATIVE, LABEL_UNLABELED)
+PHASES = ("train", "test")  # labeled from the gold pairs; unlabeled
 
 GENE_MASK_TOKEN = "gene0"
 NUMBER_TOKEN = "NUMBER"
@@ -301,11 +302,15 @@ def build_context_window(
         tokens=tokens, pos1=pos1, pos2=pos2)
 
 
+def check_phase(phase: str) -> None:
+    if phase not in PHASES:
+        raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
+
+
 def assign_labels(instances: list[CandidateInstance],
                   gold: set[tuple[str, str]], phase: str) -> list[CandidateInstance]:
     """Train phase: positive iff the pair is gold. Test phase: unlabeled."""
-    if phase not in ("train", "test"):
-        raise ValueError(f"phase must be 'train' or 'test', got {phase!r}")
+    check_phase(phase)
     gold_sorted = {sorted_pair(*p) for p in gold}
     for inst in instances:
         if phase == "test":

@@ -1,5 +1,6 @@
 """Command-line interface: every subcommand, config precedence, errors."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,13 +8,26 @@ import numpy as np
 import pytest
 
 from ksm import kb
-from ksm.cli import DEFAULTS, main, resolve_config
+from ksm.cli import DEFAULTS, SETTINGS, main, resolve_config
 from ksm.corpus import read_instances, write_instances
 from ksm.kb import read_embeddings, write_embeddings
-from ksm.model import KSMModel, WordTable
+from ksm.model import KSMModel, ModelConfig, WordTable
 from ksm.synthetic import separable_task, toy_knowledge_graph
+from ksm.train import TrainConfig
 
 DATA = Path(__file__).parent / "data"
+
+# the settings each command reads; the model and training settings are the
+# fields of the two config dataclasses
+_FIT_KEYS = {f.name for f in dataclasses.fields(ModelConfig)
+             + dataclasses.fields(TrainConfig)}
+_READS = {
+    "preprocess": {"phase"},
+    "train-kb": {"seed", "d", "kb_margin", "kb_epochs", "kb_lr"},
+    "train": _FIT_KEYS,
+    "ablate": _FIT_KEYS,
+    "gradcheck": {"seed"},
+}
 
 
 def _write_triples(path):
@@ -316,8 +330,14 @@ def test_train_leaves_a_word_file_that_is_its_own_output_alone(tmp_path):
 # ablate / gradcheck
 
 
-def test_ablate_emits_the_six_row_selector_grid(tmp_path, capsys):
+def test_ablate_emits_the_six_row_selector_grid(tmp_path, capsys,
+                                                monkeypatch):
     inst_path, words_path, kb_dir = _small_training_setup(tmp_path, n=8)
+    loads, load_store, load_words = [], kb.load_store, WordTable.load
+    monkeypatch.setattr(kb, "load_store",
+                        lambda path: loads.append(path) or load_store(path))
+    monkeypatch.setattr(WordTable, "load",
+                        lambda path: loads.append(path) or load_words(path))
     rc = main(["ablate", "--instances", str(inst_path),
                "--eval-instances", str(inst_path),
                "--corpus", str(DATA / "toy_corpus.jsonl"),
@@ -332,6 +352,8 @@ def test_ablate_emits_the_six_row_selector_grid(tmp_path, capsys):
     names = [r.split()[0] for r in rows]
     assert names == ["hadamard/relu", "hadamard/sigmoid", "hadamard/tanh",
                      "sum/relu", "sum/sigmoid", "sum/tanh"]
+    # the six variants share one read of each input
+    assert sorted(map(str, loads)) == sorted([str(kb_dir), str(words_path)])
 
 
 def test_gradcheck_passes_and_prints_max_error(capsys, monkeypatch,
@@ -377,6 +399,7 @@ def test_config_precedence_flag_over_file_over_default(tmp_path):
     cfg_file.write_text(json.dumps({"d": 32, "lr": 0.5}))
 
     class Args:
+        command = "train"
         config = str(cfg_file)
         d = 64          # flag wins over file
         seed = None
@@ -538,36 +561,33 @@ def _flags(subcommand):
 
 
 def test_config_flags_follow_the_config_dataclasses():
-    # the flag set before the defaults were derived from ModelConfig and
-    # TrainConfig, minus --d-head (d_head is now d // n_heads),
-    # --relation-pool (relations are always mean-pooled) and
-    # --position-encoding/--max-distance (positions are always sinusoidal),
-    # --d-kb (the KB width is d) and --gate-uses-relation (the gate always
-    # reads the relation)
-    config_flags = {
-        "--batch-size", "--d", "--dropout-rate",
-        "--holdout-fraction", "--kb-epochs",
-        "--kb-lr", "--kb-margin", "--lr", "--max-epochs",
-        "--n-blocks", "--n-heads", "--patience", "--pooling",
-        "--selector-activation",
-        "--selector-op", "--selector-target", "--shared-encoder"}
-    common = {"--config", "--out", "--seed"}
+    # train and ablate take one flag per field of ModelConfig and
+    # TrainConfig; train-kb only the seed, the width and the TransE
+    # settings; preprocessing draws nothing at random, and gradcheck only
+    # prints
+    fit_flags = {
+        "--batch-size", "--d", "--dropout-rate", "--holdout-fraction",
+        "--lr", "--max-epochs", "--n-blocks", "--n-heads", "--patience",
+        "--pooling", "--seed", "--selector-activation", "--selector-op",
+        "--selector-target", "--shared-encoder"}
+    assert fit_flags == {"--" + k.replace("_", "-") for k in _FIT_KEYS}
     want = {
-        # preprocessing draws nothing at random, and gradcheck only prints
         "preprocess": {"--config", "--out", "--corpus", "--phase"},
-        "train-kb": common | config_flags | {"--triples", "--word-embeddings",
-                                             "--mention-lexicon"},
-        "train": common | config_flags | {"--instances", "--kb-dir",
-                                          "--word-embeddings"},
+        "train-kb": {"--config", "--out", "--seed", "--d", "--kb-margin",
+                     "--kb-epochs", "--kb-lr", "--triples",
+                     "--word-embeddings", "--mention-lexicon"},
+        "train": {"--config", "--out"} | fit_flags | {
+            "--instances", "--kb-dir", "--word-embeddings"},
         "predict": {"--out", "--instances", "--checkpoint", "--kb-dir"},
         "evaluate": {"--out", "--predictions", "--corpus"},
-        "ablate": common | config_flags | {"--axis", "--instances",
-                                           "--eval-instances", "--corpus",
-                                           "--kb-dir", "--word-embeddings"},
+        "ablate": {"--config", "--out"} | fit_flags | {
+            "--axis", "--instances", "--eval-instances", "--corpus",
+            "--kb-dir", "--word-embeddings"},
         "gradcheck": {"--config", "--seed"},
     }
     for subcommand, flags in want.items():
         assert _flags(subcommand) == flags, subcommand
+    assert {c: set(keys) for c, keys in SETTINGS.items()} == _READS
 
 
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
@@ -595,6 +615,72 @@ def test_flags_a_command_never_reads_exit_2(capsys, argv):
     assert e.value.code == 2
     assert (f"unrecognized arguments: {argv[1]}"
             in capsys.readouterr().err)
+
+
+# train-kb, train and ablate used to take a flag for every key but phase,
+# and every command with --config every key
+_DROPPED_FLAGS = [(c, k) for c in ("train-kb", "train", "ablate")
+                  for k in sorted(set(DEFAULTS) - {"phase"} - _READS[c])]
+_DROPPED_KEYS = [(c, k) for c in _READS
+                 for k in sorted(set(DEFAULTS) - _READS[c])]
+
+
+@pytest.mark.parametrize("command, key", _DROPPED_FLAGS)
+def test_a_flag_for_a_setting_the_command_does_not_read_exits_2(
+        tmp_path, capsys, command, key):
+    flag, out = "--" + key.replace("_", "-"), tmp_path / "out"
+    with pytest.raises(SystemExit) as e:
+        main([command, "--out", str(out), flag, str(DEFAULTS[key]).lower()])
+    assert e.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", _DROPPED_KEYS)
+def test_a_config_key_the_command_does_not_read_exits_2(
+        tmp_path, capsys, monkeypatch, command, key):
+    monkeypatch.setattr("ksm.cli.run_report",
+                        lambda seed: pytest.fail("gradcheck ran"))
+    cfg_file, out = tmp_path / "run.json", tmp_path / "out"
+    cfg_file.write_text(json.dumps({key: DEFAULTS[key]}))
+    outputs = [] if command == "gradcheck" else ["--out", str(out)]
+    rc = main([command, "--config", str(cfg_file), *outputs])
+    assert rc == 2
+    assert (f"error: {cfg_file}: unknown config keys: ['{key}']; {command} "
+            f"reads {sorted(_READS[command])}" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--config", "--mention-lexicon"])
+def test_a_json_file_that_is_not_utf8_exits_2(tmp_path, capsys, flag):
+    triples = tmp_path / "triples.tsv"
+    _write_triples(triples)
+    bad, out = tmp_path / "bad.json", tmp_path / "kb"
+    bad.write_bytes(b'{\n  "\xc6": 1}\n')
+    rc = main(["train-kb", "--triples", str(triples), flag, str(bad),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}:2: not UTF-8 text\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("slot", ["flag", "file"])
+def test_phase_is_checked_before_the_corpus_in_either_slot(tmp_path, capsys,
+                                                           slot):
+    # an empty corpus would otherwise leave an empty instance file behind
+    corpus, out = tmp_path / "empty.jsonl", tmp_path / "out.jsonl"
+    corpus.write_text("")
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"phase": "dev"}))
+    setting = {"flag": ["--phase", "dev"],
+               "file": ["--config", str(cfg_file)]}[slot]
+    rc = main(["preprocess", "--corpus", str(corpus), "--out", str(out),
+               *setting])
+    assert rc == 2
+    assert ("error: phase must be one of ('train', 'test'), got 'dev'"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_d_head_config_key_rejected(tmp_path, capsys):
@@ -662,7 +748,7 @@ def test_config_file_value_of_another_type_exits_2(tmp_path, capsys, key,
                                                    value, want):
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps({key: value}))
-    rc = main(["preprocess", "--config", str(cfg_file)])
+    rc = main(["train", "--config", str(cfg_file)])
     assert rc == 2
     assert (f"error: {cfg_file}: {key} must be of type {want}, got "
             f"{json.dumps(value)}" in capsys.readouterr().err)
@@ -673,6 +759,7 @@ def test_config_file_float_key_takes_an_int(tmp_path):
     cfg_file.write_text(json.dumps({"lr": 1, "shared_encoder": True}))
 
     class Args:
+        command = "train"
         config = str(cfg_file)
 
     cfg = resolve_config(Args())
@@ -813,16 +900,18 @@ def test_defaults_are_the_library_defaults():
 
 
 def test_readme_config_table_lists_exactly_the_defaults():
-    # a key added, dropped or given another default must reach the README
+    # a key added, dropped, given another default or read by another
+    # command must reach the README
     readme = (Path(__file__).parent.parent / "README.md").read_text(
         encoding="utf-8")
-    table = readme.split("Configuration keys and defaults", 1)[1]
-    rows = table.split("\n\n")[1].splitlines()[2:]   # below the header
+    table = readme.split("| key | default | read by |\n", 1)[1]
+    rows = table.split("\n\n")[0].splitlines()[1:]   # below the rule
     listed = []
-    for row in rows:      # | key | default | | key | default |
-        cells = [c.strip() for c in row.strip("|").split("|")]
-        listed += [(key.strip("`"), value)
-                   for key, value in (cells[:2], cells[3:]) if key]
+    for row in rows:      # | key | default | `command`, `command` |
+        key, value, commands = (c.strip() for c in row.strip("|").split("|"))
+        listed.append((key.strip("`"), value,
+                       sorted(c.strip(" `") for c in commands.split(","))))
     assert sorted(listed) == sorted(
-        (key, str(value).lower() if type(value) is bool else str(value))
+        (key, str(value).lower() if type(value) is bool else str(value),
+         sorted(c for c, keys in SETTINGS.items() if key in keys))
         for key, value in DEFAULTS.items())
