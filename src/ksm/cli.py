@@ -3,9 +3,10 @@
 Subcommands: preprocess, train-kb, train, predict, evaluate, ablate,
 gradcheck. Each takes the settings it reads (`SETTINGS`; `predict` and
 `evaluate` read none) and no other, as flags and as `--config` JSON keys,
-resolved as flag > config file > default (`DEFAULTS`). Every run is
-reproducible: the seed is explicit, and no subcommand mutates its inputs.
-Logs are JSON lines with a schema version.
+resolved as flag > config file > default (`DEFAULTS`). A missing input
+flag, a bad input and a path that cannot be read or written each exit 2
+with one line naming it. Runs are reproducible (explicit seed, inputs
+never mutated); logs are JSON lines with a schema version.
 """
 
 from __future__ import annotations
@@ -61,11 +62,20 @@ class CliError(Exception):
     pass
 
 
-def _read_json(path: Path, what: str):
-    """The JSON in a file; CliError at the file (and line) if it is not."""
+def _read_json(path, what: str):
+    """The JSON in a file; CliError at the file (and line) if it is not, or
+    if an object repeats a key."""
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise CliError(f"{path}: repeated key {key!r} in {what}")
+            obj[key] = value
+        return obj
+
     text = "".join(line for _, line in kb_mod.text_lines(path, CliError))
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as e:
         raise CliError(f"{path}:{e.lineno}: invalid JSON in {what}") from e
     except RecursionError as e:
@@ -78,8 +88,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     int also fits a float key, a bool only a bool."""
     keys = SETTINGS[args.command]
     cfg = {key: DEFAULTS[key] for key in keys}
-    if args.config:
-        path = _check_exists(args.config, "config file")
+    if path := args.config:
         file_cfg = _read_json(path, "config file")
         if not isinstance(file_cfg, dict):
             raise CliError(f"{path}: config file must hold a JSON object")
@@ -100,19 +109,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise CliError(f"missing required input: --{name.replace('_', '-')}")
-
-
-def _check_exists(path, what: str) -> Path:
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"{what} not found: {p}")
-    return p
-
-
 def _write_log(path, records: list[dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for rec in records:
@@ -122,8 +118,7 @@ def _write_log(path, records: list[dict]) -> None:
 
 def _load_word_table(args, instances, d: int, seed: int) -> WordTable:
     if args.word_embeddings:
-        return WordTable.load(_check_exists(args.word_embeddings,
-                                            "word embeddings file"))
+        return WordTable.load(args.word_embeddings)
     logger.info("no --word-embeddings given; using random vectors "
                 "(seed %d)", seed)
     vocab = sorted({t for inst in instances for t in inst.tokens})
@@ -137,7 +132,7 @@ def _load_store(args, d: int) -> kb_mod.KnowledgeStore:
                        "null relation")
         return kb_mod.KnowledgeStore(entity_table={}, relation_table={},
                                      d_kb=d)
-    store = kb_mod.load_store(_check_exists(args.kb_dir, "KB directory"))
+    store = kb_mod.load_store(args.kb_dir)
     if store.d_kb != d:
         raise CliError(f"{args.kb_dir}: KB store width {store.d_kb} does not "
                        f"match the model width d {d}")
@@ -151,8 +146,7 @@ def _load_store(args, d: int) -> kb_mod.KnowledgeStore:
 def cmd_preprocess(args) -> int:
     cfg = resolve_config(args)
     corpus_mod.check_phase(cfg["phase"])
-    _require(args, "corpus", "out")
-    docs = corpus_mod.read_corpus(_check_exists(args.corpus, "corpus file"))
+    docs = corpus_mod.read_corpus(args.corpus)
     instances = []
     for doc in docs:
         instances.extend(corpus_mod.preprocess_document(doc, cfg["phase"]))
@@ -164,21 +158,17 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train_kb(args) -> int:
     cfg = resolve_config(args)
-    _require(args, "triples", "out")
-    triples = kb_mod.read_triples(_check_exists(args.triples, "triples file"))
-    word_table = None
-    if args.word_embeddings:
-        word_table = kb_mod.read_embeddings(
-            _check_exists(args.word_embeddings, "word embeddings file"))
+    triples = kb_mod.read_triples(args.triples)
+    word_table = (kb_mod.read_embeddings(args.word_embeddings)
+                  if args.word_embeddings else None)
     lexicon = None
     if args.mention_lexicon:
-        path = _check_exists(args.mention_lexicon, "mention lexicon")
-        lexicon = _read_json(path, "mention lexicon")
+        lexicon = _read_json(args.mention_lexicon, "mention lexicon")
         if not (isinstance(lexicon, dict) and all(
                 isinstance(words, list) and all(type(w) is str for w in words)
                 for words in lexicon.values())):
-            raise CliError(f"{path}: mention lexicon must hold a JSON object "
-                           f"of string lists")
+            raise CliError(f"{args.mention_lexicon}: mention lexicon must "
+                           f"hold a JSON object of string lists")
     store = kb_mod.init_embeddings(triples, word_table, lexicon,
                                    d_kb=cfg["d"], seed=cfg["seed"])
     losses = kb_mod.transe_train(triples, store, margin=cfg["kb_margin"],
@@ -195,9 +185,8 @@ def cmd_train_kb(args) -> int:
 
 
 def _configs(args) -> tuple[ModelConfig, TrainConfig]:
-    """The model and training configs `args` resolve to. Callers build them
-    before reading any input, so an invalid value is reported before a file
-    is read (and before a read leaves an embedding sidecar behind)."""
+    """The model and training configs `args` resolve to, built before any
+    input is read: a bad value is reported before a sidecar is left behind."""
     cfg = resolve_config(args)
     return (ModelConfig(**{k: cfg[k] for k in _MODEL_KEYS}),
             TrainConfig(**{k: cfg[k] for k in _TRAIN_KEYS}))
@@ -205,9 +194,7 @@ def _configs(args) -> tuple[ModelConfig, TrainConfig]:
 
 def cmd_train(args) -> int:
     model_config, train_config = _configs(args)
-    _require(args, "instances", "out")
-    instances = corpus_mod.read_instances(
-        _check_exists(args.instances, "instance file"))
+    instances = corpus_mod.read_instances(args.instances)
     store = _load_store(args, model_config.d)
     word_table = _load_word_table(args, instances, model_config.d,
                                   train_config.seed)
@@ -228,10 +215,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _require(args, "instances", "checkpoint", "out")
-    instances = corpus_mod.read_instances(
-        _check_exists(args.instances, "instance file"))
-    model = KSMModel.load(_check_exists(args.checkpoint, "checkpoint"))
+    instances = corpus_mod.read_instances(args.instances)
+    model = KSMModel.load(args.checkpoint)
     store = _load_store(args, model.config.d)
     preds = train_mod.predict_instances(model, instances, store)
     prediction_set = train_mod.aggregate_predictions(preds)
@@ -243,11 +228,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _require(args, "predictions", "corpus")
-    predictions = train_mod.read_predictions(
-        _check_exists(args.predictions, "predictions file"))
-    docs = corpus_mod.read_corpus(_check_exists(args.corpus, "corpus file"))
-    gold = train_mod.gold_pairs(docs)
+    predictions = train_mod.read_predictions(args.predictions)
+    gold = train_mod.gold_pairs(corpus_mod.read_corpus(args.corpus))
     counts = train_mod.prf_counts(predictions, gold)
     report = train_mod.format_report(train_mod.prf_from_counts(*counts),
                                      counts)
@@ -282,15 +264,11 @@ _ABLATION_AXES = {
 
 def cmd_ablate(args) -> int:
     model_config, train_config = _configs(args)
-    _require(args, "instances", "eval_instances", "corpus")
     variants = [(name, dataclasses.replace(model_config, **overrides))
                 for name, overrides in _ABLATION_AXES[args.axis]]
-    train_instances = corpus_mod.read_instances(
-        _check_exists(args.instances, "instance file"))
-    eval_instances = corpus_mod.read_instances(
-        _check_exists(args.eval_instances, "eval instance file"))
-    docs = corpus_mod.read_corpus(_check_exists(args.corpus, "corpus file"))
-    gold = train_mod.gold_pairs(docs)
+    train_instances = corpus_mod.read_instances(args.instances)
+    eval_instances = corpus_mod.read_instances(args.eval_instances)
+    gold = train_mod.gold_pairs(corpus_mod.read_corpus(args.corpus))
     # no axis varies d or the seed: every variant fits on the same inputs
     store = _load_store(args, model_config.d)
     word_table = _load_word_table(args, train_instances, model_config.d,
@@ -354,45 +332,51 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("preprocess", help="corpus -> candidate instances")
-    p.add_argument("--corpus", help="corpus JSONL file")
-    p.add_argument("--out", default=None, help="output instance file")
+    p.add_argument("--corpus", required=True, help="corpus JSONL file")
+    p.add_argument("--out", required=True, help="output instance file")
     _add_settings(p, "preprocess")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train-kb", help="triples -> KB embedding store")
-    p.add_argument("--triples", help="head<TAB>relation<TAB>tail file")
+    p.add_argument("--triples", required=True,
+                   help="head<TAB>relation<TAB>tail file")
     p.add_argument("--word-embeddings", default=None)
     p.add_argument("--mention-lexicon", default=None,
                    help="JSON {entity_id: [mention words]}")
-    p.add_argument("--out", default=None, help="output KB directory")
+    p.add_argument("--out", required=True, help="output KB directory")
     _add_settings(p, "train-kb")
     p.set_defaults(func=cmd_train_kb)
 
     p = sub.add_parser("train", help="instances -> model checkpoint")
-    p.add_argument("--instances", help="labeled instance JSONL file")
+    p.add_argument("--instances", required=True,
+                   help="labeled instance JSONL file")
     p.add_argument("--kb-dir", default=None)
     p.add_argument("--word-embeddings", default=None)
-    p.add_argument("--out", default=None, help="output checkpoint")
+    p.add_argument("--out", required=True, help="output checkpoint")
     _add_settings(p, "train")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="instances + checkpoint -> predictions")
-    p.add_argument("--instances", help="instance JSONL file")
-    p.add_argument("--checkpoint", help="model checkpoint")
+    p.add_argument("--instances", required=True, help="instance JSONL file")
+    p.add_argument("--checkpoint", required=True, help="model checkpoint")
     p.add_argument("--kb-dir", default=None)
-    p.add_argument("--out", default=None, help="output predictions TSV file")
+    p.add_argument("--out", required=True, help="output predictions TSV file")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="predictions vs corpus gold -> P/R/F")
-    p.add_argument("--predictions", help="predictions TSV file")
-    p.add_argument("--corpus", help="corpus JSONL file with gold pairs")
+    p.add_argument("--predictions", required=True, help="predictions TSV file")
+    p.add_argument("--corpus", required=True,
+                   help="corpus JSONL file with gold pairs")
     p.add_argument("--out", default=None, help="also write the report here")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="train and score model variants")
-    p.add_argument("--instances", help="labeled training instances")
-    p.add_argument("--eval-instances", help="evaluation instances")
-    p.add_argument("--corpus", help="corpus JSONL with gold pairs")
+    p.add_argument("--instances", required=True,
+                   help="labeled training instances")
+    p.add_argument("--eval-instances", required=True,
+                   help="evaluation instances")
+    p.add_argument("--corpus", required=True,
+                   help="corpus JSONL with gold pairs")
     p.add_argument("--kb-dir", default=None)
     p.add_argument("--word-embeddings", default=None)
     p.add_argument("--axis", choices=sorted(_ABLATION_AXES), default="selector")
@@ -410,17 +394,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, CorpusError, KBError, ConfigError, CheckpointError,
             ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        message = str(e)
     except FileNotFoundError as e:
-        print(f"error: file not found: {e.filename}", file=sys.stderr)
-        return 2
+        message = f"file not found: {e.filename}"
+    except OSError as e:  # a failed write may name no file
+        message = f"{e.filename}: {e.strerror}" if e.filename else str(e)
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

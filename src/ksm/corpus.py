@@ -150,8 +150,6 @@ def validate_document(doc: Document) -> list[str]:
             if eid not in mentioned:
                 warnings.append(
                     f"{doc.doc_id}: gold relation entity {eid!r} has no mention")
-    for w in warnings:
-        logger.warning(w)
     return warnings
 
 
@@ -395,7 +393,8 @@ def read_corpus(path) -> list[Document]:
     docs = [document_from_json(line, where)
             for where, line in _nonblank_lines(path)]
     for doc in docs:
-        validate_document(doc)
+        for warning in validate_document(doc):
+            logger.warning(warning)
     return docs
 
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import logging
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 
 from ksm import kb
 from ksm.cli import DEFAULTS, SETTINGS, main, resolve_config
-from ksm.corpus import read_instances, write_instances
+from ksm.corpus import (Document, Mention, read_instances, write_corpus,
+                        write_instances)
 from ksm.kb import read_embeddings, write_embeddings
 from ksm.model import KSMModel, ModelConfig, WordTable
 from ksm.synthetic import separable_task, toy_knowledge_graph
@@ -28,6 +31,26 @@ _READS = {
     "ablate": _FIT_KEYS,
     "gradcheck": {"seed"},
 }
+
+
+# the inputs each command requires
+_REQUIRED = {
+    "preprocess": ("--corpus", "--out"),
+    "train-kb": ("--triples", "--out"),
+    "train": ("--instances", "--out"),
+    "predict": ("--instances", "--checkpoint", "--out"),
+    "evaluate": ("--predictions", "--corpus"),
+    "ablate": ("--instances", "--eval-instances", "--corpus"),
+    "gradcheck": (),
+}
+
+
+def _required(command, tmp_path):
+    """argv giving `command` its required inputs, each a path under
+    `tmp_path` named after its flag (`--out` is tmp_path/out) that does not
+    exist, for tests whose error comes before any input is read."""
+    return [arg for flag in _REQUIRED[command]
+            for arg in (flag, str(tmp_path / flag[2:]))]
 
 
 def _write_triples(path):
@@ -77,6 +100,21 @@ def test_preprocess_is_rerunnable_and_does_not_mutate_inputs(tmp_path):
           "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
     assert corpus.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["preprocess", "evaluate"])
+def test_each_corpus_warning_is_logged_once(tmp_path, caplog, command):
+    corpus, pred = tmp_path / "corpus.jsonl", tmp_path / "pred.tsv"
+    write_corpus(corpus, [Document(
+        "d1", [["X", "binds", "Y"]],
+        [Mention("X", 0, (0, 1)), Mention("Y", 0, (2, 3))], {("X", "Z")})])
+    pred.write_text("")
+    argv = {"preprocess": ["--corpus", corpus, "--out", tmp_path / "out"],
+            "evaluate": ["--predictions", pred, "--corpus", corpus]}[command]
+    assert main([command, *map(str, argv)]) == 0
+    assert [r.getMessage() for r in caplog.records
+            if r.levelno == logging.WARNING] == [
+        "d1: gold relation entity 'Z' has no mention"]
 
 
 def test_evaluate_perfect_predictions_reports_100(tmp_path, capsys):
@@ -332,7 +370,14 @@ def test_train_leaves_a_word_file_that_is_its_own_output_alone(tmp_path):
 
 def test_ablate_emits_the_six_row_selector_grid(tmp_path, capsys,
                                                 monkeypatch):
-    inst_path, words_path, kb_dir = _small_training_setup(tmp_path, n=8)
+    inst_path, words_path, kb_dir = _small_training_setup(tmp_path, n=12)
+    # gold: each instance's pair, in a document of its own id, if positive
+    gold = tmp_path / "gold.jsonl"
+    write_corpus(gold, [Document(
+        inst.doc_id, [list(inst.pair)],
+        [Mention(inst.pair[0], 0, (0, 1)), Mention(inst.pair[1], 0, (1, 2))],
+        {inst.pair} if inst.label == "positive" else set())
+        for inst in read_instances(inst_path)])
     loads, load_store, load_words = [], kb.load_store, WordTable.load
     monkeypatch.setattr(kb, "load_store",
                         lambda path: loads.append(path) or load_store(path))
@@ -340,18 +385,30 @@ def test_ablate_emits_the_six_row_selector_grid(tmp_path, capsys,
                         lambda path: loads.append(path) or load_words(path))
     rc = main(["ablate", "--instances", str(inst_path),
                "--eval-instances", str(inst_path),
-               "--corpus", str(DATA / "toy_corpus.jsonl"),
+               "--corpus", str(gold),
                "--word-embeddings", str(words_path),
                "--kb-dir", str(kb_dir), "--seed", "0",
-               "--max-epochs", "1"] + FAST_TRAIN)
+               "--max-epochs", "1", "--lr", "1.0"] + FAST_TRAIN)
     assert rc == 0
-    lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
+    out = capsys.readouterr().out
+    lines = [l for l in out.splitlines() if l.strip()]
     assert lines[0].split() == ["variant", "P%", "R%", "F%"]
     rows = lines[1:]
     assert len(rows) == 6
     names = [r.split()[0] for r in rows]
     assert names == ["hadamard/relu", "hadamard/sigmoid", "hadamard/tanh",
                      "sum/relu", "sum/sigmoid", "sum/tanh"]
+    # the scores of this seeded run; the variants score apart, so a change
+    # in what any of them computes shows
+    assert out == """\
+variant                   P%      R%      F%
+hadamard/relu          50.00  100.00   66.67
+hadamard/sigmoid       60.00  100.00   75.00
+hadamard/tanh          50.00  100.00   66.67
+sum/relu               50.00  100.00   66.67
+sum/sigmoid            75.00  100.00   85.71
+sum/tanh               54.55  100.00   70.59
+"""
     # the six variants share one read of each input
     assert sorted(map(str, loads)) == sorted([str(kb_dir), str(words_path)])
 
@@ -428,10 +485,90 @@ def test_missing_input_file_exits_nonzero_with_one_line(tmp_path, capsys):
     assert "not found" in err
 
 
-def test_missing_required_flag_reports_which(tmp_path, capsys):
-    rc = main(["preprocess", "--out", str(tmp_path / "x")])
+def _valid_inputs(tmp_path):
+    """A readable file for each input flag, and tmp_path/out for --out."""
+    inst_path, _, _ = _small_training_setup(tmp_path)
+    triples, pred = tmp_path / "triples.tsv", tmp_path / "pred.tsv"
+    _write_triples(triples)
+    pred.write_text("D1\tG1\tG2\n")
+    return {"--corpus": DATA / "toy_corpus.jsonl", "--triples": triples,
+            "--instances": inst_path, "--eval-instances": inst_path,
+            "--checkpoint": DATA / "toy_model_v5.ckpt",
+            "--predictions": pred, "--out": tmp_path / "out"}
+
+
+# every flag that names a file a command reads
+_FILE_INPUTS = [(command, flag) for command, flags in [
+    ("preprocess", ("--corpus", "--config")),
+    ("train-kb", ("--triples", "--word-embeddings", "--mention-lexicon",
+                  "--config")),
+    ("train", ("--instances", "--word-embeddings", "--config")),
+    ("predict", ("--instances", "--checkpoint")),
+    ("evaluate", ("--predictions", "--corpus")),
+    ("ablate", ("--instances", "--eval-instances", "--corpus",
+                "--word-embeddings", "--config")),
+    ("gradcheck", ("--config",)),
+] for flag in flags]
+
+
+@pytest.mark.parametrize("command, flag", _FILE_INPUTS)
+def test_a_directory_as_an_input_file_exits_2_naming_it(tmp_path, capsys,
+                                                        command, flag):
+    valid = _valid_inputs(tmp_path)
+    given = {f: str(valid[f]) for f in _REQUIRED[command]}
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    given[flag] = str(directory)
+    rc = main([command, *(arg for item in given.items() for arg in item)])
     assert rc == 2
-    assert "--corpus" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {directory}: Is a directory\n"
+    assert not valid["--out"].exists()
+
+
+@pytest.mark.parametrize("command", ["preprocess", "predict", "evaluate"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_an_out_path_that_cannot_be_written_exits_2_naming_it(
+        tmp_path, capsys, command, where):
+    out = {"missing-directory": tmp_path / "absent" / "out",
+           "directory": tmp_path / "out"}[where]
+    if where == "directory":
+        out.mkdir()
+    valid = _valid_inputs(tmp_path)
+    given = {f: str(valid[f]) for f in _REQUIRED[command]}
+    given["--out"] = str(out)
+    rc = main([command, *(arg for item in given.items() for arg in item)])
+    assert rc == 2
+    assert capsys.readouterr().err == {
+        "missing-directory": f"error: file not found: {out}\n",
+        "directory": f"error: {out}: Is a directory\n"}[where]
+
+
+def test_missing_required_flag_reports_which(tmp_path, capsys, monkeypatch):
+    # argparse rejects the argv before a setting is resolved
+    monkeypatch.setattr("ksm.cli.resolve_config",
+                        lambda args: pytest.fail("config resolved"))
+    for command, flags in _REQUIRED.items():
+        for flag in flags:
+            argv = _required(command, tmp_path)
+            i = argv.index(flag)
+            with pytest.raises(SystemExit) as e:
+                main([command, *argv[:i], *argv[i + 2:]])
+            assert e.value.code == 2
+            err = capsys.readouterr().err
+            assert f"the following arguments are required: {flag}" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED))
+def test_help_shows_the_required_inputs_outside_brackets(capsys, command):
+    with pytest.raises(SystemExit) as e:
+        main([command, "--help"])
+    assert e.value.code == 0
+    usage = " ".join(capsys.readouterr().out.split("options:")[0].split())
+    for flag in _REQUIRED[command]:
+        assert f" {flag} " in usage and f"[{flag} " not in usage, flag
+    if command in ("evaluate", "ablate"):   # an optional report copy
+        assert "[--out OUT]" in usage
 
 
 def test_kb_dimension_mismatch_reports_cleanly(tmp_path, capsys):
@@ -600,7 +737,7 @@ def test_predict_and_evaluate_take_no_config_or_seed(tmp_path, capsys,
     cfg_file.write_text(json.dumps({"d": 16, "n_heads": 8}))
     value = {"--config": str(cfg_file), "--seed": "3"}[flag]
     with pytest.raises(SystemExit) as e:
-        main([command, "--out", str(tmp_path / "out"), flag, value])
+        main([command, *_required(command, tmp_path), flag, value])
     assert e.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
@@ -608,10 +745,10 @@ def test_predict_and_evaluate_take_no_config_or_seed(tmp_path, capsys,
 @pytest.mark.parametrize("argv", [["gradcheck", "--out", "r.txt"],
                                   ["preprocess", "--seed", "3"]],
                          ids=["gradcheck-out", "preprocess-seed"])
-def test_flags_a_command_never_reads_exit_2(capsys, argv):
+def test_flags_a_command_never_reads_exit_2(tmp_path, capsys, argv):
     # gradcheck only prints; preprocessing draws nothing at random
     with pytest.raises(SystemExit) as e:
-        main(argv)
+        main([argv[0], *_required(argv[0], tmp_path), *argv[1:]])
     assert e.value.code == 2
     assert (f"unrecognized arguments: {argv[1]}"
             in capsys.readouterr().err)
@@ -630,7 +767,8 @@ def test_a_flag_for_a_setting_the_command_does_not_read_exits_2(
         tmp_path, capsys, command, key):
     flag, out = "--" + key.replace("_", "-"), tmp_path / "out"
     with pytest.raises(SystemExit) as e:
-        main([command, "--out", str(out), flag, str(DEFAULTS[key]).lower()])
+        main([command, *_required(command, tmp_path), flag,
+              str(DEFAULTS[key]).lower()])
     assert e.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not out.exists()
@@ -643,8 +781,8 @@ def test_a_config_key_the_command_does_not_read_exits_2(
                         lambda seed: pytest.fail("gradcheck ran"))
     cfg_file, out = tmp_path / "run.json", tmp_path / "out"
     cfg_file.write_text(json.dumps({key: DEFAULTS[key]}))
-    outputs = [] if command == "gradcheck" else ["--out", str(out)]
-    rc = main([command, "--config", str(cfg_file), *outputs])
+    rc = main([command, "--config", str(cfg_file),
+               *_required(command, tmp_path)])
     assert rc == 2
     assert (f"error: {cfg_file}: unknown config keys: ['{key}']; {command} "
             f"reads {sorted(_READS[command])}" in capsys.readouterr().err)
@@ -662,6 +800,24 @@ def test_a_json_file_that_is_not_utf8_exits_2(tmp_path, capsys, flag):
     assert rc == 2
     err = capsys.readouterr().err
     assert err == f"error: {bad}:2: not UTF-8 text\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, text, key, what", [
+    ("--config", '{"seed": 1,\n "seed": 2}', "seed", "config file"),
+    ("--mention-lexicon", '{"e1": ["a"], "e1": ["b"]}', "e1",
+     "mention lexicon")], ids=["config", "mention-lexicon"])
+def test_a_json_file_that_repeats_a_key_exits_2(tmp_path, capsys, flag, text,
+                                                key, what):
+    triples = tmp_path / "triples.tsv"
+    _write_triples(triples)
+    path, out = tmp_path / "repeats.json", tmp_path / "kb"
+    path.write_text(text)
+    rc = main(["train-kb", "--triples", str(triples), "--d", "8", flag,
+               str(path), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: repeated key '{key}' in {what}\n")
     assert not out.exists()
 
 
@@ -748,7 +904,8 @@ def test_config_file_value_of_another_type_exits_2(tmp_path, capsys, key,
                                                    value, want):
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps({key: value}))
-    rc = main(["train", "--config", str(cfg_file)])
+    rc = main(["train", "--config", str(cfg_file),
+               *_required("train", tmp_path)])
     assert rc == 2
     assert (f"error: {cfg_file}: {key} must be of type {want}, got "
             f"{json.dumps(value)}" in capsys.readouterr().err)
@@ -769,9 +926,10 @@ def test_config_file_float_key_takes_an_int(tmp_path):
 @pytest.mark.parametrize("text, value", [
     ("true", True), ("YES", True), ("1", True),
     ("False", False), ("no", False), ("0", False)])
-def test_bool_flag_reads_its_six_words(text, value):
+def test_bool_flag_reads_its_six_words(tmp_path, text, value):
     from ksm.cli import build_parser
-    args = build_parser().parse_args(["train", "--shared-encoder", text])
+    args = build_parser().parse_args(["train", *_required("train", tmp_path),
+                                      "--shared-encoder", text])
     assert args.shared_encoder is value
 
 
@@ -897,6 +1055,21 @@ def test_defaults_are_the_library_defaults():
         "kb_lr": transe["lr"].default,
         "phase": "train",
     }
+
+
+def test_readme_usage_lines_parse():
+    # every `ksm ...` example of the README's command block is one the
+    # parser takes, required inputs included
+    from ksm.cli import build_parser
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```\n")[1]
+    commands = block.replace("\\\n", " ").splitlines()
+    assert [c.split()[:2] for c in commands] == [
+        ["ksm", c] for c in ("preprocess", "train-kb", "train", "predict",
+                             "evaluate", "ablate", "gradcheck")]
+    for command in commands:
+        build_parser().parse_args(shlex.split(command)[1:])
 
 
 def test_readme_config_table_lists_exactly_the_defaults():
