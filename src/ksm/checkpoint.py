@@ -8,10 +8,7 @@ newline (``json.dumps`` escapes every newline inside it), followed by each
 parameter's little-endian float64 bytes in row-major order (numpy
 ``"<f8"``, so a file is the same on any host), in the header's order, and
 then the (len(ids), width) word matrix in the same encoding. Every value
-round-trips bit-exactly.
-
-Version 4 is version 5 without ``words`` and its matrix; its word table is
-a separate file (see `KSMModel.load`). Versions 1 to 3 must be retrained.
+round-trips bit-exactly. Files of versions 1 to 4 must be retrained.
 
 A save goes to a temporary file in the target's directory, synced to
 disk, that replaces the target only once it is complete, so a failed
@@ -31,7 +28,6 @@ from .autodiff import DTYPE, ParameterStore
 from .kb import Embeddings
 
 FORMAT_VERSION = 5
-_READS = (4, FORMAT_VERSION)    # 4: no word table inside
 _WIRE = np.dtype("<f8")
 
 
@@ -64,10 +60,10 @@ def save_checkpoint(path, params: ParameterStore, words: Embeddings,
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict,
-                                   Embeddings | None]:
+                                   Embeddings]:
     """Return ({name: array}, config_dict, word table) with writable native
-    float64 arrays; a format 4 file has no word table (None). Any defect of
-    the file raises CheckpointError naming it."""
+    float64 arrays. Any defect of the file raises CheckpointError naming
+    it."""
     data = Path(path).read_bytes()
     end = data.find(b"\n")
     try:
@@ -77,34 +73,33 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict,
     except ValueError:
         header = None
     version = header.get("format_version") if isinstance(header, dict) else None
-    if version not in _READS or end < 0:
+    if version != FORMAT_VERSION:
         found = (f"unsupported format_version {version!r}"
                  if isinstance(header, dict) else "first line is no JSON object")
         raise CheckpointError(
-            f"{path}: {found} (reads formats 4 and {FORMAT_VERSION}: a JSON "
-            "header line, then values); retrain the model to write a "
-            "current file")
+            f"{path}: {found} (reads format {FORMAT_VERSION}: a JSON header "
+            "line, then values); retrain the model to write a current file")
+    if end < 0:
+        raise CheckpointError(f"{path}: no line end after the header line")
     params = header.get("params")
     if not isinstance(params, dict):
         raise CheckpointError(f"{path}: missing 'params' object")
     parts = [(f"parameter {name!r}", _shape(path, name, entry))
              for name, entry in params.items()]
     words = header.get("words")
-    if version == FORMAT_VERSION:
-        ids = words.get("ids") if isinstance(words, dict) else None
-        if not (isinstance(ids, list) and all(type(i) is str for i in ids)
-                and len(set(ids)) == len(ids)
-                and type(words.get("width")) is int and words["width"] >= 0):
-            raise CheckpointError(
-                f"{path}: malformed 'words'; expected unique string 'ids' "
-                "and a non-negative integer 'width'")
-        parts.append(("the word table", [len(ids), words["width"]]))
+    ids = words.get("ids") if isinstance(words, dict) else None
+    if not (isinstance(ids, list) and all(type(i) is str for i in ids)
+            and len(set(ids)) == len(ids)
+            and type(words.get("width")) is int and words["width"] >= 0):
+        raise CheckpointError(
+            f"{path}: malformed 'words'; expected unique string 'ids' "
+            "and a non-negative integer 'width'")
+    parts.append(("the word table", [len(ids), words["width"]]))
     arrays = _read_body(path, [shape for _, shape in parts], data, end + 1)
     for (what, _), values in zip(parts, arrays):
         if not np.all(np.isfinite(values)):
             raise CheckpointError(f"{path}: {what} holds non-finite values")
-    table = (Embeddings(words["ids"], arrays.pop())
-             if version == FORMAT_VERSION else None)
+    table = Embeddings(ids, arrays.pop())
     return dict(zip(params, arrays)), header.get("config", {}), table
 
 

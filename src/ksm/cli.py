@@ -185,8 +185,11 @@ def cmd_train_kb(args) -> int:
 
 
 def _configs(args) -> tuple[ModelConfig, TrainConfig]:
-    """The model and training configs `args` resolve to, built before any
-    input is read: a bad value is reported before a sidecar is left behind."""
+    """The configs `args` resolve to, built after `--out` is checked and
+    before any input is read: no sidecar is left and no epoch runs first."""
+    out = args.out and Path(args.out)  # ablate's is optional
+    if out and (out.is_dir() or not out.parent.is_dir()):
+        raise CliError(f"--out {out}: not a file in an existing directory")
     cfg = resolve_config(args)
     return (ModelConfig(**{k: cfg[k] for k in _MODEL_KEYS}),
             TrainConfig(**{k: cfg[k] for k in _TRAIN_KEYS}))

@@ -418,15 +418,9 @@ def resolve_pair_knowledge(store: KnowledgeStore, e_id1: str,
 # ---------------------------------------------------------------------------
 # file formats
 
-# the null relation's row in stores written before the model owned it;
-# `load_store` skips it, so no triple may use the label
-_NULL_LABEL = "__null__"
-
-
 def read_triples(path) -> list[Triple]:
     """Unique triples from a head<TAB>relation<TAB>tail file. KBError at
-    `file:line` for a line without three fields and for the reserved
-    relation label ``__null__``."""
+    `file:line` for a line without three fields."""
     seen = set()
     out = []
     for lineno, line in text_lines(path, KBError):
@@ -437,9 +431,6 @@ def read_triples(path) -> list[Triple]:
         if len(parts) != 3 or not all(p for p in parts):
             raise KBError(
                 f"{path}:{lineno}: expected head<TAB>relation<TAB>tail")
-        if parts[1] == _NULL_LABEL:
-            raise KBError(f"{path}:{lineno}: relation label "
-                          f"{_NULL_LABEL!r} is reserved")
         trip = Triple(*parts)
         if trip not in seen:
             seen.add(trip)
@@ -653,7 +644,7 @@ def load_store(directory) -> KnowledgeStore:
     KBError, naming the file (and the line of ``pairs.tsv``), for a width
     below 1, a ``relations.txt`` of another width, a ``pairs.tsv`` line with
     fewer than 3 fields, or a label missing from ``relations.txt``. Pair keys
-    are sorted. A ``__null__`` row in ``relations.txt`` (older stores) is skipped.
+    are sorted. Every ``relations.txt`` row is a relation (``__null__`` too).
     """
     d = Path(directory)
     entities = read_embeddings(d / "entities.txt")
@@ -664,11 +655,8 @@ def load_store(directory) -> KnowledgeStore:
     if relations.matrix.shape[1] != d_kb:
         raise KBError(f"{d / 'relations.txt'}: width "
                       f"{relations.matrix.shape[1]}, entities.txt has {d_kb}")
-    store = KnowledgeStore(
-        entity_table=entities,
-        relation_table={k: v for k, v in relations.items()
-                        if k != _NULL_LABEL},
-        d_kb=d_kb)
+    store = KnowledgeStore(entity_table=entities, relation_table=relations,
+                           d_kb=d_kb)
     pairs_path = d / "pairs.tsv"
     if pairs_path.exists():
         for lineno, line in text_lines(pairs_path, KBError):

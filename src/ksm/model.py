@@ -107,24 +107,13 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """The config of `d`. Older configs carry `position_encoding` and
-        `max_distance` (saved when a learned position table was selectable),
-        `d_kb` (saved when the KB width was a field) or `gate_uses_relation`
-        (saved when the gate could leave out the relation). They are
-        dropped; ConfigError unless the encoding is sinusoidal, `d_kb`
-        equals `d` and the gate used the relation."""
+        """The config of `d`. Configs saved while the gate could leave out
+        the relation carry `gate_uses_relation`; it is dropped, and
+        ConfigError unless it is true."""
         d = dict(d)
-        d.pop("max_distance", None)
-        encoding = d.pop("position_encoding", "sinusoidal")
-        if encoding != "sinusoidal":
-            raise ConfigError(f"position_encoding {encoding!r} is no longer "
-                              f"supported; retrain the model")
         if (gate := d.pop("gate_uses_relation", True)) is not True:
             raise ConfigError(f"gate_uses_relation {gate!r} is no longer "
                               f"supported; retrain the model")
-        width = d.get("d", cls.d)
-        if (d_kb := d.pop("d_kb", width)) != width:
-            raise ConfigError(f"d_kb ({d_kb}) must equal d ({width})")
         return cls(**d)
 
 
@@ -505,8 +494,7 @@ class KSMModel:
     @classmethod
     def load(cls, path, word_table: WordTable | None = None) -> "KSMModel":
         """The model saved at `path` with its word table; a `word_table`
-        passed must equal that one, or CheckpointError. A format 4 file has
-        none: `word_table` is used, else ``<path>.words.txt``."""
+        passed must equal that one, or CheckpointError."""
         from .checkpoint import CheckpointError, load_checkpoint
         values, config_dict, words = load_checkpoint(path)
         if not config_dict:
@@ -515,16 +503,12 @@ class KSMModel:
             config = ModelConfig.from_dict(config_dict)
         except (TypeError, ConfigError) as e:
             raise CheckpointError(f"{path}: invalid model config: {e}") from e
-        if words is not None:
-            if word_table is not None and not (
-                    word_table.vectors.ids == words.ids
-                    and np.array_equal(word_table.vectors.matrix,
-                                       words.matrix)):
-                raise CheckpointError(f"{path}: the word table passed is not "
-                                      f"the one saved with the model")
-            word_table = WordTable(words, words.matrix.shape[1])
-        elif word_table is None:
-            word_table = WordTable.load(f"{path}.words.txt")
+        if word_table is not None and not (
+                word_table.vectors.ids == words.ids
+                and np.array_equal(word_table.vectors.matrix, words.matrix)):
+            raise CheckpointError(f"{path}: the word table passed is not "
+                                  f"the one saved with the model")
+        word_table = WordTable(words, words.matrix.shape[1])
         try:
             model = cls(config, word_table, seed=0)
             model.params.load_values(values)

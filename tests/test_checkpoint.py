@@ -20,7 +20,7 @@ from ksm.kb import Embeddings
 from ksm.model import KSMModel, WordTable
 
 DATA = Path(__file__).parent / "data"
-VERSIONS = pytest.mark.parametrize("version", [4, 5], ids=["v4", "v5"])
+VERSIONS = pytest.mark.parametrize("version", [5], ids=["v5"])
 
 
 def _wire(values: np.ndarray) -> bytes:
@@ -37,7 +37,7 @@ def _file(values: dict, config: dict, version: int,
     """A whole file of format `version`, built by hand: a JSON header line
     of the shapes (and for 5 the word ids and width of `words`, by default
     `_words()`), then every parameter's `_wire` bytes in order and, for 5,
-    the word matrix's."""
+    the word matrix's. Format 4 was format 5 without the word table."""
     header = {"format_version": version, "config": config,
               "params": {k: {"shape": list(v.shape)}
                          for k, v in values.items()}}
@@ -129,58 +129,16 @@ def _same_values(a: dict, b: dict) -> bool:
         a[k].tobytes() == b[k].tobytes() for k in a)
 
 
-def _v4_fixture(tmp_path) -> Path:
-    """A copy of tests/data/toy_model_v4.ckpt and the word table beside it:
-    toy_model(seed=3) as saved by the format 4 writer."""
-    for name in ("toy_model_v4.ckpt", "toy_model_v4.ckpt.words.txt"):
-        (tmp_path / name).write_bytes((DATA / name).read_bytes())
-    return tmp_path / "toy_model_v4.ckpt"
-
-
-def test_format_4_file_loads_to_the_same_model(tmp_path):
-    original = toy_model(seed=3)
-    old = KSMModel.load(_v4_fixture(tmp_path))  # reads its .words.txt
-    assert old.config == original.config
-    assert _same_values({n: t.data for n, t in old.params.items()},
-                        {n: t.data for n, t in original.params.items()})
-    assert old.word_table.vectors.ids == original.word_table.vectors.ids
-    assert (old.word_table.vectors.matrix.tobytes()
-            == original.word_table.vectors.matrix.tobytes())
-    path = tmp_path / "m.ckpt"
-    old.save(path)
-    assert _split(path)[0]["format_version"] == FORMAT_VERSION
-    new = KSMModel.load(path)
-    for inst, kn in toy_batch(5, old.config.d):
-        want = original.forward_instance(inst, kn)[0].data.tobytes()
-        assert old.forward_instance(inst, kn)[0].data.tobytes() == want
-        assert new.forward_instance(inst, kn)[0].data.tobytes() == want
-
-
-def test_format_4_file_uses_a_word_table_passed_in(tmp_path):
-    path = _v4_fixture(tmp_path)
-    Path(f"{path}.words.txt").unlink()
-    table = toy_model(seed=3).word_table
-    assert KSMModel.load(path, table).word_table is table
-    with pytest.raises(FileNotFoundError):
-        KSMModel.load(path)
-
-
 @pytest.mark.parametrize("content", [
     b'{"format_version": 2, "config": {}, "params": {"p": {"shape": [1], '
     b'"values": [0.5]}}}',
     b'{"format_version": 3, "config": {}, "params": {"p": {"shape": [1], '
     b'"values": "AAAAAAAA4D8="}}}',
     b'{\n  "format_version": 3,\n  "config": {},\n  "params": {}\n}',
-], ids=["v2", "v3", "v3-pretty-printed"])
+    _file({"p": np.array([0.5])}, {}, 4),  # its word table a separate file
+], ids=["v2", "v3", "v3-pretty-printed", "v4"])
 def test_format_2_and_3_files_rejected_with_retrain_hint(tmp_path, content):
     _rejected(tmp_path / "model.ckpt", content, "retrain the model")
-
-
-# what every config saved while a learned position table was selectable,
-# the KB width was a field and the gate could leave out the relation
-# carries (the format 2 and 3 files among them)
-LEGACY_KEYS = {"position_encoding": "sinusoidal", "max_distance": 16,
-               "d_kb": 8, "gate_uses_relation": True}
 
 
 def _model_file(model, config: dict, version: int,
@@ -190,30 +148,6 @@ def _model_file(model, config: dict, version: int,
     if values is None:
         values = {n: t.data for n, t in model.params.items()}
     return _file(values, config, version, model.word_table.vectors)
-
-
-@VERSIONS
-def test_config_with_the_older_position_keys_loads(tmp_path, version):
-    model = toy_model(seed=3)
-    path = tmp_path / "m.ckpt"
-    path.write_bytes(_model_file(
-        model, {**model.config.to_dict(), **LEGACY_KEYS}, version))
-    loaded = KSMModel.load(path, model.word_table)
-    assert loaded.config == model.config
-    assert _same_values({n: t.data for n, t in loaded.params.items()},
-                        {n: t.data for n, t in model.params.items()})
-
-
-@VERSIONS
-def test_config_with_a_kb_width_other_than_d_rejected(tmp_path, version):
-    model = toy_model(seed=3)
-    path = tmp_path / "m.ckpt"
-    path.write_bytes(_model_file(
-        model, {**model.config.to_dict(), "d_kb": 16}, version))
-    with pytest.raises(CheckpointError) as e:
-        KSMModel.load(path, model.word_table)
-    assert str(e.value) == (f"{path}: invalid model config: "
-                            f"d_kb (16) must equal d (8)")
 
 
 @pytest.mark.parametrize("gate", [False, None, 1])
@@ -243,22 +177,6 @@ def test_format_5_file_saved_with_the_gate_key_loads_to_the_same_model():
     for inst, kn in toy_batch(5, old.config.d):
         assert (old.forward_instance(inst, kn)[0].data.tobytes()
                 == original.forward_instance(inst, kn)[0].data.tobytes())
-
-
-@VERSIONS
-def test_learned_position_checkpoint_rejected(tmp_path, version):
-    model = toy_model(seed=3)
-    values = {n: t.data for n, t in model.params.items()}
-    values["position.table"] = np.zeros((17, model.config.d))
-    config = {**model.config.to_dict(), **LEGACY_KEYS,
-              "position_encoding": "learned"}
-    path = tmp_path / "m.ckpt"
-    path.write_bytes(_model_file(model, config, version, values))
-    with pytest.raises(CheckpointError) as e:
-        KSMModel.load(path, model.word_table)
-    assert str(e.value).startswith(f"{path}: invalid model config: "
-                                   f"position_encoding 'learned'")
-    assert "retrain" in str(e.value)
 
 
 def test_unsupported_version_rejected(tmp_path):
@@ -393,11 +311,12 @@ def test_missing_params_rejected(tmp_path):
               "missing 'params'")
 
 
-def _v4_defect(change):
-    """The format 4 file of `_random_store` after `change(header, body)`,
-    which returns the file's bytes. The body holds layer.w (4, 3) in bytes
-    0-95, layer.b (3,) in 96-119 and head.w (2, 2) in 120-151."""
-    data = _file(_store_values(), {"d": 4}, 4)
+def _defect(change):
+    """The file of `_random_store` and `_words` after `change(header,
+    body)`, which returns the file's bytes. The body holds layer.w (4, 3) in
+    bytes 0-95, layer.b (3,) in 96-119, head.w (2, 2) in 120-151 and the
+    word matrix (3, 2) in 152-199."""
+    data = _file(_store_values(), {"d": 4}, 5)
     header, _, body = data.partition(b"\n")
     return change(json.loads(header), body)
 
@@ -418,13 +337,13 @@ def _nan_at(offset):
 
 @pytest.mark.parametrize("change, match", [
     (lambda h, b: _joined(h, b[:-8]),
-     "144 bytes of values follow the header, whose shapes need 152"),
+     "192 bytes of values follow the header, whose shapes need 200"),
     (lambda h, b: _joined(h, b + b"\0" * 8),
-     "160 bytes of values follow the header, whose shapes need 152"),
+     "208 bytes of values follow the header, whose shapes need 200"),
     (lambda h, b: _joined(h, b[:-3]),
-     "149 bytes of values follow the header, whose shapes need 152"),
+     "197 bytes of values follow the header, whose shapes need 200"),
     (_shape([5, 3]),
-     "152 bytes of values follow the header, whose shapes need 176"),
+     "200 bytes of values follow the header, whose shapes need 224"),
     (_shape([-4, -3]), "'layer.w': missing or malformed 'shape'"),
     (_shape([4.0, 3]), "'layer.w': missing or malformed 'shape'"),
     (_shape([True, 3]), "'layer.w': missing or malformed 'shape'"),
@@ -441,13 +360,15 @@ def _nan_at(offset):
     (lambda h, b: b"\n" + json.dumps(h).encode() + b"\n" + b,
      "first line is no JSON object"),
     (lambda h, b: json.dumps(h).encode(),  # no line end: a JSON document
-     "unsupported format_version 4"),
+     "no line end after the header line"),
 ], ids=["short", "trailing", "ragged", "shape-too-big", "negative-shape",
         "float-shape", "bool-shape", "string-shape", "no-shape",
         "nan-in-layer.b", "nan-in-last", "version-99", "no-params",
         "truncated-header", "blank-first-line", "header-only"])
 def test_format_4_defect_rejected(tmp_path, change, match):
-    _rejected(tmp_path / "model.ckpt", _v4_defect(change), match)
+    # defects of the parts a file shares with format 4, the header line and
+    # the parameters; the word table's own are the next test's
+    _rejected(tmp_path / "model.ckpt", _defect(change), match)
 
 
 def _v5_defect(body=lambda b: b, **change):
@@ -579,12 +500,21 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch,
         assert path.read_bytes() == before
 
 
-def test_model_config_with_unknown_key_rejected(tmp_path):
+# a version 1 config field, and the values every format 2 to 4 config
+# carried while a learned position table was selectable and the KB width
+# was a field
+@pytest.mark.parametrize("key, value", [
+    ("d_head", 4), ("position_encoding", "sinusoidal"),
+    ("max_distance", 16), ("d_kb", 8)],
+    ids=["d_head", "position_encoding", "max_distance", "d_kb"])
+def test_model_config_with_unknown_key_rejected(tmp_path, key, value):
     model = toy_model(seed=1)
     path = tmp_path / "m.ckpt"
     model.save(path)
     header, body = _split(path)
-    header["config"]["d_head"] = 4    # a version 1 config field
+    header["config"][key] = value
     path.write_bytes(_joined(header, body))
-    with pytest.raises(CheckpointError, match="invalid model config"):
+    with pytest.raises(CheckpointError) as e:
         KSMModel.load(path, model.word_table)
+    assert str(e.value).startswith(f"{path}: invalid model config: ")
+    assert repr(key) in str(e.value)

@@ -183,16 +183,27 @@ def test_train_kb_bad_margin_or_lr_exits_2(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
-def test_train_kb_rejects_the_reserved_null_label(tmp_path, capsys):
-    triples = tmp_path / "triples.tsv"
-    triples.write_text("e1\tr1\te2\ne2\t__null__\te3\n")
-    out = tmp_path / "kb"
-    rc = main(["train-kb", "--triples", str(triples), "--out", str(out),
-               "--d", "8"])
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_fit_commands_check_out_before_reading_any_input(
+        tmp_path, capsys, monkeypatch, command, where):
+    # both write --out only after every epoch of every model: a path that
+    # cannot be written is reported first, before the (missing) inputs
+    def train_model(*args):
+        raise AssertionError("trained before --out was checked")
+
+    monkeypatch.setattr("ksm.train.train_model", train_model)
+    out = {"missing-directory": tmp_path / "nodir" / "m.ckpt",
+           "a-directory": tmp_path}[where]
+    inputs = _required(command, tmp_path / "in")
+    if "--out" in inputs:  # train's, replaced by `out`
+        i = inputs.index("--out")
+        del inputs[i:i + 2]
+    rc = main([command, *inputs, "--out", str(out)])
     assert rc == 2
-    assert (f"error: {triples}:2: relation label '__null__' is reserved"
-            in capsys.readouterr().err)
-    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: --out {out}: not a file in an existing directory\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, flag, value, message", [
@@ -388,7 +399,7 @@ def test_ablate_emits_the_six_row_selector_grid(tmp_path, capsys,
                "--corpus", str(gold),
                "--word-embeddings", str(words_path),
                "--kb-dir", str(kb_dir), "--seed", "0",
-               "--max-epochs", "1", "--lr", "1.0"] + FAST_TRAIN)
+               "--lr", "1.0"] + FAST_TRAIN)
     assert rc == 0
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if l.strip()]
