@@ -1,14 +1,15 @@
-"""Checkpoint files: parameter name -> shape + row-major float64 values,
-and the word table the model reads its inputs through.
+"""Checkpoint files: a model's parameters, word table and knowledge store.
 
-The format is self-describing and versioned. A version 5 file is one line
-of JSON, ``{"format_version": 5, "config": ..., "params": {name:
-{"shape": [...]}, ...}, "words": {"ids": [...], "width": d}}`` and a
-newline (``json.dumps`` escapes every newline inside it), followed by each
-parameter's little-endian float64 bytes in row-major order (numpy
-``"<f8"``, so a file is the same on any host), in the header's order, and
-then the (len(ids), width) word matrix in the same encoding. Every value
-round-trips bit-exactly. Files of versions 1 to 4 must be retrained.
+The format is self-describing and versioned. A version 6 file is one line
+of JSON, ``{"format_version": 6, "config": {"d": d, ...}, "params": {name:
+{"shape": [...]}, ...}, "tables": {"words": {"ids": [...], "width": d},
+"entities": {...}, "relations": {...}}, "pairs": [[e1, e2, label, ...],
+...]}`` and a newline (``json.dumps`` escapes every newline inside it),
+then each parameter's little-endian float64 bytes in row-major order
+(numpy ``"<f8"``, the same on any host) in the header's order, and each
+table's (len(ids), d) matrix so encoded in the order of `TABLES`. `pairs`
+is the store's pair map. Every value round-trips bit-exactly. Files of
+versions 1 to 5 must be retrained.
 
 A save goes to a temporary file in the target's directory, synced to
 disk, that replaces the target only once it is complete, so a failed
@@ -25,10 +26,11 @@ import numpy as np
 
 from .atomic import replacing
 from .autodiff import DTYPE, ParameterStore
-from .kb import Embeddings
+from .kb import Embeddings, KnowledgeStore, index_pairs
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 _WIRE = np.dtype("<f8")
+TABLES = ("words", "entities", "relations")  # in body order
 
 
 class CheckpointError(Exception):
@@ -36,34 +38,36 @@ class CheckpointError(Exception):
 
 
 def save_checkpoint(path, params: ParameterStore, words: Embeddings,
-                    config: dict | None = None) -> None:
-    """Write every parameter and the word table `words` to `path`
-    atomically; a non-finite value raises CheckpointError naming the file
-    and the parameter (or the word table), and nothing is written."""
+                    store: KnowledgeStore, config: dict) -> None:
+    """Write every parameter, the word table `words` and the knowledge
+    `store` to `path` atomically; a non-finite value or a table not d wide
+    raises CheckpointError naming the file, and nothing is written."""
+    tables = dict(zip(TABLES, (words, store.entity_table,
+                               store.relation_table)))
     arrays = [(f"parameter {name!r}", t.data) for name, t in params.items()]
-    arrays.append(("the word table", words.matrix))
+    arrays += [(f"table {name!r}", t.matrix) for name, t in tables.items()]
     for what, values in arrays:
         if not np.all(np.isfinite(values)):
             raise CheckpointError(
                 f"{path}: {what} holds non-finite values; not saved")
-    header = {
-        "format_version": FORMAT_VERSION,
-        "config": config or {},
-        "params": {name: {"shape": list(t.shape)}
-                   for name, t in params.items()},
-        "words": {"ids": words.ids, "width": words.matrix.shape[1]},
-    }
+    if any(t.matrix.shape[1] != config.get("d") for t in tables.values()):
+        raise CheckpointError(f"{path}: a table is not d wide; not saved")
+    header = {"format_version": FORMAT_VERSION, "config": config,
+              "params": {n: {"shape": list(t.shape)} for n, t in params.items()},
+              "tables": {n: {"ids": t.ids, "width": t.matrix.shape[1]}
+                         for n, t in tables.items()},
+              "pairs": [[a, b, *labels] for (a, b), labels
+                        in sorted(store.pair_relations.items())]}
     with replacing(path) as tmp, open(tmp, "xb") as f:
         f.write(json.dumps(header).encode("ascii") + b"\n")
         for _, values in arrays:
             f.write(np.ascontiguousarray(values, dtype=_WIRE))  # no copy
 
 
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict,
-                                   Embeddings]:
-    """Return ({name: array}, config_dict, word table) with writable native
-    float64 arrays. Any defect of the file raises CheckpointError naming
-    it."""
+def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, Embeddings,
+                                   KnowledgeStore]:
+    """({name: array}, config, word table, knowledge store) of the file, as
+    writable native float64 arrays; CheckpointError naming it for a defect."""
     data = Path(path).read_bytes()
     end = data.find(b"\n")
     try:
@@ -81,36 +85,47 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict,
             "line, then values); retrain the model to write a current file")
     if end < 0:
         raise CheckpointError(f"{path}: no line end after the header line")
+    if not (isinstance(config := header.get("config"), dict) and config):
+        raise CheckpointError(f"{path}: 'config' is no non-empty object")
     params = header.get("params")
     if not isinstance(params, dict):
         raise CheckpointError(f"{path}: missing 'params' object")
-    parts = [(f"parameter {name!r}", _shape(path, name, entry))
-             for name, entry in params.items()]
-    words = header.get("words")
-    ids = words.get("ids") if isinstance(words, dict) else None
-    if not (isinstance(ids, list) and all(type(i) is str for i in ids)
-            and len(set(ids)) == len(ids)
-            and type(words.get("width")) is int and words["width"] >= 0):
-        raise CheckpointError(
-            f"{path}: malformed 'words'; expected unique string 'ids' "
-            "and a non-negative integer 'width'")
-    parts.append(("the word table", [len(ids), words["width"]]))
+    parts = []
+    for name, entry in params.items():
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        if not (isinstance(shape, list)
+                and all(type(n) is int and n >= 0 for n in shape)):
+            raise CheckpointError(
+                f"{path}: parameter {name!r}: missing or malformed 'shape' "
+                f"({shape!r}); expected a list of non-negative integers")
+        parts.append((f"parameter {name!r}", shape))
+    tables = header.get("tables")
+    for name in TABLES:
+        table = tables.get(name) if isinstance(tables, dict) else None
+        ids = table.get("ids") if isinstance(table, dict) else None
+        if not (isinstance(ids, list) and all(type(i) is str for i in ids)
+                and len(set(ids)) == len(ids) and type(table.get("width"))
+                is int and table["width"] == config.get("d") >= 0):
+            raise CheckpointError(
+                f"{path}: malformed {name!r} table; expected unique string "
+                f"'ids' and 'width' the config's d, {config.get('d')!r}")
+        parts.append((f"table {name!r}", [len(ids), table["width"]]))
+    rows, known = header.get("pairs"), set(tables["relations"]["ids"])
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and len(row) >= 3 and all(
+                type(s) is str for s in row) and known.issuperset(row[2:])
+            for row in rows)):
+        raise CheckpointError(f"{path}: malformed 'pairs'; expected rows "
+                              "[e1, e2, label, ...], labels relation ids")
     arrays = _read_body(path, [shape for _, shape in parts], data, end + 1)
     for (what, _), values in zip(parts, arrays):
         if not np.all(np.isfinite(values)):
             raise CheckpointError(f"{path}: {what} holds non-finite values")
-    table = Embeddings(ids, arrays.pop())
-    return dict(zip(params, arrays)), header.get("config", {}), table
-
-
-def _shape(path, name: str, entry) -> list[int]:
-    shape = entry.get("shape") if isinstance(entry, dict) else None
-    if not (isinstance(shape, list)
-            and all(type(n) is int and n >= 0 for n in shape)):
-        raise CheckpointError(
-            f"{path}: parameter {name!r}: missing or malformed 'shape' "
-            f"({shape!r}); expected a list of non-negative integers")
-    return shape
+    words, entities, relations = (Embeddings(tables[name]["ids"], matrix)
+                                  for name, matrix in zip(TABLES, arrays[-3:]))
+    store = KnowledgeStore(entities, relations, config["d"], index_pairs(
+        (a, b, labels) for a, b, *labels in rows))
+    return dict(zip(params, arrays)), config, words, store
 
 
 def _read_body(path, shapes: list[list[int]], data: bytes,

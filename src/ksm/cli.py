@@ -127,11 +127,10 @@ def _load_word_table(args, instances, d: int, seed: int) -> WordTable:
 
 def _load_store(args, d: int) -> kb_mod.KnowledgeStore:
     """The --kb-dir store checked against the model width `d`, or none."""
-    if not getattr(args, "kb_dir", None):
+    if not args.kb_dir:
         logger.warning("no --kb-dir given; every pair resolves to the "
                        "null relation")
-        return kb_mod.KnowledgeStore(entity_table={}, relation_table={},
-                                     d_kb=d)
+        return kb_mod.KnowledgeStore({}, {}, d)
     store = kb_mod.load_store(args.kb_dir)
     if store.d_kb != d:
         raise CliError(f"{args.kb_dir}: KB store width {store.d_kb} does not "
@@ -203,7 +202,7 @@ def cmd_train(args) -> int:
                                   train_config.seed)
     model = KSMModel(model_config, word_table, seed=train_config.seed)
     result = train_mod.train_model(instances, store, model, train_config)
-    model.save(args.out)
+    model.save(args.out, store)
     records = [{"event": "config", **dataclasses.asdict(model_config),
                 **dataclasses.asdict(train_config)}]
     records += [{"event": "epoch", "epoch": e.epoch,
@@ -220,8 +219,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     instances = corpus_mod.read_instances(args.instances)
     model = KSMModel.load(args.checkpoint)
-    store = _load_store(args, model.config.d)
-    preds = train_mod.predict_instances(model, instances, store)
+    preds = train_mod.predict_instances(model, instances, model.store)
     prediction_set = train_mod.aggregate_predictions(preds)
     train_mod.write_predictions(args.out, prediction_set)
     n_pairs = sum(len(v) for v in prediction_set.values())
@@ -361,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="instances + checkpoint -> predictions")
     p.add_argument("--instances", required=True, help="instance JSONL file")
-    p.add_argument("--checkpoint", required=True, help="model checkpoint")
-    p.add_argument("--kb-dir", default=None)
+    p.add_argument("--checkpoint", required=True, help="model + KB checkpoint")
     p.add_argument("--out", required=True, help="output predictions TSV file")
     p.set_defaults(func=cmd_predict)
 

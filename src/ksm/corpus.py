@@ -37,7 +37,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .kb import text_lines
+from .kb import sorted_pair, text_lines
 
 logger = logging.getLogger(__name__)
 
@@ -125,10 +125,6 @@ class PreprocessConfig:
                               f"{self.max_sentence_distance}")
         if self.expansion < 0:
             raise CorpusError(f"expansion must be >= 0, got {self.expansion}")
-
-
-def sorted_pair(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
 
 
 def validate_document(doc: Document) -> list[str]:

@@ -136,11 +136,18 @@ class KnowledgeStore:
         except ValueError as e:
             raise KBError(f"KnowledgeStore with d_kb {self.d_kb}: {e}") from None
 
-    def index_triples(self, triples: list[Triple]) -> None:
-        self.pair_relations = {}
-        for h, r, t in triples:
-            key = (h, t) if h <= t else (t, h)
-            self.pair_relations.setdefault(key, []).append(r)
+
+def sorted_pair(a: str, b: str) -> tuple[str, str]:
+    """The key of the unordered pair {a, b}."""
+    return (a, b) if a <= b else (b, a)
+
+
+def index_pairs(rows) -> dict[tuple[str, str], list[str]]:
+    """The pair map of (a, b, labels) rows: each pair's labels, in order."""
+    pairs: dict[tuple[str, str], list[str]] = {}
+    for a, b, labels in rows:
+        pairs.setdefault(sorted_pair(a, b), []).extend(labels)
+    return pairs
 
 
 def init_embeddings(triples: list[Triple],
@@ -179,10 +186,8 @@ def init_embeddings(triples: list[Triple],
     relation_table = {
         r: rng.normal(0.0, np.sqrt(1.0 / d_kb), size=d_kb) for r in relations
     }
-    store = KnowledgeStore(
-        entity_table=entity_table, relation_table=relation_table, d_kb=d_kb)
-    store.index_triples(triples)
-    return store
+    return KnowledgeStore(entity_table, relation_table, d_kb, index_pairs(
+        (h, t, (r,)) for h, r, t in triples))
 
 
 def transe_energy(h: np.ndarray, r: np.ndarray, t: np.ndarray) -> float:
@@ -405,8 +410,7 @@ def resolve_pair_knowledge(store: KnowledgeStore, e_id1: str,
 
     e1, f1 = entity_vec(e_id1)
     e2, f2 = entity_vec(e_id2)
-    key = (e_id1, e_id2) if e_id1 <= e_id2 else (e_id2, e_id1)
-    labels = store.pair_relations.get(key, [])
+    labels = store.pair_relations.get(sorted_pair(e_id1, e_id2), [])
     if not labels:
         store.stats["null_relation"] += 1
         return PairKnowledge(e1, e2, None, True, f1, f2)
@@ -655,9 +659,7 @@ def load_store(directory) -> KnowledgeStore:
     if relations.matrix.shape[1] != d_kb:
         raise KBError(f"{d / 'relations.txt'}: width "
                       f"{relations.matrix.shape[1]}, entities.txt has {d_kb}")
-    store = KnowledgeStore(entity_table=entities, relation_table=relations,
-                           d_kb=d_kb)
-    pairs_path = d / "pairs.tsv"
+    pairs_path, rows = d / "pairs.tsv", []
     if pairs_path.exists():
         for lineno, line in text_lines(pairs_path, KBError):
             if not line.strip():
@@ -666,11 +668,9 @@ def load_store(directory) -> KnowledgeStore:
             if len(parts) < 3:
                 raise KBError(f"{pairs_path}:{lineno}: expected "
                               f"entity<TAB>entity<TAB>relation...")
-            a, b, *labels = parts
-            unknown = [r for r in labels if r not in store.relation_table]
+            unknown = [r for r in parts[2:] if r not in relations]
             if unknown:
                 raise KBError(f"{pairs_path}:{lineno}: relation "
                               f"{unknown[0]!r} is not in relations.txt")
-            key = (a, b) if a <= b else (b, a)
-            store.pair_relations.setdefault(key, []).extend(labels)
-    return store
+            rows.append((parts[0], parts[1], parts[2:]))
+    return KnowledgeStore(entities, relations, d_kb, index_pairs(rows))

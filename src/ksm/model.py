@@ -44,7 +44,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 from .corpus import CandidateInstance, LABEL_POSITIVE
-from .kb import Embeddings, PairKnowledge, read_embeddings
+from .kb import Embeddings, KnowledgeStore, PairKnowledge, read_embeddings
 
 logger = logging.getLogger(__name__)
 
@@ -104,17 +104,6 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        """The config of `d`. Configs saved while the gate could leave out
-        the relation carry `gate_uses_relation`; it is dropped, and
-        ConfigError unless it is true."""
-        d = dict(d)
-        if (gate := d.pop("gate_uses_relation", True)) is not True:
-            raise ConfigError(f"gate_uses_relation {gate!r} is no longer "
-                              f"supported; retrain the model")
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +439,8 @@ def nll_loss(batch_probs: Sequence[Tensor], gold_labels: Sequence[int]) -> Tenso
 
 
 class KSMModel:
-    """Configuration + parameters + forward pass over candidate instances."""
+    """Configuration + parameters + forward pass over candidate instances;
+    `store` is the knowledge store it was loaded with, else empty."""
 
     def __init__(self, config: ModelConfig, word_table: WordTable,
                  seed: int = 0):
@@ -460,6 +450,7 @@ class KSMModel:
         self.config = config
         self.word_table = word_table
         self.params = build_params(config, seed=seed)
+        self.store = KnowledgeStore({}, {}, config.d)
 
     def forward_instance(self, instance: CandidateInstance,
                          knowledge: PairKnowledge, train: bool = False,
@@ -486,21 +477,21 @@ class KSMModel:
                                   "selector", cfg)
         return classify(s1, s2, er, self.params)
 
-    def save(self, path) -> None:
+    def save(self, path, store: KnowledgeStore | None = None) -> None:
+        """Write the model, its word table and `store` (or its own)."""
         from .checkpoint import save_checkpoint
         save_checkpoint(path, self.params, self.word_table.vectors,
-                        config=self.config.to_dict())
+                        self.store if store is None else store,
+                        self.config.to_dict())
 
     @classmethod
     def load(cls, path, word_table: WordTable | None = None) -> "KSMModel":
-        """The model saved at `path` with its word table; a `word_table`
-        passed must equal that one, or CheckpointError."""
+        """The model saved at `path` with its word table and store; a
+        `word_table` passed must equal the saved one, or CheckpointError."""
         from .checkpoint import CheckpointError, load_checkpoint
-        values, config_dict, words = load_checkpoint(path)
-        if not config_dict:
-            raise CheckpointError(f"{path}: checkpoint carries no model config")
+        values, config_dict, words, store = load_checkpoint(path)
         try:
-            config = ModelConfig.from_dict(config_dict)
+            config = ModelConfig(**config_dict)
         except (TypeError, ConfigError) as e:
             raise CheckpointError(f"{path}: invalid model config: {e}") from e
         if word_table is not None and not (
@@ -508,11 +499,11 @@ class KSMModel:
                 and np.array_equal(word_table.vectors.matrix, words.matrix)):
             raise CheckpointError(f"{path}: the word table passed is not "
                                   f"the one saved with the model")
-        word_table = WordTable(words, words.matrix.shape[1])
         try:
-            model = cls(config, word_table, seed=0)
+            model = cls(config, WordTable(words, config.d), seed=0)
             model.params.load_values(values)
         except (KeyError, ValueError, ConfigError) as e:
             raise CheckpointError(
                 f"{path}: checkpoint does not match its config: {e}") from e
+        model.store = store
         return model

@@ -16,11 +16,11 @@ from ksm.autodiff import ParameterStore, Tensor
 from ksm.checkpoint import (FORMAT_VERSION, CheckpointError,
                             load_checkpoint, save_checkpoint)
 from ksm.gradcheck import toy_batch, toy_model
-from ksm.kb import Embeddings
+from ksm.kb import Embeddings, KnowledgeStore, resolve_pair_knowledge
 from ksm.model import KSMModel, WordTable
 
 DATA = Path(__file__).parent / "data"
-VERSIONS = pytest.mark.parametrize("version", [5], ids=["v5"])
+VERSIONS = pytest.mark.parametrize("version", [6], ids=["v6"])
 
 
 def _wire(values: np.ndarray) -> bytes:
@@ -33,25 +33,43 @@ def _joined(header: dict, body: bytes) -> bytes:
 
 
 def _file(values: dict, config: dict, version: int,
-          words: Embeddings | None = None) -> bytes:
+          words: Embeddings | None = None,
+          store: KnowledgeStore | None = None) -> bytes:
     """A whole file of format `version`, built by hand: a JSON header line
-    of the shapes (and for 5 the word ids and width of `words`, by default
-    `_words()`), then every parameter's `_wire` bytes in order and, for 5,
-    the word matrix's. Format 4 was format 5 without the word table."""
+    of the shapes, then every parameter's `_wire` bytes in order. Format 6
+    adds the ids and width of `words` (by default `_words()`) and of the
+    entity and relation tables of `store` (by default an empty one as wide
+    as `words`) to the header, with the store's pair rows, sorted, and the
+    three matrices to the body. Format 5 had the word table alone, and
+    format 4 no table."""
     header = {"format_version": version, "config": config,
               "params": {k: {"shape": list(v.shape)}
                          for k, v in values.items()}}
     arrays = list(values.values())
+    words = _words() if words is None else words
     if version == 5:
-        words = _words() if words is None else words
         header["words"] = {"ids": words.ids, "width": words.matrix.shape[1]}
         arrays.append(words.matrix)
+    if version == 6:
+        if store is None:
+            store = KnowledgeStore({}, {}, words.matrix.shape[1])
+        tables = [words, store.entity_table, store.relation_table]
+        header["tables"] = {
+            name: {"ids": t.ids, "width": t.matrix.shape[1]}
+            for name, t in zip(("words", "entities", "relations"), tables)}
+        header["pairs"] = [[a, b, *labels] for (a, b), labels
+                           in sorted(store.pair_relations.items())]
+        arrays += [t.matrix for t in tables]
     return _joined(header, b"".join(_wire(v) for v in arrays))
 
 
 def _split(path) -> tuple[dict, bytes]:
     """A file's header, parsed, and its body."""
-    header, _, body = path.read_bytes().partition(b"\n")
+    return _split_bytes(path.read_bytes())
+
+
+def _split_bytes(data: bytes) -> tuple[dict, bytes]:
+    header, _, body = data.partition(b"\n")
     return json.loads(header), body
 
 
@@ -71,12 +89,34 @@ def _words(seed=0):
                       rng.standard_normal((3, 2)) * 1e-200)
 
 
+def _kb(d=2, seed=0):
+    """A knowledge store of width d: three entities, two relations and
+    two pairs, one of them with both relations."""
+    rng = np.random.default_rng(seed)
+    return KnowledgeStore(
+        Embeddings(["A", "B", "C\u00e9"], rng.standard_normal((3, d))),
+        Embeddings(["binds", "in\nhibits"], rng.standard_normal((2, d))), d,
+        {("A", "B"): ["binds", "in\nhibits"], ("B", "C\u00e9"): ["binds"]})
+
+
+def _empty_kb(d=2):
+    return KnowledgeStore({}, {}, d)
+
+
+def _same_store(a: KnowledgeStore, b: KnowledgeStore) -> bool:
+    """The same tables, ids and values bit for bit, and the same pairs."""
+    return a.d_kb == b.d_kb and a.pair_relations == b.pair_relations and all(
+        x.ids == y.ids and x.matrix.tobytes() == y.matrix.tobytes()
+        for x, y in ((a.entity_table, b.entity_table),
+                     (a.relation_table, b.relation_table)))
+
+
 def test_roundtrip_is_bit_exact(tmp_path):
-    store, words = _random_store(), _words()
+    store, words, kb = _random_store(), _words(), _kb()
     path = tmp_path / "model.ckpt"
-    config = {"d": 4, "note": "two\nlines"}  # the header stays one line
-    save_checkpoint(path, store, words, config=config)
-    values, loaded_config, loaded_words = load_checkpoint(path)
+    config = {"d": 2, "note": "two\nlines"}  # the header stays one line
+    save_checkpoint(path, store, words, kb, config)
+    values, loaded_config, loaded_words, loaded_kb = load_checkpoint(path)
     assert loaded_config == config
     assert set(values) == set(store.names())
     for name, t in store.items():
@@ -84,16 +124,31 @@ def test_roundtrip_is_bit_exact(tmp_path):
         assert values[name].tobytes() == t.data.tobytes()
     assert loaded_words.ids == words.ids
     assert loaded_words.matrix.tobytes() == words.matrix.tobytes()
-    assert loaded_words.matrix.flags.writeable
+    assert _same_store(loaded_kb, kb)
+    for table in (loaded_words, loaded_kb.entity_table,
+                  loaded_kb.relation_table):
+        assert table.matrix.flags.writeable
 
 
 def test_saved_file_is_the_documented_encoding(tmp_path):
-    store, words = _random_store(), _words()
+    store, words, kb = _random_store(), _words(), _kb()
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, store, words, config={"d": 4})
-    assert FORMAT_VERSION == 5
+    save_checkpoint(path, store, words, kb, {"d": 2})
+    assert FORMAT_VERSION == 6
     assert path.read_bytes() == _file({n: t.data for n, t in store.items()},
-                                      {"d": 4}, 5, words)
+                                      {"d": 2}, 6, words, kb)
+
+
+def test_pair_rows_of_either_order_are_pooled_under_the_sorted_key(
+        tmp_path):
+    data = _file({}, {"d": 2}, 6, store=_kb())
+    header, _, body = data.partition(b"\n")
+    header = json.loads(header)
+    header["pairs"] = [["B", "A", "binds"], ["A", "B", "in\nhibits"]]
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(_joined(header, body))
+    assert load_checkpoint(path)[3].pair_relations == {
+        ("A", "B"): ["binds", "in\nhibits"]}
 
 
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
@@ -115,10 +170,14 @@ def test_roundtrip_is_byte_exact_for_extreme_values(values):
     store.add("p", Tensor(values))
     words = Embeddings([f"w{i}" for i in range(len(values))],
                        values if values.ndim == 2 else values[:, None])
+    width = words.matrix.shape[1]
+    kb = KnowledgeStore(words, Embeddings([], np.empty((0, width))), width)
     with tempfile.TemporaryDirectory() as d:
-        save_checkpoint(Path(d) / "m.ckpt", store, words)
-        loaded, _, loaded_words = load_checkpoint(Path(d) / "m.ckpt")
-    for back in (loaded["p"], loaded_words.matrix.reshape(values.shape)):
+        save_checkpoint(Path(d) / "m.ckpt", store, words, kb, {"d": width})
+        loaded, _, loaded_words, loaded_kb = load_checkpoint(
+            Path(d) / "m.ckpt")
+    for back in (loaded["p"], loaded_words.matrix.reshape(values.shape),
+                 loaded_kb.entity_table.matrix.reshape(values.shape)):
         assert back.shape == values.shape and back.dtype == np.float64
         assert back.dtype.isnative and back.flags.writeable
         assert back.tobytes() == values.tobytes()
@@ -136,7 +195,8 @@ def _same_values(a: dict, b: dict) -> bool:
     b'"values": "AAAAAAAA4D8="}}}',
     b'{\n  "format_version": 3,\n  "config": {},\n  "params": {}\n}',
     _file({"p": np.array([0.5])}, {}, 4),  # its word table a separate file
-], ids=["v2", "v3", "v3-pretty-printed", "v4"])
+    _file({"p": np.array([0.5])}, {"d": 2}, 5),  # its KB a separate store
+], ids=["v2", "v3", "v3-pretty-printed", "v4", "v5"])
 def test_format_2_and_3_files_rejected_with_retrain_hint(tmp_path, content):
     _rejected(tmp_path / "model.ckpt", content, "retrain the model")
 
@@ -147,41 +207,32 @@ def _model_file(model, config: dict, version: int,
     `values`, if given, for its parameters)."""
     if values is None:
         values = {n: t.data for n, t in model.params.items()}
-    return _file(values, config, version, model.word_table.vectors)
+    return _file(values, config, version, model.word_table.vectors,
+                 model.store)
 
 
-@pytest.mark.parametrize("gate", [False, None, 1])
-def test_config_whose_gate_left_out_the_relation_rejected(tmp_path, gate):
-    model = toy_model(seed=3)
-    values = {n: t.data for n, t in model.params.items()
-              if n != "selector.u"}          # such a model had no U
-    path = tmp_path / "m.ckpt"
-    path.write_bytes(_model_file(
-        model, {**model.config.to_dict(), "gate_uses_relation": gate}, 5,
-        values))
-    with pytest.raises(CheckpointError) as e:
-        KSMModel.load(path)
-    assert str(e.value) == (f"{path}: invalid model config: "
-                            f"gate_uses_relation {gate!r} is no longer "
-                            f"supported; retrain the model")
-
-
-def test_format_5_file_saved_with_the_gate_key_loads_to_the_same_model():
-    # toy_model(seed=3) as saved while ModelConfig had gate_uses_relation
-    path = DATA / "toy_model_v5.ckpt"
-    assert _split(path)[0]["config"]["gate_uses_relation"] is True
-    original, old = toy_model(seed=3), KSMModel.load(path)
-    assert old.config == original.config
-    assert _same_values({n: t.data for n, t in old.params.items()},
+def test_format_6_file_loads_to_the_same_model_and_store(tmp_path):
+    # toy_model(seed=3) saved with _kb(8, seed=3): a change of the format,
+    # or of what a file loads to, shows here
+    path = DATA / "toy_model_v6.ckpt"
+    original, kb = toy_model(seed=3), _kb(8, seed=3)
+    saved = KSMModel.load(path)
+    assert saved.config == original.config
+    assert _same_values({n: t.data for n, t in saved.params.items()},
                         {n: t.data for n, t in original.params.items()})
-    for inst, kn in toy_batch(5, old.config.d):
-        assert (old.forward_instance(inst, kn)[0].data.tobytes()
-                == original.forward_instance(inst, kn)[0].data.tobytes())
+    assert _same_store(saved.store, kb)
+    for (inst, _), pair in zip(toy_batch(5, 8), [("A", "B"), ("B", "C\u00e9"),
+                                                ("A", "unknown")]):
+        got, want = (m.forward_instance(inst, resolve_pair_knowledge(s, *pair))
+                     for m, s in ((saved, saved.store), (original, kb)))
+        assert got[0].data.tobytes() == want[0].data.tobytes()
+    original.save(tmp_path / "again.ckpt", kb)
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
 def test_unsupported_version_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, _random_store(), _words())
+    save_checkpoint(path, _random_store(), _words(), _empty_kb(), {"d": 2})
     header, body = _split(path)
     header["format_version"] = 99
     path.write_bytes(_joined(header, body))
@@ -219,6 +270,30 @@ def test_model_roundtrip_restores_forward(tmp_path):
     for b, a in zip(before, after):
         np.testing.assert_array_equal(b, a)
     KSMModel.load(path, model.word_table)  # the saved table: accepted
+    # saved with no store: an empty one of width d, as a run with no KB
+    assert _same_store(restored.store, _empty_kb(model.config.d))
+
+
+def test_model_saves_the_store_given_and_a_loaded_model_its_own(tmp_path):
+    model, kb = toy_model(seed=4), _kb(8)
+    model.save(tmp_path / "a.ckpt", kb)
+    loaded = KSMModel.load(tmp_path / "a.ckpt")
+    assert _same_store(loaded.store, kb)
+    loaded.save(tmp_path / "b.ckpt")
+    assert (tmp_path / "b.ckpt").read_bytes() == (
+        tmp_path / "a.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("kb", [
+    _kb(7), KnowledgeStore({}, {}, 9),
+    KnowledgeStore({"A": [np.nan] * 8}, {}, 8),
+    KnowledgeStore({}, {"binds": [0.0] * 7 + [np.inf]}, 8)],
+    ids=["narrow", "empty-wide", "nan-entity", "inf-relation"])
+def test_saving_a_store_of_another_width_or_non_finite_refused(tmp_path, kb):
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(CheckpointError, match=r"m\.ckpt: .*; not saved"):
+        toy_model(seed=4).save(path, kb)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("change", [
@@ -252,7 +327,7 @@ def test_checkpoint_without_matching_config_rejected(tmp_path, version):
     model.save(path)
 
     # a config that implies a different parameter set must be refused
-    values, config, _ = load_checkpoint(path)
+    values, config, _, _ = load_checkpoint(path)
     config["n_blocks"] = 1
     path.write_bytes(_model_file(model, config, version, values))
     with pytest.raises(CheckpointError, match="does not match"):
@@ -263,18 +338,40 @@ def test_word_table_of_another_width_than_the_config_rejected(tmp_path):
     model = toy_model(seed=1)
     path = tmp_path / "m.ckpt"
     words = Embeddings(["UNK"], np.zeros((1, model.config.d + 1)))
-    save_checkpoint(path, model.params, words, config=model.config.to_dict())
-    with pytest.raises(CheckpointError, match="does not match its config: "
-                                              "word table dim 9 != model d 8"):
+    path.write_bytes(_file({n: t.data for n, t in model.params.items()},
+                           model.config.to_dict(), 6, words,
+                           _empty_kb(model.config.d)))
+    with pytest.raises(CheckpointError, match="malformed 'words' table; "
+                       "expected unique string 'ids' and 'width' the "
+                       "config's d, 8"):
         KSMModel.load(path)
 
 
 def test_checkpoint_missing_config_rejected(tmp_path):
     model = toy_model(seed=1)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model.params, model.word_table.vectors, config=None)
+    header, body = _split_bytes(_model_file(model, {}, 6))
+    del header["config"]
+    path.write_bytes(_joined(header, body))
     with pytest.raises(CheckpointError, match="config"):
         KSMModel.load(path, model.word_table)
+
+
+@pytest.mark.parametrize("config", ["d=2", [2], 2, None, {}, "missing"],
+                         ids=["string", "list", "int", "null", "empty",
+                              "missing"])
+def test_config_that_is_no_non_empty_object_rejected(tmp_path, config):
+    # a string config once failed in the model, naming no file
+    header, body = _split_bytes(_file(_store_values(), {"d": 2}, 6))
+    if config == "missing":
+        del header["config"]
+    else:
+        header["config"] = config
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(_joined(header, body))
+    with pytest.raises(CheckpointError) as e:
+        load_checkpoint(path)
+    assert str(e.value) == f"{path}: 'config' is no non-empty object"
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +393,7 @@ def _rejected(path, content: bytes, match):
 
 def test_version_1_file_rejected_with_retrain_hint(tmp_path):
     _rejected(tmp_path / "model.ckpt",
-              _file(_store_values(), {"d": 4}, 1),
+              _file(_store_values(), {"d": 2}, 1),
               "format_version 1 .*retrain")
 
 
@@ -306,17 +403,17 @@ def test_non_object_blob_rejected(tmp_path):
 
 def test_missing_params_rejected(tmp_path):
     _rejected(tmp_path / "model.ckpt",
-              _joined({"format_version": 5, "config": {}, "words": None},
-                      b""),
+              _joined({"format_version": 6, "config": {"d": 2},
+                       "tables": None}, b""),
               "missing 'params'")
 
 
 def _defect(change):
-    """The file of `_random_store` and `_words` after `change(header,
-    body)`, which returns the file's bytes. The body holds layer.w (4, 3) in
-    bytes 0-95, layer.b (3,) in 96-119, head.w (2, 2) in 120-151 and the
-    word matrix (3, 2) in 152-199."""
-    data = _file(_store_values(), {"d": 4}, 5)
+    """The file of `_random_store` and `_words`, with an empty KB store,
+    after `change(header, body)`, which returns the file's bytes. The body
+    holds layer.w (4, 3) in bytes 0-95, layer.b (3,) in 96-119, head.w
+    (2, 2) in 120-151 and the word matrix (3, 2) in 152-199."""
+    data = _file(_store_values(), {"d": 2}, 6)
     header, _, body = data.partition(b"\n")
     return change(json.loads(header), body)
 
@@ -371,44 +468,83 @@ def test_format_4_defect_rejected(tmp_path, change, match):
     _rejected(tmp_path / "model.ckpt", _defect(change), match)
 
 
-def _v5_defect(body=lambda b: b, **change):
-    """The format 5 file of `_random_store` and `_words`, its body changed
-    by `body` and its header's `words` by `change`: each key given replaces
-    that entry, and a `words` key the whole of it. The word matrix is the
-    last 48 bytes."""
-    data = _file(_store_values(), {"d": 4}, 5, _words())
-    header, _, rest = data.partition(b"\n")
-    header = json.loads(header)
-    header["words"] = change.pop("words", {**header["words"], **change})
+def _v6_defect(body=lambda b: b, table="words", **change):
+    """The format 6 file of `_random_store` and `_words`, with an empty KB
+    store, its body changed by `body` and its header by `change`: a `pairs`
+    key replaces the pair rows, a key named `table` the whole of that
+    table's entry, and any other key that key of the entry. The word matrix
+    is the last 48 bytes."""
+    header, rest = _split_bytes(_file(_store_values(), {"d": 2}, 6))
+    if "pairs" in change:
+        header["pairs"] = change.pop("pairs")
+    tables = header["tables"]
+    tables[table] = change.pop(table, {**tables[table], **change})
     return _joined(header, body(rest))
 
 
-MALFORMED_WORDS = "malformed 'words'; expected unique string 'ids'"
+MALFORMED_WORDS = "malformed 'words' table; expected unique string 'ids'"
 
 
 @pytest.mark.parametrize("content, match", [
-    (_v5_defect(ids=["a", "b", "a"]), MALFORMED_WORDS),
-    (_v5_defect(ids=["a", 2, "c"]), MALFORMED_WORDS),
-    (_v5_defect(ids=["a", None, "c"]), MALFORMED_WORDS),
-    (_v5_defect(ids="abc"), MALFORMED_WORDS),
-    (_v5_defect(width=2.0), MALFORMED_WORDS),
-    (_v5_defect(width=-2), MALFORMED_WORDS),
-    (_v5_defect(width=True), MALFORMED_WORDS),
-    (_v5_defect(words=None), MALFORMED_WORDS),
-    (_v5_defect(words=["a", "b", "c"]), MALFORMED_WORDS),
-    (_v5_defect(ids=["a", "b", "c", "d"]),
+    (_v6_defect(ids=["a", "b", "a"]), MALFORMED_WORDS),
+    (_v6_defect(ids=["a", 2, "c"]), MALFORMED_WORDS),
+    (_v6_defect(ids=["a", None, "c"]), MALFORMED_WORDS),
+    (_v6_defect(ids="abc"), MALFORMED_WORDS),
+    (_v6_defect(width=2.0), MALFORMED_WORDS),
+    (_v6_defect(width=-2), MALFORMED_WORDS),
+    (_v6_defect(width=True), MALFORMED_WORDS),
+    (_v6_defect(words=None), MALFORMED_WORDS),
+    (_v6_defect(words=["a", "b", "c"]), MALFORMED_WORDS),
+    (_v6_defect(ids=["a", "b", "c", "d"]),
      "200 bytes of values follow the header, whose shapes need 216"),
-    (_v5_defect(body=lambda b: b[:-8]),
+    (_v6_defect(body=lambda b: b[:-8]),
      "192 bytes of values follow the header, whose shapes need 200"),
-    (_v5_defect(body=lambda b: b[:-48]),
+    (_v6_defect(body=lambda b: b[:-48]),
      "152 bytes of values follow the header, whose shapes need 200"),
-    (_v5_defect(body=lambda b: b[:-8] + _wire(np.array([np.inf]))),
-     "the word table holds non-finite values"),
+    (_v6_defect(body=lambda b: b[:-8] + _wire(np.array([np.inf]))),
+     "table 'words' holds non-finite values"),
 ], ids=["repeated-id", "int-id", "null-id", "string-ids", "float-width",
         "negative-width", "bool-width", "null-words", "list-words",
         "more-ids-than-rows", "short",
         "no-matrix", "inf-in-words"])
 def test_format_5_word_table_defect_rejected(tmp_path, content, match):
+    # the word table, as format 5 held it; the KB tables and pair rows that
+    # format 6 adds are the next test's
+    _rejected(tmp_path / "model.ckpt", content, match)
+
+
+def _malformed(table):
+    return (f"malformed '{table}' table; expected unique string 'ids' and "
+            f"'width' the config's d, 2")
+
+
+MALFORMED_PAIRS = r"malformed 'pairs'; expected rows \[e1, e2, label, ...\]"
+
+
+@pytest.mark.parametrize("content, match", [
+    (_v6_defect(pairs=[["A", "B", "binds"]]), MALFORMED_PAIRS),
+    (_v6_defect(table="relations", ids=["binds"], pairs=[["A", "B", "binds"],
+                                                         ["A", "C", "x"]],
+                body=lambda b: b + _wire(np.zeros(2))), MALFORMED_PAIRS),
+    (_v6_defect(pairs=[["A", "B"]]), MALFORMED_PAIRS),
+    (_v6_defect(pairs=[["A", "B", 3]]), MALFORMED_PAIRS),
+    (_v6_defect(pairs=["A", "B", "binds"]), MALFORMED_PAIRS),
+    (_v6_defect(pairs=None), MALFORMED_PAIRS),
+    (_v6_defect(table="entities", width=3), _malformed("entities")),
+    (_v6_defect(width=3), _malformed("words")),
+    (_v6_defect(table="relations", ids=["r", "r"]), _malformed("relations")),
+    (_v6_defect(table="entities", ids=["A", "A"]), _malformed("entities")),
+    (_v6_defect(table="relations", relations=None), _malformed("relations")),
+    (_v6_defect(table="entities", ids=["A"]),
+     "200 bytes of values follow the header, whose shapes need 216"),
+    (_v6_defect(table="relations", ids=["binds"],
+                body=lambda b: b + _wire(np.array([0.0, np.nan]))),
+     "table 'relations' holds non-finite values"),
+], ids=["label-not-a-relation", "one-label-not-a-relation", "two-strings",
+        "int-label", "row-not-a-list", "null-pairs", "entities-of-width-3",
+        "words-of-width-3", "repeated-relation", "repeated-entity",
+        "null-relations", "entity-without-row", "nan-in-relations"])
+def test_format_6_table_and_pair_defect_rejected(tmp_path, content, match):
     _rejected(tmp_path / "model.ckpt", content, match)
 
 
@@ -416,7 +552,7 @@ def test_values_not_filling_shape_rejected(tmp_path):
     # a body that ends inside the word matrix: every parameter is there,
     # the words' rows are not
     _rejected(tmp_path / "model.ckpt",
-              _v5_defect(body=lambda b: b[:-20]),
+              _v6_defect(body=lambda b: b[:-20]),
               "180 bytes of values follow the header, whose shapes need 200")
 
 
@@ -425,7 +561,7 @@ def test_values_not_filling_shape_rejected(tmp_path):
 def test_byte_count_not_filling_shape_rejected(tmp_path, n_bytes):
     # layer.w is (4, 3): 96 bytes, the first of the body
     _rejected(tmp_path / "model.ckpt",
-              _v5_defect(body=lambda b: bytes(range(n_bytes)) + b[96:]),
+              _v6_defect(body=lambda b: bytes(range(n_bytes)) + b[96:]),
               f"{104 + n_bytes} bytes of values follow the header, whose "
               f"shapes need 200")
 
@@ -434,7 +570,7 @@ def test_byte_count_not_filling_shape_rejected(tmp_path, n_bytes):
 def test_non_finite_values_rejected(tmp_path, version):
     values = _store_values()
     values["layer.b"][1] = float("nan")
-    _rejected(tmp_path / "model.ckpt", _file(values, {"d": 4}, version),
+    _rejected(tmp_path / "model.ckpt", _file(values, {"d": 2}, version),
               "'layer.b' holds non-finite values")
 
 
@@ -445,7 +581,7 @@ def test_saving_non_finite_parameter_refused_and_writes_nothing(tmp_path):
     with pytest.raises(CheckpointError,
                        match=r"model\.ckpt: parameter 'layer\.w' holds "
                              r"non-finite values"):
-        save_checkpoint(path, store, _words())
+        save_checkpoint(path, store, _words(), _empty_kb(), {"d": 2})
     assert not path.exists()
 
 
@@ -455,9 +591,9 @@ def test_saving_a_non_finite_word_table_refused_and_writes_nothing(
     words.matrix[1, 0] = float("inf")
     path = tmp_path / "model.ckpt"
     with pytest.raises(CheckpointError,
-                       match=r"model\.ckpt: the word table holds non-finite "
-                             r"values; not saved"):
-        save_checkpoint(path, _random_store(), words)
+                       match=r"model\.ckpt: table 'words' holds "
+                             r"non-finite values; not saved"):
+        save_checkpoint(path, _random_store(), words, _empty_kb(), {"d": 2})
     assert not path.exists()
 
 
@@ -486,15 +622,15 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch,
                                              existing):
     path = tmp_path / "model.ckpt"
     if existing:
-        save_checkpoint(path, _random_store(seed=1), _words(),
-                        config={"d": 4})
+        save_checkpoint(path, _random_store(seed=1), _words(), _kb(),
+                        {"d": 2})
     before = path.read_bytes() if existing else None
     monkeypatch.setattr(ksm.checkpoint, "open",
                         lambda *a, **kw: _FailingFile(open(*a, **kw)),
                         raising=False)
     with pytest.raises(OSError, match="No space"):
-        save_checkpoint(path, _random_store(seed=2), _words(),
-                        config={"d": 4})
+        save_checkpoint(path, _random_store(seed=2), _words(), _kb(),
+                        {"d": 2})
     assert os.listdir(tmp_path) == (["model.ckpt"] if existing else [])
     if existing:
         assert path.read_bytes() == before

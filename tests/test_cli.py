@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ksm import kb
+from ksm import train as train_mod
 from ksm.cli import DEFAULTS, SETTINGS, main, resolve_config
 from ksm.corpus import (Document, Mention, read_instances, write_corpus,
                         write_instances)
@@ -251,7 +252,7 @@ def test_train_predict_evaluate_pipeline(tmp_path, capsys):
 
     pred_out = tmp_path / "pred.tsv"
     rc = main(["predict", "--instances", str(inst_path),
-               "--checkpoint", str(ckpt), "--kb-dir", str(kb_dir),
+               "--checkpoint", str(ckpt),
                "--out", str(pred_out)])
     assert rc == 0
     assert pred_out.exists()
@@ -259,8 +260,9 @@ def test_train_predict_evaluate_pipeline(tmp_path, capsys):
 
 def test_train_kb_train_predict_ignore_an_older_null_row(tmp_path):
     # train-kb writes no `__null__` row into relations.txt; the same KB
-    # directory with the zero row that older stores carry trains and
-    # predicts to the same bytes
+    # directory with the zero row that older stores carry trains to the
+    # same parameters and predicts to the same bytes (the checkpoints
+    # differ only by that row, which each carries in its store)
     inst_path, words_path, _ = _small_training_setup(tmp_path)
     triples = tmp_path / "triples.tsv"
     with open(triples, "w") as f:
@@ -286,10 +288,45 @@ def test_train_kb_train_predict_ignore_an_older_null_row(tmp_path):
                      "--kb-dir", str(kb_dir), "--out", str(ckpt),
                      "--seed", "1"] + FAST_TRAIN) == 0
         assert main(["predict", "--instances", str(inst_path),
-                     "--checkpoint", str(ckpt), "--kb-dir", str(kb_dir),
+                     "--checkpoint", str(ckpt),
                      "--out", str(pred)]) == 0
-        outputs.append((ckpt.read_bytes(), pred.read_bytes()))
+        model = KSMModel.load(ckpt)
+        outputs.append(({n: t.data.tobytes() for n, t in model.params.items()},
+                        pred.read_bytes()))
+        assert list(model.store.relation_table) == list(
+            kb.load_store(kb_dir).relation_table)
     assert outputs[0] == outputs[1]
+
+
+def test_predict_reads_the_kb_store_from_the_checkpoint_alone(tmp_path,
+                                                               capsys):
+    # the selector gates the pair's KB relation vector, so a model means
+    # something only beside the store it was trained with: predict once
+    # took any --kb-dir of the model's width, or none, and predicted 20
+    # pairs here with the training store but 40 with no store
+    instances, store, _ = separable_task(40, d=16)
+    inst_path, kb_a = tmp_path / "instances.jsonl", tmp_path / "kbA"
+    write_instances(inst_path, instances)
+    kb.save_store(store, kb_a)
+    ckpt, pred = tmp_path / "model.ckpt", tmp_path / "pred.tsv"
+    assert main(["train", "--instances", str(inst_path), "--kb-dir",
+                 str(kb_a), "--out", str(ckpt), "--d", "16", "--n-blocks",
+                 "1", "--batch-size", "8", "--lr", "1.0", "--max-epochs",
+                 "5", "--holdout-fraction", "0"]) == 0
+    argv = ["predict", "--instances", str(inst_path), "--checkpoint",
+            str(ckpt), "--out", str(pred)]
+    assert main(argv) == 0
+    assert "predicted 20 positive pairs" in capsys.readouterr().out
+    want = tmp_path / "want.tsv"
+    train_mod.write_predictions(want, train_mod.aggregate_predictions(
+        train_mod.predict_instances(KSMModel.load(ckpt),
+                                    read_instances(inst_path),
+                                    kb.load_store(kb_a))))
+    assert pred.read_bytes() == want.read_bytes()
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--kb-dir", str(kb_a)])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --kb-dir" in capsys.readouterr().err
 
 
 def test_train_rerun_same_seed_byte_identical_checkpoint(tmp_path):
@@ -314,7 +351,7 @@ def test_predict_falls_back_to_saved_word_table(tmp_path, monkeypatch):
           "--out", str(ckpt), "--seed", "1"] + FAST_TRAIN)
     before = tmp_path / "before.tsv"
     assert main(["predict", "--instances", str(inst_path),
-                 "--checkpoint", str(ckpt), "--kb-dir", str(kb_dir),
+                 "--checkpoint", str(ckpt),
                  "--out", str(before)]) == 0
     (tmp_path / "moved").mkdir()
     moved = ckpt.rename(tmp_path / "moved" / "m2.ckpt")
@@ -324,7 +361,7 @@ def test_predict_falls_back_to_saved_word_table(tmp_path, monkeypatch):
                         lambda path: parsed.append(path) or parse(path))
     after = tmp_path / "after.tsv"
     rc = main(["predict", "--instances", str(inst_path),
-               "--checkpoint", str(moved), "--kb-dir", str(kb_dir),
+               "--checkpoint", str(moved),
                "--out", str(after)])
     assert rc == 0
     assert after.read_bytes() == before.read_bytes()
@@ -352,7 +389,7 @@ def test_predict_reads_back_the_training_word_table_bit_for_bit(
           "--word-embeddings", str(words_path), "--kb-dir", str(kb_dir),
           "--out", str(ckpt), "--seed", "1"] + FAST_TRAIN)
     rc = main(["predict", "--instances", str(inst_path),
-               "--checkpoint", str(ckpt), "--kb-dir", str(kb_dir),
+               "--checkpoint", str(ckpt),
                "--out", str(tmp_path / "p.tsv")])
     assert rc == 0
     trained, predicted = tables
@@ -504,7 +541,7 @@ def _valid_inputs(tmp_path):
     pred.write_text("D1\tG1\tG2\n")
     return {"--corpus": DATA / "toy_corpus.jsonl", "--triples": triples,
             "--instances": inst_path, "--eval-instances": inst_path,
-            "--checkpoint": DATA / "toy_model_v5.ckpt",
+            "--checkpoint": DATA / "toy_model_v6.ckpt",
             "--predictions": pred, "--out": tmp_path / "out"}
 
 
@@ -726,7 +763,7 @@ def test_config_flags_follow_the_config_dataclasses():
                      "--word-embeddings", "--mention-lexicon"},
         "train": {"--config", "--out"} | fit_flags | {
             "--instances", "--kb-dir", "--word-embeddings"},
-        "predict": {"--out", "--instances", "--checkpoint", "--kb-dir"},
+        "predict": {"--out", "--instances", "--checkpoint"},
         "evaluate": {"--out", "--predictions", "--corpus"},
         "ablate": {"--config", "--out"} | fit_flags | {
             "--axis", "--instances", "--eval-instances", "--corpus",

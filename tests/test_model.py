@@ -48,7 +48,7 @@ def test_config_rejects_unknown_enum_values():
 
 def test_config_roundtrips_through_dict():
     cfg = ModelConfig(d=8, n_heads=2, selector_op="sum")
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig(**cfg.to_dict()) == cfg
 
 
 # ---------------------------------------------------------------------------
