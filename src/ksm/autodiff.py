@@ -26,15 +26,15 @@ Semantics worth knowing:
 
 The op vocabulary is fixed and small: 2-D matmul, add, multiply, neg,
 concat (last axis), reshape, 2-D transpose, sum/mean over an axis,
-amax, tanh, sigmoid, relu, softmax, dropout, and fused ops, each one
-tape node with a hand-written backward in place of a chain of small
-ones:
+amax, tanh, sigmoid, relu, softmax, and fused ops, each one tape node
+with a hand-written backward in place of a chain of small ones:
 
 - the affine map ``x w + b``;
 - multi-head scaled dot-product attention with its query, key, value
   and output projections;
 - the feed-forward sublayer ``relu(x w1 + b1) w2 + b2``;
-- layer norm of a residual sum ``x + y``;
+- layer norm of a residual sum ``x + y``, y optionally scaled entry by
+  entry by a dropout keep mask;
 - the mean negative log of one picked entry per probability row,
   clamped below at a floor;
 - the pair score ``tanh(a1[i] + a2[j]) @ w`` over all row pairs of two
@@ -681,18 +681,22 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
 
 
 def residual_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
-                        eps: float = 1e-5) -> Tensor:
-    """Layer norm of the residual sum ``s = x + y`` as one node.
+                        eps: float = 1e-5,
+                        keep: np.ndarray | None = None) -> Tensor:
+    """Layer norm of the residual sum ``s = x + y * keep`` as one node.
 
     Each last-axis slice of s becomes
     ``(s - mean) / sqrt(var + eps) * gamma + beta``; gamma and beta span
-    the last axis, and x and y, of one shape, both get the gradient of s.
-    Mean and variance are sums over the slice's n entries divided by n,
-    what ``np.mean`` and ``np.var`` compute without their wrappers. The
-    tape keeps the normalized sum and the inverse deviations.
+    the last axis. keep, a plain array of y's shape or None (all ones),
+    holds y's inverted-dropout multipliers: x gets the gradient of s, and
+    y that gradient times keep. Mean and variance are sums over the
+    slice's n entries divided by n, what ``np.mean`` and ``np.var``
+    compute without their wrappers. The tape keeps the normalized sum and
+    the inverse deviations.
     """
-    if x.shape != y.shape:
-        raise ValueError(f"residual_layer_norm: {x.shape} + {y.shape}")
+    if x.shape != y.shape or (keep is not None and keep.shape != y.shape):
+        raise ValueError(f"residual_layer_norm: {x.shape} + {y.shape} * "
+                         f"keep {None if keep is None else keep.shape}")
     if eps <= 0:
         raise ValueError(f"residual_layer_norm: eps {eps} is not positive")
     n = x.shape[-1] if x.data.ndim else 0
@@ -700,7 +704,7 @@ def residual_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
         raise ValueError(f"residual_layer_norm: gamma {gamma.shape} and beta "
                          f"{beta.shape} must span a nonempty last axis of "
                          f"{x.shape}")
-    s = x.data + y.data
+    s = x.data + (y.data if keep is None else y.data * keep)
     xhat = s - s.sum(axis=-1, keepdims=True) / n    # the deviations, then xhat
     inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / n + eps)
     xhat *= inv
@@ -710,9 +714,9 @@ def residual_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
         m1 = dxhat.sum(axis=-1, keepdims=True) / n
         m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
         ds = inv * (dxhat - m1 - xhat * m2)
-        for t in (x, y):
+        for t, dt in ((x, ds), (y, ds if keep is None else ds * keep)):
             if t.requires_grad:
-                t._accumulate(ds)
+                t._accumulate(dt)
         if gamma.requires_grad:
             gamma._accumulate((g * xhat).reshape(-1, n).sum(axis=0))
         if beta.requires_grad:
@@ -721,29 +725,6 @@ def residual_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
     out = xhat * gamma.data
     out += beta.data
     return _make(out, (x, y, gamma, beta), backward)
-
-
-def dropout(a: Tensor, rate: float, rng: np.random.Generator | None,
-            train: bool = True) -> Tensor:
-    """Inverted dropout: kept entries are scaled by 1/(1-rate).
-
-    Identity when ``train`` is false or ``rate`` is 0; rate must be in [0, 1).
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
-        return a
-    if rng is None:
-        raise ValueError("active dropout needs an rng")
-    keep = 1.0 - rate
-    inv = 1.0 / keep
-    mask = rng.random(a.shape) < keep   # boolean: an eighth of a float mask
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * inv * mask)
-
-    return _make(a.data * inv * mask, (a,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .checkpoint import CheckpointError
 from .corpus import CorpusError
 from .gradcheck import run_report
 from .kb import KBError
-from .model import ConfigError, KSMModel, ModelConfig, WordTable
+from .model import ConfigError, KSMModel, ModelConfig, WordTable, fits_type
 from .train import TrainConfig
 
 logger = logging.getLogger(__name__)
@@ -97,10 +97,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise CliError(f"{path}: unknown config keys: {sorted(unknown)}; "
                            f"{args.command} reads {sorted(keys)}")
         for key, value in file_cfg.items():
-            kind = type(DEFAULTS[key])
-            if type(value) is not kind and (kind, type(value)) != (float, int):
+            if not fits_type(value, DEFAULTS[key]):
                 raise CliError(f"{path}: {key} must be of type "
-                               f"{kind.__name__}, got {json.dumps(value)}")
+                               f"{type(DEFAULTS[key]).__name__}, "
+                               f"got {json.dumps(value)}")
         cfg.update(file_cfg)
     for key in keys:
         value = getattr(args, key, None)

@@ -412,10 +412,24 @@ def instance_to_json(inst: CandidateInstance) -> str:
 
 
 def instance_from_json(line: str, where: str = "<line>") -> CandidateInstance:
-    """Parse one record; CorpusError at `where` unless it has tokens, one
-    distance per token in pos1/pos2, and a known label."""
+    """Parse one record; CorpusError at `where` unless it has a string
+    doc_id, a pair of strings, string tokens, one nonnegative int distance
+    per token in pos1/pos2, and a known label. Elements are checked in C
+    (`map`, `set`, `min`), not in a Python loop."""
     rec = _parse_json(line, where)
     try:
+        if type(rec["doc_id"]) is not str:
+            raise CorpusError(f"{where}: doc_id must be a string, found "
+                              f"{json.dumps(rec['doc_id'])}")
+        for name, kind, kinds in (("pair", str, "strings"),
+                                  ("tokens", str, "strings"),
+                                  ("pos1", int, "integers"),
+                                  ("pos2", int, "integers")):
+            values = rec[name]
+            if type(values) is not list or not set(map(type, values)) <= {kind}:
+                bad = next((v for v in values if type(v) is not kind), values)
+                raise CorpusError(f"{where}: {name} must be a list of "
+                                  f"{kinds}, found {json.dumps(bad)}")
         inst = CandidateInstance(
             doc_id=rec["doc_id"], pair=sorted_pair(*rec["pair"]),
             tokens=rec["tokens"], pos1=rec["pos1"], pos2=rec["pos2"],
@@ -427,6 +441,9 @@ def instance_from_json(line: str, where: str = "<line>") -> CandidateInstance:
             raise CorpusError(
                 f"{where}: pos1/pos2 lengths ({len(inst.pos1)}, "
                 f"{len(inst.pos2)}) differ from the {n} tokens")
+        low = min(min(inst.pos1), min(inst.pos2))
+        if low < 0:
+            raise CorpusError(f"{where}: negative distance {low} in pos1/pos2")
     except (KeyError, TypeError) as e:
         raise CorpusError(f"{where}: missing or malformed field ({e})") from e
     if inst.label not in _LABELS:

@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import CandidateInstance, LABEL_NEGATIVE, LABEL_POSITIVE
 from .kb import PairKnowledge
-from .model import KSMModel, ModelConfig, WordTable, nll_loss
+from .model import KSMModel, ModelConfig, WordTable, dropout_keep, nll_loss
 from .train import accumulate_batch_gradient
 
 FD_STEP = 1e-5
@@ -163,11 +163,13 @@ def _suite(seed: int) -> list[tuple[str, dict[str, Tensor], Callable[[], Tensor]
                                      ("softmax_pool_columns", 4, 0))),
         ("affine", {"x": (3, 4), "w": (4, 5), "b": (5,)},
          lambda x, w, b: ad.tensor_sum(ad.tanh(ad.affine(x, w, b)))),
-        # a fresh generator per evaluation: every evaluation drops the same
-        # entries
-        ("dropout", {"x": (3, 4)},
-         lambda x: ad.tensor_sum(ad.tanh(ad.dropout(
-             x, 0.3, np.random.default_rng(seed), train=True)))),
+        # y through a dropout mask at rate 0.5, each entry 0 or 2; a fresh
+        # generator per evaluation: every evaluation drops the same entries
+        ("residual_layer_norm_masked",
+         {"x": (3, 6), "y": (3, 6), "gamma": (6,), "beta": (6,)},
+         lambda x, y, gamma, beta: ad.tensor_sum(ad.tanh(
+             ad.residual_layer_norm(x, y, gamma, beta, 1e-5, dropout_keep(
+                 (3, 6), 0.5, np.random.default_rng(seed)))))),
     ]
     suite = []
     for name, inputs, f in cases:

@@ -18,8 +18,8 @@ Per candidate instance the forward pass runs:
    context view, before it enters the encoder (or no selection at all);
 5. a softmax classifier over [s1, s2, selected relation].
 
-With dropout on, one paper-configuration instance records 100 tape
-nodes on its loss graph, 60 of them parameters.
+One paper-configuration instance records 92 tape nodes on its loss
+graph, 60 of them parameters, with dropout on or off.
 
 All trainable tensors are registered in a ParameterStore under stable
 dotted names, so checkpointing and gradient checks can address every
@@ -36,7 +36,7 @@ the gradient checks verify.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -71,6 +71,13 @@ _CHOICES = {
 }
 
 
+def fits_type(value, default) -> bool:
+    """The settings' type rule: `value` is of its `default`'s type, or an
+    int for a float (a bool fits only a bool)."""
+    return (type(value) is type(default)
+            or (type(default), type(value)) == (float, int))
+
+
 @dataclass
 class ModelConfig:
     d: int = 100
@@ -88,6 +95,10 @@ class ModelConfig:
         return self.d // self.n_heads
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not fits_type(value := getattr(self, f.name), f.default):
+                raise ConfigError(f"{f.name} must be of type "
+                                  f"{type(f.default).__name__}, got {value!r}")
         if self.d < 1 or self.n_heads < 1 or self.d % self.n_heads:
             raise ConfigError(
                 f"d ({self.d}) must be a positive multiple of n_heads "
@@ -197,8 +208,6 @@ def embed_context(instance: CandidateInstance, word_table: WordTable,
         raise ValueError(
             f"pos1/pos2 lengths {len(instance.pos1)}/{len(instance.pos2)} "
             f"differ from {n} tokens")
-    if min(min(instance.pos1), min(instance.pos2)) < 0:
-        raise ValueError("positions must be nonnegative")
     words = word_table.lookup(instance.tokens)
     return (Tensor(words + sinusoidal_encoding(instance.pos1, config.d)),
             Tensor(words + sinusoidal_encoding(instance.pos2, config.d)))
@@ -305,24 +314,39 @@ def multi_head_attention(x: Tensor, e: Tensor, params: ParameterStore,
         params[f"{prefix}.wh"], config.n_heads)
 
 
+def dropout_keep(shape: tuple, rate: float, rng: np.random.Generator | None,
+                 train: bool = True) -> np.ndarray | None:
+    """Inverted-dropout multipliers of `shape`: 1/(1-rate) with probability
+    1 - rate, else 0. None, drawing nothing, if not `train` or rate is 0."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if not train or rate == 0.0:
+        return None
+    if rng is None:
+        raise ValueError("active dropout needs an rng")
+    return (rng.random(shape) < 1.0 - rate) / (1.0 - rate)
+
+
 def encoder_block(x: Tensor, e: Tensor, params: ParameterStore, prefix: str,
                   config: ModelConfig, train: bool,
                   rng: np.random.Generator | None) -> Tensor:
     """One Transformer block: attention, then the feed-forward sublayer
     relu(x W1 + b1) W2 + b2, each through dropout and a residual layer
-    norm. Attention, feed-forward and each residual layer norm are one
-    fused node apiece, so a block records six nodes (four with dropout
-    off); the attention dropout draws before the feed-forward one."""
+    norm. Attention, feed-forward and each masked residual layer norm are
+    one fused node apiece, so a block records four nodes at any dropout
+    rate; the attention mask draws before the feed-forward one."""
+    keep1, keep2 = (dropout_keep(x.shape, config.dropout_rate, rng, train)
+                    for _ in range(2))
     mh = multi_head_attention(x, e, params, prefix, config)
-    mh = ad.dropout(mh, config.dropout_rate, rng, train)
     sub1 = ad.residual_layer_norm(x, mh, params[f"{prefix}.ln1.gamma"],
-                                  params[f"{prefix}.ln1.beta"], LAYER_NORM_EPS)
+                                  params[f"{prefix}.ln1.beta"], LAYER_NORM_EPS,
+                                  keep1)
     ff = ad.feed_forward(sub1, params[f"{prefix}.ffn_w1"],
                          params[f"{prefix}.ffn_b1"], params[f"{prefix}.ffn_w2"],
                          params[f"{prefix}.ffn_b2"])
-    ff = ad.dropout(ff, config.dropout_rate, rng, train)
     return ad.residual_layer_norm(sub1, ff, params[f"{prefix}.ln2.gamma"],
-                                  params[f"{prefix}.ln2.beta"], LAYER_NORM_EPS)
+                                  params[f"{prefix}.ln2.beta"], LAYER_NORM_EPS,
+                                  keep2)
 
 
 def encode(x: Tensor, e: Tensor, params: ParameterStore, encoder_prefix: str,

@@ -15,6 +15,7 @@ from ksm import autodiff as ad
 from ksm import gradcheck
 from ksm.autodiff import ParameterStore, Tensor
 from ksm.gradcheck import check_all_ops, check_tensors, finite_difference
+from ksm.model import dropout_keep
 
 
 def test_softmax_single_element():
@@ -381,6 +382,9 @@ _HEADS = [(3, 4), (1, 5), (4, 6), (5, 6), (4, 6), (4, 6), (6, 4)]
     (ad.projected_attention, [(4,)] + _HEADS[1:], [2]),
     (ad.projected_attention, _HEADS[:4] + [(4, 7)] + _HEADS[5:], [2]),
     (ad.projected_attention, _HEADS, [0]),
+    # a dropout keep mask not of y's shape
+    (ad.residual_layer_norm, [(3, 4), (3, 4), (4,), (4,)],
+     [1e-5, np.ones((4, 3))]),
 ])
 def test_fused_block_ops_reject_shapes_that_do_not_chain(op, shapes, extra):
     with pytest.raises(ValueError, match=op.__name__):
@@ -491,7 +495,7 @@ def test_every_op_matches_finite_differences():
 
 
 @pytest.mark.parametrize("name", ["matmul", "softmax_pool_columns",
-                                  "affine", "dropout"])
+                                  "affine", "residual_layer_norm_masked"])
 def test_a_cases_inputs_depend_on_the_seed_and_its_name_alone(name):
     # the leaves are the first draws of the case's own generator, however
     # many cases, drawing however much, are listed before it
@@ -523,38 +527,50 @@ def test_every_op_has_a_finite_difference_case(monkeypatch):
 
 
 def test_dropout_inference_is_identity():
-    x = Tensor(np.ones((3, 3)))
-    assert ad.dropout(x, 0.5, None, train=False) is x
+    # off, no mask is drawn and y enters the residual sum as it is
+    rng = np.random.default_rng(0)
+    assert dropout_keep((3, 3), 0.5, rng, train=False) is None
+    assert dropout_keep((3, 3), 0.0, rng, train=True) is None
+    assert rng.random() == np.random.default_rng(0).random()
+    x, y = (Tensor(np.random.default_rng(s).normal(size=(3, 4)))
+            for s in (1, 2))
+    gamma, beta = Tensor(np.ones(4)), Tensor(np.zeros(4))
+    assert (ad.residual_layer_norm(x, y, gamma, beta).data.tobytes()
+            == ad.residual_layer_norm(x, y, gamma, beta,
+                                      keep=np.ones((3, 4))).data.tobytes())
 
 
 def test_dropout_inverted_scaling():
-    rng = np.random.default_rng(3)
-    x = Tensor(np.ones((200, 50)), requires_grad=True)
-    out = ad.dropout(x, 0.25, rng, train=True)
-    kept = out.data[out.data != 0]
-    np.testing.assert_allclose(kept, 1.0 / 0.75)
+    keep = dropout_keep((200, 50), 0.25, np.random.default_rng(3))
+    np.testing.assert_allclose(keep[keep != 0], 1.0 / 0.75)
     # kept fraction close to 0.75
-    assert abs((out.data != 0).mean() - 0.75) < 0.02
+    assert abs((keep != 0).mean() - 0.75) < 0.02
 
 
 @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 0.9])
 def test_dropout_equals_float_mask_bit_for_bit(rate):
-    # oracle: the float mask bool/keep applied by one product, signed zeros
-    # included (a dropped negative entry stays -0.0)
+    # oracle: y times the float mask bool/keep by one product, then the
+    # unmasked op; y's gradient is the sum's gradient times the same mask,
+    # signed zeros included (a dropped entry keeps its gradient's sign)
     keep = 1.0 - rate
-    x = Tensor(np.random.default_rng(0).normal(size=(40, 30)),
-               requires_grad=True)
-    g = np.random.default_rng(1).normal(size=(40, 30))
+    x, y, g = (np.random.default_rng(s).normal(size=(40, 30))
+               for s in (0, 1, 3))
+    gamma, beta = Tensor(np.linspace(0.5, 1.5, 30)), Tensor(np.zeros(30))
     mask = (np.random.default_rng(2).random(x.shape) < keep) / keep
-    out = ad.dropout(x, rate, np.random.default_rng(2), train=True)
-    ad.tensor_sum(ad.multiply(out, Tensor(g))).backward()
-    for got, want in ((out.data, x.data * mask), (x.grad, g * mask)):
-        assert got.tobytes() == want.tobytes()
+    yt, ym = Tensor(y, requires_grad=True), Tensor(y * mask, requires_grad=True)
+    got = ad.residual_layer_norm(
+        Tensor(x), yt, gamma, beta,
+        keep=dropout_keep(x.shape, rate, np.random.default_rng(2)))
+    want = ad.residual_layer_norm(Tensor(x), ym, gamma, beta)
+    for out in (got, want):
+        ad.tensor_sum(ad.multiply(out, Tensor(g))).backward()
+    assert got.data.tobytes() == want.data.tobytes()
+    assert yt.grad.tobytes() == (ym.grad * mask).tobytes()
 
 
 def test_dropout_active_without_rng_raises():
-    with pytest.raises(ValueError):
-        ad.dropout(Tensor(np.ones(3)), 0.5, None, train=True)
+    with pytest.raises(ValueError, match="needs an rng"):
+        dropout_keep((3,), 0.5, None, train=True)
 
 
 def test_matmul_rejects_non_2d():
@@ -590,8 +606,10 @@ def test_determinism_same_seed_bit_identical():
     def build(seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.standard_normal((5, 8)), requires_grad=True)
-        out = ad.dropout(ad.softmax(x, axis=1), 0.3,
-                         np.random.default_rng(seed + 1), train=True)
+        p = ad.softmax(x, axis=1)
+        out = ad.residual_layer_norm(
+            x, p, Tensor(np.ones(8)), Tensor(np.zeros(8)),
+            keep=dropout_keep(p.shape, 0.3, np.random.default_rng(seed + 1)))
         loss = ad.mean(out)
         loss.backward()
         return out.data.tobytes(), x.grad.tobytes()

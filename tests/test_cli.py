@@ -399,6 +399,54 @@ def test_predict_reads_back_the_training_word_table_bit_for_bit(
     assert predicted.vectors.matrix.tobytes() == trained.vectors.matrix.tobytes()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("d", 8.0), ("n_blocks", 1.5), ("n_heads", True), ("shared_encoder", 1)])
+def test_predict_rejects_a_checkpoint_config_value_of_the_wrong_type(
+        tmp_path, capsys, key, value):
+    # a float or bool where an int belongs once ended in a bare TypeError,
+    # and 1 for a bool in a parameter name mismatch
+    header, _, body = (DATA / "toy_model_v6.ckpt").read_bytes().partition(b"\n")
+    header = json.loads(header)
+    header["config"][key] = value
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    rc = main(["predict", "--instances", str(DATA / "toy_instances_test.jsonl"),
+               "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {ckpt}: invalid model config: {key} must be of type ")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("pos1", 0.5, "pos1 must be a list of integers, found 0.5"),
+    ("tokens", 1, "tokens must be a list of strings, found 1"),
+    ("pos2", True, "pos2 must be a list of integers, found true"),
+    ("pos1", "a", 'pos1 must be a list of integers, found "a"'),
+    ("pos1", -3, "negative distance -3 in pos1/pos2"),
+    ("pair", 1, "pair must be a list of strings, found 1"),
+    ("doc_id", 5, "doc_id must be a string, found 5")])
+def test_predict_rejects_an_instance_field_at_its_line(tmp_path, capsys,
+                                                       field, value, message):
+    # a fraction, a number token and a bool once predicted with exit 0, a
+    # string ended in a bare TypeError, a negative distance named no file
+    # or line, and a number in the pair or as the doc id ended in a bare
+    # AttributeError or TypeError
+    lines = (DATA / "toy_instances_test.jsonl").read_text().splitlines()
+    rec = json.loads(lines[1])
+    if field == "doc_id":
+        rec[field] = value
+    else:
+        rec[field][0] = value
+    inst_path = tmp_path / "instances.jsonl"
+    inst_path.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]])
+                         + "\n")
+    rc = main(["predict", "--instances", str(inst_path), "--checkpoint",
+               str(DATA / "toy_model_v6.ckpt"), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {inst_path}:2: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_leaves_a_word_file_that_is_its_own_output_alone(tmp_path):
     inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
     ckpt = tmp_path / "model.ckpt"

@@ -46,6 +46,18 @@ def test_config_rejects_unknown_enum_values():
         ModelConfig(d=8, n_heads=2, pooling="median")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("d", 8.0), ("n_heads", True), ("dropout_rate", "0.1"),
+    ("shared_encoder", 1), ("pooling", None)])
+def test_config_rejects_a_value_of_another_type_than_its_default(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be of type "):
+        ModelConfig(**{"d": 8, "n_heads": 2, key: value})
+
+
+def test_config_takes_an_int_for_a_float_field():
+    assert ModelConfig(d=8, n_heads=2, dropout_rate=0).dropout_rate == 0
+
+
 def test_config_roundtrips_through_dict():
     cfg = ModelConfig(d=8, n_heads=2, selector_op="sum")
     assert ModelConfig(**cfg.to_dict()) == cfg
@@ -593,21 +605,22 @@ def _tape_nodes(loss):
 
 
 def test_paper_config_instance_graph_stays_within_100_nodes():
-    # two blocks of four heads per encoder, dropout on: six fused nodes per
-    # block pass, mutual attention in five nodes, an affine classifier and
-    # a one-node loss keep one instance's loss graph at 100 nodes, 60 of
-    # them parameters
-    cfg = ModelConfig()
+    # two blocks of four heads per encoder: four fused nodes per block pass
+    # (dropout rides in the residual layer norms), mutual attention in five
+    # nodes, an affine classifier and a one-node loss keep one instance's
+    # loss graph at 92 nodes, 60 of them parameters, at any dropout rate
     vocab = [f"w{i}" for i in range(50)]
-    model = KSMModel(cfg, WordTable.random(vocab, cfg.d, seed=1), seed=2)
-    rng = np.random.default_rng(3)
-    inst = _inst([vocab[i] for i in rng.integers(50, size=12)])
-    kn = PairKnowledge(*(rng.standard_normal(cfg.d) for _ in range(3)),
-                       er_is_null=False, e1_is_fallback=False,
-                       e2_is_fallback=False)
-    probs, _ = model.forward_instance(inst, kn, train=True, rng=rng)
-    loss = nll_loss([probs], [gold_class(inst)])
-    assert _tape_nodes(loss) <= 100
+    for dropout_rate in (0.1, 0.0):
+        cfg = ModelConfig(dropout_rate=dropout_rate)
+        model = KSMModel(cfg, WordTable.random(vocab, cfg.d, seed=1), seed=2)
+        rng = np.random.default_rng(3)
+        inst = _inst([vocab[i] for i in rng.integers(50, size=12)])
+        kn = PairKnowledge(*(rng.standard_normal(cfg.d) for _ in range(3)),
+                           er_is_null=False, e1_is_fallback=False,
+                           e2_is_fallback=False)
+        probs, _ = model.forward_instance(inst, kn, train=True, rng=rng)
+        loss = nll_loss([probs], [gold_class(inst)])
+        assert _tape_nodes(loss) == 92, dropout_rate
 
 
 def test_separate_pooling_records_four_nodes_per_sequence():
