@@ -24,7 +24,8 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import kb as kb_mod
 from . import train as train_mod
-from .checkpoint import CheckpointError
+from .autodiff import ParameterStore
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .corpus import CorpusError
 from .gradcheck import run_report
 from .kb import KBError
@@ -125,17 +126,26 @@ def _load_word_table(args, instances, d: int, seed: int) -> WordTable:
     return WordTable.random(vocab, d, seed=seed)
 
 
-def _load_store(args, d: int) -> kb_mod.KnowledgeStore:
-    """The --kb-dir store checked against the model width `d`, or none."""
-    if not args.kb_dir:
-        logger.warning("no --kb-dir given; every pair resolves to the "
+def _kb_store(args, d: int) -> kb_mod.KnowledgeStore:
+    """The --kb store checked against the model width `d`, or none."""
+    if not args.kb:
+        logger.warning("no --kb given; every pair resolves to the "
                        "null relation")
         return kb_mod.KnowledgeStore({}, {}, d)
-    store = kb_mod.load_store(args.kb_dir)
+    *_, store = load_checkpoint(args.kb)
     if store.d_kb != d:
-        raise CliError(f"{args.kb_dir}: KB store width {store.d_kb} does not "
+        raise CliError(f"{args.kb}: KB store width {store.d_kb} does not "
                        f"match the model width d {d}")
     return store
+
+
+def _fit_settings(args) -> dict:
+    """train-kb's, train's or ablate's settings, resolved once `--out` is
+    checked, before any input is read (no sidecar is left) or epoch runs."""
+    out = args.out and Path(args.out)  # ablate's is optional
+    if out and (out.is_dir() or not out.parent.is_dir()):
+        raise CliError(f"--out {out}: not a file in an existing directory")
+    return resolve_config(args)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +166,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train_kb(args) -> int:
-    cfg = resolve_config(args)
+    cfg = _fit_settings(args)
     triples = kb_mod.read_triples(args.triples)
     word_table = (kb_mod.read_embeddings(args.word_embeddings)
                   if args.word_embeddings else None)
@@ -173,7 +183,8 @@ def cmd_train_kb(args) -> int:
     losses = kb_mod.transe_train(triples, store, margin=cfg["kb_margin"],
                                  epochs=cfg["kb_epochs"], lr=cfg["kb_lr"],
                                  seed=cfg["seed"])
-    kb_mod.save_store(store, args.out)
+    save_checkpoint(args.out, ParameterStore(),
+                    kb_mod.Embeddings.of({}, cfg["d"]), store, {"d": cfg["d"]})
     if losses:
         print(f"trained {len(triples)} triples for {len(losses)} epochs; "
               f"mean loss {losses[0]:.4f} -> {losses[-1]:.4f}; "
@@ -184,12 +195,8 @@ def cmd_train_kb(args) -> int:
 
 
 def _configs(args) -> tuple[ModelConfig, TrainConfig]:
-    """The configs `args` resolve to, built after `--out` is checked and
-    before any input is read: no sidecar is left and no epoch runs first."""
-    out = args.out and Path(args.out)  # ablate's is optional
-    if out and (out.is_dir() or not out.parent.is_dir()):
-        raise CliError(f"--out {out}: not a file in an existing directory")
-    cfg = resolve_config(args)
+    """The model and training configs of train or ablate."""
+    cfg = _fit_settings(args)
     return (ModelConfig(**{k: cfg[k] for k in _MODEL_KEYS}),
             TrainConfig(**{k: cfg[k] for k in _TRAIN_KEYS}))
 
@@ -197,7 +204,7 @@ def _configs(args) -> tuple[ModelConfig, TrainConfig]:
 def cmd_train(args) -> int:
     model_config, train_config = _configs(args)
     instances = corpus_mod.read_instances(args.instances)
-    store = _load_store(args, model_config.d)
+    store = _kb_store(args, model_config.d)
     word_table = _load_word_table(args, instances, model_config.d,
                                   train_config.seed)
     model = KSMModel(model_config, word_table, seed=train_config.seed)
@@ -271,7 +278,7 @@ def cmd_ablate(args) -> int:
     eval_instances = corpus_mod.read_instances(args.eval_instances)
     gold = train_mod.gold_pairs(corpus_mod.read_corpus(args.corpus))
     # no axis varies d or the seed: every variant fits on the same inputs
-    store = _load_store(args, model_config.d)
+    store = _kb_store(args, model_config.d)
     word_table = _load_word_table(args, train_instances, model_config.d,
                                   train_config.seed)
     lines = [f"{'variant':<20}{'P%':>8}{'R%':>8}{'F%':>8}"]
@@ -344,14 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word-embeddings", default=None)
     p.add_argument("--mention-lexicon", default=None,
                    help="JSON {entity_id: [mention words]}")
-    p.add_argument("--out", required=True, help="output KB directory")
+    p.add_argument("--out", required=True, help="output KB store file")
     _add_settings(p, "train-kb")
     p.set_defaults(func=cmd_train_kb)
 
     p = sub.add_parser("train", help="instances -> model checkpoint")
     p.add_argument("--instances", required=True,
                    help="labeled instance JSONL file")
-    p.add_argument("--kb-dir", default=None)
+    p.add_argument("--kb", default=None, help="KB store file (train-kb)")
     p.add_argument("--word-embeddings", default=None)
     p.add_argument("--out", required=True, help="output checkpoint")
     _add_settings(p, "train")
@@ -377,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluation instances")
     p.add_argument("--corpus", required=True,
                    help="corpus JSONL with gold pairs")
-    p.add_argument("--kb-dir", default=None)
+    p.add_argument("--kb", default=None, help="KB store file (train-kb)")
     p.add_argument("--word-embeddings", default=None)
     p.add_argument("--axis", choices=sorted(_ABLATION_AXES), default="selector")
     p.add_argument("--out", default=None, help="also write the table here")

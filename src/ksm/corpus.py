@@ -373,7 +373,11 @@ def document_from_json(line: str, where: str = "<line>") -> Document:
             Mention(m["entity_id"], m["sentence"], tuple(m["token_span"]))
             for m in rec["mentions"]
         ]
-        gold = {sorted_pair(*p) for p in rec.get("gold_relations", [])}
+        try:
+            gold = {sorted_pair(*p) for p in rec.get("gold_relations", [])}
+        except TypeError:  # not 2 values, or values that do not compare
+            raise CorpusError("gold_relations entries must be lists of "
+                              "2 strings") from None
         if type(sentences := rec["sentences"]) is not list or not all(
                 type(s) is list for s in sentences):
             raise CorpusError("sentences must be a list of token lists")
@@ -430,6 +434,9 @@ def instance_from_json(line: str, where: str = "<line>") -> CandidateInstance:
                 bad = next((v for v in values if type(v) is not kind), values)
                 raise CorpusError(f"{where}: {name} must be a list of "
                                   f"{kinds}, found {json.dumps(bad)}")
+        if len(rec["pair"]) != 2:
+            raise CorpusError(f"{where}: pair must be a list of 2 strings, "
+                              f"found {json.dumps(rec['pair'])}")
         inst = CandidateInstance(
             doc_id=rec["doc_id"], pair=sorted_pair(*rec["pair"]),
             tokens=rec["tokens"], pos1=rec["pos1"], pos2=rec["pos2"],

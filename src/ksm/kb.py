@@ -24,6 +24,9 @@ Entity, relation and word vectors are each one `Embeddings` matrix. Training
 is single-threaded and swaps in trained copies of the matrices at its end, so
 a concurrent lookup reads each matrix whole (the fallback counters in `stats`
 are best-effort bookkeeping, not synchronization).
+
+A store is saved in one format, a checkpoint file (`checkpoint.py`):
+`ksm train-kb` writes one with no parameters and no word rows.
 """
 
 from __future__ import annotations
@@ -629,48 +632,3 @@ def _write_sidecar(sidecar: Path, digest: str, count: int,
                      matrix=table.matrix.astype(_SIDECAR_WIRE, copy=False))
     except OSError as e:
         logger.debug("%s: not written (%s)", sidecar, e)
-
-
-def save_store(store: KnowledgeStore, directory) -> None:
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    write_embeddings(d / "entities.txt", store.entity_table)
-    write_embeddings(d / "relations.txt", store.relation_table)
-    with open(d / "pairs.tsv", "w", encoding="utf-8", newline="\n") as f:
-        for (a, b), labels in sorted(store.pair_relations.items()):
-            f.write("\t".join([a, b] + labels) + "\n")
-
-
-def load_store(directory) -> KnowledgeStore:
-    """Read a directory written by `save_store`.
-
-    The width is the one in the ``entities.txt`` header, rows or none.
-    KBError, naming the file (and the line of ``pairs.tsv``), for a width
-    below 1, a ``relations.txt`` of another width, a ``pairs.tsv`` line with
-    fewer than 3 fields, or a label missing from ``relations.txt``. Pair keys
-    are sorted. Every ``relations.txt`` row is a relation (``__null__`` too).
-    """
-    d = Path(directory)
-    entities = read_embeddings(d / "entities.txt")
-    d_kb = entities.matrix.shape[1]
-    if d_kb < 1:
-        raise KBError(f"{d / 'entities.txt'}:1: width {d_kb}, expected >= 1")
-    relations = read_embeddings(d / "relations.txt")
-    if relations.matrix.shape[1] != d_kb:
-        raise KBError(f"{d / 'relations.txt'}: width "
-                      f"{relations.matrix.shape[1]}, entities.txt has {d_kb}")
-    pairs_path, rows = d / "pairs.tsv", []
-    if pairs_path.exists():
-        for lineno, line in text_lines(pairs_path, KBError):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) < 3:
-                raise KBError(f"{pairs_path}:{lineno}: expected "
-                              f"entity<TAB>entity<TAB>relation...")
-            unknown = [r for r in parts[2:] if r not in relations]
-            if unknown:
-                raise KBError(f"{pairs_path}:{lineno}: relation "
-                              f"{unknown[0]!r} is not in relations.txt")
-            rows.append((parts[0], parts[1], parts[2:]))
-    return KnowledgeStore(entities, relations, d_kb, index_pairs(rows))

@@ -133,16 +133,20 @@ _sinusoid_tables: dict[int, np.ndarray] = {}
 
 
 def sinusoidal_encoding(positions: Sequence[int], d: int) -> np.ndarray:
-    """Fixed sin/cos encoding of integer distances, shape (len(positions), d).
+    """Fixed sin/cos encoding of integer distances, shape (len(positions), d);
+    ValueError for a negative position or one of no integer dtype.
 
     Rows come from a per-``d`` table of the same formula, grown to the next
     power of two above the largest position seen (up to 2^16; larger
     positions are computed directly). Growth swaps in a new array, so a
     concurrent caller sees either the old table or the new one, whole.
     """
-    pos = np.asarray(positions, dtype=np.int64).reshape(-1)
+    pos = np.asarray(positions).reshape(-1)
     if pos.size == 0:
         return np.empty((0, d))
+    if pos.dtype.kind not in "iu":
+        raise ValueError(f"sinusoidal_encoding: positions of dtype "
+                         f"{pos.dtype}, expected integers")
     low, top = int(pos.min()), int(pos.max())
     if low < 0:
         raise ValueError(f"sinusoidal_encoding: negative position {low}")
@@ -514,6 +518,8 @@ class KSMModel:
         `word_table` passed must equal the saved one, or CheckpointError."""
         from .checkpoint import CheckpointError, load_checkpoint
         values, config_dict, words, store = load_checkpoint(path)
+        if not values:  # a KB store file, written by train-kb
+            raise CheckpointError(f"{path}: holds no model parameters")
         try:
             config = ModelConfig(**config_dict)
         except (TypeError, ConfigError) as e:

@@ -531,6 +531,7 @@ MALFORMED_PAIRS = r"malformed 'pairs'; expected rows \[e1, e2, label, ...\]"
     (_v6_defect(pairs=["A", "B", "binds"]), MALFORMED_PAIRS),
     (_v6_defect(pairs=None), MALFORMED_PAIRS),
     (_v6_defect(table="entities", width=3), _malformed("entities")),
+    (_v6_defect(table="relations", width=3), _malformed("relations")),
     (_v6_defect(width=3), _malformed("words")),
     (_v6_defect(table="relations", ids=["r", "r"]), _malformed("relations")),
     (_v6_defect(table="entities", ids=["A", "A"]), _malformed("entities")),
@@ -542,7 +543,7 @@ MALFORMED_PAIRS = r"malformed 'pairs'; expected rows \[e1, e2, label, ...\]"
      "table 'relations' holds non-finite values"),
 ], ids=["label-not-a-relation", "one-label-not-a-relation", "two-strings",
         "int-label", "row-not-a-list", "null-pairs", "entities-of-width-3",
-        "words-of-width-3", "repeated-relation", "repeated-entity",
+        "relations-of-width-3", "words-of-width-3", "repeated-relation", "repeated-entity",
         "null-relations", "entity-without-row", "nan-in-relations"])
 def test_format_6_table_and_pair_defect_rejected(tmp_path, content, match):
     _rejected(tmp_path / "model.ckpt", content, match)

@@ -11,10 +11,12 @@ import pytest
 
 from ksm import kb
 from ksm import train as train_mod
+from ksm.autodiff import ParameterStore
+from ksm.checkpoint import load_checkpoint, save_checkpoint
 from ksm.cli import DEFAULTS, SETTINGS, main, resolve_config
 from ksm.corpus import (Document, Mention, read_instances, write_corpus,
                         write_instances)
-from ksm.kb import read_embeddings, write_embeddings
+from ksm.kb import Embeddings, read_embeddings, write_embeddings
 from ksm.model import KSMModel, ModelConfig, WordTable
 from ksm.synthetic import separable_task, toy_knowledge_graph
 from ksm.train import TrainConfig
@@ -60,17 +62,23 @@ def _write_triples(path):
             f.write("\t".join(t) + "\n")
 
 
+def _write_store(path, store):
+    """`store` as a KB store file: what train-kb writes, a checkpoint with
+    no parameters and no word rows."""
+    save_checkpoint(path, ParameterStore(), Embeddings.of({}, store.d_kb),
+                    store, {"d": store.d_kb})
+    return path
+
+
 def _small_training_setup(tmp_path, n=12):
-    """Instance file + word embedding file for fast CLI training runs."""
+    """Instance file, word embedding file and KB store file for fast CLI
+    training runs."""
     instances, store, table = separable_task(n=n, d=8, seed=0)
     inst_path = tmp_path / "train.jsonl"
     write_instances(inst_path, instances)
     words_path = tmp_path / "words.txt"
     write_embeddings(words_path, table.vectors)
-    from ksm.kb import save_store
-    kb_dir = tmp_path / "kb"
-    save_store(store, kb_dir)
-    return inst_path, words_path, kb_dir
+    return inst_path, words_path, _write_store(tmp_path / "kb.ksm", store)
 
 
 FAST_TRAIN = ["--d", "8", "--n-heads", "2", "--n-blocks", "1",
@@ -146,29 +154,45 @@ def test_evaluate_writes_report_file(tmp_path, capsys):
 
 
 def test_train_kb_produces_loadable_store(tmp_path, capsys):
+    # the store file holds, bit for bit, the store trained in process at
+    # the same seed, and no parameters or word rows: it is no model
     triples = tmp_path / "triples.tsv"
     _write_triples(triples)
-    out = tmp_path / "kb"
+    out = tmp_path / "kb.ksm"
     rc = main(["train-kb", "--triples", str(triples), "--out", str(out),
                "--d", "8", "--kb-epochs", "20", "--seed", "1"])
     assert rc == 0
-    from ksm.kb import load_store
-    store = load_store(out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kb.ksm",
+                                                          "triples.tsv"]
+    values, config, words, store = load_checkpoint(out)
+    assert values == {} and config == {"d": 8}
+    assert words.matrix.shape == (0, 8)
+    want = kb.init_embeddings(kb.read_triples(triples), d_kb=8, seed=1)
+    kb.transe_train(kb.read_triples(triples), want, epochs=20, seed=1)
     assert store.d_kb == 8
+    for got, table in ((store.entity_table, want.entity_table),
+                       (store.relation_table, want.relation_table)):
+        assert got.ids == table.ids
+        assert got.matrix.tobytes() == table.matrix.tobytes()
+    assert store.pair_relations == want.pair_relations
     assert set(store.entity_table) == {"e1", "e2", "e3", "e4"}
-    assert ("e1", "e2") in store.pair_relations
+    capsys.readouterr()
+    assert main(["predict", "--instances",
+                 str(DATA / "toy_instances_test.jsonl"), "--checkpoint",
+                 str(out), "--out", str(tmp_path / "p.tsv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {out}: holds no model parameters\n")
 
 
 def test_train_kb_rerun_is_identical(tmp_path):
     triples = tmp_path / "triples.tsv"
     _write_triples(triples)
-    out1, out2 = tmp_path / "kb1", tmp_path / "kb2"
+    out1, out2 = tmp_path / "kb1.ksm", tmp_path / "kb2.ksm"
     args = ["train-kb", "--triples", str(triples), "--d", "8",
             "--kb-epochs", "10", "--seed", "3"]
     main(args + ["--out", str(out1)])
     main(args + ["--out", str(out2)])
-    assert (out1 / "entities.txt").read_bytes() == \
-        (out2 / "entities.txt").read_bytes()
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 @pytest.mark.parametrize("flag, value", [("--kb-margin", "nan"),
@@ -185,19 +209,20 @@ def test_train_kb_bad_margin_or_lr_exits_2(tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
-@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("command", ["train", "ablate", "train-kb"])
 def test_fit_commands_check_out_before_reading_any_input(
         tmp_path, capsys, monkeypatch, command, where):
-    # both write --out only after every epoch of every model: a path that
-    # cannot be written is reported first, before the (missing) inputs
-    def train_model(*args):
+    # each writes --out only after its last epoch: a path that cannot be
+    # written is reported first, before the (missing) inputs
+    def train(*args, **kwargs):
         raise AssertionError("trained before --out was checked")
 
-    monkeypatch.setattr("ksm.train.train_model", train_model)
+    monkeypatch.setattr("ksm.train.train_model", train)
+    monkeypatch.setattr("ksm.kb.transe_train", train)
     out = {"missing-directory": tmp_path / "nodir" / "m.ckpt",
            "a-directory": tmp_path}[where]
     inputs = _required(command, tmp_path / "in")
-    if "--out" in inputs:  # train's, replaced by `out`
+    if "--out" in inputs:  # train's and train-kb's, replaced by `out`
         i = inputs.index("--out")
         del inputs[i:i + 2]
     rc = main([command, *inputs, "--out", str(out)])
@@ -212,13 +237,13 @@ def test_fit_commands_check_out_before_reading_any_input(
     ("train", "--max-epochs", "-2", "max_epochs must be >= 1, got -2")])
 def test_negative_epoch_count_exits_2(tmp_path, capsys, command, flag, value,
                                       message):
-    inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
+    inst_path, words_path, kb_path = _small_training_setup(tmp_path)
     triples = tmp_path / "triples.tsv"
     _write_triples(triples)
     out = tmp_path / "out"
     inputs = {"train-kb": ["--triples", str(triples), "--d", "8"],
               "train": ["--instances", str(inst_path), "--word-embeddings",
-                        str(words_path), "--kb-dir", str(kb_dir)]
+                        str(words_path), "--kb", str(kb_path)]
               + FAST_TRAIN}[command]
     rc = main([command, *inputs, "--out", str(out), flag, value])
     assert rc == 2
@@ -233,11 +258,20 @@ def test_negative_epoch_count_exits_2(tmp_path, capsys, command, flag, value,
 
 
 def test_train_predict_evaluate_pipeline(tmp_path, capsys):
-    inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
+    # train-kb's --out is the store train reads, so the hand-off between
+    # the commands runs end to end
+    inst_path, words_path, _ = _small_training_setup(tmp_path)
+    triples, kb_path = tmp_path / "triples.tsv", tmp_path / "trained_kb.ksm"
+    with open(triples, "w") as f:
+        for inst in read_instances(inst_path)[:8]:  # 4 pairs with no triple
+            rel = "activates" if inst.label == "positive" else "unrelated_to"
+            f.write("\t".join([inst.pair[0], rel, inst.pair[1]]) + "\n")
+    assert main(["train-kb", "--triples", str(triples), "--d", "8",
+                 "--kb-epochs", "5", "--seed", "2", "--out", str(kb_path)]) == 0
     ckpt = tmp_path / "model.ckpt"
     rc = main(["train", "--instances", str(inst_path),
                "--word-embeddings", str(words_path),
-               "--kb-dir", str(kb_dir), "--out", str(ckpt),
+               "--kb", str(kb_path), "--out", str(ckpt),
                "--seed", "1"] + FAST_TRAIN)
     assert rc == 0
     # the word table is inside the checkpoint: no file beside it
@@ -256,46 +290,11 @@ def test_train_predict_evaluate_pipeline(tmp_path, capsys):
                "--out", str(pred_out)])
     assert rc == 0
     assert pred_out.exists()
-
-
-def test_train_kb_train_predict_ignore_an_older_null_row(tmp_path):
-    # train-kb writes no `__null__` row into relations.txt; the same KB
-    # directory with the zero row that older stores carry trains to the
-    # same parameters and predicts to the same bytes (the checkpoints
-    # differ only by that row, which each carries in its store)
-    inst_path, words_path, _ = _small_training_setup(tmp_path)
-    triples = tmp_path / "triples.tsv"
-    with open(triples, "w") as f:
-        for inst in read_instances(inst_path)[:8]:  # 4 pairs with no triple
-            rel = "activates" if inst.label == "positive" else "unrelated_to"
-            f.write("\t".join([inst.pair[0], rel, inst.pair[1]]) + "\n")
-    new, old = tmp_path / "kb_new", tmp_path / "kb_old"
-    assert main(["train-kb", "--triples", str(triples), "--d", "8",
-                 "--kb-epochs", "5", "--seed", "2", "--out", str(new)]) == 0
-    relations = read_embeddings(new / "relations.txt")
-    assert list(relations) == ["activates", "unrelated_to"]
-    old.mkdir()
-    for name in ("entities.txt", "pairs.tsv"):
-        (old / name).write_bytes((new / name).read_bytes())
-    write_embeddings(old / "relations.txt",
-                     {**relations, "__null__": np.zeros(8)})
-    outputs = []
-    for kb_dir in (new, old):
-        ckpt = tmp_path / f"{kb_dir.name}.ckpt"
-        pred = tmp_path / f"{kb_dir.name}.tsv"
-        assert main(["train", "--instances", str(inst_path),
-                     "--word-embeddings", str(words_path),
-                     "--kb-dir", str(kb_dir), "--out", str(ckpt),
-                     "--seed", "1"] + FAST_TRAIN) == 0
-        assert main(["predict", "--instances", str(inst_path),
-                     "--checkpoint", str(ckpt),
-                     "--out", str(pred)]) == 0
-        model = KSMModel.load(ckpt)
-        outputs.append(({n: t.data.tobytes() for n, t in model.params.items()},
-                        pred.read_bytes()))
-        assert list(model.store.relation_table) == list(
-            kb.load_store(kb_dir).relation_table)
-    assert outputs[0] == outputs[1]
+    stored = KSMModel.load(ckpt).store
+    trained = load_checkpoint(kb_path)[3]
+    assert stored.pair_relations == trained.pair_relations
+    assert (stored.relation_table.matrix.tobytes()
+            == trained.relation_table.matrix.tobytes())
 
 
 def test_predict_reads_the_kb_store_from_the_checkpoint_alone(tmp_path,
@@ -305,11 +304,11 @@ def test_predict_reads_the_kb_store_from_the_checkpoint_alone(tmp_path,
     # took any --kb-dir of the model's width, or none, and predicted 20
     # pairs here with the training store but 40 with no store
     instances, store, _ = separable_task(40, d=16)
-    inst_path, kb_a = tmp_path / "instances.jsonl", tmp_path / "kbA"
+    inst_path = tmp_path / "instances.jsonl"
     write_instances(inst_path, instances)
-    kb.save_store(store, kb_a)
+    kb_a = _write_store(tmp_path / "kbA.ksm", store)
     ckpt, pred = tmp_path / "model.ckpt", tmp_path / "pred.tsv"
-    assert main(["train", "--instances", str(inst_path), "--kb-dir",
+    assert main(["train", "--instances", str(inst_path), "--kb",
                  str(kb_a), "--out", str(ckpt), "--d", "16", "--n-blocks",
                  "1", "--batch-size", "8", "--lr", "1.0", "--max-epochs",
                  "5", "--holdout-fraction", "0"]) == 0
@@ -321,19 +320,19 @@ def test_predict_reads_the_kb_store_from_the_checkpoint_alone(tmp_path,
     train_mod.write_predictions(want, train_mod.aggregate_predictions(
         train_mod.predict_instances(KSMModel.load(ckpt),
                                     read_instances(inst_path),
-                                    kb.load_store(kb_a))))
+                                    load_checkpoint(kb_a)[3])))
     assert pred.read_bytes() == want.read_bytes()
     with pytest.raises(SystemExit) as e:
-        main(argv + ["--kb-dir", str(kb_a)])
+        main(argv + ["--kb", str(kb_a)])
     assert e.value.code == 2
-    assert "unrecognized arguments: --kb-dir" in capsys.readouterr().err
+    assert "unrecognized arguments: --kb" in capsys.readouterr().err
 
 
 def test_train_rerun_same_seed_byte_identical_checkpoint(tmp_path):
-    inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
+    inst_path, words_path, kb_path = _small_training_setup(tmp_path)
     c1, c2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     args = ["train", "--instances", str(inst_path),
-            "--word-embeddings", str(words_path), "--kb-dir", str(kb_dir),
+            "--word-embeddings", str(words_path), "--kb", str(kb_path),
             "--seed", "7"] + FAST_TRAIN
     main(args + ["--out", str(c1)])
     main(args + ["--out", str(c2)])
@@ -344,10 +343,10 @@ def test_predict_falls_back_to_saved_word_table(tmp_path, monkeypatch):
     # the table saved in the checkpoint travels with it: a checkpoint moved
     # and renamed into another directory predicts as before, and no word
     # file is read
-    inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
+    inst_path, words_path, kb_path = _small_training_setup(tmp_path)
     ckpt = tmp_path / "model.ckpt"
     main(["train", "--instances", str(inst_path),
-          "--word-embeddings", str(words_path), "--kb-dir", str(kb_dir),
+          "--word-embeddings", str(words_path), "--kb", str(kb_path),
           "--out", str(ckpt), "--seed", "1"] + FAST_TRAIN)
     before = tmp_path / "before.tsv"
     assert main(["predict", "--instances", str(inst_path),
@@ -371,7 +370,7 @@ def test_predict_falls_back_to_saved_word_table(tmp_path, monkeypatch):
 @pytest.mark.parametrize("unk_row", [True, False])
 def test_predict_reads_back_the_training_word_table_bit_for_bit(
         tmp_path, monkeypatch, unk_row):
-    inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
+    inst_path, words_path, kb_path = _small_training_setup(tmp_path)
     if not unk_row:  # a source file without UNK: the table appends one
         vectors = read_embeddings(words_path)
         write_embeddings(words_path, {k: v for k, v in vectors.items()
@@ -386,7 +385,7 @@ def test_predict_reads_back_the_training_word_table_bit_for_bit(
     monkeypatch.setattr(KSMModel, "__init__", recording)
     ckpt = tmp_path / "model.ckpt"
     main(["train", "--instances", str(inst_path),
-          "--word-embeddings", str(words_path), "--kb-dir", str(kb_dir),
+          "--word-embeddings", str(words_path), "--kb", str(kb_path),
           "--out", str(ckpt), "--seed", "1"] + FAST_TRAIN)
     rc = main(["predict", "--instances", str(inst_path),
                "--checkpoint", str(ckpt),
@@ -424,16 +423,19 @@ def test_predict_rejects_a_checkpoint_config_value_of_the_wrong_type(
     ("pos1", "a", 'pos1 must be a list of integers, found "a"'),
     ("pos1", -3, "negative distance -3 in pos1/pos2"),
     ("pair", 1, "pair must be a list of strings, found 1"),
+    ("pair", ["a", "b", "c"],
+     'pair must be a list of 2 strings, found ["a", "b", "c"]'),
     ("doc_id", 5, "doc_id must be a string, found 5")])
 def test_predict_rejects_an_instance_field_at_its_line(tmp_path, capsys,
                                                        field, value, message):
     # a fraction, a number token and a bool once predicted with exit 0, a
     # string ended in a bare TypeError, a negative distance named no file
-    # or line, and a number in the pair or as the doc id ended in a bare
-    # AttributeError or TypeError
+    # or line, a number in the pair or as the doc id ended in a bare
+    # AttributeError or TypeError, and a pair of three in a message about
+    # sorted_pair's signature
     lines = (DATA / "toy_instances_test.jsonl").read_text().splitlines()
     rec = json.loads(lines[1])
-    if field == "doc_id":
+    if field == "doc_id" or type(value) is list:
         rec[field] = value
     else:
         rec[field][0] = value
@@ -448,13 +450,13 @@ def test_predict_rejects_an_instance_field_at_its_line(tmp_path, capsys,
 
 
 def test_train_leaves_a_word_file_that_is_its_own_output_alone(tmp_path):
-    inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
+    inst_path, words_path, kb_path = _small_training_setup(tmp_path)
     ckpt = tmp_path / "model.ckpt"
     same = Path(str(ckpt) + ".words.txt")
     words_path.rename(same)
     before = same.read_bytes()
     rc = main(["train", "--instances", str(inst_path),
-               "--word-embeddings", str(same), "--kb-dir", str(kb_dir),
+               "--word-embeddings", str(same), "--kb", str(kb_path),
                "--out", str(ckpt), "--seed", "1"] + FAST_TRAIN)
     assert rc == 0
     assert same.read_bytes() == before
@@ -466,7 +468,7 @@ def test_train_leaves_a_word_file_that_is_its_own_output_alone(tmp_path):
 
 def test_ablate_emits_the_six_row_selector_grid(tmp_path, capsys,
                                                 monkeypatch):
-    inst_path, words_path, kb_dir = _small_training_setup(tmp_path, n=12)
+    inst_path, words_path, kb_path = _small_training_setup(tmp_path, n=12)
     # gold: each instance's pair, in a document of its own id, if positive
     gold = tmp_path / "gold.jsonl"
     write_corpus(gold, [Document(
@@ -474,16 +476,17 @@ def test_ablate_emits_the_six_row_selector_grid(tmp_path, capsys,
         [Mention(inst.pair[0], 0, (0, 1)), Mention(inst.pair[1], 0, (1, 2))],
         {inst.pair} if inst.label == "positive" else set())
         for inst in read_instances(inst_path)])
-    loads, load_store, load_words = [], kb.load_store, WordTable.load
-    monkeypatch.setattr(kb, "load_store",
-                        lambda path: loads.append(path) or load_store(path))
+    from ksm import cli
+    loads, load_kb, load_words = [], cli.load_checkpoint, WordTable.load
+    monkeypatch.setattr(cli, "load_checkpoint",
+                        lambda path: loads.append(path) or load_kb(path))
     monkeypatch.setattr(WordTable, "load",
                         lambda path: loads.append(path) or load_words(path))
     rc = main(["ablate", "--instances", str(inst_path),
                "--eval-instances", str(inst_path),
                "--corpus", str(gold),
                "--word-embeddings", str(words_path),
-               "--kb-dir", str(kb_dir), "--seed", "0",
+               "--kb", str(kb_path), "--seed", "0",
                "--lr", "1.0"] + FAST_TRAIN)
     assert rc == 0
     out = capsys.readouterr().out
@@ -506,7 +509,7 @@ sum/sigmoid            75.00  100.00   85.71
 sum/tanh               54.55  100.00   70.59
 """
     # the six variants share one read of each input
-    assert sorted(map(str, loads)) == sorted([str(kb_dir), str(words_path)])
+    assert sorted(map(str, loads)) == sorted([str(kb_path), str(words_path)])
 
 
 def test_gradcheck_passes_and_prints_max_error(capsys, monkeypatch,
@@ -598,10 +601,10 @@ _FILE_INPUTS = [(command, flag) for command, flags in [
     ("preprocess", ("--corpus", "--config")),
     ("train-kb", ("--triples", "--word-embeddings", "--mention-lexicon",
                   "--config")),
-    ("train", ("--instances", "--word-embeddings", "--config")),
+    ("train", ("--instances", "--kb", "--word-embeddings", "--config")),
     ("predict", ("--instances", "--checkpoint")),
     ("evaluate", ("--predictions", "--corpus")),
-    ("ablate", ("--instances", "--eval-instances", "--corpus",
+    ("ablate", ("--instances", "--eval-instances", "--corpus", "--kb",
                 "--word-embeddings", "--config")),
     ("gradcheck", ("--config",)),
 ] for flag in flags]
@@ -668,9 +671,9 @@ def test_help_shows_the_required_inputs_outside_brackets(capsys, command):
 
 
 def test_kb_dimension_mismatch_reports_cleanly(tmp_path, capsys):
-    inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
+    inst_path, words_path, kb_path = _small_training_setup(tmp_path)
     rc = main(["train", "--instances", str(inst_path),
-               "--kb-dir", str(kb_dir), "--out", str(tmp_path / "m.ckpt"),
+               "--kb", str(kb_path), "--out", str(tmp_path / "m.ckpt"),
                "--d", "16", "--n-heads", "2",
                "--n-blocks", "1", "--max-epochs", "1",
                "--holdout-fraction", "0"])
@@ -678,19 +681,16 @@ def test_kb_dimension_mismatch_reports_cleanly(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
-def _kb_dir_without_rows(path, width):
-    """A KB directory whose two tables have the header `0 width` only."""
-    path.mkdir()
-    for name in ("entities.txt", "relations.txt"):
-        (path / name).write_text(f"0 {width}\n")
-    return path
+def _store_without_rows(path, width):
+    """A KB store file of `width` with no entity, relation or pair."""
+    return _write_store(path, kb.KnowledgeStore({}, {}, width))
 
 
 def test_kb_dir_without_rows_trains_with_every_pair_null(tmp_path,
                                                           monkeypatch):
     from ksm import train as train_mod
     inst_path, words_path, _ = _small_training_setup(tmp_path)
-    kb_dir = _kb_dir_without_rows(tmp_path / "empty_kb", 8)
+    kb_path = _store_without_rows(tmp_path / "empty_kb.ksm", 8)
     stores, train = [], train_mod.train_model
 
     def recording(instances, store, *rest):
@@ -700,7 +700,7 @@ def test_kb_dir_without_rows_trains_with_every_pair_null(tmp_path,
     monkeypatch.setattr(train_mod, "train_model", recording)
     out = tmp_path / "m.ckpt"
     rc = main(["train", "--instances", str(inst_path),
-               "--word-embeddings", str(words_path), "--kb-dir", str(kb_dir),
+               "--word-embeddings", str(words_path), "--kb", str(kb_path),
                "--out", str(out)] + FAST_TRAIN)
     assert rc == 0 and out.exists()
     [store] = stores
@@ -710,14 +710,14 @@ def test_kb_dir_without_rows_trains_with_every_pair_null(tmp_path,
 
 def test_kb_dir_without_rows_of_another_width_exits_2(tmp_path, capsys):
     inst_path, words_path, _ = _small_training_setup(tmp_path)
-    kb_dir = _kb_dir_without_rows(tmp_path / "empty_kb", 6)
+    kb_path = _store_without_rows(tmp_path / "empty_kb.ksm", 6)
     out = tmp_path / "m.ckpt"
     rc = main(["train", "--instances", str(inst_path),
-               "--word-embeddings", str(words_path), "--kb-dir", str(kb_dir),
+               "--word-embeddings", str(words_path), "--kb", str(kb_path),
                "--out", str(out)] + FAST_TRAIN)
     assert rc == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"error: {kb_dir}: KB store width 6 does not match the model "
+        f"error: {kb_path}: KB store width 6 does not match the model "
         f"width d 8"]
     assert not out.exists()
 
@@ -725,13 +725,13 @@ def test_kb_dir_without_rows_of_another_width_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["train", "train-kb"])
 @pytest.mark.parametrize("width", ["0", "-4"])
 def test_width_below_1_exits_2(tmp_path, capsys, command, width):
-    inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
+    inst_path, words_path, kb_path = _small_training_setup(tmp_path)
     triples = tmp_path / "triples.tsv"
     _write_triples(triples)
     out = tmp_path / "out"
     inputs = {"train-kb": ["--triples", str(triples)],
               "train": ["--instances", str(inst_path), "--word-embeddings",
-                        str(words_path), "--kb-dir", str(kb_dir)]}[command]
+                        str(words_path), "--kb", str(kb_path)]}[command]
     rc = main([command, *inputs, "--out", str(out), "--d", width])
     assert rc == 2
     message = {"train": f"d ({width}) must be a positive multiple of "
@@ -767,7 +767,11 @@ def test_malformed_corpus_reports_line_number(tmp_path, capsys):
         {"entity_id": "G1", "sentence": 0, "token_span": [0, 1]},
         {"entity_id": "G2", "sentence": 0, "token_span": [7, 8]}]},
      "bad.jsonl:2: sentences must be a list of token lists"),
-], ids=["span-3", "sentence-float", "token-int", "sentence-string"])
+    ({"sentences": [["a", "b"]], "mentions": [],
+      "gold_relations": [["G1", "G2", "G3"]]},
+     "bad.jsonl:2: gold_relations entries must be lists of 2 strings"),
+], ids=["span-3", "sentence-float", "token-int", "sentence-string",
+        "gold-pair-of-3"])
 def test_malformed_corpus_record_exits_2_without_output(tmp_path, capsys,
                                                         doc, location):
     bad = tmp_path / "bad.jsonl"
@@ -810,12 +814,12 @@ def test_config_flags_follow_the_config_dataclasses():
                      "--kb-epochs", "--kb-lr", "--triples",
                      "--word-embeddings", "--mention-lexicon"},
         "train": {"--config", "--out"} | fit_flags | {
-            "--instances", "--kb-dir", "--word-embeddings"},
+            "--instances", "--kb", "--word-embeddings"},
         "predict": {"--out", "--instances", "--checkpoint"},
         "evaluate": {"--out", "--predictions", "--corpus"},
         "ablate": {"--config", "--out"} | fit_flags | {
             "--axis", "--instances", "--eval-instances", "--corpus",
-            "--kb-dir", "--word-embeddings"},
+            "--kb", "--word-embeddings"},
         "gradcheck": {"--config", "--seed"},
     }
     for subcommand, flags in want.items():
@@ -1073,20 +1077,20 @@ def test_train_kb_reads_a_mention_lexicon(tmp_path):
                              "beta": np.full(4, -0.5)})
     lexicon = tmp_path / "lexicon.json"
     lexicon.write_text(json.dumps({"e1": ["alpha", "beta"], "e2": []}))
-    out = tmp_path / "kb"
+    out = tmp_path / "kb.ksm"
     rc = main(["train-kb", "--triples", str(triples), "--d", "4",
                "--kb-epochs", "0", "--word-embeddings", str(words),
                "--mention-lexicon", str(lexicon), "--out", str(out)])
     assert rc == 0
     np.testing.assert_array_equal(
-        read_embeddings(out / "entities.txt")["e1"], np.full(4, -0.125))
+        load_checkpoint(out)[3].entity_table["e1"], np.full(4, -0.125))
 
 
 def test_nan_learning_rate_exits_2(tmp_path, capsys):
-    inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
+    inst_path, words_path, kb_path = _small_training_setup(tmp_path)
     out = tmp_path / "m.ckpt"
     rc = main(["train", "--instances", str(inst_path),
-               "--word-embeddings", str(words_path), "--kb-dir", str(kb_dir),
+               "--word-embeddings", str(words_path), "--kb", str(kb_path),
                "--out", str(out), "--lr", "nan"] + FAST_TRAIN)
     assert rc == 2
     assert ("error: lr must be finite and nonnegative, got nan"
@@ -1104,10 +1108,10 @@ def test_non_finite_training_loss_exits_2(tmp_path, capsys, monkeypatch):
         self.params["classifier.b"].data[0] = np.nan
 
     monkeypatch.setattr(Adadelta, "step", poisoned)
-    inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
+    inst_path, words_path, kb_path = _small_training_setup(tmp_path)
     out = tmp_path / "m.ckpt"
     rc = main(["train", "--instances", str(inst_path),
-               "--word-embeddings", str(words_path), "--kb-dir", str(kb_dir),
+               "--word-embeddings", str(words_path), "--kb", str(kb_path),
                "--out", str(out)] + FAST_TRAIN)
     assert rc == 2
     assert ("error: non-finite training loss at epoch 0, batch 1: "
@@ -1123,10 +1127,10 @@ def test_non_finite_gradient_exits_2(tmp_path, capsys, monkeypatch):
         params["classifier.b"].grad = np.full(2, np.nan)
 
     monkeypatch.setattr("ksm.train.backward", poisoned)
-    inst_path, words_path, kb_dir = _small_training_setup(tmp_path)
+    inst_path, words_path, kb_path = _small_training_setup(tmp_path)
     out = tmp_path / "m.ckpt"
     rc = main(["train", "--instances", str(inst_path),
-               "--word-embeddings", str(words_path), "--kb-dir", str(kb_dir),
+               "--word-embeddings", str(words_path), "--kb", str(kb_path),
                "--out", str(out)] + FAST_TRAIN)
     assert rc == 2
     err = capsys.readouterr().err
@@ -1155,7 +1159,8 @@ def test_defaults_are_the_library_defaults():
 
 def test_readme_usage_lines_parse():
     # every `ksm ...` example of the README's command block is one the
-    # parser takes, required inputs included
+    # parser takes, required inputs included, and the store train-kb
+    # writes is the one train reads
     from ksm.cli import build_parser
     readme = (Path(__file__).parent.parent / "README.md").read_text(
         encoding="utf-8")
@@ -1164,8 +1169,9 @@ def test_readme_usage_lines_parse():
     assert [c.split()[:2] for c in commands] == [
         ["ksm", c] for c in ("preprocess", "train-kb", "train", "predict",
                              "evaluate", "ablate", "gradcheck")]
-    for command in commands:
-        build_parser().parse_args(shlex.split(command)[1:])
+    args = [build_parser().parse_args(shlex.split(command)[1:])
+            for command in commands]
+    assert args[1].out == args[2].kb
 
 
 def test_readme_config_table_lists_exactly_the_defaults():

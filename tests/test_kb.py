@@ -1,7 +1,6 @@
 """TransE embeddings: init, energy, training dynamics, pair resolution."""
 
 import os
-import shutil
 import subprocess
 import sys
 import threading
@@ -14,17 +13,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksm import kb
-from ksm.kb import KnowledgeStore
-from ksm.kb import (KBError, Triple, init_embeddings,
-                    load_store, mean_energies, read_embeddings, read_triples,
-                    resolve_pair_knowledge, save_store, tail_rank,
-                    transe_energy, transe_train, write_embeddings)
+from ksm.autodiff import ParameterStore
+from ksm.checkpoint import load_checkpoint, save_checkpoint
+from ksm.kb import Embeddings, KnowledgeStore
+from ksm.kb import (KBError, Triple, init_embeddings, mean_energies,
+                    read_embeddings, read_triples, resolve_pair_knowledge,
+                    tail_rank, transe_energy, transe_train, write_embeddings)
 from ksm.synthetic import toy_knowledge_graph
 
 DATA = Path(__file__).parent / "data"
 
 def _store(d_kb=8, seed=0):
     return init_embeddings(toy_knowledge_graph(), d_kb=d_kb, seed=seed)
+
+
+def _saved_and_loaded(store, path):
+    """`store` after a save to a KB store file, as `ksm train-kb` writes
+    one, and a load."""
+    save_checkpoint(path, ParameterStore(), Embeddings.of({}, store.d_kb),
+                    store, {"d": store.d_kb})
+    return load_checkpoint(path)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +263,9 @@ def test_fallback_is_the_same_after_a_save_and_load(tmp_path):
     triples = [Triple("e1", "r", "e2")]
     store = init_embeddings(triples, words, {"e1": ["a"], "new": ["a"]},
                             d_kb=2)
-    save_store(store, tmp_path / "kb")
     want = resolve_pair_knowledge(init_embeddings(triples, d_kb=2),
                                   "new", "e1").e1
-    for s in (store, load_store(tmp_path / "kb")):
+    for s in (store, _saved_and_loaded(store, tmp_path / "kb.ksm")):
         kn = resolve_pair_knowledge(s, "new", "e1")
         assert kn.e1_is_fallback
         assert kn.e1.tobytes() == want.tobytes()
@@ -308,12 +315,6 @@ def test_bad_embedding_header(tmp_path):
         read_embeddings(path)
 
 
-def _saved_store(tmp_path):
-    store = _store(d_kb=4, seed=2)
-    save_store(store, tmp_path / "kb")
-    return store, tmp_path / "kb"
-
-
 def _set_last_value(path, lineno, value):
     lines = path.read_text().splitlines()
     lines[lineno - 1] = " ".join(lines[lineno - 1].split()[:-1] + [value])
@@ -324,148 +325,83 @@ def _set_last_value(path, lineno, value):
     ("x", "could not convert string to float: 'x'"),
     ("nan", "non-finite value"),
     ("-inf", "non-finite value")])
-@pytest.mark.parametrize("loader", ["read_embeddings", "WordTable.load",
-                                    "load_store"])
+@pytest.mark.parametrize("loader", ["read_embeddings", "WordTable.load"])
 def test_embedding_value_must_be_finite_number(tmp_path, loader, value,
                                                error):
     from ksm.model import WordTable
-    if loader == "load_store":
-        _, target = _saved_store(tmp_path)
-        path, load = target / "entities.txt", load_store
-    else:
-        path = target = tmp_path / "emb.txt"
-        write_embeddings(path, {k: np.array([0.5, -1.0]) for k in "abc"})
-        load = {"read_embeddings": read_embeddings,
-                "WordTable.load": WordTable.load}[loader]
+    path = tmp_path / "emb.txt"
+    write_embeddings(path, {k: np.array([0.5, -1.0]) for k in "abc"})
+    load = {"read_embeddings": read_embeddings,
+            "WordTable.load": WordTable.load}[loader]
     _set_last_value(path, 3, value)
     with pytest.raises(KBError, match=rf"{path.name}:3: {error}"):
-        load(target)
-
-
-@pytest.mark.parametrize("keep", [None, "__null__"])
-def test_load_store_rejects_relation_width_mismatch(tmp_path, keep):
-    # relations.txt at width 3 beside width-4 entities: every relation,
-    # or only the null vector of the layout older stores were saved in
-    _, kb_dir = _saved_store(tmp_path)
-    relations = {**read_embeddings(kb_dir / "relations.txt"),
-                 "__null__": np.zeros(4)}
-    write_embeddings(kb_dir / "relations.txt",
-                     {k: v[:3] for k, v in relations.items()
-                      if keep in (None, k)})
-    with pytest.raises(KBError, match=r"relations\.txt.*width 3.*4"):
-        load_store(kb_dir)
-
-
-@pytest.mark.parametrize("line, message", [
-    ("e1\te2\n", "expected entity"),
-    ("e1\te2\tunknown_rel\n", "relation 'unknown_rel' is not in relations"),
-], ids=["two_fields", "unknown_label"])
-def test_load_store_rejects_bad_pair_line(tmp_path, line, message):
-    _, kb_dir = _saved_store(tmp_path)
-    with open(kb_dir / "pairs.tsv", "a", encoding="utf-8") as f:
-        f.write(line)
-    with pytest.raises(KBError, match=rf"pairs\.tsv:5: {message}"):
-        load_store(kb_dir)
-
-
-def test_load_store_sorts_pair_keys(tmp_path):
-    store, kb_dir = _saved_store(tmp_path)
-    (kb_dir / "pairs.tsv").write_text("e2\te1\tr1\n")
-    back = load_store(kb_dir)
-    assert back.pair_relations == {("e1", "e2"): ["r1"]}
-    kn = resolve_pair_knowledge(back, "e1", "e2")
-    assert not kn.er_is_null
-    np.testing.assert_array_equal(kn.er, store.relation_table["r1"])
+        load(path)
 
 
 def test_store_roundtrip(tmp_path):
     triples = toy_knowledge_graph()
     store = _store(d_kb=6, seed=2)
     transe_train(triples, store, epochs=5, lr=0.05, seed=3)
-    save_store(store, tmp_path / "kb")
-    back = load_store(tmp_path / "kb")
+    back = _saved_and_loaded(store, tmp_path / "kb.ksm")
     assert back.d_kb == 6
-    for k, v in store.entity_table.items():
-        np.testing.assert_array_equal(back.entity_table[k], v)
+    for got, want in ((back.entity_table, store.entity_table),
+                      (back.relation_table, store.relation_table)):
+        assert got.ids == want.ids
+        assert got.matrix.tobytes() == want.matrix.tobytes()
     assert back.pair_relations == store.pair_relations
 
 
 def test_store_without_rows_keeps_its_width(tmp_path):
-    save_store(KnowledgeStore(entity_table={}, relation_table={}, d_kb=6),
-               tmp_path)
-    for name in ("entities.txt", "relations.txt"):
-        assert (tmp_path / name).read_text() == "0 6\n"
-    store = load_store(tmp_path)
+    store = _saved_and_loaded(
+        KnowledgeStore(entity_table={}, relation_table={}, d_kb=6),
+        tmp_path / "kb.ksm")
     assert store.d_kb == 6 and not store.entity_table
+    assert store.relation_table.matrix.shape == (0, 6)
     assert resolve_pair_knowledge(store, "a", "b").e1.shape == (6,)
-
-
-def test_store_of_width_0_rejected_also_on_a_sidecar_hit(tmp_path):
-    # a "0 0" header used to load, and the store's first pair lookup then
-    # divided by its width
-    for name in ("entities.txt", "relations.txt"):
-        (tmp_path / name).write_text("0 0\n")
-    for _ in range(2):  # the second read of entities.txt is a sidecar hit
-        with pytest.raises(KBError) as e:
-            load_store(tmp_path)
-        assert str(e.value) == (f"{tmp_path / 'entities.txt'}:1: width 0, "
-                                f"expected >= 1")
-    assert _sidecar(tmp_path / "entities.txt").exists()
 
 
 def test_embedding_matrix_is_sized_from_its_rows_not_its_header(tmp_path):
     # a header width of 2^52 used to allocate 16 rows of it before any row
     # was read (a MemoryError: "Unable to allocate 524. TiB")
-    save_store(_store(d_kb=4), tmp_path)
     relations = tmp_path / "relations.txt"
     relations.write_text("0 4503504650986\n")
     assert read_embeddings(relations).matrix.shape == (0, 4503504650986)
-    with pytest.raises(KBError, match=rf"^{relations}: width 4503504650986, "
-                                      rf"entities\.txt has 4$"):
-        load_store(tmp_path)
     relations.write_text("1 4503504650986\nr1 0.5\n")
     with pytest.raises(KBError, match=rf"^{relations}:2: expected id \+ "
                                       rf"4503504650986 values, got 1$"):
         read_embeddings(relations)
 
 
-@pytest.mark.parametrize("loader", ["read_embeddings", "WordTable.load",
-                                    "load_store"])
+@pytest.mark.parametrize("loader", ["read_embeddings", "WordTable.load"])
 def test_invalid_utf8_is_a_kb_error_at_the_file(tmp_path, loader):
     from ksm.model import WordTable
-    _, kb_dir = _saved_store(tmp_path)
-    path = kb_dir / "entities.txt"
+    path = tmp_path / "entities.txt"
+    write_embeddings(path, _store(d_kb=4, seed=2).entity_table)
     lines = path.read_bytes().split(b"\n")
     lines[2] = lines[2][:1] + b"\xc6" + lines[2][1:]  # one invalid byte
     path.write_bytes(b"\n".join(lines))
-    load = {"read_embeddings": read_embeddings, "WordTable.load":
-            WordTable.load, "load_store": load_store}[loader]
+    load = {"read_embeddings": read_embeddings,
+            "WordTable.load": WordTable.load}[loader]
     with pytest.raises(KBError) as e:
-        load(kb_dir if loader == "load_store" else path)
+        load(path)
     assert str(e.value) == f"{path}:3: not UTF-8 text"
 
 
-@pytest.mark.parametrize("reader", ["read_triples", "load_store",
-                                    "read_corpus", "read_instances",
-                                    "read_predictions"])
+@pytest.mark.parametrize("reader", ["read_triples", "read_corpus",
+                                    "read_instances", "read_predictions"])
 def test_invalid_utf8_is_the_readers_own_error_at_the_line(tmp_path, reader):
     # each reader reports the byte as it reports a malformed line
     from ksm.corpus import CorpusError, read_corpus, read_instances
     from ksm.train import read_predictions
-    if reader == "load_store":
-        path = _saved_store(tmp_path)[1] / "pairs.tsv"
-    else:
-        path = tmp_path / "input.txt"
-        first = {"read_triples": "e1\tr1\te2",
-                 "read_corpus": (DATA / "toy_corpus.jsonl").read_text(),
-                 "read_instances":
-                     (DATA / "toy_instances_train.jsonl").read_text(),
-                 "read_predictions": "doc\tP1\tP2"}[reader]
-        path.write_text(first.splitlines()[0] + "\n")
+    path = tmp_path / "input.txt"
+    first = {"read_triples": "e1\tr1\te2",
+             "read_corpus": (DATA / "toy_corpus.jsonl").read_text(),
+             "read_instances": (DATA / "toy_instances_train.jsonl").read_text(),
+             "read_predictions": "doc\tP1\tP2"}[reader]
+    path.write_text(first.splitlines()[0] + "\n")
     path.write_bytes(path.read_bytes().splitlines(keepends=True)[0]
                      + b"x\xc6y\n")
     load, error = {"read_triples": (read_triples, KBError),
-                   "load_store": (lambda p: load_store(p.parent), KBError),
                    "read_corpus": (read_corpus, CorpusError),
                    "read_instances": (read_instances, CorpusError),
                    "read_predictions": (read_predictions, ValueError)}[reader]
@@ -482,38 +418,9 @@ def test_init_embeddings_rejects_a_width_below_1(d_kb):
 
 
 def test_saved_store_has_no_null_row(tmp_path):
-    save_store(_store(d_kb=4), tmp_path / "kb")
-    relations = read_embeddings(tmp_path / "kb" / "relations.txt")
-    assert list(relations) == ["r1", "r2"]
-
-
-def test_store_of_the_older_layout_resolves_every_pair_as_before(tmp_path):
-    # kb_with_null_row was written by save_store when a store carried its
-    # own null relation, as a zero `__null__` row of relations.txt, from
-    # toy_knowledge_graph() at d_kb 4 and init seed 2 after 5 TransE
-    # epochs (lr 0.05, seed 3); the copy keeps sidecars out of tests/data
-    shutil.copytree(DATA / "kb_with_null_row", tmp_path / "kb")
-    assert "__null__" in read_embeddings(tmp_path / "kb" / "relations.txt")
-    back = load_store(tmp_path / "kb")
-    # the row loads as one more relation, which no pair names
-    assert list(back.relation_table) == ["r1", "r2", "__null__"]
-    store = _store(d_kb=4, seed=2)
-    transe_train(toy_knowledge_graph(), store, epochs=5, lr=0.05, seed=3)
-    ids = ["e1", "e2", "e3", "e4", "unknown"]
-    for a in ids:
-        for b in ids:
-            got = resolve_pair_knowledge(back, a, b)
-            want = resolve_pair_knowledge(store, a, b)
-            assert (got.er is None) == got.er_is_null
-            for g, w in zip(got, want):
-                if isinstance(w, np.ndarray):
-                    assert g.tobytes() == w.tobytes()
-                else:
-                    assert g == w
-
-
-# ---------------------------------------------------------------------------
-# the embedding sidecar: each file's bytes are parsed once
+    # the null relation is the model parameter `knowledge.null_relation`
+    back = _saved_and_loaded(_store(d_kb=4), tmp_path / "kb.ksm")
+    assert list(back.relation_table) == ["r1", "r2"]
 
 
 def _sidecar(path):

@@ -108,6 +108,14 @@ def test_sinusoid_empty_input_and_negative_positions():
     assert sinusoidal_encoding([], 8).shape == (0, 8)
     with pytest.raises(ValueError, match="negative position"):
         sinusoidal_encoding([2, -1], 8)
+    # fractions were once truncated without a word: [1.9, 2.5] encoded
+    # as [1, 2]; a bool is no distance either
+    for positions in ([1.9, 2.5], [1, 2.0], [True, False],
+                      np.array([0.0, 3.0])):
+        with pytest.raises(ValueError, match="expected integers"):
+            sinusoidal_encoding(positions, 8)
+    np.testing.assert_array_equal(sinusoidal_encoding(np.arange(3), 8),
+                                  sinusoidal_encoding([0, 1, 2], 8))
 
 
 def test_embed_shapes():
