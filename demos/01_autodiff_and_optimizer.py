@@ -21,7 +21,7 @@ w = Tensor(rng.standard_normal((3, 1)), requires_grad=True)
 x = Tensor(rng.standard_normal((8, 3)))
 y_true = x.data @ np.array([[2.0], [-1.0], [0.5]])
 
-residual = x @ w - Tensor(y_true)
+residual = x @ w + Tensor(-y_true)
 loss = ad.mean(ad.multiply(residual, residual))
 print(f"initial loss: {loss.item():.4f}")
 
@@ -29,8 +29,8 @@ loss.backward()
 print("analytic  dL/dw:", np.round(w.grad[:, 0], 6))
 
 numeric = finite_difference(
-    lambda: ad.mean(ad.multiply(x @ w - Tensor(y_true),
-                                x @ w - Tensor(y_true))).item(), w)
+    lambda: ad.mean(ad.multiply(x @ w + Tensor(-y_true),
+                                x @ w + Tensor(-y_true))).item(), w)
 print("numeric   dL/dw:", np.round(numeric[:, 0], 6))
 print(f"max abs difference: {np.abs(w.grad - numeric).max():.2e}")
 
@@ -41,7 +41,7 @@ params.add("w", Tensor(np.zeros((3, 1))))
 opt = Adadelta(params, lr=1.0)
 
 for step in range(2500):
-    r = x @ params["w"] - Tensor(y_true)
+    r = x @ params["w"] + Tensor(-y_true)
     loss = ad.mean(ad.multiply(r, r))
     params.zero_grad()
     loss.backward()

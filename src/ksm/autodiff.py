@@ -24,10 +24,10 @@ Semantics worth knowing:
   switch is a context variable, so it covers only the current thread (or
   task) and is restored when the block exits, also on an exception.
 
-The op vocabulary is fixed and small: 2-D matmul, add, multiply, neg,
-concat (last axis), reshape, 2-D transpose, sum/mean over an axis,
-amax, tanh, sigmoid, relu, softmax, and fused ops, each one tape node
-with a hand-written backward in place of a chain of small ones:
+The op vocabulary is fixed and small: 2-D matmul, add, scale, multiply,
+concat (last axis), reshape, sum/mean over an axis, amax, tanh, sigmoid,
+relu, softmax, and fused ops, each one tape node with a hand-written
+backward in place of a chain of small ones:
 
 - the affine map ``x w + b``;
 - multi-head scaled dot-product attention with its query, key, value
@@ -149,16 +149,10 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, float(other))
         return multiply(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -222,14 +216,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(-g)
-
-    return _make(-a.data, (a,), backward)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     def backward(g):
         if a.requires_grad:
@@ -263,18 +249,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(a.data.T @ g)
 
     return _make(a.data @ b.data, (a, b), backward)
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Swap the two axes of a 2-D tensor."""
-    if a.data.ndim != 2:
-        raise ValueError(f"transpose expects a 2-D tensor, got {a.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.T)
-
-    return _make(a.data.T.copy(), (a,), backward)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -536,7 +510,7 @@ def softmax_pool(scores: Tensor, v: Tensor, axis: int) -> tuple[Tensor, Tensor]:
     axis, whose length is the number of rows of v. Returns the (1, d)
     pooled row as one node and the weights as a plain tensor, (L1, 1) for
     axis 1 and (1, L2) for axis 0. Forward and backward take the same
-    sums and products as ``mean``, ``softmax``, ``transpose`` (axis 1)
+    sums and products as ``mean``, ``softmax``, ``reshape`` (axis 1)
     and ``matmul`` would, so values and gradients are theirs bit for bit.
     """
     if (scores.data.ndim != 2 or axis not in (0, 1) or not scores.size

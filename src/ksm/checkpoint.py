@@ -105,10 +105,11 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, Embeddings,
         ids = table.get("ids") if isinstance(table, dict) else None
         if not (isinstance(ids, list) and all(type(i) is str for i in ids)
                 and len(set(ids)) == len(ids) and type(table.get("width"))
-                is int and table["width"] == config.get("d") >= 0):
+                is int and table["width"] == config.get("d") >= 1):
             raise CheckpointError(
                 f"{path}: malformed {name!r} table; expected unique string "
-                f"'ids' and 'width' the config's d, {config.get('d')!r}")
+                f"'ids' and 'width' the config's d (at least 1), "
+                f"{config.get('d')!r}")
         parts.append((f"table {name!r}", [len(ids), table["width"]]))
     rows, known = header.get("pairs"), set(tables["relations"]["ids"])
     if not (isinstance(rows, list) and all(

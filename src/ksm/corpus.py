@@ -20,8 +20,8 @@ on a layout (sentence offsets, the masked form of every token, the first
 mention covering each index) and then O(window) per candidate pair, so a
 document of n tokens with p pairs costs O(n + p * window), not O(p * n).
 Each distinct token is masked once per process: `_mask_token` sits behind
-a bounded memo keyed on the token and the config's masking values, so the
-layout of a document is one memo lookup per token.
+a bounded memo keyed on the token alone, so the layout of a document is
+one memo lookup per token.
 
 Everything here is a pure function over immutable documents; the memo is
 thread-safe and only caches a pure function, so processing is still
@@ -52,6 +52,8 @@ NUMBER_TOKEN = "NUMBER"
 
 # optional sign, integer or decimal, optional trailing percent
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)%?$")
+_STRIP = str.maketrans("", "", "*†‡§®™")
+_DROP_TOKENS = frozenset("()[]{}")  # lone brackets left after stripping
 
 
 class CorpusError(Exception):
@@ -102,24 +104,8 @@ class CandidateInstance:
 class PreprocessConfig:
     max_sentence_distance: int = 3   # pairs with distance >= this are skipped
     expansion: int = 3               # context tokens kept on each side
-    strip_chars: str = "*†‡§®™"  # * † ‡ § ® ™
-    drop_tokens: frozenset = frozenset("()[]{}")  # given as any iterable
 
     def __post_init__(self):
-        # both masking values key the `_mask_token` memo, so they must be
-        # hashable and immutable
-        if not isinstance(self.strip_chars, str):
-            raise CorpusError(f"strip_chars must be a string, got "
-                              f"{self.strip_chars!r}")
-        try:
-            drop = (None if isinstance(self.drop_tokens, str)
-                    else frozenset(self.drop_tokens))
-        except TypeError:  # not iterable, or an unhashable element
-            drop = None
-        if drop is None or not all(isinstance(t, str) for t in drop):
-            raise CorpusError(f"drop_tokens must be a collection of token "
-                              f"strings, got {self.drop_tokens!r}")
-        object.__setattr__(self, "drop_tokens", drop)
         if self.max_sentence_distance < 1:
             raise CorpusError(f"max_sentence_distance must be >= 1, got "
                               f"{self.max_sentence_distance}")
@@ -186,39 +172,36 @@ def generate_candidate_pairs(
 
 
 # Tokens repeat across documents: the benchmark corpus has 100,000 tokens
-# and about 2,000 distinct ones. The key holds the config's masking values,
-# so two configs never share an entry. An entry holds about 160 bytes plus
-# the token and its masked form: a full memo of 20-character tokens is
-# about 10 MB.
+# and about 2,000 distinct ones. An entry holds about 160 bytes plus the
+# token and its masked form: a full memo of 20-character tokens is about
+# 10 MB.
 _MASK_MEMO_SIZE = 32_768
 
 
 @functools.lru_cache(maxsize=_MASK_MEMO_SIZE)
-def _mask_token(token: str, strip_chars: str,
-                drop_tokens: frozenset) -> str | None:
+def _mask_token(token: str) -> str | None:
     """Apply NUMBER replacement, then char stripping, then lone-punct drop."""
     if _NUMBER_RE.match(token):
         return NUMBER_TOKEN
-    stripped = token.translate(str.maketrans("", "", strip_chars))
-    if not stripped or stripped in drop_tokens:
+    stripped = token.translate(_STRIP)
+    if not stripped or stripped in _DROP_TOKENS:
         return None
     return stripped
 
 
 class _Layout(NamedTuple):
-    """Facts about one document under one config that every pair reads."""
+    """Facts about one document that every pair reads."""
     offsets: list[int]            # sentence start offsets, then n
     masked: list[str | None]      # _mask_token of every flat token
     owner: list[int]              # per flat index, the doc.mentions index of
                                   # the first mention covering it, else -1
 
 
-def _document_layout(doc: Document, config: PreprocessConfig) -> _Layout:
+def _document_layout(doc: Document) -> _Layout:
     offsets = _sentence_offsets(doc)
     flat = [tok for sent in doc.sentences for tok in sent]
-    strip, drop = config.strip_chars, config.drop_tokens
     try:
-        masked = [_mask_token(tok, strip, drop) for tok in flat]
+        masked = [_mask_token(tok) for tok in flat]
     except TypeError:
         bad = [tok for tok in flat if not isinstance(tok, str)]
         if not bad:
@@ -245,7 +228,7 @@ def build_context_window(
     call without it first builds one in O(document).
     """
     config = config or PreprocessConfig()
-    layout = _layout if _layout is not None else _document_layout(doc, config)
+    layout = _layout if _layout is not None else _document_layout(doc)
     s1, e1 = _flat_span(doc, m1, layout.offsets)
     s2, e2 = _flat_span(doc, m2, layout.offsets)
     if s2 < s1:
@@ -319,7 +302,7 @@ def preprocess_document(doc: Document, phase: str,
                         config: PreprocessConfig | None = None) -> list[CandidateInstance]:
     validate_document(doc)
     config = config or PreprocessConfig()
-    layout = _document_layout(doc, config)
+    layout = _document_layout(doc)
     instances = []
     for m1, m2 in generate_candidate_pairs(doc, config):
         inst = build_context_window(doc, m1, m2, config, _layout=layout)
@@ -373,11 +356,12 @@ def document_from_json(line: str, where: str = "<line>") -> Document:
             Mention(m["entity_id"], m["sentence"], tuple(m["token_span"]))
             for m in rec["mentions"]
         ]
-        try:
-            gold = {sorted_pair(*p) for p in rec.get("gold_relations", [])}
-        except TypeError:  # not 2 values, or values that do not compare
+        pairs = rec.get("gold_relations", [])
+        if not all(type(p) is list and len(p) == 2
+                   and all(type(e) is str for e in p) for p in pairs):
             raise CorpusError("gold_relations entries must be lists of "
-                              "2 strings") from None
+                              "2 strings")
+        gold = {sorted_pair(*p) for p in pairs}
         if type(sentences := rec["sentences"]) is not list or not all(
                 type(s) is list for s in sentences):
             raise CorpusError("sentences must be a list of token lists")

@@ -107,9 +107,8 @@ def _suite(seed: int) -> list[tuple[str, dict[str, Tensor], Callable[[], Tensor]
          lambda x, y: ad.tensor_sum(ad.multiply(x, y) * 0.5)),
         ("concat", {"x": (2, 3), "y": (2, 5)},
          lambda x, y: ad.tensor_sum(ad.tanh(ad.concat([x, y])))),
-        ("reshape_transpose", {"x": (3, 4)},
-         lambda x: ad.tensor_sum(
-             ad.tanh(ad.transpose(ad.reshape(x, (4, 3)))))),
+        ("reshape", {"x": (3, 4)},
+         lambda x: ad.tensor_sum(ad.tanh(ad.reshape(x, (4, 3))))),
         ("mean_axis", {"x": (3, 5)},
          lambda x: ad.tensor_sum(
              ad.tanh(ad.mean(x, axis=1, keepdims=True)))),
@@ -120,8 +119,8 @@ def _suite(seed: int) -> list[tuple[str, dict[str, Tensor], Callable[[], Tensor]
                            ("relu", ad.relu))),
         ("softmax", {"x": (3, 4), "w": (4, 1)},
          lambda x, w: ad.tensor_sum(ad.softmax(x, axis=1) @ w)),
-        ("neg_scale_sum", {"x": (2, 3)},
-         lambda x: ad.mean(ad.neg(x) * 1.7)),
+        ("scale_mean", {"x": (2, 3)},
+         lambda x: ad.mean(x * -1.7)),
         ("pair_tanh_score", {"a1": (3, 4), "a2": (2, 4), "w": (4, 1)},
          lambda a1, a2, w: ad.tensor_sum(
              ad.tanh(ad.pair_tanh_score(a1, a2, w)))),

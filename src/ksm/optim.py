@@ -2,11 +2,12 @@
 
 Implements the Zeiler recurrence per parameter:
 
-    Eg  <- rho * Eg + (1 - rho) * g^2
-    d   <- -sqrt(Ex + eps) / sqrt(Eg + eps) * g
+    Eg  <- RHO * Eg + (1 - RHO) * g^2
+    d   <- -sqrt(Ex + EPS) / sqrt(Eg + EPS) * g
     p   <- p + lr * d
-    Ex  <- rho * Ex + (1 - rho) * d^2
+    Ex  <- RHO * Ex + (1 - RHO) * d^2
 
+with Zeiler's published decay rate RHO = 0.95 and constant EPS = 1e-6.
 The accumulated squared update uses the unscaled step d; the learning
 rate only scales the applied parameter change. Gradients are cleared
 after each step.
@@ -18,20 +19,16 @@ import numpy as np
 
 from .autodiff import ParameterStore
 
+RHO = 0.95
+EPS = 1e-6
+
 
 class Adadelta:
-    def __init__(self, params: ParameterStore, lr: float = 0.02,
-                 rho: float = 0.95, eps: float = 1e-6):
-        if not 0.0 < rho < 1.0:
-            raise ValueError(f"rho must be in (0, 1), got {rho}")
-        if not eps > 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
+    def __init__(self, params: ParameterStore, lr: float):
         if not (np.isfinite(lr) and lr >= 0.0):
             raise ValueError(f"lr must be finite and nonnegative, got {lr}")
         self.params = params
         self.lr = lr
-        self.rho = rho
-        self.eps = eps
         self._sq_grad = {name: np.zeros_like(t.data) for name, t in params.items()}
         self._sq_delta = {name: np.zeros_like(t.data) for name, t in params.items()}
 
@@ -44,10 +41,10 @@ class Adadelta:
             g = p.grad
             eg = self._sq_grad[name]
             ex = self._sq_delta[name]
-            eg *= self.rho
-            eg += (1.0 - self.rho) * g * g
-            delta = -np.sqrt(ex + self.eps) / np.sqrt(eg + self.eps) * g
+            eg *= RHO
+            eg += (1.0 - RHO) * g * g
+            delta = -np.sqrt(ex + EPS) / np.sqrt(eg + EPS) * g
             p.data += self.lr * delta
-            ex *= self.rho
-            ex += (1.0 - self.rho) * delta * delta
+            ex *= RHO
+            ex += (1.0 - RHO) * delta * delta
         self.params.zero_grad()

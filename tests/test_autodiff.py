@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ksm import autodiff as ad
-from ksm import gradcheck
+from ksm import cli, gradcheck, model, train
 from ksm.autodiff import ParameterStore, Tensor
 from ksm.gradcheck import check_all_ops, check_tensors, finite_difference
 from ksm.model import dropout_keep
@@ -412,7 +412,7 @@ def test_mean_nll_rejects_bad_picks(probs, index):
 def _chain_pool(scores, v, axis):
     """softmax_pool's value as the chain of plain ops it replaces."""
     p = ad.softmax(ad.mean(scores, axis=axis, keepdims=True), axis=1 - axis)
-    return (ad.transpose(p) if axis == 1 else p) @ v
+    return (ad.reshape(p, (1, -1)) if axis == 1 else p) @ v
 
 
 @pytest.mark.parametrize("op, shapes, fused, chain", [
@@ -508,7 +508,9 @@ def test_a_cases_inputs_depend_on_the_seed_and_its_name_alone(name):
             leaf.data.shape).tobytes()
 
 
-def test_every_op_has_a_finite_difference_case(monkeypatch):
+def _count_op_calls(monkeypatch) -> tuple[list[str], set[str]]:
+    """Wrap every public engine op but no_grad and backward; returns the
+    op names and the set the wrappers add each called name to."""
     ops = [name for name, fn in vars(ad).items()
            if inspect.isfunction(fn) and fn.__module__ == ad.__name__
            and not name.startswith("_") and name not in ("no_grad", "backward")]
@@ -522,7 +524,27 @@ def test_every_op_has_a_finite_difference_case(monkeypatch):
 
     for name in ops:
         monkeypatch.setattr(ad, name, counted(name, getattr(ad, name)))
+    return ops, called
+
+
+def test_every_op_has_a_finite_difference_case(monkeypatch):
+    ops, called = _count_op_calls(monkeypatch)
     check_all_ops(seed=0)
+    assert [name for name in ops if name not in called] == []
+
+
+def test_every_op_is_called_by_some_ablation_variant(monkeypatch):
+    # an op no model variant calls is dead weight in the engine;
+    # model._ACTIVATIONS bound its three ops at import, so it is wrapped too
+    ops, called = _count_op_calls(monkeypatch)
+    for name in model._ACTIVATIONS:
+        monkeypatch.setitem(model._ACTIVATIONS, name, getattr(ad, name))
+    for variants in cli._ABLATION_AXES.values():
+        for _, overrides in variants:
+            toy = gradcheck.toy_model(**overrides)
+            batch = gradcheck.toy_batch(1, toy.config.d)
+            assert any(kn.er_is_null for _, kn in batch)
+            train.accumulate_batch_gradient(toy, batch, None)
     assert [name for name in ops if name not in called] == []
 
 
@@ -665,12 +687,12 @@ def test_no_grad_is_restored_after_an_exception_and_after_nesting():
     with pytest.raises(RuntimeError):
         with ad.no_grad():
             raise RuntimeError("boom")
-    assert ad.neg(x).requires_grad
+    assert ad.tanh(x).requires_grad
     with ad.no_grad():
         with ad.no_grad():
             pass
-        assert not ad.neg(x).requires_grad   # the outer block still holds
-    assert ad.neg(x).requires_grad
+        assert not ad.tanh(x).requires_grad   # the outer block still holds
+    assert ad.tanh(x).requires_grad
 
 
 def test_no_grad_in_another_thread_leaves_this_thread_recording():
@@ -680,7 +702,7 @@ def test_no_grad_in_another_thread_leaves_this_thread_recording():
 
     def worker():
         with ad.no_grad():
-            seen["worker"] = ad.neg(x).requires_grad
+            seen["worker"] = ad.tanh(x).requires_grad
             inside.set()
             release.wait(10)
 
@@ -688,7 +710,7 @@ def test_no_grad_in_another_thread_leaves_this_thread_recording():
     thread.start()
     try:
         assert inside.wait(10)
-        assert ad.neg(x).requires_grad
+        assert ad.tanh(x).requires_grad
     finally:
         release.set()
         thread.join()

@@ -168,8 +168,10 @@ SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
 def test_roundtrip_is_byte_exact_for_extreme_values(values):
     store = ParameterStore()
     store.add("p", Tensor(values))
-    words = Embeddings([f"w{i}" for i in range(len(values))],
-                       values if values.ndim == 2 else values[:, None])
+    # tables are at least 1 wide: values with no columns give one of no rows
+    matrix = (values if values.ndim == 2 and values.shape[1]
+              else values.reshape(-1, 1))
+    words = Embeddings([f"w{i}" for i in range(len(matrix))], matrix)
     width = words.matrix.shape[1]
     kb = KnowledgeStore(words, Embeddings([], np.empty((0, width))), width)
     with tempfile.TemporaryDirectory() as d:
@@ -343,7 +345,7 @@ def test_word_table_of_another_width_than_the_config_rejected(tmp_path):
                            _empty_kb(model.config.d)))
     with pytest.raises(CheckpointError, match="malformed 'words' table; "
                        "expected unique string 'ids' and 'width' the "
-                       "config's d, 8"):
+                       r"config's d \(at least 1\), 8"):
         KSMModel.load(path)
 
 
@@ -513,9 +515,9 @@ def test_format_5_word_table_defect_rejected(tmp_path, content, match):
     _rejected(tmp_path / "model.ckpt", content, match)
 
 
-def _malformed(table):
+def _malformed(table, d=2):
     return (f"malformed '{table}' table; expected unique string 'ids' and "
-            f"'width' the config's d, 2")
+            rf"'width' the config's d \(at least 1\), {d}")
 
 
 MALFORMED_PAIRS = r"malformed 'pairs'; expected rows \[e1, e2, label, ...\]"
@@ -541,10 +543,13 @@ MALFORMED_PAIRS = r"malformed 'pairs'; expected rows \[e1, e2, label, ...\]"
     (_v6_defect(table="relations", ids=["binds"],
                 body=lambda b: b + _wire(np.array([0.0, np.nan]))),
      "table 'relations' holds non-finite values"),
+    (_file({}, {"d": 0}, 6, Embeddings([], np.zeros((0, 0)))),
+     _malformed("words", 0)),
 ], ids=["label-not-a-relation", "one-label-not-a-relation", "two-strings",
         "int-label", "row-not-a-list", "null-pairs", "entities-of-width-3",
         "relations-of-width-3", "words-of-width-3", "repeated-relation", "repeated-entity",
-        "null-relations", "entity-without-row", "nan-in-relations"])
+        "null-relations", "entity-without-row", "nan-in-relations",
+        "zero-width"])
 def test_format_6_table_and_pair_defect_rejected(tmp_path, content, match):
     _rejected(tmp_path / "model.ckpt", content, match)
 

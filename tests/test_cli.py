@@ -770,8 +770,11 @@ def test_malformed_corpus_reports_line_number(tmp_path, capsys):
     ({"sentences": [["a", "b"]], "mentions": [],
       "gold_relations": [["G1", "G2", "G3"]]},
      "bad.jsonl:2: gold_relations entries must be lists of 2 strings"),
+    ({"sentences": [["a", "b"]], "mentions": [],
+      "gold_relations": [[2, 1], "ab"]},
+     "bad.jsonl:2: gold_relations entries must be lists of 2 strings"),
 ], ids=["span-3", "sentence-float", "token-int", "sentence-string",
-        "gold-pair-of-3"])
+        "gold-pair-of-3", "gold-pair-not-strings"])
 def test_malformed_corpus_record_exits_2_without_output(tmp_path, capsys,
                                                         doc, location):
     bad = tmp_path / "bad.jsonl"

@@ -154,48 +154,6 @@ def test_preprocess_config_rejects_settings_that_give_wrong_windows(
         PreprocessConfig(**{field: value})
 
 
-@pytest.mark.parametrize("collect", [set, list, tuple, frozenset,
-                                     dict.fromkeys, iter])
-def test_drop_tokens_accepts_any_collection_of_strings(collect):
-    config = PreprocessConfig(drop_tokens=collect(["(", ")"]))
-    assert config.drop_tokens == frozenset("()")
-    doc = _doc([["P1", "(", "x", ")", "P2"]],
-               [Mention("G1", 0, (0, 1)), Mention("G2", 0, (4, 5))])
-    assert preprocess_document(doc, "train", config)[0].tokens == ["x"]
-
-
-@pytest.mark.parametrize("kwargs, message", [
-    ({"strip_chars": ["*"]}, "strip_chars must be a string, got ['*']"),
-    ({"strip_chars": None}, "strip_chars must be a string, got None"),
-    ({"drop_tokens": 5}, "drop_tokens must be a collection of token "
-                         "strings, got 5"),
-    ({"drop_tokens": None}, "got None"),
-    ({"drop_tokens": ["(", 1]}, "got ['(', 1]"),
-    ({"drop_tokens": [["("]]}, r"got [['(']]"),
-    # a string would silently drop each of its characters instead
-    ({"drop_tokens": "--"}, "got '--'"),
-], ids=["strip-list", "strip-none", "drop-int", "drop-none", "drop-non-str",
-        "drop-unhashable", "drop-str"])
-def test_preprocess_config_rejects_masking_values_of_the_wrong_type(
-        kwargs, message):
-    with pytest.raises(CorpusError, match=re.escape(message)):
-        PreprocessConfig(**kwargs)
-
-
-def test_configs_differing_only_in_drop_tokens_keep_their_own_windows():
-    # masking is memoized across documents; the memo must not hand one
-    # config's masked tokens to another
-    doc = _doc([["P1", "(", "aa", "]", "P2"]],
-               [Mention("G1", 0, (0, 1)), Mention("G2", 0, (4, 5))])
-    keep = PreprocessConfig(drop_tokens=set())
-    drop = PreprocessConfig(drop_tokens=["(", "]"])
-    for _ in range(2):
-        [kept] = preprocess_document(doc, "train", keep)
-        assert (kept.tokens, kept.pos1) == (["(", "aa", "]"], [1, 2, 3])
-        [dropped] = preprocess_document(doc, "train", drop)
-        assert (dropped.tokens, dropped.pos1) == (["aa"], [2])
-
-
 def test_window_clips_at_document_start():
     doc = _doc([["P1", "a", "P2", "b", "c", "d", "e"]],
                [Mention("G1", 0, (0, 1)), Mention("G2", 0, (2, 3))])
@@ -255,6 +213,9 @@ def test_number_and_special_character_masking():
     assert inst.tokens == ["NUMBER", "NUMBER", "IL2", "w"]
     # "(" and "]" drop as lone punctuation but still count for distances
     assert inst.pos1 == [1, 2, 3, 6]
+    doc = _doc([["P1", "(", "x", ")", "P2"]],
+               [Mention("G1", 0, (0, 1)), Mention("G2", 0, (4, 5))])
+    assert preprocess_document(doc, "train")[0].tokens == ["x"]
 
 
 def test_number_rule_checks_the_raw_token_before_stripping():
@@ -492,8 +453,8 @@ def test_threads_sharing_the_mask_memo_get_the_serial_windows():
     # every thread shares the process-wide masking memo; each must still
     # get exactly the windows of its own config
     docs = _toy_documents()
-    configs = [PreprocessConfig(), PreprocessConfig(drop_tokens=set()),
-               PreprocessConfig(strip_chars="", drop_tokens=["("])]
+    configs = [PreprocessConfig(), PreprocessConfig(expansion=0),
+               PreprocessConfig(max_sentence_distance=1, expansion=1)]
 
     def run(config):
         return [instance_to_json(i) for d in docs
@@ -586,12 +547,15 @@ def _flat_span(doc: Document, m: Mention, offsets: list[int]) -> tuple[int, int]
     return (base + m.token_span[0], base + m.token_span[1])
 
 
-def _mask_token(token: str, config: PreprocessConfig) -> str | None:
+def _mask_token(token: str) -> str | None:
     """Apply NUMBER replacement, then char stripping, then lone-punct drop."""
     if _NUMBER_RE.match(token):
         return NUMBER_TOKEN
-    stripped = "".join(c for c in token if c not in config.strip_chars)
-    if not stripped or stripped in config.drop_tokens:
+    # the README's rules written out: strip * † ‡ § ® ™, then
+    # drop a lone bracket
+    stripped = "".join(c for c in token
+                       if c not in "*\u2020\u2021\u00a7\u00ae\u2122")
+    if not stripped or stripped in ("(", ")", "[", "]", "{", "}"):
         return None
     return stripped
 
@@ -664,7 +628,7 @@ def reference_build_context_window(
             pos1.append(min(distance(i, (s1, e1)) for i in run))
             pos2.append(min(distance(i, (s2, e2)) for i in run))
         else:
-            masked = _mask_token(flat_tokens[idx], config)
+            masked = _mask_token(flat_tokens[idx])
             if masked is not None:
                 tokens.append(masked)
                 pos1.append(distance(idx, (s1, e1)))
@@ -683,17 +647,12 @@ def reference_build_context_window(
 
 _VOCAB = ["aa", "bb", "cc", "42", "-3.5%", "7*", "IL*2", "w\u2020", "*", "(",
           "]"]
-# masking values drawn per example, so one process masks under several
-# configs; drop_tokens is given as a set, a list or a frozenset
-_STRIP_CHARS = ["*\u2020\u2021\u00a7\u00ae\u2122", "*", "w\u2020", ""]
-_DROP_TOKENS = [frozenset("()[]{}"), {"(", "aa"}, ["]", "IL2", "*"], set()]
 
 
 @st.composite
 def rich_documents(draw):
     """Multi-token, nested and overlapping mentions over 1-5 sentences,
-    with gold relations, plus a config with random window limits and
-    masking values."""
+    with gold relations, plus a config with random window limits."""
     n_sent = draw(st.integers(1, 5))
     sentences = [draw(st.lists(st.sampled_from(_VOCAB), min_size=1,
                                max_size=8))
@@ -708,9 +667,7 @@ def rich_documents(draw):
     gold = {sorted_pair(a, b) for a in entities for b in entities
             if a < b and draw(st.booleans())}
     config = PreprocessConfig(max_sentence_distance=draw(st.integers(1, 4)),
-                              expansion=draw(st.integers(0, 4)),
-                              strip_chars=draw(st.sampled_from(_STRIP_CHARS)),
-                              drop_tokens=draw(st.sampled_from(_DROP_TOKENS)))
+                              expansion=draw(st.integers(0, 4)))
     return Document(doc_id="R", sentences=sentences, mentions=mentions,
                     gold_relations=gold), config
 

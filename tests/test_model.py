@@ -231,7 +231,7 @@ def test_attention_rows_sum_to_one_for_every_head():
         q = (x @ Tensor(_head_columns(params, f"{pre}.wq_x", h, dh))
              + e @ Tensor(_head_columns(params, f"{pre}.wq_e", h, dh)))
         k = x @ Tensor(_head_columns(params, f"{pre}.wk", h, dh))
-        att = ad.softmax((q @ ad.transpose(k)) * (1 / math.sqrt(dh)),
+        att = ad.softmax(Tensor((q.data @ k.data.T) * (1 / math.sqrt(dh))),
                          axis=-1)
         np.testing.assert_allclose(att.data.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(att.data >= 0)

@@ -34,7 +34,7 @@ def test_hand_executed_recurrence_two_steps():
     p2 = p1 + d2
 
     store = _store_with(0.0)
-    opt = Adadelta(store, lr=1.0, rho=rho, eps=eps)
+    opt = Adadelta(store, lr=1.0)
     store["p"].grad = np.ones(1)
     opt.step()
     np.testing.assert_allclose(store["p"].data, [p1], atol=1e-10)
@@ -70,13 +70,13 @@ def test_lr_zero_never_moves_parameters():
 def test_missing_gradient_is_a_usage_error():
     store = _store_with(1.0)
     with pytest.raises(ValueError, match="no gradient"):
-        Adadelta(store).step()
+        Adadelta(store, lr=1.0).step()
 
 
 def test_step_clears_gradients():
     store = _store_with(1.0)
     store["p"].grad = np.ones(1)
-    Adadelta(store).step()
+    Adadelta(store, lr=1.0).step()
     assert store["p"].grad is None
 
 
@@ -95,11 +95,6 @@ def test_accumulators_stay_nonnegative_and_shaped():
 
 def test_invalid_hyperparameters_rejected():
     store = _store_with(0.0)
-    with pytest.raises(ValueError):
-        Adadelta(store, rho=1.0)
-    for eps in (0.0, float("nan")):
-        with pytest.raises(ValueError, match="eps must be positive"):
-            Adadelta(store, eps=eps)
     for lr in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lr must be finite"):
             Adadelta(store, lr=lr)
