@@ -8,7 +8,7 @@ the relation vector before classification.
 
 import numpy as np
 
-from ksm.autodiff import Tensor, concat
+from ksm.autodiff import Tensor
 from ksm.corpus import CandidateInstance
 from ksm.model import (KSMModel, ModelConfig, WordTable, classify,
                        embed_context, encode, knowledge_select,
@@ -59,8 +59,7 @@ print(f"  (each sums to 1: {p1.data.sum():.9f}, {p2.data.sum():.9f})\n")
 # --- the knowledge gate -------------------------------------------------------
 
 er = Tensor(rng.standard_normal((1, d)))
-er_selected = knowledge_select(concat([s1, s2]), er, params, "selector",
-                               config)
+er_selected = knowledge_select([s1, s2], er, params, "selector", config)
 ratio = np.abs(er_selected.data) / np.abs(er.data)
 print("knowledge selector (tanh gate, Hadamard): per-coordinate shrink "
       f"factors range {ratio.min():.3f}..{ratio.max():.3f} (never > 1)\n")

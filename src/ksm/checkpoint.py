@@ -1,7 +1,7 @@
 """Checkpoint files: a model's parameters, word table and knowledge store.
 
-The format is self-describing and versioned. A version 6 file is one line
-of JSON, ``{"format_version": 6, "config": {"d": d, ...}, "params": {name:
+The format is self-describing and versioned. A version 7 file is one line
+of JSON, ``{"format_version": 7, "config": {"d": d, ...}, "params": {name:
 {"shape": [...]}, ...}, "tables": {"words": {"ids": [...], "width": d},
 "entities": {...}, "relations": {...}}, "pairs": [[e1, e2, label, ...],
 ...]}`` and a newline (``json.dumps`` escapes every newline inside it),
@@ -9,7 +9,8 @@ then each parameter's little-endian float64 bytes in row-major order
 (numpy ``"<f8"``, the same on any host) in the header's order, and each
 table's (len(ids), d) matrix so encoded in the order of `TABLES`. `pairs`
 is the store's pair map. Every value round-trips bit-exactly. Files of
-versions 1 to 5 must be retrained.
+versions 1 to 6 must be retrained (version 6 had the layout of 7, but each
+knowledge gate kept its KB vector's weights in a separate `.u` matrix).
 
 A save goes to a temporary file in the target's directory, synced to
 disk, that replaces the target only once it is complete, so a failed
@@ -28,7 +29,7 @@ from .atomic import replacing
 from .autodiff import DTYPE, ParameterStore
 from .kb import Embeddings, KnowledgeStore, index_pairs
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 _WIRE = np.dtype("<f8")
 TABLES = ("words", "entities", "relations")  # in body order
 
@@ -40,8 +41,12 @@ class CheckpointError(Exception):
 def save_checkpoint(path, params: ParameterStore, words: Embeddings,
                     store: KnowledgeStore, config: dict) -> None:
     """Write every parameter, the word table `words` and the knowledge
-    `store` to `path` atomically; a non-finite value or a table not d wide
-    raises CheckpointError naming the file, and nothing is written."""
+    `store` to `path` atomically; a config `d` that is no int >= 1, a
+    non-finite value or a table not d wide raises CheckpointError naming
+    the file, and nothing is written."""
+    if not (type(config.get("d")) is int and config["d"] >= 1):
+        raise CheckpointError(f"{path}: config d {config.get('d')!r} is no "
+                              f"integer >= 1; not saved")
     tables = dict(zip(TABLES, (words, store.entity_table,
                                store.relation_table)))
     arrays = [(f"parameter {name!r}", t.data) for name, t in params.items()]

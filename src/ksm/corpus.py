@@ -106,6 +106,9 @@ class PreprocessConfig:
     expansion: int = 3               # context tokens kept on each side
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if type(value) is not int:  # a bool is none
+                raise CorpusError(f"{name} must be of type int, got {value!r}")
         if self.max_sentence_distance < 1:
             raise CorpusError(f"max_sentence_distance must be >= 1, got "
                               f"{self.max_sentence_distance}")

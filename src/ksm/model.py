@@ -11,15 +11,15 @@ Per candidate instance the forward pass runs:
 3. pooling over the two encoded sequences (mutual attention by default,
    five tape nodes; separate additive attention, average or max as
    variants) giving context features s1, s2;
-4. a gated knowledge selector, g = act(features W + v U + b) applied to
+4. a gated knowledge selector, g = act([features, v] W + b) applied to
    a KB vector v as g (.) v (or g + v): the pair's relation vector (or
    the trainable null relation) against [s1, s2] by default; as a
    variant also, or instead, each entity vector against the mean of its
    context view, before it enters the encoder (or no selection at all);
 5. a softmax classifier over [s1, s2, selected relation].
 
-One paper-configuration instance records 92 tape nodes on its loss
-graph, 60 of them parameters, with dropout on or off.
+One paper-configuration instance records 88 tape nodes on its loss
+graph, 59 of them parameters, with dropout on or off.
 
 All trainable tensors are registered in a ParameterStore under stable
 dotted names, so checkpointing and gradient checks can address every
@@ -35,7 +35,6 @@ the gradient checks verify.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, asdict, fields
 from typing import Mapping, Sequence
 
@@ -45,8 +44,6 @@ from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 from .corpus import CandidateInstance, LABEL_POSITIVE
 from .kb import Embeddings, KnowledgeStore, PairKnowledge, read_embeddings
-
-logger = logging.getLogger(__name__)
 
 CLASS_NEGATIVE = 0
 CLASS_POSITIVE = 1
@@ -144,6 +141,8 @@ def sinusoidal_encoding(positions: Sequence[int], d: int) -> np.ndarray:
     pos = np.asarray(positions).reshape(-1)
     if pos.size == 0:
         return np.empty((0, d))
+    if bool in map(type, positions):  # numpy gives [1, True] an int dtype
+        pos = pos.astype(bool)
     if pos.dtype.kind not in "iu":
         raise ValueError(f"sinusoidal_encoding: positions of dtype "
                          f"{pos.dtype}, expected integers")
@@ -282,14 +281,16 @@ def build_params(config: ModelConfig, seed: int = 0) -> ParameterStore:
         add("separate.b", np.zeros(d))
         mat("separate.w", d, 1)
 
+    def gate(prefix, n_features):
+        # W: the features' rows over v's, drawn as two separate matrices were
+        add(f"{prefix}.w", np.hstack([_xavier(rng, n, d, (d, n))
+                                      for n in (n_features, d)]).T.copy())
+        add(f"{prefix}.b", np.zeros(d))
+
     if config.selector_target in ("relation", "both"):
-        mat_drawn_out_in("selector.w", 2 * d, d)
-        mat_drawn_out_in("selector.u", d, d)
-        add("selector.b", np.zeros(d))
+        gate("selector", 2 * d)
     if config.selector_target in ("entity", "both"):
-        mat_drawn_out_in("entity_selector.w", d, d)
-        mat_drawn_out_in("entity_selector.u", d, d)
-        add("entity_selector.b", np.zeros(d))
+        gate("entity_selector", d)
 
     mat_drawn_out_in("classifier.w", 3 * d, 2)
     add("classifier.b", np.zeros(2))
@@ -415,18 +416,18 @@ def pool_variants(v1: Tensor, v2: Tensor, params: ParameterStore,
             ad.amax(v2, axis=0, keepdims=True))
 
 
-def knowledge_select(features: Tensor, v: Tensor, params: ParameterStore,
+def knowledge_select(features: list[Tensor], v: Tensor, params: ParameterStore,
                      prefix: str, config: ModelConfig) -> Tensor:
-    """Gate the (1, d) KB vector `v` against the (1, n) `features`.
+    """Gate the (1, d) KB vector `v` against the (1, n_i) `features`.
 
-    g = act(features W + v U + b) with the parameters `prefix`.w, .u and
-    .b; the output is g (.) v, or g + v for the sum variant. The relation
-    runs through "selector" with features [s1, s2]; each entity through
-    "entity_selector", both entities sharing it, with the mean of its
-    context view.
+    g = act([features, v] W + b), one affine node on one concat, with the
+    parameters `prefix`.w and .b; the output is g (.) v, or g + v for the
+    sum variant. The relation runs through "selector" with features
+    [s1, s2]; each entity through "entity_selector", both entities sharing
+    it, with the mean of its context view.
     """
-    pre = (features @ params[f"{prefix}.w"] + v @ params[f"{prefix}.u"]
-           + params[f"{prefix}.b"])
+    pre = ad.affine(ad.concat([*features, v]), params[f"{prefix}.w"],
+                    params[f"{prefix}.b"])
     g = _ACTIVATIONS[config.selector_activation](pre)
     return ad.multiply(g, v) if config.selector_op == "hadamard" else ad.add(g, v)
 
@@ -493,16 +494,15 @@ class KSMModel:
               if knowledge.er_is_null
               else Tensor(np.asarray(knowledge.er).reshape(1, -1)))
         if cfg.selector_target in ("entity", "both"):
-            e1, e2 = (knowledge_select(ad.mean(x, axis=0, keepdims=True), e,
-                                       self.params, "entity_selector", cfg)
+            e1, e2 = (knowledge_select([ad.mean(x, axis=0, keepdims=True)],
+                                       e, self.params, "entity_selector", cfg)
                       for x, e in ((x1, e1), (x2, e2)))
         p1, p2 = _encoder_prefixes(cfg)
         v1 = encode(x1, e1, self.params, p1, cfg, train, rng)
         v2 = encode(x2, e2, self.params, p2, cfg, train, rng)
         s1, s2 = pool_variants(v1, v2, self.params, cfg)
         if cfg.selector_target in ("relation", "both"):
-            er = knowledge_select(ad.concat([s1, s2]), er, self.params,
-                                  "selector", cfg)
+            er = knowledge_select([s1, s2], er, self.params, "selector", cfg)
         return classify(s1, s2, er, self.params)
 
     def save(self, path, store: KnowledgeStore | None = None) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -49,6 +49,11 @@ class TrainConfig:
     holdout_fraction: float = 0.1  # 0 disables the held-out split
 
     def __post_init__(self):
+        for f in fields(self):
+            if not ksm_model.fits_type(value := getattr(self, f.name),
+                                       f.default):
+                raise ValueError(f"{f.name} must be of type "
+                                 f"{type(f.default).__name__}, got {value!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 1:

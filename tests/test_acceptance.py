@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from ksm.autodiff import Tensor, concat
+from ksm.autodiff import Tensor
 from ksm.corpus import instance_to_json, preprocess_document, read_corpus
 from ksm.kb import init_embeddings, mean_energies, tail_rank, transe_train
 from ksm.model import (KSMModel, ModelConfig, build_params, knowledge_select,
@@ -132,20 +132,18 @@ def test_criterion_6_selector_bounds():
             s1 = Tensor(rng.standard_normal((1, d)) * 2)
             s2 = Tensor(rng.standard_normal((1, d)) * 2)
             er = Tensor(rng.standard_normal((1, d)) * 2)
-            out = knowledge_select(concat([s1, s2]), er, params,
-                                   "selector", cfg)
+            out = knowledge_select([s1, s2], er, params, "selector", cfg)
             ok = ok and np.all(np.abs(out.data) <= np.abs(er.data) + 1e-15)
             checked += d
 
     cfg = ModelConfig(d=d, n_heads=2, selector_op="sum",
                       dropout_rate=0.0)
     params = build_params(cfg, seed=0)
-    for name in ("selector.w", "selector.u", "selector.b"):
+    for name in ("selector.w", "selector.b"):
         params[name].data[:] = 0.0
     er = Tensor(rng.standard_normal((1, d)))
     zero = Tensor(np.zeros((1, d)))
-    out = knowledge_select(concat([zero, zero]), er, params, "selector",
-                           cfg)
+    out = knowledge_select([zero, zero], er, params, "selector", cfg)
     exact = np.array_equal(out.data, er.data)
     ok = ok and exact
     _report(6, ok, f"{checked} elementwise draws bounded; "

@@ -20,7 +20,7 @@ from ksm.kb import Embeddings, KnowledgeStore, resolve_pair_knowledge
 from ksm.model import KSMModel, WordTable
 
 DATA = Path(__file__).parent / "data"
-VERSIONS = pytest.mark.parametrize("version", [6], ids=["v6"])
+VERSIONS = pytest.mark.parametrize("version", [7], ids=["v7"])
 
 
 def _wire(values: np.ndarray) -> bytes:
@@ -40,8 +40,8 @@ def _file(values: dict, config: dict, version: int,
     adds the ids and width of `words` (by default `_words()`) and of the
     entity and relation tables of `store` (by default an empty one as wide
     as `words`) to the header, with the store's pair rows, sorted, and the
-    three matrices to the body. Format 5 had the word table alone, and
-    format 4 no table."""
+    three matrices to the body; format 7 has the same layout. Format 5 had
+    the word table alone, and format 4 no table."""
     header = {"format_version": version, "config": config,
               "params": {k: {"shape": list(v.shape)}
                          for k, v in values.items()}}
@@ -50,7 +50,7 @@ def _file(values: dict, config: dict, version: int,
     if version == 5:
         header["words"] = {"ids": words.ids, "width": words.matrix.shape[1]}
         arrays.append(words.matrix)
-    if version == 6:
+    if version >= 6:
         if store is None:
             store = KnowledgeStore({}, {}, words.matrix.shape[1])
         tables = [words, store.entity_table, store.relation_table]
@@ -134,14 +134,14 @@ def test_saved_file_is_the_documented_encoding(tmp_path):
     store, words, kb = _random_store(), _words(), _kb()
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, store, words, kb, {"d": 2})
-    assert FORMAT_VERSION == 6
+    assert FORMAT_VERSION == 7
     assert path.read_bytes() == _file({n: t.data for n, t in store.items()},
-                                      {"d": 2}, 6, words, kb)
+                                      {"d": 2}, 7, words, kb)
 
 
 def test_pair_rows_of_either_order_are_pooled_under_the_sorted_key(
         tmp_path):
-    data = _file({}, {"d": 2}, 6, store=_kb())
+    data = _file({}, {"d": 2}, 7, store=_kb())
     header, _, body = data.partition(b"\n")
     header = json.loads(header)
     header["pairs"] = [["B", "A", "binds"], ["A", "B", "in\nhibits"]]
@@ -198,7 +198,9 @@ def _same_values(a: dict, b: dict) -> bool:
     b'{\n  "format_version": 3,\n  "config": {},\n  "params": {}\n}',
     _file({"p": np.array([0.5])}, {}, 4),  # its word table a separate file
     _file({"p": np.array([0.5])}, {"d": 2}, 5),  # its KB a separate store
-], ids=["v2", "v3", "v3-pretty-printed", "v4", "v5"])
+    # each gate's KB-vector weights a separate matrix
+    _file({"selector.u": np.zeros((2, 2))}, {"d": 2}, 6),
+], ids=["v2", "v3", "v3-pretty-printed", "v4", "v5", "v6"])
 def test_format_2_and_3_files_rejected_with_retrain_hint(tmp_path, content):
     _rejected(tmp_path / "model.ckpt", content, "retrain the model")
 
@@ -213,10 +215,10 @@ def _model_file(model, config: dict, version: int,
                  model.store)
 
 
-def test_format_6_file_loads_to_the_same_model_and_store(tmp_path):
+def test_format_7_file_loads_to_the_same_model_and_store(tmp_path):
     # toy_model(seed=3) saved with _kb(8, seed=3): a change of the format,
     # or of what a file loads to, shows here
-    path = DATA / "toy_model_v6.ckpt"
+    path = DATA / "toy_model_v7.ckpt"
     original, kb = toy_model(seed=3), _kb(8, seed=3)
     saved = KSMModel.load(path)
     assert saved.config == original.config
@@ -286,15 +288,19 @@ def test_model_saves_the_store_given_and_a_loaded_model_its_own(tmp_path):
         tmp_path / "a.ckpt").read_bytes()
 
 
-@pytest.mark.parametrize("kb", [
-    _kb(7), KnowledgeStore({}, {}, 9),
-    KnowledgeStore({"A": [np.nan] * 8}, {}, 8),
-    KnowledgeStore({}, {"binds": [0.0] * 7 + [np.inf]}, 8)],
-    ids=["narrow", "empty-wide", "nan-entity", "inf-relation"])
-def test_saving_a_store_of_another_width_or_non_finite_refused(tmp_path, kb):
+@pytest.mark.parametrize("kb, d", [
+    (_kb(7), 8), (KnowledgeStore({}, {}, 9), 8),
+    (KnowledgeStore({"A": [np.nan] * 8}, {}, 8), 8),
+    (KnowledgeStore({}, {"binds": [0.0] * 7 + [np.inf]}, 8), 8),
+    # every table 0 wide, as d: no file of d 0 loads
+    (KnowledgeStore({}, {}, 0), 0)],
+    ids=["narrow", "empty-wide", "nan-entity", "inf-relation", "zero-wide"])
+def test_saving_a_store_of_another_width_or_non_finite_refused(tmp_path, kb,
+                                                               d):
     path = tmp_path / "m.ckpt"
     with pytest.raises(CheckpointError, match=r"m\.ckpt: .*; not saved"):
-        toy_model(seed=4).save(path, kb)
+        save_checkpoint(path, ParameterStore(), Embeddings.of({}, d), kb,
+                        {"d": d})
     assert not path.exists()
 
 
@@ -341,7 +347,7 @@ def test_word_table_of_another_width_than_the_config_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
     words = Embeddings(["UNK"], np.zeros((1, model.config.d + 1)))
     path.write_bytes(_file({n: t.data for n, t in model.params.items()},
-                           model.config.to_dict(), 6, words,
+                           model.config.to_dict(), 7, words,
                            _empty_kb(model.config.d)))
     with pytest.raises(CheckpointError, match="malformed 'words' table; "
                        "expected unique string 'ids' and 'width' the "
@@ -352,7 +358,7 @@ def test_word_table_of_another_width_than_the_config_rejected(tmp_path):
 def test_checkpoint_missing_config_rejected(tmp_path):
     model = toy_model(seed=1)
     path = tmp_path / "m.ckpt"
-    header, body = _split_bytes(_model_file(model, {}, 6))
+    header, body = _split_bytes(_model_file(model, {}, 7))
     del header["config"]
     path.write_bytes(_joined(header, body))
     with pytest.raises(CheckpointError, match="config"):
@@ -364,7 +370,7 @@ def test_checkpoint_missing_config_rejected(tmp_path):
                               "missing"])
 def test_config_that_is_no_non_empty_object_rejected(tmp_path, config):
     # a string config once failed in the model, naming no file
-    header, body = _split_bytes(_file(_store_values(), {"d": 2}, 6))
+    header, body = _split_bytes(_file(_store_values(), {"d": 2}, 7))
     if config == "missing":
         del header["config"]
     else:
@@ -405,7 +411,7 @@ def test_non_object_blob_rejected(tmp_path):
 
 def test_missing_params_rejected(tmp_path):
     _rejected(tmp_path / "model.ckpt",
-              _joined({"format_version": 6, "config": {"d": 2},
+              _joined({"format_version": 7, "config": {"d": 2},
                        "tables": None}, b""),
               "missing 'params'")
 
@@ -415,7 +421,7 @@ def _defect(change):
     after `change(header, body)`, which returns the file's bytes. The body
     holds layer.w (4, 3) in bytes 0-95, layer.b (3,) in 96-119, head.w
     (2, 2) in 120-151 and the word matrix (3, 2) in 152-199."""
-    data = _file(_store_values(), {"d": 2}, 6)
+    data = _file(_store_values(), {"d": 2}, 7)
     header, _, body = data.partition(b"\n")
     return change(json.loads(header), body)
 
@@ -470,13 +476,13 @@ def test_format_4_defect_rejected(tmp_path, change, match):
     _rejected(tmp_path / "model.ckpt", _defect(change), match)
 
 
-def _v6_defect(body=lambda b: b, table="words", **change):
-    """The format 6 file of `_random_store` and `_words`, with an empty KB
+def _v7_defect(body=lambda b: b, table="words", **change):
+    """The format 7 file of `_random_store` and `_words`, with an empty KB
     store, its body changed by `body` and its header by `change`: a `pairs`
     key replaces the pair rows, a key named `table` the whole of that
     table's entry, and any other key that key of the entry. The word matrix
     is the last 48 bytes."""
-    header, rest = _split_bytes(_file(_store_values(), {"d": 2}, 6))
+    header, rest = _split_bytes(_file(_store_values(), {"d": 2}, 7))
     if "pairs" in change:
         header["pairs"] = change.pop("pairs")
     tables = header["tables"]
@@ -488,22 +494,22 @@ MALFORMED_WORDS = "malformed 'words' table; expected unique string 'ids'"
 
 
 @pytest.mark.parametrize("content, match", [
-    (_v6_defect(ids=["a", "b", "a"]), MALFORMED_WORDS),
-    (_v6_defect(ids=["a", 2, "c"]), MALFORMED_WORDS),
-    (_v6_defect(ids=["a", None, "c"]), MALFORMED_WORDS),
-    (_v6_defect(ids="abc"), MALFORMED_WORDS),
-    (_v6_defect(width=2.0), MALFORMED_WORDS),
-    (_v6_defect(width=-2), MALFORMED_WORDS),
-    (_v6_defect(width=True), MALFORMED_WORDS),
-    (_v6_defect(words=None), MALFORMED_WORDS),
-    (_v6_defect(words=["a", "b", "c"]), MALFORMED_WORDS),
-    (_v6_defect(ids=["a", "b", "c", "d"]),
+    (_v7_defect(ids=["a", "b", "a"]), MALFORMED_WORDS),
+    (_v7_defect(ids=["a", 2, "c"]), MALFORMED_WORDS),
+    (_v7_defect(ids=["a", None, "c"]), MALFORMED_WORDS),
+    (_v7_defect(ids="abc"), MALFORMED_WORDS),
+    (_v7_defect(width=2.0), MALFORMED_WORDS),
+    (_v7_defect(width=-2), MALFORMED_WORDS),
+    (_v7_defect(width=True), MALFORMED_WORDS),
+    (_v7_defect(words=None), MALFORMED_WORDS),
+    (_v7_defect(words=["a", "b", "c"]), MALFORMED_WORDS),
+    (_v7_defect(ids=["a", "b", "c", "d"]),
      "200 bytes of values follow the header, whose shapes need 216"),
-    (_v6_defect(body=lambda b: b[:-8]),
+    (_v7_defect(body=lambda b: b[:-8]),
      "192 bytes of values follow the header, whose shapes need 200"),
-    (_v6_defect(body=lambda b: b[:-48]),
+    (_v7_defect(body=lambda b: b[:-48]),
      "152 bytes of values follow the header, whose shapes need 200"),
-    (_v6_defect(body=lambda b: b[:-8] + _wire(np.array([np.inf]))),
+    (_v7_defect(body=lambda b: b[:-8] + _wire(np.array([np.inf]))),
      "table 'words' holds non-finite values"),
 ], ids=["repeated-id", "int-id", "null-id", "string-ids", "float-width",
         "negative-width", "bool-width", "null-words", "list-words",
@@ -524,26 +530,26 @@ MALFORMED_PAIRS = r"malformed 'pairs'; expected rows \[e1, e2, label, ...\]"
 
 
 @pytest.mark.parametrize("content, match", [
-    (_v6_defect(pairs=[["A", "B", "binds"]]), MALFORMED_PAIRS),
-    (_v6_defect(table="relations", ids=["binds"], pairs=[["A", "B", "binds"],
+    (_v7_defect(pairs=[["A", "B", "binds"]]), MALFORMED_PAIRS),
+    (_v7_defect(table="relations", ids=["binds"], pairs=[["A", "B", "binds"],
                                                          ["A", "C", "x"]],
                 body=lambda b: b + _wire(np.zeros(2))), MALFORMED_PAIRS),
-    (_v6_defect(pairs=[["A", "B"]]), MALFORMED_PAIRS),
-    (_v6_defect(pairs=[["A", "B", 3]]), MALFORMED_PAIRS),
-    (_v6_defect(pairs=["A", "B", "binds"]), MALFORMED_PAIRS),
-    (_v6_defect(pairs=None), MALFORMED_PAIRS),
-    (_v6_defect(table="entities", width=3), _malformed("entities")),
-    (_v6_defect(table="relations", width=3), _malformed("relations")),
-    (_v6_defect(width=3), _malformed("words")),
-    (_v6_defect(table="relations", ids=["r", "r"]), _malformed("relations")),
-    (_v6_defect(table="entities", ids=["A", "A"]), _malformed("entities")),
-    (_v6_defect(table="relations", relations=None), _malformed("relations")),
-    (_v6_defect(table="entities", ids=["A"]),
+    (_v7_defect(pairs=[["A", "B"]]), MALFORMED_PAIRS),
+    (_v7_defect(pairs=[["A", "B", 3]]), MALFORMED_PAIRS),
+    (_v7_defect(pairs=["A", "B", "binds"]), MALFORMED_PAIRS),
+    (_v7_defect(pairs=None), MALFORMED_PAIRS),
+    (_v7_defect(table="entities", width=3), _malformed("entities")),
+    (_v7_defect(table="relations", width=3), _malformed("relations")),
+    (_v7_defect(width=3), _malformed("words")),
+    (_v7_defect(table="relations", ids=["r", "r"]), _malformed("relations")),
+    (_v7_defect(table="entities", ids=["A", "A"]), _malformed("entities")),
+    (_v7_defect(table="relations", relations=None), _malformed("relations")),
+    (_v7_defect(table="entities", ids=["A"]),
      "200 bytes of values follow the header, whose shapes need 216"),
-    (_v6_defect(table="relations", ids=["binds"],
+    (_v7_defect(table="relations", ids=["binds"],
                 body=lambda b: b + _wire(np.array([0.0, np.nan]))),
      "table 'relations' holds non-finite values"),
-    (_file({}, {"d": 0}, 6, Embeddings([], np.zeros((0, 0)))),
+    (_file({}, {"d": 0}, 7, Embeddings([], np.zeros((0, 0)))),
      _malformed("words", 0)),
 ], ids=["label-not-a-relation", "one-label-not-a-relation", "two-strings",
         "int-label", "row-not-a-list", "null-pairs", "entities-of-width-3",
@@ -558,7 +564,7 @@ def test_values_not_filling_shape_rejected(tmp_path):
     # a body that ends inside the word matrix: every parameter is there,
     # the words' rows are not
     _rejected(tmp_path / "model.ckpt",
-              _v6_defect(body=lambda b: b[:-20]),
+              _v7_defect(body=lambda b: b[:-20]),
               "180 bytes of values follow the header, whose shapes need 200")
 
 
@@ -567,7 +573,7 @@ def test_values_not_filling_shape_rejected(tmp_path):
 def test_byte_count_not_filling_shape_rejected(tmp_path, n_bytes):
     # layer.w is (4, 3): 96 bytes, the first of the body
     _rejected(tmp_path / "model.ckpt",
-              _v6_defect(body=lambda b: bytes(range(n_bytes)) + b[96:]),
+              _v7_defect(body=lambda b: bytes(range(n_bytes)) + b[96:]),
               f"{104 + n_bytes} bytes of values follow the header, whose "
               f"shapes need 200")
 

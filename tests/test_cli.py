@@ -404,7 +404,7 @@ def test_predict_rejects_a_checkpoint_config_value_of_the_wrong_type(
         tmp_path, capsys, key, value):
     # a float or bool where an int belongs once ended in a bare TypeError,
     # and 1 for a bool in a parameter name mismatch
-    header, _, body = (DATA / "toy_model_v6.ckpt").read_bytes().partition(b"\n")
+    header, _, body = (DATA / "toy_model_v7.ckpt").read_bytes().partition(b"\n")
     header = json.loads(header)
     header["config"][key] = value
     ckpt = tmp_path / "model.ckpt"
@@ -443,7 +443,7 @@ def test_predict_rejects_an_instance_field_at_its_line(tmp_path, capsys,
     inst_path.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]])
                          + "\n")
     rc = main(["predict", "--instances", str(inst_path), "--checkpoint",
-               str(DATA / "toy_model_v6.ckpt"), "--out", str(tmp_path / "out")])
+               str(DATA / "toy_model_v7.ckpt"), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {inst_path}:2: {message}\n"
     assert not (tmp_path / "out").exists()
@@ -592,7 +592,7 @@ def _valid_inputs(tmp_path):
     pred.write_text("D1\tG1\tG2\n")
     return {"--corpus": DATA / "toy_corpus.jsonl", "--triples": triples,
             "--instances": inst_path, "--eval-instances": inst_path,
-            "--checkpoint": DATA / "toy_model_v6.ckpt",
+            "--checkpoint": DATA / "toy_model_v7.ckpt",
             "--predictions": pred, "--out": tmp_path / "out"}
 
 

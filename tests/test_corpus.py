@@ -144,13 +144,17 @@ def test_worked_example_tokens_and_distances():
 @pytest.mark.parametrize("field, value", [("expansion", -1),
                                           ("expansion", -2),
                                           ("max_sentence_distance", 0),
-                                          ("max_sentence_distance", -1)])
+                                          ("max_sentence_distance", -1),
+                                          ("expansion", 1.5),
+                                          ("max_sentence_distance", True)])
 def test_preprocess_config_rejects_settings_that_give_wrong_windows(
         field, value):
     # expansion -2 used to swap the distance sequences of a one-sentence
-    # pair, and distance 0 silently kept no pair at all
+    # pair, distance 0 silently kept no pair at all, and a fraction or a
+    # bool was accepted
+    bound = r">= \d" if type(value) is int else "of type int"
     with pytest.raises(CorpusError,
-                       match=rf"{field} must be >= \d, got {value}"):
+                       match=rf"{field} must be {bound}, got {value}"):
         PreprocessConfig(**{field: value})
 
 

@@ -109,8 +109,9 @@ def test_sinusoid_empty_input_and_negative_positions():
     with pytest.raises(ValueError, match="negative position"):
         sinusoidal_encoding([2, -1], 8)
     # fractions were once truncated without a word: [1.9, 2.5] encoded
-    # as [1, 2]; a bool is no distance either
-    for positions in ([1.9, 2.5], [1, 2.0], [True, False],
+    # as [1, 2]; a bool is no distance either, also among ints, which
+    # numpy gives an int dtype
+    for positions in ([1.9, 2.5], [1, 2.0], [True, False], [1, True],
                       np.array([0.0, 3.0])):
         with pytest.raises(ValueError, match="expected integers"):
             sinusoidal_encoding(positions, 8)
@@ -423,7 +424,7 @@ def _selector_cfg(**overrides):
 
 def _select(s1, s2, er, params, cfg):
     """The relation selector as the forward pass runs it."""
-    return knowledge_select(ad.concat([s1, s2]), er, params, "selector", cfg)
+    return knowledge_select([s1, s2], er, params, "selector", cfg)
 
 
 def test_selector_zero_inputs_zero_gate_hadamard():
@@ -438,7 +439,6 @@ def test_sum_selector_with_zero_gate_returns_relation_exactly():
     cfg = _selector_cfg(selector_op="sum")
     params = build_params(cfg, seed=0)
     params["selector.w"].data[:] = 0.0
-    params["selector.u"].data[:] = 0.0
     params["selector.b"].data[:] = 0.0
     er = Tensor(np.random.default_rng(1).standard_normal((1, 8)))
     zero = Tensor(np.zeros((1, 8)))
@@ -460,8 +460,8 @@ def test_bounded_gate_with_hadamard_never_amplifies(activation):
 
 
 def test_selector_gate_is_the_documented_formula():
-    # g = act([s1, s2] W + er U + b) for the relation, act(mean(x) W + e U
-    # + b) for an entity; out = g * v (hadamard) or g + v (sum)
+    # g = act([s1, s2, er] W + b) for the relation, act([mean(x), e] W + b)
+    # for an entity; out = g * v (hadamard) or g + v (sum)
     rng = np.random.default_rng(3)
     for target, prefix in (("relation", "selector"),
                            ("entity", "entity_selector")):
@@ -471,9 +471,10 @@ def test_selector_gate_is_the_documented_formula():
             params = build_params(cfg, seed=4)
             f = rng.standard_normal((1, 16 if target == "relation" else 8))
             v = rng.standard_normal((1, 8))
-            w, u, b = (params[f"{prefix}.{k}"].data for k in "wub")
-            g = 1.0 / (1.0 + np.exp(-(f @ w + v @ u + b)))
-            out = knowledge_select(Tensor(f), Tensor(v), params, prefix, cfg)
+            w, b = (params[f"{prefix}.{k}"].data for k in "wb")
+            g = 1.0 / (1.0 + np.exp(-(np.hstack([f, v]) @ w + b)))
+            out = knowledge_select([Tensor(f)], Tensor(v), params, prefix,
+                                   cfg)
             np.testing.assert_allclose(out.data, combine(g, v), atol=1e-15)
 
 
@@ -482,16 +483,15 @@ def test_entity_selector_zero_case_and_sum_identity():
     params = build_params(cfg, seed=0)
     zero = Tensor(np.zeros((1, 8)))
     e = Tensor(np.zeros((1, 8)))
-    out = knowledge_select(zero, e, params, "entity_selector", cfg)
+    out = knowledge_select([zero], e, params, "entity_selector", cfg)
     np.testing.assert_array_equal(out.data, np.zeros((1, 8)))
 
     cfg_sum = _selector_cfg(selector_target="entity", selector_op="sum")
     params = build_params(cfg_sum, seed=0)
     params["entity_selector.w"].data[:] = 0.0
-    params["entity_selector.u"].data[:] = 0.0
     params["entity_selector.b"].data[:] = 0.0
     e = Tensor(np.random.default_rng(4).standard_normal((1, 8)))
-    out = knowledge_select(zero, e, params, "entity_selector", cfg_sum)
+    out = knowledge_select([zero], e, params, "entity_selector", cfg_sum)
     np.testing.assert_array_equal(out.data, e.data)
 
 
@@ -499,8 +499,7 @@ def test_entity_selector_parameters_exist_once():
     cfg = _selector_cfg(selector_target="entity")
     params = build_params(cfg, seed=0)
     kse = [n for n in params.names() if n.startswith("entity_selector.")]
-    assert kse == ["entity_selector.w", "entity_selector.u",
-                   "entity_selector.b"]
+    assert kse == ["entity_selector.w", "entity_selector.b"]
     assert not any(n.startswith("selector.") for n in params.names())
 
 
@@ -588,7 +587,7 @@ def test_selector_output_feeds_classifier_feature_block():
     model = toy_model(seed=2)
     d = model.config.d
     model.params["classifier.w"].data[2 * d:, :] = 0.0
-    model.params["selector.u"].data[:] = 0.0
+    model.params["selector.w"].data[2 * d:, :] = 0.0  # the rows er meets
     inst = _inst(["tok1", "tok2"])
     rng = np.random.default_rng(3)
     base = dict(e1=rng.standard_normal(d), e2=rng.standard_normal(d),
@@ -615,20 +614,32 @@ def _tape_nodes(loss):
 def test_paper_config_instance_graph_stays_within_100_nodes():
     # two blocks of four heads per encoder: four fused nodes per block pass
     # (dropout rides in the residual layer norms), mutual attention in five
-    # nodes, an affine classifier and a one-node loss keep one instance's
-    # loss graph at 92 nodes, 60 of them parameters, at any dropout rate
+    # nodes, a gate of one concat and one affine node, an affine classifier
+    # and a one-node loss keep one instance's loss graph at 88 nodes, 59 of
+    # them parameters, at any dropout rate. The null relation adds its
+    # parameter and a reshape; the entity gate adds its W and b and one
+    # affine node per entity (their concats hold no parameter)
     vocab = [f"w{i}" for i in range(50)]
-    for dropout_rate in (0.1, 0.0):
-        cfg = ModelConfig(dropout_rate=dropout_rate)
-        model = KSMModel(cfg, WordTable.random(vocab, cfg.d, seed=1), seed=2)
-        rng = np.random.default_rng(3)
-        inst = _inst([vocab[i] for i in rng.integers(50, size=12)])
-        kn = PairKnowledge(*(rng.standard_normal(cfg.d) for _ in range(3)),
-                           er_is_null=False, e1_is_fallback=False,
-                           e2_is_fallback=False)
-        probs, _ = model.forward_instance(inst, kn, train=True, rng=rng)
-        loss = nll_loss([probs], [gold_class(inst)])
-        assert _tape_nodes(loss) == 92, dropout_rate
+    for target, null, nodes in (("relation", False, 88),
+                                ("relation", True, 90), ("both", False, 96),
+                                ("entity", False, 90)):
+        for dropout_rate in (0.1, 0.0):
+            cfg = ModelConfig(dropout_rate=dropout_rate,
+                              selector_target=target)
+            model = KSMModel(cfg, WordTable.random(vocab, cfg.d, seed=1),
+                             seed=2)
+            rng = np.random.default_rng(3)
+            inst = _inst([vocab[i] for i in rng.integers(50, size=12)])
+            kn = PairKnowledge(
+                *(rng.standard_normal(cfg.d) for _ in range(3)),
+                er_is_null=null, e1_is_fallback=False, e2_is_fallback=False)
+            probs, _ = model.forward_instance(inst, kn, train=True, rng=rng)
+            loss = nll_loss([probs], [gold_class(inst)])
+            assert _tape_nodes(loss) == nodes, (target, null, dropout_rate)
+    # a gate is one matrix over [features, v]: no configuration has a `.u`
+    for target in ("relation", "entity", "both", "none"):
+        names = build_params(_selector_cfg(selector_target=target)).names()
+        assert not [n for n in names if n.endswith(".u")], target
 
 
 def test_separate_pooling_records_four_nodes_per_sequence():
@@ -723,7 +734,7 @@ def test_dropout_changes_training_forward_but_not_eval():
 
 def test_full_model_gradients_off_the_default_path():
     # every reoriented weight the default configuration leaves out
-    # (separate.w_proj, entity_selector.w/u) gets a full finite-difference
+    # (separate.w_proj, entity_selector.w) gets a full finite-difference
     # check
     result = check_full_model(seed=0, tolerance=1e-3, n_blocks=1,
                               pooling="separate", selector_target="both")

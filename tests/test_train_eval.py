@@ -159,7 +159,11 @@ def test_train_config_rejects_non_finite_or_negative_lr(lr):
 
 @pytest.mark.parametrize("field, value, bound", [
     ("max_epochs", 0, ">= 1"), ("max_epochs", -2, ">= 1"),
-    ("patience", -5, ">= 0")])
+    ("patience", -5, ">= 0"),
+    # each of these once ended train_model in a bare TypeError, or, for a
+    # bool, trained with batches of 1
+    ("batch_size", 2.5, "of type int"), ("batch_size", True, "of type int"),
+    ("max_epochs", 1.5, "of type int"), ("seed", 1.5, "of type int")])
 def test_train_config_rejects_out_of_range_epoch_counts(field, value, bound):
     with pytest.raises(ValueError, match=f"{field} must be {bound}, "
                                          f"got {value}"):
