@@ -10,11 +10,12 @@ exact-match P/R/F.
 
 from .autodiff import ParameterStore, Tensor, backward
 from .checkpoint import load_checkpoint, save_checkpoint
-from .corpus import (CandidateInstance, CorpusError, Document, Mention,
-                     PreprocessConfig, assign_labels, build_context_window,
+from .corpus import (CandidateInstance, Document, Mention, PreprocessConfig,
+                     assign_labels, build_context_window,
                      generate_candidate_pairs, preprocess_document,
                      read_corpus, read_instances, write_corpus,
                      write_instances)
+from .inputs import InputError
 from .kb import (KnowledgeStore, PairKnowledge, Triple, init_embeddings,
                  read_triples, resolve_pair_knowledge, transe_energy,
                  transe_train)
@@ -29,7 +30,7 @@ from .train import (InstancePrediction, TrainConfig, aggregate_predictions,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adadelta", "CandidateInstance", "CorpusError", "Document",
+    "Adadelta", "CandidateInstance", "Document", "InputError",
     "InstancePrediction", "KSMModel", "KnowledgeStore", "Mention",
     "ModelConfig", "PairKnowledge", "ParameterStore", "PreprocessConfig",
     "Tensor", "TrainConfig", "Triple", "WordTable", "aggregate_predictions",

@@ -27,6 +27,7 @@ import numpy as np
 
 from .atomic import replacing
 from .autodiff import DTYPE, ParameterStore
+from .inputs import InputError
 from .kb import Embeddings, KnowledgeStore, index_pairs
 
 FORMAT_VERSION = 7
@@ -34,29 +35,25 @@ _WIRE = np.dtype("<f8")
 TABLES = ("words", "entities", "relations")  # in body order
 
 
-class CheckpointError(Exception):
-    pass
-
-
 def save_checkpoint(path, params: ParameterStore, words: Embeddings,
                     store: KnowledgeStore, config: dict) -> None:
     """Write every parameter, the word table `words` and the knowledge
     `store` to `path` atomically; a config `d` that is no int >= 1, a
-    non-finite value or a table not d wide raises CheckpointError naming
-    the file, and nothing is written."""
+    non-finite value or a table not d wide raises InputError naming the
+    file, and nothing is written."""
     if not (type(config.get("d")) is int and config["d"] >= 1):
-        raise CheckpointError(f"{path}: config d {config.get('d')!r} is no "
-                              f"integer >= 1; not saved")
+        raise InputError(f"config d {config.get('d')!r} is no integer >= 1; "
+                         f"not saved", path)
     tables = dict(zip(TABLES, (words, store.entity_table,
                                store.relation_table)))
     arrays = [(f"parameter {name!r}", t.data) for name, t in params.items()]
     arrays += [(f"table {name!r}", t.matrix) for name, t in tables.items()]
     for what, values in arrays:
         if not np.all(np.isfinite(values)):
-            raise CheckpointError(
-                f"{path}: {what} holds non-finite values; not saved")
+            raise InputError(f"{what} holds non-finite values; not saved",
+                             path)
     if any(t.matrix.shape[1] != config.get("d") for t in tables.values()):
-        raise CheckpointError(f"{path}: a table is not d wide; not saved")
+        raise InputError("a table is not d wide; not saved", path)
     header = {"format_version": FORMAT_VERSION, "config": config,
               "params": {n: {"shape": list(t.shape)} for n, t in params.items()},
               "tables": {n: {"ids": t.ids, "width": t.matrix.shape[1]}
@@ -72,37 +69,37 @@ def save_checkpoint(path, params: ParameterStore, words: Embeddings,
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, Embeddings,
                                    KnowledgeStore]:
     """({name: array}, config, word table, knowledge store) of the file, as
-    writable native float64 arrays; CheckpointError naming it for a defect."""
+    writable native float64 arrays; InputError naming it for a defect."""
     data = Path(path).read_bytes()
     end = data.find(b"\n")
     try:
         header = json.loads(data[:end if end >= 0 else len(data)])
     except RecursionError as e:
-        raise CheckpointError(f"{path}: JSON nested too deeply") from e
+        raise InputError("JSON nested too deeply", path) from e
     except ValueError:
         header = None
     version = header.get("format_version") if isinstance(header, dict) else None
     if version != FORMAT_VERSION:
         found = (f"unsupported format_version {version!r}"
                  if isinstance(header, dict) else "first line is no JSON object")
-        raise CheckpointError(
-            f"{path}: {found} (reads format {FORMAT_VERSION}: a JSON header "
-            "line, then values); retrain the model to write a current file")
+        raise InputError(
+            f"{found} (reads format {FORMAT_VERSION}: a JSON header line, "
+            "then values); retrain the model to write a current file", path)
     if end < 0:
-        raise CheckpointError(f"{path}: no line end after the header line")
+        raise InputError("no line end after the header line", path)
     if not (isinstance(config := header.get("config"), dict) and config):
-        raise CheckpointError(f"{path}: 'config' is no non-empty object")
+        raise InputError("'config' is no non-empty object", path)
     params = header.get("params")
     if not isinstance(params, dict):
-        raise CheckpointError(f"{path}: missing 'params' object")
+        raise InputError("missing 'params' object", path)
     parts = []
     for name, entry in params.items():
         shape = entry.get("shape") if isinstance(entry, dict) else None
         if not (isinstance(shape, list)
                 and all(type(n) is int and n >= 0 for n in shape)):
-            raise CheckpointError(
-                f"{path}: parameter {name!r}: missing or malformed 'shape' "
-                f"({shape!r}); expected a list of non-negative integers")
+            raise InputError(
+                f"parameter {name!r}: missing or malformed 'shape' "
+                f"({shape!r}); expected a list of non-negative integers", path)
         parts.append((f"parameter {name!r}", shape))
     tables = header.get("tables")
     for name in TABLES:
@@ -111,22 +108,21 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, Embeddings,
         if not (isinstance(ids, list) and all(type(i) is str for i in ids)
                 and len(set(ids)) == len(ids) and type(table.get("width"))
                 is int and table["width"] == config.get("d") >= 1):
-            raise CheckpointError(
-                f"{path}: malformed {name!r} table; expected unique string "
-                f"'ids' and 'width' the config's d (at least 1), "
-                f"{config.get('d')!r}")
+            raise InputError(f"malformed {name!r} table; expected unique "
+                             f"string 'ids' and 'width' the config's d (at "
+                             f"least 1), {config.get('d')!r}", path)
         parts.append((f"table {name!r}", [len(ids), table["width"]]))
     rows, known = header.get("pairs"), set(tables["relations"]["ids"])
     if not (isinstance(rows, list) and all(
             isinstance(row, list) and len(row) >= 3 and all(
                 type(s) is str for s in row) and known.issuperset(row[2:])
             for row in rows)):
-        raise CheckpointError(f"{path}: malformed 'pairs'; expected rows "
-                              "[e1, e2, label, ...], labels relation ids")
+        raise InputError("malformed 'pairs'; expected rows [e1, e2, label, "
+                         "...], labels relation ids", path)
     arrays = _read_body(path, [shape for _, shape in parts], data, end + 1)
     for (what, _), values in zip(parts, arrays):
         if not np.all(np.isfinite(values)):
-            raise CheckpointError(f"{path}: {what} holds non-finite values")
+            raise InputError(f"{what} holds non-finite values", path)
     words, entities, relations = (Embeddings(tables[name]["ids"], matrix)
                                   for name, matrix in zip(TABLES, arrays[-3:]))
     store = KnowledgeStore(entities, relations, config["d"], index_pairs(
@@ -140,13 +136,15 @@ def _read_body(path, shapes: list[list[int]], data: bytes,
     the header line, each copied out in order."""
     need = sum(_WIRE.itemsize * math.prod(s) for s in shapes)
     if len(data) - start != need:
-        raise CheckpointError(
-            f"{path}: {len(data) - start} bytes of values follow the "
-            f"header, whose shapes need {need}")
+        raise InputError(f"{len(data) - start} bytes of values follow the "
+                         f"header, whose shapes need {need}", path)
     arrays = []
     for shape in shapes:
         count = math.prod(shape)
-        arrays.append(np.frombuffer(data, _WIRE, count, start).astype(
-            DTYPE).reshape(shape))
+        try:
+            arrays.append(np.frombuffer(data, _WIRE, count, start).astype(
+                DTYPE).reshape(shape))
+        except ValueError as e:  # an empty shape with a dimension too big
+            raise InputError(f"shape {shape}: {e}", path) from e
         start += _WIRE.itemsize * count
     return arrays

@@ -3,10 +3,11 @@
 Subcommands: preprocess, train-kb, train, predict, evaluate, ablate,
 gradcheck. Each takes the settings it reads (`SETTINGS`; `predict` and
 `evaluate` read none) and no other, as flags and as `--config` JSON keys,
-resolved as flag > config file > default (`DEFAULTS`). A missing input
-flag, a bad input and a path that cannot be read or written each exit 2
-with one line naming it. Runs are reproducible (explicit seed, inputs
-never mutated); logs are JSON lines with a schema version.
+resolved as flag > config file > default (`DEFAULTS`). A bad input
+raises `ksm.InputError`, printed as `path:line: message`; `main` exits 2
+on it and on `OSError` only, as anything else is a bug. Runs are
+reproducible (explicit seed, inputs never mutated); logs are JSON lines
+with a schema version.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from . import corpus as corpus_mod
 from . import kb as kb_mod
 from . import train as train_mod
 from .autodiff import ParameterStore
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .corpus import CorpusError
+from .checkpoint import load_checkpoint, save_checkpoint
 from .gradcheck import run_report
-from .kb import KBError
-from .model import ConfigError, KSMModel, ModelConfig, WordTable, fits_type
+from .inputs import InputError, check_types, loads, text_lines
+from .model import KSMModel, ModelConfig, WordTable
 from .train import TrainConfig
 
 logger = logging.getLogger(__name__)
@@ -59,28 +59,19 @@ SETTINGS: dict[str, tuple[str, ...]] = {
 }
 
 
-class CliError(Exception):
-    pass
-
-
 def _read_json(path, what: str):
-    """The JSON in a file; CliError at the file (and line) if it is not, or
-    if an object repeats a key."""
+    """The JSON in a file; InputError at the file (and line) if it is not,
+    or if an object repeats a key."""
     def unique(pairs):
         obj = {}
         for key, value in pairs:
             if key in obj:
-                raise CliError(f"{path}: repeated key {key!r} in {what}")
+                raise InputError(f"repeated key {key!r} in {what}", path)
             obj[key] = value
         return obj
 
-    text = "".join(line for _, line in kb_mod.text_lines(path, CliError))
-    try:
-        return json.loads(text, object_pairs_hook=unique)
-    except json.JSONDecodeError as e:
-        raise CliError(f"{path}:{e.lineno}: invalid JSON in {what}") from e
-    except RecursionError as e:
-        raise CliError(f"{path}: JSON nested too deeply in {what}") from e
+    text = "".join(line for _, line in text_lines(path))
+    return loads(text, path, what, object_pairs_hook=unique)
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -92,16 +83,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if path := args.config:
         file_cfg = _read_json(path, "config file")
         if not isinstance(file_cfg, dict):
-            raise CliError(f"{path}: config file must hold a JSON object")
+            raise InputError("config file must hold a JSON object", path)
         unknown = set(file_cfg) - set(keys)
         if unknown:
-            raise CliError(f"{path}: unknown config keys: {sorted(unknown)}; "
-                           f"{args.command} reads {sorted(keys)}")
-        for key, value in file_cfg.items():
-            if not fits_type(value, DEFAULTS[key]):
-                raise CliError(f"{path}: {key} must be of type "
-                               f"{type(DEFAULTS[key]).__name__}, "
-                               f"got {json.dumps(value)}")
+            raise InputError(f"unknown config keys: {sorted(unknown)}; "
+                             f"{args.command} reads {sorted(keys)}", path)
+        check_types(file_cfg, DEFAULTS, path)
         cfg.update(file_cfg)
     for key in keys:
         value = getattr(args, key, None)
@@ -134,8 +121,8 @@ def _kb_store(args, d: int) -> kb_mod.KnowledgeStore:
         return kb_mod.KnowledgeStore({}, {}, d)
     *_, store = load_checkpoint(args.kb)
     if store.d_kb != d:
-        raise CliError(f"{args.kb}: KB store width {store.d_kb} does not "
-                       f"match the model width d {d}")
+        raise InputError(f"KB store width {store.d_kb} does not match the "
+                         f"model width d {d}", args.kb)
     return store
 
 
@@ -144,7 +131,7 @@ def _fit_settings(args) -> dict:
     checked, before any input is read (no sidecar is left) or epoch runs."""
     out = args.out and Path(args.out)  # ablate's is optional
     if out and (out.is_dir() or not out.parent.is_dir()):
-        raise CliError(f"--out {out}: not a file in an existing directory")
+        raise InputError(f"--out {out}: not a file in an existing directory")
     return resolve_config(args)
 
 
@@ -171,13 +158,13 @@ def cmd_train_kb(args) -> int:
     word_table = (kb_mod.read_embeddings(args.word_embeddings)
                   if args.word_embeddings else None)
     lexicon = None
-    if args.mention_lexicon:
-        lexicon = _read_json(args.mention_lexicon, "mention lexicon")
+    if path := args.mention_lexicon:
+        lexicon = _read_json(path, "mention lexicon")
         if not (isinstance(lexicon, dict) and all(
                 isinstance(words, list) and all(type(w) is str for w in words)
                 for words in lexicon.values())):
-            raise CliError(f"{args.mention_lexicon}: mention lexicon must "
-                           f"hold a JSON object of string lists")
+            raise InputError("mention lexicon must hold a JSON object of "
+                             "string lists", path)
     store = kb_mod.init_embeddings(triples, word_table, lexicon,
                                    d_kb=cfg["d"], seed=cfg["seed"])
     losses = kb_mod.transe_train(triples, store, margin=cfg["kb_margin"],
@@ -404,8 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, CorpusError, KBError, ConfigError, CheckpointError,
-            ValueError) as e:
+    except InputError as e:
         message = str(e)
     except FileNotFoundError as e:
         message = f"file not found: {e.filename}"

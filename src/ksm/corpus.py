@@ -37,7 +37,8 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .kb import sorted_pair, text_lines
+from .inputs import InputError, check_types, loads, records
+from .kb import sorted_pair
 
 logger = logging.getLogger(__name__)
 
@@ -56,10 +57,6 @@ _STRIP = str.maketrans("", "", "*†‡§®™")
 _DROP_TOKENS = frozenset("()[]{}")  # lone brackets left after stripping
 
 
-class CorpusError(Exception):
-    """Malformed corpus input (message carries file/line context when known)."""
-
-
 @dataclass(frozen=True)
 class Mention:
     entity_id: str
@@ -72,14 +69,14 @@ class Mention:
         except (TypeError, ValueError):
             s = e = None
         if type(s) is not int or type(e) is not int:
-            raise CorpusError(f"mention span must be two integers, "
-                              f"got {self.token_span!r}")
+            raise InputError(f"mention span must be two integers, "
+                             f"got {self.token_span!r}")
         if type(self.sentence_index) is not int:
-            raise CorpusError(f"mention sentence index must be an integer, "
-                              f"got {self.sentence_index!r}")
+            raise InputError(f"mention sentence index must be an integer, "
+                             f"got {self.sentence_index!r}")
         if not (0 <= s < e):
-            raise CorpusError(
-                f"mention span must satisfy 0 <= start < end, got {self.token_span}")
+            raise InputError(f"mention span must satisfy 0 <= start < end, "
+                             f"got {self.token_span}")
 
 
 @dataclass
@@ -106,28 +103,28 @@ class PreprocessConfig:
     expansion: int = 3               # context tokens kept on each side
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if type(value) is not int:  # a bool is none
-                raise CorpusError(f"{name} must be of type int, got {value!r}")
+        check_types(self)
         if self.max_sentence_distance < 1:
-            raise CorpusError(f"max_sentence_distance must be >= 1, got "
-                              f"{self.max_sentence_distance}")
+            raise InputError(f"max_sentence_distance must be >= 1, got "
+                             f"{self.max_sentence_distance}")
         if self.expansion < 0:
-            raise CorpusError(f"expansion must be >= 0, got {self.expansion}")
+            raise InputError(f"expansion must be >= 0, got {self.expansion}")
 
 
 def validate_document(doc: Document) -> list[str]:
-    """Raise CorpusError on structural violations; return soft warnings."""
+    """Raise InputError on structural violations; return soft warnings."""
+    if type(doc.doc_id) is not str or not all(
+            type(m.entity_id) is str for m in doc.mentions):
+        raise InputError("doc_id and mention entity ids must be strings")
     for m in doc.mentions:
         if not 0 <= m.sentence_index < len(doc.sentences):
-            raise CorpusError(
+            raise InputError(
                 f"{doc.doc_id}: mention sentence index {m.sentence_index} "
                 f"out of range (document has {len(doc.sentences)} sentences)")
         n = len(doc.sentences[m.sentence_index])
         if m.token_span[1] > n:
-            raise CorpusError(
-                f"{doc.doc_id}: mention span {m.token_span} exceeds sentence "
-                f"{m.sentence_index} length {n}")
+            raise InputError(f"{doc.doc_id}: mention span {m.token_span} "
+                             f"exceeds sentence {m.sentence_index} length {n}")
     warnings = []
     mentioned = {m.entity_id for m in doc.mentions}
     for pair in sorted(doc.gold_relations):
@@ -209,7 +206,7 @@ def _document_layout(doc: Document) -> _Layout:
         bad = [tok for tok in flat if not isinstance(tok, str)]
         if not bad:
             raise
-        raise CorpusError(f"{doc.doc_id}: token {bad[0]!r} is not a string") \
+        raise InputError(f"{doc.doc_id}: token {bad[0]!r} is not a string") \
             from None
     # filled from the last mention to the first, so the first one wins
     owner = [-1] * offsets[-1]
@@ -284,7 +281,7 @@ def build_context_window(
 
 def check_phase(phase: str) -> None:
     if phase not in PHASES:
-        raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
+        raise InputError(f"phase must be one of {PHASES}, got {phase!r}")
 
 
 def assign_labels(instances: list[CandidateInstance],
@@ -335,25 +332,10 @@ def document_to_json(doc: Document) -> str:
     })
 
 
-def _parse_json(line: str, where: str):
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as e:
-        raise CorpusError(f"{where}: invalid JSON ({e.msg})") from e
-    except RecursionError as e:
-        raise CorpusError(f"{where}: JSON nested too deeply") from e
-
-
-def _nonblank_lines(path):
-    """(`path:lineno`, stripped line) for each nonblank line of a file."""
-    for lineno, line in text_lines(path, CorpusError):
-        line = line.strip()
-        if line:
-            yield f"{path}:{lineno}", line
-
-
-def document_from_json(line: str, where: str = "<line>") -> Document:
-    rec = _parse_json(line, where)
+def document_from_json(line: str) -> Document:
+    """The document of one corpus record, validated (`validate_document`,
+    whose warnings are logged); InputError for a malformed record."""
+    rec = loads(line)
     try:
         mentions = [
             Mention(m["entity_id"], m["sentence"], tuple(m["token_span"]))
@@ -362,27 +344,23 @@ def document_from_json(line: str, where: str = "<line>") -> Document:
         pairs = rec.get("gold_relations", [])
         if not all(type(p) is list and len(p) == 2
                    and all(type(e) is str for e in p) for p in pairs):
-            raise CorpusError("gold_relations entries must be lists of "
-                              "2 strings")
+            raise InputError("gold_relations entries must be lists of "
+                             "2 strings")
         gold = {sorted_pair(*p) for p in pairs}
         if type(sentences := rec["sentences"]) is not list or not all(
                 type(s) is list for s in sentences):
-            raise CorpusError("sentences must be a list of token lists")
-        return Document(doc_id=rec["doc_id"], sentences=sentences,
-                        mentions=mentions, gold_relations=gold)
+            raise InputError("sentences must be a list of token lists")
+        doc = Document(doc_id=rec["doc_id"], sentences=sentences,
+                       mentions=mentions, gold_relations=gold)
     except (KeyError, TypeError) as e:
-        raise CorpusError(f"{where}: missing or malformed field ({e})") from e
-    except CorpusError as e:
-        raise CorpusError(f"{where}: {e}") from e
+        raise InputError(f"missing or malformed field ({e})") from e
+    for warning in validate_document(doc):
+        logger.warning(warning)
+    return doc
 
 
 def read_corpus(path) -> list[Document]:
-    docs = [document_from_json(line, where)
-            for where, line in _nonblank_lines(path)]
-    for doc in docs:
-        for warning in validate_document(doc):
-            logger.warning(warning)
-    return docs
+    return records(path, document_from_json)
 
 
 def write_corpus(path, docs: list[Document]) -> None:
@@ -402,16 +380,16 @@ def instance_to_json(inst: CandidateInstance) -> str:
     })
 
 
-def instance_from_json(line: str, where: str = "<line>") -> CandidateInstance:
-    """Parse one record; CorpusError at `where` unless it has a string
-    doc_id, a pair of strings, string tokens, one nonnegative int distance
-    per token in pos1/pos2, and a known label. Elements are checked in C
+def instance_from_json(line: str) -> CandidateInstance:
+    """Parse one record; InputError unless it has a string doc_id, a pair
+    of strings, string tokens, one nonnegative int distance per token in
+    pos1/pos2, and a known label. Elements are checked in C
     (`map`, `set`, `min`), not in a Python loop."""
-    rec = _parse_json(line, where)
+    rec = loads(line)
     try:
         if type(rec["doc_id"]) is not str:
-            raise CorpusError(f"{where}: doc_id must be a string, found "
-                              f"{json.dumps(rec['doc_id'])}")
+            raise InputError(f"doc_id must be a string, found "
+                             f"{json.dumps(rec['doc_id'])}")
         for name, kind, kinds in (("pair", str, "strings"),
                                   ("tokens", str, "strings"),
                                   ("pos1", int, "integers"),
@@ -419,36 +397,34 @@ def instance_from_json(line: str, where: str = "<line>") -> CandidateInstance:
             values = rec[name]
             if type(values) is not list or not set(map(type, values)) <= {kind}:
                 bad = next((v for v in values if type(v) is not kind), values)
-                raise CorpusError(f"{where}: {name} must be a list of "
-                                  f"{kinds}, found {json.dumps(bad)}")
+                raise InputError(f"{name} must be a list of {kinds}, "
+                                 f"found {json.dumps(bad)}")
         if len(rec["pair"]) != 2:
-            raise CorpusError(f"{where}: pair must be a list of 2 strings, "
-                              f"found {json.dumps(rec['pair'])}")
+            raise InputError(f"pair must be a list of 2 strings, "
+                             f"found {json.dumps(rec['pair'])}")
         inst = CandidateInstance(
             doc_id=rec["doc_id"], pair=sorted_pair(*rec["pair"]),
             tokens=rec["tokens"], pos1=rec["pos1"], pos2=rec["pos2"],
             label=rec["label"])
         n = len(inst.tokens)
         if n == 0:
-            raise CorpusError(f"{where}: instance has no tokens")
+            raise InputError("instance has no tokens")
         if len(inst.pos1) != n or len(inst.pos2) != n:
-            raise CorpusError(
-                f"{where}: pos1/pos2 lengths ({len(inst.pos1)}, "
-                f"{len(inst.pos2)}) differ from the {n} tokens")
+            raise InputError(f"pos1/pos2 lengths ({len(inst.pos1)}, "
+                             f"{len(inst.pos2)}) differ from the {n} tokens")
         low = min(min(inst.pos1), min(inst.pos2))
         if low < 0:
-            raise CorpusError(f"{where}: negative distance {low} in pos1/pos2")
+            raise InputError(f"negative distance {low} in pos1/pos2")
     except (KeyError, TypeError) as e:
-        raise CorpusError(f"{where}: missing or malformed field ({e})") from e
+        raise InputError(f"missing or malformed field ({e})") from e
     if inst.label not in _LABELS:
-        raise CorpusError(f"{where}: unknown label {inst.label!r} "
-                          f"(expected one of {', '.join(_LABELS)})")
+        raise InputError(f"unknown label {inst.label!r} "
+                         f"(expected one of {', '.join(_LABELS)})")
     return inst
 
 
 def read_instances(path) -> list[CandidateInstance]:
-    return [instance_from_json(line, where)
-            for where, line in _nonblank_lines(path)]
+    return records(path, instance_from_json)
 
 
 def write_instances(path, instances: list[CandidateInstance]) -> None:

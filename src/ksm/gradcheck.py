@@ -56,11 +56,11 @@ def finite_difference(f: Callable[[], float], leaf: Tensor,
                       step: float = FD_STEP) -> np.ndarray:
     """Central-difference d f / d leaf, evaluating the scalar f twice per
     element (forward only: nothing is recorded)."""
-    grad = np.zeros_like(leaf.data)
-    flat = leaf.data.reshape(-1)
-    gflat = grad.reshape(-1)
+    grad = np.zeros_like(leaf.data, order="C")
+    gflat = grad.reshape(-1)  # a view: grad is C-ordered
+    flat = leaf.data.flat  # writes through whatever the leaf's order
     with ad.no_grad():
-        for i in range(flat.size):
+        for i in range(leaf.data.size):
             orig = flat[i]
             flat[i] = orig + step
             hi = f()

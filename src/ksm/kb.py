@@ -45,12 +45,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomic import replacing
+from .inputs import InputError, records, text_lines
 
 logger = logging.getLogger(__name__)
-
-
-class KBError(Exception):
-    pass
 
 
 class Triple(NamedTuple):
@@ -137,7 +134,8 @@ class KnowledgeStore:
             self.entity_table = Embeddings.of(self.entity_table, self.d_kb)
             self.relation_table = Embeddings.of(self.relation_table, self.d_kb)
         except ValueError as e:
-            raise KBError(f"KnowledgeStore with d_kb {self.d_kb}: {e}") from None
+            raise InputError(f"KnowledgeStore with d_kb {self.d_kb}: "
+                             f"{e}") from None
 
 
 def sorted_pair(a: str, b: str) -> tuple[str, str]:
@@ -165,14 +163,13 @@ def init_embeddings(triples: list[Triple],
     vectors are N(0, 1/d_kb).
     """
     if not triples:
-        raise KBError("init_embeddings: empty triple set")
+        raise InputError("init_embeddings: empty triple set")
     if d_kb < 1:
-        raise KBError(f"init_embeddings: d_kb must be >= 1, got {d_kb}")
+        raise InputError(f"init_embeddings: d_kb must be >= 1, got {d_kb}")
     if word_table:
         d_words = len(next(iter(word_table.values())))
         if d_words != d_kb:
-            raise KBError(
-                f"word embedding dim {d_words} != d_kb {d_kb}")
+            raise InputError(f"word embedding dim {d_words} != d_kb {d_kb}")
     rng = np.random.default_rng(seed)
     entities = sorted({t.head for t in triples} | {t.tail for t in triples})
     relations = sorted({t.relation for t in triples})
@@ -197,7 +194,7 @@ def transe_energy(h: np.ndarray, r: np.ndarray, t: np.ndarray) -> float:
     """L2 norm of h + r - t."""
     h, r, t = np.asarray(h), np.asarray(r), np.asarray(t)
     if not h.shape == r.shape == t.shape:
-        raise KBError(
+        raise InputError(
             f"transe_energy: dimension mismatch {h.shape}/{r.shape}/{t.shape}")
     return float(np.linalg.norm(h + r - t))
 
@@ -209,20 +206,20 @@ _BATCH = 256  # triples per minibatch; 128 and 512 run within ~10% of it,
 def _triple_rows(triples: list[Triple], store: KnowledgeStore) -> np.ndarray:
     """(n, 3) head/relation/tail rows of the store's tables.
 
-    KBError on an unknown id, and on triples over fewer than 2 entities,
+    InputError on an unknown id, and on triples over fewer than 2 entities,
     where no triple can be corrupted.
     """
     e_row, r_row = store.entity_table.index, store.relation_table.index
     if triples and len(e_row) < 2:
-        raise KBError(f"{len(triples)} triple(s) over {len(e_row)} "
-                      f"entities: corruption needs at least 2")
+        raise InputError(f"{len(triples)} triple(s) over {len(e_row)} "
+                         f"entities: corruption needs at least 2")
     rows = np.empty((len(triples), 3), dtype=np.intp)
     for i, (h, r, t) in enumerate(triples):
         try:
             rows[i] = e_row[h], r_row[r], e_row[t]
         except KeyError as missing:
-            raise KBError(f"triple {i} ({h}, {r}, {t}): {missing} is not "
-                          f"in the store") from None
+            raise InputError(f"triple {i} ({h}, {r}, {t}): {missing} is "
+                             f"not in the store") from None
     return rows
 
 
@@ -310,19 +307,19 @@ def transe_train(triples: list[Triple], store: KnowledgeStore,
     the number of triples.
 
     Copies of the store's two matrices are trained and swapped in when
-    every epoch has finished. KBError is raised, with the store untouched,
-    for a margin that is not finite and positive, an lr that is not finite
-    and nonnegative, a triple naming an entity or relation missing from
-    the store, triples over fewer than 2 entities, a negative number of
-    epochs and a loss or parameter that turns non-finite. Zero epochs leave
-    the store untouched.
+    every epoch has finished. InputError is raised, with the store
+    untouched, for a margin that is not finite and positive, an lr that is
+    not finite and nonnegative, a triple naming an entity or relation
+    missing from the store, triples over fewer than 2 entities, a negative
+    number of epochs and a loss or parameter that turns non-finite. Zero
+    epochs leave the store untouched.
     """
     if epochs < 0:
-        raise KBError(f"epochs must be >= 0, got {epochs}")
+        raise InputError(f"epochs must be >= 0, got {epochs}")
     if not (np.isfinite(margin) and margin > 0):
-        raise KBError(f"margin must be finite and positive, got {margin}")
+        raise InputError(f"margin must be finite and positive, got {margin}")
     if not (np.isfinite(lr) and lr >= 0):
-        raise KBError(f"lr must be finite and nonnegative, got {lr}")
+        raise InputError(f"lr must be finite and nonnegative, got {lr}")
     rows = _triple_rows(triples, store)
     if epochs == 0:
         return []
@@ -344,8 +341,8 @@ def transe_train(triples: list[Triple], store: KnowledgeStore,
         E[outside] /= norms[outside, None]
         if not (np.isfinite(total) and np.isfinite(E).all()
                 and np.isfinite(R).all()):
-            raise KBError(f"TransE epoch {epoch}: non-finite loss or "
-                          f"parameter; store left unchanged")
+            raise InputError(f"TransE epoch {epoch}: non-finite loss or "
+                             f"parameter; store left unchanged")
         losses.append(total / max(1, n))
     store.entity_table.matrix, store.relation_table.matrix = E, R
     return losses
@@ -425,24 +422,16 @@ def resolve_pair_knowledge(store: KnowledgeStore, e_id1: str,
 # ---------------------------------------------------------------------------
 # file formats
 
+def _triple(line: str) -> Triple:
+    if len(parts := line.split("\t")) != 3 or not all(parts):
+        raise InputError("expected head<TAB>relation<TAB>tail")
+    return Triple(*parts)
+
+
 def read_triples(path) -> list[Triple]:
-    """Unique triples from a head<TAB>relation<TAB>tail file. KBError at
-    `file:line` for a line without three fields."""
-    seen = set()
-    out = []
-    for lineno, line in text_lines(path, KBError):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3 or not all(p for p in parts):
-            raise KBError(
-                f"{path}:{lineno}: expected head<TAB>relation<TAB>tail")
-        trip = Triple(*parts)
-        if trip not in seen:
-            seen.add(trip)
-            out.append(trip)
-    return out
+    """Unique triples from a head<TAB>relation<TAB>tail file, in file order.
+    InputError at the line for one without three nonempty fields."""
+    return list(dict.fromkeys(records(path, _triple)))
 
 
 def write_embeddings(path, table: Mapping[str, np.ndarray]) -> None:
@@ -458,10 +447,10 @@ def write_embeddings(path, table: Mapping[str, np.ndarray]) -> None:
 
 def read_embeddings(path) -> Embeddings:
     """Read the text format of `write_embeddings` straight into one matrix.
-    KBError at `file:line` for a bad header, a line that is not UTF-8, a row
-    of the wrong width, and a value that is not a finite number, also on a
-    line whose id repeats later (a repeated id keeps its first position and
-    its last row).
+    InputError at the file and line for a bad header, a line that is not
+    UTF-8, a row of the wrong width, and a value that is not a finite
+    number, also on a line whose id repeats later (a repeated id keeps its
+    first position and its last row).
 
     A file's bytes are parsed once: the parsed table is then kept in a
     hidden sidecar beside the file (``.name.ksm-cache.npz``) that holds the
@@ -502,55 +491,39 @@ def read_embeddings(path) -> Embeddings:
 def _parse_embeddings(path) -> tuple[Embeddings, int]:
     """The table of an embedding text file and its header count. The
     matrix is sized from the rows read, never from the header alone."""
-    lines = text_lines(path, KBError)
+    lines = text_lines(path)
     header = next(lines, (1, ""))[1].split()
     if len(header) != 2:
-        raise KBError(f"{path}:1: expected header `count dim`")
+        raise InputError("expected header `count dim`", path, 1)
     try:
         count, dim = int(header[0]), int(header[1])
         matrix = np.empty((0, dim))  # a row per line, grown by doubling
     except ValueError as e:
-        raise KBError(f"{path}:1: count and dim must be integers, "
-                      f"dim >= 0") from e
+        raise InputError("count and dim must be integers, dim >= 0",
+                         path, 1) from e
     ids, linenos = [], []
     for lineno, line in lines:
         parts = line.split()
         if not parts:
             continue
         if len(parts) != dim + 1:
-            raise KBError(
-                f"{path}:{lineno}: expected id + {dim} values, "
-                f"got {len(parts) - 1}")
+            raise InputError(f"expected id + {dim} values, got "
+                             f"{len(parts) - 1}", path, lineno)
         if len(ids) == len(matrix):
             matrix = np.concatenate(
                 [matrix, np.empty((max(16, len(matrix)), dim))])
         try:
             matrix[len(ids)] = parts[1:]
         except ValueError as e:
-            raise KBError(f"{path}:{lineno}: {e}") from e
+            raise InputError(str(e), path, lineno) from e
         ids.append(parts[0])
         linenos.append(lineno)
     finite = np.isfinite(matrix[:len(ids)]).all(axis=1)
     if not finite.all():
-        raise KBError(f"{path}:{linenos[int(np.argmin(finite))]}: "
-                      "non-finite value")
+        raise InputError("non-finite value", path,
+                         linenos[int(np.argmin(finite))])
     last = {key: row for row, key in enumerate(ids)}
     return Embeddings(list(last), matrix[list(last.values())]), count
-
-
-def text_lines(path, error: type[Exception]) -> Iterator[tuple[int, str]]:
-    """(line number from 1, line) for each line of a UTF-8 text file, read
-    lazily; `error` at `path:line` for a line holding a byte that is not
-    UTF-8 (a strict read would raise UnicodeDecodeError, naming neither)."""
-    # undecodable bytes become lone surrogates, which do not encode back
-    with open(path, encoding="utf-8", errors="surrogateescape") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise error(f"{path}:{lineno}: not UTF-8 text") from None
-            yield lineno, line
 
 
 # The embedding sidecar: an uncompressed .npz of the arrays

@@ -35,7 +35,7 @@ the gradient checks verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,6 +43,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 from .corpus import CandidateInstance, LABEL_POSITIVE
+from .inputs import InputError, check_types
 from .kb import Embeddings, KnowledgeStore, PairKnowledge, read_embeddings
 
 CLASS_NEGATIVE = 0
@@ -55,10 +56,6 @@ LAYER_NORM_EPS = 1e-5
 NLL_FLOOR = 1e-12   # gold-class probabilities are clamped here in the loss
 
 
-class ConfigError(Exception):
-    pass
-
-
 # allowed values of the enumerated ModelConfig fields
 _CHOICES = {
     "selector_activation": tuple(_ACTIVATIONS),
@@ -66,13 +63,6 @@ _CHOICES = {
     "selector_target": ("relation", "entity", "both", "none"),
     "pooling": ("mutual", "separate", "average", "max"),
 }
-
-
-def fits_type(value, default) -> bool:
-    """The settings' type rule: `value` is of its `default`'s type, or an
-    int for a float (a bool fits only a bool)."""
-    return (type(value) is type(default)
-            or (type(default), type(value)) == (float, int))
 
 
 @dataclass
@@ -92,23 +82,19 @@ class ModelConfig:
         return self.d // self.n_heads
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if not fits_type(value := getattr(self, f.name), f.default):
-                raise ConfigError(f"{f.name} must be of type "
-                                  f"{type(f.default).__name__}, got {value!r}")
+        check_types(self)
         if self.d < 1 or self.n_heads < 1 or self.d % self.n_heads:
-            raise ConfigError(
-                f"d ({self.d}) must be a positive multiple of n_heads "
-                f"({self.n_heads})")
+            raise InputError(f"d ({self.d}) must be a positive multiple of "
+                             f"n_heads ({self.n_heads})")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0,1), "
-                              f"got {self.dropout_rate}")
+            raise InputError(f"dropout_rate must be in [0,1), "
+                             f"got {self.dropout_rate}")
         if self.n_blocks < 1:
-            raise ConfigError("n_blocks must be >= 1")
+            raise InputError("n_blocks must be >= 1")
         for key, allowed in _CHOICES.items():
             if getattr(self, key) not in allowed:
-                raise ConfigError(f"unknown {key} {getattr(self, key)!r} "
-                                  f"(expected one of {', '.join(allowed)})")
+                raise InputError(f"unknown {key} {getattr(self, key)!r} "
+                                 f"(expected one of {', '.join(allowed)})")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -161,7 +147,7 @@ def sinusoidal_encoding(positions: Sequence[int], d: int) -> np.ndarray:
 class WordTable:
     """Frozen token -> vector lookup over one `Embeddings` matrix; its UNK
     row (the mapping's UNK vector, else zeros, appended last) serves unknown
-    tokens. ConfigError for a vector, UNK included, not of width d."""
+    tokens. InputError for a vector, UNK included, not of width d."""
 
     UNK = "UNK"
 
@@ -173,7 +159,7 @@ class WordTable:
                 table = Embeddings(table.ids + [self.UNK],
                                    np.vstack([table.matrix, np.zeros(d)]))
         except ValueError as e:
-            raise ConfigError(f"word table of width {d}: {e}") from None
+            raise InputError(f"word table of width {d}: {e}") from None
         self.vectors = table
         self.d = d
         self.unk = self.vectors[self.UNK]
@@ -191,7 +177,7 @@ class WordTable:
     def load(cls, path) -> "WordTable":
         vectors = read_embeddings(path)
         if not vectors:
-            raise ConfigError(f"{path}: empty embedding file")
+            raise InputError("empty embedding file", path)
         return cls(vectors, vectors.matrix.shape[1])
 
     def lookup(self, tokens: Sequence[str]) -> np.ndarray:
@@ -474,7 +460,7 @@ class KSMModel:
     def __init__(self, config: ModelConfig, word_table: WordTable,
                  seed: int = 0):
         if word_table.d != config.d:
-            raise ConfigError(
+            raise InputError(
                 f"word table dim {word_table.d} != model d {config.d}")
         self.config = config
         self.word_table = word_table
@@ -515,25 +501,25 @@ class KSMModel:
     @classmethod
     def load(cls, path, word_table: WordTable | None = None) -> "KSMModel":
         """The model saved at `path` with its word table and store; a
-        `word_table` passed must equal the saved one, or CheckpointError."""
-        from .checkpoint import CheckpointError, load_checkpoint
+        `word_table` passed must equal the saved one, or InputError."""
+        from .checkpoint import load_checkpoint
         values, config_dict, words, store = load_checkpoint(path)
         if not values:  # a KB store file, written by train-kb
-            raise CheckpointError(f"{path}: holds no model parameters")
+            raise InputError("holds no model parameters", path)
         try:
             config = ModelConfig(**config_dict)
-        except (TypeError, ConfigError) as e:
-            raise CheckpointError(f"{path}: invalid model config: {e}") from e
+        except (TypeError, InputError) as e:
+            raise InputError(f"invalid model config: {e}", path) from e
         if word_table is not None and not (
                 word_table.vectors.ids == words.ids
                 and np.array_equal(word_table.vectors.matrix, words.matrix)):
-            raise CheckpointError(f"{path}: the word table passed is not "
-                                  f"the one saved with the model")
+            raise InputError("the word table passed is not the one saved "
+                             "with the model", path)
         try:
             model = cls(config, WordTable(words, config.d), seed=0)
             model.params.load_values(values)
-        except (KeyError, ValueError, ConfigError) as e:
-            raise CheckpointError(
-                f"{path}: checkpoint does not match its config: {e}") from e
+        except (KeyError, ValueError) as e:
+            raise InputError(f"checkpoint does not match its config: {e}",
+                             path) from e
         model.store = store
         return model

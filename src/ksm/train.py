@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -31,8 +31,8 @@ from . import model as ksm_model
 from .autodiff import backward, no_grad
 from .corpus import (CandidateInstance, Document, LABEL_POSITIVE,
                      LABEL_UNLABELED, sorted_pair)
-from .kb import (KnowledgeStore, PairKnowledge, resolve_pair_knowledge,
-                 text_lines)
+from .inputs import InputError, check_types, records
+from .kb import KnowledgeStore, PairKnowledge, resolve_pair_knowledge
 from .model import CLASS_POSITIVE, KSMModel, gold_class
 from .optim import Adadelta
 
@@ -49,22 +49,18 @@ class TrainConfig:
     holdout_fraction: float = 0.1  # 0 disables the held-out split
 
     def __post_init__(self):
-        for f in fields(self):
-            if not ksm_model.fits_type(value := getattr(self, f.name),
-                                       f.default):
-                raise ValueError(f"{f.name} must be of type "
-                                 f"{type(f.default).__name__}, got {value!r}")
+        check_types(self)
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise InputError("batch_size must be >= 1")
         if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+            raise InputError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 0:
-            raise ValueError(f"patience must be >= 0, got {self.patience}")
+            raise InputError(f"patience must be >= 0, got {self.patience}")
         if not (np.isfinite(self.lr) and self.lr >= 0):
-            raise ValueError(
+            raise InputError(
                 f"lr must be finite and nonnegative, got {self.lr}")
         if not 0.0 <= self.holdout_fraction < 1.0:
-            raise ValueError("holdout_fraction must be in [0, 1)")
+            raise InputError("holdout_fraction must be in [0, 1)")
 
 
 class InstancePrediction(NamedTuple):
@@ -225,13 +221,13 @@ def train_model(instances: list[CandidateInstance], store: KnowledgeStore,
                 model: KSMModel, train_config: TrainConfig) -> TrainResult:
     """Fit the model on labeled instances; returns it loaded with the best
     parameters seen, plus the per-epoch log. A non-finite parameter before
-    a batch, batch loss or parameter gradient raises ValueError naming the
-    epoch and batch (and the first such parameter) before any optimizer
-    step on that batch."""
+    a batch, batch loss or parameter gradient, and a forward rejecting a
+    diverged value, raise InputError naming the epoch and batch (and the
+    first such parameter) before any optimizer step on that batch."""
     if not instances:
-        raise ValueError("empty training set")
+        raise InputError("empty training set")
     if any(inst.label == LABEL_UNLABELED for inst in instances):
-        raise ValueError("training instances must be labeled")
+        raise InputError("training instances must be labeled")
 
     train: list[CandidateInstance] = []
     heldout: list[CandidateInstance] = []
@@ -263,16 +259,19 @@ def train_model(instances: list[CandidateInstance], store: KnowledgeStore,
             bad = _first_non_finite((n, p.data)
                                     for n, p in model.params.items())
             if bad is not None:
-                raise ValueError(f"non-finite training loss at {where}: "
+                raise InputError(f"non-finite training loss at {where}: "
                                  f"parameter {bad!r} is not finite")
             model.params.zero_grad()
-            loss = accumulate_batch_gradient(model, batch, rng)
+            try:  # the forward rejects values diverged out of its domain
+                loss = accumulate_batch_gradient(model, batch, rng)
+            except ValueError as e:
+                raise InputError(f"training diverged at {where}: {e}") from e
             if not np.isfinite(loss):
-                raise ValueError(f"non-finite training loss {loss} at {where}")
+                raise InputError(f"non-finite training loss {loss} at {where}")
             bad = _first_non_finite((n, p.grad)
                                     for n, p in model.params.items())
             if bad is not None:
-                raise ValueError(f"non-finite gradient of parameter {bad!r} "
+                raise InputError(f"non-finite gradient of parameter {bad!r} "
                                  f"at {where}")
             optimizer.step()
             losses.append(loss)
@@ -326,15 +325,14 @@ def write_predictions(path, predictions: PredictionSet) -> None:
                 f.write(f"{doc_id}\t{a}\t{b}\n")
 
 
+def _prediction(line: str) -> list[str]:
+    if len(parts := line.split("\t")) != 3:
+        raise InputError("expected doc_id<TAB>entity1<TAB>entity2")
+    return parts
+
+
 def read_predictions(path) -> PredictionSet:
     out: PredictionSet = {}
-    for lineno, line in text_lines(path, ValueError):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(
-                f"{path}:{lineno}: expected doc_id<TAB>entity1<TAB>entity2")
-        out.setdefault(parts[0], set()).add(sorted_pair(parts[1], parts[2]))
+    for doc_id, a, b in records(path, _prediction):
+        out.setdefault(doc_id, set()).add(sorted_pair(a, b))
     return out

@@ -110,18 +110,22 @@ def test_layer_norm_rejects_nonpositive_eps():
 
 def test_backward_matvec_matches_finite_differences():
     rng = np.random.default_rng(1)
-    w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    values = rng.standard_normal((3, 4))
     x = Tensor(rng.standard_normal((4, 1)))
+    # a leaf of either memory order: perturbing an F-ordered one through a
+    # reshaped copy would leave it unchanged and read a gradient of 0
+    for w in (Tensor(values, requires_grad=True),
+              Tensor(np.asfortranarray(values), requires_grad=True)):
+        def loss():
+            return ad.tensor_sum(w @ x)
 
-    def loss():
-        return ad.tensor_sum(w @ x)
-
-    loss().backward()
-    result = check_tensors(lambda: loss().item(), {"w": w}, "matvec",
-                           tolerance=1e-4)
-    assert result.passed, result
-    # d sum(Wx) / dW is the outer product of ones with x
-    np.testing.assert_allclose(w.grad, np.ones((3, 1)) @ x.data.T, atol=1e-12)
+        loss().backward()
+        result = check_tensors(lambda: loss().item(), {"w": w}, "matvec",
+                               tolerance=1e-4)
+        assert result.passed, result
+        # d sum(Wx) / dW is the outer product of ones with x
+        np.testing.assert_allclose(w.grad, np.ones((3, 1)) @ x.data.T,
+                                   atol=1e-12)
 
 
 def test_backward_detached_constant_leaves_grads_zero():

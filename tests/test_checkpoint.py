@@ -13,9 +13,9 @@ from hypothesis.extra import numpy as hnp
 
 import ksm.checkpoint
 from ksm.autodiff import ParameterStore, Tensor
-from ksm.checkpoint import (FORMAT_VERSION, CheckpointError,
-                            load_checkpoint, save_checkpoint)
+from ksm.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from ksm.gradcheck import toy_batch, toy_model
+from ksm.inputs import InputError
 from ksm.kb import Embeddings, KnowledgeStore, resolve_pair_knowledge
 from ksm.model import KSMModel, WordTable
 
@@ -240,14 +240,14 @@ def test_unsupported_version_rejected(tmp_path):
     header, body = _split(path)
     header["format_version"] = 99
     path.write_bytes(_joined(header, body))
-    with pytest.raises(CheckpointError, match="format_version 99"):
+    with pytest.raises(InputError, match="format_version 99"):
         load_checkpoint(path)
 
 
 def test_garbage_file_rejected_with_location(tmp_path):
     path = tmp_path / "model.ckpt"
     path.write_text("not json {")
-    with pytest.raises(CheckpointError, match="line"):
+    with pytest.raises(InputError, match="line"):
         load_checkpoint(path)
 
 
@@ -256,7 +256,7 @@ def test_garbage_file_rejected_with_location(tmp_path):
 def test_deeply_nested_json_rejected(tmp_path, line_end):
     path = tmp_path / "model.ckpt"
     path.write_bytes(b"[" * 100_000 + line_end)
-    with pytest.raises(CheckpointError, match="nested too deeply"):
+    with pytest.raises(InputError, match="nested too deeply"):
         load_checkpoint(path)
 
 
@@ -298,7 +298,7 @@ def test_model_saves_the_store_given_and_a_loaded_model_its_own(tmp_path):
 def test_saving_a_store_of_another_width_or_non_finite_refused(tmp_path, kb,
                                                                d):
     path = tmp_path / "m.ckpt"
-    with pytest.raises(CheckpointError, match=r"m\.ckpt: .*; not saved"):
+    with pytest.raises(InputError, match=r"m\.ckpt: .*; not saved"):
         save_checkpoint(path, ParameterStore(), Embeddings.of({}, d), kb,
                         {"d": d})
     assert not path.exists()
@@ -318,13 +318,13 @@ def test_model_load_rejects_a_different_word_table(tmp_path, change):
     other = WordTable(Embeddings(vectors.ids, change(vectors.matrix)),
                       model.config.d)
     assert other.d == model.word_table.d
-    with pytest.raises(CheckpointError) as e:
+    with pytest.raises(InputError) as e:
         KSMModel.load(path, other)
     assert str(e.value) == (f"{path}: the word table passed is not the one "
                             f"saved with the model")
     renamed = WordTable(dict(zip(vectors.ids[::-1], vectors.matrix)),
                         model.config.d)
-    with pytest.raises(CheckpointError, match="word table passed"):
+    with pytest.raises(InputError, match="word table passed"):
         KSMModel.load(path, renamed)
 
 
@@ -338,7 +338,7 @@ def test_checkpoint_without_matching_config_rejected(tmp_path, version):
     values, config, _, _ = load_checkpoint(path)
     config["n_blocks"] = 1
     path.write_bytes(_model_file(model, config, version, values))
-    with pytest.raises(CheckpointError, match="does not match"):
+    with pytest.raises(InputError, match="does not match"):
         KSMModel.load(path, model.word_table)
 
 
@@ -349,7 +349,7 @@ def test_word_table_of_another_width_than_the_config_rejected(tmp_path):
     path.write_bytes(_file({n: t.data for n, t in model.params.items()},
                            model.config.to_dict(), 7, words,
                            _empty_kb(model.config.d)))
-    with pytest.raises(CheckpointError, match="malformed 'words' table; "
+    with pytest.raises(InputError, match="malformed 'words' table; "
                        "expected unique string 'ids' and 'width' the "
                        r"config's d \(at least 1\), 8"):
         KSMModel.load(path)
@@ -361,7 +361,7 @@ def test_checkpoint_missing_config_rejected(tmp_path):
     header, body = _split_bytes(_model_file(model, {}, 7))
     del header["config"]
     path.write_bytes(_joined(header, body))
-    with pytest.raises(CheckpointError, match="config"):
+    with pytest.raises(InputError, match="config"):
         KSMModel.load(path, model.word_table)
 
 
@@ -377,13 +377,13 @@ def test_config_that_is_no_non_empty_object_rejected(tmp_path, config):
         header["config"] = config
     path = tmp_path / "model.ckpt"
     path.write_bytes(_joined(header, body))
-    with pytest.raises(CheckpointError) as e:
+    with pytest.raises(InputError) as e:
         load_checkpoint(path)
     assert str(e.value) == f"{path}: 'config' is no non-empty object"
 
 
 # ---------------------------------------------------------------------------
-# every defect of a file is a CheckpointError naming the file
+# every defect of a file is an InputError naming the file
 
 
 def _store_values():
@@ -391,10 +391,10 @@ def _store_values():
 
 
 def _rejected(path, content: bytes, match):
-    """`content` fails to load with a CheckpointError that matches `match`
+    """`content` fails to load with an InputError that matches `match`
     and names the file."""
     path.write_bytes(content)
-    with pytest.raises(CheckpointError, match=match) as info:
+    with pytest.raises(InputError, match=match) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
 
@@ -454,6 +454,8 @@ def _nan_at(offset):
     (_shape([True, 3]), "'layer.w': missing or malformed 'shape'"),
     (_shape("4 3"), "'layer.w': missing or malformed 'shape'"),
     (_shape(None), "'layer.w': missing or malformed 'shape'"),
+    (lambda h, b: _shape([0, 2**62])(h, b[96:]),  # 0 values, no array
+     r"shape \[0, 4611686018427387904\]: "),
     (_nan_at(104), "'layer.b' holds non-finite values"),
     (_nan_at(144), "'head.w' holds non-finite values"),
     (lambda h, b: _joined({**h, "format_version": 99}, b),
@@ -468,6 +470,7 @@ def _nan_at(offset):
      "no line end after the header line"),
 ], ids=["short", "trailing", "ragged", "shape-too-big", "negative-shape",
         "float-shape", "bool-shape", "string-shape", "no-shape",
+        "empty-shape-too-big",
         "nan-in-layer.b", "nan-in-last", "version-99", "no-params",
         "truncated-header", "blank-first-line", "header-only"])
 def test_format_4_defect_rejected(tmp_path, change, match):
@@ -590,7 +593,7 @@ def test_saving_non_finite_parameter_refused_and_writes_nothing(tmp_path):
     store = _random_store()
     store["layer.w"].data[2, 1] = float("nan")
     path = tmp_path / "model.ckpt"
-    with pytest.raises(CheckpointError,
+    with pytest.raises(InputError,
                        match=r"model\.ckpt: parameter 'layer\.w' holds "
                              r"non-finite values"):
         save_checkpoint(path, store, _words(), _empty_kb(), {"d": 2})
@@ -602,7 +605,7 @@ def test_saving_a_non_finite_word_table_refused_and_writes_nothing(
     words = _words()
     words.matrix[1, 0] = float("inf")
     path = tmp_path / "model.ckpt"
-    with pytest.raises(CheckpointError,
+    with pytest.raises(InputError,
                        match=r"model\.ckpt: table 'words' holds "
                              r"non-finite values; not saved"):
         save_checkpoint(path, _random_store(), words, _empty_kb(), {"d": 2})
@@ -662,7 +665,7 @@ def test_model_config_with_unknown_key_rejected(tmp_path, key, value):
     header, body = _split(path)
     header["config"][key] = value
     path.write_bytes(_joined(header, body))
-    with pytest.raises(CheckpointError) as e:
+    with pytest.raises(InputError) as e:
         KSMModel.load(path, model.word_table)
     assert str(e.value).startswith(f"{path}: invalid model config: ")
     assert repr(key) in str(e.value)

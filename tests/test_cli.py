@@ -136,6 +136,20 @@ def test_evaluate_perfect_predictions_reports_100(tmp_path, capsys):
     assert "P=100.00% R=100.00% F=100.00%" in out
 
 
+def test_a_bug_in_a_command_is_no_bad_input(tmp_path, monkeypatch):
+    # a ValueError that is no InputError is a bug: it propagates with its
+    # traceback instead of exiting 2 as bad input
+    def prf_counts(predictions, gold):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(train_mod, "prf_counts", prf_counts)
+    pred = tmp_path / "pred.tsv"
+    pred.write_text("D1\tG1\tG2\n")
+    with pytest.raises(ValueError, match="^bug$"):
+        main(["evaluate", "--predictions", str(pred),
+              "--corpus", str(DATA / "toy_corpus.jsonl")])
+
+
 def test_evaluate_writes_report_file(tmp_path, capsys):
     pred = tmp_path / "pred.tsv"
     pred.write_text("D1\tG1\tG2\n")
@@ -773,8 +787,10 @@ def test_malformed_corpus_reports_line_number(tmp_path, capsys):
     ({"sentences": [["a", "b"]], "mentions": [],
       "gold_relations": [[2, 1], "ab"]},
      "bad.jsonl:2: gold_relations entries must be lists of 2 strings"),
+    ({"doc_id": ["d7"], "sentences": [["a", "b"]], "mentions": []},
+     "bad.jsonl:2: doc_id and mention entity ids must be strings"),
 ], ids=["span-3", "sentence-float", "token-int", "sentence-string",
-        "gold-pair-of-3", "gold-pair-not-strings"])
+        "gold-pair-of-3", "gold-pair-not-strings", "doc-id-list"])
 def test_malformed_corpus_record_exits_2_without_output(tmp_path, capsys,
                                                         doc, location):
     bad = tmp_path / "bad.jsonl"
@@ -1098,6 +1114,22 @@ def test_nan_learning_rate_exits_2(tmp_path, capsys):
     assert rc == 2
     assert ("error: lr must be finite and nonnegative, got nan"
             in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_a_run_that_diverges_exits_2(tmp_path, capsys):
+    # a finite but huge lr drives the pair scores out of their domain: the
+    # forward's ValueError is reported as the run's, not as a bug
+    inst_path, words_path, kb_path = _small_training_setup(tmp_path)
+    out = tmp_path / "m.ckpt"
+    with np.errstate(all="ignore"):
+        rc = main(["train", "--instances", str(inst_path),
+                   "--word-embeddings", str(words_path), "--kb", str(kb_path),
+                   "--out", str(out), "--lr", "1e6"] + FAST_TRAIN)
+    assert rc == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: training diverged at epoch ")
+    assert "pair_tanh_score" in line
     assert not out.exists()
 
 

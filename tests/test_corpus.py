@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksm.corpus import (GENE_MASK_TOKEN, NUMBER_TOKEN, CandidateInstance,
-                        CorpusError, Document, LABEL_NEGATIVE,
+                        Document, LABEL_NEGATIVE,
                         LABEL_POSITIVE, LABEL_UNLABELED,
                         Mention, PreprocessConfig, assign_labels,
                         build_context_window, document_from_json,
@@ -20,6 +20,7 @@ from ksm.corpus import (GENE_MASK_TOKEN, NUMBER_TOKEN, CandidateInstance,
                         instance_from_json, instance_to_json,
                         preprocess_document, read_corpus, read_instances,
                         sorted_pair, validate_document, write_instances)
+from ksm.inputs import InputError
 
 DATA = Path(__file__).parent / "data"
 
@@ -153,7 +154,7 @@ def test_preprocess_config_rejects_settings_that_give_wrong_windows(
     # pair, distance 0 silently kept no pair at all, and a fraction or a
     # bool was accepted
     bound = r">= \d" if type(value) is int else "of type int"
-    with pytest.raises(CorpusError,
+    with pytest.raises(InputError,
                        match=rf"{field} must be {bound}, got {value}"):
         PreprocessConfig(**{field: value})
 
@@ -295,7 +296,7 @@ def test_assign_labels_rejects_unknown_phase():
 
 def test_validate_rejects_out_of_range_span():
     doc = _doc([["a", "b"]], [Mention("G1", 0, (1, 3))])
-    with pytest.raises(CorpusError):
+    with pytest.raises(InputError):
         validate_document(doc)
 
 
@@ -308,8 +309,15 @@ def test_validate_warns_on_gold_without_mention():
 
 
 def test_mention_span_must_be_nonempty():
-    with pytest.raises(CorpusError):
+    with pytest.raises(InputError):
         Mention("G1", 0, (2, 2))
+
+
+def _file_with(tmp_path, line: str, lineno: int) -> Path:
+    """f.jsonl holding `line` at line `lineno`, after blank lines."""
+    path = tmp_path / "f.jsonl"
+    path.write_text("\n" * (lineno - 1) + line + "\n")
+    return path
 
 
 def _corpus_line(mention=None, sentences=(("a", "b", "c"),)):
@@ -330,30 +338,37 @@ def _corpus_line(mention=None, sentences=(("a", "b", "c"),)):
     ("sentence", True, "mention sentence index must be an integer, "
                        "got True"),
     ("sentence", "0", "mention sentence index must be an integer"),
+    ("token_span", [1, 9], "d7: mention span (1, 9) exceeds sentence 0 "
+                           "length 3"),
+    ("sentence", 4, "d7: mention sentence index 4 out of range (document "
+                    "has 1 sentences)"),
+    ("entity_id", ["G1"], "doc_id and mention entity ids must be strings"),
 ], ids=["span-3", "span-1", "span-float", "span-bool", "span-str",
-        "sentence-float", "sentence-bool", "sentence-str"])
-def test_malformed_mention_record_reports_location(field, value, message):
+        "sentence-float", "sentence-bool", "sentence-str", "span-past-end",
+        "sentence-past-end", "entity-list"])
+def test_malformed_mention_record_reports_location(tmp_path, field, value,
+                                                  message):
     mention = {"entity_id": "G1", "sentence": 0, "token_span": [0, 1],
                field: value}
-    with pytest.raises(CorpusError, match=re.escape(f"f.jsonl:3: {message}")):
-        document_from_json(_corpus_line(mention), where="f.jsonl:3")
+    with pytest.raises(InputError, match=re.escape(f"f.jsonl:3: {message}")):
+        read_corpus(_file_with(tmp_path, _corpus_line(mention), 3))
 
 
 @pytest.mark.parametrize("sentences", [["P1 ab P2"], "P1 ab P2",
                                        [["a"], "b"], {"0": ["a"]}],
                          ids=["string-sentence", "string", "mixed", "object"])
-def test_sentences_must_be_a_list_of_token_lists(sentences):
+def test_sentences_must_be_a_list_of_token_lists(tmp_path, sentences):
     # a string sentence would be windowed one character per token
-    with pytest.raises(CorpusError, match=re.escape(
+    with pytest.raises(InputError, match=re.escape(
             "f.jsonl:3: sentences must be a list of token lists")):
-        document_from_json(_corpus_line(sentences=sentences),
-                           where="f.jsonl:3")
+        read_corpus(_file_with(tmp_path, _corpus_line(sentences=sentences),
+                               3))
 
 
 def test_mention_rejects_non_integer_fields_outside_json():
-    with pytest.raises(CorpusError, match="sentence index"):
+    with pytest.raises(InputError, match="sentence index"):
         Mention("G1", 0.0, (0, 1))
-    with pytest.raises(CorpusError, match="span"):
+    with pytest.raises(InputError, match="span"):
         Mention("G1", 0, (0, True))
 
 
@@ -363,7 +378,7 @@ def test_non_string_token_names_document_and_token(token):
                    mentions=[Mention("G1", 0, (0, 1)),
                              Mention("G2", 0, (2, 3))],
                    gold_relations=set())
-    with pytest.raises(CorpusError,
+    with pytest.raises(InputError,
                        match=re.escape(f"d7: token {token!r} is not a "
                                        f"string")):
         preprocess_document(doc, "train")
@@ -376,7 +391,7 @@ def test_malformed_corpus_line_reports_location(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"doc_id":"ok","sentences":[],"mentions":[],'
                     '"gold_relations":[]}\n{not json\n')
-    with pytest.raises(CorpusError, match=r"bad\.jsonl:2"):
+    with pytest.raises(InputError, match=r"bad\.jsonl:2"):
         read_corpus(path)
 
 
@@ -384,14 +399,14 @@ def test_malformed_corpus_line_reports_location(tmp_path):
 def test_deeply_nested_json_line_reports_location(tmp_path, reader):
     path = tmp_path / "deep.jsonl"
     path.write_text("\n" + "[" * 100_000 + "\n")  # line 1 is blank
-    with pytest.raises(CorpusError,
+    with pytest.raises(InputError,
                        match=r"deep\.jsonl:2: JSON nested too deeply"):
         reader(path)
 
 
-def test_corpus_missing_field_reports_location():
-    with pytest.raises(CorpusError, match="here:3"):
-        document_from_json('{"doc_id":"x"}', where="here:3")
+def test_corpus_missing_field_reports_location(tmp_path):
+    with pytest.raises(InputError, match=r"f\.jsonl:3: missing or malformed"):
+        read_corpus(_file_with(tmp_path, '{"doc_id":"x"}', 3))
 
 
 def _instance_line(**overrides):
@@ -402,7 +417,7 @@ def _instance_line(**overrides):
 
 
 def test_instance_record_roundtrips_when_valid():
-    inst = instance_from_json(_instance_line(), where="f.jsonl:1")
+    inst = instance_from_json(_instance_line())
     assert instance_from_json(instance_to_json(inst)) == inst
 
 
@@ -412,20 +427,20 @@ def test_instance_distance_length_mismatch_rejected(tmp_path, field):
     path = tmp_path / "inst.jsonl"
     path.write_text(_instance_line() + "\n" + _instance_line(**{field: [1]})
                     + "\n")
-    with pytest.raises(CorpusError, match=r"inst\.jsonl:2: pos1/pos2"):
+    with pytest.raises(InputError, match=r"inst\.jsonl:2: pos1/pos2"):
         read_instances(path)
 
 
-def test_instance_without_tokens_rejected():
-    with pytest.raises(CorpusError, match="f.jsonl:4: instance has no tokens"):
-        instance_from_json(_instance_line(tokens=[], pos1=[], pos2=[]),
-                           where="f.jsonl:4")
+def test_instance_without_tokens_rejected(tmp_path):
+    with pytest.raises(InputError, match="f.jsonl:4: instance has no tokens"):
+        read_instances(_file_with(
+            tmp_path, _instance_line(tokens=[], pos1=[], pos2=[]), 4))
 
 
-def test_instance_unknown_label_rejected():
+def test_instance_unknown_label_rejected(tmp_path):
     # training would otherwise take any non-positive label as negative
-    with pytest.raises(CorpusError, match="f.jsonl:7: unknown label 'pos'"):
-        instance_from_json(_instance_line(label="pos"), where="f.jsonl:7")
+    with pytest.raises(InputError, match="f.jsonl:7: unknown label 'pos'"):
+        read_instances(_file_with(tmp_path, _instance_line(label="pos"), 7))
 
 
 def test_golden_corpus_roundtrip_and_instances(tmp_path):

@@ -5,10 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ksm.kb import (Embeddings, KBError, KnowledgeStore, init_embeddings,
+from ksm.inputs import InputError
+from ksm.kb import (Embeddings, KnowledgeStore, init_embeddings,
                     read_embeddings, tail_rank, transe_train,
                     write_embeddings)
-from ksm.model import ConfigError, WordTable
+from ksm.model import WordTable
 from ksm.synthetic import toy_knowledge_graph
 
 
@@ -49,7 +50,7 @@ def test_table_rejects_a_vector_of_another_width():
     ({"a": np.ones(4), "UNK": np.zeros(1)}, "UNK"),
 ], ids=["vectors", "unk"])
 def test_word_table_rejects_a_width_other_than_d(vectors, bad):
-    with pytest.raises(ConfigError, match=f"'{bad}' has shape \\(1,\\)"):
+    with pytest.raises(InputError, match=f"'{bad}' has shape \\(1,\\)"):
         WordTable(vectors, 4)
 
 
@@ -58,7 +59,7 @@ def test_store_rejects_a_width_other_than_d_kb(field):
     fields = {"entity_table": {"e1": np.zeros(4), "e2": np.zeros(4)},
               "relation_table": {"r": np.zeros(4)}}
     fields[field] = {k: v[:3] for k, v in fields[field].items()}
-    with pytest.raises(KBError, match=r"shape \(3,\).*4"):
+    with pytest.raises(InputError, match=r"shape \(3,\).*4"):
         KnowledgeStore(**fields, d_kb=4)
 
 
@@ -111,7 +112,7 @@ def test_repeated_id_keeps_its_first_position_and_last_row(tmp_path):
 def test_non_finite_value_on_an_overwritten_line_still_raises(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("3 2\na 1 nan\nb 3 4\na 5 6\n")
-    with pytest.raises(KBError, match=r"emb\.txt:2: non-finite value"):
+    with pytest.raises(InputError, match=r"emb\.txt:2: non-finite value"):
         read_embeddings(path)
 
 

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from ksm import kb
 from ksm.autodiff import ParameterStore
 from ksm.checkpoint import load_checkpoint, save_checkpoint
+from ksm.inputs import InputError
 from ksm.kb import Embeddings, KnowledgeStore
-from ksm.kb import (KBError, Triple, init_embeddings, mean_energies,
-                    read_embeddings, read_triples, resolve_pair_knowledge,
+from ksm.kb import (Triple, init_embeddings, mean_energies, read_embeddings,
+                    read_triples, resolve_pair_knowledge,
                     tail_rank, transe_energy, transe_train, write_embeddings)
 from ksm.synthetic import toy_knowledge_graph
 
@@ -67,12 +68,12 @@ def test_relation_init_statistics():
 
 
 def test_empty_triples_rejected():
-    with pytest.raises(KBError):
+    with pytest.raises(InputError):
         init_embeddings([], d_kb=4)
 
 
 def test_word_dim_mismatch_rejected():
-    with pytest.raises(KBError):
+    with pytest.raises(InputError):
         init_embeddings([Triple("a", "r", "b")], {"w": np.zeros(3)},
                         {"a": ["w"]}, d_kb=2)
 
@@ -101,7 +102,7 @@ def test_energy_reverse_symmetry():
 
 
 def test_energy_dimension_mismatch():
-    with pytest.raises(KBError):
+    with pytest.raises(InputError):
         transe_energy(np.zeros(2), np.zeros(3), np.zeros(2))
 
 
@@ -168,7 +169,7 @@ def test_toy_kb_loss_reaches_zero_once_corruptions_differ():
 
 
 def test_margin_must_be_positive():
-    with pytest.raises(KBError):
+    with pytest.raises(InputError):
         transe_train(toy_knowledge_graph(), _store(), margin=0.0)
 
 
@@ -180,7 +181,7 @@ def test_transe_rejects_bad_margin_or_lr_before_touching_the_store(name,
     store = _store()
     before = (store.entity_table.matrix.copy(),
               store.relation_table.matrix.copy())
-    with pytest.raises(KBError, match=rf"{name} must be .*, got {value}"):
+    with pytest.raises(InputError, match=rf"{name} must be .*, got {value}"):
         transe_train(toy_knowledge_graph(), store, epochs=3, **{name: value})
     assert store.entity_table.matrix.tobytes() == before[0].tobytes()
     assert store.relation_table.matrix.tobytes() == before[1].tobytes()
@@ -190,7 +191,8 @@ def test_transe_rejects_bad_margin_or_lr_before_touching_the_store(name,
 def test_transe_rejects_negative_epochs_before_reading_the_store(epochs):
     # the triple names ids the store lacks: reading the store first would
     # raise about those instead
-    with pytest.raises(KBError, match=rf"epochs must be >= 0, got {epochs}"):
+    with pytest.raises(InputError,
+                       match=rf"epochs must be >= 0, got {epochs}"):
         transe_train([Triple("x", "r", "y")], _store(), epochs=epochs)
 
 
@@ -293,7 +295,7 @@ def test_triple_file_roundtrip_and_dedup(tmp_path):
 def test_malformed_triple_line_reports_location(tmp_path):
     path = tmp_path / "triples.tsv"
     path.write_text("a\tr1\tb\nbroken line\n")
-    with pytest.raises(KBError, match=r"triples\.tsv:2"):
+    with pytest.raises(InputError, match=r"triples\.tsv:2"):
         read_triples(path)
 
 
@@ -311,7 +313,7 @@ def test_embedding_file_roundtrip(tmp_path):
 def test_bad_embedding_header(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("nonsense\n")
-    with pytest.raises(KBError, match=":1"):
+    with pytest.raises(InputError, match=":1"):
         read_embeddings(path)
 
 
@@ -334,7 +336,7 @@ def test_embedding_value_must_be_finite_number(tmp_path, loader, value,
     load = {"read_embeddings": read_embeddings,
             "WordTable.load": WordTable.load}[loader]
     _set_last_value(path, 3, value)
-    with pytest.raises(KBError, match=rf"{path.name}:3: {error}"):
+    with pytest.raises(InputError, match=rf"{path.name}:3: {error}"):
         load(path)
 
 
@@ -367,7 +369,7 @@ def test_embedding_matrix_is_sized_from_its_rows_not_its_header(tmp_path):
     relations.write_text("0 4503504650986\n")
     assert read_embeddings(relations).matrix.shape == (0, 4503504650986)
     relations.write_text("1 4503504650986\nr1 0.5\n")
-    with pytest.raises(KBError, match=rf"^{relations}:2: expected id \+ "
+    with pytest.raises(InputError, match=rf"^{relations}:2: expected id \+ "
                                       rf"4503504650986 values, got 1$"):
         read_embeddings(relations)
 
@@ -382,7 +384,7 @@ def test_invalid_utf8_is_a_kb_error_at_the_file(tmp_path, loader):
     path.write_bytes(b"\n".join(lines))
     load = {"read_embeddings": read_embeddings,
             "WordTable.load": WordTable.load}[loader]
-    with pytest.raises(KBError) as e:
+    with pytest.raises(InputError) as e:
         load(path)
     assert str(e.value) == f"{path}:3: not UTF-8 text"
 
@@ -391,7 +393,7 @@ def test_invalid_utf8_is_a_kb_error_at_the_file(tmp_path, loader):
                                     "read_instances", "read_predictions"])
 def test_invalid_utf8_is_the_readers_own_error_at_the_line(tmp_path, reader):
     # each reader reports the byte as it reports a malformed line
-    from ksm.corpus import CorpusError, read_corpus, read_instances
+    from ksm.corpus import read_corpus, read_instances
     from ksm.train import read_predictions
     path = tmp_path / "input.txt"
     first = {"read_triples": "e1\tr1\te2",
@@ -401,19 +403,18 @@ def test_invalid_utf8_is_the_readers_own_error_at_the_line(tmp_path, reader):
     path.write_text(first.splitlines()[0] + "\n")
     path.write_bytes(path.read_bytes().splitlines(keepends=True)[0]
                      + b"x\xc6y\n")
-    load, error = {"read_triples": (read_triples, KBError),
-                   "read_corpus": (read_corpus, CorpusError),
-                   "read_instances": (read_instances, CorpusError),
-                   "read_predictions": (read_predictions, ValueError)}[reader]
-    with pytest.raises(error) as e:
+    load = {"read_triples": read_triples, "read_corpus": read_corpus,
+            "read_instances": read_instances,
+            "read_predictions": read_predictions}[reader]
+    with pytest.raises(InputError) as e:
         load(path)
-    assert type(e.value) is error
+    assert type(e.value) is InputError
     assert str(e.value) == f"{path}:2: not UTF-8 text"
 
 
 @pytest.mark.parametrize("d_kb", [0, -3])
 def test_init_embeddings_rejects_a_width_below_1(d_kb):
-    with pytest.raises(KBError, match=f"d_kb must be >= 1, got {d_kb}"):
+    with pytest.raises(InputError, match=f"d_kb must be >= 1, got {d_kb}"):
         init_embeddings(toy_knowledge_graph(), d_kb=d_kb)
 
 
@@ -610,7 +611,7 @@ def test_malformed_file_is_rejected_on_every_read_and_gets_no_sidecar(
     path = tmp_path / "emb.txt"
     path.write_text("3 2\na 1 2\nb 3\nc 5 6\n")
     for _ in range(2):
-        with pytest.raises(KBError, match=r"emb\.txt:3: expected id \+ 2"):
+        with pytest.raises(InputError, match=r"emb\.txt:3: expected id \+ 2"):
             read_embeddings(path)
     assert os.listdir(tmp_path) == ["emb.txt"]
 
@@ -786,7 +787,7 @@ def test_triple_with_unknown_id_rejected_before_any_update(bad, missing):
     store = _store(d_kb=8, seed=1)
     snapshot = _snapshot(store)
     triples = toy_knowledge_graph() + [bad]
-    with pytest.raises(KBError, match=rf"triple 4 .*'{missing}'"):
+    with pytest.raises(InputError, match=rf"triple 4 .*'{missing}'"):
         transe_train(triples, store, epochs=3, lr=0.05, seed=2)
     _assert_unchanged(store, snapshot)
 
@@ -800,7 +801,7 @@ def test_non_finite_training_raises_and_leaves_store(table, key, value):
     store = _store(d_kb=8, seed=1)
     getattr(store, table)[key] = np.full(8, value)
     snapshot = _snapshot(store)
-    with np.errstate(invalid="ignore"), pytest.raises(KBError,
+    with np.errstate(invalid="ignore"), pytest.raises(InputError,
                                                       match="epoch 0"):
         transe_train(toy_knowledge_graph(), store, epochs=3, lr=0.05, seed=2)
     _assert_unchanged(store, snapshot)
@@ -810,10 +811,10 @@ def test_triples_over_one_entity_rejected_before_any_update():
     triples = [Triple("a", "r", "a")]
     store = init_embeddings(triples, d_kb=4, seed=0)
     snapshot = _snapshot(store)
-    with pytest.raises(KBError, match="at least 2"):
+    with pytest.raises(InputError, match="at least 2"):
         transe_train(triples, store, epochs=3, lr=0.05)
     _assert_unchanged(store, snapshot)
-    with pytest.raises(KBError, match="at least 2"):
+    with pytest.raises(InputError, match="at least 2"):
         mean_energies(triples, store)
 
 

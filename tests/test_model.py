@@ -11,9 +11,10 @@ from ksm.autodiff import Tensor
 from ksm.corpus import CandidateInstance
 from ksm.gradcheck import (check_full_model, gradient_error, toy_batch,
                            toy_model)
+from ksm.inputs import InputError
 from ksm.kb import PairKnowledge
-from ksm.model import (CLASS_NEGATIVE, CLASS_POSITIVE, ConfigError,
-                       KSMModel, ModelConfig, WordTable, build_params,
+from ksm.model import (CLASS_NEGATIVE, CLASS_POSITIVE, KSMModel,
+                       ModelConfig, WordTable, build_params,
                        classify, embed_context, encode, encoder_block,
                        gold_class, knowledge_select,
                        multi_head_attention, mutual_attention, nll_loss,
@@ -37,12 +38,12 @@ def _inst(tokens, pos1=None, pos2=None, label="positive"):
 def test_config_requires_head_divisibility():
     # a width below 1 is no positive multiple, though 0 % 2 == -4 % 4 == 0
     for d, n_heads in [(10, 4), (0, 2), (0, 1), (-4, 4), (-4, 2)]:
-        with pytest.raises(ConfigError, match="positive multiple"):
+        with pytest.raises(InputError, match="positive multiple"):
             ModelConfig(d=d, n_heads=n_heads)
 
 
 def test_config_rejects_unknown_enum_values():
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         ModelConfig(d=8, n_heads=2, pooling="median")
 
 
@@ -50,7 +51,7 @@ def test_config_rejects_unknown_enum_values():
     ("d", 8.0), ("n_heads", True), ("dropout_rate", "0.1"),
     ("shared_encoder", 1), ("pooling", None)])
 def test_config_rejects_a_value_of_another_type_than_its_default(key, value):
-    with pytest.raises(ConfigError, match=f"{key} must be of type "):
+    with pytest.raises(InputError, match=f"{key} must be of type "):
         ModelConfig(**{"d": 8, "n_heads": 2, key: value})
 
 
@@ -696,9 +697,10 @@ def test_variant_gradients_spot_checked(overrides):
     rng = np.random.default_rng(19)
     worst = 0.0
     for name, p in model.params.items():
-        flat = p.data.reshape(-1)
-        gflat = p.grad.reshape(-1)
-        for i in rng.choice(flat.size, size=min(3, flat.size), replace=False):
+        flat = p.data.flat  # writes through whatever the array's order
+        gflat = p.grad.flat
+        for i in rng.choice(p.data.size, size=min(3, p.data.size),
+                            replace=False):
             orig = flat[i]
             with ad.no_grad():
                 flat[i] = orig + 1e-5
