@@ -35,13 +35,17 @@ _WIRE = np.dtype("<f8")
 TABLES = ("words", "entities", "relations")  # in body order
 
 
+def _is_width(value) -> bool:  # an int >= 1, and no bool
+    return type(value) is int and value >= 1
+
+
 def save_checkpoint(path, params: ParameterStore, words: Embeddings,
                     store: KnowledgeStore, config: dict) -> None:
     """Write every parameter, the word table `words` and the knowledge
     `store` to `path` atomically; a config `d` that is no int >= 1, a
     non-finite value or a table not d wide raises InputError naming the
     file, and nothing is written."""
-    if not (type(config.get("d")) is int and config["d"] >= 1):
+    if not _is_width(config.get("d")):
         raise InputError(f"config d {config.get('d')!r} is no integer >= 1; "
                          f"not saved", path)
     tables = dict(zip(TABLES, (words, store.entity_table,
@@ -106,8 +110,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, Embeddings,
         table = tables.get(name) if isinstance(tables, dict) else None
         ids = table.get("ids") if isinstance(table, dict) else None
         if not (isinstance(ids, list) and all(type(i) is str for i in ids)
-                and len(set(ids)) == len(ids) and type(table.get("width"))
-                is int and table["width"] == config.get("d") >= 1):
+                and len(set(ids)) == len(ids) and _is_width(config.get("d"))
+                and _is_width(w := table.get("width")) and w == config["d"]):
             raise InputError(f"malformed {name!r} table; expected unique "
                              f"string 'ids' and 'width' the config's d (at "
                              f"least 1), {config.get('d')!r}", path)

@@ -104,9 +104,17 @@ def _write_log(path, records: list[dict]) -> None:
                                separators=(",", ":")) + "\n")
 
 
+def _fits(what: str, width: int, d: int, path) -> None:
+    if width != d:
+        raise InputError(f"{what} width {width} does not match the model "
+                         f"width d {d}", path)
+
+
 def _load_word_table(args, instances, d: int, seed: int) -> WordTable:
-    if args.word_embeddings:
-        return WordTable.load(args.word_embeddings)
+    if path := args.word_embeddings:
+        table = WordTable.load(path)
+        _fits("word embedding", table.d, d, path)
+        return table
     logger.info("no --word-embeddings given; using random vectors "
                 "(seed %d)", seed)
     vocab = sorted({t for inst in instances for t in inst.tokens})
@@ -120,9 +128,7 @@ def _kb_store(args, d: int) -> kb_mod.KnowledgeStore:
                        "null relation")
         return kb_mod.KnowledgeStore({}, {}, d)
     *_, store = load_checkpoint(args.kb)
-    if store.d_kb != d:
-        raise InputError(f"KB store width {store.d_kb} does not match the "
-                         f"model width d {d}", args.kb)
+    _fits("KB store", store.d_kb, d, args.kb)
     return store
 
 
@@ -155,8 +161,10 @@ def cmd_preprocess(args) -> int:
 def cmd_train_kb(args) -> int:
     cfg = _fit_settings(args)
     triples = kb_mod.read_triples(args.triples)
-    word_table = (kb_mod.read_embeddings(args.word_embeddings)
-                  if args.word_embeddings else None)
+    word_table = None
+    if path := args.word_embeddings:
+        word_table = kb_mod.read_embeddings(path)
+        _fits("word embedding", word_table.matrix.shape[1], cfg["d"], path)
     lexicon = None
     if path := args.mention_lexicon:
         lexicon = _read_json(path, "mention lexicon")

@@ -31,6 +31,7 @@ trivially parallel per document.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import logging
 import re
@@ -81,10 +82,41 @@ class Mention:
 
 @dataclass
 class Document:
+    """A tokenized document, checked once when built; gold pairs sorted."""
     doc_id: str
     sentences: list[list[str]]
     mentions: list[Mention]
     gold_relations: set[tuple[str, str]]  # sorted entity-id pairs
+
+    def __post_init__(self):
+        doc_id, sentences = self.doc_id, self.sentences
+        if type(doc_id) is not str or not all(
+                type(m.entity_id) is str for m in self.mentions):
+            raise InputError("doc_id and mention entity ids must be strings")
+        if type(sentences) is not list or not all(
+                type(s) is list for s in sentences):
+            raise InputError("sentences must be a list of token lists")
+        try:  # in C: join raises TypeError for a token that is no str
+            list(map("".join, sentences))
+        except TypeError:
+            bad = next(t for s in sentences for t in s
+                       if not isinstance(t, str))
+            raise InputError(f"{doc_id}: token {bad!r} is not a string") \
+                from None
+        if not all(type(p) in (list, tuple) and [*map(type, p)] == [str, str]
+                   for p in self.gold_relations):
+            raise InputError("gold_relations entries must be lists of "
+                             "2 strings")
+        self.gold_relations = {sorted_pair(*p) for p in self.gold_relations}
+        for m in self.mentions:
+            if not 0 <= m.sentence_index < len(sentences):
+                raise InputError(f"{doc_id}: mention sentence index "
+                                 f"{m.sentence_index} out of range (document "
+                                 f"has {len(sentences)} sentences)")
+            if m.token_span[1] > (n := len(sentences[m.sentence_index])):
+                raise InputError(f"{doc_id}: mention span {m.token_span} "
+                                 f"exceeds sentence {m.sentence_index} "
+                                 f"length {n}")
 
 
 @dataclass
@@ -111,35 +143,8 @@ class PreprocessConfig:
             raise InputError(f"expansion must be >= 0, got {self.expansion}")
 
 
-def validate_document(doc: Document) -> list[str]:
-    """Raise InputError on structural violations; return soft warnings."""
-    if type(doc.doc_id) is not str or not all(
-            type(m.entity_id) is str for m in doc.mentions):
-        raise InputError("doc_id and mention entity ids must be strings")
-    for m in doc.mentions:
-        if not 0 <= m.sentence_index < len(doc.sentences):
-            raise InputError(
-                f"{doc.doc_id}: mention sentence index {m.sentence_index} "
-                f"out of range (document has {len(doc.sentences)} sentences)")
-        n = len(doc.sentences[m.sentence_index])
-        if m.token_span[1] > n:
-            raise InputError(f"{doc.doc_id}: mention span {m.token_span} "
-                             f"exceeds sentence {m.sentence_index} length {n}")
-    warnings = []
-    mentioned = {m.entity_id for m in doc.mentions}
-    for pair in sorted(doc.gold_relations):
-        for eid in pair:
-            if eid not in mentioned:
-                warnings.append(
-                    f"{doc.doc_id}: gold relation entity {eid!r} has no mention")
-    return warnings
-
-
 def _sentence_offsets(doc: Document) -> list[int]:
-    offsets = [0]
-    for sent in doc.sentences:
-        offsets.append(offsets[-1] + len(sent))
-    return offsets
+    return list(itertools.accumulate(map(len, doc.sentences), initial=0))
 
 
 def _flat_span(doc: Document, m: Mention, offsets: list[int]) -> tuple[int, int]:
@@ -155,7 +160,7 @@ def generate_candidate_pairs(
     The first mention of each pair precedes the second in document order;
     output order is deterministic (by start offsets).
     """
-    config = config or PreprocessConfig()
+    limit = (config or PreprocessConfig()).max_sentence_distance
     offsets = _sentence_offsets(doc)
     ordered = sorted(
         doc.mentions,
@@ -163,11 +168,9 @@ def generate_candidate_pairs(
     pairs = []
     for i, m1 in enumerate(ordered):
         for m2 in ordered[i + 1:]:
-            if m1.entity_id == m2.entity_id:
-                continue
-            if abs(m1.sentence_index - m2.sentence_index) >= config.max_sentence_distance:
-                continue
-            pairs.append((m1, m2))
+            if m1.entity_id != m2.entity_id and abs(
+                    m1.sentence_index - m2.sentence_index) < limit:
+                pairs.append((m1, m2))
     return pairs
 
 
@@ -199,15 +202,7 @@ class _Layout(NamedTuple):
 
 def _document_layout(doc: Document) -> _Layout:
     offsets = _sentence_offsets(doc)
-    flat = [tok for sent in doc.sentences for tok in sent]
-    try:
-        masked = [_mask_token(tok) for tok in flat]
-    except TypeError:
-        bad = [tok for tok in flat if not isinstance(tok, str)]
-        if not bad:
-            raise
-        raise InputError(f"{doc.doc_id}: token {bad[0]!r} is not a string") \
-            from None
+    masked = [_mask_token(tok) for sent in doc.sentences for tok in sent]
     # filled from the last mention to the first, so the first one wins
     owner = [-1] * offsets[-1]
     for mi in range(len(doc.mentions) - 1, -1, -1):
@@ -286,29 +281,23 @@ def check_phase(phase: str) -> None:
 
 def assign_labels(instances: list[CandidateInstance],
                   gold: set[tuple[str, str]], phase: str) -> list[CandidateInstance]:
-    """Train phase: positive iff the pair is gold. Test phase: unlabeled."""
+    """Train phase: positive iff the pair is in `gold`, sorted pairs as a
+    `Document` keeps them. Test phase: unlabeled."""
     check_phase(phase)
-    gold_sorted = {sorted_pair(*p) for p in gold}
     for inst in instances:
-        if phase == "test":
-            inst.label = LABEL_UNLABELED
-        else:
-            inst.label = (LABEL_POSITIVE if inst.pair in gold_sorted
-                          else LABEL_NEGATIVE)
+        inst.label = (LABEL_UNLABELED if phase == "test" else
+                      LABEL_POSITIVE if inst.pair in gold else LABEL_NEGATIVE)
     return instances
 
 
 def preprocess_document(doc: Document, phase: str,
                         config: PreprocessConfig | None = None) -> list[CandidateInstance]:
-    validate_document(doc)
     config = config or PreprocessConfig()
     layout = _document_layout(doc)
-    instances = []
-    for m1, m2 in generate_candidate_pairs(doc, config):
-        inst = build_context_window(doc, m1, m2, config, _layout=layout)
-        if inst is not None:
-            instances.append(inst)
-    return assign_labels(instances, doc.gold_relations, phase)
+    windows = (build_context_window(doc, m1, m2, config, _layout=layout)
+               for m1, m2 in generate_candidate_pairs(doc, config))
+    return assign_labels([w for w in windows if w is not None],
+                         doc.gold_relations, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -333,34 +322,34 @@ def document_to_json(doc: Document) -> str:
 
 
 def document_from_json(line: str) -> Document:
-    """The document of one corpus record, validated (`validate_document`,
-    whose warnings are logged); InputError for a malformed record."""
+    """The `Document` of one corpus record; InputError for a malformed
+    record. A gold entity with no mention is logged as a warning."""
     rec = loads(line)
     try:
-        mentions = [
+        doc = Document(rec["doc_id"], rec["sentences"], [
             Mention(m["entity_id"], m["sentence"], tuple(m["token_span"]))
-            for m in rec["mentions"]
-        ]
-        pairs = rec.get("gold_relations", [])
-        if not all(type(p) is list and len(p) == 2
-                   and all(type(e) is str for e in p) for p in pairs):
-            raise InputError("gold_relations entries must be lists of "
-                             "2 strings")
-        gold = {sorted_pair(*p) for p in pairs}
-        if type(sentences := rec["sentences"]) is not list or not all(
-                type(s) is list for s in sentences):
-            raise InputError("sentences must be a list of token lists")
-        doc = Document(doc_id=rec["doc_id"], sentences=sentences,
-                       mentions=mentions, gold_relations=gold)
+            for m in rec["mentions"]], rec.get("gold_relations", []))
     except (KeyError, TypeError) as e:
         raise InputError(f"missing or malformed field ({e})") from e
-    for warning in validate_document(doc):
-        logger.warning(warning)
+    for eid in sorted({e for pair in doc.gold_relations for e in pair}
+                      - {m.entity_id for m in doc.mentions}):
+        logger.warning("%s: gold relation entity %r has no mention",
+                       doc.doc_id, eid)
     return doc
 
 
 def read_corpus(path) -> list[Document]:
-    return records(path, document_from_json)
+    """The documents of a corpus file; InputError at the line of a record
+    that is malformed or repeats an earlier `doc_id`."""
+    seen: set[str] = set()
+
+    def parse(line: str) -> Document:
+        if (doc := document_from_json(line)).doc_id in seen:
+            raise InputError(f"repeated doc_id {doc.doc_id!r}")
+        seen.add(doc.doc_id)
+        return doc
+
+    return records(path, parse)
 
 
 def write_corpus(path, docs: list[Document]) -> None:

@@ -115,8 +115,7 @@ def micro_prf(predictions: PredictionSet, gold: PredictionSet) -> PRF:
 
 
 def gold_pairs(docs: Iterable[Document]) -> PredictionSet:
-    return {doc.doc_id: {sorted_pair(*p) for p in doc.gold_relations}
-            for doc in docs if doc.gold_relations}
+    return {d.doc_id: set(d.gold_relations) for d in docs if d.gold_relations}
 
 
 def format_report(prf: PRF, counts: tuple[int, int, int] | None = None) -> str:

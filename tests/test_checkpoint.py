@@ -304,6 +304,16 @@ def test_saving_a_store_of_another_width_or_non_finite_refused(tmp_path, kb,
     assert not path.exists()
 
 
+def test_saving_with_a_d_of_true_refused(tmp_path):
+    # a bool is no width, though 1 == True; a load refuses it too
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(InputError, match=r"m\.ckpt: config d True is no "
+                                         r"integer >= 1; not saved"):
+        save_checkpoint(path, ParameterStore(), Embeddings.of({}, 1),
+                        KnowledgeStore({}, {}, 1), {"d": True})
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("change", [
     lambda m: m + np.finfo(np.float64).eps,     # one value, one ulp away
     lambda m: m[::-1],                          # the same rows, reordered
@@ -554,11 +564,14 @@ MALFORMED_PAIRS = r"malformed 'pairs'; expected rows \[e1, e2, label, ...\]"
      "table 'relations' holds non-finite values"),
     (_file({}, {"d": 0}, 7, Embeddings([], np.zeros((0, 0)))),
      _malformed("words", 0)),
+    # 1 == True: a save refuses a d of true, and so does a load
+    (_file({}, {"d": True}, 7, Embeddings([], np.zeros((0, 1)))),
+     _malformed("words", True)),
 ], ids=["label-not-a-relation", "one-label-not-a-relation", "two-strings",
         "int-label", "row-not-a-list", "null-pairs", "entities-of-width-3",
         "relations-of-width-3", "words-of-width-3", "repeated-relation", "repeated-entity",
         "null-relations", "entity-without-row", "nan-in-relations",
-        "zero-width"])
+        "zero-width", "true-width"])
 def test_format_6_table_and_pair_defect_rejected(tmp_path, content, match):
     _rejected(tmp_path / "model.ckpt", content, match)
 

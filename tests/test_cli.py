@@ -126,6 +126,21 @@ def test_each_corpus_warning_is_logged_once(tmp_path, caplog, command):
         "d1: gold relation entity 'Z' has no mention"]
 
 
+def test_evaluate_rejects_a_repeated_doc_id_at_its_line(tmp_path, capsys):
+    # two d1 documents once merged into the last one's gold: TP=1 FP=1
+    corpus, pred = tmp_path / "corpus.jsonl", tmp_path / "pred.tsv"
+    write_corpus(corpus, [Document(
+        "d1", [[a, b]], [Mention(a, 0, (0, 1)), Mention(b, 0, (1, 2))],
+        {(a, b)}) for a, b in (("A", "B"), ("C", "D"))])
+    pred.write_text("d1\tA\tB\nd1\tC\tD\n")
+    rc = main(["evaluate", "--predictions", str(pred), "--corpus",
+               str(corpus)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {corpus}:2: repeated doc_id 'd1'\n"
+
+
 def test_evaluate_perfect_predictions_reports_100(tmp_path, capsys):
     pred = tmp_path / "pred.tsv"
     pred.write_text("D1\tG1\tG2\nD2\tG1\tG4\n")
@@ -426,8 +441,10 @@ def test_predict_rejects_a_checkpoint_config_value_of_the_wrong_type(
     rc = main(["predict", "--instances", str(DATA / "toy_instances_test.jsonl"),
                "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert capsys.readouterr().err.startswith(
-        f"error: {ckpt}: invalid model config: {key} must be of type ")
+    # the reader refuses a d that is no int >= 1, as a save does
+    expected = ("malformed 'words' table" if key == "d" else
+                f"invalid model config: {key} must be of type ")
+    assert capsys.readouterr().err.startswith(f"error: {ckpt}: {expected}")
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -736,6 +753,29 @@ def test_kb_dir_without_rows_of_another_width_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate", "train-kb"])
+def test_word_embeddings_not_d_wide_exit_2_naming_the_file(tmp_path, capsys,
+                                                          command):
+    inst_path, _, _ = _small_training_setup(tmp_path)
+    triples = tmp_path / "triples.tsv"
+    _write_triples(triples)
+    words = tmp_path / "w4.txt"
+    write_embeddings(words, {"a": np.ones(4), WordTable.UNK: np.zeros(4)})
+    out = tmp_path / "out"
+    inputs = {"train": ["--instances", str(inst_path), "--out", str(out)],
+              "ablate": ["--instances", str(inst_path), "--eval-instances",
+                         str(inst_path), "--corpus",
+                         str(DATA / "toy_corpus.jsonl")],
+              "train-kb": ["--triples", str(triples), "--out", str(out)]}
+    rc = main([command, *inputs[command], "--word-embeddings", str(words),
+               "--d", "8"])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {words}: word embedding width 4 does not match the model "
+        f"width d 8"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "train-kb"])
 @pytest.mark.parametrize("width", ["0", "-4"])
 def test_width_below_1_exits_2(tmp_path, capsys, command, width):
@@ -776,7 +816,7 @@ def test_malformed_corpus_reports_line_number(tmp_path, capsys):
     ({"sentences": [["a", 2, "c"]], "mentions": [
         {"entity_id": "G1", "sentence": 0, "token_span": [0, 1]},
         {"entity_id": "G2", "sentence": 0, "token_span": [2, 3]}]},
-     "d7: token 2 is not a string"),
+     "bad.jsonl:2: d7: token 2 is not a string"),
     ({"sentences": ["P1 ab P2"], "mentions": [
         {"entity_id": "G1", "sentence": 0, "token_span": [0, 1]},
         {"entity_id": "G2", "sentence": 0, "token_span": [7, 8]}]},

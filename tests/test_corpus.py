@@ -19,7 +19,7 @@ from ksm.corpus import (GENE_MASK_TOKEN, NUMBER_TOKEN, CandidateInstance,
                         document_to_json, generate_candidate_pairs,
                         instance_from_json, instance_to_json,
                         preprocess_document, read_corpus, read_instances,
-                        sorted_pair, validate_document, write_instances)
+                        sorted_pair, write_corpus, write_instances)
 from ksm.inputs import InputError
 
 DATA = Path(__file__).parent / "data"
@@ -295,17 +295,38 @@ def test_assign_labels_rejects_unknown_phase():
 
 
 def test_validate_rejects_out_of_range_span():
-    doc = _doc([["a", "b"]], [Mention("G1", 0, (1, 3))])
-    with pytest.raises(InputError):
-        validate_document(doc)
+    # a document checks itself when it is built
+    with pytest.raises(InputError, match=re.escape(
+            "T: mention span (1, 3) exceeds sentence 0 length 2")):
+        _doc([["a", "b"]], [Mention("G1", 0, (1, 3))])
 
 
-def test_validate_warns_on_gold_without_mention():
+def test_validate_warns_on_gold_without_mention(tmp_path, caplog):
+    # the reader warns, once per missing entity
     doc = _doc([["P1", "x", "P2"]],
                [Mention("G1", 0, (0, 1)), Mention("G2", 0, (2, 3))],
-               gold=[("G1", "G9")])
-    warnings = validate_document(doc)
-    assert any("G9" in w for w in warnings)
+               gold=[("G1", "G9"), ("G2", "G9")])
+    write_corpus(tmp_path / "c.jsonl", [doc])
+    assert read_corpus(tmp_path / "c.jsonl") == [doc]
+    assert [r.getMessage() for r in caplog.records
+            if r.levelno == logging.WARNING] == [
+        "T: gold relation entity 'G9' has no mention"]
+
+
+@pytest.mark.parametrize("gold, message", [
+    ([["B", "A"], ("C", "A")], None),
+    ([["A", "B", "C"]], "gold_relations entries must be lists of 2 strings"),
+    ([("A", 2)], "gold_relations entries must be lists of 2 strings"),
+    (["AB"], "gold_relations entries must be lists of 2 strings"),
+], ids=["sorted", "three", "int", "string"])
+def test_document_checks_and_sorts_its_gold_entries(gold, message):
+    def build():
+        return Document("T", [["A", "B", "C"]], [], gold)
+    if message is None:
+        assert build().gold_relations == {("A", "B"), ("A", "C")}
+    else:
+        with pytest.raises(InputError, match=message):
+            build()
 
 
 def test_mention_span_must_be_nonempty():
@@ -374,17 +395,14 @@ def test_mention_rejects_non_integer_fields_outside_json():
 
 @pytest.mark.parametrize("token", [2, None, 1.5, True, ["b"]])
 def test_non_string_token_names_document_and_token(token):
-    doc = Document(doc_id="d7", sentences=[["a", token, "c"]],
-                   mentions=[Mention("G1", 0, (0, 1)),
-                             Mention("G2", 0, (2, 3))],
-                   gold_relations=set())
+    # checked when the document is built, so it never reaches the masking
     with pytest.raises(InputError,
                        match=re.escape(f"d7: token {token!r} is not a "
                                        f"string")):
-        preprocess_document(doc, "train")
-    # a string token is still masked after the failed lookup
-    doc.sentences = [["a", "42", "c"]]
-    assert preprocess_document(doc, "train")[0].tokens == ["NUMBER"]
+        Document(doc_id="d7", sentences=[["a"], ["b", token, "c"]],
+                 mentions=[Mention("G1", 0, (0, 1)),
+                           Mention("G2", 1, (2, 3))],
+                 gold_relations=set())
 
 
 def test_malformed_corpus_line_reports_location(tmp_path):
