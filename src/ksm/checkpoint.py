@@ -19,13 +19,16 @@ save leaves an existing checkpoint untouched and no partial file behind.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import stat
+import uuid
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import replacing
 from .autodiff import DTYPE, ParameterStore
 from .inputs import InputError
 from .kb import Embeddings, KnowledgeStore, index_pairs
@@ -64,20 +67,39 @@ def save_checkpoint(path, params: ParameterStore, words: Embeddings,
                          for n, t in tables.items()},
               "pairs": [[a, b, *labels] for (a, b), labels
                         in sorted(store.pair_relations.items())]}
-    with replacing(path) as tmp, open(tmp, "xb") as f:
-        f.write(json.dumps(header).encode("ascii") + b"\n")
-        for _, values in arrays:
-            f.write(np.ascontiguousarray(values, dtype=_WIRE))  # no copy
+    # a hidden file beside the target, so the rename never crosses a file
+    # system; not `tempfile.mkstemp`, whose files are private (0600)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(json.dumps(header).encode("ascii") + b"\n")
+            for _, values in arrays:
+                f.write(np.ascontiguousarray(values, dtype=_WIRE))  # no copy
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, Embeddings,
                                    KnowledgeStore]:
     """({name: array}, config, word table, knowledge store) of the file, as
     writable native float64 arrays; InputError naming it for a defect."""
-    data = Path(path).read_bytes()
-    end = data.find(b"\n")
+    with open(path, "rb") as f:
+        return read_checkpoint(f, path)
+
+
+def read_checkpoint(f, path) -> tuple[dict[str, np.ndarray], dict,
+                                      Embeddings, KnowledgeStore]:
+    """`load_checkpoint` of the open binary file `f`, read from its start;
+    `path` names it in errors."""
+    line = f.readline()
     try:
-        header = json.loads(data[:end if end >= 0 else len(data)])
+        header = json.loads(line)
     except RecursionError as e:
         raise InputError("JSON nested too deeply", path) from e
     except ValueError:
@@ -89,10 +111,12 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, Embeddings,
         raise InputError(
             f"{found} (reads format {FORMAT_VERSION}: a JSON header line, "
             "then values); retrain the model to write a current file", path)
-    if end < 0:
+    if not line.endswith(b"\n"):
         raise InputError("no line end after the header line", path)
     if not (isinstance(config := header.get("config"), dict) and config):
         raise InputError("'config' is no non-empty object", path)
+    if not _is_width(d := config.get("d")):
+        raise InputError(f"config d {d!r} is no integer >= 1", path)
     params = header.get("params")
     if not isinstance(params, dict):
         raise InputError("missing 'params' object", path)
@@ -110,12 +134,12 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, Embeddings,
         table = tables.get(name) if isinstance(tables, dict) else None
         ids = table.get("ids") if isinstance(table, dict) else None
         if not (isinstance(ids, list) and all(type(i) is str for i in ids)
-                and len(set(ids)) == len(ids) and _is_width(config.get("d"))
-                and _is_width(w := table.get("width")) and w == config["d"]):
+                and len(set(ids)) == len(ids) and _is_width(table.get("width"))
+                and table["width"] == d):
             raise InputError(f"malformed {name!r} table; expected unique "
                              f"string 'ids' and 'width' the config's d (at "
-                             f"least 1), {config.get('d')!r}", path)
-        parts.append((f"table {name!r}", [len(ids), table["width"]]))
+                             f"least 1), {d}", path)
+        parts.append((f"table {name!r}", [len(ids), d]))
     rows, known = header.get("pairs"), set(tables["relations"]["ids"])
     if not (isinstance(rows, list) and all(
             isinstance(row, list) and len(row) >= 3 and all(
@@ -123,32 +147,36 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, Embeddings,
             for row in rows)):
         raise InputError("malformed 'pairs'; expected rows [e1, e2, label, "
                          "...], labels relation ids", path)
-    arrays = _read_body(path, [shape for _, shape in parts], data, end + 1)
+    arrays = _read_body(f, path, [shape for _, shape in parts])
     for (what, _), values in zip(parts, arrays):
         if not np.all(np.isfinite(values)):
             raise InputError(f"{what} holds non-finite values", path)
     words, entities, relations = (Embeddings(tables[name]["ids"], matrix)
                                   for name, matrix in zip(TABLES, arrays[-3:]))
-    store = KnowledgeStore(entities, relations, config["d"], index_pairs(
+    store = KnowledgeStore(entities, relations, d, index_pairs(
         (a, b, labels) for a, b, *labels in rows))
     return dict(zip(params, arrays)), config, words, store
 
 
-def _read_body(path, shapes: list[list[int]], data: bytes,
-               start: int) -> list[np.ndarray]:
-    """The arrays of `shapes` stored from byte `start` of `data`, just after
-    the header line, each copied out in order."""
+def _read_body(f, path, shapes: list[list[int]]) -> list[np.ndarray]:
+    """The arrays of `shapes` that fill the rest of the open file `f`, just
+    after the header line, each read in order straight into its array. The
+    body's size is checked against the shapes before any array is made."""
+    st = os.fstat(f.fileno())
+    if not stat.S_ISREG(st.st_mode):  # a pipe has no size to check
+        raise InputError("not a regular file", path)
+    size = st.st_size - f.tell()
     need = sum(_WIRE.itemsize * math.prod(s) for s in shapes)
-    if len(data) - start != need:
-        raise InputError(f"{len(data) - start} bytes of values follow the "
-                         f"header, whose shapes need {need}", path)
+    if size != need:
+        raise InputError(f"{size} bytes of values follow the header, whose "
+                         f"shapes need {need}", path)
     arrays = []
     for shape in shapes:
-        count = math.prod(shape)
         try:
-            arrays.append(np.frombuffer(data, _WIRE, count, start).astype(
-                DTYPE).reshape(shape))
+            values = np.empty(shape, _WIRE)
         except ValueError as e:  # an empty shape with a dimension too big
             raise InputError(f"shape {shape}: {e}", path) from e
-        start += _WIRE.itemsize * count
+        if f.readinto(values.reshape(-1)) != values.nbytes:
+            raise InputError("the file ended inside its values", path)
+        arrays.append(values.astype(DTYPE, copy=False))
     return arrays

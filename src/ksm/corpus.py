@@ -80,7 +80,7 @@ class Mention:
                              f"got {self.token_span}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Document:
     """A tokenized document, checked once when built; gold pairs sorted."""
     doc_id: str
@@ -107,7 +107,8 @@ class Document:
                    for p in self.gold_relations):
             raise InputError("gold_relations entries must be lists of "
                              "2 strings")
-        self.gold_relations = {sorted_pair(*p) for p in self.gold_relations}
+        object.__setattr__(self, "gold_relations",
+                           {sorted_pair(*p) for p in self.gold_relations})
         for m in self.mentions:
             if not 0 <= m.sentence_index < len(sentences):
                 raise InputError(f"{doc_id}: mention sentence index "

@@ -25,8 +25,10 @@ is single-threaded and swaps in trained copies of the matrices at its end, so
 a concurrent lookup reads each matrix whole (the fallback counters in `stats`
 are best-effort bookkeeping, not synchronization).
 
-A store is saved in one format, a checkpoint file (`checkpoint.py`):
-`ksm train-kb` writes one with no parameters and no word rows.
+Stores and parsed word tables are kept in one format, a checkpoint file
+(`checkpoint.py`): `ksm train-kb` saves a store as one with no parameters
+and no word rows, and `read_embeddings` caches a parsed word table as one
+with no parameters and an empty store.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import hashlib
 import logging
 import os
 import stat
-import zipfile
+import zlib
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -44,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .atomic import replacing
+from .autodiff import ParameterStore
 from .inputs import InputError, records, text_lines
 
 logger = logging.getLogger(__name__)
@@ -453,7 +455,7 @@ def read_embeddings(path) -> Embeddings:
     first position and its last row).
 
     A file's bytes are parsed once: the parsed table is then kept in a
-    hidden sidecar beside the file (``.name.ksm-cache.npz``) that holds the
+    hidden sidecar beside the file (``.name.ksm-cache.ckpt``) that holds the
     SHA-256 of the bytes it was parsed from, and every later read of the
     same bytes loads it instead. A sidecar is trusted only whole (see
     `_read_sidecar`) and is rebuilt otherwise; it is written only for a
@@ -526,15 +528,10 @@ def _parse_embeddings(path) -> tuple[Embeddings, int]:
     return Embeddings(list(last), matrix[list(last.values())]), count
 
 
-# The embedding sidecar: an uncompressed .npz of the arrays
-#   format  the tag _SIDECAR_FORMAT      version  _SIDECAR_VERSION
-#   sha256  hex digest of the text file  header   its "count dim" header
-#   ids     the ids, "\n"-joined UTF-8, as uint8 (ids hold no whitespace)
-#   matrix  the (n, dim) "<f8" rows
-_SIDECAR_SUFFIX = ".ksm-cache.npz"
-_SIDECAR_FORMAT = "ksm-embeddings"
+# The embedding sidecar is a checkpoint file of the parsed table, whose config
+# holds its "d", header "count", the text's "sha256", "version" and "crc32"
+_SIDECAR_SUFFIX = ".ksm-cache.ckpt"
 _SIDECAR_VERSION = 1  # bump whenever the table parsed from given bytes changes
-_SIDECAR_WIRE = np.dtype("<f8")
 _DIGEST_CHUNK = 1 << 16  # bytes hashed per read, so memory stays flat
 
 
@@ -553,55 +550,52 @@ def _content_digest(path) -> str:
     return h.hexdigest()
 
 
+def _table_crc(table: Embeddings) -> int:
+    """CRC-32 of a table's newline-joined ids and its "<f8" rows."""
+    crc = zlib.crc32("\n".join(table.ids).encode("utf-8"))
+    return zlib.crc32(table.matrix.astype("<f8", copy=False), crc)
+
+
 def _read_sidecar(sidecar: Path, digest: str,
                   owners: set[int]) -> tuple[Embeddings, int] | None:
     """The table and header count a sidecar holds for the file of `digest`,
-    or None unless it is a regular file a uid in `owners` owns, its format,
-    version and digest match, its ids are unique and one per row, and its
-    matrix is a finite (rows, header dim) "<f8" array. Every array is read
-    whole, so the zip CRCs catch a torn write. Nothing is memory-mapped or
-    unpickled: the rows are writable."""
+    or None unless it is a regular file a uid in `owners` owns, it is a
+    checkpoint file, and its digest, version and CRC match. Nothing is
+    memory-mapped: the rows are writable."""
+    from .checkpoint import read_checkpoint
     try:
         # non-blocking: a FIFO under the sidecar's name opens at once, and
         # is refused, instead of waiting for a writer
         with open(os.open(sidecar, os.O_RDONLY | os.O_NONBLOCK), "rb") as f:
             st = os.fstat(f.fileno())
             if not stat.S_ISREG(st.st_mode) or st.st_uid not in owners:
-                raise ValueError("not a regular file of the file's owner "
-                                 "or the reader")
-            with np.load(f, allow_pickle=False) as z:
-                if (str(z["format"]) != _SIDECAR_FORMAT
-                        or int(z["version"]) != _SIDECAR_VERSION
-                        or str(z["sha256"]) != digest):
-                    raise ValueError("another format, version or digest")
-                count, dim = map(int, str(z["header"]).split())
-                ids = z["ids"].tobytes().decode("utf-8")
-                matrix = z["matrix"]
-        if (matrix.dtype != _SIDECAR_WIRE or matrix.shape[1:] != (dim,)
-                or not np.isfinite(matrix).all()):
-            raise ValueError(f"not a finite (n, {dim}) <f8 matrix")
-        return Embeddings(ids.split("\n") if ids else [], matrix), count
+                raise InputError("not a regular file of the file's owner "
+                                 "or the reader", sidecar)
+            _, config, table, _ = read_checkpoint(f, sidecar)
+        if (config.get("sha256") != digest
+                or config.get("version") != _SIDECAR_VERSION
+                or type(count := config.get("count")) is not int
+                or config.get("crc32") != _table_crc(table)):
+            raise InputError("another digest, version, count or CRC",
+                             sidecar)
+        return table, count
     except FileNotFoundError:
         return None
-    except (OSError, ValueError, TypeError, KeyError, EOFError,
-            zipfile.BadZipFile) as e:
-        logger.debug("%s: ignored (%s)", sidecar, e)
+    except (OSError, InputError) as e:
+        logger.debug("sidecar ignored: %s", e)
         return None
 
 
 def _write_sidecar(sidecar: Path, digest: str, count: int,
                    table: Embeddings) -> None:
-    """Write the sidecar atomically; an OSError is logged, not raised. It
-    is not synced to disk: a sidecar torn by a crash fails its CRCs and is
-    rebuilt from the text."""
+    """Write the sidecar as a checkpoint, atomically and synced to disk; an
+    OSError or InputError (a table 0 wide) is logged, not raised."""
+    from .checkpoint import save_checkpoint
+    d = table.matrix.shape[1]
+    config = {"d": d, "count": count, "sha256": digest,
+              "version": _SIDECAR_VERSION, "crc32": _table_crc(table)}
     try:
-        with replacing(sidecar, durable=False) as tmp, open(tmp, "xb") as f:
-            np.savez(f, format=np.array(_SIDECAR_FORMAT),
-                     version=np.array(_SIDECAR_VERSION),
-                     sha256=np.array(digest),
-                     header=np.array(f"{count} {table.matrix.shape[1]}"),
-                     ids=np.frombuffer("\n".join(table.ids).encode("utf-8"),
-                                       dtype=np.uint8),
-                     matrix=table.matrix.astype(_SIDECAR_WIRE, copy=False))
-    except OSError as e:
+        save_checkpoint(sidecar, ParameterStore(), table,
+                        KnowledgeStore({}, {}, d), config)
+    except (OSError, InputError) as e:
         logger.debug("%s: not written (%s)", sidecar, e)

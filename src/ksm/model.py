@@ -65,7 +65,7 @@ _CHOICES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     d: int = 100
     n_blocks: int = 2

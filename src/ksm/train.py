@@ -39,7 +39,7 @@ from .optim import Adadelta
 logger = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 64
     lr: float = 0.02
@@ -139,6 +139,12 @@ def _holdout_doc(doc_id: str, fraction: float) -> bool:
     return bucket < fraction
 
 
+def _check_width(store: KnowledgeStore, model: KSMModel) -> None:
+    if store.d_kb != model.config.d:
+        raise InputError(f"KB store width {store.d_kb} does not match the "
+                         f"model width d {model.config.d}")
+
+
 def resolve_batch(instances: list[CandidateInstance],
                   store: KnowledgeStore
                   ) -> list[tuple[CandidateInstance, PairKnowledge]]:
@@ -160,6 +166,7 @@ def _predict_resolved(model: KSMModel,
 
 def predict_instances(model: KSMModel, instances: list[CandidateInstance],
                       store: KnowledgeStore) -> list[InstancePrediction]:
+    _check_width(store, model)
     return _predict_resolved(model, resolve_batch(instances, store))
 
 
@@ -227,6 +234,7 @@ def train_model(instances: list[CandidateInstance], store: KnowledgeStore,
         raise InputError("empty training set")
     if any(inst.label == LABEL_UNLABELED for inst in instances):
         raise InputError("training instances must be labeled")
+    _check_width(store, model)
 
     train: list[CandidateInstance] = []
     heldout: list[CandidateInstance] = []

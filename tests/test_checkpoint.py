@@ -459,6 +459,9 @@ def _nan_at(offset):
      "197 bytes of values follow the header, whose shapes need 200"),
     (_shape([5, 3]),
      "200 bytes of values follow the header, whose shapes need 224"),
+    # 8 TiB of values declared: the body is sized before any array is made
+    (_shape([2**20, 2**20]), "200 bytes of values follow the header, "
+                             f"whose shapes need {8 * 2**40 + 104}"),
     (_shape([-4, -3]), "'layer.w': missing or malformed 'shape'"),
     (_shape([4.0, 3]), "'layer.w': missing or malformed 'shape'"),
     (_shape([True, 3]), "'layer.w': missing or malformed 'shape'"),
@@ -478,7 +481,8 @@ def _nan_at(offset):
      "first line is no JSON object"),
     (lambda h, b: json.dumps(h).encode(),  # no line end: a JSON document
      "no line end after the header line"),
-], ids=["short", "trailing", "ragged", "shape-too-big", "negative-shape",
+], ids=["short", "trailing", "ragged", "shape-too-big", "huge-shape",
+        "negative-shape",
         "float-shape", "bool-shape", "string-shape", "no-shape",
         "empty-shape-too-big",
         "nan-in-layer.b", "nan-in-last", "version-99", "no-params",
@@ -563,10 +567,10 @@ MALFORMED_PAIRS = r"malformed 'pairs'; expected rows \[e1, e2, label, ...\]"
                 body=lambda b: b + _wire(np.array([0.0, np.nan]))),
      "table 'relations' holds non-finite values"),
     (_file({}, {"d": 0}, 7, Embeddings([], np.zeros((0, 0)))),
-     _malformed("words", 0)),
+     "config d 0 is no integer >= 1"),
     # 1 == True: a save refuses a d of true, and so does a load
     (_file({}, {"d": True}, 7, Embeddings([], np.zeros((0, 1)))),
-     _malformed("words", True)),
+     "config d True is no integer >= 1"),
 ], ids=["label-not-a-relation", "one-label-not-a-relation", "two-strings",
         "int-label", "row-not-a-list", "null-pairs", "entities-of-width-3",
         "relations-of-width-3", "words-of-width-3", "repeated-relation", "repeated-entity",
@@ -574,6 +578,19 @@ MALFORMED_PAIRS = r"malformed 'pairs'; expected rows \[e1, e2, label, ...\]"
         "zero-width", "true-width"])
 def test_format_6_table_and_pair_defect_rejected(tmp_path, content, match):
     _rejected(tmp_path / "model.ckpt", content, match)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_a_pipe_is_rejected_as_it_has_no_size():
+    # the body is sized from the file before any array is made
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, _file(_store_values(), {"d": 2}, 7))
+        os.close(write_fd)
+        with pytest.raises(InputError, match="not a regular file"):
+            load_checkpoint(f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)
 
 
 def test_values_not_filling_shape_rejected(tmp_path):

@@ -279,7 +279,7 @@ def test_negative_epoch_count_exits_2(tmp_path, capsys, command, flag, value,
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
     # the config is checked before an input is read: no file was parsed
-    assert not list(tmp_path.rglob("*.ksm-cache.npz"))
+    assert not list(tmp_path.rglob("*.ksm-cache.ckpt"))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +442,7 @@ def test_predict_rejects_a_checkpoint_config_value_of_the_wrong_type(
                "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
     assert rc == 2
     # the reader refuses a d that is no int >= 1, as a save does
-    expected = ("malformed 'words' table" if key == "d" else
+    expected = ("config d 8.0 is no integer >= 1" if key == "d" else
                 f"invalid model config: {key} must be of type ")
     assert capsys.readouterr().err.startswith(f"error: {ckpt}: {expected}")
 

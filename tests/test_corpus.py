@@ -1,5 +1,6 @@
 """Candidate generation: windowing, masking, distances, labels, files."""
 
+import dataclasses
 import json
 import logging
 import re
@@ -279,8 +280,8 @@ def test_non_gold_pair_is_negative():
 
 
 def test_test_phase_marks_unlabeled():
-    doc = _single_sentence_doc()
-    doc.gold_relations = {("G1", "G2")}
+    doc = dataclasses.replace(_single_sentence_doc(),
+                              gold_relations={("G1", "G2")})
     instances = preprocess_document(doc, "test")
     assert [i.label for i in instances] == [LABEL_UNLABELED]
 
@@ -327,6 +328,14 @@ def test_document_checks_and_sorts_its_gold_entries(gold, message):
     else:
         with pytest.raises(InputError, match=message):
             build()
+
+
+def test_a_built_document_cannot_be_reassigned():
+    # a document is checked only when built, so its fields stay as checked
+    doc = _single_sentence_doc()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        doc.gold_relations = {("G2", "G1")}
+    assert doc.gold_relations == set()
 
 
 def test_mention_span_must_be_nonempty():

@@ -1,10 +1,11 @@
 """TransE embeddings: init, energy, training dynamics, pair resolution."""
 
+import json
 import os
+import struct
 import subprocess
 import sys
 import threading
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -425,7 +426,7 @@ def test_saved_store_has_no_null_row(tmp_path):
 
 
 def _sidecar(path):
-    return path.with_name(f".{path.name}.ksm-cache.npz")
+    return kb._sidecar_path(path)
 
 
 def _counting_parses(monkeypatch):
@@ -507,51 +508,44 @@ def test_file_replaced_while_parsed_gets_no_sidecar(tmp_path, monkeypatch):
     assert read_embeddings(path)["a"].tolist() == [3, 4]
 
 
-def _rewrite_sidecar(sidecar, **changes):
-    with np.load(sidecar) as z:
-        arrays = {**z, **changes}
-    with open(sidecar, "wb") as f:
-        np.savez(f, **arrays)
+def _rewrite_sidecar(header=lambda h: None, body=lambda b: b):
+    """A spoil that edits the sidecar's parsed header line in place with
+    `header` and replaces its values with `body(values)`."""
+    def spoil(sidecar):
+        line, _, values = sidecar.read_bytes().partition(b"\n")
+        parsed = json.loads(line)
+        header(parsed)
+        sidecar.write_bytes(json.dumps(parsed).encode("ascii") + b"\n"
+                            + body(values))
+    return spoil
 
 
-def _bad_matrix(fill):
-    def change(sidecar):
-        with np.load(sidecar) as z:
-            matrix = z["matrix"]
-        _rewrite_sidecar(sidecar, matrix=fill(matrix))
-    return change
-
-
-def _flip_last_matrix_byte(sidecar):
-    """A torn write: one byte of the matrix's data changed, the zip
-    directory intact (the last value's sign bit; "matrix" is the last
-    member, so its data ends where the central directory starts)."""
+def _flip_last_sign_bit(sidecar):
+    """A torn write the checkpoint reader cannot see: the last value's sign
+    bit flipped (the last byte of the last little-endian row of the word
+    table; the store's tables are empty). Only the CRC catches it."""
     data = bytearray(sidecar.read_bytes())
-    with zipfile.ZipFile(sidecar) as z:
-        assert z.infolist()[-1].filename == "matrix.npy"
-        data[z.start_dir - 1] ^= 0x80
+    data[-1] ^= 0x80
     sidecar.write_bytes(bytes(data))
+    _, config, table, _ = load_checkpoint(sidecar)
+    assert config["crc32"] != kb._table_crc(table)
 
 
 @pytest.mark.parametrize("spoil", [
     lambda s: s.write_bytes(s.read_bytes()[:len(s.read_bytes()) // 2]),
     lambda s: s.write_bytes(b""),
-    lambda s: _rewrite_sidecar(s, sha256=np.array("0" * 64)),
-    lambda s: _rewrite_sidecar(s, version=np.array(0)),
-    _bad_matrix(lambda m: m[:-1]),
-    _bad_matrix(lambda m: m[:, :-1]),
-    _bad_matrix(lambda m: m.ravel()),
-    _bad_matrix(lambda m: np.where(m == m[1, 2], np.nan, m)),
-    _bad_matrix(lambda m: m.astype(np.float32)),
-    _bad_matrix(lambda m: m.astype(object)),
-    _flip_last_matrix_byte,
-    lambda s: _rewrite_sidecar(s, ids=np.array(["w0"] * 5, dtype=object)),
-    lambda s: _rewrite_sidecar(s, ids=np.frombuffer(
-        b"w0\nw0\nw2\nw3\nw4", dtype=np.uint8)),
+    _rewrite_sidecar(lambda h: h["config"].update(sha256="0" * 64)),
+    _rewrite_sidecar(lambda h: h["config"].update(version=0)),
+    _rewrite_sidecar(lambda h: h.update(format_version=6)),
+    _rewrite_sidecar(body=lambda b: b[:-24]),
+    _rewrite_sidecar(lambda h: h["tables"]["words"].update(width=2)),
+    _rewrite_sidecar(body=lambda b: b[:40] + struct.pack("<d", np.nan)
+                     + b[48:]),
+    _flip_last_sign_bit,
+    _rewrite_sidecar(lambda h: h["tables"]["words"].update(ids=["w0"] * 5)),
 ], ids=["truncated", "empty", "wrong_digest", "wrong_version",
-        "too_few_rows", "wrong_width", "one_dimensional", "non_finite",
-        "float32", "object_matrix", "flipped_byte", "object_ids",
-        "repeated_id"])
+        "older_format_version", "too_few_rows", "wrong_width", "non_finite",
+        "flipped_byte", "repeated_id"])
 def test_bad_sidecar_is_ignored_and_rewritten(tmp_path, monkeypatch, spoil):
     path = _vector_file(tmp_path)
     want = read_embeddings(path)

@@ -1,5 +1,6 @@
 """Network pieces against independent oracles and analytic degeneracies."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -685,7 +686,8 @@ def test_variant_gradients_spot_checked(overrides):
     config = dict(overrides)
     dropout_rate = config.pop("dropout_rate", 0.0)
     model = toy_model(seed=13, n_blocks=1, **config)
-    model.config.dropout_rate = dropout_rate
+    model.config = dataclasses.replace(model.config,
+                                       dropout_rate=dropout_rate)
     batch = toy_batch(17, model.config.d, lengths=(2, 3))
 
     def loss_fn():
@@ -723,7 +725,7 @@ def test_forward_is_deterministic_in_eval_mode():
 
 def test_dropout_changes_training_forward_but_not_eval():
     model = toy_model(seed=4)
-    model.config.dropout_rate = 0.3
+    model.config = dataclasses.replace(model.config, dropout_rate=0.3)
     inst, kn = toy_batch(5, model.config.d, lengths=(4,))[0]
     eval_a, _ = model.forward_instance(inst, kn, train=False)
     eval_b, _ = model.forward_instance(inst, kn, train=False)

@@ -11,6 +11,7 @@ from ksm.autodiff import backward, no_grad
 from ksm.corpus import (LABEL_NEGATIVE, LABEL_POSITIVE, LABEL_UNLABELED,
                         CandidateInstance)
 from ksm.gradcheck import toy_batch
+from ksm.inputs import InputError
 from ksm.kb import Triple, init_embeddings
 from ksm.model import CLASS_POSITIVE, KSMModel, ModelConfig, WordTable
 from ksm.optim import Adadelta
@@ -176,6 +177,22 @@ def test_unlabeled_instances_rejected():
     instances[0].label = LABEL_UNLABELED
     with pytest.raises(ValueError, match="labeled"):
         train_model(instances, store, model, TrainConfig())
+
+
+@pytest.mark.parametrize("run", [
+    # once "training diverged at epoch 0, batch 0: ... do not chain"
+    lambda insts, store, model: train_model(insts, store, model,
+                                            TrainConfig()),
+    # once a bare ValueError from the first forward
+    lambda insts, store, model: predict_instances(model, insts, store),
+], ids=["train_model", "predict_instances"])
+def test_a_store_of_another_width_is_bad_input(run):
+    instances, _, model = _task()
+    store = kb_for_instances(instances, d_kb=4, seed=1)
+    with pytest.raises(InputError) as e:
+        run(instances, store, model)
+    assert str(e.value) == ("KB store width 4 does not match the model "
+                            "width d 16")
 
 
 def test_training_is_deterministic_per_seed():
