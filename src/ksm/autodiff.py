@@ -25,11 +25,11 @@ Semantics worth knowing:
   task) and is restored when the block exits, also on an exception.
 
 The op vocabulary is fixed and small: 2-D matmul, add, scale, multiply,
-concat (last axis), reshape, sum/mean over an axis, amax, tanh, sigmoid,
-relu, softmax, and fused ops, each one tape node with a hand-written
-backward in place of a chain of small ones:
+reshape, sum/mean over an axis, amax, tanh, sigmoid, relu, softmax, and
+fused ops, each one tape node with a hand-written backward in place of a
+chain of small ones:
 
-- the affine map ``x w + b``;
+- the affine map ``[x_1 ... x_k] w + b`` of row blocks side by side;
 - multi-head scaled dot-product attention with its query, key, value
   and output projections;
 - the feed-forward sublayer ``relu(x w1 + b1) w2 + b2``;
@@ -257,22 +257,6 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
             a._accumulate(g.reshape(a.shape))
 
     return _make(a.data.reshape(shape), (a,), backward)
-
-
-def concat(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the last axis."""
-    if not tensors:
-        raise ValueError("concat of an empty sequence")
-    out_data = np.concatenate([t.data for t in tensors], axis=-1)
-    widths = [t.shape[-1] for t in tensors]
-    offsets = np.cumsum([0] + widths)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._accumulate(g[..., lo:hi])
-
-    return _make(out_data, tensors, backward)
 
 
 def tensor_sum(a: Tensor, axis: int | None = None,
@@ -597,25 +581,34 @@ def projected_attention(x: Tensor, e: Tensor, wq_x: Tensor, wq_e: Tensor,
     return _make(mix @ wh.data, (x, e, wq_x, wq_e, wk, wv, wh), backward)
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x w + b`` as one node: x is (L, d_in), w (d_in, d_out) and b
-    (d_out,), added to every row."""
-    if (x.data.ndim != 2 or w.data.ndim != 2 or w.shape[0] != x.shape[1]
+def affine(xs: Sequence[Tensor], w: Tensor, b: Tensor) -> Tensor:
+    """``[x_1 ... x_k] w + b`` as one node over (L, d_i) row blocks x_i side
+    by side (one block is used as it is); w is (sum d_i, d_out), b (d_out,)
+    is added to every row, and block i gets its columns of ``g w^T``."""
+    if (not xs or any(x.data.ndim != 2 or x.shape[0] != xs[0].shape[0]
+                      for x in xs)
+            or w.data.ndim != 2 or w.shape[0] != sum(x.shape[1] for x in xs)
             or b.shape != w.shape[1:]):
-        raise ValueError(f"affine: shapes x {x.shape}, w {w.shape}, "
-                         f"b {b.shape} do not chain")
-    out = x.data @ w.data
+        raise ValueError(f"affine: shapes xs {[x.shape for x in xs]}, "
+                         f"w {w.shape}, b {b.shape} do not chain")
+    x = (xs[0].data if len(xs) == 1
+         else np.concatenate([t.data for t in xs], axis=1))
+    out = x @ w.data
     out += b.data
+    bounds = np.cumsum([0] + [t.shape[1] for t in xs])
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g @ w.data.T)
+        if any(t.requires_grad for t in xs):
+            gx = g @ w.data.T
+            for t, lo, hi in zip(xs, bounds[:-1], bounds[1:]):
+                if t.requires_grad:
+                    t._accumulate(gx[:, lo:hi])
         if w.requires_grad:
-            w._accumulate(x.data.T @ g)
+            w._accumulate(x.T @ g)
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
 
-    return _make(out, (x, w, b), backward)
+    return _make(out, (*xs, w, b), backward)
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,

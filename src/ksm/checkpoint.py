@@ -36,6 +36,7 @@ from .kb import Embeddings, KnowledgeStore, index_pairs
 FORMAT_VERSION = 7
 _WIRE = np.dtype("<f8")
 TABLES = ("words", "entities", "relations")  # in body order
+_HEADER_START = b'{"format_version"'  # how every saved header starts
 
 
 def _is_width(value) -> bool:  # an int >= 1, and no bool
@@ -96,8 +97,11 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, Embeddings,
 def read_checkpoint(f, path) -> tuple[dict[str, np.ndarray], dict,
                                       Embeddings, KnowledgeStore]:
     """`load_checkpoint` of the open binary file `f`, read from its start;
-    `path` names it in errors."""
-    line = f.readline()
+    `path` names it in errors. A file not starting as every saved header
+    does is rejected after reading that prefix alone."""
+    line = f.read(len(_HEADER_START))
+    if line == _HEADER_START:
+        line += f.readline()
     try:
         header = json.loads(line)
     except RecursionError as e:

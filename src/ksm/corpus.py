@@ -82,20 +82,22 @@ class Mention:
 
 @dataclass(frozen=True)
 class Document:
-    """A tokenized document, checked once when built; gold pairs sorted."""
+    """A tokenized document, checked once when built and immutable: lists
+    in, tuples and a frozenset of sorted gold pairs kept."""
     doc_id: str
-    sentences: list[list[str]]
-    mentions: list[Mention]
-    gold_relations: set[tuple[str, str]]  # sorted entity-id pairs
+    sentences: tuple[tuple[str, ...], ...]
+    mentions: tuple[Mention, ...]
+    gold_relations: frozenset[tuple[str, str]]  # sorted entity-id pairs
 
     def __post_init__(self):
         doc_id, sentences = self.doc_id, self.sentences
         if type(doc_id) is not str or not all(
                 type(m.entity_id) is str for m in self.mentions):
             raise InputError("doc_id and mention entity ids must be strings")
-        if type(sentences) is not list or not all(
-                type(s) is list for s in sentences):
+        if type(sentences) not in (list, tuple) or not all(
+                type(s) in (list, tuple) for s in sentences):
             raise InputError("sentences must be a list of token lists")
+        sentences = tuple(map(tuple, sentences))
         try:  # in C: join raises TypeError for a token that is no str
             list(map("".join, sentences))
         except TypeError:
@@ -107,8 +109,10 @@ class Document:
                    for p in self.gold_relations):
             raise InputError("gold_relations entries must be lists of "
                              "2 strings")
-        object.__setattr__(self, "gold_relations",
-                           {sorted_pair(*p) for p in self.gold_relations})
+        object.__setattr__(self, "sentences", sentences)
+        object.__setattr__(self, "mentions", tuple(self.mentions))
+        object.__setattr__(self, "gold_relations", frozenset(
+            sorted_pair(*p) for p in self.gold_relations))
         for m in self.mentions:
             if not 0 <= m.sentence_index < len(sentences):
                 raise InputError(f"{doc_id}: mention sentence index "

@@ -105,8 +105,6 @@ def _suite(seed: int) -> list[tuple[str, dict[str, Tensor], Callable[[], Tensor]
          lambda x, b: ad.tensor_sum(ad.tanh(x + b))),
         ("multiply", {"x": (3, 4), "y": (3, 4)},
          lambda x, y: ad.tensor_sum(ad.multiply(x, y) * 0.5)),
-        ("concat", {"x": (2, 3), "y": (2, 5)},
-         lambda x, y: ad.tensor_sum(ad.tanh(ad.concat([x, y])))),
         ("reshape", {"x": (3, 4)},
          lambda x: ad.tensor_sum(ad.tanh(ad.reshape(x, (4, 3))))),
         ("mean_axis", {"x": (3, 5)},
@@ -161,7 +159,11 @@ def _suite(seed: int) -> list[tuple[str, dict[str, Tensor], Callable[[], Tensor]
           for name, v_rows, axis in (("softmax_pool_rows", 3, 1),
                                      ("softmax_pool_columns", 4, 0))),
         ("affine", {"x": (3, 4), "w": (4, 5), "b": (5,)},
-         lambda x, w, b: ad.tensor_sum(ad.tanh(ad.affine(x, w, b)))),
+         lambda x, w, b: ad.tensor_sum(ad.tanh(ad.affine([x], w, b)))),
+        # two blocks, the second a constant, which gets no gradient
+        ("affine_blocks", {"x": (2, 3), "y": lambda rng: Tensor(
+            rng.standard_normal((2, 5))), "w": (8, 4), "b": (4,)},
+         lambda x, y, w, b: ad.tensor_sum(ad.tanh(ad.affine([x, y], w, b)))),
         # y through a dropout mask at rate 0.5, each entry 0 or 2; a fresh
         # generator per evaluation: every evaluation drops the same entries
         ("residual_layer_norm_masked",

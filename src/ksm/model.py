@@ -18,7 +18,7 @@ Per candidate instance the forward pass runs:
    context view, before it enters the encoder (or no selection at all);
 5. a softmax classifier over [s1, s2, selected relation].
 
-One paper-configuration instance records 88 tape nodes on its loss
+One paper-configuration instance records 86 tape nodes on its loss
 graph, 59 of them parameters, with dropout on or off.
 
 All trainable tensors are registered in a ParameterStore under stable
@@ -382,7 +382,7 @@ def separate_attention(v: Tensor, params: ParameterStore
     Returns the pooled (1, d) row and the (L, 1) weights; the softmax and
     weighted sum are one node (``ad.softmax_pool`` over the width-1 axis
     of the scores, whose mean is the scores themselves)."""
-    scores = ad.tanh(ad.affine(v, params["separate.w_proj"],
+    scores = ad.tanh(ad.affine([v], params["separate.w_proj"],
                                params["separate.b"])) @ params["separate.w"]
     return ad.softmax_pool(scores, v, axis=1)
 
@@ -406,13 +406,14 @@ def knowledge_select(features: list[Tensor], v: Tensor, params: ParameterStore,
                      prefix: str, config: ModelConfig) -> Tensor:
     """Gate the (1, d) KB vector `v` against the (1, n_i) `features`.
 
-    g = act([features, v] W + b), one affine node on one concat, with the
-    parameters `prefix`.w and .b; the output is g (.) v, or g + v for the
-    sum variant. The relation runs through "selector" with features
-    [s1, s2]; each entity through "entity_selector", both entities sharing
-    it, with the mean of its context view.
+    g = act([features, v] W + b), one affine node over the blocks
+    features and v, with the parameters `prefix`.w and .b; the output is
+    g (.) v, or g + v for the sum variant. The relation runs through
+    "selector" with features [s1, s2]; each entity through
+    "entity_selector", both entities sharing it, with the mean of its
+    context view.
     """
-    pre = ad.affine(ad.concat([*features, v]), params[f"{prefix}.w"],
+    pre = ad.affine([*features, v], params[f"{prefix}.w"],
                     params[f"{prefix}.b"])
     g = _ACTIVATIONS[config.selector_activation](pre)
     return ad.multiply(g, v) if config.selector_op == "hadamard" else ad.add(g, v)
@@ -421,12 +422,12 @@ def knowledge_select(features: list[Tensor], v: Tensor, params: ParameterStore,
 def classify(s1: Tensor, s2: Tensor, er_selected: Tensor,
              params: ParameterStore) -> tuple[Tensor, int]:
     """Class probabilities (1 x 2 tensor) and the predicted class; the
-    logits are one affine node.
+    logits are one affine node over the blocks s1, s2 and er_selected.
 
     Exact probability ties resolve to the negative class.
     """
-    feats = ad.concat([s1, s2, er_selected])
-    logits = ad.affine(feats, params["classifier.w"], params["classifier.b"])
+    logits = ad.affine([s1, s2, er_selected], params["classifier.w"],
+                       params["classifier.b"])
     probs = ad.softmax(logits, axis=1)
     label = (CLASS_POSITIVE
              if probs.data[0, CLASS_POSITIVE] > probs.data[0, CLASS_NEGATIVE]

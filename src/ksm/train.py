@@ -170,14 +170,6 @@ def predict_instances(model: KSMModel, instances: list[CandidateInstance],
     return _predict_resolved(model, resolve_batch(instances, store))
 
 
-def _instance_gold(instances: list[CandidateInstance]) -> PredictionSet:
-    gold: PredictionSet = {}
-    for inst in instances:
-        if inst.label == LABEL_POSITIVE:
-            gold.setdefault(inst.doc_id, set()).add(inst.pair)
-    return gold
-
-
 @dataclass
 class TrainLogEntry:
     epoch: int
@@ -247,7 +239,9 @@ def train_model(instances: list[CandidateInstance], store: KnowledgeStore,
         train, heldout = heldout, []
     resolved = resolve_batch(train, store)
     heldout_resolved = resolve_batch(heldout, store)
-    heldout_gold = _instance_gold(heldout)
+    heldout_gold = aggregate_predictions(
+        InstancePrediction(i.doc_id, i.pair, i.label == LABEL_POSITIVE)
+        for i in heldout)
 
     optimizer = Adadelta(model.params, lr=train_config.lr)
     rng = np.random.default_rng(train_config.seed)

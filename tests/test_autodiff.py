@@ -375,8 +375,8 @@ _HEADS = [(3, 4), (1, 5), (4, 6), (5, 6), (4, 6), (4, 6), (6, 4)]
     (ad.feed_forward, [(3, 4), (4, 5), (4,), (5, 4), (4,)], []),
     (ad.feed_forward, [(3, 4), (4, 5), (5,), (4, 4), (4,)], []),
     (ad.residual_layer_norm, [(3, 4), (3, 5), (4,), (4,)], []),
-    (ad.affine, [(3, 4), (4, 5), (4,)], []),
-    (ad.affine, [(3, 4), (5, 5), (5,)], []),
+    (ad.affine, [[(3, 4)], (4, 5), (4,)], []),
+    (ad.affine, [[(3, 4)], (5, 5), (5,)], []),
     (ad.softmax_pool, [(3, 4), (3, 5)], [0]),
     (ad.softmax_pool, [(3, 4), (4, 5)], [1]),
     (ad.softmax_pool, [(3, 4), (3, 5)], [2]),
@@ -391,8 +391,10 @@ _HEADS = [(3, 4), (1, 5), (4, 6), (5, 6), (4, 6), (4, 6), (6, 4)]
      [1e-5, np.ones((4, 3))]),
 ])
 def test_fused_block_ops_reject_shapes_that_do_not_chain(op, shapes, extra):
+    # a list of shapes is a list of blocks
     with pytest.raises(ValueError, match=op.__name__):
-        op(*(Tensor(np.ones(s)) for s in shapes), *extra)
+        op(*([Tensor(np.ones(b)) for b in s] if isinstance(s, list)
+             else Tensor(np.ones(s)) for s in shapes), *extra)
 
 
 def test_mean_nll_clamps_warns_and_passes_no_gradient(caplog):
@@ -419,6 +421,23 @@ def _chain_pool(scores, v, axis):
     return (ad.reshape(p, (1, -1)) if axis == 1 else p) @ v
 
 
+def _joined_affine(xs, w, b):
+    """The blocked affine map as numpy computes it, as one tape node: the
+    blocks joined, then one product; block i gets its columns of g w^T, w
+    gets joined^T g and b the column sums of g."""
+    joined = np.concatenate([x.data for x in xs], axis=1)
+    cuts = np.cumsum([x.shape[1] for x in xs])[:-1]
+
+    def backward(g):
+        for x, gx in zip(xs, np.split(g @ w.data.T, cuts, axis=1)):
+            x._accumulate(gx)
+        w._accumulate(joined.T @ g)
+        b._accumulate(g.sum(0))
+
+    return Tensor(joined @ w.data + b.data, requires_grad=True,
+                  _parents=(*xs, w, b), _backward=backward)
+
+
 @pytest.mark.parametrize("op, shapes, fused, chain", [
     ("softmax_pool_rows", [(7, 7), (7, 6)],
      lambda s, v: ad.softmax_pool(s, v, 1)[0],
@@ -429,21 +448,29 @@ def _chain_pool(scores, v, axis):
     ("softmax_pool_one_row", [(1, 1), (1, 6)],
      lambda s, v: ad.softmax_pool(s, v, 1)[0],
      lambda s, v: _chain_pool(s, v, 1)),
-    ("affine", [(5, 300), (300, 2), (2,)],
-     ad.affine, lambda x, w, b: x @ w + b),
+    # a list of shapes is a list of blocks
+    ("affine", [[(5, 300)], (300, 2), (2,)],
+     ad.affine, lambda xs, w, b: xs[0] @ w + b),
+    # the classifier's blocks: s1, s2 and the selected relation
+    ("affine_blocks", [[(1, 100), (1, 100), (1, 100)], (300, 2), (2,)],
+     ad.affine, _joined_affine),
 ])
 def test_fused_pool_and_affine_equal_their_chains_bit_for_bit(
         op, shapes, fused, chain):
     rng = np.random.default_rng(len(op))
-    values = [rng.standard_normal(s) for s in shapes]
+    values = [[rng.standard_normal(b) for b in s] if isinstance(s, list)
+              else rng.standard_normal(s) for s in shapes]
     g = None
     runs = []
     for fn in (fused, chain):
-        ins = [Tensor(x, requires_grad=True) for x in values]
+        ins = [[Tensor(x, requires_grad=True) for x in v]
+               if isinstance(v, list) else Tensor(v, requires_grad=True)
+               for v in values]
         out = fn(*ins)
         g = rng.standard_normal(out.shape) if g is None else g
         ad.tensor_sum(ad.multiply(out, Tensor(g))).backward()
-        runs.append((out.data.tobytes(), [t.grad.tobytes() for t in ins]))
+        leaves = [t for v in ins for t in (v if isinstance(v, list) else [v])]
+        runs.append((out.data.tobytes(), [t.grad.tobytes() for t in leaves]))
     assert runs[0] == runs[1]
 
 
@@ -470,7 +497,8 @@ _IN_PLACE_OPS = {
                           lambda s, v: ad.softmax_pool(s, v, 1)[0]),
     "softmax_pool_columns": ([(4, 3), (3, 5)],
                              lambda s, v: ad.softmax_pool(s, v, 0)[0]),
-    "affine": ([(4, 5), (5, 3), (3,)], ad.affine),
+    "affine": ([(4, 2), (4, 3), (5, 3), (3,)],
+               lambda x1, x2, w, b: ad.affine([x1, x2], w, b)),
 }
 
 
@@ -611,9 +639,12 @@ def test_mean_rejects_empty_axis():
         ad.mean(Tensor(np.zeros((0, 2))), axis=0)
 
 
-def test_concat_rejects_empty_sequence():
-    with pytest.raises(ValueError):
-        ad.concat([])
+@pytest.mark.parametrize("blocks", [[], [(2, 3), (3, 5)], [(2, 3), (8,)]],
+                         ids=["no-block", "row-counts-differ", "one-axis"])
+def test_affine_rejects_blocks_that_do_not_join(blocks):
+    w = Tensor(np.ones((sum(s[-1] for s in blocks), 2)))
+    with pytest.raises(ValueError, match="affine"):
+        ad.affine([Tensor(np.ones(s)) for s in blocks], w, Tensor(np.ones(2)))
 
 
 def test_finite_outputs_on_finite_inputs():

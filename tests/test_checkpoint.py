@@ -1,5 +1,6 @@
 """Checkpoint format: lossless round trips, versioning, config coupling."""
 
+import io
 import json
 import os
 import tempfile
@@ -254,10 +255,36 @@ def test_garbage_file_rejected_with_location(tmp_path):
 @pytest.mark.parametrize("line_end", [b"", b"\n"], ids=["document",
                                                       "header"])
 def test_deeply_nested_json_rejected(tmp_path, line_end):
+    # nested inside a line that starts as a header, so it is parsed
     path = tmp_path / "model.ckpt"
-    path.write_bytes(b"[" * 100_000 + line_end)
+    path.write_bytes(b'{"format_version": ' + b"[" * 100_000 + line_end)
     with pytest.raises(InputError, match="nested too deeply"):
         load_checkpoint(path)
+
+
+class _NoLineEnd(io.RawIOBase):
+    """`size` bytes of b"a" with no line end, made as they are read;
+    `served` counts the bytes read."""
+
+    def __init__(self, size: int):
+        self.left, self.served = size, 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = min(len(buffer), self.left)
+        buffer[:n] = b"a" * n
+        self.left -= n
+        self.served += n
+        return n
+
+
+def test_a_file_not_starting_as_a_header_is_rejected_after_a_bounded_read():
+    raw = _NoLineEnd(1 << 20)
+    with pytest.raises(InputError, match="first line is no JSON object"):
+        ksm.checkpoint.read_checkpoint(io.BufferedReader(raw), "big.ckpt")
+    assert raw.served <= io.DEFAULT_BUFFER_SIZE
 
 
 def test_model_roundtrip_restores_forward(tmp_path):

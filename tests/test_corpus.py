@@ -338,6 +338,26 @@ def test_a_built_document_cannot_be_reassigned():
     assert doc.gold_relations == set()
 
 
+def test_a_built_documents_contents_cannot_be_edited():
+    # lists in, tuples and a frozenset kept: no edit in place bypasses the
+    # checks, and the record written is the one read
+    doc = Document("d", [["A", "x", "B"]],
+                   [Mention("A", 0, (0, 1)), Mention("B", 0, (2, 3))],
+                   {("B", "A")})
+    with pytest.raises(TypeError):
+        doc.sentences[0][1] = 2
+    with pytest.raises(TypeError):
+        doc.mentions[0] = Mention("B", 0, (1, 2))
+    with pytest.raises(AttributeError):
+        doc.gold_relations.add(("B", "C"))
+    assert doc.gold_relations == {("A", "B")}
+    assert document_to_json(doc) == (
+        '{"doc_id":"d","sentences":[["A","x","B"]],"mentions":['
+        '{"entity_id":"A","sentence":0,"token_span":[0,1]},'
+        '{"entity_id":"B","sentence":0,"token_span":[2,3]}],'
+        '"gold_relations":[["A","B"]]}')
+
+
 def test_mention_span_must_be_nonempty():
     with pytest.raises(InputError):
         Mention("G1", 0, (2, 2))

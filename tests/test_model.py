@@ -616,15 +616,16 @@ def _tape_nodes(loss):
 def test_paper_config_instance_graph_stays_within_100_nodes():
     # two blocks of four heads per encoder: four fused nodes per block pass
     # (dropout rides in the residual layer norms), mutual attention in five
-    # nodes, a gate of one concat and one affine node, an affine classifier
-    # and a one-node loss keep one instance's loss graph at 88 nodes, 59 of
-    # them parameters, at any dropout rate. The null relation adds its
-    # parameter and a reshape; the entity gate adds its W and b and one
-    # affine node per entity (their concats hold no parameter)
+    # nodes, a gate of one affine node over [s1, s2, v], an affine classifier
+    # over [s1, s2, v selected] and a one-node loss keep one instance's loss
+    # graph at 86 nodes, 59 of them parameters, at any dropout rate. The
+    # null relation adds its parameter and a reshape; the entity gate adds
+    # its W and b and an affine, activation and product node per entity (8),
+    # and `entity` alone drops the relation gate's five
     vocab = [f"w{i}" for i in range(50)]
-    for target, null, nodes in (("relation", False, 88),
-                                ("relation", True, 90), ("both", False, 96),
-                                ("entity", False, 90)):
+    for target, null, nodes in (("relation", False, 86),
+                                ("relation", True, 88), ("both", False, 94),
+                                ("entity", False, 89)):
         for dropout_rate in (0.1, 0.0):
             cfg = ModelConfig(dropout_rate=dropout_rate,
                               selector_target=target)
