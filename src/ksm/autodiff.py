@@ -25,9 +25,9 @@ Semantics worth knowing:
   task) and is restored when the block exits, also on an exception.
 
 The op vocabulary is fixed and small: 2-D matmul, add, scale, multiply,
-reshape, sum/mean over an axis, amax, tanh, sigmoid, relu, softmax, and
-fused ops, each one tape node with a hand-written backward in place of a
-chain of small ones:
+sum/mean over an axis, amax, tanh, sigmoid, relu, softmax, and fused
+ops, each one tape node with a hand-written backward in place of a chain
+of small ones:
 
 - the affine map ``[x_1 ... x_k] w + b`` of row blocks side by side;
 - multi-head scaled dot-product attention with its query, key, value
@@ -152,7 +152,7 @@ class Tensor:
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, float(other))
-        return multiply(self, other)
+        return multiply(self, _as_tensor(other))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -249,14 +249,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(a.data.T @ g)
 
     return _make(a.data @ b.data, (a, b), backward)
-
-
-def reshape(a: Tensor, shape: tuple) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.shape))
-
-    return _make(a.data.reshape(shape), (a,), backward)
 
 
 def tensor_sum(a: Tensor, axis: int | None = None,
@@ -421,16 +413,6 @@ def relu(a: Tensor) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def _clamp(x: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """`x` raised to `floor` and the mask of raised entries; logs a warning
-    naming how many there were."""
-    low = x < floor
-    if low.any():
-        logger.warning("log: clamped %d value(s) below %.3g",
-                       int(low.sum()), floor)
-    return np.maximum(x, floor), low
-
-
 def mean_nll(probs: Sequence[Tensor], index: Sequence[int],
              floor: float) -> Tensor:
     """``-mean_i log(max(probs[i][0, index[i]], floor))`` as one node.
@@ -445,8 +427,11 @@ def mean_nll(probs: Sequence[Tensor], index: Sequence[int],
         if p.data.ndim != 2 or p.shape[0] != 1 or not 0 <= k < p.shape[1]:
             raise ValueError(f"mean_nll: index {k} does not pick an entry of "
                              f"a (1, C) row of shape {p.shape}")
-    clipped, low = _clamp(np.array([p.data[0, k] for p, k in zip(probs, index)]),
-                          floor)
+    picked = np.array([p.data[0, k] for p, k in zip(probs, index)])
+    if (low := picked < floor).any():
+        logger.warning("log: clamped %d value(s) below %.3g",
+                       int(low.sum()), floor)
+    clipped = np.maximum(picked, floor)
     c = 1.0 / len(probs)
 
     def backward(g):
@@ -494,8 +479,8 @@ def softmax_pool(scores: Tensor, v: Tensor, axis: int) -> tuple[Tensor, Tensor]:
     axis, whose length is the number of rows of v. Returns the (1, d)
     pooled row as one node and the weights as a plain tensor, (L1, 1) for
     axis 1 and (1, L2) for axis 0. Forward and backward take the same
-    sums and products as ``mean``, ``softmax``, ``reshape`` (axis 1)
-    and ``matmul`` would, so values and gradients are theirs bit for bit.
+    sums and products as ``mean``, ``softmax``, a reshape to a row (axis
+    1) and ``matmul`` would, so values and gradients are theirs bit for bit.
     """
     if (scores.data.ndim != 2 or axis not in (0, 1) or not scores.size
             or v.data.ndim != 2 or v.shape[0] != scores.shape[1 - axis]):

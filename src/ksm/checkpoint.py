@@ -1,16 +1,19 @@
 """Checkpoint files: a model's parameters, word table and knowledge store.
 
-The format is self-describing and versioned. A version 7 file is one line
-of JSON, ``{"format_version": 7, "config": {"d": d, ...}, "params": {name:
-{"shape": [...]}, ...}, "tables": {"words": {"ids": [...], "width": d},
-"entities": {...}, "relations": {...}}, "pairs": [[e1, e2, label, ...],
-...]}`` and a newline (``json.dumps`` escapes every newline inside it),
-then each parameter's little-endian float64 bytes in row-major order
-(numpy ``"<f8"``, the same on any host) in the header's order, and each
-table's (len(ids), d) matrix so encoded in the order of `TABLES`. `pairs`
-is the store's pair map. Every value round-trips bit-exactly. Files of
-versions 1 to 6 must be retrained (version 6 had the layout of 7, but each
-knowledge gate kept its KB vector's weights in a separate `.u` matrix).
+The format is self-describing and versioned. A version 8 file is one line
+of JSON, ``{"format_version": 8, "config": {"d": d, ...}, "params": {name:
+{"shape": [...]}, ...}, "tables": {"words": {"ids": [...]}, "entities":
+{...}, "relations": {...}}, "pairs": [[e1, e2, label, ...], ...]}`` and a
+newline (``json.dumps`` escapes every newline inside it), then each
+parameter's little-endian float64 bytes in row-major order (numpy
+``"<f8"``, the same on any host) in the header's order, and each table's
+(len(ids), d) matrix so encoded in the order of `TABLES`. Every table is
+the config's d wide, so a table's entry holds its ids alone and a header
+states d once. `pairs` is the store's pair map. Every value round-trips
+bit-exactly. Files of versions 1 to 7 must be retrained: version 7 had
+the layout of 8, but gave each table a ``width`` and stored
+``knowledge.null_relation`` as a (d,) vector, where the model reads the
+(1, d) row it now is.
 
 A save goes to a temporary file in the target's directory, synced to
 disk, that replaces the target only once it is complete, so a failed
@@ -33,7 +36,7 @@ from .autodiff import DTYPE, ParameterStore
 from .inputs import InputError
 from .kb import Embeddings, KnowledgeStore, index_pairs
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 _WIRE = np.dtype("<f8")
 TABLES = ("words", "entities", "relations")  # in body order
 _HEADER_START = b'{"format_version"'  # how every saved header starts
@@ -64,8 +67,7 @@ def save_checkpoint(path, params: ParameterStore, words: Embeddings,
         raise InputError("a table is not d wide; not saved", path)
     header = {"format_version": FORMAT_VERSION, "config": config,
               "params": {n: {"shape": list(t.shape)} for n, t in params.items()},
-              "tables": {n: {"ids": t.ids, "width": t.matrix.shape[1]}
-                         for n, t in tables.items()},
+              "tables": {n: {"ids": t.ids} for n, t in tables.items()},
               "pairs": [[a, b, *labels] for (a, b), labels
                         in sorted(store.pair_relations.items())]}
     # a hidden file beside the target, so the rename never crosses a file
@@ -138,11 +140,9 @@ def read_checkpoint(f, path) -> tuple[dict[str, np.ndarray], dict,
         table = tables.get(name) if isinstance(tables, dict) else None
         ids = table.get("ids") if isinstance(table, dict) else None
         if not (isinstance(ids, list) and all(type(i) is str for i in ids)
-                and len(set(ids)) == len(ids) and _is_width(table.get("width"))
-                and table["width"] == d):
+                and len(set(ids)) == len(ids) and len(table) == 1):
             raise InputError(f"malformed {name!r} table; expected unique "
-                             f"string 'ids' and 'width' the config's d (at "
-                             f"least 1), {d}", path)
+                             f"string 'ids' and no other key", path)
         parts.append((f"table {name!r}", [len(ids), d]))
     rows, known = header.get("pairs"), set(tables["relations"]["ids"])
     if not (isinstance(rows, list) and all(

@@ -77,9 +77,10 @@ def _read_json(path, what: str):
 def resolve_config(args: argparse.Namespace) -> dict:
     """The settings `args.command` reads: flag > config file > default. A
     file key must be one of them and its value of its default's type; an
-    int also fits a float key, a bool only a bool."""
+    int also fits a float key, a bool only a bool. `ablate` refuses a key
+    that every variant of its --axis sets, as none reads it."""
     keys = SETTINGS[args.command]
-    cfg = {key: DEFAULTS[key] for key in keys}
+    cfg, file_cfg = {key: DEFAULTS[key] for key in keys}, {}
     if path := args.config:
         file_cfg = _read_json(path, "config file")
         if not isinstance(file_cfg, dict):
@@ -90,11 +91,15 @@ def resolve_config(args: argparse.Namespace) -> dict:
                              f"{args.command} reads {sorted(keys)}", path)
         check_types(file_cfg, DEFAULTS, path)
         cfg.update(file_cfg)
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    return cfg
+    flags = {k: v for k in keys if (v := getattr(args, k, None)) is not None}
+    if args.command == "ablate":
+        fixed = set.intersection(*(set(overrides) for _, overrides
+                                   in _ABLATION_AXES[args.axis]))
+        if given := sorted(fixed & {*file_cfg, *flags}):
+            raise InputError(f"every --axis {args.axis} variant sets "
+                             f"{given}; ablate does not read them",
+                             path if fixed & set(file_cfg) else None)
+    return {**cfg, **flags}
 
 
 def _write_log(path, records: list[dict]) -> None:

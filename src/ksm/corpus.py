@@ -56,6 +56,15 @@ NUMBER_TOKEN = "NUMBER"
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)%?$")
 _STRIP = str.maketrans("", "", "*†‡§®™")
 _DROP_TOKENS = frozenset("()[]{}")  # lone brackets left after stripping
+_ID_BREAK = re.compile("[\t\r\n]")  # ends a field of the predictions file
+
+
+def _check_ids(ids: list[str]) -> None:
+    """InputError for the first id the predictions file cannot hold, one
+    empty or with a TAB, CR or LF; checked in C, not in a Python loop."""
+    if not all(ids) or _ID_BREAK.search("".join(ids)):
+        bad = next(i for i in ids if not i or _ID_BREAK.search(i))
+        raise InputError(f"id {bad!r} is empty or holds a TAB, CR or LF")
 
 
 @dataclass(frozen=True)
@@ -83,7 +92,8 @@ class Mention:
 @dataclass(frozen=True)
 class Document:
     """A tokenized document, checked once when built and immutable: lists
-    in, tuples and a frozenset of sorted gold pairs kept."""
+    in, tuples and a frozenset of sorted gold pairs kept; every id passes
+    `_check_ids`."""
     doc_id: str
     sentences: tuple[tuple[str, ...], ...]
     mentions: tuple[Mention, ...]
@@ -109,6 +119,8 @@ class Document:
                    for p in self.gold_relations):
             raise InputError("gold_relations entries must be lists of "
                              "2 strings")
+        _check_ids([doc_id, *(m.entity_id for m in self.mentions),
+                    *itertools.chain.from_iterable(self.gold_relations)])
         object.__setattr__(self, "sentences", sentences)
         object.__setattr__(self, "mentions", tuple(self.mentions))
         object.__setattr__(self, "gold_relations", frozenset(
@@ -376,9 +388,9 @@ def instance_to_json(inst: CandidateInstance) -> str:
 
 def instance_from_json(line: str) -> CandidateInstance:
     """Parse one record; InputError unless it has a string doc_id, a pair
-    of strings, string tokens, one nonnegative int distance per token in
-    pos1/pos2, and a known label. Elements are checked in C
-    (`map`, `set`, `min`), not in a Python loop."""
+    of strings, each id nonempty with no TAB, CR or LF, string tokens, one
+    nonnegative int distance per token in pos1/pos2, and a known label.
+    Elements are checked in C (`map`, `set`, `min`), not in a Python loop."""
     rec = loads(line)
     try:
         if type(rec["doc_id"]) is not str:
@@ -396,6 +408,7 @@ def instance_from_json(line: str) -> CandidateInstance:
         if len(rec["pair"]) != 2:
             raise InputError(f"pair must be a list of 2 strings, "
                              f"found {json.dumps(rec['pair'])}")
+        _check_ids([rec["doc_id"], *rec["pair"]])
         inst = CandidateInstance(
             doc_id=rec["doc_id"], pair=sorted_pair(*rec["pair"]),
             tokens=rec["tokens"], pos1=rec["pos1"], pos2=rec["pos2"],

@@ -105,8 +105,6 @@ def _suite(seed: int) -> list[tuple[str, dict[str, Tensor], Callable[[], Tensor]
          lambda x, b: ad.tensor_sum(ad.tanh(x + b))),
         ("multiply", {"x": (3, 4), "y": (3, 4)},
          lambda x, y: ad.tensor_sum(ad.multiply(x, y) * 0.5)),
-        ("reshape", {"x": (3, 4)},
-         lambda x: ad.tensor_sum(ad.tanh(ad.reshape(x, (4, 3))))),
         ("mean_axis", {"x": (3, 5)},
          lambda x: ad.tensor_sum(
              ad.tanh(ad.mean(x, axis=1, keepdims=True)))),

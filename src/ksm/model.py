@@ -19,7 +19,8 @@ Per candidate instance the forward pass runs:
 5. a softmax classifier over [s1, s2, selected relation].
 
 One paper-configuration instance records 86 tape nodes on its loss
-graph, 59 of them parameters, with dropout on or off.
+graph, 59 of them parameters, with dropout on or off; 87 with the null
+relation, a (1, d) parameter row fed in as a KB relation vector is.
 
 All trainable tensors are registered in a ParameterStore under stable
 dotted names, so checkpointing and gradient checks can address every
@@ -280,7 +281,7 @@ def build_params(config: ModelConfig, seed: int = 0) -> ParameterStore:
 
     mat_drawn_out_in("classifier.w", 3 * d, 2)
     add("classifier.b", np.zeros(2))
-    add("knowledge.null_relation", np.zeros(d))
+    add("knowledge.null_relation", np.zeros((1, d)))  # a row, as er is
     return store
 
 
@@ -477,8 +478,7 @@ class KSMModel:
         x1, x2 = embed_context(instance, self.word_table, cfg)
         e1 = Tensor(np.asarray(knowledge.e1).reshape(1, -1))
         e2 = Tensor(np.asarray(knowledge.e2).reshape(1, -1))
-        er = (ad.reshape(self.params["knowledge.null_relation"], (1, cfg.d))
-              if knowledge.er_is_null
+        er = (self.params["knowledge.null_relation"] if knowledge.er_is_null
               else Tensor(np.asarray(knowledge.er).reshape(1, -1)))
         if cfg.selector_target in ("entity", "both"):
             e1, e2 = (knowledge_select([ad.mean(x, axis=0, keepdims=True)],

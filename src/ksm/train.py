@@ -180,9 +180,11 @@ class TrainLogEntry:
 
 @dataclass
 class TrainResult:
-    model: KSMModel
     log: list[TrainLogEntry] = field(default_factory=list)
-    best_epoch: int = -1
+
+    @property
+    def best_epoch(self) -> int:  # the one whose parameters the model keeps
+        return next((e.epoch for e in reversed(self.log) if e.is_best), -1)
 
 
 def accumulate_batch_gradient(
@@ -245,10 +247,9 @@ def train_model(instances: list[CandidateInstance], store: KnowledgeStore,
 
     optimizer = Adadelta(model.params, lr=train_config.lr)
     rng = np.random.default_rng(train_config.seed)
-    result = TrainResult(model=model)
+    result = TrainResult()
     best_key: tuple | None = None
     best_values = model.params.clone_values()
-    since_best = 0
 
     for epoch in range(train_config.max_epochs):
         order = rng.permutation(len(resolved))
@@ -290,15 +291,11 @@ def train_model(instances: list[CandidateInstance], store: KnowledgeStore,
         if is_best:
             best_key = key
             best_values = model.params.clone_values()
-            result.best_epoch = epoch
-            since_best = 0
-        else:
-            since_best += 1
         result.log.append(TrainLogEntry(epoch, mean_loss, f1, is_best))
         logger.info("epoch %d: loss %.6f eval_f1 %s%s", epoch, mean_loss,
                     f"{f1:.4f}" if heldout else "n/a",
                     " *" if is_best else "")
-        if since_best > train_config.patience:
+        if epoch - result.best_epoch > train_config.patience:
             logger.info("early stop at epoch %d", epoch)
             break
 
@@ -327,7 +324,7 @@ def write_predictions(path, predictions: PredictionSet) -> None:
 
 
 def _prediction(line: str) -> list[str]:
-    if len(parts := line.split("\t")) != 3:
+    if len(parts := line.split("\t")) != 3 or not all(parts):
         raise InputError("expected doc_id<TAB>entity1<TAB>entity2")
     return parts
 

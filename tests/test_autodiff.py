@@ -150,6 +150,17 @@ def test_backward_accumulates_on_repeated_calls():
     np.testing.assert_allclose(x.grad, [[6.0]])
 
 
+def test_multiplying_by_an_array_or_a_numpy_int_records_a_node():
+    # both once returned a bare forward value, and backward() then raised
+    # AttributeError: neither is a Python int or float, and was passed to
+    # `multiply` unwrapped
+    factor = np.full((2, 2), 3.0)
+    for other, grad in ((factor, factor), (np.int64(2), np.full((2, 2), 2.0))):
+        t = Tensor(np.ones((2, 2)), requires_grad=True)
+        ad.tensor_sum(t * other).backward()
+        assert t.grad.tolist() == grad.tolist()
+
+
 def test_grad_flows_through_shared_subexpression():
     x = Tensor([[1.5]], requires_grad=True)
     y = ad.tanh(x)
@@ -418,7 +429,17 @@ def test_mean_nll_rejects_bad_picks(probs, index):
 def _chain_pool(scores, v, axis):
     """softmax_pool's value as the chain of plain ops it replaces."""
     p = ad.softmax(ad.mean(scores, axis=axis, keepdims=True), axis=1 - axis)
-    return (ad.reshape(p, (1, -1)) if axis == 1 else p) @ v
+    return (_row(p) if axis == 1 else p) @ v
+
+
+def _row(p):
+    """The (L, 1) column p as a (1, L) row, as one tape node that numpy
+    computes: the engine has no reshape op."""
+    def backward(g):
+        p._accumulate(g.reshape(p.shape))
+
+    return Tensor(p.data.reshape(1, -1), requires_grad=True, _parents=(p,),
+                  _backward=backward)
 
 
 def _joined_affine(xs, w, b):

@@ -21,7 +21,7 @@ from ksm.kb import Embeddings, KnowledgeStore, resolve_pair_knowledge
 from ksm.model import KSMModel, WordTable
 
 DATA = Path(__file__).parent / "data"
-VERSIONS = pytest.mark.parametrize("version", [7], ids=["v7"])
+VERSIONS = pytest.mark.parametrize("version", [8], ids=["v8"])
 
 
 def _wire(values: np.ndarray) -> bytes:
@@ -37,12 +37,12 @@ def _file(values: dict, config: dict, version: int,
           words: Embeddings | None = None,
           store: KnowledgeStore | None = None) -> bytes:
     """A whole file of format `version`, built by hand: a JSON header line
-    of the shapes, then every parameter's `_wire` bytes in order. Format 6
-    adds the ids and width of `words` (by default `_words()`) and of the
-    entity and relation tables of `store` (by default an empty one as wide
-    as `words`) to the header, with the store's pair rows, sorted, and the
-    three matrices to the body; format 7 has the same layout. Format 5 had
-    the word table alone, and format 4 no table."""
+    of the shapes, then every parameter's `_wire` bytes in order. Format 8
+    adds the ids of `words` (by default `_words()`) and of the entity and
+    relation tables of `store` (by default an empty one as wide as
+    `words`) to the header, with the store's pair rows, sorted, and the
+    three matrices to the body; formats 6 and 7 gave each table its width
+    too. Format 5 had the word table alone, and format 4 no table."""
     header = {"format_version": version, "config": config,
               "params": {k: {"shape": list(v.shape)}
                          for k, v in values.items()}}
@@ -56,7 +56,8 @@ def _file(values: dict, config: dict, version: int,
             store = KnowledgeStore({}, {}, words.matrix.shape[1])
         tables = [words, store.entity_table, store.relation_table]
         header["tables"] = {
-            name: {"ids": t.ids, "width": t.matrix.shape[1]}
+            name: {"ids": t.ids} if version >= 8
+            else {"ids": t.ids, "width": t.matrix.shape[1]}
             for name, t in zip(("words", "entities", "relations"), tables)}
         header["pairs"] = [[a, b, *labels] for (a, b), labels
                            in sorted(store.pair_relations.items())]
@@ -135,14 +136,14 @@ def test_saved_file_is_the_documented_encoding(tmp_path):
     store, words, kb = _random_store(), _words(), _kb()
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, store, words, kb, {"d": 2})
-    assert FORMAT_VERSION == 7
+    assert FORMAT_VERSION == 8
     assert path.read_bytes() == _file({n: t.data for n, t in store.items()},
-                                      {"d": 2}, 7, words, kb)
+                                      {"d": 2}, 8, words, kb)
 
 
 def test_pair_rows_of_either_order_are_pooled_under_the_sorted_key(
         tmp_path):
-    data = _file({}, {"d": 2}, 7, store=_kb())
+    data = _file({}, {"d": 2}, 8, store=_kb())
     header, _, body = data.partition(b"\n")
     header = json.loads(header)
     header["pairs"] = [["B", "A", "binds"], ["A", "B", "in\nhibits"]]
@@ -201,7 +202,9 @@ def _same_values(a: dict, b: dict) -> bool:
     _file({"p": np.array([0.5])}, {"d": 2}, 5),  # its KB a separate store
     # each gate's KB-vector weights a separate matrix
     _file({"selector.u": np.zeros((2, 2))}, {"d": 2}, 6),
-], ids=["v2", "v3", "v3-pretty-printed", "v4", "v5", "v6"])
+    # a width in each table, and the null relation a (d,) vector
+    _file({"knowledge.null_relation": np.zeros(2)}, {"d": 2}, 7),
+], ids=["v2", "v3", "v3-pretty-printed", "v4", "v5", "v6", "v7"])
 def test_format_2_and_3_files_rejected_with_retrain_hint(tmp_path, content):
     _rejected(tmp_path / "model.ckpt", content, "retrain the model")
 
@@ -216,10 +219,17 @@ def _model_file(model, config: dict, version: int,
                  model.store)
 
 
-def test_format_7_file_loads_to_the_same_model_and_store(tmp_path):
+def test_format_7_file_is_rejected_with_retrain_hint():
+    # the next test's model and store as format 7 wrote them
+    with pytest.raises(InputError, match="unsupported format_version 7 .*"
+                                         "retrain"):
+        KSMModel.load(DATA / "toy_model_v7.ckpt")
+
+
+def test_format_8_file_loads_to_the_same_model_and_store(tmp_path):
     # toy_model(seed=3) saved with _kb(8, seed=3): a change of the format,
     # or of what a file loads to, shows here
-    path = DATA / "toy_model_v7.ckpt"
+    path = DATA / "toy_model_v8.ckpt"
     original, kb = toy_model(seed=3), _kb(8, seed=3)
     saved = KSMModel.load(path)
     assert saved.config == original.config
@@ -384,18 +394,19 @@ def test_word_table_of_another_width_than_the_config_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
     words = Embeddings(["UNK"], np.zeros((1, model.config.d + 1)))
     path.write_bytes(_file({n: t.data for n, t in model.params.items()},
-                           model.config.to_dict(), 7, words,
+                           model.config.to_dict(), 8, words,
                            _empty_kb(model.config.d)))
-    with pytest.raises(InputError, match="malformed 'words' table; "
-                       "expected unique string 'ids' and 'width' the "
-                       r"config's d \(at least 1\), 8"):
+    # the body holds one value more than a word table of width d
+    n = 8 * (sum(t.size for _, t in model.params.items()) + model.config.d)
+    with pytest.raises(InputError, match=f"{n + 8} bytes of values follow "
+                                         f"the header, whose shapes need {n}"):
         KSMModel.load(path)
 
 
 def test_checkpoint_missing_config_rejected(tmp_path):
     model = toy_model(seed=1)
     path = tmp_path / "m.ckpt"
-    header, body = _split_bytes(_model_file(model, {}, 7))
+    header, body = _split_bytes(_model_file(model, {}, 8))
     del header["config"]
     path.write_bytes(_joined(header, body))
     with pytest.raises(InputError, match="config"):
@@ -407,7 +418,7 @@ def test_checkpoint_missing_config_rejected(tmp_path):
                               "missing"])
 def test_config_that_is_no_non_empty_object_rejected(tmp_path, config):
     # a string config once failed in the model, naming no file
-    header, body = _split_bytes(_file(_store_values(), {"d": 2}, 7))
+    header, body = _split_bytes(_file(_store_values(), {"d": 2}, 8))
     if config == "missing":
         del header["config"]
     else:
@@ -448,7 +459,7 @@ def test_non_object_blob_rejected(tmp_path):
 
 def test_missing_params_rejected(tmp_path):
     _rejected(tmp_path / "model.ckpt",
-              _joined({"format_version": 7, "config": {"d": 2},
+              _joined({"format_version": 8, "config": {"d": 2},
                        "tables": None}, b""),
               "missing 'params'")
 
@@ -458,7 +469,7 @@ def _defect(change):
     after `change(header, body)`, which returns the file's bytes. The body
     holds layer.w (4, 3) in bytes 0-95, layer.b (3,) in 96-119, head.w
     (2, 2) in 120-151 and the word matrix (3, 2) in 152-199."""
-    data = _file(_store_values(), {"d": 2}, 7)
+    data = _file(_store_values(), {"d": 2}, 8)
     header, _, body = data.partition(b"\n")
     return change(json.loads(header), body)
 
@@ -520,13 +531,13 @@ def test_format_4_defect_rejected(tmp_path, change, match):
     _rejected(tmp_path / "model.ckpt", _defect(change), match)
 
 
-def _v7_defect(body=lambda b: b, table="words", **change):
-    """The format 7 file of `_random_store` and `_words`, with an empty KB
+def _v8_defect(body=lambda b: b, table="words", **change):
+    """The format 8 file of `_random_store` and `_words`, with an empty KB
     store, its body changed by `body` and its header by `change`: a `pairs`
     key replaces the pair rows, a key named `table` the whole of that
     table's entry, and any other key that key of the entry. The word matrix
     is the last 48 bytes."""
-    header, rest = _split_bytes(_file(_store_values(), {"d": 2}, 7))
+    header, rest = _split_bytes(_file(_store_values(), {"d": 2}, 8))
     if "pairs" in change:
         header["pairs"] = change.pop("pairs")
     tables = header["tables"]
@@ -534,69 +545,77 @@ def _v7_defect(body=lambda b: b, table="words", **change):
     return _joined(header, body(rest))
 
 
-MALFORMED_WORDS = "malformed 'words' table; expected unique string 'ids'"
+MALFORMED_WORDS = ("malformed 'words' table; expected unique string 'ids' "
+                   "and no other key")
 
 
 @pytest.mark.parametrize("content, match", [
-    (_v7_defect(ids=["a", "b", "a"]), MALFORMED_WORDS),
-    (_v7_defect(ids=["a", 2, "c"]), MALFORMED_WORDS),
-    (_v7_defect(ids=["a", None, "c"]), MALFORMED_WORDS),
-    (_v7_defect(ids="abc"), MALFORMED_WORDS),
-    (_v7_defect(width=2.0), MALFORMED_WORDS),
-    (_v7_defect(width=-2), MALFORMED_WORDS),
-    (_v7_defect(width=True), MALFORMED_WORDS),
-    (_v7_defect(words=None), MALFORMED_WORDS),
-    (_v7_defect(words=["a", "b", "c"]), MALFORMED_WORDS),
-    (_v7_defect(ids=["a", "b", "c", "d"]),
+    (_v8_defect(ids=["a", "b", "a"]), MALFORMED_WORDS),
+    (_v8_defect(ids=["a", 2, "c"]), MALFORMED_WORDS),
+    (_v8_defect(ids=["a", None, "c"]), MALFORMED_WORDS),
+    (_v8_defect(ids="abc"), MALFORMED_WORDS),
+    # a table entry holds its ids alone: a width, even d, is no key of it
+    (_v8_defect(width=2), MALFORMED_WORDS),
+    (_v8_defect(width=2.0), MALFORMED_WORDS),
+    (_v8_defect(width=-2), MALFORMED_WORDS),
+    (_v8_defect(width=True), MALFORMED_WORDS),
+    (_v8_defect(words=None), MALFORMED_WORDS),
+    (_v8_defect(words=["a", "b", "c"]), MALFORMED_WORDS),
+    (_v8_defect(ids=["a", "b", "c", "d"]),
      "200 bytes of values follow the header, whose shapes need 216"),
-    (_v7_defect(body=lambda b: b[:-8]),
+    (_v8_defect(body=lambda b: b[:-8]),
      "192 bytes of values follow the header, whose shapes need 200"),
-    (_v7_defect(body=lambda b: b[:-48]),
+    (_v8_defect(body=lambda b: b[:-48]),
      "152 bytes of values follow the header, whose shapes need 200"),
-    (_v7_defect(body=lambda b: b[:-8] + _wire(np.array([np.inf]))),
+    (_v8_defect(body=lambda b: b[:-8] + _wire(np.array([np.inf]))),
      "table 'words' holds non-finite values"),
-], ids=["repeated-id", "int-id", "null-id", "string-ids", "float-width",
-        "negative-width", "bool-width", "null-words", "list-words",
-        "more-ids-than-rows", "short",
-        "no-matrix", "inf-in-words"])
+], ids=["repeated-id", "int-id", "null-id", "string-ids", "width-of-d",
+        "float-width", "negative-width", "bool-width", "null-words",
+        "list-words", "more-ids-than-rows", "short", "no-matrix",
+        "inf-in-words"])
 def test_format_5_word_table_defect_rejected(tmp_path, content, match):
     # the word table, as format 5 held it; the KB tables and pair rows that
     # format 6 adds are the next test's
     _rejected(tmp_path / "model.ckpt", content, match)
 
 
-def _malformed(table, d=2):
+def _malformed(table):
     return (f"malformed '{table}' table; expected unique string 'ids' and "
-            rf"'width' the config's d \(at least 1\), {d}")
+            f"no other key")
 
 
 MALFORMED_PAIRS = r"malformed 'pairs'; expected rows \[e1, e2, label, ...\]"
 
 
 @pytest.mark.parametrize("content, match", [
-    (_v7_defect(pairs=[["A", "B", "binds"]]), MALFORMED_PAIRS),
-    (_v7_defect(table="relations", ids=["binds"], pairs=[["A", "B", "binds"],
+    (_v8_defect(pairs=[["A", "B", "binds"]]), MALFORMED_PAIRS),
+    (_v8_defect(table="relations", ids=["binds"], pairs=[["A", "B", "binds"],
                                                          ["A", "C", "x"]],
                 body=lambda b: b + _wire(np.zeros(2))), MALFORMED_PAIRS),
-    (_v7_defect(pairs=[["A", "B"]]), MALFORMED_PAIRS),
-    (_v7_defect(pairs=[["A", "B", 3]]), MALFORMED_PAIRS),
-    (_v7_defect(pairs=["A", "B", "binds"]), MALFORMED_PAIRS),
-    (_v7_defect(pairs=None), MALFORMED_PAIRS),
-    (_v7_defect(table="entities", width=3), _malformed("entities")),
-    (_v7_defect(table="relations", width=3), _malformed("relations")),
-    (_v7_defect(width=3), _malformed("words")),
-    (_v7_defect(table="relations", ids=["r", "r"]), _malformed("relations")),
-    (_v7_defect(table="entities", ids=["A", "A"]), _malformed("entities")),
-    (_v7_defect(table="relations", relations=None), _malformed("relations")),
-    (_v7_defect(table="entities", ids=["A"]),
+    (_v8_defect(pairs=[["A", "B"]]), MALFORMED_PAIRS),
+    (_v8_defect(pairs=[["A", "B", 3]]), MALFORMED_PAIRS),
+    (_v8_defect(pairs=["A", "B", "binds"]), MALFORMED_PAIRS),
+    (_v8_defect(pairs=None), MALFORMED_PAIRS),
+    (_v8_defect(table="entities", ids=["A"],
+                body=lambda b: b + _wire(np.zeros(3))),
+     "224 bytes of values follow the header, whose shapes need 216"),
+    (_v8_defect(table="relations", ids=["binds"],
+                body=lambda b: b + _wire(np.zeros(3))),
+     "224 bytes of values follow the header, whose shapes need 216"),
+    (_v8_defect(body=lambda b: b[:-48] + _wire(np.zeros((3, 3)))),
+     "224 bytes of values follow the header, whose shapes need 200"),
+    (_v8_defect(table="relations", ids=["r", "r"]), _malformed("relations")),
+    (_v8_defect(table="entities", ids=["A", "A"]), _malformed("entities")),
+    (_v8_defect(table="relations", relations=None), _malformed("relations")),
+    (_v8_defect(table="entities", ids=["A"]),
      "200 bytes of values follow the header, whose shapes need 216"),
-    (_v7_defect(table="relations", ids=["binds"],
+    (_v8_defect(table="relations", ids=["binds"],
                 body=lambda b: b + _wire(np.array([0.0, np.nan]))),
      "table 'relations' holds non-finite values"),
-    (_file({}, {"d": 0}, 7, Embeddings([], np.zeros((0, 0)))),
+    (_file({}, {"d": 0}, 8, Embeddings([], np.zeros((0, 0)))),
      "config d 0 is no integer >= 1"),
     # 1 == True: a save refuses a d of true, and so does a load
-    (_file({}, {"d": True}, 7, Embeddings([], np.zeros((0, 1)))),
+    (_file({}, {"d": True}, 8, Embeddings([], np.zeros((0, 1)))),
      "config d True is no integer >= 1"),
 ], ids=["label-not-a-relation", "one-label-not-a-relation", "two-strings",
         "int-label", "row-not-a-list", "null-pairs", "entities-of-width-3",
@@ -612,7 +631,7 @@ def test_a_pipe_is_rejected_as_it_has_no_size():
     # the body is sized from the file before any array is made
     read_fd, write_fd = os.pipe()
     try:
-        os.write(write_fd, _file(_store_values(), {"d": 2}, 7))
+        os.write(write_fd, _file(_store_values(), {"d": 2}, 8))
         os.close(write_fd)
         with pytest.raises(InputError, match="not a regular file"):
             load_checkpoint(f"/dev/fd/{read_fd}")
@@ -624,7 +643,7 @@ def test_values_not_filling_shape_rejected(tmp_path):
     # a body that ends inside the word matrix: every parameter is there,
     # the words' rows are not
     _rejected(tmp_path / "model.ckpt",
-              _v7_defect(body=lambda b: b[:-20]),
+              _v8_defect(body=lambda b: b[:-20]),
               "180 bytes of values follow the header, whose shapes need 200")
 
 
@@ -633,7 +652,7 @@ def test_values_not_filling_shape_rejected(tmp_path):
 def test_byte_count_not_filling_shape_rejected(tmp_path, n_bytes):
     # layer.w is (4, 3): 96 bytes, the first of the body
     _rejected(tmp_path / "model.ckpt",
-              _v7_defect(body=lambda b: bytes(range(n_bytes)) + b[96:]),
+              _v8_defect(body=lambda b: bytes(range(n_bytes)) + b[96:]),
               f"{104 + n_bytes} bytes of values follow the header, whose "
               f"shapes need 200")
 

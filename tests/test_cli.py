@@ -13,7 +13,7 @@ from ksm import kb
 from ksm import train as train_mod
 from ksm.autodiff import ParameterStore
 from ksm.checkpoint import load_checkpoint, save_checkpoint
-from ksm.cli import DEFAULTS, SETTINGS, main, resolve_config
+from ksm.cli import DEFAULTS, SETTINGS, build_parser, main, resolve_config
 from ksm.corpus import (Document, Mention, read_instances, write_corpus,
                         write_instances)
 from ksm.kb import Embeddings, read_embeddings, write_embeddings
@@ -433,7 +433,7 @@ def test_predict_rejects_a_checkpoint_config_value_of_the_wrong_type(
         tmp_path, capsys, key, value):
     # a float or bool where an int belongs once ended in a bare TypeError,
     # and 1 for a bool in a parameter name mismatch
-    header, _, body = (DATA / "toy_model_v7.ckpt").read_bytes().partition(b"\n")
+    header, _, body = (DATA / "toy_model_v8.ckpt").read_bytes().partition(b"\n")
     header = json.loads(header)
     header["config"][key] = value
     ckpt = tmp_path / "model.ckpt"
@@ -456,7 +456,9 @@ def test_predict_rejects_a_checkpoint_config_value_of_the_wrong_type(
     ("pair", 1, "pair must be a list of strings, found 1"),
     ("pair", ["a", "b", "c"],
      'pair must be a list of 2 strings, found ["a", "b", "c"]'),
-    ("doc_id", 5, "doc_id must be a string, found 5")])
+    ("doc_id", 5, "doc_id must be a string, found 5"),
+    # the predictions file could not hold the pair
+    ("pair", ["", "b"], "id '' is empty or holds a TAB, CR or LF")])
 def test_predict_rejects_an_instance_field_at_its_line(tmp_path, capsys,
                                                        field, value, message):
     # a fraction, a number token and a bool once predicted with exit 0, a
@@ -474,7 +476,7 @@ def test_predict_rejects_an_instance_field_at_its_line(tmp_path, capsys,
     inst_path.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]])
                          + "\n")
     rc = main(["predict", "--instances", str(inst_path), "--checkpoint",
-               str(DATA / "toy_model_v7.ckpt"), "--out", str(tmp_path / "out")])
+               str(DATA / "toy_model_v8.ckpt"), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {inst_path}:2: {message}\n"
     assert not (tmp_path / "out").exists()
@@ -541,6 +543,43 @@ sum/tanh               54.55  100.00   70.59
 """
     # the six variants share one read of each input
     assert sorted(map(str, loads)) == sorted([str(kb_path), str(words_path)])
+
+
+# the settings every variant of an axis sets, so ablate never reads them
+@pytest.mark.parametrize("axis, keys", [
+    ("selector", {"selector_activation": "relu", "selector_op": "sum"}),
+    ("target", {"selector_target": "none"})])
+@pytest.mark.parametrize("slot", ["flag", "file"])
+def test_ablate_refuses_a_setting_its_axis_sets_in_every_variant(
+        tmp_path, capsys, axis, keys, slot):
+    # these once exited 0 with the table the defaults print
+    cfg_file, out = tmp_path / "run.json", tmp_path / "out"
+    cfg_file.write_text(json.dumps(keys))
+    flags = [a for k, v in keys.items()
+             for a in ("--" + k.replace("_", "-"), v)]
+    given = flags if slot == "flag" else ["--config", str(cfg_file)]
+    rc = main(["ablate", "--axis", axis, *_required("ablate", tmp_path),
+               *given])
+    assert rc == 2  # before any input is read: none exists
+    where = f"{cfg_file}: " if slot == "file" else ""
+    assert capsys.readouterr().err == (
+        f"error: {where}every --axis {axis} variant sets {sorted(keys)}; "
+        f"ablate does not read them\n")
+    assert not out.exists()
+
+
+def test_ablate_architecture_reads_every_setting(tmp_path):
+    # its `full` row sets no key, so each setting given is read
+    cfg_file = tmp_path / "run.json"
+    keys = {"selector_op": "sum", "selector_target": "both",
+            "pooling": "max", "n_blocks": 1}
+    cfg_file.write_text(json.dumps(keys))
+    args = build_parser().parse_args([
+        "ablate", "--axis", "architecture", *_required("ablate", tmp_path),
+        "--config", str(cfg_file), "--selector-activation", "relu"])
+    cfg = resolve_config(args)
+    assert {k: cfg[k] for k in keys} == keys
+    assert cfg["selector_activation"] == "relu"
 
 
 def test_gradcheck_passes_and_prints_max_error(capsys, monkeypatch,
@@ -623,7 +662,7 @@ def _valid_inputs(tmp_path):
     pred.write_text("D1\tG1\tG2\n")
     return {"--corpus": DATA / "toy_corpus.jsonl", "--triples": triples,
             "--instances": inst_path, "--eval-instances": inst_path,
-            "--checkpoint": DATA / "toy_model_v7.ckpt",
+            "--checkpoint": DATA / "toy_model_v8.ckpt",
             "--predictions": pred, "--out": tmp_path / "out"}
 
 
@@ -776,6 +815,19 @@ def test_word_embeddings_not_d_wide_exit_2_naming_the_file(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_train_on_a_word_embedding_file_of_no_rows_exits_2_naming_it(
+        tmp_path, capsys):
+    inst_path, _, _ = _small_training_setup(tmp_path)
+    words, out = tmp_path / "none.txt", tmp_path / "out"
+    words.write_text("0 8\n")
+    rc = main(["train", "--instances", str(inst_path), "--word-embeddings",
+               str(words), "--out", str(out)] + FAST_TRAIN)
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {words}: empty embedding file"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "train-kb"])
 @pytest.mark.parametrize("width", ["0", "-4"])
 def test_width_below_1_exits_2(tmp_path, capsys, command, width):
@@ -829,8 +881,18 @@ def test_malformed_corpus_reports_line_number(tmp_path, capsys):
      "bad.jsonl:2: gold_relations entries must be lists of 2 strings"),
     ({"doc_id": ["d7"], "sentences": [["a", "b"]], "mentions": []},
      "bad.jsonl:2: doc_id and mention entity ids must be strings"),
+    # ids the predictions file could not hold
+    ({"doc_id": "P\t1", "sentences": [["a", "b"]], "mentions": []},
+     "bad.jsonl:2: id 'P\\t1' is empty or holds a TAB, CR or LF"),
+    ({"sentences": [["a", "b"]], "mentions": [
+        {"entity_id": "", "sentence": 0, "token_span": [0, 1]}]},
+     "bad.jsonl:2: id '' is empty or holds a TAB, CR or LF"),
+    ({"sentences": [["a", "b"]], "mentions": [],
+      "gold_relations": [["G1", "G\r2"]]},
+     "bad.jsonl:2: id 'G\\r2' is empty or holds a TAB, CR or LF"),
 ], ids=["span-3", "sentence-float", "token-int", "sentence-string",
-        "gold-pair-of-3", "gold-pair-not-strings", "doc-id-list"])
+        "gold-pair-of-3", "gold-pair-not-strings", "doc-id-list",
+        "doc-id-tab", "mention-id-empty", "gold-id-cr"])
 def test_malformed_corpus_record_exits_2_without_output(tmp_path, capsys,
                                                         doc, location):
     bad = tmp_path / "bad.jsonl"

@@ -143,6 +143,14 @@ def test_worked_example_tokens_and_distances():
     assert inst.pair == ("G1", "G2")
 
 
+def test_a_pair_given_in_reverse_order_gives_the_same_window():
+    # the later mention first: the window is built from document order
+    doc = _single_sentence_doc()
+    m1, m2 = generate_candidate_pairs(doc)[0]
+    assert build_context_window(doc, m2, m1) == build_context_window(
+        doc, m1, m2)
+
+
 @pytest.mark.parametrize("field, value", [("expansion", -1),
                                           ("expansion", -2),
                                           ("max_sentence_distance", 0),

@@ -619,12 +619,12 @@ def test_paper_config_instance_graph_stays_within_100_nodes():
     # nodes, a gate of one affine node over [s1, s2, v], an affine classifier
     # over [s1, s2, v selected] and a one-node loss keep one instance's loss
     # graph at 86 nodes, 59 of them parameters, at any dropout rate. The
-    # null relation adds its parameter and a reshape; the entity gate adds
+    # null relation adds its parameter, the row er is; the entity gate adds
     # its W and b and an affine, activation and product node per entity (8),
     # and `entity` alone drops the relation gate's five
     vocab = [f"w{i}" for i in range(50)]
     for target, null, nodes in (("relation", False, 86),
-                                ("relation", True, 88), ("both", False, 94),
+                                ("relation", True, 87), ("both", False, 94),
                                 ("entity", False, 89)):
         for dropout_rate in (0.1, 0.0):
             cfg = ModelConfig(dropout_rate=dropout_rate,
@@ -659,12 +659,20 @@ def test_separate_pooling_records_four_nodes_per_sequence():
     assert counts["separate"] == counts["mutual"] + 3
 
 
+def test_a_word_table_of_another_width_is_bad_input():
+    table = WordTable.random(["a"], 12)
+    with pytest.raises(InputError, match="^word table dim 12 != model d 8$"):
+        KSMModel(ModelConfig(d=8, n_heads=2), table)
+
+
 def test_null_relation_parameter_receives_gradient():
     model = toy_model(seed=1)
     batch = toy_batch(2, model.config.d, lengths=(2,), null_for=0)
     accumulate_batch_gradient(model, batch, None)
     g = model.params["knowledge.null_relation"].grad
     assert g is not None and np.abs(g).sum() > 0
+    # a row, as a KB relation vector is fed: no reshape node in between
+    assert g.shape == model.params["knowledge.null_relation"].shape == (1, 8)
 
 
 @pytest.mark.parametrize("overrides", [

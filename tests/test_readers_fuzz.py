@@ -74,7 +74,7 @@ def test_a_mutated_input_loads_or_is_an_input_error_at_its_file(tmp_path,
         # in tmp_path, as it leaves a sidecar beside the file
         "read_embeddings": (read_embeddings, _embeddings(tmp_path)),
         "load_checkpoint": (load_checkpoint,
-                            (DATA / "toy_model_v7.ckpt").read_bytes()),
+                            (DATA / "toy_model_v8.ckpt").read_bytes()),
         "config": (_resolve_config, _CONFIG),
         "mention_lexicon": (lambda path: cli._read_json(path, "lexicon"),
                             b'{"G1": ["alpha", "beta"],\n "G2": ["gamma"]}'),

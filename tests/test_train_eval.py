@@ -12,7 +12,7 @@ from ksm.corpus import (LABEL_NEGATIVE, LABEL_POSITIVE, LABEL_UNLABELED,
                         CandidateInstance)
 from ksm.gradcheck import toy_batch
 from ksm.inputs import InputError
-from ksm.kb import Triple, init_embeddings
+from ksm.kb import KnowledgeStore, Triple, init_embeddings
 from ksm.model import CLASS_POSITIVE, KSMModel, ModelConfig, WordTable
 from ksm.optim import Adadelta
 from ksm.synthetic import (kb_for_instances, separable_instances,
@@ -285,6 +285,41 @@ def test_non_finite_loss_stops_training_with_epoch_and_batch():
         np.testing.assert_array_equal(model.params[name].data, value)
 
 
+def test_a_nan_relation_vector_stops_training_at_its_loss():
+    # every parameter is finite, and the forward rejects nothing: the loss
+    # itself is the first non-finite value
+    instances, _, model = _task(dropout_rate=0.0)
+    d = model.config.d
+    store = KnowledgeStore({}, {"binds": np.full(d, np.nan)}, d,
+                           {inst.pair: ["binds"] for inst in instances})
+    before = model.params.clone_values()
+    tc = TrainConfig(batch_size=8, max_epochs=2, holdout_fraction=0.0)
+    with pytest.raises(InputError, match=r"^non-finite training loss nan "
+                                         r"at epoch 0, batch 0$"):
+        train_model(instances, store, model, tc)
+    for name, value in before.items():
+        np.testing.assert_array_equal(model.params[name].data, value)
+
+
+def test_every_document_held_out_trains_on_all_and_picks_by_loss():
+    # "doc0" hashes into the lowest tenth: with half held out, every
+    # instance is, so the run trains on all of them as with none held out
+    runs = []
+    for fraction in (0.5, 0.0):
+        instances, store, model = _task(n=12)
+        for inst in instances:
+            inst.doc_id = "doc0"
+        tc = TrainConfig(batch_size=4, max_epochs=3, patience=10, seed=2,
+                         holdout_fraction=fraction)
+        result = train_model(instances, store, model, tc)
+        runs.append(([e.train_loss for e in result.log],
+                     {n: t.data.tobytes() for n, t in model.params.items()}))
+        assert all(np.isnan(e.eval_f1) for e in result.log)
+        losses = [e.train_loss for e in result.log]
+        assert result.best_epoch == losses.index(min(losses))
+    assert runs[0] == runs[1]
+
+
 def test_non_finite_gradient_stops_training_naming_first_parameter(
         monkeypatch):
     instances, store, model = _task()
@@ -457,3 +492,15 @@ def test_malformed_prediction_line_reports_location(tmp_path):
     path.write_text("d1\tA\tB\nd2 only-two-fields\n")
     with pytest.raises(ValueError, match=r"pred\.tsv:2"):
         read_predictions(path)
+
+
+@pytest.mark.parametrize("line", ["\tA\tB", "d2\t\tB", "d2\tA\t"],
+                         ids=["doc-id", "entity1", "entity2"])
+def test_a_prediction_line_with_an_empty_field_is_rejected(tmp_path, line):
+    # "\tA\tB" once read as doc id ""
+    path = tmp_path / "pred.tsv"
+    path.write_text(f"d1\tA\tB\n{line}\n")
+    with pytest.raises(InputError) as e:
+        read_predictions(path)
+    assert str(e.value) == (f"{path}:2: expected "
+                            f"doc_id<TAB>entity1<TAB>entity2")
